@@ -7,7 +7,6 @@
 package gpusimpow_test
 
 import (
-	"runtime"
 	"testing"
 
 	"gpusimpow/internal/bench"
@@ -214,18 +213,6 @@ func benchSimulateDense(b *testing.B, gpu func() *config.GPU, name string) {
 	benchSimulateCfg(b, cfg, name)
 }
 
-// benchSimulateParallel measures the same workload with intra-simulation
-// parallel core stepping at workers=GOMAXPROCS (see docs/PERFORMANCE.md,
-// "Intra-simulation parallelism"). The custom sim-cycles metric must match
-// the sequential variant bit for bit; only wall-clock may differ.
-func benchSimulateParallel(b *testing.B, gpu func() *config.GPU, name string) {
-	b.Helper()
-	cfg := gpu()
-	cfg.DisableSimCache = true
-	cfg.SimWorkers = runtime.GOMAXPROCS(0)
-	benchSimulateCfg(b, cfg, name)
-}
-
 func benchSimulateCfg(b *testing.B, cfg *config.GPU, name string) {
 	b.Helper()
 	simr, err := core.New(cfg)
@@ -267,22 +254,6 @@ func BenchmarkSimBlackScholesGT240Dense(b *testing.B) {
 func BenchmarkSimBFSGTX580Dense(b *testing.B) { benchSimulateDense(b, config.GTX580, "bfs") }
 func BenchmarkSimMatrixMulGTX580Dense(b *testing.B) {
 	benchSimulateDense(b, config.GTX580, "matrixMul")
-}
-
-// Parallel-stepping counterparts: workers = GOMAXPROCS. Bit-identical
-// sim-cycles by construction; wall-clock gain scales with available cores.
-func BenchmarkSimVectorAddGT240Parallel(b *testing.B) {
-	benchSimulateParallel(b, config.GT240, "vectorAdd")
-}
-func BenchmarkSimBlackScholesGT240Parallel(b *testing.B) {
-	benchSimulateParallel(b, config.GT240, "BlackScholes")
-}
-func BenchmarkSimMatrixMulGTX580Parallel(b *testing.B) {
-	benchSimulateParallel(b, config.GTX580, "matrixMul")
-}
-func BenchmarkSimBFSGTX580Parallel(b *testing.B) { benchSimulateParallel(b, config.GTX580, "bfs") }
-func BenchmarkSimMergeSortGT240Parallel(b *testing.B) {
-	benchSimulateParallel(b, config.GT240, "mergeSort")
 }
 
 // Cached counterpart: the same simulation served as content-addressed cache

@@ -36,17 +36,3 @@ func Run(cfg *config.GPU, counts map[string]int) float64 {
 	total += rand.Float64()
 	return total
 }
-
-// mergeShards mimics the parallel stepper's cycle-barrier merge: combining
-// per-worker activity shards by ranging over an unsorted map makes the
-// accumulated floating-point totals (and any order-sensitive replay) depend
-// on Go's randomized map order — exactly the bug class detrange exists for.
-func mergeShards(shards map[int]float64) float64 {
-	var total float64
-	for _, shard := range shards { // unsorted shard merge
-		total += shard
-	}
-	return total
-}
-
-var _ = mergeShards

@@ -110,18 +110,6 @@ type GPU struct {
 	// effect process-wide.
 	DisableSimCache bool `xml:"disableSimCache,omitempty"`
 
-	// SimWorkers bounds how many OS threads one timing simulation may use
-	// to step cores in parallel within a clock cycle. 1 forces the
-	// sequential reference loop; 0 (the default) derives a worker count
-	// from GOMAXPROCS (capped at the physical CPU count) minus whatever
-	// the experiment runner's pool has already claimed, so sweep-level
-	// fan-out times intra-sim workers never oversubscribes the node. The parallel and sequential paths are
-	// bit-identical in every activity counter and in the functional memory
-	// image (asserted by the sim package's TestParallelEquivalence), which
-	// is why the knob is classified timing-neutral in partition.go. The
-	// GPUSIMPOW_SIM_WORKERS environment variable overrides it process-wide.
-	SimWorkers int `xml:"simWorkers,omitempty"`
-
 	Power PowerCal `xml:"power"`
 }
 
@@ -313,6 +301,9 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config %s: warp size must be a positive power of two", g.Name)
 	case g.MaxWarpsPerCore <= 0:
 		return fmt.Errorf("config %s: need positive warps per core", g.Name)
+	case g.MaxWarpsPerCore > 64:
+		return fmt.Errorf("config %s: maxWarpsPerCore %d exceeds 64, the simulator's limit (one bit per warp slot in a 64-bit mask)",
+			g.Name, g.MaxWarpsPerCore)
 	case g.MaxThreadsPerCore < g.WarpSize:
 		return fmt.Errorf("config %s: maxThreadsPerCore below warp size", g.Name)
 	case g.MaxWarpsPerCore*g.WarpSize != g.MaxThreadsPerCore:
@@ -353,8 +344,6 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config %s: pipeline latencies must be positive", g.Name)
 	case g.PCIeLanes <= 0:
 		return fmt.Errorf("config %s: PCIe lanes must be positive", g.Name)
-	case g.SimWorkers < 0:
-		return fmt.Errorf("config %s: simWorkers must be non-negative", g.Name)
 	}
 	p := g.Power
 	if p.IntOpPJ <= 0 || p.FPOpPJ <= 0 || p.SFUOpPJ <= 0 {

@@ -139,6 +139,29 @@ func TestReadXMLRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestReadXMLIgnoresRetiredElements loads a configuration that still
+// carries <simWorkers>, the knob of the removed intra-simulation worker
+// pool: encoding/xml skips unknown elements, so old files keep loading.
+func TestReadXMLIgnoresRetiredElements(t *testing.T) {
+	var buf bytes.Buffer
+	if err := GT240().WriteXML(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(buf.String(), "<pcieLanes>", "<simWorkers>4</simWorkers><pcieLanes>", 1)
+	if old == buf.String() {
+		t.Fatal("fixture: no <pcieLanes> element to anchor <simWorkers> on")
+	}
+	got, err := ReadXML(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("config with <simWorkers> failed to load: %v", err)
+	}
+	want := GT240()
+	got.XMLName = want.XMLName
+	if !reflect.DeepEqual(got, want) {
+		t.Error("config with <simWorkers> loaded differently from the plain preset")
+	}
+}
+
 func TestValidateCatchesBreakage(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -150,6 +173,7 @@ func TestValidateCatchesBreakage(t *testing.T) {
 		{"shader below uncore", func(g *GPU) { g.CoreClockMHz = g.UncoreClockMHz / 2 }},
 		{"zero clusters", func(g *GPU) { g.Clusters = 0 }},
 		{"warp size not pow2", func(g *GPU) { g.WarpSize = 24 }},
+		{"more than 64 warps", func(g *GPU) { g.MaxWarpsPerCore = 65; g.MaxThreadsPerCore = 65 * g.WarpSize }},
 		{"thread/warp mismatch", func(g *GPU) { g.MaxThreadsPerCore = 100 }},
 		{"too many FUs", func(g *GPU) { g.FUsPerCore = 64 }},
 		{"zero SFUs", func(g *GPU) { g.SFUsPerCore = 0 }},

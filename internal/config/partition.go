@@ -43,12 +43,6 @@ var powerOnlyFields = []string{
 var timingNeutralFields = []string{
 	"DenseClock",
 	"DisableSimCache",
-	// SimWorkers only picks how many OS threads step cores inside one
-	// clock cycle; the parallel and sequential paths are proven
-	// bit-identical (the sim package's TestParallelEquivalence matrix), so
-	// a parallel run must share its cached timing results with a
-	// sequential one. Keying on it would fracture the cache by host shape.
-	"SimWorkers",
 	// Name is identity metadata: it appears in error text and report
 	// headers (internal/sim quotes it when a kernel touches a texture
 	// cache the config lacks) but never in simulated behavior, so two

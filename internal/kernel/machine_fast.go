@@ -16,7 +16,7 @@ import (
 // instruction, so the per-lane work collapses to indexed loads. Semantics
 // are bit-identical to execData by construction: the same lane order
 // (ascending set bits, so AtomAdd's lane ordering is preserved), the same
-// arithmetic, the same error text, the same capture behavior.
+// arithmetic, the same error text.
 
 // pickOperand reads source lane l from a resolved operand: the register
 // row when non-nil, the immediate otherwise. Small enough to inline.
@@ -143,10 +143,6 @@ func (w *Warp) execDataFast(in *Instr, d *DInstr, execMask uint32, env *Env, inf
 			info.Addrs[l] = addr
 			switch in.Op {
 			case OpLd:
-				if gc := env.Capture; gc != nil && (in.Space == SpaceGlobal || in.Space == SpaceTexture) {
-					gc.captureLoad(w, d.dstOff, l, addr)
-					continue
-				}
 				lv, err := w.load(in.Space, addr, env)
 				if err != nil {
 					return err
@@ -154,20 +150,12 @@ func (w *Warp) execDataFast(in *Instr, d *DInstr, execMask uint32, env *Env, inf
 				v = lv
 			case OpSt:
 				b := pickOperand(bRow, bImm, l)
-				if gc := env.Capture; gc != nil && in.Space == SpaceGlobal {
-					gc.captureStore(addr, b)
-					continue
-				}
 				if err := w.store(in.Space, addr, b, env); err != nil {
 					return err
 				}
 				continue
 			case OpAtomAdd:
 				b := pickOperand(bRow, bImm, l)
-				if gc := env.Capture; gc != nil {
-					gc.captureAtomAdd(w, d.dstOff, l, addr, b)
-					continue
-				}
 				old := env.Global.Read32(addr)
 				env.Global.Write32(addr, old+b)
 				v = old

@@ -84,13 +84,6 @@ func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return results, firstError(errs)
 	}
 
-	// Register the pool's extra threads with the shared worker budget so
-	// intra-simulation parallelism (internal/sim's elastic SimWorkers auto
-	// mode) sizes itself around the sweep-level fan-out instead of
-	// multiplying with it.
-	ReserveWorkers(workers - 1)
-	defer ReleaseWorkers(workers - 1)
-
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -17,7 +17,6 @@ type wbEvent struct {
 	reg   uint8
 	hasWB bool // writes a register (counts an RF bank write)
 	isMem bool // memory instruction (two-level scheduler demotion state)
-	lanes int
 }
 
 // wbHeap is a min-heap of writeback events ordered by cycle. The sift
@@ -81,9 +80,6 @@ type warpSlot struct {
 	w      *kernel.Warp
 	block  *blockRt
 
-	ibValid   bool
-	fetchedAt uint64
-
 	pendingN    int
 	pendingRegs []uint8 // scoreboard: destination registers in flight
 
@@ -119,16 +115,22 @@ type coreState struct {
 	ageCounter uint64
 	orderBuf   []int // scratch for candidate ordering
 
-	// Warp-status bitmasks, maintained when MaxWarpsPerCore fits a word
-	// (useMasks): bit i of fetchable is set iff slot i is active with no
-	// buffered instruction and neither finished nor at a barrier; issuable
-	// is the same predicate with a buffered instruction. schedMask[s]
-	// selects scheduler s's congruence class (slot i belongs to scheduler
-	// i mod Schedulers). The field-scan loops remain for larger cores.
-	useMasks  bool
+	// Warp-status bitmasks (config.Validate caps MaxWarpsPerCore at 64, so
+	// one word covers every slot): bit i of fetchable is set iff slot i is
+	// active with no buffered instruction and neither finished nor at a
+	// barrier; issuable is the same predicate with a buffered instruction.
+	// schedMask[s] selects scheduler s's congruence class (slot i belongs to
+	// scheduler i mod Schedulers).
 	fetchable uint64
 	issuable  uint64
 	schedMask []uint64
+	// hazBlocked marks slots whose buffered instruction failed the hazard
+	// check. The check's inputs — the instruction at the warp's PC and the
+	// slot's in-flight writebacks — change only when the warp issues, when
+	// one of its writebacks drains, or when its block retires, so the bit
+	// stays valid until drainEvents or retire clears it (a slot that issues
+	// was never blocked) and the issue stage skips re-checking the slot.
+	hazBlocked uint64
 
 	// Retired warps, block contexts and block runtimes recycle through
 	// per-core LIFO pools, so steady-state dispatch allocates nothing but
@@ -168,12 +170,9 @@ func newCoreState(id int, cfg *config.GPU) (*coreState, error) {
 	for i := range c.lastIssued {
 		c.lastIssued[i] = -1
 	}
-	if cfg.MaxWarpsPerCore <= 64 {
-		c.useMasks = true
-		c.schedMask = make([]uint64, cfg.Schedulers)
-		for i := 0; i < cfg.MaxWarpsPerCore; i++ {
-			c.schedMask[i%cfg.Schedulers] |= 1 << i
-		}
+	c.schedMask = make([]uint64, cfg.Schedulers)
+	for i := 0; i < cfg.MaxWarpsPerCore; i++ {
+		c.schedMask[i%cfg.Schedulers] |= 1 << i
 	}
 	if cfg.L1KB > 0 {
 		l1, err := cache.New(cache.Config{
@@ -281,9 +280,7 @@ func (c *coreState) place(l *kernel.Launch, env *kernel.Env, smemBytes, regs int
 			ageStamp:    c.ageCounter,
 			pendingRegs: c.slots[slot].pendingRegs[:0],
 		}
-		if c.useMasks {
-			c.fetchable |= 1 << slot
-		}
+		c.fetchable |= 1 << slot
 		b.slots = append(b.slots, slot)
 		a.WSTWrites++ // warp status table entry initialised
 		a.WarpsLaunched++
@@ -315,7 +312,7 @@ func (c *coreState) maybeReleaseBarrier(b *blockRt) {
 			c.slots[slot].w.ReleaseBarrier()
 			// A released warp was fetch-blocked by AtBarrier with an empty
 			// instruction buffer; it becomes fetchable again.
-			if c.useMasks && !c.slots[slot].w.Finished {
+			if !c.slots[slot].w.Finished {
 				c.fetchable |= 1 << slot
 			}
 		}
@@ -331,10 +328,9 @@ func (c *coreState) retire(b *blockRt, smemBytes, regs int) {
 	for _, s := range b.slots {
 		c.warpPool = append(c.warpPool, c.slots[s].w)
 		c.slots[s] = warpSlot{pendingRegs: c.slots[s].pendingRegs[:0]}
-		if c.useMasks {
-			c.fetchable &^= 1 << s
-			c.issuable &^= 1 << s
-		}
+		c.fetchable &^= 1 << s
+		c.issuable &^= 1 << s
+		c.hazBlocked &^= 1 << s
 	}
 	c.freeWarps += b.total
 	c.freeSMem += smemBytes
@@ -357,6 +353,7 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 	for len(c.events) > 0 && c.events[0].cycle <= now {
 		ev := c.events.pop()
 		drained++
+		c.hazBlocked &^= 1 << ev.slot
 		sl := &c.slots[ev.slot]
 		if !sl.active {
 			continue // block already retired (possible only after errors)
@@ -381,70 +378,39 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 }
 
 // fetchStage models instruction fetch + decode: up to Schedulers warps per
-// cycle refill their instruction buffer slot. It returns the fetch count.
-func (c *coreState) fetchStage(now uint64, a *Activity) int {
+// cycle refill their instruction buffer slot. It returns the mask of slots
+// fetched this cycle, which may not issue until the next one.
+//
+// The scan visits slots round-robin from the fetch pointer, i = fetchRR +
+// scan with the live fetchRR (a successful fetch advances the whole
+// window). Rotating the fetchable mask so bit 0 is the scan head turns
+// "next eligible slot" into a trailing-zero count, skipping runs of
+// ineligible slots in one step; nothing but our own fetches changes
+// eligibility mid-scan.
+func (c *coreState) fetchStage(a *Activity) (fresh uint64) {
 	n := len(c.slots)
-	fetched := 0
-	if c.useMasks {
-		// Mask-kept equivalent of the field scan below, skipping runs of
-		// ineligible slots in one step. The scan visits i = fetchRR + scan
-		// with the LIVE fetchRR (a successful fetch advances the whole
-		// window, exactly as the field loop does); rotating the fetchable
-		// mask so bit 0 is the scan head turns "next eligible slot" into a
-		// trailing-zero count. Nothing mutates eligibility mid-scan except
-		// our own fetches, so the jump sees what the field loop would.
-		for scan := 0; scan < n && fetched < c.cfg.Schedulers; {
-			f := c.fetchable
-			if f == 0 {
-				break
-			}
-			start := c.fetchRR + scan
-			if start >= n {
-				start -= n
-			}
-			rot := f>>start | f<<(n-start)
-			d := bits.TrailingZeros64(rot)
-			if scan+d >= n {
-				break // next eligible slot is past the scan budget
-			}
-			scan += d
-			i := start + d
-			if i >= n {
-				i -= n
-			}
-			sl := &c.slots[i]
-			sl.ibValid = true
-			sl.fetchedAt = now
-			c.fetchable &^= 1 << i
-			c.issuable |= 1 << i
-			fetched++
-			a.ICacheReads++
-			a.Decodes++
-			a.WSTReads++
-			a.WSTWrites++
-			a.IBufWrites++
-			c.fetchRR = i + 1
-			if c.fetchRR == n {
-				c.fetchRR = 0
-			}
-			scan++
+	for scan, fetched := 0, 0; scan < n && fetched < c.cfg.Schedulers; {
+		f := c.fetchable
+		if f == 0 {
+			break
 		}
-		return fetched
-	}
-	for scan := 0; scan < n && fetched < c.cfg.Schedulers; scan++ {
-		// i derives from the *current* fetchRR each iteration (so a
-		// successful fetch advances the whole scan window) — the reduction
-		// replaces the original modulo, everything else is seed behaviour.
-		i := c.fetchRR + scan
+		start := c.fetchRR + scan
+		if start >= n {
+			start -= n
+		}
+		rot := f>>start | f<<(n-start)
+		d := bits.TrailingZeros64(rot)
+		if scan+d >= n {
+			break // next eligible slot is past the scan budget
+		}
+		scan += d
+		i := start + d
 		if i >= n {
 			i -= n
 		}
-		sl := &c.slots[i]
-		if !sl.active || sl.ibValid || sl.w.Finished || sl.w.AtBarrier {
-			continue
-		}
-		sl.ibValid = true
-		sl.fetchedAt = now
+		c.fetchable &^= 1 << i
+		c.issuable |= 1 << i
+		fresh |= 1 << i
 		fetched++
 		a.ICacheReads++
 		a.Decodes++
@@ -455,8 +421,9 @@ func (c *coreState) fetchStage(now uint64, a *Activity) int {
 		if c.fetchRR == n {
 			c.fetchRR = 0
 		}
+		scan++
 	}
-	return fetched
+	return fresh
 }
 
 // hazard reports whether the instruction at the warp's PC has a register
@@ -510,72 +477,116 @@ func (c *coreState) unitFreeAt(class kernel.Class, sched int) uint64 {
 	}
 }
 
-// issueStage arbitrates and issues up to one instruction per scheduler,
-// considering warps in the order the configured scheduling policy dictates.
-func (st *stepper) issueStage(c *coreState, now uint64) error {
-	a := st.act
-	g := st.sim
-	n := len(c.slots)
+// issueStage arbitrates and issues up to one instruction per scheduler.
+// A scheduler arbitrates among its live slots — buffered, and not fetched
+// this cycle — in the order its policy dictates and issues the first one
+// free of hazards and structural stalls. Every live slot the priority order
+// reaches up to and including the issuing one is charged a scoreboard
+// search, all of them when none issues; hazard-blocked slots are charged
+// without being re-checked.
+func (s *gpuSim) issueStage(c *coreState, now uint64, fresh uint64) error {
 	for sched := 0; sched < c.cfg.Schedulers; sched++ {
-		c.orderBuf = g.candidateOrder(c, sched, c.orderBuf)
-		arbitrated := false
-		for _, i := range c.orderBuf {
-			sl := &c.slots[i]
-			if sl.fetchedAt >= now {
-				continue
-			}
-			if !arbitrated {
-				arbitrated = true
-				a.SchedArbs++
-			}
-			pc := sl.w.PC()
-			in := &g.prog.Instrs[pc]
-			d := &g.dec[pc]
-			a.SBSearches++
-			if c.hazard(sl, d) {
-				continue
-			}
-			class := d.Class
-			if !c.unitFree(class, sched, now) {
-				// Hazard-free but structurally blocked: the warp becomes
-				// issuable the moment the unit frees, so the fast-forward
-				// must not jump past that point.
-				if t := c.unitFreeAt(class, sched); t < st.structNext {
-					st.structNext = t
-				}
-				continue
-			}
-			if err := st.issueInstr(c, sl, i, sched, in, d, class, now); err != nil {
-				return err
-			}
-			c.issueRR[sched] = (i + 1) % n
-			c.lastIssued[sched] = i
-			break // one issue per scheduler per cycle
+		live := c.issuable & c.schedMask[sched] &^ fresh
+		if live == 0 {
+			continue
+		}
+		s.act.SchedArbs++
+		var searched int
+		var err error
+		if s.policy == PolicyRR {
+			searched, err = s.issueRoundRobin(c, sched, live, now)
+		} else {
+			searched, err = s.issueOrdered(c, sched, live, fresh, now)
+		}
+		s.act.SBSearches += uint64(searched)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// issueInstr executes one instruction functionally and models its timing.
-func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *kernel.Instr, d *kernel.DInstr, class kernel.Class, now uint64) error {
-	a := st.act
-	cfg := c.cfg
-
-	if st.stage {
-		sl.block.env.Capture = &st.capture
+// issueRoundRobin walks the live slots in rotating-priority order: from the
+// scheduler's priority pointer upward, then the wrapped remainder. It
+// returns the number of scoreboard searches to charge.
+func (s *gpuSim) issueRoundRobin(c *coreState, sched int, live uint64, now uint64) (int, error) {
+	rr := uint(c.issueRR[sched])
+	hi := live >> rr << rr
+	searched := 0
+	for _, window := range [2]uint64{hi, live &^ hi} {
+		for m := window &^ c.hazBlocked; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			issued, err := s.tryIssue(c, i, sched, now)
+			if issued || err != nil {
+				// Charge the window's live slots at or below i.
+				return searched + bits.OnesCount64(window<<(63-i)), err
+			}
+		}
+		searched += bits.OnesCount64(window)
 	}
-	info, err := sl.w.Exec(st.sim.prog, sl.block.env)
+	return searched, nil
+}
+
+// issueOrdered walks the live slots in the order candidateOrder builds for
+// the GTO and two-level policies. It returns the number of scoreboard
+// searches to charge.
+func (s *gpuSim) issueOrdered(c *coreState, sched int, live, fresh uint64, now uint64) (int, error) {
+	c.orderBuf = s.candidateOrder(c, sched, live, fresh, c.orderBuf)
+	for k, i := range c.orderBuf {
+		if c.hazBlocked&(1<<i) != 0 {
+			continue
+		}
+		issued, err := s.tryIssue(c, i, sched, now)
+		if issued || err != nil {
+			return k + 1, err
+		}
+	}
+	return len(c.orderBuf), nil
+}
+
+// tryIssue issues slot i's buffered instruction if it passes the hazard
+// check and its execution unit is free, and reports whether it issued. A
+// hazard marks the slot in hazBlocked.
+func (s *gpuSim) tryIssue(c *coreState, i, sched int, now uint64) (bool, error) {
+	sl := &c.slots[i]
+	pc := sl.w.PC()
+	d := &s.dec[pc]
+	if c.hazard(sl, d) {
+		c.hazBlocked |= 1 << i
+		return false, nil
+	}
+	if !c.unitFree(d.Class, sched, now) {
+		// Hazard-free but structurally blocked: the warp becomes issuable
+		// the moment the unit frees, so the fast-forward must not jump past
+		// that point.
+		if t := c.unitFreeAt(d.Class, sched); t < s.structNext {
+			s.structNext = t
+		}
+		return false, nil
+	}
+	if err := s.issueInstr(c, sl, i, sched, &s.prog.Instrs[pc], d, now); err != nil {
+		return false, err
+	}
+	c.issueRR[sched] = (i + 1) % len(c.slots)
+	c.lastIssued[sched] = i
+	return true, nil
+}
+
+// issueInstr executes one instruction functionally and models its timing.
+func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *kernel.Instr, d *kernel.DInstr, now uint64) error {
+	a := &s.act
+	cfg := c.cfg
+	class := d.Class
+
+	info, err := sl.w.Exec(s.prog, sl.block.env)
 	if err != nil {
 		return fmt.Errorf("core %d slot %d: %w", c.id, slotIdx, err)
 	}
 
-	st.progress = true
-	sl.ibValid = false
-	if c.useMasks {
-		c.issuable &^= 1 << slotIdx
-		if !sl.w.Finished && !sl.w.AtBarrier {
-			c.fetchable |= 1 << slotIdx
-		}
+	s.progress = true
+	c.issuable &^= 1 << slotIdx
+	if !sl.w.Finished && !sl.w.AtBarrier {
+		c.fetchable |= 1 << slotIdx
 	}
 	a.IssuedInstrs++
 	a.IBufReads++
@@ -596,7 +607,6 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 
 	lanes := info.ActiveLanes
 	var latency uint64
-	recIdx := -1
 	hasWB := in.HasDst
 
 	switch class {
@@ -626,7 +636,7 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 	case kernel.ClassMem:
 		a.MemWarpInstrs++
 		var err error
-		latency, recIdx, err = st.memAccess(c, in, &info, now)
+		latency, err = s.memAccess(c, in, &info, now)
 		if err != nil {
 			return err
 		}
@@ -648,7 +658,7 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 
 	if class == kernel.ClassCtrl && !hasWB {
 		// Control instructions complete immediately; no pipeline slot held.
-		st.retireIfDone(c, sl.block)
+		s.retireIfDone(c, sl.block)
 		return nil
 	}
 
@@ -662,31 +672,14 @@ func (st *stepper) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in
 	if isMem {
 		sl.memPending++
 	}
-	if recIdx >= 0 {
-		// The writeback latency depends on staged memory-system requests:
-		// the event is pushed by the barrier replay instead.
-		rec := &st.staged[recIdx]
-		rec.needEvent = true
-		rec.slot = slotIdx
-		rec.reg = in.Dst
-		rec.hasWB = hasWB
-		rec.lanes = lanes
-		return nil
-	}
-	c.events.push(wbEvent{cycle: now + latency, slot: slotIdx, reg: in.Dst, hasWB: hasWB, isMem: isMem, lanes: lanes})
+	c.events.push(wbEvent{cycle: now + latency, slot: slotIdx, reg: in.Dst, hasWB: hasWB, isMem: isMem})
 	return nil
 }
 
 // memAccess routes a memory instruction through the LDST unit: AGU, then the
-// space-specific path. It returns the dependency latency and, when the
-// latency depends on memory-system requests the stepper staged for the
-// cycle barrier, the index of the staged record (-1 otherwise — the caller
-// pushes the writeback event itself). Core-private structures — shared
-// memory banks, the L1/constant/texture caches, the LDST pipeline — are
-// always modelled inline; only traffic below the cores is staged.
-func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepInfo, now uint64) (uint64, int, error) {
-	a := st.act
-	g := st.sim
+// space-specific path. It returns the dependency latency.
+func (s *gpuSim) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepInfo, now uint64) (uint64, error) {
+	a := &s.act
 	cfg := c.cfg
 	lanes := info.ActiveLanes
 
@@ -703,41 +696,29 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		a.SMemAccesses += uint64(lanes)
 		a.SMemConflicts += uint64(extra)
 		c.ldstFree = now + aguCycles + uint64(extra)
-		return uint64(cfg.SMemLatency) + uint64(extra), -1, nil
+		return uint64(cfg.SMemLatency) + uint64(extra), nil
 
 	case kernel.SpaceConst, kernel.SpaceParam:
 		addrs := constDistinctAddrs(info, c.addrBuf[:0])
 		c.addrBuf = addrs
 		a.ConstReads += uint64(len(addrs))
 		worst := uint64(cfg.SMemLatency)
-		arenaStart := len(st.addrArena)
 		for _, ad := range addrs {
 			res := c.ccache.Access(uint64(ad), false)
 			if !res.Hit {
 				a.ConstMisses++
-				if st.stage {
-					st.addrArena = append(st.addrArena, ad)
-					continue
-				}
-				done := g.mem.globalSegment(now, constRegionBase+ad, cfg.ConstLineB, false, a)
+				done := s.mem.globalSegment(now, constRegionBase+ad, cfg.ConstLineB, false, a)
 				if done-now > worst {
 					worst = done - now
 				}
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(addrs)-1)
-		if miss := st.addrArena[arenaStart:]; st.stage && len(miss) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceConst, addrs: miss,
-				reqBytes: cfg.ConstLineB, now: now, floorLat: worst,
-			})
-			return 0, len(st.staged) - 1, nil
-		}
-		return worst, -1, nil
+		return worst, nil
 
 	case kernel.SpaceTexture:
 		if c.tcache == nil {
-			return 0, -1, fmt.Errorf("sim: texture access on %s, which has no texture cache configured", cfg.Name)
+			return 0, fmt.Errorf("sim: texture access on %s, which has no texture cache configured", cfg.Name)
 		}
 		// Per-lane addresses collapse to distinct cache lines (deduplicated
 		// in lane order, so cache behaviour is deterministic); hits are
@@ -761,30 +742,18 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		}
 		c.lineBuf = lines
 		worst := uint64(cfg.SMemLatency) + 12 // TMU addressing + filtering pipe
-		arenaStart := len(st.addrArena)
 		for _, line := range lines {
 			a.TexReads++
 			if res := c.tcache.Access(uint64(line), false); !res.Hit {
 				a.TexMisses++
-				if st.stage {
-					st.addrArena = append(st.addrArena, line)
-					continue
-				}
-				done := g.mem.globalSegment(now, line, cfg.TexLineB, false, a)
+				done := s.mem.globalSegment(now, line, cfg.TexLineB, false, a)
 				if done-now > worst {
 					worst = done - now
 				}
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(lines))
-		if miss := st.addrArena[arenaStart:]; st.stage && len(miss) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceTexture, addrs: miss,
-				reqBytes: cfg.TexLineB, now: now, floorLat: worst,
-			})
-			return 0, len(st.staged) - 1, nil
-		}
-		return worst, -1, nil
+		return worst, nil
 
 	case kernel.SpaceGlobal:
 		write := in.Op == kernel.OpSt
@@ -794,68 +763,41 @@ func (st *stepper) memAccess(c *coreState, in *kernel.Instr, info *kernel.StepIn
 		a.CoalescedReqs += uint64(len(segs))
 		a.PRTWrites += uint64(len(segs))
 		var worst uint64
-		arenaStart := len(st.addrArena)
 		for _, seg := range segs {
-			segDone := st.globalThroughL1(c, now, seg, write, a)
+			segDone := s.globalThroughL1(c, now, seg, write)
 			if segDone > worst {
 				worst = segDone
 			}
 		}
 		c.ldstFree = now + aguCycles + uint64(len(segs))
-		staged := st.addrArena[arenaStart:]
 		if write {
-			if len(staged) > 0 {
-				// Store traffic is staged for the memory system, but the
-				// dependency latency is the fixed hand-off cost: the caller
-				// pushes the event as usual.
-				st.staged = append(st.staged, stagedAccess{
-					c: c, space: kernel.SpaceGlobal, write: true, addrs: staged,
-					reqBytes: segmentBytes, now: now,
-				})
-			}
 			// Stores retire once handed to the memory system.
-			return 4, -1, nil
-		}
-		if len(staged) > 0 {
-			st.staged = append(st.staged, stagedAccess{
-				c: c, space: kernel.SpaceGlobal, addrs: staged,
-				reqBytes: segmentBytes, now: now, worstAbs: worst,
-			})
-			return 0, len(st.staged) - 1, nil
+			return 4, nil
 		}
 		if worst <= now {
 			worst = now + uint64(cfg.SMemLatency)
 		}
-		return worst - now, -1, nil
+		return worst - now, nil
 	}
-	return 0, -1, fmt.Errorf("sim: unhandled memory space %v", in.Space)
+	return 0, fmt.Errorf("sim: unhandled memory space %v", in.Space)
 }
 
 // globalThroughL1 sends one segment through the per-core L1 (when present)
-// and on to the shared memory system — or, when staging, appends it to the
-// stepper's arena for the barrier replay and returns 0 (the staged record
-// resolves the completion time).
-func (st *stepper) globalThroughL1(c *coreState, now uint64, seg uint32, write bool, a *Activity) uint64 {
-	forward := func() uint64 {
-		if st.stage {
-			st.addrArena = append(st.addrArena, seg)
-			return 0
-		}
-		return st.sim.mem.globalSegment(now, seg, segmentBytes, write, a)
-	}
+// and on to the shared memory system, returning its completion cycle.
+func (s *gpuSim) globalThroughL1(c *coreState, now uint64, seg uint32, write bool) uint64 {
+	a := &s.act
 	if c.l1 != nil {
 		res := c.l1.Access(uint64(seg), write)
 		if write {
 			a.L1Writes++
 			// Write-through: always forwarded.
-			return forward()
+			return s.mem.globalSegment(now, seg, segmentBytes, write, a)
 		}
 		a.L1Reads++
 		if res.Hit {
 			return now + uint64(c.cfg.SMemLatency) + 8
 		}
 		a.L1Misses++
-		return forward()
 	}
-	return forward()
+	return s.mem.globalSegment(now, seg, segmentBytes, write, a)
 }

@@ -30,8 +30,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/activity.golden")
 
-const activityGolden = "activity.golden"
-
 type goldenCase struct {
 	name  string
 	cfg   *config.GPU
@@ -78,7 +76,7 @@ func goldenCases() []goldenCase {
 // TestActivityGolden compares every launch's full Activity against
 // testdata/activity.golden with reflect.DeepEqual: no counter may move.
 func TestActivityGolden(t *testing.T) {
-	path := filepath.Join("testdata", activityGolden)
+	path := filepath.Join("testdata", "activity.golden")
 	var want map[string]sim.Activity
 	if !*updateGolden {
 		var err error
@@ -137,7 +135,6 @@ func readActivityGolden(path string) (map[string]sim.Activity, error) {
 	defer f.Close()
 	m := map[string]sim.Activity{}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		key, body, ok := strings.Cut(sc.Text(), " ")
 		if !ok {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Warp scheduling policies. The paper's baseline is the rotating-priority
 // (round-robin) scheduler of Section III-C1; its conclusion proposes
@@ -23,151 +20,78 @@ const (
 	PolicyTwoLevel = "twolevel"
 )
 
-// candidateOrder fills buf with the slot indices scheduler `sched` should
-// consider this cycle, in priority order.
-func (g *gpuSim) candidateOrder(c *coreState, sched int, buf []int) []int {
+// candidateOrder fills buf with the live slots (see issueStage) scheduler
+// `sched` considers this cycle under the GTO or two-level policy, in
+// priority order. Round-robin needs no list: issueRoundRobin walks the
+// live mask directly.
+func (g *gpuSim) candidateOrder(c *coreState, sched int, live, fresh uint64, buf []int) []int {
 	buf = buf[:0]
-	n := len(c.slots)
-	mine := func(i int) bool { return i%c.cfg.Schedulers == sched }
-	issuable := func(sl *warpSlot) bool {
-		return sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier
-	}
-
-	// cand is the issuable mask restricted to this scheduler's slots; the
-	// mask-kept paths below iterate its set bits (ascending slot order,
-	// matching the field-scan loops they replace) instead of re-deriving
-	// the predicate per slot.
-	var cand uint64
-	if c.useMasks {
-		cand = c.issuable & c.schedMask[sched]
-		if cand == 0 {
-			return buf
-		}
-	}
-
-	switch g.policy {
-	case PolicyGTO:
+	if g.policy == PolicyGTO {
+		// Greedy: the last-issued warp first, then the others oldest first.
 		last := c.lastIssued[sched]
-		if c.useMasks {
-			// Greedy: last-issued warp first, then the others ascending
-			// (the sort below orders them by age).
-			if last >= 0 && cand&(1<<last) != 0 {
-				buf = append(buf, last)
-			}
-			for m := cand; m != 0; m &= m - 1 {
-				if i := bits.TrailingZeros64(m); i != last {
-					buf = append(buf, i)
-				}
-			}
-		} else {
-			// Greedy: last-issued warp first.
-			if last >= 0 && mine(last) && issuable(&c.slots[last]) {
-				buf = append(buf, last)
-			}
-			// Then all other issuable warps, oldest first.
-			for i := 0; i < n; i++ {
-				if i != last && mine(i) && issuable(&c.slots[i]) {
-					buf = append(buf, i)
-				}
-			}
+		if last >= 0 && live&(1<<last) != 0 {
+			buf = append(buf, last)
+			live &^= 1 << last
 		}
-		rest := buf
-		if len(buf) > 0 && buf[0] == last {
-			rest = buf[1:]
+		n := len(buf)
+		for m := live; m != 0; m &= m - 1 {
+			buf = append(buf, bits.TrailingZeros64(m))
 		}
-		sort.Slice(rest, func(a, b int) bool {
-			return c.slots[rest[a]].ageStamp < c.slots[rest[b]].ageStamp
-		})
+		sortByAge(c, buf[n:])
 		return buf
+	}
 
-	case PolicyTwoLevel:
-		// Active set: the K oldest issuable warps not waiting on memory.
-		// The two sets live in reusable per-core buffers.
-		k := g.activeSet
-		active, pending := c.tlActive[:0], c.tlPend[:0]
-		if c.useMasks {
-			for m := cand; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				if c.slots[i].memPending > 0 {
-					pending = append(pending, i)
-				} else {
-					active = append(active, i)
-				}
-			}
+	// Two-level. The active set is the K oldest buffered warps not waiting
+	// on memory, warps fetched this cycle included; the two sets live in
+	// reusable per-core buffers.
+	active, pending := c.tlActive[:0], c.tlPend[:0]
+	for m := c.issuable & c.schedMask[sched]; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if c.slots[i].memPending > 0 {
+			pending = append(pending, i)
 		} else {
-			for i := 0; i < n; i++ {
-				if !mine(i) || !issuable(&c.slots[i]) {
-					continue
-				}
-				if c.slots[i].memPending > 0 {
-					pending = append(pending, i)
-				} else {
-					active = append(active, i)
-				}
-			}
+			active = append(active, i)
 		}
-		sort.Slice(active, func(a, b int) bool {
-			return c.slots[active[a]].ageStamp < c.slots[active[b]].ageStamp
-		})
-		if len(active) > k {
-			pending = append(pending, active[k:]...)
-			active = active[:k]
+	}
+	sortByAge(c, active)
+	if k := g.activeSet; len(active) > k {
+		pending = append(pending, active[k:]...)
+		active = active[:k]
+	}
+	// Round-robin within the active set, then the pending warps; slots
+	// fetched this cycle hold their place but cannot issue yet.
+	start := 0
+	for i, s := range active {
+		if s >= c.issueRR[sched] {
+			start = i
+			break
 		}
-		// Round-robin within the active set, then the pending warps.
-		start := 0
-		for i, s := range active {
-			if s >= c.issueRR[sched] {
-				start = i
-				break
-			}
+	}
+	for i := range active {
+		if s := active[(start+i)%len(active)]; fresh&(1<<s) == 0 {
+			buf = append(buf, s)
 		}
-		for i := 0; i < len(active); i++ {
-			buf = append(buf, active[(start+i)%len(active)])
+	}
+	for _, s := range pending {
+		if fresh&(1<<s) == 0 {
+			buf = append(buf, s)
 		}
-		buf = append(buf, pending...)
-		c.tlActive, c.tlPend = active, pending
-		return buf
+	}
+	c.tlActive, c.tlPend = active, pending
+	return buf
+}
 
-	default: // PolicyRR
-		// Hot path: visit only this scheduler's slots (i ≡ sched mod S),
-		// starting at the rotating priority pointer, without closure calls
-		// or per-step modulo. Order matches a full (issueRR+scan)%n sweep
-		// filtered to this scheduler's congruence class.
-		S := c.cfg.Schedulers
-		rr := c.issueRR[sched]
-		if rr >= n {
-			rr = 0
+// sortByAge orders slot indices oldest placement first. Age stamps are
+// unique within a core, so the order is total; an insertion sort keeps the
+// short per-scheduler lists allocation-free.
+func sortByAge(c *coreState, idx []int) {
+	for i := 1; i < len(idx); i++ {
+		v := idx[i]
+		age := c.slots[v].ageStamp
+		j := i
+		for ; j > 0 && c.slots[idx[j-1]].ageStamp > age; j-- {
+			idx[j] = idx[j-1]
 		}
-		first := rr + ((sched-rr)%S+S)%S
-		if c.useMasks {
-			// Candidates at or after the priority pointer's first class
-			// slot, ascending, then the wrapped remainder. The class has no
-			// members in [rr, first), so cand&^hi == the class's candidates
-			// below rr — exactly the field loop's second window.
-			var hi uint64
-			if first < 64 {
-				hi = cand >> first << first
-			}
-			for m := hi; m != 0; m &= m - 1 {
-				buf = append(buf, bits.TrailingZeros64(m))
-			}
-			for m := cand &^ hi; m != 0; m &= m - 1 {
-				buf = append(buf, bits.TrailingZeros64(m))
-			}
-			return buf
-		}
-		for i := first; i < n; i += S {
-			sl := &c.slots[i]
-			if sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier {
-				buf = append(buf, i)
-			}
-		}
-		for i := sched; i < rr; i += S {
-			sl := &c.slots[i]
-			if sl.active && sl.ibValid && !sl.w.Finished && !sl.w.AtBarrier {
-				buf = append(buf, i)
-			}
-		}
-		return buf
+		idx[j] = v
 	}
 }
