@@ -6,6 +6,7 @@ package sim_test
 // in the functional global-memory image.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,34 +19,44 @@ import (
 // returns the per-launch results plus the final global-memory words.
 func runSuiteMode(t *testing.T, cfg *config.GPU, benchName string) ([]*sim.Result, []uint32) {
 	t.Helper()
-	g, err := sim.New(cfg)
+	results, words, err := simulateSuite(cfg, benchName)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return results, words
+}
+
+// simulateSuite is runSuiteMode without a *testing.T, so it can run on
+// goroutines other than the test's own.
+func simulateSuite(cfg *config.GPU, benchName string) ([]*sim.Result, []uint32, error) {
+	g, err := sim.New(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	f, err := bench.ByName(benchName)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	inst, err := f.Make()
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	var results []*sim.Result
 	for _, r := range inst.Runs {
 		res, err := g.Run(r.Launch, inst.Mem, r.CMem)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", benchName, r.Name, err)
+			return nil, nil, fmt.Errorf("%s/%s: %v", benchName, r.Name, err)
 		}
 		results = append(results, res)
 	}
 	if err := inst.Verify(); err != nil {
-		t.Fatalf("%s failed functional verification: %v", benchName, err)
+		return nil, nil, fmt.Errorf("%s failed functional verification: %v", benchName, err)
 	}
 	words := make([]uint32, inst.Mem.Size()/4)
 	for i := range words {
 		words[i] = inst.Mem.Read32(uint32(4 * i))
 	}
-	return results, words
+	return results, words, nil
 }
 
 func TestFastForwardEquivalence(t *testing.T) {

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -14,7 +16,8 @@ import (
 // shared memory; every other block stores the same never-written register
 // plus the same never-written shared word, and must observe zeros — a
 // pooled warp or block context leaking state across blocks shows up as the
-// poison value in a later block's output.
+// poison value in a later block's output. Each subtest runs that many such
+// simulations at once.
 func TestPooledWarpStateIsolation(t *testing.T) {
 	const (
 		blocks  = 256
@@ -52,32 +55,60 @@ func TestPooledWarpStateIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := sim.New(config.GT240())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := kernel.NewGlobalMem()
-	const outBase = 0x1000
-	for i := 0; i < blocks*threads; i++ {
-		mem.Write32(outBase+uint32(4*i), 0xDEADDEAD)
-	}
-	l := &kernel.Launch{
-		Prog:   prog,
-		Grid:   kernel.Dim{X: blocks, Y: 1},
-		Block:  kernel.Dim{X: threads, Y: 1},
-		Params: []uint32{outBase},
-	}
-	if _, err := g.Run(l, mem, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < blocks*threads; i++ {
-		want := uint32(0)
-		if i < threads { // block 0 sees its own poison twice
-			want = 2 * poison
+	// run simulates the kernel on its own GPU and memory and checks the
+	// output; it reports through the returned error so it can run on any
+	// goroutine.
+	run := func() error {
+		g, err := sim.New(config.GT240())
+		if err != nil {
+			return err
 		}
-		if got := mem.Read32(outBase + uint32(4*i)); got != want {
-			t.Fatalf("thread %d (block %d): out = %#x, want %#x — pooled state leaked across blocks",
-				i, i/threads, got, want)
+		mem := kernel.NewGlobalMem()
+		const outBase = 0x1000
+		for i := 0; i < blocks*threads; i++ {
+			mem.Write32(outBase+uint32(4*i), 0xDEADDEAD)
 		}
+		l := &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: blocks, Y: 1},
+			Block:  kernel.Dim{X: threads, Y: 1},
+			Params: []uint32{outBase},
+		}
+		if _, err := g.Run(l, mem, nil); err != nil {
+			return err
+		}
+		for i := 0; i < blocks*threads; i++ {
+			want := uint32(0)
+			if i < threads { // block 0 sees its own poison twice
+				want = 2 * poison
+			}
+			if got := mem.Read32(outBase + uint32(4*i)); got != want {
+				return fmt.Errorf("thread %d (block %d): out = %#x, want %#x — pooled state leaked across blocks",
+					i, i/threads, got, want)
+			}
+		}
+		return nil
+	}
+
+	// workers simulations of the same program run side by side: pools are
+	// per core of each GPU, so nothing may leak between simulations either.
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[w] = run()
+				}()
+			}
+			wg.Wait()
+			for w, err := range errs {
+				if err != nil {
+					t.Errorf("simulation %d: %v", w, err)
+				}
+			}
+		})
 	}
 }
