@@ -315,6 +315,9 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config %s: need at least one SFU", g.Name)
 	case g.Schedulers <= 0:
 		return fmt.Errorf("config %s: need at least one scheduler", g.Name)
+	case g.FUsPerCore < g.Schedulers:
+		return fmt.Errorf("config %s: %d FUs per core cannot be split across %d schedulers (need at least one FU each)",
+			g.Name, g.FUsPerCore, g.Schedulers)
 	case g.SchedulerPolicy != "" && g.SchedulerPolicy != "rr" &&
 		g.SchedulerPolicy != "gto" && g.SchedulerPolicy != "twolevel":
 		return fmt.Errorf("config %s: unknown scheduler policy %q", g.Name, g.SchedulerPolicy)

@@ -178,6 +178,7 @@ func TestValidateCatchesBreakage(t *testing.T) {
 		{"too many FUs", func(g *GPU) { g.FUsPerCore = 64 }},
 		{"zero SFUs", func(g *GPU) { g.SFUsPerCore = 0 }},
 		{"zero schedulers", func(g *GPU) { g.Schedulers = 0 }},
+		{"fewer FUs than schedulers", func(g *GPU) { g.Schedulers = 2; g.FUsPerCore = 1 }},
 		{"scoreboard no entries", func(g *GPU) { g.HasScoreboard = true; g.ScoreboardEntries = 0 }},
 		{"no regs", func(g *GPU) { g.RegsPerCore = 0 }},
 		{"no smem banks", func(g *GPU) { g.SMemBanks = 0 }},

@@ -33,6 +33,7 @@ func Interp(l *Launch, global *GlobalMem, cmem *ConstMem) (*InterpStats, error) 
 		cmem = NewConstMem(0)
 	}
 	stats := &InterpStats{}
+	var info StepInfo
 	maxInstr := uint64(1) << 33 // runaway guard
 
 	for cy := 0; cy < l.Grid.Y; cy++ {
@@ -53,8 +54,7 @@ func Interp(l *Launch, global *GlobalMem, cmem *ConstMem) (*InterpStats, error) 
 						continue
 					}
 					allDone = false
-					info, err := w.Exec(l.Prog, env)
-					if err != nil {
+					if err := w.Exec(l.Prog, env, &info); err != nil {
 						return stats, fmt.Errorf("block (%d,%d) warp %d: %w", cx, cy, w.IDInBlock, err)
 					}
 					progress = true

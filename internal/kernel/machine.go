@@ -203,24 +203,30 @@ func (w *Warp) operand(o Operand, l int, env *Env) uint32 {
 	return 0
 }
 
-// Exec executes the warp's current instruction functionally and advances
-// control flow. It returns a StepInfo for the timing model. Calling Exec on
-// a finished warp or one waiting at a barrier is a programming error.
-func (w *Warp) Exec(p *Program, env *Env) (StepInfo, error) {
+// Exec executes the warp's current instruction functionally, advances
+// control flow and writes what it did into info for the timing model. Every
+// field is overwritten except Addrs, which is written on the executing lanes
+// of a memory instruction only — the lanes StepInfo documents as valid — so
+// a caller may reuse one StepInfo across calls. Calling Exec on a finished
+// warp or one waiting at a barrier is a programming error; on error the
+// contents of info are unspecified.
+func (w *Warp) Exec(p *Program, env *Env, info *StepInfo) error {
 	if w.Finished {
-		return StepInfo{}, fmt.Errorf("kernel %s: exec on finished warp", p.Name)
+		return fmt.Errorf("kernel %s: exec on finished warp", p.Name)
 	}
 	if w.AtBarrier {
-		return StepInfo{}, fmt.Errorf("kernel %s: exec on warp at barrier", p.Name)
+		return fmt.Errorf("kernel %s: exec on warp at barrier", p.Name)
 	}
 	top := w.Top()
 	pc := top.PC
 	if pc < 0 || pc >= len(p.Instrs) {
-		return StepInfo{}, fmt.Errorf("kernel %s: pc %d out of range (missing exit?)", p.Name, pc)
+		return fmt.Errorf("kernel %s: pc %d out of range (missing exit?)", p.Name, pc)
 	}
 	in := &p.Instrs[pc]
 	d := &p.Decoded()[pc]
-	info := StepInfo{Instr: in, PC: pc}
+	info.Instr, info.PC = in, pc
+	info.Diverged, info.Reconverged = false, 0
+	info.Finished, info.AtBarrier = false, false
 
 	// Predicate resolution: build the set-lane mask branch-free over the
 	// contiguous predicate-register row, then mask with the active lanes
@@ -246,40 +252,40 @@ func (w *Warp) Exec(p *Program, env *Env) (StepInfo, error) {
 
 	switch in.Op {
 	case OpBra:
-		w.execBranch(in, execMask, &info)
+		w.execBranch(in, execMask, info)
 	case OpExit:
 		// Remove executing lanes from every stack level.
 		for i := range w.Stack {
 			w.Stack[i].Mask &^= execMask
 		}
 		top.PC++
-		w.popEmptyAndMerged(&info)
+		w.popEmptyAndMerged(info)
 	case OpBar:
 		if execMask != 0 {
 			w.AtBarrier = true
 			info.AtBarrier = true
 		}
 		top.PC++
-		w.popMerged(&info)
+		w.popMerged(info)
 	default:
 		var err error
 		if d.fast {
-			err = w.execDataFast(in, d, execMask, env, &info)
+			err = w.execDataFast(in, d, execMask, env, info)
 		} else {
-			err = w.execData(in, execMask, env, &info)
+			err = w.execData(in, execMask, env, info)
 		}
 		if err != nil {
-			return info, err
+			return err
 		}
 		top.PC++
-		w.popMerged(&info)
+		w.popMerged(info)
 	}
 
 	if len(w.Stack) == 0 || w.Top().Mask == 0 && len(w.Stack) == 1 {
 		w.Finished = true
 		info.Finished = true
 	}
-	return info, nil
+	return nil
 }
 
 // execBranch implements the stack-based divergence mechanism.

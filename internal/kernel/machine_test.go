@@ -116,15 +116,104 @@ func TestExecErrorsOnFinishedWarp(t *testing.T) {
 	l := &Launch{Prog: p, Grid: Dim{1, 1}, Block: Dim{32, 1}}
 	env := &Env{Global: NewGlobalMem(), Const: NewConstMem(0), Block: NewBlockCtx(l, 0, 0)}
 	w := NewWarp(0, 32, 4)
-	info, err := w.Exec(p, env)
-	if err != nil {
+	var info StepInfo
+	if err := w.Exec(p, env, &info); err != nil {
 		t.Fatal(err)
 	}
 	if !info.Finished || !w.Finished {
 		t.Fatal("warp should finish after exit")
 	}
-	if _, err := w.Exec(p, env); err == nil {
+	if err := w.Exec(p, env, &info); err == nil {
 		t.Error("exec on finished warp should error")
+	}
+}
+
+// TestExecIntoReusedStepInfo pins Exec's overwrite contract: executing
+// into a StepInfo left holding garbage from earlier instructions must report
+// exactly what executing into a zeroed one does, on every field the timing
+// model reads. The program covers a divergent branch, a partial exit inside
+// the divergent region, a barrier, and global/shared loads and stores.
+func TestExecIntoReusedStepInfo(t *testing.T) {
+	b := NewBuilder("reuse", 6).SMem(128)
+	b.SReg(0, SpecLane)
+	b.IShl(1, R(0), I(2))
+	b.Ld(SpaceGlobal, 2, R(1), 256)
+	b.St(SpaceShared, R(1), R(2), 0)
+	b.Bar()
+	b.Ld(SpaceShared, 3, R(1), 0)
+	b.ISet(4, CmpLT, R(0), I(12))
+	b.When(4).Bra("low", "join")
+	b.IAnd(5, R(0), I(1))
+	b.When(5).Exit()
+	b.St(SpaceGlobal, R(1), R(3), 512)
+	b.BraUni("join")
+	b.Label("low")
+	b.IAdd(3, R(3), I(7))
+	b.Label("join")
+	b.St(SpaceGlobal, R(1), R(3), 1024)
+	b.Exit()
+	p := b.MustBuild()
+	l := &Launch{Prog: p, Grid: Dim{1, 1}, Block: Dim{32, 1}}
+
+	newRun := func() (*Warp, *Env) {
+		g := NewGlobalMem()
+		g.Alloc(4096)
+		for i := uint32(0); i < 32; i++ {
+			g.Write32(256+4*i, 3*i+1)
+		}
+		return NewWarp(0, 32, 6), &Env{Global: g, Const: NewConstMem(0), Block: NewBlockCtx(l, 0, 0)}
+	}
+	wz, envZ := newRun()
+	wp, envP := newRun()
+	var reused StepInfo
+	seen := map[Op]bool{}
+	var diverged, reconverged bool
+	for step := 0; !wz.Finished; step++ {
+		if step > 100 {
+			t.Fatal("program did not finish")
+		}
+		if wz.AtBarrier {
+			wz.ReleaseBarrier()
+			wp.ReleaseBarrier()
+		}
+		reused = StepInfo{
+			Instr: &p.Instrs[0], PC: -7, ExecMask: 0xdeadbeef, ActiveLanes: 99,
+			Diverged: true, Reconverged: 42, Finished: true, AtBarrier: true,
+		}
+		for i := range reused.Addrs {
+			reused.Addrs[i] = 0xbad0000 + uint32(i)
+		}
+		var fresh StepInfo
+		if err := wz.Exec(p, envZ, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := wp.Exec(p, envP, &reused); err != nil {
+			t.Fatal(err)
+		}
+		seen[fresh.Instr.Op] = true
+		diverged = diverged || fresh.Diverged
+		reconverged = reconverged || fresh.Reconverged > 0
+		got, want := reused, fresh
+		if ClassOf(want.Instr.Op) == ClassMem {
+			for lane := 0; lane < WarpSize; lane++ {
+				if want.ExecMask&(1<<lane) == 0 {
+					got.Addrs[lane], want.Addrs[lane] = 0, 0
+				}
+			}
+		} else {
+			got.Addrs, want.Addrs = [WarpSize]uint32{}, [WarpSize]uint32{}
+		}
+		if got != want {
+			t.Fatalf("step %d (pc %d, %v): reused StepInfo %+v, zeroed %+v", step, want.PC, want.Instr.Op, got, want)
+		}
+	}
+	for _, op := range []Op{OpLd, OpSt, OpBar, OpExit, OpBra} {
+		if !seen[op] {
+			t.Errorf("program never exercised op %v", op)
+		}
+	}
+	if !diverged || !reconverged {
+		t.Errorf("program never diverged (%v) or reconverged (%v)", diverged, reconverged)
 	}
 }
 
@@ -141,9 +230,10 @@ func TestRunawayPCDetected(t *testing.T) {
 	l := &Launch{Prog: p, Grid: Dim{1, 1}, Block: Dim{32, 1}}
 	env := &Env{Global: NewGlobalMem(), Const: NewConstMem(0), Block: NewBlockCtx(l, 0, 0)}
 	w := NewWarp(0, 32, 4)
+	var info StepInfo
 	var lastErr error
 	for i := 0; i < 10; i++ {
-		if _, lastErr = w.Exec(p, env); lastErr != nil {
+		if lastErr = w.Exec(p, env, &info); lastErr != nil {
 			break
 		}
 	}
@@ -247,6 +337,7 @@ func TestReconvergenceStackInvariant(t *testing.T) {
 		l := &Launch{Prog: p, Grid: Dim{1, 1}, Block: Dim{32, 1}}
 		env := &Env{Global: NewGlobalMem(), Const: NewConstMem(0), Block: NewBlockCtx(l, 0, 0)}
 		w := NewWarp(0, 32, 4)
+		var info StepInfo
 		for !w.Finished {
 			if len(w.Stack) > 0 {
 				bottom := w.Stack[0].Mask
@@ -263,7 +354,7 @@ func TestReconvergenceStackInvariant(t *testing.T) {
 					}
 				}
 			}
-			if _, err := w.Exec(p, env); err != nil {
+			if err := w.Exec(p, env, &info); err != nil {
 				return false
 			}
 		}

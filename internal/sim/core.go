@@ -80,8 +80,13 @@ type warpSlot struct {
 	w      *kernel.Warp
 	block  *blockRt
 
-	pendingN    int
-	pendingRegs []uint8 // scoreboard: destination registers in flight
+	pendingN int
+	// Scoreboard: the destination registers in flight, one bit per
+	// register, and how many bits are set. A register is never in flight
+	// twice: the destination is part of the hazard set, so a warp cannot
+	// issue a write to a register that is already pending.
+	sbRegs [4]uint64
+	sbN    int
 
 	// ageStamp orders warps by placement for GTO/two-level policies.
 	ageStamp uint64
@@ -144,6 +149,18 @@ type coreState struct {
 	l1     *cache.Cache // nil when absent
 	ccache *cache.Cache
 	tcache *cache.Cache // texture cache; nil when absent
+
+	// Sleep state of the event-driven clock (see gpuSim.run): sleepFrom is
+	// the first skipped cycle (0 while awake), wake the cycle the core must
+	// be stepped again, and sleepArbs/sleepSearches what each skipped step
+	// charges. structNext is the earliest cycle an execution unit frees for
+	// a warp the current step found blocked only structurally.
+	sleepFrom, wake          uint64
+	sleepArbs, sleepSearches uint64
+	structNext               uint64
+
+	// info receives the functional result of the instruction being issued.
+	info kernel.StepInfo
 
 	// Reusable per-core scratch buffers: these keep the fetch/issue/memory
 	// hot path free of per-cycle allocations.
@@ -208,15 +225,6 @@ func newCoreState(id int, cfg *config.GPU) (*coreState, error) {
 // residentWarps reports whether the core has any work.
 func (c *coreState) residentWarps() bool { return c.freeWarps < len(c.slots) }
 
-// nextEventCycle returns the cycle of the core's earliest pending writeback,
-// or the maximum uint64 when none is in flight.
-func (c *coreState) nextEventCycle() uint64 {
-	if len(c.events) == 0 {
-		return ^uint64(0)
-	}
-	return c.events[0].cycle
-}
-
 // residentBlocks returns the number of blocks on the core.
 func (c *coreState) residentBlocks() int { return len(c.blocks) }
 
@@ -274,11 +282,10 @@ func (c *coreState) place(l *kernel.Launch, env *kernel.Env, smemBytes, regs int
 		slot := c.findFreeSlot()
 		c.ageCounter++
 		c.slots[slot] = warpSlot{
-			active:      true,
-			w:           c.takeWarp(i, lanes, l.Prog.NumRegs),
-			block:       b,
-			ageStamp:    c.ageCounter,
-			pendingRegs: c.slots[slot].pendingRegs[:0],
+			active:   true,
+			w:        c.takeWarp(i, lanes, l.Prog.NumRegs),
+			block:    b,
+			ageStamp: c.ageCounter,
 		}
 		c.fetchable |= 1 << slot
 		b.slots = append(b.slots, slot)
@@ -321,13 +328,11 @@ func (c *coreState) maybeReleaseBarrier(b *blockRt) {
 }
 
 // retire frees a completed block's resources, returning its warps, block
-// context and runtime to the core's pools. The slot's scoreboard backing
-// array survives the reset (it is empty — the block had no outstanding
-// instructions — but its capacity is reused by the next occupant).
+// context and runtime to the core's pools.
 func (c *coreState) retire(b *blockRt, smemBytes, regs int) {
 	for _, s := range b.slots {
 		c.warpPool = append(c.warpPool, c.slots[s].w)
-		c.slots[s] = warpSlot{pendingRegs: c.slots[s].pendingRegs[:0]}
+		c.slots[s] = warpSlot{}
 		c.fetchable &^= 1 << s
 		c.issuable &^= 1 << s
 		c.hazBlocked &^= 1 << s
@@ -366,11 +371,9 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 		if ev.hasWB {
 			a.RFBankWrites++
 			a.SBWrites++ // scoreboard entry release
-			for i, r := range sl.pendingRegs {
-				if r == ev.reg {
-					sl.pendingRegs = append(sl.pendingRegs[:i], sl.pendingRegs[i+1:]...)
-					break
-				}
+			if bit := uint64(1) << (ev.reg & 63); sl.sbRegs[ev.reg>>6]&bit != 0 {
+				sl.sbRegs[ev.reg>>6] &^= bit
+				sl.sbN--
 			}
 		}
 	}
@@ -429,37 +432,20 @@ func (c *coreState) fetchStage(a *Activity) (fresh uint64) {
 // hazard reports whether the instruction at the warp's PC has a register
 // dependency against in-flight instructions (scoreboard check) or, in
 // blocking mode, whether anything at all is outstanding. The decoded
-// HazRegs table is the same register set the seed built per issue with
-// Instr.SrcRegs plus the destination.
+// HazRegs table is the instruction's source registers plus its destination.
 func (c *coreState) hazard(sl *warpSlot, d *kernel.DInstr) bool {
 	if !c.cfg.HasScoreboard {
 		return sl.pendingN > 0
 	}
-	if len(sl.pendingRegs) >= c.cfg.ScoreboardEntries {
+	if sl.sbN >= c.cfg.ScoreboardEntries {
 		return true
 	}
 	for _, r := range d.HazRegs[:d.NHaz] {
-		for _, p := range sl.pendingRegs {
-			if p == r {
-				return true
-			}
+		if sl.sbRegs[r>>6]&(1<<(r&63)) != 0 {
+			return true
 		}
 	}
 	return false
-}
-
-// unitFree checks structural availability for the instruction class.
-func (c *coreState) unitFree(class kernel.Class, sched int, now uint64) bool {
-	switch class {
-	case kernel.ClassInt, kernel.ClassFP:
-		return c.spFree[sched] <= now
-	case kernel.ClassSFU:
-		return c.sfuFree <= now
-	case kernel.ClassMem:
-		return c.ldstFree <= now
-	default:
-		return true
-	}
 }
 
 // unitFreeAt returns the cycle the instruction class's unit accepts the next
@@ -555,13 +541,11 @@ func (s *gpuSim) tryIssue(c *coreState, i, sched int, now uint64) (bool, error) 
 		c.hazBlocked |= 1 << i
 		return false, nil
 	}
-	if !c.unitFree(d.Class, sched, now) {
+	if t := c.unitFreeAt(d.Class, sched); t > now {
 		// Hazard-free but structurally blocked: the warp becomes issuable
-		// the moment the unit frees, so the fast-forward must not jump past
-		// that point.
-		if t := c.unitFreeAt(d.Class, sched); t < s.structNext {
-			s.structNext = t
-		}
+		// the moment the unit frees, so the core must not sleep past that
+		// point.
+		c.structNext = min(c.structNext, t)
 		return false, nil
 	}
 	if err := s.issueInstr(c, sl, i, sched, &s.prog.Instrs[pc], d, now); err != nil {
@@ -578,12 +562,11 @@ func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	cfg := c.cfg
 	class := d.Class
 
-	info, err := sl.w.Exec(s.prog, sl.block.env)
-	if err != nil {
+	info := &c.info
+	if err := sl.w.Exec(s.prog, sl.block.env, info); err != nil {
 		return fmt.Errorf("core %d slot %d: %w", c.id, slotIdx, err)
 	}
 
-	s.progress = true
 	c.issuable &^= 1 << slotIdx
 	if !sl.w.Finished && !sl.w.AtBarrier {
 		c.fetchable |= 1 << slotIdx
@@ -636,7 +619,7 @@ func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	case kernel.ClassMem:
 		a.MemWarpInstrs++
 		var err error
-		latency, err = s.memAccess(c, in, &info, now)
+		latency, err = s.memAccess(c, in, info, now)
 		if err != nil {
 			return err
 		}
@@ -663,7 +646,8 @@ func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	}
 
 	if cfg.HasScoreboard && hasWB {
-		sl.pendingRegs = append(sl.pendingRegs, in.Dst)
+		sl.sbRegs[in.Dst>>6] |= 1 << (in.Dst & 63)
+		sl.sbN++
 		a.SBWrites++
 	}
 	sl.pendingN++

@@ -91,19 +91,6 @@ func (d *dramSys) access(now uint64, addr uint32, segBytes int, write bool, a *A
 	return start + service + d.backLat
 }
 
-// nextEventCycle returns the earliest in-flight completion (bus-free time
-// plus return latency) across channels that are still busy after now, or the
-// maximum uint64 when every channel is drained.
-func (d *dramSys) nextEventCycle(now uint64) uint64 {
-	next := ^uint64(0)
-	for _, nf := range d.nextFree {
-		if nf > now && nf+d.backLat < next {
-			next = nf + d.backLat
-		}
-	}
-	return next
-}
-
 // totalBusy returns the summed channel busy cycles.
 func (d *dramSys) totalBusy() uint64 {
 	var t uint64
@@ -111,16 +98,4 @@ func (d *dramSys) totalBusy() uint64 {
 		t += b
 	}
 	return t
-}
-
-// activeFraction estimates the fraction of time banks were open.
-func (d *dramSys) activeFraction(kernelCycles uint64) float64 {
-	if kernelCycles == 0 {
-		return 0
-	}
-	f := float64(d.totalBusy()) / float64(uint64(d.channels)*kernelCycles)
-	if f > 1 {
-		f = 1
-	}
-	return f
 }

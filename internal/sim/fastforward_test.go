@@ -33,6 +33,11 @@ func simulateSuite(cfg *config.GPU, benchName string) ([]*sim.Result, []uint32, 
 	if err != nil {
 		return nil, nil, err
 	}
+	return simulateOn(g, benchName)
+}
+
+// simulateOn is simulateSuite on a given simulator instance.
+func simulateOn(g *sim.GPU, benchName string) ([]*sim.Result, []uint32, error) {
 	f, err := bench.ByName(benchName)
 	if err != nil {
 		return nil, nil, err
@@ -111,19 +116,49 @@ func TestFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastForwardSkips guards the optimization itself: on a memory-bound
-// kernel the event-driven loop must actually be exercised (the equivalence
-// test above would pass vacuously if fast-forward never engaged). We can't
-// observe skip counts from outside the package, so this asserts the
-// precondition instead: long stalls exist, i.e. issued instructions are far
-// fewer than elapsed cycles summed over cores.
+// TestFastForwardSkips guards the optimization itself (the equivalence test
+// above would pass with skipping disabled): the dense loop steps every busy
+// core every cycle, so its core-steps equal the summed CoreBusyCycles, while
+// the event-driven loop must step a core in at most half of its busy
+// cycles on a memory-bound kernel.
 func TestFastForwardSkips(t *testing.T) {
-	res, _ := runSuiteMode(t, config.GT240(), "vectorAdd")
-	a := res[0].Activity
-	if a.Cycles == 0 || a.IssuedInstrs == 0 {
-		t.Fatal("degenerate run")
+	cases := []struct {
+		gpu   func() *config.GPU
+		bench string
+	}{
+		{config.GT240, "vectorAdd"},
+		{config.GTX580, "bfs"},
 	}
-	if float64(a.IssuedInstrs) > 0.5*float64(a.Cycles)*float64(len(a.CoreBusyCycles)) {
-		t.Skip("kernel not stall-bound on this configuration")
+	for _, tc := range cases {
+		for _, dense := range []bool{false, true} {
+			cfg := tc.gpu()
+			cfg.DenseClock = dense
+			t.Run(fmt.Sprintf("%s/%s/dense=%v", cfg.Name, tc.bench, dense), func(t *testing.T) {
+				g, err := sim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, _, err := simulateOn(g, tc.bench)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var busy uint64
+				for _, r := range results {
+					for _, b := range r.Activity.CoreBusyCycles {
+						busy += b
+					}
+				}
+				steps := g.CoreSteps()
+				t.Logf("%d core-steps for %d busy core-cycles", steps, busy)
+				switch {
+				case busy == 0:
+					t.Fatal("degenerate run: no busy core-cycles")
+				case dense && steps != busy:
+					t.Errorf("dense clock took %d core-steps, want one per busy core-cycle (%d)", steps, busy)
+				case !dense && 2*steps > busy:
+					t.Errorf("event-driven clock took %d core-steps for %d busy core-cycles, want at most half", steps, busy)
+				}
+			})
+		}
 	}
 }

@@ -74,7 +74,9 @@ func goldenCases() []goldenCase {
 }
 
 // TestActivityGolden compares every launch's full Activity against
-// testdata/activity.golden with reflect.DeepEqual: no counter may move.
+// testdata/activity.golden with reflect.DeepEqual: no counter may move. It
+// also checks the conservation invariants on every launch, so a golden
+// regenerated with -update still has to obey them.
 func TestActivityGolden(t *testing.T) {
 	path := filepath.Join("testdata", "activity.golden")
 	var want map[string]sim.Activity
@@ -92,6 +94,9 @@ func TestActivityGolden(t *testing.T) {
 		for i, r := range res {
 			key := tc.name + "#" + strconv.Itoa(i)
 			seen[key] = true
+			for _, msg := range conservationViolations(tc.cfg, r.Activity) {
+				t.Errorf("%s: %s", key, msg)
+			}
 			if *updateGolden {
 				line, err := json.Marshal(r.Activity)
 				if err != nil {
@@ -124,6 +129,38 @@ func TestActivityGolden(t *testing.T) {
 			t.Errorf("%s: golden launch no longer simulated", key)
 		}
 	}
+}
+
+// conservationViolations checks the relations every Activity must satisfy
+// whatever the kernel, and describes each one that fails. Together they
+// bound the counters an event-driven clock credits in bulk: no busy or
+// scheduler counter may exceed what one step per elapsed cycle produces.
+func conservationViolations(cfg *config.GPU, a sim.Activity) []string {
+	var out []string
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			out = append(out, fmt.Sprintf(format, args...))
+		}
+	}
+	var busy uint64
+	for i, b := range a.CoreBusyCycles {
+		busy += b
+		check(b <= a.Cycles, "CoreBusyCycles[%d] = %d exceeds Cycles = %d", i, b, a.Cycles)
+	}
+	for i, b := range a.ClusterBusyCycles {
+		check(b <= a.Cycles, "ClusterBusyCycles[%d] = %d exceeds Cycles = %d", i, b, a.Cycles)
+	}
+	check(a.GlobalSchedCycles <= a.Cycles, "GlobalSchedCycles = %d exceeds Cycles = %d", a.GlobalSchedCycles, a.Cycles)
+	classes := a.IntWarpInstrs + a.FPWarpInstrs + a.SFUWarpInstrs + a.MemWarpInstrs + a.CtrlWarpInstrs
+	check(a.IssuedInstrs == classes, "IssuedInstrs = %d, but the per-class warp instructions sum to %d", a.IssuedInstrs, classes)
+	check(a.ICacheReads == a.IssuedInstrs, "ICacheReads = %d != IssuedInstrs = %d", a.ICacheReads, a.IssuedInstrs)
+	check(a.SchedArbs <= uint64(cfg.Schedulers)*busy, "SchedArbs = %d exceeds %d schedulers x %d busy core-cycles", a.SchedArbs, cfg.Schedulers, busy)
+	check(a.SBSearches >= a.IssuedInstrs, "SBSearches = %d below IssuedInstrs = %d", a.SBSearches, a.IssuedInstrs)
+	check(a.ResidentWarpCycles <= uint64(cfg.MaxWarpsPerCore)*busy,
+		"ResidentWarpCycles = %d exceeds %d warps x %d busy core-cycles", a.ResidentWarpCycles, cfg.MaxWarpsPerCore, busy)
+	check(a.L1Misses <= a.L1Reads, "L1Misses = %d exceeds L1Reads = %d", a.L1Misses, a.L1Reads)
+	check(a.ConstMisses <= a.ConstReads, "ConstMisses = %d exceeds ConstReads = %d", a.ConstMisses, a.ConstReads)
+	return out
 }
 
 // readActivityGolden parses "<case>#<launch> <json Activity>" lines.

@@ -98,15 +98,6 @@ func (m *memSys) globalSegment(now uint64, addr uint32, segBytes int, write bool
 	return done
 }
 
-// nextEventCycle returns the earliest cycle at which the memory system
-// completes in-flight work after now, or the maximum uint64 when idle. The
-// memory model resolves each request's completion eagerly at issue time (the
-// core-side writeback heaps carry the dependency events), so this only
-// bounds how far the fast-forward may jump while DRAM channels still drain.
-func (m *memSys) nextEventCycle(now uint64) uint64 {
-	return m.dram.nextEventCycle(now)
-}
-
 // finalize drains dirty L2 state at kernel end: lines written during the
 // kernel ultimately reach DRAM, so the flush traffic is charged to the
 // kernel's DRAM command counts.

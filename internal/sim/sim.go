@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -10,6 +11,10 @@ import (
 // GPU is the cycle-level simulator instance for one configuration.
 type GPU struct {
 	cfg *config.GPU
+	// coreSteps totals the core-steps (stepCore calls) of every run on this
+	// instance, so tests can see how many cycles the event-driven clock
+	// skipped. Runs may share a GPU concurrently, hence the atomic.
+	coreSteps atomic.Uint64
 }
 
 // New validates the configuration and builds a simulator.
@@ -26,7 +31,8 @@ func New(cfg *config.GPU) (*GPU, error) {
 // Config returns the simulated configuration.
 func (g *GPU) Config() *config.GPU { return g.cfg }
 
-// gpuSim is the per-run state.
+// gpuSim is the per-run state of one kernel launch: the cores, the shared
+// memory system, the block dispatcher and the activity being collected.
 type gpuSim struct {
 	cfg    *config.GPU
 	cores  []*coreState
@@ -59,14 +65,8 @@ type gpuSim struct {
 	clusterBlocks []int
 	resident      int
 
-	// Fast-forward bookkeeping for one clock cycle: progress records whether
-	// any state transition happened (event drain, fetch, issue, dispatch,
-	// retire); structNext is the earliest cycle a structurally-blocked but
-	// otherwise issuable warp's unit frees; busyCores lists the cores that
-	// charged a busy cycle.
-	progress   bool
-	structNext uint64
-	busyCores  []int
+	// coreSteps counts stepCore calls; Run adds it to GPU.coreSteps.
+	coreSteps uint64
 }
 
 // Run simulates one kernel launch and returns the activity and performance
@@ -94,7 +94,6 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 	s.act.ClusterBusyCycles = make([]uint64, cfg.Clusters)
 	s.clusterCores = make([]int, cfg.Clusters)
 	s.clusterBlocks = make([]int, cfg.Clusters)
-	s.busyCores = make([]int, 0, cfg.NumCores())
 
 	mem, err := newMemSys(cfg)
 	if err != nil {
@@ -125,7 +124,9 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 	s.prog = l.Prog
 	s.dec = l.Prog.Decoded()
 
-	if err := s.run(); err != nil {
+	err = s.run()
+	g.coreSteps.Add(s.coreSteps)
+	if err != nil {
 		return nil, err
 	}
 	s.mem.finalize(&s.act)
@@ -136,38 +137,61 @@ func (g *GPU) Run(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Const
 // maxCycles is the per-kernel cycle budget; exceeding it means deadlock.
 const maxCycles = 1 << 34
 
-// run is the main clock loop. By default it is event-driven: whenever a
-// cycle makes no progress at all (no writeback drained, no warp fetched or
-// issued, no block dispatched or retired), the simulated state is a fixed
-// point until the next scheduled event, so the loop jumps straight to the
-// minimum over all cores' writeback-heap heads, the earliest structural-unit
-// free time with a waiter, and the memory system's next completion —
-// crediting the per-cycle activity counters for the skipped span in bulk.
-// The result is bit-identical to the dense tick-every-cycle loop (enforced
-// by TestFastForwardEquivalence); cfg.DenseClock forces the dense loop.
+// run is the main clock loop. By default it is event-driven per core: a
+// step that drains no writeback, retires no block, fetches nothing and
+// issues nothing leaves its core at a fixed point until the core's own next
+// event — its earliest pending writeback, or the cycle an execution unit
+// frees for a warp blocked only structurally — so the core sleeps until
+// then. Each skipped step would have charged exactly what the idle step
+// did; wakeCore credits them in one multiplication when the core wakes, on
+// its own or because dispatch hands it a block. When every busy core
+// sleeps, the clock jumps to the earliest wake and credits only the
+// chip-wide counters for the span. The memory system is never a wake
+// source: a request's completion is resolved at issue and reaches its core
+// only as a writeback in that core's heap. The result is bit-identical to
+// the dense loop, which cfg.DenseClock selects: every busy core is stepped
+// every cycle (TestFastForwardEquivalence and the activity golden compare
+// the two).
 func (s *gpuSim) run() error {
-	fastForward := !s.cfg.DenseClock
+	sleep := !s.cfg.DenseClock
 	var cycle uint64
 	for {
-		s.progress = false
-		s.structNext = ^uint64(0)
 		s.dispatch(cycle)
 
-		// Snapshot the counters a quiescent cycle still advances, so a
-		// detected stall can be credited in bulk below.
-		arbs0, searches0 := s.act.SchedArbs, s.act.SBSearches
-
-		s.busyCores = s.busyCores[:0]
+		// wake is the next cycle any core must be stepped: the cycle after
+		// this one if a core stayed awake, else the earliest sleeper's wake.
+		// If every core sleeps with nothing pending the machine is
+		// deadlocked, and wake stays past the cycle budget to report it now.
+		anyBusy := false
+		wake := uint64(maxCycles + 1)
 		for _, c := range s.cores {
 			if !c.residentWarps() && len(c.events) == 0 {
 				continue
 			}
-			s.busyCores = append(s.busyCores, c.id)
-			if err := s.stepCore(c, cycle); err != nil {
+			anyBusy = true
+			if c.sleepFrom != 0 {
+				if c.wake > cycle {
+					wake = min(wake, c.wake)
+					continue
+				}
+				s.wakeCore(c, cycle)
+			}
+			arbs, searches := s.act.SchedArbs, s.act.SBSearches
+			idle, err := s.stepCore(c, cycle)
+			if err != nil {
 				return err
 			}
+			if !idle || !sleep {
+				wake = cycle + 1
+				continue
+			}
+			c.sleepFrom, c.wake = cycle+1, c.structNext
+			if len(c.events) > 0 {
+				c.wake = min(c.wake, c.events[0].cycle)
+			}
+			c.sleepArbs, c.sleepSearches = s.act.SchedArbs-arbs, s.act.SBSearches-searches
+			wake = min(wake, c.wake)
 		}
-		anyBusy := len(s.busyCores) > 0
 
 		// Cluster occupancy for the base-power model, from the
 		// incrementally-maintained per-cluster busy-core counts.
@@ -190,49 +214,56 @@ func (s *gpuSim) run() error {
 			return fmt.Errorf("sim: cycle budget exceeded for kernel %s (deadlock?)", s.launch.Prog.Name)
 		}
 
-		if fastForward && !s.progress {
-			if target := s.nextEventCycle(cycle); target > cycle {
-				span := target - cycle
-				arbD := s.act.SchedArbs - arbs0
-				seaD := s.act.SBSearches - searches0
-				s.act.SchedArbs += span * arbD
-				s.act.SBSearches += span * seaD
-				for _, id := range s.busyCores {
-					s.act.CoreBusyCycles[id] += span
+		// Every busy core sleeps. Dispatch cannot place a block before some
+		// core frees resources, which takes a step, so jump to the earliest
+		// wake.
+		if wake > cycle {
+			span := wake - cycle
+			for cl, n := range s.clusterCores {
+				if n > 0 {
+					s.act.ClusterBusyCycles[cl] += span
 				}
-				for cl, n := range s.clusterCores {
-					if n > 0 {
-						s.act.ClusterBusyCycles[cl] += span
-					}
-				}
-				if schedActive {
-					s.act.GlobalSchedCycles += span
-				}
-				s.act.ResidentWarpCycles += span * uint64(s.resident)
-				cycle = target
 			}
+			if schedActive {
+				s.act.GlobalSchedCycles += span
+			}
+			s.act.ResidentWarpCycles += span * uint64(s.resident)
+			cycle = wake
 		}
 	}
 	s.act.Cycles = cycle
 	return nil
 }
 
-// stepCore runs one core's cycle: writeback drain, retirement sweep, fetch,
-// issue, busy-cycle credit.
-func (s *gpuSim) stepCore(c *coreState, cycle uint64) error {
-	if c.drainEvents(cycle, &s.act) > 0 {
-		s.progress = true
+// wakeCore ends a core's sleep before it is stepped at cycle now. The steps
+// it skipped, sleepFrom through now-1, each charge what the idle step that
+// put it to sleep charged, because nothing that step read has changed.
+func (s *gpuSim) wakeCore(c *coreState, now uint64) {
+	if c.sleepFrom == 0 {
+		return
 	}
+	span := now - c.sleepFrom
+	s.act.CoreBusyCycles[c.id] += span
+	s.act.SchedArbs += span * c.sleepArbs
+	s.act.SBSearches += span * c.sleepSearches
+	c.sleepFrom = 0
+}
+
+// stepCore runs one core's cycle — writeback drain, retirement sweep,
+// fetch, issue, busy-cycle credit — and reports whether it was idle:
+// nothing drained, retired, fetched or issued.
+func (s *gpuSim) stepCore(c *coreState, cycle uint64) (bool, error) {
+	s.coreSteps++
+	c.structNext = ^uint64(0)
+	blocks, issued := len(c.blocks), s.act.IssuedInstrs
+	drained := c.drainEvents(cycle, &s.act)
 	s.drainRetirements(c)
 	fresh := c.fetchStage(&s.act)
-	if fresh != 0 {
-		s.progress = true
-	}
 	if err := s.issueStage(c, cycle, fresh); err != nil {
-		return err
+		return false, err
 	}
 	s.act.CoreBusyCycles[c.id]++
-	return nil
+	return drained == 0 && len(c.blocks) == blocks && fresh == 0 && s.act.IssuedInstrs == issued, nil
 }
 
 // retireIfDone frees a block once all warps finished and all in-flight
@@ -247,7 +278,6 @@ func (s *gpuSim) retireIfDone(c *coreState, b *blockRt) bool {
 	if !c.residentWarps() {
 		s.clusterCores[c.cluster]--
 	}
-	s.progress = true
 	return true
 }
 
@@ -259,31 +289,6 @@ func (s *gpuSim) drainRetirements(c *coreState) {
 		}
 		i++
 	}
-}
-
-// nextEventCycle returns the next cycle at which any simulated state can
-// change: the earliest pending writeback across the cores, the earliest
-// execution-unit free time a hazard-free warp is waiting on, and the memory
-// system's next in-flight completion. If nothing is pending anywhere the
-// machine is deadlocked, and the cycle budget is returned so the caller
-// reports it immediately instead of ticking 2^34 times first.
-func (s *gpuSim) nextEventCycle(now uint64) uint64 {
-	next := s.structNext
-	for _, c := range s.cores {
-		if n := c.nextEventCycle(); n < next {
-			next = n
-		}
-	}
-	if n := s.mem.nextEventCycle(now); n < next {
-		next = n
-	}
-	if next == ^uint64(0) {
-		return maxCycles + 1
-	}
-	if next < now {
-		return now
-	}
-	return next
 }
 
 // dispatch hands pending blocks to cores, filling empty clusters before
@@ -308,6 +313,7 @@ func (s *gpuSim) dispatch(cycle uint64) {
 			return
 		}
 		c := s.cores[best]
+		s.wakeCore(c, cycle)
 		bid := s.nextBlock
 		s.nextBlock++
 		cx := bid % s.launch.Grid.X
@@ -322,7 +328,6 @@ func (s *gpuSim) dispatch(cycle uint64) {
 			s.clusterCores[c.cluster]++
 		}
 		s.resident += b.total
-		s.progress = true
 		// One dispatch per cycle: mirrors the serial hardware scheduler.
 		break
 	}
@@ -364,9 +369,8 @@ func (s *gpuSim) result() *Result {
 		}
 	}
 
-	// DRAM active fraction feeds the GDDR background power split.
-	// Stored via method on demand by the power model; expose busy cycles.
-	a = r.Activity
+	// DRAM busy cycles feed the GDDR background power split
+	// (Result.DRAMActiveFraction).
 	r.Activity.DRAMBusyCycles = s.mem.dram.totalBusy()
 	return r
 }
