@@ -3,14 +3,16 @@
 # `make ci` is the gate every change must pass: gofmt, vet, the
 # repo-specific lints, build, the full test suite under the race detector
 # (load-bearing since the experiment sweeps fan out over internal/runner's
-# worker pool), the benchmark-baseline comparison, and the service,
-# restart and fleet drills.
+# worker pool), one pass of the simulator microbenchmarks, and the
+# service, restart and fleet drills. The reproduced paper numbers are
+# gated by the exact scenario goldens the test suite checks (see
+# golden-update); benchmark/ is the measured performance ledger.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench baseline bench-compare ci-bench ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint build test race bench ci-service ci-restart ci-fleet fmt-check golden-update profile
 
-ci: fmt-check vet lint build race ci-bench ci-service ci-restart ci-fleet
+ci: fmt-check vet lint build race bench ci-service ci-restart ci-fleet
 
 vet:
 	$(GO) vet ./...
@@ -51,12 +53,19 @@ ci-restart:
 ci-fleet:
 	./scripts/fleet_drill.sh
 
-# The scenario golden files (internal/experiments/testdata/*.golden) pin
-# every scenario's rendered report byte-identical to the pre-split
-# printers; they run as part of `make race`/`make test`. Regenerate after
-# an intentional output change:
+# The golden files run as part of `make race`/`make test`:
+#   - internal/experiments/testdata: every scenario's NDJSON record stream
+#     (records/), full-precision report JSON (reports/) and rendered text
+#     (*.golden);
+#   - internal/sim/testdata/activity.golden: every simulator Activity
+#     counter of the Table I suite;
+#   - internal/analysis/testdata/findings.golden: gpowlint's findings on
+#     its seeded fixture.
+# Regenerate all of them after an intentional output change:
 golden-update:
 	$(GO) test ./internal/experiments -run TestGoldenReports -update
+	$(GO) test ./internal/sim -run TestActivityGolden -update
+	$(GO) test ./internal/analysis -run TestFixtureFindings -update
 
 # Profile one scenario run end to end with the gpowexp pprof flags:
 #   make profile SCENARIO=fig6a
@@ -74,27 +83,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick benchmark pass over the whole harness (one iteration each).
+# One pass of the simulator microbenchmarks (one iteration each), so they
+# cannot silently rot; use -benchtime and -cpuprofile for A/B runs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .
-
-# Regenerate BENCH_BASELINE.json (see docs/PERFORMANCE.md).
-baseline:
-	./scripts/bench_baseline.sh
-
-# Diff two benchmark snapshots: custom-metric drift (must be zero) is
-# flagged separately from timing/allocation drift, and fails the target.
-#   make bench-compare OLD=BENCH_BASELINE.json NEW=BENCH_NEW.json
-bench-compare:
-	$(GO) run ./scripts/benchjson -compare $(OLD) $(NEW)
-
-# CI gate on the committed baseline: run the benchmark harness once and
-# compare against BENCH_BASELINE.json. Custom metrics are deterministic
-# reproduced model quantities — any drift fails; timing and allocation
-# deltas are host-dependent and only warn (benchjson prints them as
-# informational).
-ci-bench:
-	@tmp=$$(mktemp) && trap 'rm -f "$$tmp" "$$tmp.json"' EXIT && \
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE -json . > "$$tmp" && \
-	$(GO) run ./scripts/benchjson < "$$tmp" > "$$tmp.json" && \
-	$(GO) run ./scripts/benchjson -compare BENCH_BASELINE.json "$$tmp.json"

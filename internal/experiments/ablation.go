@@ -146,24 +146,9 @@ func ablationSpec(name, title string, variants []sweep.Value, kernelFn func(*con
 	}
 }
 
-// runAblation plans, runs and reduces one study into its rows (variant
-// order = axis order), optionally filtered.
-func runAblation(spec *sweep.Spec, f sweep.Filter) ([]AblationRow, error) {
-	plan, err := spec.Plan(f)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := plan.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return ablationReduce(plan.Records(rs))
-}
-
-// ablationReduce folds one study's flat cell records into its rows — the
-// one reduction the Ablation* functions, the CLI report and the service's
-// wire report all go through, so the rows are the same arithmetic the
-// equivalence tests pin.
+// ablationReduce folds one study's flat cell records into its rows
+// (variant order = axis order) — the one reduction the CLI report and the
+// service's wire report both go through.
 func ablationReduce(recs []*sweep.CellRecord) ([]AblationRow, error) {
 	rows := make([]AblationRow, len(recs))
 	for i, rec := range recs {
@@ -207,9 +192,6 @@ func AblationScoreboardSpec() *sweep.Spec {
 		}, ablationKernel)
 }
 
-// AblationScoreboard runs the scoreboard study.
-func AblationScoreboard() ([]AblationRow, error) { return runAblation(AblationScoreboardSpec(), nil) }
-
 // AblationL2Spec compares the GTX580 with and without its L2 cache on a
 // reuse-heavy workload (every block re-reads the same array — the access
 // pattern an L2 exists for).
@@ -225,9 +207,6 @@ func AblationL2Spec() *sweep.Spec {
 			}},
 		}, l2ReuseKernel)
 }
-
-// AblationL2 runs the L2 study.
-func AblationL2() ([]AblationRow, error) { return runAblation(AblationL2Spec(), nil) }
 
 // AblationProcessNodeSpec sweeps the manufacturing node, the ITRS-style
 // scaling study McPAT integration enables. The node is a power-only
@@ -252,9 +231,6 @@ func AblationProcessNodeSpec() *sweep.Spec {
 	return sp
 }
 
-// AblationProcessNode runs the process-node study.
-func AblationProcessNode() ([]AblationRow, error) { return runAblation(AblationProcessNodeSpec(), nil) }
-
 // AblationCoreCountSpec scales the core count at constant cluster shape,
 // exercising the "coherently simulate an architecture with a varied number
 // of cores" claim of Section III-A.
@@ -278,9 +254,6 @@ func AblationCoreCountSpec() *sweep.Spec {
 	return sp
 }
 
-// AblationCoreCount runs the core-count study.
-func AblationCoreCount() ([]AblationRow, error) { return runAblation(AblationCoreCountSpec(), nil) }
-
 // AblationSchedulerSpec compares the warp scheduling policies the paper's
 // conclusion proposes evaluating "from a power perspective": rotating
 // priority (baseline), greedy-then-oldest, and two-level scheduling with a
@@ -302,6 +275,3 @@ func AblationSchedulerSpec() *sweep.Spec {
 	sp.Base = config.GTX580
 	return sp
 }
-
-// AblationScheduler runs the scheduler-policy study.
-func AblationScheduler() ([]AblationRow, error) { return runAblation(AblationSchedulerSpec(), nil) }

@@ -68,29 +68,9 @@ func DVFSSpec() *sweep.Spec {
 	}
 }
 
-// DVFS measures a compute-bound kernel across clock scales on the virtual
-// GT240 through the sweep engine and reduces the energy curve.
-func DVFS() (*DVFSResult, error) {
-	return runDVFS(nil)
-}
-
-// runDVFS plans, runs and reduces the sweep, optionally filtered.
-func runDVFS(f sweep.Filter) (*DVFSResult, error) {
-	plan, err := DVFSSpec().Plan(f)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := plan.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return dvfsReduce(plan.Records(rs))
-}
-
 // dvfsReduce folds the sweep's flat cell records into the energy curve —
-// the one reduction DVFS(), the CLI report and the service's wire report
-// all go through, so the curve is the same arithmetic the equivalence
-// tests pin.
+// the one reduction the CLI report and the service's wire report both go
+// through.
 func dvfsReduce(recs []*sweep.CellRecord) (*DVFSResult, error) {
 	res := &DVFSResult{MinEnergyScale: 1}
 	best := 0.0

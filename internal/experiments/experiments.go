@@ -14,7 +14,6 @@ import (
 	"gpusimpow/internal/core"
 	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
-	"gpusimpow/internal/power"
 )
 
 // measureWindowS is the default measurement window the harness stretches
@@ -293,5 +292,3 @@ func Fig4() (*Fig4Result, error) {
 	res.CoreStepW /= float64(n - cl)
 	return res, nil
 }
-
-var _ = power.Item{} // keep the power import alongside future formatting helpers

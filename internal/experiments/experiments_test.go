@@ -3,7 +3,29 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"gpusimpow/internal/sweep"
 )
+
+// reduceRun plans and runs spec under f and folds the run's wire records
+// through reduce — the path sweep.BuildReport takes, stopped at the typed
+// result so the paper-shape checks can read its fields.
+func reduceRun[T any](t *testing.T, spec *sweep.Spec, f sweep.Filter, reduce func([]*sweep.CellRecord) (T, error)) T {
+	t.Helper()
+	r, err := reduce(runRecords(t, spec, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// fig6For runs one Figure 6 sub-figure.
+func fig6For(t *testing.T, gpu string) *Fig6Result {
+	t.Helper()
+	return reduceRun(t, Fig6Spec(), sweep.Filter{"gpu": {gpu}}, func(recs []*sweep.CellRecord) (*Fig6Result, error) {
+		return fig6Reduce(gpu, recs)
+	})
+}
 
 func TestTable2(t *testing.T) {
 	rows := Table2()
@@ -155,10 +177,7 @@ func TestFig4Staircase(t *testing.T) {
 }
 
 func TestEnergyPerOp(t *testing.T) {
-	r, err := EnergyPerOp()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := reduceRun(t, EnergyPerOpSpec(), nil, energyPerOpReduce)
 	// The estimates must land near the configured anchors (the card's true
 	// silicon deviates by up to ~12 % plus measurement error) and preserve
 	// the paper's headline relation FP > INT with INT ~40 pJ, FP ~75 pJ.
@@ -190,22 +209,14 @@ func TestFig6GT240(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation sweep in -short mode")
 	}
-	r, err := Fig6("GT240")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFig6(t, r, 19)
+	checkFig6(t, fig6For(t, "GT240"), 19)
 }
 
 func TestFig6GTX580(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation sweep in -short mode")
 	}
-	r, err := Fig6("GTX580")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFig6(t, r, 19)
+	checkFig6(t, fig6For(t, "GTX580"), 19)
 }
 
 func checkFig6(t *testing.T, r *Fig6Result, wantBars int) {
@@ -258,10 +269,7 @@ func checkFig6(t *testing.T, r *Fig6Result, wantBars int) {
 }
 
 func TestAblations(t *testing.T) {
-	sb, err := AblationScoreboard()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb := reduceRun(t, AblationScoreboardSpec(), nil, ablationReduce)
 	if sb[1].Cycles >= sb[0].Cycles {
 		t.Error("scoreboard should cut cycles")
 	}
@@ -269,18 +277,12 @@ func TestAblations(t *testing.T) {
 		t.Error("finishing faster at similar power should cut energy")
 	}
 
-	l2, err := AblationL2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := reduceRun(t, AblationL2Spec(), nil, ablationReduce)
 	if l2[1].Cycles <= l2[0].Cycles {
 		t.Error("removing the L2 should cost cycles on a memory-bound kernel")
 	}
 
-	nodes, err := AblationProcessNode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes := reduceRun(t, AblationProcessNodeSpec(), nil, ablationReduce)
 	if len(nodes) != 5 {
 		t.Fatalf("want 5 node variants, got %d", len(nodes))
 	}
@@ -291,20 +293,14 @@ func TestAblations(t *testing.T) {
 		t.Errorf("28 nm dynamic %.2f should undercut 65 nm dynamic %.2f", last.DynamicW, first.DynamicW)
 	}
 
-	cores, err := AblationCoreCount()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cores := reduceRun(t, AblationCoreCountSpec(), nil, ablationReduce)
 	if cores[len(cores)-1].Cycles >= cores[0].Cycles {
 		t.Error("more cores should finish the fixed-size-per-core workload... faster overall")
 	}
 }
 
 func TestAblationScheduler(t *testing.T) {
-	rows, err := AblationScheduler()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := reduceRun(t, AblationSchedulerSpec(), nil, ablationReduce)
 	if len(rows) != 3 {
 		t.Fatalf("want 3 policies, got %d", len(rows))
 	}
@@ -321,10 +317,7 @@ func TestAblationScheduler(t *testing.T) {
 }
 
 func TestDVFS(t *testing.T) {
-	r, err := DVFS()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := reduceRun(t, DVFSSpec(), nil, dvfsReduce)
 	if len(r.Points) != 6 {
 		t.Fatalf("want 6 operating points, got %d", len(r.Points))
 	}

@@ -128,24 +128,6 @@ type fig6Agg struct {
 	short               bool
 }
 
-// Fig6 runs the validation of Figure 6 for the named GPU ("GT240" for 6a,
-// "GTX580" for 6b) through the sweep engine and aggregates per-kernel
-// relative errors.
-func Fig6(gpuName string) (*Fig6Result, error) {
-	if _, ok := config.Presets()[gpuName]; !ok {
-		return nil, fmt.Errorf("experiments: unknown GPU %q", gpuName)
-	}
-	plan, err := Fig6Spec().Plan(sweep.Filter{"gpu": {gpuName}})
-	if err != nil {
-		return nil, err
-	}
-	rs, err := plan.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return fig6Reduce(gpuName, plan.Records(rs))
-}
-
 // fig6Reduce folds the sweep's flat cell records into the figure:
 // per-kernel aggregation in record (= cell) order — multi-launch kernels
 // average arithmetically — against the per-card static power estimated

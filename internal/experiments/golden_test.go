@@ -1,17 +1,31 @@
 package experiments
 
-// Golden-file contract of the Reduce/Render split: every registered
-// scenario's rendered text is pinned byte for byte in testdata/*.golden.
-// The files were captured from the pre-split Print* implementations, so
-// the typed reduction layer (reduce* -> sweep.Report -> sweep.RenderText)
-// provably changes no output. Regenerate deliberately with
+// Golden-file contract: one exact oracle per registered scenario. Each
+// scenario runs once and pins, byte for byte:
 //
-//	go test ./internal/experiments -run TestGoldenReports -update
+//   - testdata/records/<name>.ndjson (sweep-backed scenarios): the
+//     CellRecord stream, one json.Encoder line per record, exactly as gpowd
+//     streams it;
+//   - testdata/reports/<name>.json: the reduced sweep.Report, every Datum
+//     at full float64 precision;
+//   - testdata/<name>.golden: the rendered text, captured from the
+//     pre-split Print* implementations, so the typed reduction layer
+//     (reduce* -> sweep.Report -> sweep.RenderText) provably changes no
+//     output.
+//
+// TestReplayReports rebuilds every sweep-backed report from its pinned
+// records alone, so the reductions (Fig. 6 included) are checked even in
+// -short mode, and a report is shown to need nothing but the wire records
+// (the contract GET /v1/jobs/{id}/report relies on). Regenerate
+// deliberately with
+//
+//	make golden-update
 //
 // after an intentional output change (and say so in the commit).
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,33 +53,126 @@ func TestGoldenReports(t *testing.T) {
 			if testing.Short() && heavyScenarios[sc.Name] {
 				t.Skip("heavy scenario in -short mode")
 			}
-			var buf bytes.Buffer
-			if err := sweep.RunScenario(&buf, sc.Name, nil); err != nil {
+			var recs []*sweep.CellRecord
+			if sc.Spec != nil {
+				recs = runRecords(t, sc.Spec(), nil)
+				checkGolden(t, recordsPath(sc.Name), encodeRecords(t, recs))
+			}
+			rep, err := sc.Reduce(recs, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", sc.Name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			checkGolden(t, reportPath(sc.Name), encodeReport(t, rep))
+			var buf bytes.Buffer
+			if err := sweep.RenderText(&buf, rep); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
+			checkGolden(t, filepath.Join("testdata", sc.Name+".golden"), buf.Bytes())
+		})
+	}
+}
+
+func TestReplayReports(t *testing.T) {
+	for _, sc := range sweep.Scenarios() {
+		if sc.Spec == nil {
+			continue
+		}
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			data, err := os.ReadFile(recordsPath(sc.Name))
 			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s: rendered report diverged from golden\n%s", sc.Name, diffLines(want, buf.Bytes()))
+			var recs []*sweep.CellRecord
+			for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+				rec := new(sweep.CellRecord)
+				if err := dec.Decode(rec); err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, rec)
+			}
+			rep, err := sc.Reduce(recs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(reportPath(sc.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encodeReport(t, rep); !bytes.Equal(got, want) {
+				t.Errorf("%s: report replayed from pinned records diverged from golden\n%s", sc.Name, diffLines(want, got))
 			}
 		})
 	}
 }
 
-// diffLines reports the first diverging line, with context — enough to
-// debug a formatting regression without a full diff engine.
+// runRecords plans and runs spec under f and returns the run's wire
+// records, the input every scenario reducer folds.
+func runRecords(t *testing.T, spec *sweep.Spec, f sweep.Filter) []*sweep.CellRecord {
+	t.Helper()
+	plan, err := spec.Plan(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := plan.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Records(rs)
+}
+
+func recordsPath(name string) string { return filepath.Join("testdata", "records", name+".ndjson") }
+func reportPath(name string) string  { return filepath.Join("testdata", "reports", name+".json") }
+
+// encodeRecords renders records as the NDJSON stream gpowd serves.
+func encodeRecords(t *testing.T, recs []*sweep.CellRecord) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// encodeReport renders a report as indented JSON, one datum per line, so
+// a golden diff points at the value that moved.
+func encodeReport(t *testing.T, rep *sweep.Report) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from golden\n%s", path, diffLines(want, got))
+	}
+}
+
+// diffLines reports the first diverging line, clipped to a window around
+// its first diverging byte (NDJSON record lines run to kilobytes) —
+// enough to debug a regression without a full diff engine.
 func diffLines(want, got []byte) string {
 	w := bytes.Split(want, []byte("\n"))
 	g := bytes.Split(got, []byte("\n"))
@@ -75,8 +182,18 @@ func diffLines(want, got []byte) string {
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(w[i], g[i]) {
-			return fmt.Sprintf("line %d:\n want %q\n got  %q", i+1, w[i], g[i])
+			at := 0
+			for at < len(w[i]) && at < len(g[i]) && w[i][at] == g[i][at] {
+				at++
+			}
+			return fmt.Sprintf("line %d, byte %d:\n want %q\n got  %q", i+1, at+1, clip(w[i], at), clip(g[i], at))
 		}
 	}
 	return fmt.Sprintf("line counts differ: want %d, got %d", len(w), len(g))
+}
+
+// clip returns up to 80 bytes of line on either side of offset at.
+func clip(line []byte, at int) []byte {
+	lo, hi := max(at-80, 0), min(at+80, len(line))
+	return line[lo:hi]
 }

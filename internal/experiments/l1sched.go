@@ -60,22 +60,8 @@ type L1SchedRow struct {
 	EnergyMJ  float64
 }
 
-// L1Sched runs the grid (optionally filtered) and reduces it row per cell,
-// in plan order.
-func L1Sched(f sweep.Filter) ([]L1SchedRow, error) {
-	plan, err := L1SchedSpec().Plan(f)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := plan.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return l1SchedReduce(plan.Records(rs))
-}
-
-// l1SchedReduce folds the grid's flat cell records into rows — shared by
-// L1Sched, the CLI report and the service's wire report.
+// l1SchedReduce folds the grid's flat cell records into one row per cell,
+// in plan order — shared by the CLI report and the service's wire report.
 func l1SchedReduce(recs []*sweep.CellRecord) ([]L1SchedRow, error) {
 	rows := make([]L1SchedRow, len(recs))
 	for i, rec := range recs {

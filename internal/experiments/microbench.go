@@ -71,25 +71,11 @@ func EnergyPerOpSpec() *sweep.Spec {
 	}
 }
 
-// EnergyPerOp runs the lane-differencing microbenchmark through the sweep
-// engine: per cell, the timing stage counts thread instructions (the power
-// model has nothing to add to an instruction count, so the spec skips the
-// power stage) and the measurement stage yields the kernel energy; the
-// reduction differences the 31-lane and 1-lane cells per operation class.
-func EnergyPerOp() (*EnergyPerOpResult, error) {
-	plan, err := EnergyPerOpSpec().Plan(nil)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := plan.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return energyPerOpReduce(plan.Records(rs))
-}
-
-// energyPerOpReduce differences the grid's flat cell records: the wire
-// records carry the per-class thread-instruction counts
+// energyPerOpReduce differences the grid's 31-lane and 1-lane cells per
+// operation class. Per cell, the timing stage counts thread instructions
+// (the power model has nothing to add to an instruction count, so the spec
+// skips the power stage) and the measurement stage yields the kernel
+// energy: the wire records carry the per-class thread-instruction counts
 // (TimingRecord.Int/FPThreadInstrs) and the measured kernel energy, which
 // is everything the methodology needs.
 func energyPerOpReduce(recs []*sweep.CellRecord) (*EnergyPerOpResult, error) {

@@ -133,7 +133,7 @@ func TestRuntimeReportShape(t *testing.T) {
 	cfg := config.GT240()
 	m := mustModel(t, cfg)
 	res := runBusyKernel(t, cfg)
-	r, err := m.Runtime(res)
+	r, err := m.Evaluate(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,24 +183,24 @@ func TestRuntimeReportShape(t *testing.T) {
 
 func TestRuntimeErrors(t *testing.T) {
 	m := mustModel(t, config.GT240())
-	if _, err := m.Runtime(nil); err == nil {
+	if _, err := m.Evaluate(nil); err == nil {
 		t.Error("nil result should error")
 	}
-	if _, err := m.Runtime(&sim.Result{}); err == nil {
-		t.Error("zero-duration result should error")
+	if _, err := m.Evaluate(&sim.Result{}); err == nil {
+		t.Error("zero-cycle result should error")
 	}
 }
 
 func TestDynScaleFactor(t *testing.T) {
 	cfg := config.GT240()
 	res := runBusyKernel(t, cfg)
-	r1, err := mustModel(t, cfg).Runtime(res)
+	r1, err := mustModel(t, cfg).Evaluate(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := config.GT240()
 	cfg2.Power.DynScaleFactor = 2
-	r2, err := mustModel(t, cfg2).Runtime(res)
+	r2, err := mustModel(t, cfg2).Evaluate(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,10 @@ func TestDynScaleFactor(t *testing.T) {
 func TestHigherFPEnergyRaisesDynamic(t *testing.T) {
 	cfg := config.GT240()
 	res := runBusyKernel(t, cfg)
-	base, _ := mustModel(t, cfg).Runtime(res)
+	base, _ := mustModel(t, cfg).Evaluate(res)
 	hot := config.GT240()
 	hot.Power.FPOpPJ = 150
-	r, _ := mustModel(t, hot).Runtime(res)
+	r, _ := mustModel(t, hot).Evaluate(res)
 	if r.DynamicW <= base.DynamicW {
 		t.Error("doubling FP op energy must raise dynamic power of an FP kernel")
 	}

@@ -165,19 +165,6 @@ func Find(items []Item, name string) (Item, bool) {
 	return Item{}, false
 }
 
-// Runtime converts a simulation result into runtime power, trusting the
-// kernel duration the result carries. Production callers go through
-// Evaluate (which derives the duration from the cycle count, as the
-// cached-snapshot pipeline requires); Runtime remains the entry point for
-// results carrying an authoritative duration, e.g. synthetic results in
-// tests. Both share runtimeAt, so the model arithmetic cannot diverge.
-func (m *Model) Runtime(res *sim.Result) (*RuntimeReport, error) {
-	if res == nil || res.Seconds <= 0 {
-		return nil, fmt.Errorf("power: result with non-positive runtime")
-	}
-	return m.runtimeAt(res, res.Seconds)
-}
-
 // Evaluate is the pure power stage of the two-stage (simulate-once,
 // evaluate-many) pipeline: it computes runtime power from a timing snapshot
 // alone, deriving the kernel duration from the cycle count at this model's
