@@ -3,16 +3,17 @@
 # `make ci` is the gate every change must pass: gofmt, vet, the
 # repo-specific lints, build, the full test suite under the race detector
 # (load-bearing since the experiment sweeps fan out over internal/runner's
-# worker pool), one pass of the simulator microbenchmarks, and the
-# service, restart and fleet drills. The reproduced paper numbers are
-# gated by the exact scenario goldens the test suite checks (see
-# golden-update); benchmark/ is the measured performance ledger.
+# worker pool), a short fuzz pass, one pass of the simulator
+# microbenchmarks, and the service, restart and fleet drills. The
+# reproduced paper numbers are gated by the exact scenario goldens the test
+# suite checks (see golden-update); benchmark/ is the measured performance
+# ledger.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint build test race fuzz bench ci-service ci-restart ci-fleet fmt-check golden-update profile
 
-ci: fmt-check vet lint build race bench ci-service ci-restart ci-fleet
+ci: fmt-check vet lint build race fuzz bench ci-service ci-restart ci-fleet
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +83,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# A short coverage-guided pass of FuzzProgramValidate: Validate must never
+# panic, and what it accepts must decode and disassemble. Crashers it finds
+# land in internal/kernel/testdata/fuzz/ and replay in every `go test`.
+fuzz:
+	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
 
 # One pass of the simulator microbenchmarks (one iteration each), so they
 # cannot silently rot; use -benchtime and -cpuprofile for A/B runs.

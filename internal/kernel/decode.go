@@ -7,11 +7,13 @@ package kernel
 // execution used to re-derive the functional-unit class, re-walk the
 // operand descriptors per lane, and re-collect the register-read set per
 // issue. DInstr is the execution-oriented view, computed once per program:
-// flat register-row offsets (a register operand is a contiguous
-// WarpSize-word row of Warp.Regs), the scoreboard and register-file
-// accounting sets, and a fast-path flag for instructions whose operands
-// are plain registers or immediates (special registers re-derive
-// per-thread values and keep the generic path).
+// the scoreboard and register-file accounting sets, and for every source
+// where its 32 lane values come from. A register source is a flat offset
+// into Warp.Regs (a register operand is a contiguous WarpSize-word row);
+// an immediate is its value; a special register (%tid.x, %ctaid.y, ...)
+// is a bit in specMask plus its identity, and the executor fills a lane
+// row for it from the warp and block coordinates (Warp.specialRows). The
+// executor therefore sees every source as a row or an immediate.
 
 // DInstr is the decoded form of one instruction.
 type DInstr struct {
@@ -30,14 +32,17 @@ type DInstr struct {
 	// NHaz is the number of valid entries in HazRegs.
 	NHaz uint8
 
-	// fast marks instructions the specialized executor handles: every
-	// operand is a register row or an immediate.
-	fast bool
 	// srcOff[i] is the flat Regs offset of source i's register row, or -1
-	// when source i is the immediate srcImm[i] (or absent).
+	// when source i is a special register, the immediate srcImm[i], or
+	// absent.
 	srcOff [3]int32
-	// srcImm[i] is the immediate value of source i when srcOff[i] < 0.
+	// srcImm[i] is the immediate value of source i when srcOff[i] < 0 and
+	// bit i of specMask is clear.
 	srcImm [3]uint32
+	// specMask has bit i set when source i reads the special register
+	// spec[i].
+	specMask uint8
+	spec     [3]Special
 	// dstOff is the flat Regs offset of the destination row, -1 if none.
 	dstOff int32
 	// predOff is the flat Regs offset of the predicate row, -1 if the
@@ -47,7 +52,7 @@ type DInstr struct {
 
 // decode builds the DInstr for one instruction.
 func decode(in *Instr) DInstr {
-	d := DInstr{Class: ClassOf(in.Op), dstOff: -1, predOff: -1, fast: true}
+	d := DInstr{Class: ClassOf(in.Op), dstOff: -1, predOff: -1}
 	var buf [4]uint8
 	srcs := in.SrcRegs(buf[:0])
 	copy(d.SrcRegs[:], srcs)
@@ -73,7 +78,8 @@ func decode(in *Instr) DInstr {
 		case KindImm, KindNone:
 			d.srcImm[i] = in.Src[i].Imm
 		case KindSpecial:
-			d.fast = false
+			d.specMask |= 1 << i
+			d.spec[i] = in.Src[i].Special
 		}
 	}
 	return d

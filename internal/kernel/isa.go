@@ -307,13 +307,21 @@ func (p *Program) Validate() error {
 		if in.HasDst && int(in.Dst) >= p.NumRegs {
 			return fmt.Errorf("kernel %s: pc %d writes r%d >= NumRegs %d", p.Name, pc, in.Dst, p.NumRegs)
 		}
-		for i := 0; i < in.NumSrc; i++ {
-			if in.Src[i].Kind == KindReg && int(in.Src[i].Reg) >= p.NumRegs {
-				return fmt.Errorf("kernel %s: pc %d reads r%d >= NumRegs %d", p.Name, pc, in.Src[i].Reg, p.NumRegs)
+		if in.NumSrc < 0 || in.NumSrc > len(in.Src) {
+			return fmt.Errorf("kernel %s: pc %d has %d sources, want 0..%d", p.Name, pc, in.NumSrc, len(in.Src))
+		}
+		for i, o := range in.Src[:in.NumSrc] {
+			switch {
+			case o.Kind > KindSpecial:
+				return fmt.Errorf("kernel %s: pc %d source %d has operand kind %d", p.Name, pc, i, o.Kind)
+			case o.Kind == KindReg && int(o.Reg) >= p.NumRegs:
+				return fmt.Errorf("kernel %s: pc %d reads r%d >= NumRegs %d", p.Name, pc, o.Reg, p.NumRegs)
+			case o.Kind == KindSpecial && o.Special > SpecWarpInBlock:
+				return fmt.Errorf("kernel %s: pc %d source %d reads unknown special register %d", p.Name, pc, i, o.Special)
 			}
 		}
-		if in.Pred != NoPred && int(in.Pred) >= p.NumRegs {
-			return fmt.Errorf("kernel %s: pc %d predicated on r%d >= NumRegs %d", p.Name, pc, in.Pred, p.NumRegs)
+		if in.Pred < NoPred || int(in.Pred) >= p.NumRegs {
+			return fmt.Errorf("kernel %s: pc %d predicated on r%d outside [0,NumRegs %d)", p.Name, pc, in.Pred, p.NumRegs)
 		}
 		if in.Op == OpBra {
 			if in.Target < 0 || in.Target > len(p.Instrs) {

@@ -26,10 +26,9 @@ type BlockCtx struct {
 
 // NewBlockCtx prepares the execution context of one block.
 func NewBlockCtx(l *Launch, ctaX, ctaY int) *BlockCtx {
-	return &BlockCtx{
-		CtaX: ctaX, CtaY: ctaY, Launch: l,
-		Shared: make([]uint32, (l.SMemBytes()+3)/4),
-	}
+	b := &BlockCtx{}
+	b.Reset(l, ctaX, ctaY)
+	return b
 }
 
 // Reset repoints a recycled block context at a new block, zeroing the
@@ -40,7 +39,9 @@ func NewBlockCtx(l *Launch, ctaX, ctaY int) *BlockCtx {
 func (b *BlockCtx) Reset(l *Launch, ctaX, ctaY int) {
 	b.CtaX, b.CtaY, b.Launch = ctaX, ctaY, l
 	need := (l.SMemBytes() + 3) / 4
-	if cap(b.Shared) >= need {
+	// A fresh context allocates even when need is 0, so a recycled one
+	// (non-nil Shared) and a new one stay deeply equal.
+	if b.Shared != nil && cap(b.Shared) >= need {
 		b.Shared = b.Shared[:need]
 		clear(b.Shared)
 	} else {
@@ -69,28 +70,13 @@ type Warp struct {
 	AtBarrier bool
 	// Finished is set when all lanes have exited.
 	Finished bool
-	// initialMask covers the lanes that actually hold threads (the last
-	// warp of a block may be partial).
-	initialMask uint32
 }
 
 // NewWarp creates a warp with the given number of live lanes (1..WarpSize).
 func NewWarp(idInBlock, liveLanes, numRegs int) *Warp {
-	if liveLanes <= 0 || liveLanes > WarpSize {
-		panic(fmt.Sprintf("kernel: warp with %d lanes", liveLanes))
-	}
-	var mask uint32
-	if liveLanes == WarpSize {
-		mask = FullMask
-	} else {
-		mask = (uint32(1) << liveLanes) - 1
-	}
-	return &Warp{
-		IDInBlock:   idInBlock,
-		Regs:        make([]uint32, numRegs*WarpSize),
-		Stack:       []Token{{PC: 0, Reconv: -1, Mask: mask}},
-		initialMask: mask,
-	}
+	w := &Warp{}
+	w.Reset(idInBlock, liveLanes, numRegs)
+	return w
 }
 
 // Reset reinitialises a recycled warp to NewWarp's state: registers
@@ -102,22 +88,18 @@ func (w *Warp) Reset(idInBlock, liveLanes, numRegs int) {
 	if liveLanes <= 0 || liveLanes > WarpSize {
 		panic(fmt.Sprintf("kernel: warp with %d lanes", liveLanes))
 	}
-	var mask uint32
-	if liveLanes == WarpSize {
-		mask = FullMask
+	regs := w.Regs
+	if len(regs) == numRegs*WarpSize {
+		clear(regs)
 	} else {
-		mask = (uint32(1) << liveLanes) - 1
+		regs = make([]uint32, numRegs*WarpSize)
 	}
-	w.IDInBlock = idInBlock
-	if len(w.Regs) == numRegs*WarpSize {
-		clear(w.Regs)
-	} else {
-		w.Regs = make([]uint32, numRegs*WarpSize)
+	mask := FullMask >> (WarpSize - liveLanes)
+	*w = Warp{
+		IDInBlock: idInBlock,
+		Regs:      regs,
+		Stack:     append(w.Stack[:0], Token{PC: 0, Reconv: -1, Mask: mask}),
 	}
-	w.Stack = append(w.Stack[:0], Token{PC: 0, Reconv: -1, Mask: mask})
-	w.AtBarrier = false
-	w.Finished = false
-	w.initialMask = mask
 }
 
 // Top returns the active token. Panics if the warp has finished.
@@ -164,43 +146,6 @@ type StepInfo struct {
 	Finished bool
 	// AtBarrier is set when the warp stopped at a barrier.
 	AtBarrier bool
-}
-
-// operand fetches the value of operand o for lane l.
-func (w *Warp) operand(o Operand, l int, env *Env) uint32 {
-	switch o.Kind {
-	case KindReg:
-		return *w.reg(o.Reg, l)
-	case KindImm:
-		return o.Imm
-	case KindSpecial:
-		b := env.Block
-		launch := b.Launch
-		tid := w.IDInBlock*WarpSize + l
-		switch o.Special {
-		case SpecTidX:
-			return uint32(tid % launch.Block.X)
-		case SpecTidY:
-			return uint32(tid / launch.Block.X)
-		case SpecNTidX:
-			return uint32(launch.Block.X)
-		case SpecNTidY:
-			return uint32(launch.Block.Y)
-		case SpecCtaX:
-			return uint32(b.CtaX)
-		case SpecCtaY:
-			return uint32(b.CtaY)
-		case SpecNCtaX:
-			return uint32(launch.Grid.X)
-		case SpecNCtaY:
-			return uint32(launch.Grid.Y)
-		case SpecLane:
-			return uint32(l)
-		case SpecWarpInBlock:
-			return uint32(w.IDInBlock)
-		}
-	}
-	return 0
 }
 
 // Exec executes the warp's current instruction functionally, advances
@@ -268,13 +213,7 @@ func (w *Warp) Exec(p *Program, env *Env, info *StepInfo) error {
 		top.PC++
 		w.popMerged(info)
 	default:
-		var err error
-		if d.fast {
-			err = w.execDataFast(in, d, execMask, env, info)
-		} else {
-			err = w.execData(in, execMask, env, info)
-		}
-		if err != nil {
+		if err := w.execData(in, d, execMask, env, info); err != nil {
 			return err
 		}
 		top.PC++
@@ -350,134 +289,220 @@ func (w *Warp) popEmptyAndMerged(info *StepInfo) {
 // ReleaseBarrier resumes a warp stopped at a barrier.
 func (w *Warp) ReleaseBarrier() { w.AtBarrier = false }
 
-// execData executes a non-control instruction for all lanes in execMask,
-// iterating set bits directly (lanes ascend, so lane-ordered effects such as
-// AtomAdd are unchanged) instead of testing all WarpSize lanes.
-func (w *Warp) execData(in *Instr, execMask uint32, env *Env, info *StepInfo) error {
+// The data-path executor.
+//
+// execData runs a non-control instruction over its decoded table entry:
+// each source resolves once per instruction to a 32-lane row (a slice of
+// Warp.Regs for a register, a row specialRows fills for a special
+// register) or to an immediate, so the per-lane work is indexed loads and
+// the arithmetic switch. Lanes run in ascending set-bit order, which keeps
+// lane-ordered effects such as AtomAdd deterministic.
+
+// pickOperand reads source lane l from a resolved operand: the row when
+// non-nil, the immediate otherwise. Small enough to inline.
+func pickOperand(row []uint32, imm uint32, l int) uint32 {
+	if row != nil {
+		return row[l]
+	}
+	return imm
+}
+
+// srcRow resolves decoded source i to its lane row: a register row, the
+// row spec holds for a special register, or nil for an immediate.
+func (w *Warp) srcRow(d *DInstr, i int, spec *[3][WarpSize]uint32) []uint32 {
+	if off := d.srcOff[i]; off >= 0 {
+		return w.Regs[off : off+WarpSize]
+	}
+	if d.specMask&(1<<i) != 0 {
+		return spec[i][:]
+	}
+	return nil
+}
+
+// specialRows fills spec[i] with every lane's value of special register
+// d.spec[i], for each special-register source i of d. Program.Validate
+// rejects any Special value outside the switch.
+func (w *Warp) specialRows(d *DInstr, b *BlockCtx, spec *[3][WarpSize]uint32) {
+	launch := b.Launch
+	tid0 := w.IDInBlock * WarpSize
+	for i := range spec {
+		if d.specMask&(1<<i) == 0 {
+			continue
+		}
+		row := &spec[i]
+		var v uint32 // the value of a register uniform across the warp
+		switch d.spec[i] {
+		case SpecTidX:
+			for l := range row {
+				row[l] = uint32((tid0 + l) % launch.Block.X)
+			}
+			continue
+		case SpecTidY:
+			for l := range row {
+				row[l] = uint32((tid0 + l) / launch.Block.X)
+			}
+			continue
+		case SpecLane:
+			for l := range row {
+				row[l] = uint32(l)
+			}
+			continue
+		case SpecNTidX:
+			v = uint32(launch.Block.X)
+		case SpecNTidY:
+			v = uint32(launch.Block.Y)
+		case SpecCtaX:
+			v = uint32(b.CtaX)
+		case SpecCtaY:
+			v = uint32(b.CtaY)
+		case SpecNCtaX:
+			v = uint32(launch.Grid.X)
+		case SpecNCtaY:
+			v = uint32(launch.Grid.Y)
+		case SpecWarpInBlock:
+			v = uint32(w.IDInBlock)
+		}
+		for l := range row {
+			row[l] = v
+		}
+	}
+}
+
+// execData executes a non-control instruction for all lanes in execMask.
+func (w *Warp) execData(in *Instr, d *DInstr, execMask uint32, env *Env, info *StepInfo) error {
+	// Special-register rows are built on the stack, and only for an
+	// instruction that reads one: the common path zeroes no array.
+	var spec *[3][WarpSize]uint32
+	if d.specMask != 0 {
+		spec = new([3][WarpSize]uint32)
+		w.specialRows(d, env.Block, spec)
+	}
+	aRow := w.srcRow(d, 0, spec)
+	bRow := w.srcRow(d, 1, spec)
+	cRow := w.srcRow(d, 2, spec)
+	aImm, bImm, cImm := d.srcImm[0], d.srcImm[1], d.srcImm[2]
+	var dRow []uint32
+	if d.dstOff >= 0 {
+		dRow = w.Regs[d.dstOff : d.dstOff+WarpSize]
+	}
+
 	for rem := execMask; rem != 0; rem &= rem - 1 {
 		l := bits.TrailingZeros32(rem)
-		a := uint32(0)
-		if in.NumSrc > 0 {
-			a = w.operand(in.Src[0], l, env)
-		}
-		b := uint32(0)
-		if in.NumSrc > 1 {
-			b = w.operand(in.Src[1], l, env)
-		}
-		c := uint32(0)
-		if in.NumSrc > 2 {
-			c = w.operand(in.Src[2], l, env)
-		}
+		a := pickOperand(aRow, aImm, l)
 
-		var d uint32
+		var v uint32
 		switch in.Op {
 		case OpNop:
 			continue
 		case OpMov:
-			d = a
+			v = a
 		case OpIAdd:
-			d = a + b
+			v = a + pickOperand(bRow, bImm, l)
 		case OpISub:
-			d = a - b
+			v = a - pickOperand(bRow, bImm, l)
 		case OpIMul:
-			d = a * b
+			v = a * pickOperand(bRow, bImm, l)
 		case OpIMad:
-			d = a*b + c
+			v = a*pickOperand(bRow, bImm, l) + pickOperand(cRow, cImm, l)
 		case OpIMin:
+			b := pickOperand(bRow, bImm, l)
 			if int32(a) < int32(b) {
-				d = a
+				v = a
 			} else {
-				d = b
+				v = b
 			}
 		case OpIMax:
+			b := pickOperand(bRow, bImm, l)
 			if int32(a) > int32(b) {
-				d = a
+				v = a
 			} else {
-				d = b
+				v = b
 			}
 		case OpIAnd:
-			d = a & b
+			v = a & pickOperand(bRow, bImm, l)
 		case OpIOr:
-			d = a | b
+			v = a | pickOperand(bRow, bImm, l)
 		case OpIXor:
-			d = a ^ b
+			v = a ^ pickOperand(bRow, bImm, l)
 		case OpINot:
-			d = ^a
+			v = ^a
 		case OpIShl:
-			d = a << (b & 31)
+			v = a << (pickOperand(bRow, bImm, l) & 31)
 		case OpIShr:
-			d = a >> (b & 31)
+			v = a >> (pickOperand(bRow, bImm, l) & 31)
 		case OpISra:
-			d = uint32(int32(a) >> (b & 31))
+			v = uint32(int32(a) >> (pickOperand(bRow, bImm, l) & 31))
 		case OpISet:
-			d = boolTo32(cmpI(in.Cmp, int32(a), int32(b)))
+			v = boolTo32(cmpI(in.Cmp, int32(a), int32(pickOperand(bRow, bImm, l))))
 		case OpISel:
 			if a != 0 {
-				d = b
+				v = pickOperand(bRow, bImm, l)
 			} else {
-				d = c
+				v = pickOperand(cRow, cImm, l)
 			}
 		case OpFAdd:
-			d = f2b(b2f(a) + b2f(b))
+			v = f2b(b2f(a) + b2f(pickOperand(bRow, bImm, l)))
 		case OpFSub:
-			d = f2b(b2f(a) - b2f(b))
+			v = f2b(b2f(a) - b2f(pickOperand(bRow, bImm, l)))
 		case OpFMul:
-			d = f2b(b2f(a) * b2f(b))
+			v = f2b(b2f(a) * b2f(pickOperand(bRow, bImm, l)))
 		case OpFFma:
-			d = f2b(float32(float64(b2f(a))*float64(b2f(b)) + float64(b2f(c))))
+			v = f2b(float32(float64(b2f(a))*float64(b2f(pickOperand(bRow, bImm, l))) + float64(b2f(pickOperand(cRow, cImm, l)))))
 		case OpFMin:
-			d = f2b(float32(math.Min(float64(b2f(a)), float64(b2f(b)))))
+			v = f2b(float32(math.Min(float64(b2f(a)), float64(b2f(pickOperand(bRow, bImm, l))))))
 		case OpFMax:
-			d = f2b(float32(math.Max(float64(b2f(a)), float64(b2f(b)))))
+			v = f2b(float32(math.Max(float64(b2f(a)), float64(b2f(pickOperand(bRow, bImm, l))))))
 		case OpFNeg:
-			d = f2b(-b2f(a))
+			v = f2b(-b2f(a))
 		case OpFAbs:
-			d = f2b(float32(math.Abs(float64(b2f(a)))))
+			v = f2b(float32(math.Abs(float64(b2f(a)))))
 		case OpFSet:
-			d = boolTo32(cmpF(in.Cmp, b2f(a), b2f(b)))
+			v = boolTo32(cmpF(in.Cmp, b2f(a), b2f(pickOperand(bRow, bImm, l))))
 		case OpI2F:
-			d = f2b(float32(int32(a)))
+			v = f2b(float32(int32(a)))
 		case OpF2I:
-			d = uint32(int32(b2f(a)))
+			v = uint32(int32(b2f(a)))
 		case OpRcp:
-			d = f2b(1 / b2f(a))
+			v = f2b(1 / b2f(a))
 		case OpRsq:
-			d = f2b(float32(1 / math.Sqrt(float64(b2f(a)))))
+			v = f2b(float32(1 / math.Sqrt(float64(b2f(a)))))
 		case OpSqrt:
-			d = f2b(float32(math.Sqrt(float64(b2f(a)))))
+			v = f2b(float32(math.Sqrt(float64(b2f(a)))))
 		case OpSin:
-			d = f2b(float32(math.Sin(float64(b2f(a)))))
+			v = f2b(float32(math.Sin(float64(b2f(a)))))
 		case OpCos:
-			d = f2b(float32(math.Cos(float64(b2f(a)))))
+			v = f2b(float32(math.Cos(float64(b2f(a)))))
 		case OpEx2:
-			d = f2b(float32(math.Exp2(float64(b2f(a)))))
+			v = f2b(float32(math.Exp2(float64(b2f(a)))))
 		case OpLg2:
-			d = f2b(float32(math.Log2(float64(b2f(a)))))
+			v = f2b(float32(math.Log2(float64(b2f(a)))))
 		case OpLd, OpSt, OpAtomAdd:
 			addr := a + uint32(in.Offset)
 			info.Addrs[l] = addr
 			switch in.Op {
 			case OpLd:
-				v, err := w.load(in.Space, addr, env)
+				lv, err := w.load(in.Space, addr, env)
 				if err != nil {
 					return err
 				}
-				d = v
+				v = lv
 			case OpSt:
+				b := pickOperand(bRow, bImm, l)
 				if err := w.store(in.Space, addr, b, env); err != nil {
 					return err
 				}
 				continue
 			case OpAtomAdd:
+				b := pickOperand(bRow, bImm, l)
 				old := env.Global.Read32(addr)
 				env.Global.Write32(addr, old+b)
-				d = old
+				v = old
 			}
 		default:
 			return fmt.Errorf("kernel: unimplemented op %v", in.Op)
 		}
-		if in.HasDst {
-			*w.reg(in.Dst, l) = d
+		if dRow != nil {
+			dRow[l] = v
 		}
 	}
 	return nil

@@ -61,6 +61,27 @@ func TestLaunchValidate(t *testing.T) {
 		{Prog: p, Grid: Dim{1, 1}, Block: Dim{2048, 1}, Params: []uint32{0}},
 		{Prog: p, Grid: Dim{1, 1}, Block: Dim{32, 1}, Params: nil},
 	}
+	// Instructions the executor cannot run: each case mutates the IMad of
+	// an otherwise valid program.
+	mutated := func(mut func(in *Instr)) *Launch {
+		b := NewBuilder("k", 4).Params(1)
+		b.IMad(0, S(SpecTidX), S(SpecCtaX), R(1))
+		b.Exit()
+		q := b.MustBuild()
+		mut(&q.Instrs[0])
+		return &Launch{Prog: q, Grid: Dim{1, 1}, Block: Dim{32, 1}, Params: []uint32{0}}
+	}
+	cases = append(cases,
+		mutated(func(in *Instr) { in.NumSrc = 4 }),
+		mutated(func(in *Instr) { in.NumSrc = -1 }),
+		mutated(func(in *Instr) { in.Src[2].Kind = KindSpecial + 1 }),
+		mutated(func(in *Instr) { in.Src[1].Special = 42 }),
+		mutated(func(in *Instr) { in.Src[0].Special = SpecWarpInBlock + 1 }),
+		mutated(func(in *Instr) { in.Pred = -5 }),
+	)
+	if err := mutated(func(*Instr) {}).Validate(); err != nil {
+		t.Errorf("unmutated program rejected: %v", err)
+	}
 	for i, l := range cases {
 		if l == nil {
 			continue
