@@ -69,9 +69,9 @@ golden-update:
 	$(GO) test ./internal/analysis -run TestFixtureFindings -update
 
 # Profile one scenario run end to end with the gpowexp pprof flags:
-#   make profile SCENARIO=fig6a
+#   make profile SCENARIO=fig6
 # then `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
-SCENARIO ?= fig6a
+SCENARIO ?= fig6
 profile:
 	$(GO) run ./cmd/gpowexp run $(SCENARIO) -cpuprofile cpu.prof -memprofile mem.prof
 

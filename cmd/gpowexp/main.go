@@ -130,7 +130,7 @@ func dispatch(remote string, args ...string) error {
 		return nil
 	default:
 		// Shorthand: bare scenario names run unfiltered (the pre-registry
-		// command surface: `gpowexp table2 fig6a dvfs`).
+		// command surface: `gpowexp table2 fig6 dvfs`).
 		return runCmd(remote, args)
 	}
 }
@@ -227,7 +227,7 @@ func runCmd(remote string, args []string) error {
 		if len(names) > 0 {
 			return fmt.Errorf("`all` takes no scenario names")
 		}
-		names = []string{"table2", "table4", "table5", "fig4", "fig6a", "fig6b",
+		names = []string{"table2", "table4", "table5", "fig4", "fig6",
 			"energyperop", "staticextrap", "dvfs", "ablation"}
 	}
 	if len(names) == 0 {
@@ -308,8 +308,8 @@ func runCmd(remote string, args []string) error {
 		case modeReportJSON:
 			err = runLocalReportJSON(os.Stdout, name, f)
 		default:
-			// modeReport is the default local rendering: every scenario's
-			// Print already reduces and renders through sweep.RenderText.
+			// modeReport is the default local rendering: every scenario
+			// reduces and renders through sweep.RenderText.
 			err = sweep.RunScenario(os.Stdout, name, f)
 		}
 		if err != nil {

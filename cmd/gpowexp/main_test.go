@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,9 +13,9 @@ import (
 	"gpusimpow/internal/sweep"
 )
 
-// The heavyweight artifacts (fig6a/fig6b) are covered by the experiments
-// package tests and the root benchmarks; here the lighter commands run end
-// to end through the CLI dispatcher.
+// The heavyweight artifacts (fig4, fig6) are covered by the experiments
+// package tests and TestAllMatchesGoldens; here the lighter commands run
+// end to end through the CLI dispatcher.
 func TestDispatchLightCommands(t *testing.T) {
 	for _, cmd := range []string{"table2", "table4", "table5", "staticextrap"} {
 		if err := dispatch("", cmd); err != nil {
@@ -28,6 +31,56 @@ func TestDispatchFig4(t *testing.T) {
 	if err := dispatch("", "fig4"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// `gpowexp all` prints the nine paper artifacts' text goldens, joined by
+// blank lines.
+func TestAllMatchesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig4 and fig6 in -short mode")
+	}
+	var want []byte
+	for i, name := range []string{"table2", "table4", "table5", "fig4", "fig6",
+		"energyperop", "staticextrap", "dvfs", "ablation"} {
+		if i > 0 {
+			want = append(want, '\n')
+		}
+		b, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b...)
+	}
+	got := captureStdout(t, func() error { return dispatch("", "all") })
+	if !bytes.Equal(got, want) {
+		t.Errorf("`gpowexp all` diverged from the scenario goldens:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	orig := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = orig
+	w.Close()
+	b := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestDispatchUnknown(t *testing.T) {

@@ -18,17 +18,6 @@ import (
 // the power model per variant.
 // ---------------------------------------------------------------------------
 
-// AblationRow is one configuration variant's outcome on a fixed workload.
-type AblationRow struct {
-	Variant  string
-	Cycles   uint64
-	TotalW   float64
-	DynamicW float64
-	StaticW  float64
-	EnergyMJ float64 // kernel energy in millijoules
-	EDPnJs   float64 // energy-delay product (mJ * ms)
-}
-
 // ablationKernel is a medium-intensity mixed kernel (FP work + strided
 // global traffic) used for all variants.
 func ablationKernel(cfg *config.GPU) (*kernel.Launch, *kernel.GlobalMem) {
@@ -146,12 +135,24 @@ func ablationSpec(name, title string, variants []sweep.Value, kernelFn func(*con
 	}
 }
 
-// ablationReduce folds one study's flat cell records into its rows
+// reduceAblation folds one study's flat cell records into its table
 // (variant order = axis order) — the one reduction the CLI report and the
 // service's wire report both go through.
-func ablationReduce(recs []*sweep.CellRecord) ([]AblationRow, error) {
-	rows := make([]AblationRow, len(recs))
-	for i, rec := range recs {
+func reduceAblation(name, title string, recs []*sweep.CellRecord) (*sweep.Report, error) {
+	sec := sweep.Section{
+		Title:  "Ablation: " + title,
+		Indent: "  ",
+		Columns: []sweep.Column{
+			{Label: "Variant", Format: "%-28s"},
+			{Label: "Cycles", Unit: "cycles", Format: "%10d", Head: "%10s"},
+			{Label: "Total W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Dyn W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Stat W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Energy mJ", Unit: "mJ", Format: "%10.3f", Head: "%10s"},
+		},
+		Header: true,
+	}
+	for _, rec := range recs {
 		if len(rec.Units) == 0 || rec.Units[0].Timing == nil || rec.Units[0].Power == nil {
 			return nil, fmt.Errorf("experiments: ablation: record %s missing timing/power", rec.CoordString())
 		}
@@ -162,18 +163,13 @@ func ablationReduce(recs []*sweep.CellRecord) ([]AblationRow, error) {
 				label = co.Label
 			}
 		}
-		row := AblationRow{
-			Variant:  label,
-			Cycles:   u.Timing.Cycles,
-			TotalW:   u.Power.TotalW,
-			DynamicW: u.Power.DynamicW,
-			StaticW:  u.Power.StaticW,
-			EnergyMJ: u.Power.TotalW * u.Power.Seconds * 1e3,
-		}
-		row.EDPnJs = row.EnergyMJ * u.Power.Seconds * 1e3
-		rows[i] = row
+		sec.Rows = append(sec.Rows, []sweep.Datum{
+			sweep.Str(label), sweep.Uint(u.Timing.Cycles),
+			sweep.Num(u.Power.TotalW), sweep.Num(u.Power.DynamicW), sweep.Num(u.Power.StaticW),
+			sweep.Num(u.Power.TotalW * u.Power.Seconds * 1e3),
+		})
 	}
-	return rows, nil
+	return &sweep.Report{Scenario: name, Sections: []sweep.Section{sec}}, nil
 }
 
 // AblationScoreboardSpec compares blocking barrel issue against scoreboarded

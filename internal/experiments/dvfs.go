@@ -14,26 +14,6 @@ import (
 // the virtual card.
 // ---------------------------------------------------------------------------
 
-// DVFSPoint is one operating point of the sweep.
-type DVFSPoint struct {
-	ClockScale float64
-	// PowerW is the measured average power while the kernel runs.
-	PowerW float64
-	// KernelSeconds is one execution's duration at this clock.
-	KernelSeconds float64
-	// EnergyMJ is the energy of one kernel execution in millijoules.
-	EnergyMJ float64
-}
-
-// DVFSResult is the full sweep.
-type DVFSResult struct {
-	Points []DVFSPoint
-	// MinEnergyScale is the clock scale with the lowest kernel energy: with
-	// large static power, racing to idle usually wins, so this tends to sit
-	// at or near full clock.
-	MinEnergyScale float64
-}
-
 // fpBusyWorkload is the compute-bound kernel occupying every core of the
 // configured card (one resident block per core... times two, fully unrolled
 // inner loop), measured over the reliable 150 ms window.
@@ -68,28 +48,37 @@ func DVFSSpec() *sweep.Spec {
 	}
 }
 
-// dvfsReduce folds the sweep's flat cell records into the energy curve —
+// reduceDVFS folds the sweep's flat cell records into the energy curve —
 // the one reduction the CLI report and the service's wire report both go
-// through.
-func dvfsReduce(recs []*sweep.CellRecord) (*DVFSResult, error) {
-	res := &DVFSResult{MinEnergyScale: 1}
-	best := 0.0
+// through; a scale filter restricts the measured operating points. With
+// large static power, racing to idle usually wins, so the energy-optimal
+// clock tends to sit at or near full clock.
+func reduceDVFS(recs []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
+	sec := sweep.Section{
+		Title: "DVFS sweep: compute-bound kernel on the virtual GT240",
+		Columns: []sweep.Column{
+			{Label: "Clock", Unit: "%", Format: "%7.0f%%", Head: "%8s"},
+			{Label: "Power W", Unit: "W", Format: "%10.2f", Head: "%10s"},
+			{Label: "Kernel s", Unit: "s", Format: "%12.3g", Head: "%12s"},
+			{Label: "Energy mJ", Unit: "mJ", Format: "%11.4f", Head: "%11s"},
+		},
+		Header: true,
+	}
+	minScale, best := 1.0, 0.0
 	for _, rec := range recs {
 		if len(rec.Units) == 0 || rec.Units[0].Meas == nil {
 			return nil, fmt.Errorf("experiments: dvfs: record %s carries no measurement", rec.CoordString())
 		}
 		m := rec.Units[0].Meas
-		pt := DVFSPoint{
-			ClockScale:    rec.ClockScale,
-			PowerW:        m.AvgPowerW,
-			KernelSeconds: m.KernelSeconds,
-			EnergyMJ:      m.AvgPowerW * m.KernelSeconds * 1e3,
-		}
-		res.Points = append(res.Points, pt)
-		if best == 0 || pt.EnergyMJ < best {
-			best = pt.EnergyMJ
-			res.MinEnergyScale = pt.ClockScale
+		energyMJ := m.AvgPowerW * m.KernelSeconds * 1e3
+		sec.Rows = append(sec.Rows, []sweep.Datum{
+			sweep.Num(rec.ClockScale * 100), sweep.Num(m.AvgPowerW), sweep.Num(m.KernelSeconds), sweep.Num(energyMJ),
+		})
+		if best == 0 || energyMJ < best {
+			best, minScale = energyMJ, rec.ClockScale
 		}
 	}
-	return res, nil
+	sec.Notes = []sweep.Note{sweep.Notef("energy-optimal clock: %.0f%% (leakage-dominated cards race to idle)",
+		sweep.Num(minScale*100))}
+	return &sweep.Report{Scenario: "dvfs", Sections: []sweep.Section{sec}}, nil
 }

@@ -1,19 +1,21 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: Table II (configurations), Table IV (static power and area),
 // Table V (blackscholes power profile), Figure 4 (cluster power staircase),
-// Figures 6a/6b (simulated vs. measured power over all benchmark kernels),
+// Figure 6 (simulated vs. measured power over all benchmark kernels),
 // the Section III-D energy-per-operation microbenchmark, the Section IV-B
 // static-power extrapolation, and a set of design-choice ablations.
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
 	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
+	"gpusimpow/internal/sweep"
 )
 
 // measureWindowS is the default measurement window the harness stretches
@@ -24,15 +26,8 @@ const measureWindowS = 0.12
 // E1: Table II — configuration summary.
 // ---------------------------------------------------------------------------
 
-// Table2Row is one column of the paper's Table II.
-type Table2Row struct {
-	Feature string
-	GT240   string
-	GTX580  string
-}
-
-// Table2 reproduces the configuration summary.
-func Table2() []Table2Row {
+// reduceTable2 builds Table II (pure configuration data; no records).
+func reduceTable2(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
 	a, b := config.GT240(), config.GTX580()
 	yn := func(v bool) string {
 		if v {
@@ -46,7 +41,16 @@ func Table2() []Table2Row {
 		}
 		return fmt.Sprintf("%dKByte", g.L2KB)
 	}
-	return []Table2Row{
+	sec := sweep.Section{
+		Title: "Table II: key features of the evaluated GPU architectures",
+		Columns: []sweep.Column{
+			{Label: "Feature", Format: "%-20s"},
+			{Label: "GT240", Format: "%12s"},
+			{Label: "GTX580", Format: "%12s"},
+		},
+		Header: true,
+	}
+	for _, r := range [][3]string{
 		{"#Cores", fmt.Sprint(a.NumCores()), fmt.Sprint(b.NumCores())},
 		{"#Threads per core", fmt.Sprint(a.MaxThreadsPerCore), fmt.Sprint(b.MaxThreadsPerCore)},
 		{"#FUs per core", fmt.Sprint(a.FUsPerCore), fmt.Sprint(b.FUsPerCore)},
@@ -56,73 +60,79 @@ func Table2() []Table2Row {
 		{"Scoreboard", yn(a.HasScoreboard), yn(b.HasScoreboard)},
 		{"L2-$ size", l2(a), l2(b)},
 		{"Process node", fmt.Sprintf("%.0fnm", a.ProcessNM), fmt.Sprintf("%.0fnm", b.ProcessNM)},
+	} {
+		sec.Rows = append(sec.Rows, []sweep.Datum{sweep.Str(r[0]), sweep.Str(r[1]), sweep.Str(r[2])})
 	}
+	return &sweep.Report{Scenario: "table2", Sections: []sweep.Section{sec}}, nil
 }
 
 // ---------------------------------------------------------------------------
 // E2: Table IV — static power and area, simulated vs. "real" (virtual card).
 // ---------------------------------------------------------------------------
 
-// Table4Row is one GPU's row pair of Table IV.
-type Table4Row struct {
-	GPU         string
-	SimStaticW  float64
-	RealStaticW float64 // estimated from the virtual card, per the paper's methods
-	SimAreaMM2  float64
-	RealAreaMM2 float64
+// reduceTable4 builds Table IV: per GPU, the model's static power and area
+// against the card's static power (estimated by measuredStaticW) and die
+// size.
+func reduceTable4(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
+	sec := sweep.Section{
+		Title: "Table IV: static power and area (simulated vs. measured/datasheet)",
+		Columns: []sweep.Column{
+			{Label: "GPU", Format: "%-8s"},
+			{Label: "", Format: "%-10s"},
+			{Label: "Static [W]", Unit: "W", Format: "%12.1f", Head: "%12s"},
+			{Label: "Area [mm2]", Unit: "mm2", Format: "%12.1f", Head: "%12s"},
+		},
+		Header: true,
+	}
+	for _, gpu := range []string{"GT240", "GTX580"} {
+		ev, err := core.NewPowerEvaluator(config.Presets()[gpu]())
+		if err != nil {
+			return nil, err
+		}
+		realStatic, card, err := measuredStaticW(gpu)
+		if err != nil {
+			return nil, err
+		}
+		s := ev.Static()
+		sec.Rows = append(sec.Rows,
+			[]sweep.Datum{sweep.Str(gpu), sweep.Str("Simulated"), sweep.Num(s.StaticW), sweep.Num(s.AreaMM2)},
+			[]sweep.Datum{sweep.Str(""), sweep.Str("Real"), sweep.Num(realStatic), sweep.Num(card.RealAreaMM2())},
+		)
+	}
+	return &sweep.Report{Scenario: "table4", Sections: []sweep.Section{sec}}, nil
 }
 
-// Table4 reproduces the static power and area comparison. The GT240's
-// hardware static power is estimated by the frequency-extrapolation method;
-// the GTX580's (whose driver cannot change clocks) by scaling its idle power
-// with the idle-to-static ratio found on the GT240 — exactly the paper's
-// two methodologies.
-func Table4() ([]Table4Row, error) {
-	var rows []Table4Row
-
-	// GT240: frequency extrapolation.
-	gt240 := config.GT240()
-	sim240, err := core.New(gt240)
-	if err != nil {
-		return nil, err
+// measuredStaticW estimates a card's GPU-only static power with the
+// methodology the paper could apply to it, and returns the card it
+// built: frequency extrapolation on the GT240, and on the GTX580 (whose
+// Linux driver "does not yet support changing the clock speed") the
+// GT240's static-to-idle ratio applied to the GTX580's idle power. Every
+// call builds fresh cards, so each caller sees the same noise streams.
+func measuredStaticW(gpu string) (float64, *hw.Card, error) {
+	mk, ok := config.Presets()[gpu]
+	if !ok {
+		return 0, nil, fmt.Errorf("experiments: unknown GPU %q", gpu)
 	}
-	card240, err := hw.NewCard(gt240)
+	ref, err := hw.NewCard(config.GT240())
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	static240, err := EstimateStaticByFrequency(card240)
+	refStatic, err := estimateStaticByFrequency(ref)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	s240 := sim240.Static()
-	rows = append(rows, Table4Row{
-		GPU:        "GT240",
-		SimStaticW: s240.StaticW, RealStaticW: static240,
-		SimAreaMM2: s240.AreaMM2, RealAreaMM2: card240.RealAreaMM2(),
-	})
-
-	// GTX580: idle-ratio method.
-	gtx := config.GTX580()
-	simX, err := core.New(gtx)
+	if gpu == "GT240" {
+		return refStatic, ref, nil
+	}
+	card, err := hw.NewCard(mk())
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	cardX, err := hw.NewCard(gtx)
-	if err != nil {
-		return nil, err
-	}
-	ratio := static240 / (card240.PrePostKernelPowerW() + card240.DRAMIdleW())
-	staticX := (cardX.PrePostKernelPowerW() + cardX.DRAMIdleW()) * ratio
-	sX := simX.Static()
-	rows = append(rows, Table4Row{
-		GPU:        "GTX580",
-		SimStaticW: sX.StaticW, RealStaticW: staticX,
-		SimAreaMM2: sX.AreaMM2, RealAreaMM2: cardX.RealAreaMM2(),
-	})
-	return rows, nil
+	ratio := refStatic / (ref.PrePostKernelPowerW() + ref.DRAMIdleW())
+	return (card.PrePostKernelPowerW() + card.DRAMIdleW()) * ratio, card, nil
 }
 
-// EstimateStaticByFrequency implements the Section IV-B methodology on a
+// estimateStaticByFrequency implements the Section IV-B methodology on a
 // virtual card: measure the same kernel at the stock clock and at 20 % lower,
 // then extrapolate linearly to 0 Hz, where only static power remains. The
 // result includes the DRAM background (the rig measures the whole board);
@@ -130,7 +140,7 @@ func Table4() ([]Table4Row, error) {
 // Cycle counts are clock-invariant (the card scales clocks analytically), so
 // the two operating points — and every later caller of this estimator in
 // the same process — share a single cached timing simulation.
-func EstimateStaticByFrequency(card *hw.Card) (float64, error) {
+func estimateStaticByFrequency(card *hw.Card) (float64, error) {
 	measure := func(scale float64) (float64, error) {
 		if err := card.SetClockScale(scale); err != nil {
 			return 0, err
@@ -205,11 +215,18 @@ func busyFPKernel(blocks, threads, iters int) (*kernel.Launch, *kernel.GlobalMem
 // E3: Table V — blackscholes power profile on GT240.
 // ---------------------------------------------------------------------------
 
-// Table5 reproduces the blackscholes power breakdown. The timing stage is
-// shared with Fig6a through the simulation-result cache (same GPU, same
-// kernel, same inputs); the verification step below still checks the
-// functional output, which a cache hit replays from the stored final image.
-func Table5() (*core.KernelReport, error) {
+// reduceTable5 builds Table V: the blackscholes power profile in the
+// paper's hierarchical shape (chip level, then one core, then DRAM). The
+// timing stage is shared with Fig. 6 through the simulation-result cache
+// (same GPU, same kernel, same inputs); the verification step still
+// checks the functional output, which a cache hit replays from the stored
+// final image. The layout deliberately matches
+// core.KernelReport.WriteProfile — the per-kernel profile cmd/gpusimpow
+// prints — column for column; the two cannot share code (core cannot
+// import sweep), so each pins its shape in tests: table5.golden here,
+// TestWriteProfileFormat in internal/core. Change one and the other must
+// follow.
+func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
 	simr, err := core.New(config.GT240())
 	if err != nil {
 		return nil, err
@@ -226,41 +243,72 @@ func Table5() (*core.KernelReport, error) {
 	if err := inst.Verify(); err != nil {
 		return nil, fmt.Errorf("experiments: blackscholes failed verification: %w", err)
 	}
-	rt, err := simr.EvaluatePower(tr)
+	p, err := simr.EvaluatePower(tr)
 	if err != nil {
 		return nil, err
 	}
-	return &core.KernelReport{Kernel: tr.Kernel, Perf: tr.Perf, Power: rt}, nil
+	gpuSec := sweep.Section{
+		Columns: []sweep.Column{
+			{Label: "GPU", Format: "%-22s"},
+			{Label: "Static [W]", Unit: "W", Format: "%10.3f", Head: "%10s"},
+			{Label: "Dynamic [W]", Unit: "W", Format: "%11.3f", Head: "%11s"},
+			{Label: "Percent", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
+		},
+		Header: true,
+		Rows: [][]sweep.Datum{
+			{sweep.Str("Overall"), sweep.Num(p.StaticW), sweep.Num(p.DynamicW), sweep.Num(100.0)},
+		},
+	}
+	for _, it := range p.GPU {
+		gpuSec.Rows = append(gpuSec.Rows, []sweep.Datum{
+			sweep.Str(it.Name), sweep.Num(it.StaticW), sweep.Num(it.DynamicW), sweep.Num(100 * it.Total() / p.TotalW),
+		})
+	}
+	var coreTotal float64
+	for _, it := range p.Core {
+		coreTotal += it.Total()
+	}
+	coreSec := sweep.Section{
+		Columns: []sweep.Column{
+			{Label: "Core", Format: "%-22s"},
+			{Label: "Static [W]", Unit: "W", Format: "%10.4f", Head: "%10s"},
+			{Label: "Dynamic [W]", Unit: "W", Format: "%11.4f", Head: "%11s"},
+			{Label: "Percent", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
+		},
+		Header: true,
+	}
+	for _, it := range p.Core {
+		coreSec.Rows = append(coreSec.Rows, []sweep.Datum{
+			sweep.Str(it.Name), sweep.Num(it.StaticW), sweep.Num(it.DynamicW), sweep.Num(100 * it.Total() / coreTotal),
+		})
+	}
+	return &sweep.Report{Scenario: "table5", Sections: []sweep.Section{
+		{
+			Title: "Table V: blackscholes power breakdown on GT240",
+			Notes: []sweep.Note{sweep.Notef("Power profile: %s on %s (runtime %.3g s)",
+				sweep.Str(tr.Kernel), sweep.Str(p.GPUName), sweep.Num(p.Seconds))},
+		},
+		gpuSec,
+		coreSec,
+		{
+			Notes: []sweep.Note{sweep.Notef(
+				"External DRAM: %.3f W (background %.2f, activate %.2f, r/w %.2f, term %.2f, refresh %.2f)",
+				sweep.Num(p.DRAMW), sweep.Num(p.DRAM.Background), sweep.Num(p.DRAM.Activate),
+				sweep.Num(p.DRAM.ReadWrite), sweep.Num(p.DRAM.Termination), sweep.Num(p.DRAM.Refresh))},
+		},
+	}}, nil
 }
 
 // ---------------------------------------------------------------------------
 // E4: Figure 4 — cluster power staircase.
 // ---------------------------------------------------------------------------
 
-// Fig4Result carries the measured staircase of the block-count sweep.
-type Fig4Result struct {
-	// Trace is the full measured waveform (power vs. time).
-	Trace *hw.Trace
-	// PowerPerBlocks[i] is the measured average power with i+1 thread blocks.
-	PowerPerBlocks []float64
-	// IdleW is the pre/post-kernel idle level.
-	IdleW float64
-	// FirstBlockDeltaW is P(1 block) - idle: global scheduler + first
-	// cluster + first core.
-	FirstBlockDeltaW float64
-	// ClusterStepW is the mean increment while new clusters activate
-	// (blocks 2..Clusters).
-	ClusterStepW float64
-	// CoreStepW is the mean increment once all clusters are active
-	// (blocks Clusters+1..Cores).
-	CoreStepW float64
-}
-
-// Fig4 runs the same compute-bound kernel 12 times with 1..12 thread blocks
-// on the virtual GT240, reproducing the staircase of the paper's Figure 4:
-// the first block pays for the global scheduler, blocks 2..4 activate new
-// clusters (larger steps), blocks 5..12 only add cores (smaller steps).
-func Fig4() (*Fig4Result, error) {
+// reduceFig4 runs the same compute-bound kernel 12 times with 1..12 thread
+// blocks on the virtual GT240, reproducing the staircase of the paper's
+// Figure 4: the first block pays for the global scheduler, blocks 2..4
+// activate new clusters (larger steps), blocks 5..12 only add cores
+// (smaller steps).
+func reduceFig4(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
 	cfg := config.GT240()
 	card, err := hw.NewCard(cfg)
 	if err != nil {
@@ -272,23 +320,47 @@ func Fig4() (*Fig4Result, error) {
 		l, mem := busyFPKernel(i+1, 256, 60)
 		items[i] = hw.SeqItem{Launch: l, Mem: mem, MinWindowS: measureWindowS, GapS: 0.03}
 	}
-	tr, ms, err := card.MeasureSequence(items)
+	_, ms, err := card.MeasureSequence(items)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig4Result{Trace: tr, IdleW: card.PrePostKernelPowerW() + card.DRAMIdleW()}
-	for _, m := range ms {
-		res.PowerPerBlocks = append(res.PowerPerBlocks, m.AvgPowerW)
+	idleW := card.PrePostKernelPowerW() + card.DRAMIdleW()
+	maxP := ms[n-1].AvgPowerW
+	bars := sweep.Section{
+		Columns: []sweep.Column{
+			{Label: "blocks", Format: "%2d block(s):"},
+			{Label: "power", Unit: "W", Format: "%6.2f W "},
+			{Label: "bar", Format: "|%s"},
+		},
 	}
-	res.FirstBlockDeltaW = res.PowerPerBlocks[0] - res.IdleW
+	for i, m := range ms {
+		bar := strings.Repeat("#", int(40*(m.AvgPowerW-idleW)/(maxP-idleW)))
+		bars.Rows = append(bars.Rows, []sweep.Datum{sweep.Uint(uint64(i + 1)), sweep.Num(m.AvgPowerW), sweep.Str(bar)})
+	}
+	// The mean increment while new clusters activate (blocks
+	// 2..Clusters), then once all clusters are active (up to one block
+	// per core).
 	cl := cfg.Clusters
+	var clusterStep, coreStep float64
 	for i := 1; i < cl; i++ {
-		res.ClusterStepW += res.PowerPerBlocks[i] - res.PowerPerBlocks[i-1]
+		clusterStep += ms[i].AvgPowerW - ms[i-1].AvgPowerW
 	}
-	res.ClusterStepW /= float64(cl - 1)
+	clusterStep /= float64(cl - 1)
 	for i := cl; i < n; i++ {
-		res.CoreStepW += res.PowerPerBlocks[i] - res.PowerPerBlocks[i-1]
+		coreStep += ms[i].AvgPowerW - ms[i-1].AvgPowerW
 	}
-	res.CoreStepW /= float64(n - cl)
-	return res, nil
+	coreStep /= float64(n - cl)
+	bars.Notes = []sweep.Note{
+		sweep.Notef("first block delta: %.2f W (global scheduler + cluster + core)", sweep.Num(ms[0].AvgPowerW-idleW)),
+		sweep.Notef("cluster step (blocks 2-4):  %.3f W", sweep.Num(clusterStep)),
+		sweep.Notef("core step (blocks 5-12):    %.3f W", sweep.Num(coreStep)),
+		sweep.Notef("cluster activation premium: %.3f W (paper: 0.692 W)", sweep.Num(clusterStep-coreStep)),
+	}
+	return &sweep.Report{Scenario: "fig4", Sections: []sweep.Section{
+		{
+			Title: "Figure 4: GT240 power vs. thread block count (cluster staircase)",
+			Notes: []sweep.Note{sweep.Notef("idle (pre/post kernel): %.2f W", sweep.Num(idleW))},
+		},
+		bars,
+	}}, nil
 }

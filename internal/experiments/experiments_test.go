@@ -1,36 +1,104 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 
 	"gpusimpow/internal/sweep"
 )
 
-// reduceRun plans and runs spec under f and folds the run's wire records
-// through reduce — the path sweep.BuildReport takes, stopped at the typed
-// result so the paper-shape checks can read its fields.
-func reduceRun[T any](t *testing.T, spec *sweep.Spec, f sweep.Filter, reduce func([]*sweep.CellRecord) (T, error)) T {
+// The paper-shape checks read each scenario's pinned full-precision
+// report (testdata/reports/<name>.json) by column label and note index.
+// TestGoldenReports proves those files are exactly what the scenarios
+// produce, so no check here re-runs a sweep, and all of them run in
+// -short mode.
+
+// table is one section of a pinned report, addressed by column label.
+type table struct {
+	t   *testing.T
+	sec *sweep.Section
+}
+
+// pinned loads section i of the named scenario's pinned report.
+func pinned(t *testing.T, name string, i int) table {
 	t.Helper()
-	r, err := reduce(runRecords(t, spec, f))
+	data, err := os.ReadFile(reportPath(name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	var rep sweep.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if i >= len(rep.Sections) {
+		t.Fatalf("%s: report has %d section(s), want > %d", name, len(rep.Sections), i)
+	}
+	return table{t, &rep.Sections[i]}
 }
 
-// fig6For runs one Figure 6 sub-figure.
-func fig6For(t *testing.T, gpu string) *Fig6Result {
+// rows returns the section's row count.
+func (tb table) rows() int { return len(tb.sec.Rows) }
+
+// cell returns row r's datum in the labeled column.
+func (tb table) cell(r int, label string) sweep.Datum {
+	tb.t.Helper()
+	for c := range tb.sec.Columns {
+		if tb.sec.Columns[c].Label == label {
+			return tb.sec.Rows[r][c]
+		}
+	}
+	tb.t.Fatalf("section %q has no column %q", tb.sec.Title, label)
+	return sweep.Datum{}
+}
+
+// num returns row r's numeric value in the labeled column.
+func (tb table) num(r int, label string) float64 {
+	tb.t.Helper()
+	return number(tb.t, tb.cell(r, label))
+}
+
+// str returns row r's string value in the labeled column.
+func (tb table) str(r int, label string) string {
+	tb.t.Helper()
+	return tb.cell(r, label).S
+}
+
+// row returns the index of the row whose first cell is key.
+func (tb table) row(key string) int {
+	tb.t.Helper()
+	for r, row := range tb.sec.Rows {
+		if row[0].S == key {
+			return r
+		}
+	}
+	tb.t.Fatalf("section %q has no row %q", tb.sec.Title, key)
+	return -1
+}
+
+// note returns argument j of note i as a number.
+func (tb table) note(i, j int) float64 {
+	tb.t.Helper()
+	return number(tb.t, tb.sec.Notes[i].Args[j])
+}
+
+func number(t *testing.T, d sweep.Datum) float64 {
 	t.Helper()
-	return reduceRun(t, Fig6Spec(), sweep.Filter{"gpu": {gpu}}, func(recs []*sweep.CellRecord) (*Fig6Result, error) {
-		return fig6Reduce(gpu, recs)
-	})
+	switch {
+	case d.F != nil:
+		return *d.F
+	case d.U != nil:
+		return float64(*d.U)
+	}
+	t.Fatalf("datum %q is not a number", d.S)
+	return 0
 }
 
 func TestTable2(t *testing.T) {
-	rows := Table2()
-	if len(rows) != 9 {
-		t.Fatalf("Table II has %d rows, want 9", len(rows))
+	tb := pinned(t, "table2", 0)
+	if tb.rows() != 9 {
+		t.Fatalf("Table II has %d rows, want 9", tb.rows())
 	}
 	want := map[string][2]string{
 		"#Cores":            {"12", "16"},
@@ -40,299 +108,252 @@ func TestTable2(t *testing.T) {
 		"L2-$ size":         {"no", "768KByte"},
 		"Process node":      {"40nm", "40nm"},
 	}
-	for _, r := range rows {
-		if w, ok := want[r.Feature]; ok {
-			if r.GT240 != w[0] || r.GTX580 != w[1] {
-				t.Errorf("%s: got %s/%s, want %s/%s", r.Feature, r.GT240, r.GTX580, w[0], w[1])
-			}
+	for feature, w := range want {
+		r := tb.row(feature)
+		if gt, gx := tb.str(r, "GT240"), tb.str(r, "GTX580"); gt != w[0] || gx != w[1] {
+			t.Errorf("%s: got %s/%s, want %s/%s", feature, gt, gx, w[0], w[1])
 		}
 	}
 }
 
 func TestTable4(t *testing.T) {
-	rows, err := Table4()
-	if err != nil {
-		t.Fatal(err)
+	tb := pinned(t, "table4", 0)
+	if tb.rows() != 4 {
+		t.Fatalf("want 2 row pairs, got %d rows", tb.rows())
 	}
-	if len(rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(rows))
-	}
+	// Rows: GT240 simulated, GT240 real, GTX580 simulated, GTX580 real.
+	static := func(r int) float64 { return tb.num(r, "Static [W]") }
+	area := func(r int) float64 { return tb.num(r, "Area [mm2]") }
 	// Paper Table IV: GT240 17.9/17.6 W and 105/133 mm^2;
 	// GTX580 81.5/80 W and 306/520 mm^2. Check the reproduction bands.
-	gt := rows[0]
-	if gt.GPU != "GT240" {
-		t.Fatalf("row order: %s", gt.GPU)
+	if gpu := tb.str(0, "GPU"); gpu != "GT240" {
+		t.Fatalf("row order: %s", gpu)
 	}
-	if math.Abs(gt.SimStaticW-17.9) > 1.0 {
-		t.Errorf("GT240 sim static %.2f, want ~17.9", gt.SimStaticW)
+	if s := static(0); math.Abs(s-17.9) > 1.0 {
+		t.Errorf("GT240 sim static %.2f, want ~17.9", s)
 	}
-	if math.Abs(gt.RealStaticW-17.6) > 1.5 {
-		t.Errorf("GT240 real static %.2f, want ~17.6", gt.RealStaticW)
+	if s := static(1); math.Abs(s-17.6) > 1.5 {
+		t.Errorf("GT240 real static %.2f, want ~17.6", s)
 	}
-	if gt.SimAreaMM2 >= gt.RealAreaMM2 {
+	if area(0) >= area(1) {
 		t.Error("modeled area should undershoot the die (undifferentiated logic)")
 	}
-	gx := rows[1]
-	if math.Abs(gx.SimStaticW-81.5) > 4 {
-		t.Errorf("GTX580 sim static %.2f, want ~81.5", gx.SimStaticW)
+	if s := static(2); math.Abs(s-81.5) > 4 {
+		t.Errorf("GTX580 sim static %.2f, want ~81.5", s)
 	}
-	if math.Abs(gx.RealStaticW-80) > 8 {
-		t.Errorf("GTX580 real static %.2f, want ~80", gx.RealStaticW)
+	if s := static(3); math.Abs(s-80) > 8 {
+		t.Errorf("GTX580 real static %.2f, want ~80", s)
 	}
-	if gx.SimAreaMM2 >= gx.RealAreaMM2 {
+	if area(2) >= area(3) {
 		t.Error("GTX580 modeled area should undershoot the 520 mm^2 die")
 	}
 }
 
 func TestTable5Shape(t *testing.T) {
-	rep, err := Table5()
-	if err != nil {
-		t.Fatal(err)
+	gpu, coreSec := pinned(t, "table5", 1), pinned(t, "table5", 2)
+	total := func(tb table, name string) float64 {
+		r := tb.row(name)
+		return tb.num(r, "Static [W]") + tb.num(r, "Dynamic [W]")
 	}
-	p := rep.Power
 	// Paper Table V shapes: cores ~82 % of GPU power; execution units are
 	// the largest differentiated core consumer; register file second;
 	// undifferentiated core the largest core static item.
-	var cores, noc, mc, pcie float64
-	for _, it := range p.GPU {
-		switch it.Name {
-		case "Cores":
-			cores = it.Total()
-		case "NoC":
-			noc = it.Total()
-		case "Memory Controller":
-			mc = it.Total()
-		case "PCIe Controller":
-			pcie = it.Total()
-		}
-	}
-	total := p.TotalW
-	if f := cores / total; f < 0.70 || f > 0.95 {
+	if f := gpu.num(gpu.row("Cores"), "Percent") / 100; f < 0.70 || f > 0.95 {
 		t.Errorf("cores fraction %.2f outside [0.70, 0.95] (paper: 0.82)", f)
 	}
-	if noc <= 0 || mc <= 0 || pcie <= 0 {
+	if total(gpu, "NoC") <= 0 || total(gpu, "Memory Controller") <= 0 || total(gpu, "PCIe Controller") <= 0 {
 		t.Error("uncore components must be non-zero")
 	}
-	var exe, rf, wcu, undiff, ldst float64
-	for _, it := range p.Core {
-		switch it.Name {
-		case "Execution Units":
-			exe = it.DynamicW
-		case "Register File":
-			rf = it.DynamicW
-		case "WCU":
-			wcu = it.DynamicW
-		case "Undiff. Core":
-			undiff = it.StaticW
-		case "LDSTU":
-			ldst = it.Total()
-		}
-	}
+	dyn := func(name string) float64 { return coreSec.num(coreSec.row(name), "Dynamic [W]") }
+	exe, rf, wcu := dyn("Execution Units"), dyn("Register File"), dyn("WCU")
 	if !(exe > rf && rf > wcu) {
 		t.Errorf("core dynamic ordering EXE(%.3f) > RF(%.3f) > WCU(%.3f) violated", exe, rf, wcu)
 	}
-	if undiff <= 0 || ldst <= 0 {
+	if coreSec.num(coreSec.row("Undiff. Core"), "Static [W]") <= 0 || total(coreSec, "LDSTU") <= 0 {
 		t.Error("undiff/LDSTU must contribute")
 	}
 	// DRAM reported separately (paper: 4.3 W excluded from the table).
-	if p.DRAMW <= 0 {
+	if pinned(t, "table5", 3).note(0, 0) <= 0 {
 		t.Error("DRAM power missing")
 	}
 	// Static close to Table IV's 17.9 W.
-	if math.Abs(p.StaticW-17.9) > 1 {
-		t.Errorf("static %.2f, want ~17.9", p.StaticW)
+	if s := gpu.num(gpu.row("Overall"), "Static [W]"); math.Abs(s-17.9) > 1 {
+		t.Errorf("static %.2f, want ~17.9", s)
 	}
 }
 
 func TestFig4Staircase(t *testing.T) {
-	r, err := Fig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.PowerPerBlocks) != 12 {
-		t.Fatalf("want 12 block counts, got %d", len(r.PowerPerBlocks))
+	tb := pinned(t, "fig4", 1)
+	if tb.rows() != 12 {
+		t.Fatalf("want 12 block counts, got %d", tb.rows())
 	}
 	// Power must increase monotonically with block count.
-	for i := 1; i < len(r.PowerPerBlocks); i++ {
-		if r.PowerPerBlocks[i] <= r.PowerPerBlocks[i-1] {
-			t.Errorf("power not increasing at %d blocks: %.2f <= %.2f",
-				i+1, r.PowerPerBlocks[i], r.PowerPerBlocks[i-1])
+	for i := 1; i < tb.rows(); i++ {
+		if p, prev := tb.num(i, "power"), tb.num(i-1, "power"); p <= prev {
+			t.Errorf("power not increasing at %d blocks: %.2f <= %.2f", i+1, p, prev)
 		}
 	}
 	// The paper's staircase: the first block costs the most (global
 	// scheduler ~3.34 W + cluster + core), cluster steps (blocks 2..4)
 	// exceed core-only steps (blocks 5..12).
-	if r.FirstBlockDeltaW <= r.ClusterStepW {
-		t.Errorf("first block delta %.2f should exceed cluster step %.2f", r.FirstBlockDeltaW, r.ClusterStepW)
+	first, cluster, core := tb.note(0, 0), tb.note(1, 0), tb.note(2, 0)
+	if first <= cluster {
+		t.Errorf("first block delta %.2f should exceed cluster step %.2f", first, cluster)
 	}
-	if r.ClusterStepW <= r.CoreStepW {
-		t.Errorf("cluster step %.2f should exceed core step %.2f", r.ClusterStepW, r.CoreStepW)
+	if cluster <= core {
+		t.Errorf("cluster step %.2f should exceed core step %.2f", cluster, core)
 	}
-	if r.ClusterStepW-r.CoreStepW < 0.3 {
-		t.Errorf("cluster activation premium %.2f W too small (paper: 0.692 W)", r.ClusterStepW-r.CoreStepW)
-	}
-	if len(r.Trace.Samples) == 0 {
-		t.Error("waveform missing")
+	if cluster-core < 0.3 {
+		t.Errorf("cluster activation premium %.2f W too small (paper: 0.692 W)", cluster-core)
 	}
 }
 
 func TestEnergyPerOp(t *testing.T) {
-	r := reduceRun(t, EnergyPerOpSpec(), nil, energyPerOpReduce)
+	tb := pinned(t, "energyperop", 0)
+	intPJ, nomInt := tb.note(0, 0), tb.note(0, 1)
+	fpPJ, nomFP := tb.note(1, 0), tb.note(1, 1)
 	// The estimates must land near the configured anchors (the card's true
 	// silicon deviates by up to ~12 % plus measurement error) and preserve
 	// the paper's headline relation FP > INT with INT ~40 pJ, FP ~75 pJ.
-	if math.Abs(r.IntOpPJ-r.NominalIntPJ)/r.NominalIntPJ > 0.30 {
-		t.Errorf("INT estimate %.1f pJ too far from %.1f pJ", r.IntOpPJ, r.NominalIntPJ)
+	if math.Abs(intPJ-nomInt)/nomInt > 0.30 {
+		t.Errorf("INT estimate %.1f pJ too far from %.1f pJ", intPJ, nomInt)
 	}
-	if math.Abs(r.FPOpPJ-r.NominalFPPJ)/r.NominalFPPJ > 0.30 {
-		t.Errorf("FP estimate %.1f pJ too far from %.1f pJ", r.FPOpPJ, r.NominalFPPJ)
+	if math.Abs(fpPJ-nomFP)/nomFP > 0.30 {
+		t.Errorf("FP estimate %.1f pJ too far from %.1f pJ", fpPJ, nomFP)
 	}
-	if r.FPOpPJ <= r.IntOpPJ {
-		t.Errorf("FP ops (%.1f pJ) must cost more than INT ops (%.1f pJ)", r.FPOpPJ, r.IntOpPJ)
+	if fpPJ <= intPJ {
+		t.Errorf("FP ops (%.1f pJ) must cost more than INT ops (%.1f pJ)", fpPJ, intPJ)
 	}
 }
 
 func TestStaticExtrapolation(t *testing.T) {
-	r, err := StaticExtrapolation()
-	if err != nil {
-		t.Fatal(err)
+	tb := pinned(t, "staticextrap", 0)
+	est, truth, errPct := tb.note(0, 0), tb.note(0, 1), tb.note(0, 2)
+	if errPct > 6 {
+		t.Errorf("extrapolation error %.1f%% too large", errPct)
 	}
-	if r.ErrPct > 6 {
-		t.Errorf("extrapolation error %.1f%% too large", r.ErrPct)
-	}
-	if r.EstimatedStaticW <= 0 || r.TrueStaticW <= 0 {
+	if est <= 0 || truth <= 0 {
 		t.Error("degenerate result")
 	}
 }
 
 func TestFig6GT240(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full validation sweep in -short mode")
-	}
-	checkFig6(t, fig6For(t, "GT240"), 19)
+	checkFig6(t, "GT240", pinned(t, "fig6", 0), 19)
 }
 
 func TestFig6GTX580(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full validation sweep in -short mode")
-	}
-	checkFig6(t, fig6For(t, "GTX580"), 19)
+	checkFig6(t, "GTX580", pinned(t, "fig6", 1), 19)
 }
 
-func checkFig6(t *testing.T, r *Fig6Result, wantBars int) {
+func checkFig6(t *testing.T, gpu string, tb table, wantBars int) {
 	t.Helper()
-	if len(r.Bars) != wantBars {
-		t.Fatalf("%s: %d bars, want %d", r.GPU, len(r.Bars), wantBars)
+	if tb.rows() != wantBars {
+		t.Fatalf("%s: %d bars, want %d", gpu, tb.rows(), wantBars)
 	}
+	avgErr, dynErr, overPct := tb.note(0, 0), tb.note(1, 0), tb.note(3, 0)
 	// Paper: 11.7 % (GT240) / 10.8 % (GTX580) average relative error. The
 	// virtual silicon differs from the real cards, so accept the band the
 	// methodology should land in.
-	if r.AvgRelErrPct < 2 || r.AvgRelErrPct > 22 {
-		t.Errorf("%s: average relative error %.1f%% outside the expected [2, 22]%% band", r.GPU, r.AvgRelErrPct)
+	if avgErr < 2 || avgErr > 22 {
+		t.Errorf("%s: average relative error %.1f%% outside the expected [2, 22]%% band", gpu, avgErr)
 	}
 	// The simulator should overestimate for most kernels.
-	if r.OverestimatedFraction < 0.6 {
-		t.Errorf("%s: only %.0f%% of kernels overestimated; paper reports nearly all",
-			r.GPU, 100*r.OverestimatedFraction)
+	if overPct < 60 {
+		t.Errorf("%s: only %.0f%% of kernels overestimated; paper reports nearly all", gpu, overPct)
 	}
 	// Dynamic-only error is larger than total error (static dilutes it).
-	if r.DynAvgRelErrPct <= r.AvgRelErrPct {
-		t.Errorf("%s: dynamic error %.1f%% should exceed total error %.1f%%",
-			r.GPU, r.DynAvgRelErrPct, r.AvgRelErrPct)
+	if dynErr <= avgErr {
+		t.Errorf("%s: dynamic error %.1f%% should exceed total error %.1f%%", gpu, dynErr, avgErr)
 	}
-	for _, b := range r.Bars {
-		if b.SimTotalW() <= 0 || b.MeasTotalW() <= 0 {
-			t.Errorf("%s/%s: non-positive power", r.GPU, b.Kernel)
+	for r := 0; r < tb.rows(); r++ {
+		k := tb.str(r, "Kernel")
+		simStat, measStat := tb.num(r, "SimStat"), tb.num(r, "MeasStat")
+		if simStat+tb.num(r, "SimDyn") <= 0 || measStat+tb.num(r, "MeasDyn") <= 0 {
+			t.Errorf("%s/%s: non-positive power", gpu, k)
 		}
-		if b.SimStaticW <= 0 || b.MeasStaticW <= 0 {
-			t.Errorf("%s/%s: missing static split", r.GPU, b.Kernel)
+		if simStat <= 0 || measStat <= 0 {
+			t.Errorf("%s/%s: missing static split", gpu, k)
 		}
 	}
-	if r.GPU == "GT240" {
+	if gpu == "GT240" {
 		// The paper's outlier: the short in-place mergeSort3 measurement.
-		var ms3 *Fig6Bar
-		for i := range r.Bars {
-			if r.Bars[i].Kernel == "mergeSort3" {
-				ms3 = &r.Bars[i]
-			}
-		}
-		if ms3 == nil {
-			t.Fatal("mergeSort3 bar missing")
-		}
-		if !ms3.ShortWindow {
+		ms3 := tb.row("mergeSort3")
+		if tb.str(ms3, "") != "(short measurement window)" {
 			t.Error("mergeSort3 should be flagged as a short-window measurement")
 		}
-		if ms3.RelErrPct < r.AvgRelErrPct {
+		if tb.num(ms3, "Err%") < avgErr {
 			t.Error("mergeSort3 should show an above-average error (measurement artifact)")
 		}
 	}
 }
 
 func TestAblations(t *testing.T) {
-	sb := reduceRun(t, AblationScoreboardSpec(), nil, ablationReduce)
-	if sb[1].Cycles >= sb[0].Cycles {
+	sb := pinned(t, "ablation-scoreboard", 0)
+	if sb.num(1, "Cycles") >= sb.num(0, "Cycles") {
 		t.Error("scoreboard should cut cycles")
 	}
-	if sb[1].EnergyMJ >= sb[0].EnergyMJ {
+	if sb.num(1, "Energy mJ") >= sb.num(0, "Energy mJ") {
 		t.Error("finishing faster at similar power should cut energy")
 	}
 
-	l2 := reduceRun(t, AblationL2Spec(), nil, ablationReduce)
-	if l2[1].Cycles <= l2[0].Cycles {
+	l2 := pinned(t, "ablation-l2", 0)
+	if l2.num(1, "Cycles") <= l2.num(0, "Cycles") {
 		t.Error("removing the L2 should cost cycles on a memory-bound kernel")
 	}
 
-	nodes := reduceRun(t, AblationProcessNodeSpec(), nil, ablationReduce)
-	if len(nodes) != 5 {
-		t.Fatalf("want 5 node variants, got %d", len(nodes))
+	nodes := pinned(t, "ablation-processnode", 0)
+	if nodes.rows() != 5 {
+		t.Fatalf("want 5 node variants, got %d", nodes.rows())
 	}
 	// Smaller nodes leak relatively more per area but the calibrated undiff
 	// dominates; at least dynamic energy per op must shrink with the node.
-	first, last := nodes[0], nodes[len(nodes)-1]
-	if last.DynamicW >= first.DynamicW {
-		t.Errorf("28 nm dynamic %.2f should undercut 65 nm dynamic %.2f", last.DynamicW, first.DynamicW)
+	first, last := nodes.num(0, "Dyn W"), nodes.num(nodes.rows()-1, "Dyn W")
+	if last >= first {
+		t.Errorf("28 nm dynamic %.2f should undercut 65 nm dynamic %.2f", last, first)
 	}
 
-	cores := reduceRun(t, AblationCoreCountSpec(), nil, ablationReduce)
-	if cores[len(cores)-1].Cycles >= cores[0].Cycles {
+	cores := pinned(t, "ablation-corecount", 0)
+	if cores.num(cores.rows()-1, "Cycles") >= cores.num(0, "Cycles") {
 		t.Error("more cores should finish the fixed-size-per-core workload... faster overall")
 	}
 }
 
 func TestAblationScheduler(t *testing.T) {
-	rows := reduceRun(t, AblationSchedulerSpec(), nil, ablationReduce)
-	if len(rows) != 3 {
-		t.Fatalf("want 3 policies, got %d", len(rows))
+	tb := pinned(t, "ablation-scheduler", 0)
+	if tb.rows() != 3 {
+		t.Fatalf("want 3 policies, got %d", tb.rows())
 	}
-	for _, r := range rows {
-		if r.Cycles == 0 || r.TotalW <= 0 {
-			t.Errorf("%s: degenerate result", r.Variant)
+	for r := 0; r < 3; r++ {
+		if tb.num(r, "Cycles") == 0 || tb.num(r, "Total W") <= 0 {
+			t.Errorf("%s: degenerate result", tb.str(r, "Variant"))
 		}
 	}
 	// The policies must not all behave identically.
-	if rows[0].Cycles == rows[1].Cycles && rows[0].Cycles == rows[2].Cycles &&
-		rows[0].DynamicW == rows[1].DynamicW && rows[0].DynamicW == rows[2].DynamicW {
+	cy := func(r int) float64 { return tb.num(r, "Cycles") }
+	dyn := func(r int) float64 { return tb.num(r, "Dyn W") }
+	if cy(0) == cy(1) && cy(0) == cy(2) && dyn(0) == dyn(1) && dyn(0) == dyn(2) {
 		t.Error("scheduler policies indistinguishable in both timing and power")
 	}
 }
 
 func TestDVFS(t *testing.T) {
-	r := reduceRun(t, DVFSSpec(), nil, dvfsReduce)
-	if len(r.Points) != 6 {
-		t.Fatalf("want 6 operating points, got %d", len(r.Points))
+	tb := pinned(t, "dvfs", 0)
+	if tb.rows() != 6 {
+		t.Fatalf("want 6 operating points, got %d", tb.rows())
 	}
-	for i := 1; i < len(r.Points); i++ {
+	for i := 1; i < tb.rows(); i++ {
 		// Higher clock: more power, less time.
-		if r.Points[i].PowerW <= r.Points[i-1].PowerW {
-			t.Errorf("power not increasing with clock at scale %.1f", r.Points[i].ClockScale)
+		clock := tb.num(i, "Clock")
+		if tb.num(i, "Power W") <= tb.num(i-1, "Power W") {
+			t.Errorf("power not increasing with clock at %.0f%%", clock)
 		}
-		if r.Points[i].KernelSeconds >= r.Points[i-1].KernelSeconds {
-			t.Errorf("runtime not decreasing with clock at scale %.1f", r.Points[i].ClockScale)
+		if tb.num(i, "Kernel s") >= tb.num(i-1, "Kernel s") {
+			t.Errorf("runtime not decreasing with clock at %.0f%%", clock)
 		}
 	}
 	// With ~18 W of leakage, race-to-idle wins: the energy-optimal point
 	// sits at the highest clock.
-	if r.MinEnergyScale < 0.9 {
-		t.Errorf("min-energy scale %.1f; static-dominated cards should race to idle", r.MinEnergyScale)
+	if best := tb.note(0, 0); best < 90 {
+		t.Errorf("min-energy clock %.0f%%; static-dominated cards should race to idle", best)
 	}
 }

@@ -8,52 +8,8 @@ import (
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
-	"gpusimpow/internal/hw"
 	"gpusimpow/internal/sweep"
 )
-
-// Fig6Bar is one bar pair of Figure 6: one kernel's simulated and measured
-// total power, split into static and dynamic parts.
-type Fig6Bar struct {
-	Kernel string
-
-	SimStaticW   float64
-	SimDynamicW  float64
-	MeasStaticW  float64
-	MeasDynamicW float64
-
-	// RelErrPct is |sim - measured| / measured * 100 on total power.
-	RelErrPct float64
-	// ShortWindow marks kernels measured below the 50 ms reliability limit.
-	ShortWindow bool
-	// Executions is how many launches were aggregated (multi-launch kernels
-	// are averaged arithmetically, as in the paper).
-	Executions int
-}
-
-// SimTotalW returns the simulated total power.
-func (b Fig6Bar) SimTotalW() float64 { return b.SimStaticW + b.SimDynamicW }
-
-// MeasTotalW returns the measured total power.
-func (b Fig6Bar) MeasTotalW() float64 { return b.MeasStaticW + b.MeasDynamicW }
-
-// Fig6Result is one sub-figure (6a or 6b).
-type Fig6Result struct {
-	GPU  string
-	Bars []Fig6Bar
-	// AvgRelErrPct is the average of absolute relative errors ("when
-	// averaging errors, we always average the absolute value of errors").
-	AvgRelErrPct float64
-	// MaxRelErrPct / MaxErrKernel identify the worst kernel.
-	MaxRelErrPct float64
-	MaxErrKernel string
-	// DynAvgRelErrPct is the average relative error on dynamic power only
-	// (paper: 28.3 % GT240, 20.9 % GTX580).
-	DynAvgRelErrPct float64
-	// OverestimatedFraction is the share of kernels where the simulator
-	// overestimates (paper: nearly all).
-	OverestimatedFraction float64
-}
 
 // benchWorkload wraps one Table I benchmark as a sweep workload: the units
 // are the benchmark's launches in execution order (sharing one memory
@@ -120,57 +76,100 @@ func Fig6Spec() *sweep.Spec {
 	}
 }
 
+// fig6CheckFilter restricts Figure 6 filtering to whole sub-figures:
+// non-gpu axes (e.g. bench=...) would silently bias the error aggregates.
+// Axes are checked in sorted order so the reported offender is stable
+// across runs (map order would pick one at random).
+func fig6CheckFilter(f sweep.Filter) error {
+	axes := make([]string, 0, len(f))
+	for axis := range f {
+		axes = append(axes, axis)
+	}
+	sort.Strings(axes)
+	for _, axis := range axes {
+		if axis != "gpu" {
+			return fmt.Errorf("experiments: fig6 filters on gpu only (got %s=...)", axis)
+		}
+	}
+	return nil
+}
+
+// reduceFig6 folds the validation grid's records into one sub-figure per
+// admitted GPU (both when unfiltered), in GPU order.
+func reduceFig6(recs []*sweep.CellRecord, f sweep.Filter) (*sweep.Report, error) {
+	if err := fig6CheckFilter(f); err != nil {
+		return nil, err
+	}
+	gpus := f["gpu"]
+	if len(gpus) == 0 {
+		gpus = []string{"GT240", "GTX580"}
+	}
+	byGPU := map[string][]*sweep.CellRecord{}
+	for _, rec := range recs {
+		var gpu string
+		for _, co := range rec.Coords {
+			if co.Axis == "gpu" {
+				gpu = co.Value
+			}
+		}
+		byGPU[gpu] = append(byGPU[gpu], rec)
+	}
+	rep := &sweep.Report{Scenario: "fig6"}
+	for i, gpu := range gpus {
+		sec, err := fig6Section(gpu, byGPU[gpu], i > 0)
+		if err != nil {
+			return nil, err
+		}
+		rep.Sections = append(rep.Sections, sec)
+	}
+	return rep, nil
+}
+
 // fig6Agg is the per-kernel aggregate one benchmark cell contributes.
 type fig6Agg struct {
-	name                string
 	simTotal, measTotal float64
 	n                   int
 	short               bool
 }
 
-// fig6Reduce folds the sweep's flat cell records into the figure:
-// per-kernel aggregation in record (= cell) order — multi-launch kernels
-// average arithmetically — against the per-card static power estimated
-// with the methodology available for each card. Reducing from wire
-// records rather than live results is what lets the service serve the
-// same figure from a finished job's record stream, bit-identically.
-func fig6Reduce(gpuName string, recs []*sweep.CellRecord) (*Fig6Result, error) {
-	mk, ok := config.Presets()[gpuName]
+// fig6Section folds one GPU's cell records into its sub-figure: one bar
+// pair per kernel (multi-launch kernels average arithmetically, in record
+// = cell order) against the model's static power and the card's static
+// power estimated by measuredStaticW (paper Section IV-B / V-A), then the
+// error aggregates. Errors are averaged as absolute values ("when
+// averaging errors, we always average the absolute value of errors").
+// Reducing from wire records rather than live results is what lets the
+// service serve the same figure from a finished job's record stream,
+// bit-identically.
+func fig6Section(gpu string, recs []*sweep.CellRecord, gap bool) (sweep.Section, error) {
+	mk, ok := config.Presets()[gpu]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown GPU %q", gpuName)
+		return sweep.Section{}, fmt.Errorf("experiments: unknown GPU %q", gpu)
 	}
 	if len(recs) == 0 {
-		return nil, fmt.Errorf("experiments: fig6: no cell records for %s", gpuName)
+		return sweep.Section{}, fmt.Errorf("experiments: fig6: no cell records for %s", gpu)
 	}
-
-	// Simulated static power from the model, measured static power from the
-	// card (paper Section IV-B / V-A), estimated once per card.
 	ev, err := core.NewPowerEvaluator(mk())
 	if err != nil {
-		return nil, err
+		return sweep.Section{}, err
 	}
 	simStatic := ev.Static().StaticW
-	card, err := hw.NewCard(mk())
+	measStatic, _, err := measuredStaticW(gpu)
 	if err != nil {
-		return nil, err
-	}
-	measStatic, err := measuredStaticFor(card)
-	if err != nil {
-		return nil, err
+		return sweep.Section{}, err
 	}
 
-	// Deterministic merge in record (= suite) order.
 	perKernel := map[string]*fig6Agg{}
 	var order []string
 	for _, rec := range recs {
 		for i := range rec.Units {
 			ur := &rec.Units[i]
 			if ur.Power == nil || ur.Meas == nil {
-				return nil, fmt.Errorf("experiments: fig6: record %s unit %s missing power/measurement", rec.CoordString(), ur.Name)
+				return sweep.Section{}, fmt.Errorf("experiments: fig6: record %s unit %s missing power/measurement", rec.CoordString(), ur.Name)
 			}
 			a := perKernel[ur.Name]
 			if a == nil {
-				a = &fig6Agg{name: ur.Name}
+				a = &fig6Agg{}
 				perKernel[ur.Name] = a
 				order = append(order, ur.Name)
 			}
@@ -185,60 +184,58 @@ func fig6Reduce(gpuName string, recs []*sweep.CellRecord) (*Fig6Result, error) {
 		}
 	}
 
-	res := &Fig6Result{GPU: gpuName}
+	sub := map[string]string{"GT240": "6a", "GTX580": "6b"}[gpu]
+	sec := sweep.Section{
+		Gap:   gap,
+		Title: fmt.Sprintf("Figure %s: simulated vs. measured power, %s", sub, gpu),
+		Columns: []sweep.Column{
+			{Label: "Kernel", Format: "%-14s"},
+			{Label: "SimStat", Unit: "W", Format: "%10.2f", Head: "%10s"},
+			{Label: "SimDyn", Unit: "W", Format: "%10.2f", Head: "%10s"},
+			{Label: "MeasStat", Unit: "W", Format: "%10.2f", Head: "%10s"},
+			{Label: "MeasDyn", Unit: "W", Format: "%10.2f", Head: "%10s"},
+			{Label: "Err%", Unit: "%", Format: "%7.1f", Head: "%7s"},
+			{Label: "", Format: "%s"},
+		},
+		Header: true,
+	}
 	sort.Strings(order)
-	var sumErr, sumDynErr float64
+	var sumErr, sumDynErr, maxErr float64
+	var maxKernel string
 	over := 0
 	for _, name := range order {
 		a := perKernel[name]
 		simTotal := a.simTotal / float64(a.n)
 		measTotal := a.measTotal / float64(a.n)
-		bar := Fig6Bar{
-			Kernel:       name,
-			SimStaticW:   simStatic,
-			SimDynamicW:  simTotal - simStatic,
-			MeasStaticW:  measStatic,
-			MeasDynamicW: measTotal - measStatic,
-			ShortWindow:  a.short,
-			Executions:   a.n,
+		simDyn, measDyn := simTotal-simStatic, measTotal-measStatic
+		relErr := 100 * math.Abs(simTotal-measTotal) / measTotal
+		note := ""
+		if a.short {
+			note = "(short measurement window)"
 		}
-		bar.RelErrPct = 100 * math.Abs(simTotal-measTotal) / measTotal
-		res.Bars = append(res.Bars, bar)
-		sumErr += bar.RelErrPct
-		if bar.RelErrPct > res.MaxRelErrPct {
-			res.MaxRelErrPct = bar.RelErrPct
-			res.MaxErrKernel = name
+		sec.Rows = append(sec.Rows, []sweep.Datum{
+			sweep.Str(name), sweep.Num(simStatic), sweep.Num(simDyn),
+			sweep.Num(measStatic), sweep.Num(measDyn), sweep.Num(relErr), sweep.Str(note),
+		})
+		sumErr += relErr
+		if relErr > maxErr {
+			maxErr, maxKernel = relErr, name
 		}
-		if bar.MeasDynamicW > 0 {
-			sumDynErr += 100 * math.Abs(bar.SimDynamicW-bar.MeasDynamicW) / bar.MeasDynamicW
+		if measDyn > 0 {
+			sumDynErr += 100 * math.Abs(simDyn-measDyn) / measDyn
 		}
 		if simTotal > measTotal {
 			over++
 		}
 	}
-	n := float64(len(res.Bars))
-	res.AvgRelErrPct = sumErr / n
-	res.DynAvgRelErrPct = sumDynErr / n
-	res.OverestimatedFraction = float64(over) / n
-	return res, nil
-}
-
-// measuredStaticFor applies the per-card static estimation methodology:
-// frequency extrapolation on cards that support downclocking (GT240-class),
-// the idle-ratio transfer method otherwise (GTX580-class, whose Linux driver
-// "does not yet support changing the clock speed").
-func measuredStaticFor(card *hw.Card) (float64, error) {
-	if card.Name() != "GTX580" {
-		return EstimateStaticByFrequency(card)
+	n := float64(len(order))
+	sec.Notes = []sweep.Note{
+		sweep.Notef("average relative error: %.1f%% (paper: %s)", sweep.Num(sumErr/n),
+			sweep.Str(map[string]string{"GT240": "11.7%", "GTX580": "10.8%"}[gpu])),
+		sweep.Notef("dynamic-only average relative error: %.1f%% (paper: %s)", sweep.Num(sumDynErr/n),
+			sweep.Str(map[string]string{"GT240": "28.3%", "GTX580": "20.9%"}[gpu])),
+		sweep.Notef("max relative error: %.1f%% on %s", sweep.Num(maxErr), sweep.Str(maxKernel)),
+		sweep.Notef("kernels overestimated: %.0f%%", sweep.Num(100*(float64(over)/n))),
 	}
-	ref, err := hw.NewCard(config.GT240())
-	if err != nil {
-		return 0, err
-	}
-	refStatic, err := EstimateStaticByFrequency(ref)
-	if err != nil {
-		return 0, err
-	}
-	ratio := refStatic / (ref.PrePostKernelPowerW() + ref.DRAMIdleW())
-	return (card.PrePostKernelPowerW() + card.DRAMIdleW()) * ratio, nil
+	return sec, nil
 }

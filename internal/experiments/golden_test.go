@@ -8,10 +8,8 @@ package experiments
 //     streams it;
 //   - testdata/reports/<name>.json: the reduced sweep.Report, every Datum
 //     at full float64 precision;
-//   - testdata/<name>.golden: the rendered text, captured from the
-//     pre-split Print* implementations, so the typed reduction layer
-//     (reduce* -> sweep.Report -> sweep.RenderText) provably changes no
-//     output.
+//   - testdata/<name>.golden: the rendered text (sweep.RenderText of
+//     that report), the bytes `gpowexp run <name>` prints.
 //
 // TestReplayReports rebuilds every sweep-backed report from its pinned
 // records alone, so the reductions (Fig. 6 included) are checked even in
@@ -40,10 +38,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the scenario golden files
 // heavyScenarios are skipped in -short mode (full measurement grids /
 // waveform synthesis), matching the package's existing -short policy.
 var heavyScenarios = map[string]bool{
-	"fig4":  true,
-	"fig6":  true,
-	"fig6a": true,
-	"fig6b": true,
+	"fig4": true,
+	"fig6": true,
 }
 
 func TestGoldenReports(t *testing.T) {
@@ -55,7 +51,7 @@ func TestGoldenReports(t *testing.T) {
 			}
 			var recs []*sweep.CellRecord
 			if sc.Spec != nil {
-				recs = runRecords(t, sc.Spec(), nil)
+				recs = runRecords(t, sc.Spec())
 				checkGolden(t, recordsPath(sc.Name), encodeRecords(t, recs))
 			}
 			rep, err := sc.Reduce(recs, nil)
@@ -79,19 +75,7 @@ func TestReplayReports(t *testing.T) {
 		}
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			data, err := os.ReadFile(recordsPath(sc.Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recs []*sweep.CellRecord
-			for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
-				rec := new(sweep.CellRecord)
-				if err := dec.Decode(rec); err != nil {
-					t.Fatal(err)
-				}
-				recs = append(recs, rec)
-			}
-			rep, err := sc.Reduce(recs, nil)
+			rep, err := sc.Reduce(pinnedRecords(t, sc.Name), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +90,64 @@ func TestReplayReports(t *testing.T) {
 	}
 }
 
-// runRecords plans and runs spec under f and returns the run's wire
-// records, the input every scenario reducer folds.
-func runRecords(t *testing.T, spec *sweep.Spec, f sweep.Filter) []*sweep.CellRecord {
+// TestFig6SubFigures replays the pinned Figure 6 records restricted to one
+// GPU — what `gpowexp run fig6 -filter gpu=GT240` reduces — and checks
+// each sub-figure renders exactly its half of fig6.golden.
+func TestFig6SubFigures(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "fig6.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := bytes.SplitN(golden, []byte("\n\n"), 2)
+	if len(halves) != 2 {
+		t.Fatal("fig6.golden has no blank line between its sub-figures")
+	}
+	want := map[string][]byte{"GT240": append(halves[0], '\n'), "GTX580": halves[1]}
+	recs := pinnedRecords(t, "fig6")
+	for _, gpu := range []string{"GT240", "GTX580"} {
+		var sub []*sweep.CellRecord
+		for _, rec := range recs {
+			if rec.Coords[0].Axis == "gpu" && rec.Coords[0].Value == gpu {
+				sub = append(sub, rec)
+			}
+		}
+		rep, err := reduceFig6(sub, sweep.Filter{"gpu": {gpu}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sweep.RenderText(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want[gpu]) {
+			t.Errorf("gpu=%s sub-figure diverged from its half of fig6.golden\n%s", gpu, diffLines(want[gpu], buf.Bytes()))
+		}
+	}
+}
+
+// pinnedRecords decodes a scenario's pinned NDJSON record stream.
+func pinnedRecords(t *testing.T, name string) []*sweep.CellRecord {
 	t.Helper()
-	plan, err := spec.Plan(f)
+	data, err := os.ReadFile(recordsPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*sweep.CellRecord
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
+		rec := new(sweep.CellRecord)
+		if err := dec.Decode(rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// runRecords plans and runs spec and returns the run's wire records, the
+// input every scenario reducer folds.
+func runRecords(t *testing.T, spec *sweep.Spec) []*sweep.CellRecord {
+	t.Helper()
+	plan, err := spec.Plan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

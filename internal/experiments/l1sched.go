@@ -49,43 +49,43 @@ func L1SchedSpec() *sweep.Spec {
 	}
 }
 
-// L1SchedRow is one grid point's outcome.
-type L1SchedRow struct {
-	L1, Sched string
-	Cycles    uint64
-	L1HitRate float64
-	TotalW    float64
-	DynamicW  float64
-	StaticW   float64
-	EnergyMJ  float64
-}
-
-// l1SchedReduce folds the grid's flat cell records into one row per cell,
-// in plan order — shared by the CLI report and the service's wire report.
-func l1SchedReduce(recs []*sweep.CellRecord) ([]L1SchedRow, error) {
-	rows := make([]L1SchedRow, len(recs))
-	for i, rec := range recs {
+// reduceL1Sched folds the grid's flat cell records into one row per cell,
+// in plan order (optionally filtered on either axis) — shared by the CLI
+// report and the service's wire report.
+func reduceL1Sched(recs []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
+	sec := sweep.Section{
+		Title: "Extension: L1 size x warp scheduler policy, reuse-heavy workload (GTX580)",
+		Columns: []sweep.Column{
+			{Label: "L1", Format: "%-6s"},
+			{Label: "Sched", Format: "%-9s"},
+			{Label: "Cycles", Unit: "cycles", Format: "%10d", Head: "%10s"},
+			{Label: "L1 hit", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
+			{Label: "Total W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Dyn W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Stat W", Unit: "W", Format: "%9.2f", Head: "%9s"},
+			{Label: "Energy mJ", Unit: "mJ", Format: "%10.3f", Head: "%10s"},
+		},
+		Header: true,
+	}
+	for _, rec := range recs {
 		if len(rec.Units) == 0 || rec.Units[0].Timing == nil || rec.Units[0].Power == nil {
 			return nil, fmt.Errorf("experiments: l1sched: record %s missing timing/power", rec.CoordString())
 		}
 		u := &rec.Units[0]
-		row := L1SchedRow{
-			Cycles:    u.Timing.Cycles,
-			L1HitRate: u.Timing.L1HitRate,
-			TotalW:    u.Power.TotalW,
-			DynamicW:  u.Power.DynamicW,
-			StaticW:   u.Power.StaticW,
-			EnergyMJ:  u.Power.TotalW * u.Power.Seconds * 1e3,
-		}
+		var l1, sched string
 		for _, co := range rec.Coords {
 			switch co.Axis {
 			case "l1":
-				row.L1 = co.Value
+				l1 = co.Value
 			case "sched":
-				row.Sched = co.Value
+				sched = co.Value
 			}
 		}
-		rows[i] = row
+		sec.Rows = append(sec.Rows, []sweep.Datum{
+			sweep.Str(l1), sweep.Str(sched), sweep.Uint(u.Timing.Cycles), sweep.Num(100 * u.Timing.L1HitRate),
+			sweep.Num(u.Power.TotalW), sweep.Num(u.Power.DynamicW), sweep.Num(u.Power.StaticW),
+			sweep.Num(u.Power.TotalW * u.Power.Seconds * 1e3),
+		})
 	}
-	return rows, nil
+	return &sweep.Report{Scenario: "l1sched", Sections: []sweep.Section{sec}}, nil
 }

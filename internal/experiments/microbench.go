@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"gpusimpow/internal/config"
-	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/sweep"
 )
@@ -13,15 +13,6 @@ import (
 // ---------------------------------------------------------------------------
 // E7: Section III-D — deriving execution-unit energy empirically.
 // ---------------------------------------------------------------------------
-
-// EnergyPerOpResult is the outcome of the lane-differencing microbenchmark.
-type EnergyPerOpResult struct {
-	// IntOpPJ and FPOpPJ are the estimated per-operation energies.
-	IntOpPJ, FPOpPJ float64
-	// NominalIntPJ / NominalFPPJ are the model's configured anchors
-	// (the paper measured ~40 pJ INT and ~75 pJ FP; NVIDIA reports 50 pJ/FP).
-	NominalIntPJ, NominalFPPJ float64
-}
 
 // EnergyPerOpSpec declares the paper's microbenchmark methodology as a
 // sweep: "we are alternately configuring the test kernels to use 31 enabled
@@ -71,22 +62,32 @@ func EnergyPerOpSpec() *sweep.Spec {
 	}
 }
 
-// energyPerOpReduce differences the grid's 31-lane and 1-lane cells per
-// operation class. Per cell, the timing stage counts thread instructions
-// (the power model has nothing to add to an instruction count, so the spec
+// energyPerOpCheckFilter rejects any filter: the 31-vs-1 lane pairing
+// needs the full grid.
+func energyPerOpCheckFilter(f sweep.Filter) error {
+	if len(f) > 0 {
+		return fmt.Errorf("experiments: energyperop needs its full grid (31-vs-1 lane differencing); run it unfiltered")
+	}
+	return nil
+}
+
+// reduceEnergyPerOp differences the grid's 31-lane and 1-lane cells per
+// operation class and sets the estimates against the model's configured
+// anchors (the paper measured ~40 pJ INT and ~75 pJ FP; NVIDIA reports
+// 50 pJ/FP). Per cell, the timing stage counts thread instructions (the
+// power model has nothing to add to an instruction count, so the spec
 // skips the power stage) and the measurement stage yields the kernel
 // energy: the wire records carry the per-class thread-instruction counts
 // (TimingRecord.Int/FPThreadInstrs) and the measured kernel energy, which
 // is everything the methodology needs.
-func energyPerOpReduce(recs []*sweep.CellRecord) (*EnergyPerOpResult, error) {
+func reduceEnergyPerOp(recs []*sweep.CellRecord, f sweep.Filter) (*sweep.Report, error) {
+	if err := energyPerOpCheckFilter(f); err != nil {
+		return nil, err
+	}
 	if len(recs) != 4 {
 		return nil, fmt.Errorf("experiments: energyperop needs its full 4-cell grid, got %d record(s)", len(recs))
 	}
 	cfg := config.GT240()
-	res := &EnergyPerOpResult{
-		NominalIntPJ: cfg.Power.IntOpPJ,
-		NominalFPPJ:  cfg.Power.FPOpPJ,
-	}
 
 	// Records arrive in row-major order: (int,31), (int,1), (fp,31), (fp,1).
 	estimate := func(recs []*sweep.CellRecord, isFP bool) (float64, error) {
@@ -122,9 +123,15 @@ func energyPerOpReduce(recs []*sweep.CellRecord) (*EnergyPerOpResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.IntOpPJ = intPJ
-	res.FPOpPJ = fpPJ
-	return res, nil
+	return &sweep.Report{Scenario: "energyperop", Sections: []sweep.Section{{
+		Title: "Section III-D: execution unit energy via lane differencing",
+		Notes: []sweep.Note{
+			sweep.Notef("INT: measured %.1f pJ/op (model anchor %.0f pJ; paper ~40 pJ)",
+				sweep.Num(intPJ), sweep.Num(cfg.Power.IntOpPJ)),
+			sweep.Notef("FP:  measured %.1f pJ/op (model anchor %.0f pJ; paper ~75 pJ, NVIDIA reports 50 pJ)",
+				sweep.Num(fpPJ), sweep.Num(cfg.Power.FPOpPJ)),
+		},
+	}}}, nil
 }
 
 // lfsrKernel: each enabled lane iterates a 32-bit xorshift LFSR with an
@@ -216,28 +223,17 @@ func mandelbrotKernel(cores, lanesEnabled int) (*kernel.Launch, *kernel.GlobalMe
 // E8: Section IV-B — static power extrapolation experiment.
 // ---------------------------------------------------------------------------
 
-// StaticExtrapResult reports the methodology check.
-type StaticExtrapResult struct {
-	EstimatedStaticW float64
-	TrueStaticW      float64 // ground truth (virtual card internals)
-	ErrPct           float64
-}
-
-// StaticExtrapolation runs the frequency-extrapolation methodology on the
-// virtual GT240 and compares it against the card's actual leakage.
-func StaticExtrapolation() (*StaticExtrapResult, error) {
-	card, err := hw.NewCard(config.GT240())
-	if err != nil {
-		return nil, err
-	}
-	est, err := EstimateStaticByFrequency(card)
+// reduceStaticExtrap runs the frequency-extrapolation methodology on the
+// virtual GT240 and checks it against the card's actual leakage.
+func reduceStaticExtrap(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
+	est, card, err := measuredStaticW("GT240")
 	if err != nil {
 		return nil, err
 	}
 	truth := card.TrueStaticW()
-	e := (est - truth) / truth * 100
-	if e < 0 {
-		e = -e
-	}
-	return &StaticExtrapResult{EstimatedStaticW: est, TrueStaticW: truth, ErrPct: e}, nil
+	return &sweep.Report{Scenario: "staticextrap", Sections: []sweep.Section{{
+		Title: "Section IV-B: static power by frequency extrapolation (GT240)",
+		Notes: []sweep.Note{sweep.Notef("estimated %.2f W vs. true card leakage %.2f W (error %.1f%%)",
+			sweep.Num(est), sweep.Num(truth), sweep.Num(math.Abs(est-truth)/truth*100))},
+	}}}, nil
 }

@@ -1,22 +1,16 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"gpusimpow/internal/sweep"
-)
+import "gpusimpow/internal/sweep"
 
 // This file registers every experiment as a named scenario in the sweep
-// registry and carries the scenarios' reducers: pure functions folding a
-// run's flat cell records (or, for table-style artifacts, a fresh
-// computation) into typed sweep.Reports. Rendering is nowhere here — every
-// scenario's text output comes from the one generic sweep.RenderText, and
-// the golden tests (testdata/*.golden) pin it byte-identical to the
-// pre-split fmt.Fprintf printers. Because reducers consume wire records,
-// the service serves the same reports over GET /v1/jobs/{id}/report that
-// the CLI renders in-process.
+// registry. Each scenario's reducer (next to its spec) builds the
+// sweep.Report straight from the run's flat cell records or, for
+// table-style artifacts, from a fresh computation; every text output
+// comes from the one generic sweep.RenderText, pinned by the golden tests
+// (testdata/*.golden). Because reducers consume wire records, the service
+// serves the same reports over GET /v1/jobs/{id}/report that the CLI
+// renders in-process. Figure 6's sub-figures are fig6 filtered to one GPU
+// (`gpowexp run fig6 -filter gpu=GT240`).
 
 func init() {
 	sweep.Register(sweep.Scenario{
@@ -40,18 +34,6 @@ func init() {
 		Spec:        Fig6Spec,
 		Reduce:      reduceFig6,
 		CheckFilter: fig6CheckFilter,
-	})
-	sweep.Register(sweep.Scenario{
-		Name: "fig6a", Title: "Figure 6a: simulated vs. measured power, GT240",
-		Reduce: func(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-			return fig6SubReport("fig6a", "GT240")
-		},
-	})
-	sweep.Register(sweep.Scenario{
-		Name: "fig6b", Title: "Figure 6b: simulated vs. measured power, GTX580",
-		Reduce: func(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-			return fig6SubReport("fig6b", "GTX580")
-		},
 	})
 	sweep.Register(sweep.Scenario{
 		Name: "energyperop", Title: "Section III-D: execution unit energy via lane differencing",
@@ -109,373 +91,4 @@ func init() {
 			return rep, nil
 		},
 	})
-}
-
-// reduceTable2 builds Table II (pure configuration data; no records).
-func reduceTable2(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	sec := sweep.Section{
-		Title: "Table II: key features of the evaluated GPU architectures",
-		Columns: []sweep.Column{
-			{Label: "Feature", Format: "%-20s"},
-			{Label: "GT240", Format: "%12s"},
-			{Label: "GTX580", Format: "%12s"},
-		},
-		Header: true,
-	}
-	for _, r := range Table2() {
-		sec.Rows = append(sec.Rows, []sweep.Datum{sweep.Str(r.Feature), sweep.Str(r.GT240), sweep.Str(r.GTX580)})
-	}
-	return &sweep.Report{Scenario: "table2", Sections: []sweep.Section{sec}}, nil
-}
-
-// reduceTable4 builds Table IV.
-func reduceTable4(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	rows, err := Table4()
-	if err != nil {
-		return nil, err
-	}
-	sec := sweep.Section{
-		Title: "Table IV: static power and area (simulated vs. measured/datasheet)",
-		Columns: []sweep.Column{
-			{Label: "GPU", Format: "%-8s"},
-			{Label: "", Format: "%-10s"},
-			{Label: "Static [W]", Unit: "W", Format: "%12.1f", Head: "%12s"},
-			{Label: "Area [mm2]", Unit: "mm2", Format: "%12.1f", Head: "%12s"},
-		},
-		Header: true,
-	}
-	for _, r := range rows {
-		sec.Rows = append(sec.Rows,
-			[]sweep.Datum{sweep.Str(r.GPU), sweep.Str("Simulated"), sweep.Num(r.SimStaticW), sweep.Num(r.SimAreaMM2)},
-			[]sweep.Datum{sweep.Str(""), sweep.Str("Real"), sweep.Num(r.RealStaticW), sweep.Num(r.RealAreaMM2)},
-		)
-	}
-	return &sweep.Report{Scenario: "table4", Sections: []sweep.Section{sec}}, nil
-}
-
-// reduceTable5 builds Table V: the blackscholes power profile in the
-// paper's hierarchical shape (chip level, then one core, then DRAM).
-// The layout deliberately matches core.KernelReport.WriteProfile — the
-// per-kernel profile cmd/gpusimpow prints — column for column; the two
-// cannot share code (core cannot import sweep), so each pins its shape in
-// tests: table5.golden here, TestWriteProfileFormat in internal/core.
-// Change one and the other must follow.
-func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	rep, err := Table5()
-	if err != nil {
-		return nil, err
-	}
-	p := rep.Power
-	gpuSec := sweep.Section{
-		Columns: []sweep.Column{
-			{Label: "GPU", Format: "%-22s"},
-			{Label: "Static [W]", Unit: "W", Format: "%10.3f", Head: "%10s"},
-			{Label: "Dynamic [W]", Unit: "W", Format: "%11.3f", Head: "%11s"},
-			{Label: "Percent", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
-		},
-		Header: true,
-		Rows: [][]sweep.Datum{
-			{sweep.Str("Overall"), sweep.Num(p.StaticW), sweep.Num(p.DynamicW), sweep.Num(100.0)},
-		},
-	}
-	for _, it := range p.GPU {
-		gpuSec.Rows = append(gpuSec.Rows, []sweep.Datum{
-			sweep.Str(it.Name), sweep.Num(it.StaticW), sweep.Num(it.DynamicW), sweep.Num(100 * it.Total() / p.TotalW),
-		})
-	}
-	var coreTotal float64
-	for _, it := range p.Core {
-		coreTotal += it.Total()
-	}
-	coreSec := sweep.Section{
-		Columns: []sweep.Column{
-			{Label: "Core", Format: "%-22s"},
-			{Label: "Static [W]", Unit: "W", Format: "%10.4f", Head: "%10s"},
-			{Label: "Dynamic [W]", Unit: "W", Format: "%11.4f", Head: "%11s"},
-			{Label: "Percent", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
-		},
-		Header: true,
-	}
-	for _, it := range p.Core {
-		coreSec.Rows = append(coreSec.Rows, []sweep.Datum{
-			sweep.Str(it.Name), sweep.Num(it.StaticW), sweep.Num(it.DynamicW), sweep.Num(100 * it.Total() / coreTotal),
-		})
-	}
-	return &sweep.Report{Scenario: "table5", Sections: []sweep.Section{
-		{
-			Title: "Table V: blackscholes power breakdown on GT240",
-			Notes: []sweep.Note{sweep.Notef("Power profile: %s on %s (runtime %.3g s)",
-				sweep.Str(rep.Kernel), sweep.Str(p.GPUName), sweep.Num(p.Seconds))},
-		},
-		gpuSec,
-		coreSec,
-		{
-			Notes: []sweep.Note{sweep.Notef(
-				"External DRAM: %.3f W (background %.2f, activate %.2f, r/w %.2f, term %.2f, refresh %.2f)",
-				sweep.Num(p.DRAMW), sweep.Num(p.DRAM.Background), sweep.Num(p.DRAM.Activate),
-				sweep.Num(p.DRAM.ReadWrite), sweep.Num(p.DRAM.Termination), sweep.Num(p.DRAM.Refresh))},
-		},
-	}}, nil
-}
-
-// reduceFig4 builds the Figure 4 staircase.
-func reduceFig4(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	r, err := Fig4()
-	if err != nil {
-		return nil, err
-	}
-	bars := sweep.Section{
-		Columns: []sweep.Column{
-			{Label: "blocks", Format: "%2d block(s):"},
-			{Label: "power", Unit: "W", Format: "%6.2f W "},
-			{Label: "bar", Format: "|%s"},
-		},
-	}
-	maxP := r.PowerPerBlocks[len(r.PowerPerBlocks)-1]
-	for i, p := range r.PowerPerBlocks {
-		bar := strings.Repeat("#", int(40*(p-r.IdleW)/(maxP-r.IdleW)))
-		bars.Rows = append(bars.Rows, []sweep.Datum{sweep.Uint(uint64(i + 1)), sweep.Num(p), sweep.Str(bar)})
-	}
-	bars.Notes = []sweep.Note{
-		sweep.Notef("first block delta: %.2f W (global scheduler + cluster + core)", sweep.Num(r.FirstBlockDeltaW)),
-		sweep.Notef("cluster step (blocks 2-4):  %.3f W", sweep.Num(r.ClusterStepW)),
-		sweep.Notef("core step (blocks 5-12):    %.3f W", sweep.Num(r.CoreStepW)),
-		sweep.Notef("cluster activation premium: %.3f W (paper: 0.692 W)", sweep.Num(r.ClusterStepW-r.CoreStepW)),
-	}
-	return &sweep.Report{Scenario: "fig4", Sections: []sweep.Section{
-		{
-			Title: "Figure 4: GT240 power vs. thread block count (cluster staircase)",
-			Notes: []sweep.Note{sweep.Notef("idle (pre/post kernel): %.2f W", sweep.Num(r.IdleW))},
-		},
-		bars,
-	}}, nil
-}
-
-// fig6CheckFilter restricts Figure 6 filtering to whole sub-figures:
-// non-gpu axes (e.g. bench=...) would silently bias the error aggregates.
-// Axes are checked in sorted order so the reported offender is stable
-// across runs (map order would pick one at random).
-func fig6CheckFilter(f sweep.Filter) error {
-	axes := make([]string, 0, len(f))
-	for axis := range f {
-		axes = append(axes, axis)
-	}
-	sort.Strings(axes)
-	for _, axis := range axes {
-		if axis != "gpu" {
-			return fmt.Errorf("experiments: fig6 filters on gpu only (got %s=...)", axis)
-		}
-	}
-	return nil
-}
-
-// reduceFig6 folds the validation grid's records into one sub-figure per
-// admitted GPU (both when unfiltered), in GPU order.
-func reduceFig6(recs []*sweep.CellRecord, f sweep.Filter) (*sweep.Report, error) {
-	if err := fig6CheckFilter(f); err != nil {
-		return nil, err
-	}
-	gpus := f["gpu"]
-	if len(gpus) == 0 {
-		gpus = []string{"GT240", "GTX580"}
-	}
-	byGPU := map[string][]*sweep.CellRecord{}
-	for _, rec := range recs {
-		var gpu string
-		for _, co := range rec.Coords {
-			if co.Axis == "gpu" {
-				gpu = co.Value
-			}
-		}
-		byGPU[gpu] = append(byGPU[gpu], rec)
-	}
-	rep := &sweep.Report{Scenario: "fig6"}
-	for i, gpu := range gpus {
-		r, err := fig6Reduce(gpu, byGPU[gpu])
-		if err != nil {
-			return nil, err
-		}
-		rep.Sections = append(rep.Sections, fig6Section(r, i > 0))
-	}
-	return rep, nil
-}
-
-// fig6SubReport builds one sub-figure (fig6a/fig6b) by running the fig6
-// sweep restricted to its GPU.
-func fig6SubReport(name, gpu string) (*sweep.Report, error) {
-	rep, err := sweep.BuildReport("fig6", sweep.Filter{"gpu": {gpu}})
-	if err != nil {
-		return nil, err
-	}
-	rep.Scenario = name
-	return rep, nil
-}
-
-// fig6Section lays out one sub-figure's bars and error aggregates.
-func fig6Section(r *Fig6Result, gap bool) sweep.Section {
-	sub := "6a"
-	if r.GPU == "GTX580" {
-		sub = "6b"
-	}
-	sec := sweep.Section{
-		Gap:   gap,
-		Title: fmt.Sprintf("Figure %s: simulated vs. measured power, %s", sub, r.GPU),
-		Columns: []sweep.Column{
-			{Label: "Kernel", Format: "%-14s"},
-			{Label: "SimStat", Unit: "W", Format: "%10.2f", Head: "%10s"},
-			{Label: "SimDyn", Unit: "W", Format: "%10.2f", Head: "%10s"},
-			{Label: "MeasStat", Unit: "W", Format: "%10.2f", Head: "%10s"},
-			{Label: "MeasDyn", Unit: "W", Format: "%10.2f", Head: "%10s"},
-			{Label: "Err%", Unit: "%", Format: "%7.1f", Head: "%7s"},
-			{Label: "", Format: "%s"},
-		},
-		Header: true,
-	}
-	for _, b := range r.Bars {
-		note := ""
-		if b.ShortWindow {
-			note = "(short measurement window)"
-		}
-		sec.Rows = append(sec.Rows, []sweep.Datum{
-			sweep.Str(b.Kernel), sweep.Num(b.SimStaticW), sweep.Num(b.SimDynamicW),
-			sweep.Num(b.MeasStaticW), sweep.Num(b.MeasDynamicW), sweep.Num(b.RelErrPct), sweep.Str(note),
-		})
-	}
-	sec.Notes = []sweep.Note{
-		sweep.Notef("average relative error: %.1f%% (paper: %s)", sweep.Num(r.AvgRelErrPct),
-			sweep.Str(map[string]string{"GT240": "11.7%", "GTX580": "10.8%"}[r.GPU])),
-		sweep.Notef("dynamic-only average relative error: %.1f%% (paper: %s)", sweep.Num(r.DynAvgRelErrPct),
-			sweep.Str(map[string]string{"GT240": "28.3%", "GTX580": "20.9%"}[r.GPU])),
-		sweep.Notef("max relative error: %.1f%% on %s", sweep.Num(r.MaxRelErrPct), sweep.Str(r.MaxErrKernel)),
-		sweep.Notef("kernels overestimated: %.0f%%", sweep.Num(100*r.OverestimatedFraction)),
-	}
-	return sec
-}
-
-// energyPerOpCheckFilter rejects any filter: the 31-vs-1 lane pairing
-// needs the full grid.
-func energyPerOpCheckFilter(f sweep.Filter) error {
-	if len(f) > 0 {
-		return fmt.Errorf("experiments: energyperop needs its full grid (31-vs-1 lane differencing); run it unfiltered")
-	}
-	return nil
-}
-
-// reduceEnergyPerOp builds the Section III-D estimates from the grid's
-// records.
-func reduceEnergyPerOp(recs []*sweep.CellRecord, f sweep.Filter) (*sweep.Report, error) {
-	if err := energyPerOpCheckFilter(f); err != nil {
-		return nil, err
-	}
-	r, err := energyPerOpReduce(recs)
-	if err != nil {
-		return nil, err
-	}
-	return &sweep.Report{Scenario: "energyperop", Sections: []sweep.Section{{
-		Title: "Section III-D: execution unit energy via lane differencing",
-		Notes: []sweep.Note{
-			sweep.Notef("INT: measured %.1f pJ/op (model anchor %.0f pJ; paper ~40 pJ)",
-				sweep.Num(r.IntOpPJ), sweep.Num(r.NominalIntPJ)),
-			sweep.Notef("FP:  measured %.1f pJ/op (model anchor %.0f pJ; paper ~75 pJ, NVIDIA reports 50 pJ)",
-				sweep.Num(r.FPOpPJ), sweep.Num(r.NominalFPPJ)),
-		},
-	}}}, nil
-}
-
-// reduceStaticExtrap builds the Section IV-B methodology check.
-func reduceStaticExtrap(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	r, err := StaticExtrapolation()
-	if err != nil {
-		return nil, err
-	}
-	return &sweep.Report{Scenario: "staticextrap", Sections: []sweep.Section{{
-		Title: "Section IV-B: static power by frequency extrapolation (GT240)",
-		Notes: []sweep.Note{sweep.Notef("estimated %.2f W vs. true card leakage %.2f W (error %.1f%%)",
-			sweep.Num(r.EstimatedStaticW), sweep.Num(r.TrueStaticW), sweep.Num(r.ErrPct))},
-	}}}, nil
-}
-
-// reduceDVFS builds the DVFS energy curve from the sweep's records; a
-// scale filter restricts the measured operating points.
-func reduceDVFS(recs []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	r, err := dvfsReduce(recs)
-	if err != nil {
-		return nil, err
-	}
-	sec := sweep.Section{
-		Title: "DVFS sweep: compute-bound kernel on the virtual GT240",
-		Columns: []sweep.Column{
-			{Label: "Clock", Unit: "%", Format: "%7.0f%%", Head: "%8s"},
-			{Label: "Power W", Unit: "W", Format: "%10.2f", Head: "%10s"},
-			{Label: "Kernel s", Unit: "s", Format: "%12.3g", Head: "%12s"},
-			{Label: "Energy mJ", Unit: "mJ", Format: "%11.4f", Head: "%11s"},
-		},
-		Header: true,
-	}
-	for _, p := range r.Points {
-		sec.Rows = append(sec.Rows, []sweep.Datum{
-			sweep.Num(p.ClockScale * 100), sweep.Num(p.PowerW), sweep.Num(p.KernelSeconds), sweep.Num(p.EnergyMJ),
-		})
-	}
-	sec.Notes = []sweep.Note{sweep.Notef("energy-optimal clock: %.0f%% (leakage-dominated cards race to idle)",
-		sweep.Num(r.MinEnergyScale*100))}
-	return &sweep.Report{Scenario: "dvfs", Sections: []sweep.Section{sec}}, nil
-}
-
-// reduceL1Sched builds the L1-size x scheduler grid, optionally filtered
-// on either axis.
-func reduceL1Sched(recs []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
-	rows, err := l1SchedReduce(recs)
-	if err != nil {
-		return nil, err
-	}
-	sec := sweep.Section{
-		Title: "Extension: L1 size x warp scheduler policy, reuse-heavy workload (GTX580)",
-		Columns: []sweep.Column{
-			{Label: "L1", Format: "%-6s"},
-			{Label: "Sched", Format: "%-9s"},
-			{Label: "Cycles", Unit: "cycles", Format: "%10d", Head: "%10s"},
-			{Label: "L1 hit", Unit: "%", Format: "%7.1f%%", Head: "%8s"},
-			{Label: "Total W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Dyn W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Stat W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Energy mJ", Unit: "mJ", Format: "%10.3f", Head: "%10s"},
-		},
-		Header: true,
-	}
-	for _, r := range rows {
-		sec.Rows = append(sec.Rows, []sweep.Datum{
-			sweep.Str(r.L1), sweep.Str(r.Sched), sweep.Uint(r.Cycles), sweep.Num(100 * r.L1HitRate),
-			sweep.Num(r.TotalW), sweep.Num(r.DynamicW), sweep.Num(r.StaticW), sweep.Num(r.EnergyMJ),
-		})
-	}
-	return &sweep.Report{Scenario: "l1sched", Sections: []sweep.Section{sec}}, nil
-}
-
-// reduceAblation builds one design-choice study's table from its records.
-func reduceAblation(name, title string, recs []*sweep.CellRecord) (*sweep.Report, error) {
-	rows, err := ablationReduce(recs)
-	if err != nil {
-		return nil, err
-	}
-	sec := sweep.Section{
-		Title:  "Ablation: " + title,
-		Indent: "  ",
-		Columns: []sweep.Column{
-			{Label: "Variant", Format: "%-28s"},
-			{Label: "Cycles", Unit: "cycles", Format: "%10d", Head: "%10s"},
-			{Label: "Total W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Dyn W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Stat W", Unit: "W", Format: "%9.2f", Head: "%9s"},
-			{Label: "Energy mJ", Unit: "mJ", Format: "%10.3f", Head: "%10s"},
-		},
-		Header: true,
-	}
-	for _, r := range rows {
-		sec.Rows = append(sec.Rows, []sweep.Datum{
-			sweep.Str(r.Variant), sweep.Uint(r.Cycles),
-			sweep.Num(r.TotalW), sweep.Num(r.DynamicW), sweep.Num(r.StaticW), sweep.Num(r.EnergyMJ),
-		})
-	}
-	return &sweep.Report{Scenario: name, Sections: []sweep.Section{sec}}, nil
 }

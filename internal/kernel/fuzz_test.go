@@ -1,6 +1,9 @@
 package kernel
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // fuzzProgram is the small program FuzzProgramValidate mutates: special,
 // register, immediate and predicated operands, a memory op and an exit.
@@ -23,10 +26,12 @@ func fuzzProgram() *Program {
 // register it reads.
 func FuzzProgramValidate(f *testing.F) {
 	// The unmutated IMad (pc 1, source slot 0).
-	f.Add(uint8(1), uint8(OpIMad), 3, uint8(0), uint8(KindSpecial), uint8(0), uint8(SpecCtaX), uint8(1), int16(NoPred))
+	f.Add(uint8(1), uint8(OpIMad), 3, uint8(0), uint8(KindSpecial), uint8(0), uint8(SpecCtaX), uint8(1), int16(NoPred), uint8(0))
 	// A predicated store reading a register.
-	f.Add(uint8(6), uint8(OpSt), 2, uint8(1), uint8(KindReg), uint8(1), uint8(0), uint8(0), int16(4))
-	f.Fuzz(func(t *testing.T, pc, op uint8, numSrc int, slot, kind, reg, special, dst uint8, pred int16) {
+	f.Add(uint8(6), uint8(OpSt), 2, uint8(1), uint8(KindReg), uint8(1), uint8(0), uint8(0), int16(4), uint8(0))
+	// The unmutated ISet (pc 5).
+	f.Add(uint8(5), uint8(OpISet), 2, uint8(0), uint8(KindReg), uint8(1), uint8(0), uint8(4), int16(NoPred), uint8(CmpLT))
+	f.Fuzz(func(t *testing.T, pc, op uint8, numSrc int, slot, kind, reg, special, dst uint8, pred int16, cmp uint8) {
 		p := fuzzProgram()
 		in := &p.Instrs[int(pc)%len(p.Instrs)]
 		in.Op = Op(op)
@@ -35,6 +40,7 @@ func FuzzProgramValidate(f *testing.F) {
 		src.Kind, src.Reg, src.Special = OperandKind(kind), reg, Special(special)
 		in.Dst = dst
 		in.Pred = pred
+		in.Cmp = Cmp(cmp)
 		if p.Validate() != nil {
 			return
 		}
@@ -43,6 +49,9 @@ func FuzzProgramValidate(f *testing.F) {
 		}
 		for pc, ins := range p.Instrs {
 			text := ins.String()
+			if strings.Contains(text, "PANIC=") {
+				t.Fatalf("pc %d: accepted instruction disassembles as %s", pc, text)
+			}
 			for _, o := range ins.Src[:ins.NumSrc] {
 				if o.Kind == KindSpecial && o.Special.String() == "sreg?" {
 					t.Fatalf("pc %d: accepted %s reading unknown special register %d", pc, text, o.Special)

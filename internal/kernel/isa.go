@@ -320,6 +320,9 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("kernel %s: pc %d source %d reads unknown special register %d", p.Name, pc, i, o.Special)
 			}
 		}
+		if (in.Op == OpISet || in.Op == OpFSet) && in.Cmp > CmpGE {
+			return fmt.Errorf("kernel %s: pc %d compares with unknown operator %d", p.Name, pc, in.Cmp)
+		}
 		if in.Pred < NoPred || int(in.Pred) >= p.NumRegs {
 			return fmt.Errorf("kernel %s: pc %d predicated on r%d outside [0,NumRegs %d)", p.Name, pc, in.Pred, p.NumRegs)
 		}

@@ -78,6 +78,8 @@ func TestLaunchValidate(t *testing.T) {
 		mutated(func(in *Instr) { in.Src[1].Special = 42 }),
 		mutated(func(in *Instr) { in.Src[0].Special = SpecWarpInBlock + 1 }),
 		mutated(func(in *Instr) { in.Pred = -5 }),
+		mutated(func(in *Instr) { in.Op, in.NumSrc, in.Cmp = OpISet, 2, CmpGE+1 }),
+		mutated(func(in *Instr) { in.Op, in.NumSrc, in.Cmp = OpFSet, 2, 9 }),
 	)
 	if err := mutated(func(*Instr) {}).Validate(); err != nil {
 		t.Errorf("unmutated program rejected: %v", err)

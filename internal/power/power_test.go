@@ -191,6 +191,30 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
+// Evaluate refuses L1 activity no simulation produces: more misses than
+// reads would wrap the hit count to ~1.8e19 line accesses.
+func TestEvaluateRejectsImpossibleL1Activity(t *testing.T) {
+	m := mustModel(t, config.GTX580())
+	for _, c := range []struct {
+		reads, misses uint64
+		ok            bool
+	}{
+		{0, 0, true},
+		{10, 0, true},
+		{10, 10, true},
+		{10, 11, false},
+		{0, 1, false},
+	} {
+		res := &sim.Result{}
+		res.Activity.Cycles = 1000
+		res.Activity.L1Reads, res.Activity.L1Misses = c.reads, c.misses
+		_, err := m.Evaluate(res)
+		if (err == nil) != c.ok {
+			t.Errorf("reads %d, misses %d: err = %v, want ok=%v", c.reads, c.misses, err, c.ok)
+		}
+	}
+}
+
 func TestDynScaleFactor(t *testing.T) {
 	cfg := config.GT240()
 	res := runBusyKernel(t, cfg)

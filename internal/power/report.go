@@ -176,6 +176,11 @@ func (m *Model) Evaluate(res *sim.Result) (*RuntimeReport, error) {
 	if res == nil || res.Activity.Cycles == 0 {
 		return nil, fmt.Errorf("power: timing snapshot with no cycles")
 	}
+	// A snapshot can arrive from the simulation cache's disk spill; refuse
+	// activity no simulation produces rather than price a wrapped count.
+	if a := &res.Activity; a.L1Misses > a.L1Reads {
+		return nil, fmt.Errorf("power: timing snapshot has %d L1 misses but only %d L1 reads", a.L1Misses, a.L1Reads)
+	}
 	return m.runtimeAt(res, float64(res.Activity.Cycles)/m.cfg.CoreClockHz())
 }
 

@@ -256,7 +256,7 @@ func (s *server) jobReport(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusConflict
 		case errors.As(err, &gone):
 			code = http.StatusGone
-		case errors.Is(err, ErrNoReduction):
+		case errors.Is(err, sweep.ErrUnknownScenario):
 			code = http.StatusNotFound
 		}
 		writeError(w, code, err)

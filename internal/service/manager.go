@@ -318,9 +318,6 @@ func (e ErrGone) Error() string {
 	return fmt.Sprintf("job %s; no report will exist", e.State)
 }
 
-// ErrNoReduction marks scenarios without a Reduce hook (mapped to 404).
-var ErrNoReduction = errors.New("scenario has no reduction")
-
 // Report reduces the finished job's cell records through the scenario
 // registry's Reduce hook — the server-side counterpart of the CLI's
 // in-process reduce-and-render, over the exact records the job streamed.
@@ -344,9 +341,11 @@ func (j *Job) Report() (*sweep.Report, error) {
 	req := j.request
 	j.mu.Unlock()
 
+	// A journaled job can outlive its scenario's registration (a daemon
+	// restarted on a build without it): mapped to 404.
 	sc, ok := sweep.Lookup(req.Scenario)
-	if !ok || sc.Reduce == nil {
-		return nil, fmt.Errorf("service: %w: %q", ErrNoReduction, req.Scenario)
+	if !ok {
+		return nil, fmt.Errorf("service: %w %q", sweep.ErrUnknownScenario, req.Scenario)
 	}
 	// Reducers are scenario-author code running inside the daemon: contain
 	// their panics to this one request (the job itself stays done — a

@@ -164,16 +164,6 @@ func TestJobReportEndpoint(t *testing.T) {
 	bj, _ := m.Job(bst.ID)
 	waitDone(t, bj)
 
-	// svcblock has no Reduce hook: 404 once done.
-	resp, err = srv.Client().Get(srv.URL + "/v1/jobs/" + bst.ID + "/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("report without a reduction: HTTP %d, want 404", resp.StatusCode)
-	}
-
 	// A finished dvfs job serves the same report the in-process reduction
 	// builds for the same request — DeepEqual across the JSON hop.
 	req := sweep.JobRequest{Scenario: "dvfs", Filter: sweep.Filter{"scale": {"0.5", "1.0"}}}

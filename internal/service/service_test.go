@@ -99,8 +99,10 @@ func init() {
 	}
 	sweep.Register(sweep.Scenario{
 		Name: "svcblock", Title: "service-test blocking scenario",
-		Spec:  spec,
-		Print: func(io.Writer, sweep.Filter) error { return nil },
+		Spec: spec,
+		Reduce: func([]*sweep.CellRecord, sweep.Filter) (*sweep.Report, error) {
+			return &sweep.Report{Scenario: "svcblock"}, nil
+		},
 	})
 }
 

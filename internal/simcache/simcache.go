@@ -6,7 +6,7 @@
 // already simulated: DVFS evaluates the same kernel at six clock scales
 // (the card applies clock scaling analytically, so the simulated cycle
 // counts are identical), the process-node ablation varies only the power
-// tier, and Fig6/Table4/Table5/EnergyPerOp/StaticExtrapolation overlap on
+// tier, and fig6/table4/table5/energyperop/staticextrap overlap on
 // (GPU, kernel) pairs.
 //
 // The cache key hashes exactly the inputs that determine a timing result:

@@ -15,12 +15,13 @@ type Scenario struct {
 	Title string
 	// Spec is the scenario's sweep specification (nil for non-sweeps).
 	Spec func() *Spec
-	// Reduce folds one completed run's cell records into the scenario's
-	// typed Report (see report.go). Sweep-backed scenarios receive the
-	// run's full record stream — the same records whether the run was
-	// in-process or streamed by a daemon; table-style scenarios compute
-	// from scratch and receive nil. The filter is the run's filter, so a
-	// reducer can reject restrictions that would bias its aggregates.
+	// Reduce (required) folds one completed run's cell records into the
+	// scenario's typed Report (see report.go). Sweep-backed scenarios
+	// receive the run's full record stream — the same records whether the
+	// run was in-process or streamed by a daemon; table-style scenarios
+	// compute from scratch and receive nil. The filter is the run's
+	// filter, so a reducer can reject restrictions that would bias its
+	// aggregates.
 	// Composites build their combined report here (the "ablation"
 	// scenario concatenates its five studies' sections).
 	Reduce func(recs []*CellRecord, f Filter) (*Report, error)
@@ -32,12 +33,6 @@ type Scenario struct {
 	// filtering to whole sub-figures, energyperop needs its unfiltered
 	// 31-vs-1 pairing. Nil accepts any planner-valid filter.
 	CheckFilter func(f Filter) error
-	// Print runs the scenario, restricted by the filter, and writes its
-	// text output. Nil derives it from Reduce + RenderText (running the
-	// sweep in-process when the scenario is sweep-backed); set it only
-	// for output a single reduction cannot produce. At least one of
-	// Print and Reduce must be set.
-	Print func(w io.Writer, f Filter) error
 }
 
 var (
@@ -45,28 +40,17 @@ var (
 	registry = map[string]Scenario{}
 )
 
-// Register adds a scenario to the process-wide registry; duplicate or
-// anonymous registrations are programming errors and panic at init time.
-// A scenario registered without a Print gets the default reduce-and-render
-// pipeline.
+// Register adds a scenario to the process-wide registry; duplicate,
+// anonymous or reduction-less registrations are programming errors and
+// panic at init time.
 func Register(sc Scenario) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if sc.Name == "" || (sc.Print == nil && sc.Reduce == nil) {
+	if sc.Name == "" || sc.Reduce == nil {
 		panic("sweep: registering an incomplete scenario")
 	}
 	if _, dup := registry[sc.Name]; dup {
 		panic(fmt.Sprintf("sweep: duplicate scenario %q", sc.Name))
-	}
-	if sc.Print == nil {
-		name := sc.Name
-		sc.Print = func(w io.Writer, f Filter) error {
-			rep, err := BuildReport(name, f)
-			if err != nil {
-				return err
-			}
-			return RenderText(w, rep)
-		}
 	}
 	registry[sc.Name] = sc
 }
@@ -99,10 +83,7 @@ func Lookup(name string) (Scenario, bool) {
 func BuildReport(name string, f Filter) (*Report, error) {
 	sc, ok := Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("sweep: %w %q", ErrUnknownScenario, name)
-	}
-	if sc.Reduce == nil {
-		return nil, fmt.Errorf("sweep: scenario %q has no reduction", name)
+		return nil, fmt.Errorf("sweep: %w %q (see `gpowexp list`)", ErrUnknownScenario, name)
 	}
 	if sc.CheckFilter != nil {
 		if err := sc.CheckFilter(f); err != nil {
@@ -126,15 +107,12 @@ func BuildReport(name string, f Filter) (*Report, error) {
 	return sc.Reduce(recs, f)
 }
 
-// RunScenario resolves and prints one scenario by name — the front door
-// cmd/gpowexp dispatches through.
+// RunScenario runs one scenario by name and renders its report as text —
+// the front door cmd/gpowexp dispatches through.
 func RunScenario(w io.Writer, name string, f Filter) error {
-	sc, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("sweep: unknown scenario %q (see `gpowexp list`)", name)
+	rep, err := BuildReport(name, f)
+	if err != nil {
+		return err
 	}
-	if len(f) > 0 && sc.Spec == nil {
-		return fmt.Errorf("sweep: scenario %q has no axes to filter", name)
-	}
-	return sc.Print(w, f)
+	return RenderText(w, rep)
 }

@@ -97,8 +97,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// A scenario registered with only a Reduce hook gets the derived
-// reduce-and-render Print; BuildReport feeds the reducer the run's records.
+// RunScenario prints a scenario's reduction through RenderText;
+// BuildReport feeds the reducer the run's records.
 func TestRegisterDerivedPrint(t *testing.T) {
 	Register(Scenario{
 		Name: "reduceprobe", Title: "registry-derived print probe",
@@ -122,6 +122,17 @@ func TestRegisterDerivedPrint(t *testing.T) {
 	if _, err := BuildReport("reduceprobe", Filter{"axis": {"v"}}); err == nil {
 		t.Error("filtering a non-sweep report should error")
 	}
+}
+
+// Every scenario reduces: a registration without Reduce is a programming
+// error.
+func TestRegisterRequiresReduce(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a scenario without Reduce should panic")
+		}
+	}()
+	Register(Scenario{Name: "noreduce", Spec: func() *Spec { return runSpec(2002) }})
 }
 
 // Scenario.CheckFilter gates both report building and job planning before

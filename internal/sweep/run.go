@@ -56,7 +56,7 @@ type Progress struct {
 
 // progressHook is an optional process-wide observer of cell completions,
 // installed by front-ends (cmd/gpowexp -v) to surface sweep progress
-// without threading a callback through every scenario's Print signature.
+// without threading a callback through every scenario's reduction.
 // Like Run's stream callback, it is invoked serialized and in plan order.
 var progressHook atomic.Pointer[func(Progress)]
 

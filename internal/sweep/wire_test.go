@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,8 +13,10 @@ import (
 func init() {
 	Register(Scenario{
 		Name: "wireprobe", Title: "wire-layer probe scenario",
-		Spec:  func() *Spec { return runSpec(2001) },
-		Print: func(io.Writer, Filter) error { return nil },
+		Spec: func() *Spec { return runSpec(2001) },
+		Reduce: func([]*CellRecord, Filter) (*Report, error) {
+			return &Report{Scenario: "wireprobe"}, nil
+		},
 	})
 }
 
