@@ -90,7 +90,8 @@ race:
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
 
-# One pass of the simulator microbenchmarks (one iteration each), so they
-# cannot silently rot; use -benchtime and -cpuprofile for A/B runs.
+# One pass of the root microbenchmarks (simulator and measurement layer,
+# one iteration each), so they cannot silently rot; use -benchtime and
+# -cpuprofile for A/B runs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .

@@ -1,5 +1,6 @@
 // Simulator-throughput microbenchmarks: quick A/B and pprof probes of the
-// timing simulator on single Table I benchmarks. The reproduced paper
+// timing simulator on single Table I benchmarks, plus one probe of the
+// virtual card's measurement layer. The reproduced paper
 // quantities are pinned exactly by the scenario goldens in
 // internal/experiments, and the measured end-to-end ledger is benchmark/.
 //
@@ -12,6 +13,7 @@ import (
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
+	"gpusimpow/internal/hw"
 )
 
 // benchSimulate measures simulator throughput for one benchmark on one GPU
@@ -112,4 +114,38 @@ func BenchmarkSimMatrixMulGTX580Dense(b *testing.B) {
 // hits (hash inputs, replay the stored memory image, clone the result).
 func BenchmarkSimBlackScholesGT240Cached(b *testing.B) {
 	benchSimulateCached(b, config.GT240, "BlackScholes")
+}
+
+// BenchmarkMeasureKernelGT240 measures one BlackScholes kernel on the
+// virtual GT240 with an auto-sized 150 ms window, as MeasureKernel does,
+// with the kernel's timing already in the result cache: the cost is the
+// card's pricing and its DAQ trace (noise, filter, per-rail sum).
+func BenchmarkMeasureKernelGT240(b *testing.B) {
+	card, err := hw.NewCard(config.GT240())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := bench.ByName("BlackScholes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	measure := func() int {
+		inst, err := f.Make()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := inst.Runs[0]
+		tr, _, err := card.MeasureSequence([]hw.SeqItem{{Launch: r.Launch, Mem: inst.Mem, CMem: r.CMem, MinWindowS: 0.150}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(tr.Samples)
+	}
+	measure() // prime the result cache
+	b.ResetTimer()
+	var samples int
+	for i := 0; i < b.N; i++ {
+		samples += measure()
+	}
+	b.ReportMetric(float64(samples)/float64(b.N), "daq-samples/op")
 }

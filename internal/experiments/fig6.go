@@ -49,9 +49,9 @@ func gpuAxis() sweep.Axis {
 // Fig6Spec declares the full Figure 6 validation grid: every Table I +
 // needle benchmark simulated with GPUSimPow and measured on the matching
 // virtual card, over both validated GPUs. Each (gpu, bench) cell is its own
-// timing group; the simulator side fills the timing cache and the card side
-// (whose silicon perturbation is power-only, hence timing-key-equal)
-// replays it.
+// timing group; the card (whose silicon perturbation is power-only, hence
+// timing-key-equal) prices the group's timing results with its silicon
+// model instead of running the kernels again.
 func Fig6Spec() *sweep.Spec {
 	var benchVals []sweep.Value
 	for _, f := range bench.Suite() {

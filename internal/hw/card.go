@@ -14,10 +14,8 @@ import (
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/gddr"
-	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/power"
 	"gpusimpow/internal/sim"
-	"gpusimpow/internal/simcache"
 )
 
 // dieSizes holds the real (datasheet) die areas the paper's Table IV quotes.
@@ -166,7 +164,7 @@ func (c *Card) TrueStaticW() float64 { return c.model.Static().StaticW }
 // mechanism behind the static power estimation methodology of Section IV-B.
 // Supported range is [0.5, 1.0]; the real driver exposes similar limits.
 func (c *Card) SetClockScale(s float64) error {
-	if s < 0.5 || s > 1.0 {
+	if !(s >= 0.5 && s <= 1.0) { // also rejects NaN
 		return fmt.Errorf("hw: clock scale %.2f outside [0.5, 1.0]", s)
 	}
 	c.clockScale = s
@@ -196,21 +194,20 @@ func (c *Card) IdlePowerW() float64 {
 	return gated + s*0.1
 }
 
-// kernelTruePower obtains the ground-truth timing of a launch and returns
-// the card's true average power (GPU + DRAM, since the rig measures the
+// TimingKey is the timing-relevant identity of the card's silicon
+// (config.GPU.TimingKey). The silicon perturbation touches only power-side
+// anchors, so it equals the nominal configuration's key; a timing result
+// computed for that key is what the card itself would compute, and
+// SeqItem.Timing may carry it.
+func (c *Card) TimingKey() [32]byte { return c.truth.TimingKey() }
+
+// kernelTruePower prices a launch's timing result with the card's silicon
+// model: the true average power (GPU + DRAM, since the rig measures the
 // whole board) and the true kernel duration at the current clock scale.
-// The timing stage is served through the simulation-result cache: the
-// silicon perturbation touches only power-side anchors, so the truth
-// configuration shares its timing key with the nominal one, and a kernel
-// the simulator side of an experiment already ran (or a previous
-// measurement at another clock scale — the scale is applied analytically
-// below, never simulated) replays instead of re-simulating.
-func (c *Card) kernelTruePower(l *kernel.Launch, mem *kernel.GlobalMem, cmem *kernel.ConstMem) (powerW, seconds float64, err error) {
-	tr, err := simcache.Run(c.perf, l, mem, cmem)
-	if err != nil {
-		return 0, 0, err
-	}
-	rt, err := c.model.Evaluate(tr.Perf)
+// The scale is applied analytically below, never simulated, so one timing
+// result serves every clock scale.
+func (c *Card) kernelTruePower(perf *sim.Result) (powerW, seconds float64, err error) {
+	rt, err := c.model.Evaluate(perf)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
+	"gpusimpow/internal/simcache"
 )
 
 // busyKernel builds an FP loop kernel for measurement tests.
@@ -47,6 +48,16 @@ func busyLaunch(blocks int) (*kernel.Launch, *kernel.GlobalMem) {
 		Block:  kernel.Dim{X: 256, Y: 1},
 		Params: []uint32{out},
 	}, mem
+}
+
+// launchTruePower times a launch on the card's silicon, as MeasureSequence
+// does for an item without a timing result, and prices it.
+func launchTruePower(c *Card, l *kernel.Launch, mem *kernel.GlobalMem) (powerW, seconds float64, err error) {
+	tr, err := simcache.Run(c.perf, l, mem, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return c.kernelTruePower(tr.Perf)
 }
 
 func TestCardDeterministic(t *testing.T) {
@@ -166,11 +177,11 @@ func TestMeasurementAccuracyWithinChainSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, mem := busyLaunch(24)
-	trueW, oneT, err := c.kernelTruePower(l, mem, nil)
+	trueW, oneT, err := launchTruePower(c, l, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh memory: kernelTruePower mutated the old image.
+	// Fresh memory: launchTruePower mutated the old image.
 	l2, mem2 := busyLaunch(24)
 	m, err := c.MeasureKernel(l2, mem2, nil, RepeatsForWindow(oneT, 0.2))
 	if err != nil {
@@ -222,8 +233,16 @@ func TestClockScaling(t *testing.T) {
 	if err := c.SetClockScale(0.3); err == nil {
 		t.Error("scale below 0.5 must be rejected")
 	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.49, 1.01} {
+		if err := c.SetClockScale(s); err == nil {
+			t.Errorf("scale %v must be rejected", s)
+		}
+	}
+	if c.ClockScale() != 1 {
+		t.Fatalf("rejected scales changed the clock scale to %v", c.ClockScale())
+	}
 	l1, mem1 := busyLaunch(24)
-	full, _, err := c.kernelTruePower(l1, mem1, nil)
+	full, _, err := launchTruePower(c, l1, mem1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +250,7 @@ func TestClockScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2, mem2 := busyLaunch(24)
-	slow, slowT, err := c.kernelTruePower(l2, mem2, nil)
+	slow, slowT, err := launchTruePower(c, l2, mem2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +288,9 @@ func TestMeasureSequenceTrace(t *testing.T) {
 	if len(tr.Samples) == 0 {
 		t.Fatal("empty trace")
 	}
+	if len(tr.Samples) != cap(tr.Samples) {
+		t.Errorf("trace sized %d for %d samples", cap(tr.Samples), len(tr.Samples))
+	}
 	// More blocks -> more clusters active -> more power.
 	if !(ms[0].AvgPowerW < ms[1].AvgPowerW && ms[1].AvgPowerW < ms[2].AvgPowerW) {
 		t.Errorf("power should rise with block count: %.2f %.2f %.2f",
@@ -285,6 +307,20 @@ func TestMeasureSequenceTrace(t *testing.T) {
 	}
 	if _, _, err := c.MeasureSequence(nil); err == nil {
 		t.Error("empty sequence must error")
+	}
+}
+
+// TestSiliconSharesTimingKey pins the invariant that lets a sweep hand the
+// card its group's timing results: the silicon perturbation is power-only.
+func TestSiliconSharesTimingKey(t *testing.T) {
+	for name, p := range config.Presets() {
+		c, err := NewCard(p())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.TimingKey() != p().TimingKey() {
+			t.Errorf("%s: silicon timing key differs from the nominal one", name)
+		}
 	}
 }
 

@@ -5,13 +5,21 @@ import (
 	"math"
 
 	"gpusimpow/internal/kernel"
+	"gpusimpow/internal/sim"
+	"gpusimpow/internal/simcache"
 )
 
-// SeqItem is one kernel execution in a measured sequence.
+// SeqItem is one kernel execution in a measured sequence. Launch names the
+// kernel; without Timing the card runs it on Mem and CMem to time it.
 type SeqItem struct {
 	Launch *kernel.Launch
 	Mem    *kernel.GlobalMem
 	CMem   *kernel.ConstMem
+	// Timing, when set, is the launch's timing result, already computed
+	// for a configuration with the card's TimingKey: the card prices it
+	// with its silicon model and does not run the launch (Mem and CMem
+	// may then be nil).
+	Timing *sim.Result
 	// Repeats executes the kernel back to back (the paper modifies
 	// benchmarks with sub-500 us kernels to run 100 times, "because these
 	// kernels are too short for reliable measurements").
@@ -89,13 +97,25 @@ func (c *Card) MeasureSequence(items []SeqItem) (*Trace, []Measurement, error) {
 		powerW float64
 		durS   float64
 		mark   int // index into measurements, or -1
+		n      int // DAQ samples
 	}
 	idleW := c.PrePostKernelPowerW()
-	phases := []phase{{idleW, lead, -1}}
+	phases := []phase{{powerW: idleW, durS: lead, mark: -1}}
 	meas := make([]Measurement, len(items))
 
 	for i, it := range items {
-		trueW, oneT, err := c.kernelTruePower(it.Launch, it.Mem, it.CMem)
+		perf := it.Timing
+		if perf == nil {
+			// Time the launch on the card's own silicon, through the
+			// result cache: a kernel the simulator side already ran
+			// with the same timing key replays instead of re-simulating.
+			tr, err := simcache.Run(c.perf, it.Launch, it.Mem, it.CMem)
+			if err != nil {
+				return nil, nil, fmt.Errorf("hw: measuring %s: %w", it.Launch.Prog.Name, err)
+			}
+			perf = tr.Perf
+		}
+		trueW, oneT, err := c.kernelTruePower(perf)
 		if err != nil {
 			return nil, nil, fmt.Errorf("hw: measuring %s: %w", it.Launch.Prog.Name, err)
 		}
@@ -113,37 +133,37 @@ func (c *Card) MeasureSequence(items []SeqItem) (*Trace, []Measurement, error) {
 			WindowS:           window,
 			ShortWindow:       window < 0.050, // the paper's 50 ms criterion
 		}
-		phases = append(phases, phase{trueW, window, i})
+		phases = append(phases, phase{powerW: trueW, durS: window, mark: i})
 		gap := it.GapS
 		if gap <= 0 {
 			gap = lead
 		}
-		phases = append(phases, phase{idleW, gap, -1})
+		phases = append(phases, phase{powerW: idleW, durS: gap, mark: -1})
 	}
 
 	// Build the true waveform at the DAQ rate, applying the first-order
 	// bulk-capacitance response, then push every sample through the chain.
 	dt := 1.0 / DAQSampleHz
-	tr := &Trace{SampleHz: DAQSampleHz, Marks: make([][2]float64, len(items))}
+	total := 0
+	for i := range phases {
+		phases[i].n = max(int(math.Ceil(phases[i].durS/dt)), 1)
+		total += phases[i].n
+	}
+	tr := &Trace{SampleHz: DAQSampleHz, Samples: make([]float64, total), Marks: make([][2]float64, len(items))}
 	level := idleW // filter state
 	now := 0.0
 	alpha := dt / c.capTauS
 	if alpha > 1 {
 		alpha = 1
 	}
+	off := 0
 	for _, ph := range phases {
-		n := int(math.Ceil(ph.durS / dt))
-		if n < 1 {
-			n = 1
-		}
 		if ph.mark >= 0 {
 			tr.Marks[ph.mark] = [2]float64{now, now + ph.durS}
 		}
-		for i := 0; i < n; i++ {
-			level += (ph.powerW - level) * alpha
-			tr.Samples = append(tr.Samples, c.chain.measure(level))
-		}
-		now += float64(n) * dt
+		level = c.chain.measureRun(tr.Samples[off:off+ph.n], level, ph.powerW, alpha)
+		off += ph.n
+		now += float64(ph.n) * dt
 	}
 
 	// The tool integrates the waveform between the profiler timestamps.

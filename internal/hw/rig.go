@@ -70,19 +70,41 @@ func newChain(r *rng, hasExternalPower bool) *chain {
 // different measurement session.
 func (c *chain) retuneNoise(r *rng) { c.noise = r }
 
-// measure converts the card's true instantaneous power draw into the power
-// the DAQ-based tool reports for one sample: per-rail gain errors, offsets
-// and sample noise applied, then summed over rails (the paper's methodology
-// measures all power sources, unlike the prior work it criticises).
-func (c *chain) measure(trueW float64) float64 {
-	var sum float64
-	for _, r := range c.rails {
-		p := trueW * r.share
-		p *= (1 + r.voltageGainErr) * (1 + r.currentGainErr)
-		p += r.offsetW + c.noise.gauss(r.noiseW)
-		sum += p
+// noiseBlock is how many per-rail noise sums measureRun draws at a time.
+const noiseBlock = 512
+
+// measureRun fills out with the DAQ samples of a stretch of waveform whose
+// true power relaxes towards targetW through the supply's first-order
+// response (level += (targetW-level)*alpha per sample), and returns the
+// final level. Each sample applies the per-rail gain errors, offsets and
+// sample noise, summed over rails (the paper's methodology measures all
+// power sources, unlike the prior work it criticises). The noise sums are
+// drawn a block at a time, but every sample's arithmetic keeps the form and
+// order of drawing its noise in turn, so the samples are bit-identical to
+// per-sample measurement and do not depend on the block size.
+func (c *chain) measureRun(out []float64, level, targetW, alpha float64) float64 {
+	var sums [noiseBlock]float64
+	nr := len(c.rails)
+	perBlock := noiseBlock / nr
+	for len(out) > 0 {
+		k := min(len(out), perBlock)
+		noise := sums[:k*nr]
+		c.noise.irwinHall(noise)
+		for i := range out[:k] {
+			level += (targetW - level) * alpha
+			var sum float64
+			for j := range c.rails {
+				r := &c.rails[j]
+				p := level * r.share
+				p *= (1 + r.voltageGainErr) * (1 + r.currentGainErr)
+				p += r.offsetW + (noise[i*nr+j]-6)*r.noiseW
+				sum += p
+			}
+			out[i] = sum
+		}
+		out = out[k:]
 	}
-	return sum
+	return level
 }
 
 // worstCaseErrorFraction returns the chain's error budget (the paper's

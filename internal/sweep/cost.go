@@ -16,7 +16,7 @@ type Cost struct {
 	// EstCycles is the coarse total cost in estimated issue cycles: per
 	// timing group, warps × program instructions summed over the group's
 	// units, counted once for the timing stage and once per measured cell
-	// (a measurement replays the kernel on the virtual card). Loop trip
+	// (a measurement runs or prices the kernel on the virtual card). Loop trip
 	// counts are invisible statically, so the estimate is a lower bound —
 	// useful as a relative weight, not a wall-clock prediction.
 	EstCycles uint64
@@ -69,8 +69,9 @@ func (p *Plan) computeCost() (*Cost, error) {
 		// false) still pay it: the virtual card's true-power lookup
 		// simulates the kernel through the result cache exactly once per
 		// timing group, inside the group's first measurement. Each
-		// measured cell then replays the kernel on its own virtual card,
-		// so measurement adds one full unit of work per cell.
+		// measured cell then measures on its own virtual card (replaying
+		// the kernel, or pricing the group's timing when the keys match),
+		// counted as one full unit of work per cell.
 		if s.Sim || s.Measure {
 			share := est / float64(len(g.Cells))
 			for _, cell := range g.Cells {

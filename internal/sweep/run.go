@@ -179,8 +179,9 @@ type groupTiming struct {
 // shared memory image. All other cells of the group reuse these snapshots
 // (their own simulation would replay bit-identically from the result cache
 // anyway — the group saves the hashing and replay, and pins "one timing
-// run per group" by construction). Both execution paths (grouped fan-out
-// and the SharedCard sequential path) go through here.
+// run per group" by construction), and so does each cell's virtual card
+// while its timing key matches (see measureCell). Both execution paths
+// (grouped fan-out and the SharedCard sequential path) go through here.
 func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 	s := p.Spec
 	simr, err := core.New(leader.Cfg)
@@ -279,10 +280,12 @@ func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 }
 
 // measureCell measures every unit of the cell on a virtual card: the cell's
-// own session card unless a shared card is supplied. The cell's units come
-// from a fresh instance build (measurement mutates memory images
-// independently of the sim stage, exactly as a real rig re-runs the
-// binary), issued as one measured sequence.
+// own session card unless a shared card is supplied. When the cell ran the
+// timing stage on the card's timing key, the card prices the group's
+// timing results and runs nothing; otherwise (Measure-only specs, or a
+// shared card built for another timing key) the cell's units come from a
+// fresh instance build and the card times them on its own silicon. Either
+// way the units are issued as one measured sequence.
 func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 	s := p.Spec
 	if card == nil {
@@ -301,28 +304,40 @@ func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 			return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
 		}
 	}
-	inst, err := c.Workload.Build(c.Cfg)
-	if err != nil {
-		return fmt.Errorf("sweep: %s: %s: building %s: %w", s.Name, c, c.Workload.Name, err)
-	}
-	items := make([]hw.SeqItem, len(inst.Units))
-	for i := range inst.Units {
-		u := &inst.Units[i]
-		items[i] = hw.SeqItem{
-			Launch: u.Launch, Mem: inst.Mem, CMem: u.CMem,
-			Repeats: u.Repeats, MinWindowS: u.MinWindowS, GapS: u.GapS,
+	var items []hw.SeqItem
+	if s.Sim && card.TimingKey() == c.Cfg.TimingKey() {
+		items = make([]hw.SeqItem, len(cr.Units))
+		for i := range cr.Units {
+			u := &cr.Units[i].Unit
+			items[i] = hw.SeqItem{
+				Launch: u.Launch, Timing: cr.Units[i].Timing.Perf,
+				Repeats: u.Repeats, MinWindowS: u.MinWindowS, GapS: u.GapS,
+			}
+		}
+	} else {
+		inst, err := c.Workload.Build(c.Cfg)
+		if err != nil {
+			return fmt.Errorf("sweep: %s: %s: building %s: %w", s.Name, c, c.Workload.Name, err)
+		}
+		items = make([]hw.SeqItem, len(inst.Units))
+		for i := range inst.Units {
+			u := &inst.Units[i]
+			items[i] = hw.SeqItem{
+				Launch: u.Launch, Mem: inst.Mem, CMem: u.CMem,
+				Repeats: u.Repeats, MinWindowS: u.MinWindowS, GapS: u.GapS,
+			}
+		}
+		if len(cr.Units) == 0 {
+			// Measure-only spec: the units come from the measured instance.
+			cr.Units = make([]UnitResult, len(inst.Units))
+			for i := range inst.Units {
+				cr.Units[i].Unit = inst.Units[i]
+			}
 		}
 	}
 	_, ms, err := card.MeasureSequence(items)
 	if err != nil {
 		return fmt.Errorf("sweep: %s: %s: measuring %s: %w", s.Name, c, c.Workload.Name, err)
-	}
-	if len(cr.Units) == 0 {
-		// Measure-only spec: the units come from the measured instance.
-		cr.Units = make([]UnitResult, len(inst.Units))
-		for i := range inst.Units {
-			cr.Units[i].Unit = inst.Units[i]
-		}
 	}
 	for i := range ms {
 		cr.Units[i].Meas = &ms[i]
