@@ -13,12 +13,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
+	"gpusimpow/internal/experiments"
 	"gpusimpow/internal/simcache"
+	"gpusimpow/internal/sweep"
 )
 
 func main() {
@@ -31,17 +34,18 @@ func main() {
 	stats := flag.Bool("stats", false, "also print raw activity counters per kernel and simulation-cache statistics")
 	flag.Parse()
 
-	if err := run(*gpuName, *cfgPath, *benchName, *static, *list, *dump, *stats); err != nil {
+	if err := run(os.Stdout, *gpuName, *cfgPath, *benchName, *static, *list, *dump, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "gpusimpow:", err)
 		os.Exit(1)
 	}
 }
 
-func run(gpuName, cfgPath, benchName string, static, list bool, dump string, stats bool) error {
+// run executes one invocation, writing its report to w.
+func run(w io.Writer, gpuName, cfgPath, benchName string, static, list bool, dump string, stats bool) error {
 	if list {
-		fmt.Println("Benchmarks (Table I + needle):")
+		fmt.Fprintln(w, "Benchmarks (Table I + needle):")
 		for _, f := range bench.Suite() {
-			fmt.Printf("  %-14s %d kernel(s)\n", f.Name, f.Kernels)
+			fmt.Fprintf(w, "  %-14s %d kernel(s)\n", f.Name, f.Kernels)
 		}
 		return nil
 	}
@@ -50,7 +54,7 @@ func run(gpuName, cfgPath, benchName string, static, list bool, dump string, sta
 		if !ok {
 			return fmt.Errorf("unknown preset %q", dump)
 		}
-		return mk().WriteXML(os.Stdout)
+		return mk().WriteXML(w)
 	}
 
 	var cfg *config.GPU
@@ -75,12 +79,12 @@ func run(gpuName, cfgPath, benchName string, static, list bool, dump string, sta
 
 	if static {
 		s := simr.Static()
-		fmt.Printf("%s architectural estimates:\n", s.GPUName)
-		fmt.Printf("  Area:          %8.1f mm^2 (one core: %.2f mm^2)\n", s.AreaMM2, s.CoreAreaMM2)
-		fmt.Printf("  Static power:  %8.2f W\n", s.StaticW)
-		fmt.Printf("  Peak dynamic:  %8.2f W\n", s.PeakDynamicW)
+		fmt.Fprintf(w, "%s architectural estimates:\n", s.GPUName)
+		fmt.Fprintf(w, "  Area:          %8.1f mm^2 (one core: %.2f mm^2)\n", s.AreaMM2, s.CoreAreaMM2)
+		fmt.Fprintf(w, "  Static power:  %8.2f W\n", s.StaticW)
+		fmt.Fprintf(w, "  Peak dynamic:  %8.2f W\n", s.PeakDynamicW)
 		for _, it := range s.Items {
-			fmt.Printf("    %-20s %7.3f W\n", it.Name, it.StaticW)
+			fmt.Fprintf(w, "    %-20s %7.3f W\n", it.Name, it.StaticW)
 		}
 		return nil
 	}
@@ -101,25 +105,25 @@ func run(gpuName, cfgPath, benchName string, static, list bool, dump string, sta
 		if err != nil {
 			return err
 		}
-		fmt.Printf("== %s: %d cycles, %.3g s, IPC %.2f, %d warp instrs ==\n",
+		fmt.Fprintf(w, "== %s: %d cycles, %.3g s, IPC %.2f, %d warp instrs ==\n",
 			r.Name, rep.Perf.Activity.Cycles, rep.Perf.Seconds, rep.Perf.IPC, rep.Perf.WarpInstrs)
-		if err := rep.WriteProfile(os.Stdout); err != nil {
+		if err := sweep.RenderText(w, &sweep.Report{Sections: experiments.KernelProfile(rep.Kernel, rep.Power)}); err != nil {
 			return err
 		}
 		if stats {
-			if err := rep.Perf.Activity.WriteTable(os.Stdout); err != nil {
+			if err := rep.Perf.Activity.WriteTable(w); err != nil {
 				return err
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if err := inst.Verify(); err != nil {
 		return fmt.Errorf("verification FAILED: %w", err)
 	}
-	fmt.Println("verification: OK")
+	fmt.Fprintln(w, "verification: OK")
 	if stats {
 		st := simcache.Default().Stats()
-		fmt.Printf("sim-cache: %d entries (%.1f MiB), %d hits (%d from disk), %d misses, %d evictions, %d bypasses\n",
+		fmt.Fprintf(w, "sim-cache: %d entries (%.1f MiB), %d hits (%d from disk), %d misses, %d evictions, %d bypasses\n",
 			st.Entries, float64(st.Bytes)/(1<<20), st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses)
 	}
 	return nil

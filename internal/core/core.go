@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -132,19 +131,16 @@ func (p *PowerEvaluator) EvaluatePower(tr *simcache.TimingResult) (*power.Runtim
 }
 
 // EvaluatePowerBatch evaluates one shared timing result under every power
-// variant, returning reports in argument order. This is the batched power
-// entry point of the simulate-once-evaluate-many pipeline: a sweep group
-// whose cells differ only in power-side parameters simulates its kernel once
-// and prices the resulting snapshot N times here. Bit-identical to N
-// sequential EvaluatePower calls (pinned by the core tests).
+// variant, returning reports in argument order: N EvaluatePower calls, the
+// first failing variant aborting the batch.
 func EvaluatePowerBatch(evs []*PowerEvaluator, tr *simcache.TimingResult) ([]*power.RuntimeReport, error) {
-	models := make([]*power.Model, len(evs))
+	rts := make([]*power.RuntimeReport, len(evs))
 	for i, ev := range evs {
-		models[i] = ev.pow
-	}
-	rts, err := power.EvaluateBatch(models, tr.Perf)
-	if err != nil {
-		return nil, fmt.Errorf("core: batched power for %s: %w", tr.Kernel, err)
+		rt, err := ev.EvaluatePower(tr)
+		if err != nil {
+			return nil, err
+		}
+		rts[i] = rt
 	}
 	return rts, nil
 }
@@ -161,36 +157,4 @@ func (s *Simulator) RunKernel(l *kernel.Launch, global *kernel.GlobalMem, cmem *
 		return nil, err
 	}
 	return &KernelReport{Kernel: tr.Kernel, Perf: tr.Perf, Power: rt}, nil
-}
-
-// WriteProfile prints the hierarchical power profile of a kernel in the
-// shape of the paper's Table V: GPU-level components, then one core. The
-// table5 scenario (internal/experiments, reduceTable5) renders the same
-// shape through the sweep report layer — core cannot import sweep, so the
-// layouts are paired by convention and pinned separately
-// (TestWriteProfileFormat here, table5.golden there). Change one and the
-// other must follow.
-func (r *KernelReport) WriteProfile(w io.Writer) error {
-	p := r.Power
-	total := p.TotalW
-	if _, err := fmt.Fprintf(w, "Power profile: %s on %s (runtime %.3g s)\n",
-		r.Kernel, p.GPUName, p.Seconds); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-22s %10s %11s %8s\n", "GPU", "Static [W]", "Dynamic [W]", "Percent")
-	fmt.Fprintf(w, "%-22s %10.3f %11.3f %7.1f%%\n", "Overall", p.StaticW, p.DynamicW, 100.0)
-	for _, it := range p.GPU {
-		fmt.Fprintf(w, "%-22s %10.3f %11.3f %7.1f%%\n", it.Name, it.StaticW, it.DynamicW, 100*it.Total()/total)
-	}
-	var coreTotal float64
-	for _, it := range p.Core {
-		coreTotal += it.Total()
-	}
-	fmt.Fprintf(w, "%-22s %10s %11s %8s\n", "Core", "Static [W]", "Dynamic [W]", "Percent")
-	for _, it := range p.Core {
-		fmt.Fprintf(w, "%-22s %10.4f %11.4f %7.1f%%\n", it.Name, it.StaticW, it.DynamicW, 100*it.Total()/coreTotal)
-	}
-	fmt.Fprintf(w, "External DRAM: %.3f W (background %.2f, activate %.2f, r/w %.2f, term %.2f, refresh %.2f)\n",
-		p.DRAMW, p.DRAM.Background, p.DRAM.Activate, p.DRAM.ReadWrite, p.DRAM.Termination, p.DRAM.Refresh)
-	return nil
 }

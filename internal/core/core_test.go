@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gpusimpow/internal/bench"
@@ -73,34 +71,6 @@ func TestStaticConsistentWithRuntime(t *testing.T) {
 	}
 	if rep.Power.DynamicW > st.PeakDynamicW {
 		t.Errorf("runtime dynamic %.2f exceeds peak %.2f", rep.Power.DynamicW, st.PeakDynamicW)
-	}
-}
-
-func TestWriteProfileFormat(t *testing.T) {
-	simr, err := New(config.GT240())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := bench.BlackScholes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := simr.RunKernel(inst.Runs[0].Launch, inst.Mem, inst.Runs[0].CMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteProfile(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// The profile must carry the Table V row names.
-	for _, want := range []string{"Overall", "Cores", "NoC", "Memory Controller",
-		"PCIe Controller", "Base Power", "WCU", "Register File",
-		"Execution Units", "LDSTU", "Undiff. Core", "External DRAM"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("profile missing %q", want)
-		}
 	}
 }
 

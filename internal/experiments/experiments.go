@@ -15,6 +15,7 @@ import (
 	"gpusimpow/internal/core"
 	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
+	"gpusimpow/internal/power"
 	"gpusimpow/internal/sweep"
 )
 
@@ -220,12 +221,8 @@ func busyFPKernel(blocks, threads, iters int) (*kernel.Launch, *kernel.GlobalMem
 // timing stage is shared with Fig. 6 through the simulation-result cache
 // (same GPU, same kernel, same inputs); the verification step still
 // checks the functional output, which a cache hit replays from the stored
-// final image. The layout deliberately matches
-// core.KernelReport.WriteProfile — the per-kernel profile cmd/gpusimpow
-// prints — column for column; the two cannot share code (core cannot
-// import sweep), so each pins its shape in tests: table5.golden here,
-// TestWriteProfileFormat in internal/core. Change one and the other must
-// follow.
+// final image. The profile itself is KernelProfile, the same sections
+// cmd/gpusimpow prints for every launch.
 func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
 	simr, err := core.New(config.GT240())
 	if err != nil {
@@ -247,6 +244,15 @@ func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) 
 	if err != nil {
 		return nil, err
 	}
+	secs := KernelProfile(tr.Kernel, p)
+	secs[0].Title = "Table V: blackscholes power breakdown on GT240"
+	return &sweep.Report{Scenario: "table5", Sections: secs}, nil
+}
+
+// KernelProfile lays out one kernel's hierarchical power profile in the
+// shape of the paper's Table V: a profile line, the GPU-level components,
+// one core's components, then external DRAM.
+func KernelProfile(kernel string, p *power.RuntimeReport) []sweep.Section {
 	gpuSec := sweep.Section{
 		Columns: []sweep.Column{
 			{Label: "GPU", Format: "%-22s"},
@@ -282,12 +288,9 @@ func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) 
 			sweep.Str(it.Name), sweep.Num(it.StaticW), sweep.Num(it.DynamicW), sweep.Num(100 * it.Total() / coreTotal),
 		})
 	}
-	return &sweep.Report{Scenario: "table5", Sections: []sweep.Section{
-		{
-			Title: "Table V: blackscholes power breakdown on GT240",
-			Notes: []sweep.Note{sweep.Notef("Power profile: %s on %s (runtime %.3g s)",
-				sweep.Str(tr.Kernel), sweep.Str(p.GPUName), sweep.Num(p.Seconds))},
-		},
+	return []sweep.Section{
+		{Notes: []sweep.Note{sweep.Notef("Power profile: %s on %s (runtime %.3g s)",
+			sweep.Str(kernel), sweep.Str(p.GPUName), sweep.Num(p.Seconds))}},
 		gpuSec,
 		coreSec,
 		{
@@ -296,7 +299,7 @@ func reduceTable5(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) 
 				sweep.Num(p.DRAMW), sweep.Num(p.DRAM.Background), sweep.Num(p.DRAM.Activate),
 				sweep.Num(p.DRAM.ReadWrite), sweep.Num(p.DRAM.Termination), sweep.Num(p.DRAM.Refresh))},
 		},
-	}}, nil
+	}
 }
 
 // ---------------------------------------------------------------------------

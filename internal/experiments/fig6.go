@@ -71,7 +71,7 @@ func Fig6Spec() *sweep.Spec {
 			}
 			return benchWorkload(f), nil
 		},
-		Sim: true, Power: true, Verify: true, Measure: true,
+		Sim: true, Power: true, Measure: true,
 		Session: func(c *sweep.Cell) string { return "fig6/" + c.Value("bench") },
 	}
 }

@@ -551,3 +551,122 @@ func TestRouterRestartRecoversAssignments(t *testing.T) {
 		t.Errorf("replayed client key created %s, want recovered %s", again.ID, st.ID)
 	}
 }
+
+// --- read-only and control endpoints ---
+
+// callJSON sends one request to the router and decodes its JSON body,
+// returning the status code.
+func callJSON(t *testing.T, srv *httptest.Server, method, path string, v any) int {
+	t.Helper()
+	req, err := http.NewRequest(method, srv.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	return resp.StatusCode
+}
+
+// The router's own endpoints over a healthy fleet: healthz summarizes
+// the breakers, scenarios relays a backend's listing byte for byte,
+// listJobs reports every fleet job under its fleet ID, and cancelJob
+// answers with the job's fleet-namespaced status.
+func TestRouterReadEndpoints(t *testing.T) {
+	_, rtSrv, fixtures := newTestFleet(t, 2, nil)
+
+	var health struct {
+		Status   string           `json:"status"`
+		Backends map[string]State `json:"backends"`
+	}
+	if code := callJSON(t, rtSrv, http.MethodGet, "/v1/healthz", &health); code != http.StatusOK || health.Status != "ok" {
+		t.Errorf("healthz: HTTP %d %+v, want 200 ok", code, health)
+	}
+	for _, f := range fixtures {
+		if health.Backends[f.name] != StateHealthy {
+			t.Errorf("healthz reports %s as %q, want healthy", f.name, health.Backends[f.name])
+		}
+	}
+
+	listing := rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/scenarios")
+	if want := rawStream(t, fixtures[0].srv.Client(), fixtures[0].srv.URL+"/v1/scenarios"); !bytes.Equal(listing, want) {
+		t.Errorf("proxied scenario listing differs from a backend's:\n%s\n--- vs ---\n%s", listing, want)
+	}
+
+	c := routerClient(rtSrv)
+	st, err := c.Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, st.ID)
+
+	var jobs []service.JobStatus
+	if code := callJSON(t, rtSrv, http.MethodGet, "/v1/jobs", &jobs); code != http.StatusOK {
+		t.Errorf("listJobs: HTTP %d", code)
+	}
+	if len(jobs) != 1 || jobs[0].ID != st.ID || jobs[0].State != service.StateDone {
+		t.Errorf("listJobs = %+v, want the one done job %s", jobs, st.ID)
+	}
+
+	var canceled service.JobStatus
+	if code := callJSON(t, rtSrv, http.MethodDelete, "/v1/jobs/"+st.ID, &canceled); code != http.StatusOK {
+		t.Errorf("cancelJob: HTTP %d", code)
+	}
+	if canceled.ID != st.ID || canceled.State != service.StateDone {
+		t.Errorf("canceling a finished job returned %+v, want %s still done", canceled, st.ID)
+	}
+}
+
+// A report request whose backend has died confirms the death with a
+// probe, fails the job over and retries at the survivor; once the
+// survivor's re-execution is done its report is byte-identical to the
+// lost backend's.
+func TestJobReportFailsOverDeadBackend(t *testing.T) {
+	_, rtSrv, fixtures := newTestFleet(t, 2, func(o *Options) {
+		o.ProbeInterval = time.Hour // only the report's confirm probe may notice the death
+	})
+	c := routerClient(rtSrv)
+	st, err := c.Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, st.ID)
+	url := rtSrv.URL + "/v1/jobs/" + st.ID + "/report"
+	want := rawStream(t, rtSrv.Client(), url)
+
+	from := assignmentOf(t, rtSrv, st.ID).Backend
+	for _, f := range fixtures {
+		if f.name == from {
+			f.srv.Close()
+		}
+	}
+	resp, err := rtSrv.Client().Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// The survivor answers: done already (200) or still re-executing (409).
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
+		t.Fatalf("report after backend death: HTTP %d, want the survivor's 200 or 409", resp.StatusCode)
+	}
+	if to := assignmentOf(t, rtSrv, st.ID).Backend; to == from {
+		t.Fatalf("job still assigned to dead backend %s", from)
+	}
+	var health struct {
+		Backends map[string]State `json:"backends"`
+	}
+	callJSON(t, rtSrv, http.MethodGet, "/v1/healthz", &health)
+	if health.Backends[from] != StateDead {
+		t.Errorf("healthz reports %s as %q, want dead", from, health.Backends[from])
+	}
+
+	waitDone(t, c, st.ID)
+	if got := rawStream(t, rtSrv.Client(), url); !bytes.Equal(got, want) {
+		t.Errorf("survivor's report differs from the lost backend's:\n%s\n--- vs ---\n%s", got, want)
+	}
+}

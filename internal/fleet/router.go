@@ -322,22 +322,24 @@ func (rt *Router) scenarios(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("no live backends"))
 		return
 	}
-	rt.proxyRaw(w, r, b, "/v1/scenarios")
+	if err := rt.proxyRaw(w, r, b, "/v1/scenarios"); err != nil {
+		writeError(w, http.StatusBadGateway, err)
+	}
 }
 
 // proxyRaw forwards one GET to a backend, copying status, content type
 // and body bytes verbatim — the no-re-encoding path that keeps reports
-// byte-identical to a single-node run.
-func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, b *Backend, path string) {
+// byte-identical to a single-node run. When the backend cannot be reached
+// it writes nothing and returns the error, so the caller decides between
+// a 502 and a retry elsewhere.
+func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, b *Backend, path string) error {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.client.Base+path, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return fmt.Errorf("backend %s: %w", b.Name, err)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", b.Name, err))
-		return
+		return fmt.Errorf("backend %s: %w", b.Name, err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -348,6 +350,7 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, b *Backend, p
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+	return nil
 }
 
 // newDispatchKey generates the router-owned Idempotency-Key a fleet job
@@ -659,31 +662,17 @@ func (rt *Router) jobReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name, bid := j.coords()
-	b := rt.backends[name]
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.client.Base+"/v1/jobs/"+bid+"/report", nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	err := rt.proxyRaw(w, r, rt.backends[name], "/v1/jobs/"+bid+"/report")
+	if err == nil {
 		return
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		rt.confirmDead(b)
-		if newName, newBid := j.coords(); newName != name {
-			rt.proxyRaw(w, r, rt.backends[newName], "/v1/jobs/"+newBid+"/report")
+	rt.confirmDead(rt.backends[name])
+	if newName, newBid := j.coords(); newName != name {
+		if err = rt.proxyRaw(w, r, rt.backends[newName], "/v1/jobs/"+newBid+"/report"); err == nil {
 			return
 		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", name, err))
-		return
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	writeError(w, http.StatusBadGateway, err)
 }
 
 // errBackendDropped marks a stream severed by the drop-backend-mid-stream

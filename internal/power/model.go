@@ -69,8 +69,8 @@ type Model struct {
 	ePCIePerByte              float64
 
 	// static is the precomputed leakage decomposition (see staticSplit):
-	// filled once by computeStaticSplit so Evaluate/EvaluateBatch never
-	// recompute it per call.
+	// filled once by computeStaticSplit so Evaluate never recomputes it
+	// per call.
 	static staticSplit
 }
 

@@ -44,8 +44,8 @@ func (m *Model) leakScale() float64 {
 // (NoC, MC including L2, PCIe), temperature-scaled. The split depends only
 // on the built circuit budgets and the configuration, so it is computed once
 // per Model (computeStaticSplit) instead of on every Evaluate call — the
-// amortization that makes evaluating one timing snapshot under N power
-// variants (EvaluateBatch) a pure arithmetic pass.
+// amortization that makes re-pricing one timing snapshot under N power
+// variants a pure arithmetic pass.
 type staticSplit struct {
 	wcu, rf, exe, ldst, undiff float64 // one core
 	noc, mc, pcie              float64 // chip level
@@ -182,24 +182,6 @@ func (m *Model) Evaluate(res *sim.Result) (*RuntimeReport, error) {
 		return nil, fmt.Errorf("power: timing snapshot has %d L1 misses but only %d L1 reads", a.L1Misses, a.L1Reads)
 	}
 	return m.runtimeAt(res, float64(res.Activity.Cycles)/m.cfg.CoreClockHz())
-}
-
-// EvaluateBatch evaluates one timing snapshot under every model, returning
-// reports in argument order — the power stage of a sweep group that pairs N
-// power-parameter variants with a single timing run. The result is
-// bit-identical to N sequential Evaluate calls (each model's static split is
-// precomputed at build time, so the batch is a pure arithmetic pass over the
-// shared activity counters); the first failing model aborts the batch.
-func EvaluateBatch(models []*Model, res *sim.Result) ([]*RuntimeReport, error) {
-	out := make([]*RuntimeReport, len(models))
-	for i, m := range models {
-		r, err := m.Evaluate(res)
-		if err != nil {
-			return nil, fmt.Errorf("power: batch variant %d (%s): %w", i, m.cfg.Name, err)
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 // runtimeAt maps activity counts to power over a kernel duration of T

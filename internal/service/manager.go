@@ -36,10 +36,6 @@ type Options struct {
 	// MaxQueued bounds the submitted-but-not-started queue; submissions
 	// beyond it are rejected with ErrBusy. <= 0 selects 16.
 	MaxQueued int
-	// CachePressure is the fraction of the simulation cache's byte budget
-	// above which rising eviction counts reject new jobs (0 selects 0.9).
-	// Irrelevant when no byte budget is configured.
-	CachePressure float64
 	// RetainJobs bounds how many terminal (done/failed/canceled) jobs stay
 	// in the table — their records back /cells replays and /report, so
 	// retention is the job-state memory bound. Oldest terminal jobs are
@@ -76,9 +72,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxQueued <= 0 {
 		out.MaxQueued = 16
-	}
-	if out.CachePressure <= 0 {
-		out.CachePressure = 0.9
 	}
 	if out.JobTimeoutScale == 0 {
 		out.JobTimeoutScale = 20
@@ -611,6 +604,10 @@ func (m *Manager) Close() {
 	}
 }
 
+// cachePressure is the fraction of the simulation cache's byte budget at
+// or above which rising eviction counts reject new jobs.
+const cachePressure = 0.9
+
 // admissionError applies the admission policy to one snapshot of the
 // world; a pure function so the policy is unit-testable without staging
 // real load. queued is the submitted-but-not-started depth, running the
@@ -629,7 +626,7 @@ func admissionError(st simcache.Stats, queued, running int, lastEvictions uint64
 	// from jobs long finished, and admitting the lone new job cannot
 	// degrade anyone.
 	if queued+running > 0 && st.BudgetBytes > 0 &&
-		float64(st.Bytes) >= opts.CachePressure*float64(st.BudgetBytes) &&
+		float64(st.Bytes) >= cachePressure*float64(st.BudgetBytes) &&
 		st.Evictions > lastEvictions {
 		return ErrBusy{Reason: fmt.Sprintf(
 			"simulation cache thrashing (%d/%d bytes, %d evictions)",

@@ -12,7 +12,7 @@ import (
 // The acceptance contract of the service: running a scenario in-process
 // and running it through a daemon produce identical cell records —
 // bit-identical metrics, identical order — for the paper's headline
-// validation grid (fig6, all four stages) and the new L1×scheduler
+// validation grid (fig6, all three stages) and the new L1×scheduler
 // extension. Float64 values survive the JSON hop exactly (encoding/json
 // emits the shortest round-trip representation), so reflect.DeepEqual on
 // the decoded records is a bitwise comparison.

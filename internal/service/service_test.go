@@ -125,7 +125,7 @@ func waitState(t *testing.T, j *Job, want JobState) JobStatus {
 // The admission policy is a pure function; exercise every branch without
 // staging real load.
 func TestAdmissionPolicy(t *testing.T) {
-	opts := (&Options{MaxQueued: 2, CachePressure: 0.9}).withDefaults()
+	opts := (&Options{MaxQueued: 2}).withDefaults()
 	noBudget := simcache.Stats{Bytes: 1 << 30}
 	if err := admissionError(noBudget, 0, 0, 0, opts); err != nil {
 		t.Errorf("unbounded cache should admit: %v", err)

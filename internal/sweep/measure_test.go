@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -123,4 +124,74 @@ func TestMeasureCellItemSources(t *testing.T) {
 			t.Errorf("cell %s: the sweep's measurement equals pricing the other group's timing on the shared card", rs[1].Cell)
 		}
 	})
+}
+
+// clustersAxis varies the cluster count, a timing-relevant field: each
+// value is its own timing group.
+func clustersAxis() Axis {
+	return Axis{Name: "clusters", Values: []Value{
+		{Name: "2", Mutate: func(g *config.GPU) { g.Clusters = 2 }},
+		{Name: "4", Mutate: func(g *config.GPU) { g.Clusters = 4 }},
+	}}
+}
+
+// TestSharedCardMeasuresInPlanOrder: a SharedCard plan whose timing groups
+// interleave in plan order ({0,2} and {1,3}) measures its cells one after
+// another in plan order on the one card, whatever order the groups finish
+// in. Measuring group by group (0, 2, 1, 3) advances the card's noise
+// stream in another order and fails.
+func TestSharedCardMeasuresInPlanOrder(t *testing.T) {
+	const seed = 1103
+	s := measuredProbeSpec(seed, Axis{Name: "rep", Values: []Value{{Name: "a"}, {Name: "b"}}})
+	s.Axes = append(s.Axes, clustersAxis())
+	s.SharedCard = true
+	p, err := s.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []int
+	for _, c := range p.Cells {
+		groups = append(groups, c.Group)
+	}
+	if !reflect.DeepEqual(groups, []int{0, 1, 0, 1}) {
+		t.Fatalf("cell groups %v, want interleaved [0 1 0 1]", groups)
+	}
+	rs, err := p.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := p.Cells[0]
+	card, err := hw.NewCardSession(first.Cfg, first.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range rs {
+		if want := measureLaunch(t, card, seed); !reflect.DeepEqual(*cr.Units[0].Meas, want) {
+			t.Errorf("cell %s: measured %+v, the shared card's session in plan order gives %+v", cr.Cell, *cr.Units[0].Meas, want)
+		}
+	}
+}
+
+// TestSharedCardMeasurementError: a shared-card measurement that fails
+// partway through the plan (a clock scale the card rejects) is Run's
+// error, and exactly the cells before it have streamed.
+func TestSharedCardMeasurementError(t *testing.T) {
+	s := measuredProbeSpec(1104, clustersAxis())
+	s.Axes = append(s.Axes, Axis{Name: "scale", Values: []Value{
+		{Name: "1.0", ClockScale: 1.0},
+		{Name: "0.4", ClockScale: 0.4},
+	}})
+	s.SharedCard = true
+	p, err := s.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []int
+	_, err = p.Run(func(cr *CellResult) { streamed = append(streamed, cr.Cell.Index) })
+	if err == nil || !strings.Contains(err.Error(), p.Cells[1].String()) || !strings.Contains(err.Error(), "clock scale") {
+		t.Fatalf("Run error %v, want the clock-scale failure of cell %s", err, p.Cells[1])
+	}
+	if !reflect.DeepEqual(streamed, []int{0}) {
+		t.Errorf("streamed cells %v, want exactly [0]", streamed)
+	}
 }

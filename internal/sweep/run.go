@@ -75,9 +75,10 @@ func SetProgress(fn func(Progress)) {
 // every cell before it — is complete: calls are serialized and arrive in
 // plan order, so a front-end can render progressively while the order stays
 // deterministic. Groups fan out over internal/runner's worker pool; within
-// a group the leader simulates once, every cell is priced by the batched
-// power stage, and measured cells fan out again (each on its own
-// deterministic card session).
+// a group the leader simulates once, and the cells fan out again, each
+// priced against the group's timing results and measured on its own
+// deterministic card session. A SharedCard plan measures every cell on one
+// card instead, as the cell reaches the head of plan order.
 func (p *Plan) Run(stream func(*CellResult)) ([]*CellResult, error) {
 	return p.RunContext(context.Background(), stream)
 }
@@ -88,14 +89,16 @@ func (p *Plan) Run(stream func(*CellResult)) ([]*CellResult, error) {
 // before cancellation have already been streamed; the returned slice is
 // discarded (long-lived services keep the streamed records).
 func (p *Plan) RunContext(ctx context.Context, stream func(*CellResult)) ([]*CellResult, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	results := make([]*CellResult, len(p.Cells))
-	emit := newEmitter(p, results, stream)
-
-	if p.Spec.SharedCard {
-		if err := p.runShared(ctx, emit); err != nil {
+	emit := &emitter{plan: p, results: results, stream: stream, cancel: cancel}
+	if p.Spec.SharedCard && p.Spec.Measure {
+		card, err := p.sessionCard(p.Cells[0])
+		if err != nil {
 			return nil, err
 		}
-		return results, nil
+		emit.card = card
 	}
 
 	err := runner.ForEach(len(p.Groups), func(gi int) error {
@@ -104,6 +107,11 @@ func (p *Plan) RunContext(ctx context.Context, stream func(*CellResult)) ([]*Cel
 		}
 		return p.runGroup(ctx, p.Groups[gi], emit)
 	})
+	if emit.err != nil {
+		// A shared-card measurement failed and canceled the other groups:
+		// report the measurement, not the cancellation it caused.
+		err = emit.err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +127,15 @@ type emitter struct {
 	stream  func(*CellResult)
 	next    int
 
+	// card, when set, is the SharedCard plan's one rig: each cell is
+	// measured on it as the cell reaches the head of plan order, so the
+	// rig's noise stream advances in plan order whatever order the groups
+	// finish in. The first failure sticks in err, stops streaming and
+	// cancels the remaining groups.
+	card   *hw.Card
+	err    error
+	cancel context.CancelFunc
+
 	// Cost-weighted progress, computed lazily on the first hook delivery
 	// (the estimate builds workload instances, so it only runs when an
 	// observer actually wants percentages).
@@ -127,19 +144,25 @@ type emitter struct {
 	costDone  float64
 }
 
-func newEmitter(p *Plan, results []*CellResult, stream func(*CellResult)) *emitter {
-	return &emitter{plan: p, results: results, stream: stream}
-}
-
 // done records one finished cell and streams the contiguous completed
-// prefix.
-func (e *emitter) done(r *CellResult) {
+// prefix, measuring each of its cells first on a shared card.
+func (e *emitter) done(r *CellResult) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.err != nil {
+		return e.err
+	}
 	e.results[r.Cell.Index] = r
 	hook := progressHook.Load()
 	for e.next < len(e.results) && e.results[e.next] != nil {
 		cr := e.results[e.next]
+		if e.card != nil {
+			if err := e.plan.measureCell(cr.Cell, e.card, cr); err != nil {
+				e.err = err
+				e.cancel()
+				return err
+			}
+		}
 		if e.stream != nil {
 			e.stream(cr)
 		}
@@ -163,6 +186,7 @@ func (e *emitter) done(r *CellResult) {
 		}
 		e.next++
 	}
+	return nil
 }
 
 // groupTiming is the shared outcome of one group's timing stage: the
@@ -174,14 +198,14 @@ type groupTiming struct {
 	timings []*simcache.TimingResult
 }
 
-// simGroupTiming runs the timing stage (and optional verification) on
-// behalf of a group: its leader simulates every unit once, in order, on one
-// shared memory image. All other cells of the group reuse these snapshots
-// (their own simulation would replay bit-identically from the result cache
-// anyway — the group saves the hashing and replay, and pins "one timing
-// run per group" by construction), and so does each cell's virtual card
-// while its timing key matches (see measureCell). Both execution paths
-// (grouped fan-out and the SharedCard sequential path) go through here.
+// simGroupTiming runs the timing stage on behalf of a group: its leader
+// simulates every unit once, in order, on one shared memory image, then
+// checks the functional output when the workload supplies Instance.Verify.
+// All other cells of the group reuse these snapshots (their own simulation
+// would replay bit-identically from the result cache anyway — the group
+// saves the hashing and replay, and pins "one timing run per group" by
+// construction), and so does each measuring card while its timing key
+// matches (see measureCell).
 func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 	s := p.Spec
 	simr, err := core.New(leader.Cfg)
@@ -202,7 +226,7 @@ func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 		}
 		gt.timings[i] = tr
 	}
-	if s.Verify && inst.Verify != nil {
+	if inst.Verify != nil {
 		if err := inst.Verify(); err != nil {
 			return nil, fmt.Errorf("sweep: %s: %s: %s failed verification: %w", s.Name, leader, leader.Workload.Name, err)
 		}
@@ -210,50 +234,22 @@ func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 	return gt, nil
 }
 
-// runGroup executes one timing group: the leader's timing stage, the
-// batched power stage across the group's cells, then the per-cell
-// measurement fan-out.
+// runGroup executes one timing group: the leader's timing stage, then the
+// per-cell fan-out (the DVFS pattern: one timing run, many measured
+// operating points). Each cell prices the group's timing results under its
+// own configuration — the leader reuses the simulator's model, the others
+// differ only in power-side parameters (that is what put them in this
+// group), so they build the power stage alone — and, unless the plan
+// shares one card, measures on its own session.
 func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 	s := p.Spec
-	leader := g.Leader()
-
 	var gt *groupTiming
-	var powerByUnit [][]*power.RuntimeReport
 	if s.Sim {
 		var err error
-		gt, err = p.simGroupTiming(leader)
-		if err != nil {
+		if gt, err = p.simGroupTiming(g.Leader()); err != nil {
 			return err
 		}
-
-		// Batched power stage: one shared timing result per unit, one power
-		// evaluator per cell. The leader reuses the simulator's own model;
-		// the other cells differ only in power-side parameters (that is what
-		// put them in this group), so they need no timing machinery.
-		if s.Power {
-			evs := make([]*core.PowerEvaluator, len(g.Cells))
-			evs[0] = gt.simr.PowerEvaluator()
-			for ci := 1; ci < len(g.Cells); ci++ {
-				ev, err := core.NewPowerEvaluator(g.Cells[ci].Cfg)
-				if err != nil {
-					return fmt.Errorf("sweep: %s: %s: %w", s.Name, g.Cells[ci], err)
-				}
-				evs[ci] = ev
-			}
-			powerByUnit = make([][]*power.RuntimeReport, len(gt.units))
-			for i := range gt.units {
-				rts, err := core.EvaluatePowerBatch(evs, gt.timings[i])
-				if err != nil {
-					return fmt.Errorf("sweep: %s: %s: unit %s: %w", s.Name, leader, gt.units[i].Name, err)
-				}
-				powerByUnit[i] = rts
-			}
-		}
 	}
-
-	// Per-cell assembly and measurement, fanned out when the group has
-	// several cells (the DVFS pattern: one timing run, many measured
-	// operating points).
 	return runner.ForEach(len(g.Cells), func(ci int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -261,22 +257,50 @@ func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 		c := g.Cells[ci]
 		cr := &CellResult{Cell: c}
 		if gt != nil {
-			for i := range gt.units {
-				ur := UnitResult{Unit: gt.units[i], Timing: gt.timings[i]}
-				if powerByUnit != nil {
-					ur.Power = powerByUnit[i][ci]
+			var ev *core.PowerEvaluator
+			if s.Power {
+				ev = gt.simr.PowerEvaluator()
+				if ci > 0 {
+					var err error
+					if ev, err = core.NewPowerEvaluator(c.Cfg); err != nil {
+						return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
+					}
 				}
-				cr.Units = append(cr.Units, ur)
+			}
+			cr.Units = make([]UnitResult, len(gt.units))
+			for i := range gt.units {
+				ur := &cr.Units[i]
+				*ur = UnitResult{Unit: gt.units[i], Timing: gt.timings[i]}
+				if ev != nil {
+					rt, err := ev.EvaluatePower(ur.Timing)
+					if err != nil {
+						return fmt.Errorf("sweep: %s: %s: unit %s: %w", s.Name, c, ur.Unit.Name, err)
+					}
+					ur.Power = rt
+				}
 			}
 		}
-		if s.Measure {
+		if s.Measure && emit.card == nil {
 			if err := p.measureCell(c, nil, cr); err != nil {
 				return err
 			}
 		}
-		emit.done(cr)
-		return nil
+		return emit.done(cr)
 	})
+}
+
+// sessionCard builds the virtual card for the cell's configuration on the
+// session tag the spec derives for it.
+func (p *Plan) sessionCard(c *Cell) (*hw.Card, error) {
+	session := ""
+	if p.Spec.Session != nil {
+		session = p.Spec.Session(c)
+	}
+	card, err := hw.NewCardSession(c.Cfg, session)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %s: %s: %w", p.Spec.Name, c, err)
+	}
+	return card, nil
 }
 
 // measureCell measures every unit of the cell on a virtual card: the cell's
@@ -289,14 +313,9 @@ func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 	s := p.Spec
 	if card == nil {
-		session := ""
-		if s.Session != nil {
-			session = s.Session(c)
-		}
 		var err error
-		card, err = hw.NewCardSession(c.Cfg, session)
-		if err != nil {
-			return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
+		if card, err = p.sessionCard(c); err != nil {
+			return err
 		}
 	}
 	if c.ClockScale != card.ClockScale() {
@@ -341,82 +360,6 @@ func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 	}
 	for i := range ms {
 		cr.Units[i].Meas = &ms[i]
-	}
-	return nil
-}
-
-// runShared executes a SharedCard plan strictly sequentially: one card,
-// built from the first cell's configuration, measures every cell in plan
-// order, so the rig's noise stream advances exactly as the reproduced
-// methodology prescribes. The timing stage still runs per group leader —
-// here each cell is usually its own group — and verification/power behave
-// as in the grouped path.
-func (p *Plan) runShared(ctx context.Context, emit *emitter) error {
-	s := p.Spec
-	session := ""
-	if s.Session != nil {
-		session = s.Session(p.Cells[0])
-	}
-	card, err := hw.NewCardSession(p.Cells[0].Cfg, session)
-	if err != nil {
-		return fmt.Errorf("sweep: %s: %w", s.Name, err)
-	}
-
-	// Timing results are shared per group even on the sequential path; the
-	// timing stage itself is the same simGroupTiming the grouped path runs,
-	// lazily on the first cell of each group the plan order reaches (the
-	// group's leader, since both orders derive from cell order).
-	timingByGroup := map[*Group]*groupTiming{}
-	groupOf := map[*Cell]*Group{}
-	for _, g := range p.Groups {
-		for _, c := range g.Cells {
-			groupOf[c] = g
-		}
-	}
-
-	for _, c := range p.Cells {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		g := groupOf[c]
-		cr := &CellResult{Cell: c}
-		if s.Sim {
-			gt, ok := timingByGroup[g]
-			if !ok {
-				var err error
-				gt, err = p.simGroupTiming(c)
-				if err != nil {
-					return err
-				}
-				timingByGroup[g] = gt
-			}
-			for i := range gt.units {
-				cr.Units = append(cr.Units, UnitResult{Unit: gt.units[i], Timing: gt.timings[i]})
-			}
-			if s.Power {
-				ev := gt.simr.PowerEvaluator()
-				if c != g.Leader() {
-					var err error
-					ev, err = core.NewPowerEvaluator(c.Cfg)
-					if err != nil {
-						return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
-					}
-				}
-				for i := range cr.Units {
-					rt, err := ev.EvaluatePower(cr.Units[i].Timing)
-					if err != nil {
-						return fmt.Errorf("sweep: %s: %s: unit %s: %w", s.Name, c, cr.Units[i].Unit.Name, err)
-					}
-					cr.Units[i].Power = rt
-				}
-			}
-		}
-		if s.Measure {
-			if err := p.measureCell(c, card, cr); err != nil {
-				return err
-			}
-		}
-		emit.done(cr)
 	}
 	return nil
 }

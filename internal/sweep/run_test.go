@@ -101,11 +101,11 @@ func TestRunTimingDedupCounts(t *testing.T) {
 	}
 }
 
-// TestRunBatchedVsSequentialPower pins bit-identical batched power: every
-// cell's report from the engine's EvaluatePowerBatch path equals an
-// independent sequential Simulate+EvaluatePower of that cell's exact
+// TestRunPowerMatchesDirectEvaluation pins bit-identical group pricing:
+// every cell's report, priced against its group's shared timing result,
+// equals an independent Simulate+EvaluatePower of that cell's exact
 // configuration.
-func TestRunBatchedVsSequentialPower(t *testing.T) {
+func TestRunPowerMatchesDirectEvaluation(t *testing.T) {
 	p, err := runSpec(1002).Plan(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestRunBatchedVsSequentialPower(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cr.Units[0].Power, want) {
-			t.Errorf("cell %s: batched power diverged from sequential evaluation", cr.Cell)
+			t.Errorf("cell %s: group-priced power diverged from direct evaluation", cr.Cell)
 		}
 		if !reflect.DeepEqual(cr.Units[0].Timing.Perf, tr.Perf) {
 			t.Errorf("cell %s: shared timing snapshot diverged from direct simulation", cr.Cell)

@@ -13,10 +13,11 @@
 //     once per sweep (the planner's explicit counterpart of the
 //     content-addressed cache in internal/simcache),
 //   - executes the plan over internal/runner's worker pool: the group
-//     leader runs the timing stage, every cell in the group is then priced
-//     by the batched power stage (core.EvaluatePowerBatch — one shared
-//     TimingResult, N power variants) and, for measured sweeps, each cell
-//     is measured on its own deterministic virtual-card session,
+//     leader runs the timing stage, then every cell of the group prices
+//     that one shared TimingResult under its own power model and, for
+//     measured sweeps, is measured on its own deterministic virtual-card
+//     session — or, for a SharedCard spec, on the plan's one card as the
+//     cell reaches the head of plan order,
 //   - streams per-cell results in plan order (Run's stream callback) and
 //     returns them in the same deterministic order.
 //
@@ -55,7 +56,9 @@ type Workload struct {
 type Instance struct {
 	Mem   *kernel.GlobalMem
 	Units []Unit
-	// Verify checks the functional output after the timing stage (optional).
+	// Verify checks the functional output after the timing stage
+	// (optional): the group leader's instance is checked, and replayed
+	// cells are bit-identical by the cache's determinism contract.
 	Verify func() error
 }
 
@@ -110,7 +113,7 @@ type Axis struct {
 // Spec is a declarative sweep: named axes over configurations and
 // workloads, plus the stages every cell runs. The zero stages are off; a
 // spec enables the combination it needs (the ablations are Sim+Power, DVFS
-// is Measure-only, Figure 6 is all four).
+// is Measure-only, Figure 6 is all three).
 type Spec struct {
 	// Name is the scenario identity ("dvfs", "fig6", ...).
 	Name string
@@ -130,13 +133,9 @@ type Spec struct {
 	// Sim runs the timing stage (through the simulation-result cache) once
 	// per timing group.
 	Sim bool
-	// Power prices every cell's configuration against the group's shared
-	// timing results (batched power evaluation). Implies Sim.
+	// Power prices every cell's configuration against its group's shared
+	// timing results, each cell with its own power model. Implies Sim.
 	Power bool
-	// Verify checks the sim-side instance's functional output (group
-	// leader's instance; replayed cells are bit-identical by the cache's
-	// determinism contract).
-	Verify bool
 	// Measure measures every cell's units on a virtual card.
 	Measure bool
 
@@ -144,8 +143,9 @@ type Spec struct {
 	// tags give sweep cells independent DAQ noise streams while keeping each
 	// cell deterministic). Nil means the card's default stream.
 	Session func(c *Cell) string
-	// SharedCard serializes the whole sweep onto one card built from the
-	// first cell's configuration: for experiments whose methodology
+	// SharedCard measures the whole sweep on one card built from the first
+	// cell's configuration, one cell after another in plan order (timing
+	// and power still fan out by group): for experiments whose methodology
 	// differences consecutive measurements on one physical rig (the
 	// energy-per-op lane differencing), where the DAQ noise stream's order
 	// dependence is part of the methodology being reproduced.
