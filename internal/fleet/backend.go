@@ -132,9 +132,10 @@ func (b *Backend) probe(ctx context.Context, timeout time.Duration, threshold in
 	return b.observe(hi, ok, err, threshold)
 }
 
-// markDead force-trips the breaker (the stream proxy's synchronous
-// verdict after a connection to the backend died and a confirm-probe
-// failed). Returns true on the transition, false if already dead.
+// markDead force-trips the breaker (the router's synchronous verdict
+// after a request to the backend failed and a confirm probe failed too,
+// or a faultpoint dropped it). Returns true on the transition, false if
+// already dead.
 func (b *Backend) markDead() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

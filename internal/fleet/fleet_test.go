@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gpusimpow/internal/config"
 	_ "gpusimpow/internal/experiments" // registers every scenario
 	"gpusimpow/internal/service"
 	"gpusimpow/internal/sweep"
@@ -21,6 +23,40 @@ import (
 // testScenario is the cheapest registered real sweep: 5 cells, 1 timing
 // group, with a reduction — everything a fleet job needs.
 const testScenario = "ablation-processnode"
+
+// blockGate, while armed, holds every workload build of the fleetblock
+// scenario (testScenario under another name): a fleetblock job occupies a
+// backend worker for as long as a test needs. Unarmed, builds pass
+// straight through, so scenario listings and cost estimates still work.
+var blockGate atomic.Pointer[chan struct{}]
+
+func init() {
+	base, _ := sweep.Lookup(testScenario)
+	sweep.Register(sweep.Scenario{
+		Name: "fleetblock", Title: "fleet-test blocking scenario",
+		Reduce: base.Reduce,
+		Spec: func() *sweep.Spec {
+			sp := base.Spec()
+			sp.Name = "fleetblock"
+			workload := sp.Workload
+			sp.Workload = func(c *sweep.Cell) (*sweep.Workload, error) {
+				w, err := workload(c)
+				if err != nil {
+					return nil, err
+				}
+				blocked := *w
+				blocked.Build = func(cfg *config.GPU) (*sweep.Instance, error) {
+					if gate := blockGate.Load(); gate != nil {
+						<-*gate
+					}
+					return w.Build(cfg)
+				}
+				return &blocked, nil
+			}
+			return sp
+		},
+	})
+}
 
 // backendFixture is one gpowd-equivalent: a Manager behind its HTTP API.
 type backendFixture struct {
@@ -388,6 +424,62 @@ func TestRedispatchExactlyOnce(t *testing.T) {
 	}
 	if n := len(survivor.m.Jobs()); n != 1 {
 		t.Errorf("survivor %s holds %d jobs, want exactly 1", survivor.name, n)
+	}
+}
+
+// A job canceled while queued ends its stream with the backend's
+// {"error": ...} trailer. Through the router the stream, trailer
+// included, is byte-identical to the backend's own, and the client
+// returns the same error either way.
+func TestRouterForwardsCancelTrailer(t *testing.T) {
+	gate := make(chan struct{})
+	blockGate.Store(&gate)
+	defer func() {
+		blockGate.Store(nil)
+		close(gate)
+	}()
+
+	_, rtSrv, fixtures := newTestFleet(t, 1, nil)
+	backend := fixtures[0]
+	// Two fleetblock jobs hold both of the backend's workers, so the job
+	// the router dispatches next queues behind them.
+	for i := 0; i < 2; i++ {
+		j, err := backend.m.Submit(sweep.JobRequest{Scenario: "fleetblock"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer backend.m.Cancel(j.ID())
+	}
+	c := routerClient(rtSrv)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	bid := assignmentOf(t, rtSrv, st.ID).BackendID
+
+	direct := rawStream(t, backend.srv.Client(), backend.srv.URL+"/v1/jobs/"+bid+"/cells")
+	if !bytes.HasPrefix(direct, []byte(`{"error":`)) || bytes.Count(direct, []byte("\n")) != 1 {
+		t.Fatalf("backend stream of a canceled queued job = %q, want one error trailer", direct)
+	}
+	if proxied := rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/jobs/"+st.ID+"/cells"); !bytes.Equal(proxied, direct) {
+		t.Errorf("proxied stream %q, backend's own %q", proxied, direct)
+	}
+
+	streamErr := func(c *service.Client, id string) string {
+		err := c.StreamCells(ctx, id, func(*sweep.CellRecord) error { return nil })
+		if err == nil {
+			t.Fatalf("stream of canceled job %s returned nil", id)
+		}
+		return err.Error()
+	}
+	// The error names the job by the ID its caller used.
+	want := strings.ReplaceAll(streamErr(&service.Client{Base: backend.srv.URL, HTTP: backend.srv.Client()}, bid), bid, st.ID)
+	if got := streamErr(c, st.ID); got != want {
+		t.Errorf("through the router StreamCells returned %q, directly %q", got, want)
 	}
 }
 

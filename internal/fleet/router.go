@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -12,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -81,6 +78,11 @@ type Router struct {
 	byClientKey map[string]string // client Idempotency-Key -> fleet job ID
 	nextID      int
 
+	// streams is the follow policy of proxied streams: patience and
+	// backoff only, since each attempt reads through the job's current
+	// backend client.
+	streams *service.Client
+
 	probeCancel context.CancelFunc
 	probeWG     sync.WaitGroup
 
@@ -111,6 +113,7 @@ func NewRouter(opts Options) (*Router, error) {
 		backends:    map[string]*Backend{},
 		jobs:        map[string]*fleetJob{},
 		byClientKey: map[string]string{},
+		streams:     &service.Client{RetryBase: 50 * time.Millisecond, RetryMax: 800 * time.Millisecond, Logf: opts.Logf},
 	}
 	for _, bs := range opts.Backends {
 		if bs.Name == "" || bs.URL == "" || rt.backends[bs.Name] != nil {
@@ -259,23 +262,6 @@ func Owner(names []string, req sweep.JobRequest) (routingKey, owner string, err 
 	return key, NewRing(names).Lookup(key, nil), nil
 }
 
-// --- HTTP plumbing (mirrors internal/service's envelope) ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
 // healthz reports the router's own liveness plus a per-backend breaker
 // summary. The router serves as long as it runs — a fleet with every
 // backend dead still answers (503) rather than vanishing.
@@ -295,7 +281,7 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		status = "no-routable-backends"
 	}
-	writeJSON(w, code, map[string]any{"status": status, "backends": states})
+	service.WriteJSON(w, code, map[string]any{"status": status, "backends": states})
 }
 
 // anyAlive returns a backend able to answer read-only queries (healthy
@@ -319,11 +305,11 @@ func (rt *Router) anyAlive() *Backend {
 func (rt *Router) scenarios(w http.ResponseWriter, r *http.Request) {
 	b := rt.anyAlive()
 	if b == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no live backends"))
+		service.WriteError(w, http.StatusServiceUnavailable, errors.New("no live backends"))
 		return
 	}
 	if err := rt.proxyRaw(w, r, b, "/v1/scenarios"); err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		service.WriteError(w, http.StatusBadGateway, err)
 	}
 }
 
@@ -398,7 +384,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
 
@@ -411,10 +397,10 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		if ok && j != nil {
 			st, err := rt.backendStatus(r.Context(), j)
 			if err != nil {
-				writeError(w, http.StatusBadGateway, err)
+				service.WriteError(w, http.StatusBadGateway, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, st)
+			service.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 	}
@@ -425,7 +411,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, sweep.ErrUnknownScenario) {
 			code = http.StatusNotFound
 		}
-		writeError(w, code, err)
+		service.WriteError(w, code, err)
 		return
 	}
 	routingKey := plan.RoutingKey()
@@ -438,7 +424,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	for {
 		b := rt.pickBackend(routingKey, excluded)
 		if b == nil {
-			writeError(w, http.StatusServiceUnavailable, errors.New("no routable backends"))
+			service.WriteError(w, http.StatusServiceUnavailable, errors.New("no routable backends"))
 			return
 		}
 		st, err := b.client.SubmitKeyed(r.Context(), req, key)
@@ -478,7 +464,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		rt.logf("fleet: %s -> %s (%s) key %.16s...", fleetID, b.Name, st.ID, routingKey)
 
 		st.ID = fleetID
-		writeJSON(w, http.StatusAccepted, st)
+		service.WriteJSON(w, http.StatusAccepted, st)
 		return
 	}
 }
@@ -490,51 +476,70 @@ func (rt *Router) lookup(w http.ResponseWriter, r *http.Request) (*fleetJob, boo
 	j := rt.jobs[id]
 	rt.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		service.WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return nil, false
 	}
 	return j, true
 }
 
-// backendStatus fetches a fleet job's status from its current backend,
-// rewritten into the fleet ID namespace. A dead backend triggers failover
-// and one retry against the new home.
+// backendStatus fetches a fleet job's status from its current backend
+// (failing over a dead one, see atJob), rewritten into the fleet ID
+// namespace.
 func (rt *Router) backendStatus(ctx context.Context, j *fleetJob) (*service.JobStatus, error) {
-	for attempt := 0; ; attempt++ {
-		name, bid := j.coords()
-		b := rt.backends[name]
-		st, err := b.client.Job(ctx, bid)
-		if err == nil {
-			j.mu.Lock()
-			st.ID = j.a.ID
-			j.mu.Unlock()
-			return st, nil
+	var st *service.JobStatus
+	err := rt.atJob(ctx, j, func(b *Backend, bid string) (err error) {
+		if st, err = b.client.Job(ctx, bid); err != nil {
+			return fmt.Errorf("backend %s: %w", b.Name, err)
 		}
-		if attempt >= 1 || ctx.Err() != nil {
-			return nil, fmt.Errorf("backend %s: %w", name, err)
-		}
-		rt.confirmDead(b)
-		if newName, _ := j.coords(); newName == name {
-			return nil, fmt.Errorf("backend %s: %w", name, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	j.mu.Lock()
+	st.ID = j.a.ID
+	j.mu.Unlock()
+	return st, nil
 }
 
-// confirmDead probes a misbehaving backend synchronously; a failed
-// confirm trips the breaker and fails its jobs over immediately, without
-// waiting for the probe loop's threshold.
-func (rt *Router) confirmDead(b *Backend) {
-	pctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
-	defer cancel()
-	if _, _, err := b.client.ProbeHealth(pctx); err == nil {
-		return // alive after all; a single request hiccup
+// atJob runs try against the fleet job's current backend. When try fails
+// and backendFailed finds the job moved as a result, try runs once more
+// at the job's new home. It returns try's last error.
+func (rt *Router) atJob(ctx context.Context, j *fleetJob, try func(b *Backend, bid string) error) error {
+	name, bid := j.coords()
+	b := rt.backends[name]
+	err := try(b, bid)
+	if err == nil || ctx.Err() != nil || !rt.backendFailed(j, b, err) {
+		return err
 	}
-	if b.markDead() {
-		rt.logf("fleet: backend %s dead (confirm probe); failing over", b.Name)
+	name, bid = j.coords()
+	return try(rt.backends[name], bid)
+}
+
+// backendFailed handles a request to backend b, made for fleet job j,
+// that failed with err. A faultpoint drop marks b dead outright; anything
+// else is confirmed with a synchronous probe first, so one request hiccup
+// does not fail over a live backend. A lost backend's jobs fail over at
+// once, without waiting for the probe loop's threshold. It reports whether
+// j now lives on another backend.
+func (rt *Router) backendFailed(j *fleetJob, b *Backend, err error) (moved bool) {
+	lost := errors.Is(err, errBackendDropped)
+	if !lost {
+		pctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+		_, _, perr := b.client.ProbeHealth(pctx)
+		cancel()
+		lost = perr != nil
 	}
-	// Re-dispatch even when the breaker was already tripped: this job may
-	// have been assigned between the trip and now.
-	rt.failover(b.Name)
+	if lost {
+		if b.markDead() {
+			rt.logf("fleet: backend %s dead (%v); failing over", b.Name, err)
+		}
+		// Re-dispatch even when the breaker was already tripped: this job
+		// may have been assigned between the trip and now.
+		rt.failover(b.Name)
+	}
+	name, _ := j.coords()
+	return name != b.Name
 }
 
 // failover re-homes every fleet job currently assigned to the named
@@ -556,7 +561,7 @@ func (rt *Router) failover(name string) {
 // redispatch moves one fleet job off a lost backend: re-submit to a
 // survivor under the job's original idempotency key, then journal the new
 // coordinates. The owner re-check under j.mu makes concurrent callers
-// (probe-loop failover racing a stream proxy's confirmDead) collapse to
+// (probe-loop failover racing a stream proxy's backendFailed) collapse to
 // exactly one move — and the idempotency key makes even a true double
 // submit resolve to one backend job.
 func (rt *Router) redispatch(j *fleetJob, from string) bool {
@@ -597,10 +602,10 @@ func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := rt.backendStatus(r.Context(), j)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		service.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // listJobs aggregates every fleet job's status in creation order. A job
@@ -630,7 +635,7 @@ func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 		})
 		j.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) cancelJob(w http.ResponseWriter, r *http.Request) {
@@ -641,15 +646,15 @@ func (rt *Router) cancelJob(w http.ResponseWriter, r *http.Request) {
 	name, bid := j.coords()
 	b := rt.backends[name]
 	if err := b.client.Cancel(r.Context(), bid); err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", name, err))
+		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", name, err))
 		return
 	}
 	st, err := rt.backendStatus(r.Context(), j)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		service.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // jobReport proxies the finished job's report verbatim. A dead backend
@@ -661,203 +666,89 @@ func (rt *Router) jobReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	name, bid := j.coords()
-	err := rt.proxyRaw(w, r, rt.backends[name], "/v1/jobs/"+bid+"/report")
-	if err == nil {
-		return
+	if err := rt.atJob(r.Context(), j, func(b *Backend, bid string) error {
+		return rt.proxyRaw(w, r, b, "/v1/jobs/"+bid+"/report")
+	}); err != nil {
+		service.WriteError(w, http.StatusBadGateway, err)
 	}
-	rt.confirmDead(rt.backends[name])
-	if newName, newBid := j.coords(); newName != name {
-		if err = rt.proxyRaw(w, r, rt.backends[newName], "/v1/jobs/"+newBid+"/report"); err == nil {
-			return
-		}
-	}
-	writeError(w, http.StatusBadGateway, err)
 }
 
 // errBackendDropped marks a stream severed by the drop-backend-mid-stream
-// faultpoint: the proxy must treat the backend as lost, not just retry.
-var errBackendDropped = errors.New("fleet: faultpoint dropped backend connection")
+// faultpoint: the proxy must treat the backend as lost, not just resume.
+var errBackendDropped = fmt.Errorf("fleet: faultpoint dropped backend connection: %w", service.ErrSevered)
 
-// errStreamEnded marks a stream the backend terminated with an {"error"}
-// trailer, already forwarded to the client — the proxy is done.
-var errStreamEnded = errors.New("fleet: stream ended with error trailer")
-
-// proxyStream follows a fleet job's NDJSON endpoint across backend
-// swaps: forward complete lines verbatim (never a torn fragment), and on
-// any interruption reconnect to the job's current backend — wherever
-// failover has moved it — with ?from=<forwarded>, the same resumption
-// handle the client itself would use. The client sees one continuous
-// byte-identical stream even when the backend executing the job dies
-// mid-sweep; deterministic re-execution guarantees the resumed lines
-// match what the lost backend would have sent.
+// proxyStream serves a fleet job's NDJSON endpoint through the service
+// client's stream follower (service.Client.Follow): every attempt reads
+// from the job's current backend — wherever failover has moved it — with
+// ?from=<forwarded>, each complete line is forwarded verbatim as it
+// arrives, and between attempts backendFailed decides whether the backend
+// is lost. The client sees one continuous byte-identical stream even when
+// the backend executing the job dies mid-sweep; deterministic
+// re-execution guarantees the resumed lines match what the lost backend
+// would have sent.
 func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, endpoint string) {
 	j, ok := rt.lookup(w, r)
 	if !ok {
 		return
 	}
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid from=%q", v))
-			return
-		}
-		from = n
+	from, err := service.StreamFrom(r)
+	if err != nil {
+		service.WriteError(w, http.StatusBadRequest, err)
+		return
 	}
-	flusher, ok2 := w.(http.Flusher)
-	if !ok2 {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		service.WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	delivered := from
-	failures := 0
-	for {
-		before := delivered
+	var b *Backend // the backend of the current attempt
+	at := func() (*service.Client, string) {
 		name, bid := j.coords()
-		b := rt.backends[name]
-		err := rt.streamOnce(r.Context(), w, flusher, b, bid, endpoint, &delivered)
-		switch {
-		case errors.Is(err, errStreamEnded):
-			return
-		case err == nil:
-			// Backend's clean EOF: complete, or cut short by its drain?
-			st, jerr := b.client.Job(r.Context(), bid)
-			if jerr == nil {
-				switch {
-				case st.State == service.StateDone && delivered >= st.Cells:
-					return
-				case st.State == service.StateFailed || st.State == service.StateCanceled:
-					rt.writeTrailer(w, flusher, j, st)
-					return
-				}
-				err = fmt.Errorf("stream ended at line %d with backend job %s", delivered, st.State)
-			} else {
-				err = jerr
-			}
-		}
-		if r.Context().Err() != nil {
-			return // the riding client is gone; its own resume takes over
-		}
-		if errors.Is(err, errBackendDropped) {
-			if b.markDead() {
-				rt.logf("fleet: backend %s dead (faultpoint drop); failing over", b.Name)
-			}
-			rt.failover(b.Name)
-		} else {
-			rt.confirmDead(b) // trips the breaker + fails over if truly lost
-		}
-		if delivered > before {
-			failures = 0
-		} else {
-			failures++
-		}
-		if failures > 8 {
-			// Out of patience without progress: surface the fault as a
-			// trailer; the riding client's own resumption logic (reconnect
-			// with ?from=) takes over from here.
-			rt.writeTrailerMsg(w, flusher, fmt.Sprintf("fleet: stream interrupted at line %d: %v", delivered, err))
-			return
-		}
-		d := 25 * time.Millisecond << uint(min(failures, 5))
-		rt.logf("fleet: %s %s stream: %v; resuming from line %d in %v", j.a.ID, endpoint, err, delivered, d)
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(d):
-		}
+		b = rt.backends[name]
+		return b.client, bid
 	}
-}
-
-// streamOnce proxies one backend connection of a resumable stream,
-// bumping *delivered per complete payload line forwarded. nil is this
-// connection's clean EOF; errBackendDropped / errStreamEnded are the
-// special verdicts; anything else means "sever — reconnect and resume".
-func (rt *Router) streamOnce(ctx context.Context, w http.ResponseWriter, flusher http.Flusher, b *Backend, bid, endpoint string, delivered *int) error {
-	url := fmt.Sprintf("%s/v1/jobs/%s/%s?from=%d", b.client.Base, bid, endpoint, *delivered)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("backend %s: HTTP %d: %s", b.Name, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	rd := bufio.NewReader(resp.Body)
-	for {
-		line, err := rd.ReadBytes('\n')
-		if err != nil {
-			// A torn fragment (no trailing newline) is never forwarded —
-			// the reconnect replays that line whole, so the riding client
-			// cannot observe the sever.
-			if err == io.EOF && len(line) == 0 {
-				return nil
-			}
-			if err == io.EOF {
-				return fmt.Errorf("backend %s: stream cut mid-line", b.Name)
-			}
+	lost := func(err error) { rt.backendFailed(j, b, err) }
+	err = rt.streams.Follow(r.Context(), endpoint, from, at, lost, func(line []byte) error {
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
-		// An {"error": ...} line is the backend's terminal trailer, not a
-		// payload: forward it and end the proxy (payload lines never carry
-		// an "error" key).
-		var env struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(line, &env) == nil && env.Error != "" {
-			_, _ = w.Write(line)
-			flusher.Flush()
-			return errStreamEnded
-		}
-		if _, err := w.Write(line); err != nil {
-			return &clientGoneError{err}
-		}
 		flusher.Flush()
-		*delivered++
+		from++
 		if service.Faultpoint(service.FaultSeverProxiedStream) {
 			// Sever the *client's* connection after a flushed line — the
 			// riding client must resume through the router via ?from=N.
 			panic(http.ErrAbortHandler)
 		}
 		if service.Faultpoint(service.FaultDropBackendMidStream) {
-			// Abandon the *backend* mid-stream and treat it as lost —
-			// the in-process stand-in for a backend crash.
+			// Abandon the *backend* mid-stream and treat it as lost — the
+			// in-process stand-in for a backend crash.
 			return errBackendDropped
 		}
+		return nil
+	})
+	var msg string
+	var je *service.JobError
+	switch {
+	case err == nil || r.Context().Err() != nil:
+		return // complete, or the riding client is gone and resumes itself
+	case errors.As(err, &je):
+		// The job's own terminal trailer, re-encoded exactly as the
+		// backend encodes it.
+		msg = je.Msg
+		if msg == "" {
+			msg = fmt.Sprintf("job %s %s", r.PathValue("id"), je.State)
+		}
+	default:
+		// A fault resumption cannot fix, or patience ran out: surface it
+		// as a trailer; the riding client's own resumption takes over.
+		msg = fmt.Sprintf("fleet: stream interrupted at line %d: %v", from, err)
 	}
-}
-
-// clientGoneError marks a write failure toward the riding client.
-type clientGoneError struct{ err error }
-
-func (e *clientGoneError) Error() string { return e.err.Error() }
-func (e *clientGoneError) Unwrap() error { return e.err }
-
-// writeTrailer forwards a terminal backend state as the NDJSON error
-// trailer, mirroring the single-node stream contract.
-func (rt *Router) writeTrailer(w http.ResponseWriter, flusher http.Flusher, j *fleetJob, st *service.JobStatus) {
-	msg := st.Error
-	if msg == "" {
-		j.mu.Lock()
-		msg = fmt.Sprintf("job %s %s", j.a.ID, st.State)
-		j.mu.Unlock()
-	}
-	rt.writeTrailerMsg(w, flusher, msg)
-}
-
-func (rt *Router) writeTrailerMsg(w http.ResponseWriter, flusher http.Flusher, msg string) {
 	line, _ := json.Marshal(map[string]string{"error": msg})
 	_, _ = w.Write(append(line, '\n'))
-	flusher.Flush()
 }
 
 // --- fleet status + drain control ---
@@ -920,7 +811,7 @@ func (rt *Router) fleetStatus(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	sort.SliceStable(st.Backends, func(i, k int) bool { return st.Backends[i].Name < st.Backends[k].Name })
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // setBackendDrain flips a backend's operator drain bit: drained backends
@@ -931,7 +822,7 @@ func (rt *Router) setBackendDrain(w http.ResponseWriter, r *http.Request, draine
 	name := r.PathValue("name")
 	b := rt.backends[name]
 	if b == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no backend %q", name))
+		service.WriteError(w, http.StatusNotFound, fmt.Errorf("no backend %q", name))
 		return
 	}
 	b.setDrain(drained)
@@ -939,5 +830,5 @@ func (rt *Router) setBackendDrain(w http.ResponseWriter, r *http.Request, draine
 		rt.store.append(fleetEntry{Drain: &drainEntry{Backend: name, Drained: drained}})
 	}
 	rt.logf("fleet: backend %s drained=%v", name, drained)
-	writeJSON(w, http.StatusOK, map[string]any{"backend": name, "drained": drained, "state": b.State()})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"backend": name, "drained": drained, "state": b.State()})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/rand"
@@ -27,10 +28,12 @@ import (
 // any Retry-After the server sends. Submissions carry a generated
 // Idempotency-Key, so a retried submit whose first response was lost
 // resolves to the already-created job instead of a duplicate. The NDJSON
-// streams resume across severed connections and daemon restarts via the
-// server's ?from=N offset, delivering every line exactly once in order —
-// a consumer piping records to a file survives a mid-sweep daemon crash
-// with byte-identical output.
+// streams go through Follow, the repo's one resumable stream reader (the
+// fleet router proxies its streams through it too): they resume across
+// severed connections and daemon restarts via the server's ?from=N
+// offset, delivering every line exactly once in order — a consumer
+// piping records to a file survives a mid-sweep daemon crash with
+// byte-identical output.
 type Client struct {
 	// Base is the daemon's base URL ("http://127.0.0.1:8080").
 	Base string
@@ -216,31 +219,10 @@ func (c *Client) Scenarios(ctx context.Context) ([]*sweep.ScenarioInfo, error) {
 	return out, nil
 }
 
-// Health probes GET /v1/healthz: ok while the daemon serves, false (with
-// the reported state) while it drains. Not retried — health is a point
-// probe, and a dead daemon should report as one immediately.
-func (c *Client) Health(ctx context.Context) (state string, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/healthz"), nil)
-	if err != nil {
-		return "", false, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", false, err
-	}
-	defer resp.Body.Close()
-	var env struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return "", false, err
-	}
-	return env.Status, resp.StatusCode == http.StatusOK, nil
-}
-
-// ProbeHealth fetches the full enriched /v1/healthz payload (load, cache
-// heat, drain state). Like Health it is a point probe, never retried: a
-// dead or hung daemon should report as one within ctx's deadline.
+// ProbeHealth fetches the enriched /v1/healthz payload (status, load,
+// cache heat, drain state); ok is true for a 200, false while the daemon
+// drains. Not retried — health is a point probe, and a dead or hung
+// daemon should report as one within ctx's deadline.
 func (c *Client) ProbeHealth(ctx context.Context) (*HealthInfo, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/healthz"), nil)
 	if err != nil {
@@ -332,44 +314,71 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 }
 
 // permanentError marks a stream failure resumption cannot fix: the job
-// itself failed, the consumer's callback errored, or the server rejected
+// itself ended, the consumer's callback errored, or the server rejected
 // the request outright.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// streamNDJSON follows one of a job's NDJSON endpoints, delivering each
-// line exactly once in order across reconnects: a severed connection (or
-// restarted daemon) backs off and reconnects with ?from=<delivered>, and
-// a clean EOF is confirmed against the job's status — a drained daemon
-// ends streams early on a job that will still complete after recovery.
-func (c *Client) streamNDJSON(ctx context.Context, id, endpoint string, line func(json.RawMessage) error) error {
-	delivered := 0
-	failures := 0
+// JobError is a followed job's terminal outcome: the {"error": ...}
+// trailer its stream ended with, or a failed or canceled status found
+// after a clean end of stream.
+type JobError struct {
+	ID    string   // the job ID the stream was read under
+	State JobState // failed or canceled; empty when read from a trailer
+	Msg   string   // the job's own message, as its stream's trailer carries it
+}
+
+func (e *JobError) Error() string {
+	if e.Msg == "" {
+		return fmt.Sprintf("service: job %s %s", e.ID, e.State)
+	}
+	return fmt.Sprintf("service: job %s: %s", e.ID, e.Msg)
+}
+
+// ErrSevered, wrapped in the error a Follow line callback returns, ends
+// the connection as a broken one: the line counts as delivered and the
+// follow resumes from the next. Any other callback error ends the follow.
+var ErrSevered = errors.New("service: stream severed")
+
+// Follow follows a job's NDJSON endpoint ("cells" or "events") from line
+// from on, handing line every complete payload line, newline included,
+// exactly once and in order. Each connection attempt asks at which
+// client and job ID to read, so a job that moves between daemons is
+// followed to its new home. A broken connection, a torn last line, or a
+// clean end of stream before the job is done (a draining daemon ends its
+// streams early) counts as a failed attempt: lost, when non-nil, sees its
+// error, and after c's jittered backoff the follow reconnects with
+// ?from=<delivered>. c.RetryAttempts bounds the failed attempts in a row
+// that deliver nothing.
+//
+// Follow returns nil once the job is done and every line delivered, a
+// *JobError once it failed or was canceled, and otherwise the first error
+// resumption cannot fix: a 4xx response, a callback error, the context's
+// error, or the last failure when patience runs out.
+func (c *Client) Follow(ctx context.Context, endpoint string, from int, at func() (*Client, string), lost func(error), line func([]byte) error) error {
+	delivered, failures := from, 0
 	for {
 		before := delivered
-		err := c.streamOnce(ctx, id, endpoint, &delivered, line)
+		cl, id := at()
+		err := cl.followOnce(ctx, id, endpoint, &delivered, line)
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			return perm.err
 		}
 		if err == nil {
-			// Clean EOF: complete, or cut short by a drain?
-			st, jerr := c.Job(ctx, id)
-			if jerr != nil {
-				return jerr
-			}
+			st, jerr := cl.Job(ctx, id)
 			switch {
+			case jerr != nil:
+				err = jerr
 			case st.State == StateDone && delivered >= st.Cells:
 				return nil
 			case st.State == StateFailed || st.State == StateCanceled:
-				if st.Error != "" {
-					return fmt.Errorf("service: job %s: %s", id, st.Error)
-				}
-				return fmt.Errorf("service: job %s %s", id, st.State)
+				return &JobError{ID: id, State: st.State, Msg: st.Error}
+			default:
+				err = fmt.Errorf("service: job %s: stream ended at line %d with job %s", id, delivered, st.State)
 			}
-			err = fmt.Errorf("service: job %s: stream ended at line %d with job %s", id, delivered, st.State)
 		}
 		if ctx.Err() != nil {
 			return err
@@ -382,7 +391,10 @@ func (c *Client) streamNDJSON(ctx context.Context, id, endpoint string, line fun
 		if failures > c.attempts() {
 			return err
 		}
-		d := c.backoff(failures - 1)
+		if lost != nil {
+			lost(err)
+		}
+		d := c.backoff(max(failures-1, 0))
 		c.logf("service: job %s %s stream: %v; resuming from line %d in %v", id, endpoint, err, delivered, d)
 		if serr := sleepBounded(ctx, d); serr != nil {
 			return errors.Join(serr, err)
@@ -390,11 +402,11 @@ func (c *Client) streamNDJSON(ctx context.Context, id, endpoint string, line fun
 	}
 }
 
-// streamOnce runs one connection of a resumable stream, bumping
+// followOnce reads one connection of a followed stream, bumping
 // *delivered per line handed to fn. A nil return is this connection's
-// clean EOF (not necessarily the stream's end); non-permanent errors
-// mean "sever — reconnect and resume".
-func (c *Client) streamOnce(ctx context.Context, id, endpoint string, delivered *int, fn func(json.RawMessage) error) error {
+// clean end (not necessarily the stream's); an error not wrapped in
+// *permanentError means "reconnect and resume".
+func (c *Client) followOnce(ctx context.Context, id, endpoint string, delivered *int, fn func([]byte) error) error {
 	resp, err := c.do(ctx, http.MethodGet,
 		fmt.Sprintf("/v1/jobs/%s/%s?from=%d", id, endpoint, *delivered), nil, "")
 	if err != nil {
@@ -404,27 +416,36 @@ func (c *Client) streamOnce(ctx context.Context, id, endpoint string, delivered 
 	if resp.StatusCode != http.StatusOK {
 		return &permanentError{decodeError(resp)}
 	}
-	dec := json.NewDecoder(resp.Body)
+	rd := bufio.NewReader(resp.Body)
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("service: decoding %s stream: %w", endpoint, err)
+		line, err := rd.ReadBytes('\n')
+		if err == io.EOF && len(line) == 0 {
+			return nil
 		}
-		// Each line is either a payload or the terminal error envelope;
+		if err == io.EOF {
+			// A torn last line is never delivered: the resumed connection
+			// sends it again whole.
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return fmt.Errorf("service: reading job %s %s stream: %w", id, endpoint, err)
+		}
+		// Each line is either a payload or the terminal error trailer;
 		// payloads never carry an "error" key.
 		var env struct {
 			Error string `json:"error"`
 		}
-		if json.Unmarshal(raw, &env) == nil && env.Error != "" {
-			return &permanentError{fmt.Errorf("service: job %s: %s", id, env.Error)}
+		if json.Unmarshal(line, &env) == nil && env.Error != "" {
+			return &permanentError{&JobError{ID: id, Msg: env.Error}}
 		}
-		if err := fn(raw); err != nil {
+		err = fn(line)
+		if err != nil && !errors.Is(err, ErrSevered) {
 			return &permanentError{err}
 		}
 		*delivered++
+		if err != nil {
+			return err
+		}
 	}
 }
 
@@ -433,9 +454,9 @@ func (c *Client) streamOnce(ctx context.Context, id, endpoint string, delivered 
 // restarts. It returns when the job's stream is complete, fn errors, or
 // the job terminates without finishing.
 func (c *Client) StreamCells(ctx context.Context, id string, fn func(*sweep.CellRecord) error) error {
-	return c.streamNDJSON(ctx, id, "cells", func(raw json.RawMessage) error {
+	return c.Follow(ctx, "cells", 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
 		var rec sweep.CellRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("service: decoding cell record: %w", err)
 		}
 		return fn(&rec)
@@ -447,9 +468,9 @@ func (c *Client) StreamCells(ctx context.Context, id string, fn func(*sweep.Cell
 // cell's record plus done/total counters and the cost-weighted completion
 // fraction), with the same resumption semantics as StreamCells.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(*sweep.Progress) error) error {
-	return c.streamNDJSON(ctx, id, "events", func(raw json.RawMessage) error {
+	return c.Follow(ctx, "events", 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
 		var pr sweep.Progress
-		if err := json.Unmarshal(raw, &pr); err != nil {
+		if err := json.Unmarshal(line, &pr); err != nil {
 			return fmt.Errorf("service: decoding progress event: %w", err)
 		}
 		if pr.Cell == nil {

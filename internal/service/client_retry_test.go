@@ -74,14 +74,14 @@ func TestClientRetries5xxNot4xx(t *testing.T) {
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		gets.Add(1)
 		if fails.Add(-1) >= 0 {
-			writeError(w, http.StatusBadGateway, errors.New("injected 502"))
+			WriteError(w, http.StatusBadGateway, errors.New("injected 502"))
 			return
 		}
-		writeJSON(w, http.StatusOK, []JobStatus{})
+		WriteJSON(w, http.StatusOK, []JobStatus{})
 	})
 	mux.HandleFunc("GET /v1/jobs/nope", func(w http.ResponseWriter, r *http.Request) {
 		gets.Add(1)
-		writeError(w, http.StatusNotFound, errors.New("no job"))
+		WriteError(w, http.StatusNotFound, errors.New("no job"))
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -107,10 +107,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if !rejected.Swap(true) {
-			writeError(w, http.StatusTooManyRequests, errors.New("queue full (injected)"))
+			WriteError(w, http.StatusTooManyRequests, errors.New("queue full (injected)"))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-1", State: StateQueued})
+		WriteJSON(w, http.StatusAccepted, JobStatus{ID: "job-1", State: StateQueued})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -124,7 +124,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if st.ID != "job-1" {
 		t.Errorf("status %+v", st)
 	}
-	// writeError stamps Retry-After: 1 on 429s; the retry must have waited
+	// WriteError stamps Retry-After: 1 on 429s; the retry must have waited
 	// roughly that second rather than the client's 5ms cap.
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
 		t.Errorf("retried after %v; Retry-After: 1 not honored", elapsed)
@@ -139,7 +139,7 @@ func TestClientBackoffBoundedByDeadline(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full (injected)"})
+		WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": "queue full (injected)"})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -278,7 +278,7 @@ func TestClientStreamChecksJobOnEOF(t *testing.T) {
 			st.State = StateDone
 			st.DoneCells = 2
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -309,6 +309,46 @@ func TestClientStreamChecksJobOnEOF(t *testing.T) {
 	}
 }
 
+// A connection that ends inside a line is a broken connection, not a
+// clean end of stream: only the complete line before the tear is
+// delivered, and the torn line arrives whole after resuming from=1.
+func TestClientStreamTornLine(t *testing.T) {
+	var streams, statuses atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/job-1/cells", func(w http.ResponseWriter, r *http.Request) {
+		line, _ := json.Marshal(&sweep.CellRecord{Index: 1})
+		if streams.Add(1) == 1 {
+			_ = json.NewEncoder(w).Encode(&sweep.CellRecord{Index: 0})
+			_, _ = w.Write(line[:len(line)/2])
+			return
+		}
+		if from := r.URL.Query().Get("from"); from != "1" {
+			t.Errorf("resume connect from=%q, want 1", from)
+		}
+		_, _ = w.Write(append(line, '\n'))
+	})
+	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
+		statuses.Add(1)
+		WriteJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateDone, Cells: 2, DoneCells: 2})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var got []int
+	if err := fastRetry(srv).StreamCells(context.Background(), "job-1", func(rec *sweep.CellRecord) error {
+		got = append(got, rec.Index)
+		return nil
+	}); err != nil {
+		t.Fatalf("stream should resume after a torn line: %v", err)
+	}
+	if fmt.Sprint(got) != "[0 1]" {
+		t.Errorf("delivered %v, want [0 1]", got)
+	}
+	if n := statuses.Load(); n != 1 {
+		t.Errorf("job status checked %d times, want once (after the resumed stream's end)", n)
+	}
+}
+
 // /v1/healthz flips to 503 when the manager drains; ?from validation
 // rejects garbage; the Idempotency-Key header replays over raw HTTP.
 func TestHealthzFromAndIdempotencyHTTP(t *testing.T) {
@@ -318,8 +358,8 @@ func TestHealthzFromAndIdempotencyHTTP(t *testing.T) {
 	c := &Client{Base: srv.URL, HTTP: srv.Client()}
 	ctx := context.Background()
 
-	if state, ok, err := c.Health(ctx); err != nil || !ok || state != "ok" {
-		t.Errorf("healthz: %q %v %v", state, ok, err)
+	if hi, ok, err := c.ProbeHealth(ctx); err != nil || !ok || hi.Status != "ok" {
+		t.Errorf("healthz: %+v %v %v", hi, ok, err)
 	}
 
 	// Raw idempotent submits: 202 then 200, same job.
@@ -362,9 +402,9 @@ func TestHealthzFromAndIdempotencyHTTP(t *testing.T) {
 
 	// Drained manager: healthz 503, submits 503.
 	m.Shutdown(ctx)
-	state, ok, err := c.Health(ctx)
-	if err != nil || ok || state == "ok" {
-		t.Errorf("healthz after shutdown: %q %v %v", state, ok, err)
+	hi, ok, err := c.ProbeHealth(ctx)
+	if err != nil || ok || hi.Status == "ok" {
+		t.Errorf("healthz after shutdown: %+v %v %v", hi, ok, err)
 	}
 	// A *known* key still replays during drain (replays are reads); a
 	// fresh submission is refused.

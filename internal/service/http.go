@@ -67,8 +67,9 @@ type server struct {
 	scenErr  error
 }
 
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes one JSON response, indented — the envelope gpowd and
+// the fleet router share.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -76,13 +77,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError writes the service's error envelope. Backpressure codes
+// WriteError writes the service's error envelope. Backpressure codes
 // (429 saturated, 503 draining) carry a Retry-After the client honors.
-func writeError(w http.ResponseWriter, code int, err error) {
+func WriteError(w http.ResponseWriter, code int, err error) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// StreamFrom parses a stream request's ?from=N resumption offset, the
+// number of lines the reader already has (0 when absent).
+func StreamFrom(r *http.Request) (int, error) {
+	v := r.URL.Query().Get("from")
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("invalid from=%q", v)
+	}
+	return n, nil
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
@@ -97,16 +112,16 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, hi)
+	WriteJSON(w, code, hi)
 }
 
 func (s *server) scenarios(w http.ResponseWriter, r *http.Request) {
 	s.scenOnce.Do(func() { s.scenInfo, s.scenErr = sweep.DescribeAll() })
 	if s.scenErr != nil {
-		writeError(w, http.StatusInternalServerError, s.scenErr)
+		WriteError(w, http.StatusInternalServerError, s.scenErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.scenInfo)
+	WriteJSON(w, http.StatusOK, s.scenInfo)
 }
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
@@ -114,7 +129,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
 	j, replayed, err := s.m.SubmitIdempotent(req, r.Header.Get("Idempotency-Key"))
@@ -129,27 +144,27 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, sweep.ErrUnknownScenario):
 			code = http.StatusNotFound
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	if replayed {
 		// The key already named a submission (a retry of a response the
 		// client never saw): acknowledge the existing job, don't duplicate.
-		writeJSON(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Status())
+	WriteJSON(w, http.StatusAccepted, j.Status())
 }
 
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.Statuses())
+	WriteJSON(w, http.StatusOK, s.m.Statuses())
 }
 
 func (s *server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.m.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return nil, false
 	}
 	return j, true
@@ -157,7 +172,7 @@ func (s *server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *server) jobStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 	}
 }
 
@@ -167,7 +182,7 @@ func (s *server) cancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = s.m.Cancel(j.ID())
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *server) jobCells(w http.ResponseWriter, r *http.Request) {
@@ -199,14 +214,10 @@ func (s *server) streamJob(w http.ResponseWriter, r *http.Request, next func(*Jo
 	if !ok {
 		return
 	}
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid from=%q", v))
-			return
-		}
-		from = n
+	from, err := StreamFrom(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -259,8 +270,8 @@ func (s *server) jobReport(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, sweep.ErrUnknownScenario):
 			code = http.StatusNotFound
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	WriteJSON(w, http.StatusOK, rep)
 }

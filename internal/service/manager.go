@@ -999,20 +999,6 @@ func (j *Job) interrupt() {
 	}
 }
 
-// Health reports the manager's liveness for GET /v1/healthz: ok until
-// draining or closed.
-func (m *Manager) Health() (state string, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch {
-	case m.closed:
-		return "closed", false
-	case m.draining:
-		return "draining", false
-	}
-	return "ok", true
-}
-
 // HealthInfo is the enriched GET /v1/healthz body: enough signal for a
 // fleet router to score backends (load, cache heat, drain state) instead
 // of treating health as a boolean. The bare 200/503 status-code contract
@@ -1026,20 +1012,26 @@ type HealthInfo struct {
 	Cache    simcache.Stats `json:"cache"`   // process-wide simcache counters
 }
 
-// HealthInfo returns the enriched health payload; ok mirrors Health().
+// HealthInfo returns the GET /v1/healthz payload; ok (the 200 case) holds
+// until the manager drains or closes.
 func (m *Manager) HealthInfo() (HealthInfo, bool) {
-	state, ok := m.Health()
 	m.mu.Lock()
 	hi := HealthInfo{
-		Status:   state,
-		Draining: state != "ok",
-		Queued:   len(m.pending),
-		Running:  m.runningCount,
-		Jobs:     len(m.jobs),
+		Status:  "ok",
+		Queued:  len(m.pending),
+		Running: m.runningCount,
+		Jobs:    len(m.jobs),
+	}
+	switch {
+	case m.closed:
+		hi.Status = "closed"
+	case m.draining:
+		hi.Status = "draining"
 	}
 	m.mu.Unlock()
+	hi.Draining = hi.Status != "ok"
 	hi.Cache = simcache.Default().Stats()
-	return hi, ok
+	return hi, !hi.Draining
 }
 
 // Shutdown drains the manager gracefully: new submissions are rejected
