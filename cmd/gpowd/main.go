@@ -17,7 +17,7 @@
 // re-simulating.
 //
 // -state-dir makes jobs durable: submissions, state transitions, cell
-// records, reports and the ETA calibration are journaled there, and a
+// records and the ETA calibration are journaled there, and a
 // restarted daemon recovers them — completed jobs come back intact,
 // queued jobs re-enqueue in submit order, and jobs the previous process
 // was executing when it died re-execute bit-identically (see

@@ -114,11 +114,12 @@ func measuredStaticW(gpu string) (float64, *hw.Card, error) {
 	if !ok {
 		return 0, nil, fmt.Errorf("experiments: unknown GPU %q", gpu)
 	}
-	ref, err := hw.NewCard(config.GT240())
+	refCfg := config.GT240()
+	ref, err := hw.NewCard(refCfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	refStatic, err := estimateStaticByFrequency(ref)
+	refStatic, err := estimateStaticByFrequency(ref, refCfg)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -134,24 +135,31 @@ func measuredStaticW(gpu string) (float64, *hw.Card, error) {
 }
 
 // estimateStaticByFrequency implements the Section IV-B methodology on a
-// virtual card: measure the same kernel at the stock clock and at 20 % lower,
+// virtual card: measure the DVFS study's compute-bound kernel, built for
+// the card's configuration cfg, at the stock clock and at 20 % lower,
 // then extrapolate linearly to 0 Hz, where only static power remains. The
 // result includes the DRAM background (the rig measures the whole board);
 // the GPU-only static is obtained by subtracting the card's DRAM idle power.
 // Cycle counts are clock-invariant (the card scales clocks analytically), so
 // the two operating points — and every later caller of this estimator in
 // the same process — share a single cached timing simulation.
-func estimateStaticByFrequency(card *hw.Card) (float64, error) {
+func estimateStaticByFrequency(card *hw.Card, cfg *config.GPU) (float64, error) {
 	measure := func(scale float64) (float64, error) {
 		if err := card.SetClockScale(scale); err != nil {
 			return 0, err
 		}
-		l, mem := microFPBusy(card)
-		m, err := card.MeasureKernel(l, mem, nil, 0)
+		inst, err := fpBusyWorkload.Build(cfg)
 		if err != nil {
 			return 0, err
 		}
-		return m.AvgPowerW, nil
+		u := &inst.Units[0]
+		_, ms, err := card.MeasureSequence([]hw.SeqItem{{
+			Launch: u.Launch, Mem: inst.Mem, CMem: u.CMem, MinWindowS: u.MinWindowS,
+		}})
+		if err != nil {
+			return 0, err
+		}
+		return ms[0].AvgPowerW, nil
 	}
 	p100, err := measure(1.0)
 	if err != nil {
@@ -166,19 +174,6 @@ func estimateStaticByFrequency(card *hw.Card) (float64, error) {
 	}
 	boardStatic := (p80*1.0 - p100*0.8) / 0.2
 	return boardStatic - card.DRAMIdleW(), nil
-}
-
-// microFPBusy builds a compute-bound FP kernel occupying every core of the
-// card (one resident block per core, fully unrolled inner loop).
-func microFPBusy(card *hw.Card) (*kernel.Launch, *kernel.GlobalMem) {
-	return busyFPKernel(cardCores(card)*2, 256, 40)
-}
-
-func cardCores(card *hw.Card) int {
-	if mk, ok := config.Presets()[card.Name()]; ok {
-		return mk().NumCores()
-	}
-	return 12
 }
 
 // busyFPBody emits `unroll` FFMA operations per loop iteration for `iters`

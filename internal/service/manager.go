@@ -46,24 +46,24 @@ type Options struct {
 	// independent of RetainJobs. 0 keeps everything.
 	RetainAge time.Duration
 	// StateDir enables the durable job store (see store.go): submissions,
-	// state transitions, cell records, reports and the ETA calibration are
+	// state transitions, cell records and the ETA calibration are
 	// journaled under this directory, and OpenManager recovers them —
 	// terminal jobs restore intact, queued jobs re-enqueue, jobs that were
 	// running when the process died are marked interrupted and re-execute.
-	// Empty keeps the PR-4 in-memory-only behavior.
+	// Empty keeps the jobs in memory only.
 	StateDir string
-	// JobTimeoutScale scales the EWMA-calibrated wall-clock estimate of a
-	// job into its timeout: a job is failed once it has run longer than
-	// Scale x its calibrated estimate (never less than JobTimeoutFloor).
-	// Timeouts only engage once the ETA model has at least one
-	// observation — an uncalibrated daemon cannot distinguish slow from
-	// stuck. 0 selects 20; negative disables timeouts.
-	JobTimeoutScale float64
-	// JobTimeoutFloor is the minimum per-job timeout (0 selects 30s) —
-	// the calibrated estimate of a tiny job is milliseconds, and a 20x
-	// margin of milliseconds would misfire on any scheduling hiccup.
-	JobTimeoutFloor time.Duration
 }
+
+// A job is failed once it has run longer than jobTimeoutScale times its
+// EWMA-calibrated wall-clock estimate, and never sooner than
+// jobTimeoutFloor: the calibrated estimate of a tiny job is milliseconds,
+// and a 20x margin of milliseconds would misfire on any scheduling
+// hiccup. Timeouts only engage once the ETA model has at least one
+// observation — an uncalibrated daemon cannot distinguish slow from stuck.
+const (
+	jobTimeoutScale = 20.0
+	jobTimeoutFloor = 30 * time.Second
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -72,12 +72,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxQueued <= 0 {
 		out.MaxQueued = 16
-	}
-	if out.JobTimeoutScale == 0 {
-		out.JobTimeoutScale = 20
-	}
-	if out.JobTimeoutFloor <= 0 {
-		out.JobTimeoutFloor = 30 * time.Second
 	}
 	return out
 }
@@ -116,10 +110,14 @@ type JobStatus struct {
 	// TimingRuns is the plan's timing-group count — what the job will
 	// actually simulate after dedup.
 	TimingRuns int `json:"timingRuns"`
-	// EstCycles is the plan's static cost estimate (see sweep.Plan.Cost).
+	// EstCycles is the plan's static cost estimate (see sweep.Plan.Cost),
+	// reported once the job has started: a queued job never pays for the
+	// estimate.
 	EstCycles uint64 `json:"estCycles,omitempty"`
 	// DoneCells counts streamed cells; CostFraction is their cost-weighted
-	// share of the whole plan.
+	// share of the whole plan (1 once the job is done). Both derive from
+	// the plan and the streamed records alone, so a recovered job reports
+	// what it reported before the restart.
 	DoneCells    int     `json:"doneCells"`
 	CostFraction float64 `json:"costFraction,omitempty"`
 	// ETASeconds extrapolates the remaining wall-clock from elapsed time
@@ -130,7 +128,9 @@ type JobStatus struct {
 	Finished   *time.Time `json:"finished,omitempty"`
 }
 
-// Job is one submitted sweep.
+// Job is one submitted sweep. Its progress is not state of its own: the
+// plan (and its memoized cost estimate) and the count of streamed records
+// determine every progress figure its status and events report.
 type Job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -138,10 +138,6 @@ type Job struct {
 	id      string
 	request sweep.JobRequest
 	plan    *sweep.Plan
-	// cost is filled by the worker just before execution (estimation
-	// builds workload instances — too heavy for the submit path); nil
-	// while queued.
-	cost *sweep.Cost
 
 	state    JobState
 	err      string
@@ -151,21 +147,15 @@ type Job struct {
 
 	// records accumulates streamed cell records; the sweep's stream
 	// callback is serialized in plan order, so records[i] is always the
-	// cell with Index i. fractions[i] is the cost-weighted completion
-	// fraction after cell i (what the events stream reports).
-	records   []*sweep.CellRecord
-	fractions []float64
-	costDone  float64
+	// cell with Index i.
+	records []*sweep.CellRecord
 
-	// report memoizes the scenario's reduction of the finished job.
+	// report memoizes the scenario's reduction of the finished job, in
+	// memory only: the records determine it.
 	report *sweep.Report
 
 	// eta is the manager's shared wall-clock calibration.
 	eta *etaModel
-
-	// store is the manager's durable store (nil without one); the job
-	// journals its own memoized report through it.
-	store *Store
 
 	// idemKey is the client's Idempotency-Key ("" when none): retried
 	// submissions carrying it resolve to this job instead of duplicating.
@@ -186,50 +176,61 @@ func newJob(id string, req sweep.JobRequest, plan *sweep.Plan, eta *etaModel, no
 // ID returns the job's identity.
 func (j *Job) ID() string { return j.id }
 
-// Status snapshots the job.
+// Status snapshots the job. Its progress figures derive from the plan's
+// cost estimate and the streamed record count. The estimate builds
+// workload instances, so Status never starts one for a job that never
+// ran, never waits on the worker's estimate of a live job, and never
+// runs one under j.mu; a finished or recovered job's plan estimates at
+// most once, memoized on the plan.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:           j.id,
-		Scenario:     j.request.Scenario,
-		Filter:       j.request.Filter,
-		Label:        j.request.Label,
-		State:        j.state,
-		Error:        j.err,
-		Cells:        len(j.plan.Cells),
-		TimingRuns:   j.plan.TimingRuns(),
-		DoneCells:    len(j.records),
-		CostFraction: j.costDone,
-		Created:      j.created,
+		ID:         j.id,
+		Scenario:   j.request.Scenario,
+		Filter:     j.request.Filter,
+		Label:      j.request.Label,
+		State:      j.state,
+		Error:      j.err,
+		Cells:      len(j.plan.Cells),
+		TimingRuns: j.plan.TimingRuns(),
+		DoneCells:  len(j.records),
+		Created:    j.created,
 	}
-	if j.cost != nil {
-		st.EstCycles = j.cost.EstCycles
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
+	started := j.started
+	if !started.IsZero() {
+		st.Started = &started
 	}
 	if !j.finished.IsZero() {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.state == StateRunning && j.costDone < 1 {
+	j.mu.Unlock()
+
+	// A live job's worker owns the estimate; no worker estimates for a
+	// terminal job, so computing it here never waits on one.
+	cost := j.plan.KnownCost()
+	if cost == nil && st.State.terminal() && st.Started != nil {
+		cost, _ = j.plan.Cost()
+	}
+	if cost == nil {
+		return st
+	}
+	st.EstCycles = cost.EstCycles
+	st.CostFraction = cost.Fraction(st.DoneCells)
+	if st.State == StateDone {
+		st.CostFraction = 1
+	}
+	if st.State == StateRunning && st.CostFraction < 1 {
 		// Calibrated ETA first: remaining cost units scaled by the
 		// manager's observed seconds-per-unit EWMA — available before this
 		// job's own first cell completes, once any job has fed the model.
 		// Fallback: extrapolate this job's own elapsed/progress ratio.
-		calibrated := false
-		if j.cost != nil && j.eta != nil {
-			remaining := (1 - j.costDone) * float64(j.cost.EstCycles)
-			if eta, ok := j.eta.estimate(remaining); ok {
-				st.ETASeconds = eta
-				calibrated = true
-			}
-		}
-		if !calibrated && j.costDone > 0 {
-			elapsed := time.Since(j.started).Seconds()
-			st.ETASeconds = elapsed * (1 - j.costDone) / j.costDone
+		remaining := (1 - st.CostFraction) * float64(cost.EstCycles)
+		if eta, ok := j.eta.estimate(remaining); ok {
+			st.ETASeconds = eta
+		} else if st.CostFraction > 0 {
+			elapsed := time.Since(started).Seconds()
+			st.ETASeconds = elapsed * (1 - st.CostFraction) / st.CostFraction
 		}
 	}
 	return st
@@ -265,27 +266,18 @@ func (j *Job) WaitCell(ctx context.Context, i int) (*sweep.CellRecord, JobState,
 }
 
 // WaitEvent is WaitCell's progress-event analogue: it blocks until cell
-// i's record is available and wraps it in a structured sweep.Progress
-// event (done/total counters, timing-run count, cost-weighted completion
-// fraction) — what GET /v1/jobs/{id}/events streams.
+// i's record is available and wraps it in the plan's structured
+// sweep.Progress event (done/total counters, timing-run count,
+// cost-weighted completion fraction) — what GET /v1/jobs/{id}/events
+// streams, and what the in-process progress observer receives for the
+// same cell.
 func (j *Job) WaitEvent(ctx context.Context, i int) (*sweep.Progress, JobState, string) {
 	rec, state, errMsg := j.WaitCell(ctx, i)
 	if rec == nil {
 		return nil, state, errMsg
 	}
-	pr := &sweep.Progress{
-		Scenario:   j.request.Scenario,
-		Done:       i + 1,
-		Total:      len(j.plan.Cells),
-		TimingRuns: j.plan.TimingRuns(),
-		Cell:       rec,
-	}
-	j.mu.Lock()
-	if i < len(j.fractions) {
-		pr.CostFraction = j.fractions[i]
-	}
-	j.mu.Unlock()
-	return pr, state, ""
+	pr := j.plan.Progress(i+1, rec)
+	return &pr, state, ""
 }
 
 // Records snapshots the job's streamed cell records, in plan order.
@@ -314,7 +306,9 @@ func (e ErrGone) Error() string {
 // Report reduces the finished job's cell records through the scenario
 // registry's Reduce hook — the server-side counterpart of the CLI's
 // in-process reduce-and-render, over the exact records the job streamed.
-// The result is memoized on the job (reduction is deterministic).
+// The result is memoized on the job in memory (reduction is
+// deterministic); a recovered job re-reduces its records on its first
+// report.
 func (j *Job) Report() (*sweep.Report, error) {
 	j.mu.Lock()
 	if j.state != StateDone {
@@ -359,11 +353,7 @@ func (j *Job) Report() (*sweep.Report, error) {
 	}
 	j.mu.Lock()
 	j.report = rep
-	store := j.store
 	j.mu.Unlock()
-	if store != nil {
-		store.append(journalEntry{Report: &reportEntry{ID: j.id, Report: rep}})
-	}
 	return rep, nil
 }
 
@@ -389,6 +379,9 @@ type Manager struct {
 
 	// store is the durable journal+snapshot (nil without StateDir).
 	store *Store
+
+	// timeoutFloor is jobTimeoutFloor; tests lower it to force a timeout.
+	timeoutFloor time.Duration
 
 	mu            sync.Mutex
 	jobs          map[string]*Job
@@ -421,16 +414,17 @@ func NewManager(opts Options) *Manager {
 
 // OpenManager starts a manager and its workers. With Options.StateDir
 // set, it opens the durable job store, recovers every persisted job —
-// terminal jobs restore with their records and reports, queued jobs
+// terminal jobs restore with their records, queued jobs
 // re-enqueue in submit order, jobs caught running by the crash requeue as
 // interrupted — restores the ETA calibration, and compacts the recovered
 // state into a fresh snapshot before accepting new work.
 func OpenManager(opts Options) (*Manager, error) {
 	o := opts.withDefaults()
 	m := &Manager{
-		opts: o,
-		jobs: make(map[string]*Job),
-		idem: make(map[string]string),
+		opts:         o,
+		timeoutFloor: jobTimeoutFloor,
+		jobs:         make(map[string]*Job),
+		idem:         make(map[string]string),
 	}
 	m.queueCond = sync.NewCond(&m.mu)
 	if o.StateDir != "" {
@@ -467,7 +461,6 @@ func (m *Manager) recoverFrom(rs *recoveredState) {
 		}
 		j := newJob(sj.ID, sj.Request, plan, &m.eta, sj.Created)
 		j.idemKey = sj.Key
-		j.store = m.store
 		if sj.Started != nil {
 			j.started = *sj.Started
 		}
@@ -496,10 +489,6 @@ func (m *Manager) recoverFrom(rs *recoveredState) {
 				break
 			}
 			j.records = sj.Records
-			j.report = sj.Report
-			if sj.State == StateDone {
-				j.costDone = 1
-			}
 		case sj.State == StateQueued:
 			m.pending = append(m.pending, j)
 		default:
@@ -565,7 +554,6 @@ func (j *Job) stored() *storedJob {
 	}
 	if j.state.terminal() {
 		sj.Records = append([]*sweep.CellRecord(nil), j.records...)
-		sj.Report = j.report
 	}
 	return sj
 }
@@ -681,7 +669,6 @@ func (m *Manager) SubmitIdempotent(req sweep.JobRequest, key string) (j *Job, re
 	id := fmt.Sprintf("job-%d", m.nextID)
 	j = newJob(id, req, plan, &m.eta, time.Now())
 	j.idemKey = key
-	j.store = m.store
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.pending = append(m.pending, j)
@@ -874,8 +861,6 @@ func (m *Manager) runJob(j *Job) {
 	j.started = time.Now()
 	j.err = ""
 	j.records = nil
-	j.fractions = nil
-	j.costDone = 0
 	j.report = nil
 	j.interrupted = false
 	j.cancel = cancel
@@ -885,34 +870,19 @@ func (m *Manager) runJob(j *Job) {
 
 	// Cost estimation builds workload instances, so it runs on the worker
 	// rather than in the submit path; best effort — a plan that executes
-	// can still fail to estimate, which only costs the progress fractions.
-	// Builds are scenario-author code: contain their panics (estimation
-	// runs inline on this worker goroutine, outside the runner pool's own
-	// panic conversion).
-	cost, costErr := func() (c *sweep.Cost, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("cost estimation panicked: %v", r)
-			}
-		}()
-		return j.plan.Cost()
-	}()
-	if costErr == nil {
-		j.mu.Lock()
-		j.cost = cost
-		j.mu.Unlock()
-	}
+	// can still fail to estimate, which only costs the ETA samples and the
+	// timeout. The estimate is memoized on the plan, where Status and the
+	// events stream read it too.
+	cost, _ := j.plan.Cost()
 
 	// Wall-clock timeout, derived from the calibrated ETA: a job that has
-	// run JobTimeoutScale times its estimate is stuck, not slow. Only
-	// engages once the EWMA has absorbed at least one observation — an
-	// uncalibrated daemon cannot tell the difference.
+	// run jobTimeoutScale times its estimate is stuck, not slow.
 	ctx := parent
-	if m.opts.JobTimeoutScale > 0 && cost != nil {
+	if cost != nil {
 		if est, ok := m.eta.estimate(float64(cost.EstCycles)); ok {
-			d := time.Duration(m.opts.JobTimeoutScale * est * float64(time.Second))
-			if d < m.opts.JobTimeoutFloor {
-				d = m.opts.JobTimeoutFloor
+			d := time.Duration(jobTimeoutScale * est * float64(time.Second))
+			if d < m.timeoutFloor {
+				d = m.timeoutFloor
 			}
 			var tcancel context.CancelFunc
 			ctx, tcancel = context.WithTimeout(parent, d)
@@ -936,13 +906,11 @@ func (m *Manager) runJob(j *Job) {
 		_, err = j.plan.RunContext(ctx, func(cr *sweep.CellResult) {
 			rec := j.plan.Record(cr)
 			now := time.Now()
+			if cost != nil {
+				m.eta.observe(cost.PerCell[rec.Index]*float64(cost.EstCycles), now.Sub(lastEmit).Seconds())
+			}
 			j.mu.Lock()
 			j.records = append(j.records, rec)
-			if j.cost != nil {
-				j.costDone += j.cost.PerCell[rec.Index]
-				m.eta.observe(j.cost.PerCell[rec.Index]*float64(j.cost.EstCycles), now.Sub(lastEmit).Seconds())
-			}
-			j.fractions = append(j.fractions, j.costDone)
 			lastEmit = now
 			j.cond.Broadcast()
 			j.mu.Unlock()
@@ -956,7 +924,6 @@ func (m *Manager) runJob(j *Job) {
 	case err == nil:
 		j.finished = time.Now()
 		j.state = StateDone
-		j.costDone = 1
 	case j.interrupted:
 		// A drain deadline cut this run short: not a failure, not a
 		// cancellation — the job requeues (here in state only; the next
@@ -966,7 +933,7 @@ func (m *Manager) runJob(j *Job) {
 	case ctx.Err() == context.DeadlineExceeded:
 		j.finished = time.Now()
 		j.state = StateFailed
-		j.err = fmt.Sprintf("timed out (exceeded %.0fx the calibrated estimate)", m.opts.JobTimeoutScale)
+		j.err = fmt.Sprintf("timed out (exceeded %.0fx the calibrated estimate)", jobTimeoutScale)
 	case parent.Err() != nil:
 		j.finished = time.Now()
 		j.state = StateCanceled

@@ -74,8 +74,9 @@ func referenceRun(t *testing.T, req sweep.JobRequest) ([]*sweep.CellRecord, *swe
 	return j.Records(), rep
 }
 
-// A terminal job survives a restart intact: records, memoized report and
-// timestamps all restore from disk, with no re-execution.
+// A terminal job survives a restart intact: records and timestamps
+// restore from disk, with no re-execution, and the report reduced afresh
+// from the recovered records equals the original.
 func TestRecoverTerminalJobIntact(t *testing.T) {
 	dir := t.TempDir()
 	m1, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
@@ -122,6 +123,62 @@ func TestRecoverTerminalJobIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep2, rep) {
 		t.Error("recovered report differs from the original")
+	}
+}
+
+// eventFractions reads every event of a finished job and returns their
+// cost-weighted completion fractions, in plan order.
+func eventFractions(t *testing.T, j *Job) []float64 {
+	t.Helper()
+	var out []float64
+	for i := 0; ; i++ {
+		pr, _, errMsg := j.WaitEvent(context.Background(), i)
+		if pr == nil {
+			if errMsg != "" {
+				t.Fatalf("event %d: %s", i, errMsg)
+			}
+			return out
+		}
+		out = append(out, pr.CostFraction)
+	}
+}
+
+// A done job recovered after a restart reports the progress it reported
+// before it: every event carries the same cost fraction, and the status
+// the same cost estimate and completed fraction.
+func TestRecoveredJobProgress(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, err := m1.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := waitState(t, j1, StateDone)
+	fr1 := eventFractions(t, j1)
+	m1.Close()
+	if st1.EstCycles == 0 || len(fr1) != st1.Cells || fr1[len(fr1)-1] <= 0 {
+		t.Fatalf("live job progress: status %+v, event fractions %v", st1, fr1)
+	}
+
+	m2, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	j2, ok := m2.Job(j1.ID())
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	st2 := j2.Status()
+	if st2.State != StateDone || st2.EstCycles != st1.EstCycles || st2.CostFraction != st1.CostFraction {
+		t.Errorf("recovered status estCycles=%d costFraction=%g, want %d and %g",
+			st2.EstCycles, st2.CostFraction, st1.EstCycles, st1.CostFraction)
+	}
+	if fr2 := eventFractions(t, j2); !reflect.DeepEqual(fr2, fr1) {
+		t.Errorf("recovered event fractions %v, want %v", fr2, fr1)
 	}
 }
 
@@ -253,9 +310,10 @@ func TestShutdownCheckpointsRunningJob(t *testing.T) {
 // (absurdly fast seconds-per-unit) plus a nanosecond floor makes any real
 // job "stuck" instantly, without staging an actual hang.
 func TestJobTimeoutFromCalibration(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1, JobTimeoutScale: 1e-9, JobTimeoutFloor: time.Nanosecond})
+	m := NewManager(Options{MaxConcurrent: 1})
 	defer m.Close()
-	m.eta.observe(1e12, 1e-9) // ≈1e-21 s per cost unit: everything is "stuck"
+	m.timeoutFloor = time.Nanosecond // set before Submit, which publishes it to the worker
+	m.eta.observe(1e12, 1e-9)        // ≈1e-21 s per cost unit: everything is "stuck"
 	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -132,6 +135,46 @@ func TestJobEventsStream(t *testing.T) {
 	blockOpen()
 	if err := c.StreamEvents(ctx, bst.ID, func(*sweep.Progress) error { return nil }); err == nil {
 		t.Error("canceled job's events stream should surface the terminal error")
+	}
+}
+
+// The in-process progress hook and the daemon's events stream carry the
+// same events: for one request, the hook's events JSON-encoded are the
+// /v1/jobs/{id}/events body byte for byte.
+func TestEventsMatchInProcessProgress(t *testing.T) {
+	const scenario = "ablation-processnode"
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	sweep.SetProgress(func(pr sweep.Progress) {
+		if err := enc.Encode(pr); err != nil {
+			t.Error(err)
+		}
+	})
+	_, err := sweep.BuildReport(scenario, nil)
+	sweep.SetProgress(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Options{MaxConcurrent: 1})
+	defer m.Close()
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	j, err := m.Submit(sweep.JobRequest{Scenario: scenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + j.ID() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("daemon events differ from in-process progress:\n got %s\nwant %s", got, want.Bytes())
 	}
 }
 
@@ -328,11 +371,14 @@ func TestEtaCalibrationFeedsStatuses(t *testing.T) {
 	waitDone(t, j)
 	j.mu.Lock()
 	j.state = StateRunning
-	j.costDone = 0.5
+	j.records = j.records[:2]
 	j.started = time.Now().Add(-time.Hour)
 	j.mu.Unlock()
 	st := j.Status()
-	remaining := 0.5 * float64(st.EstCycles)
+	if st.CostFraction <= 0 || st.CostFraction >= 1 {
+		t.Fatalf("two of five cells done: cost fraction %g", st.CostFraction)
+	}
+	remaining := (1 - st.CostFraction) * float64(st.EstCycles)
 	want, ok := m.eta.estimate(remaining)
 	if !ok || math.Abs(st.ETASeconds-want) > 1e-9 {
 		t.Errorf("status ETA %g, want calibrated %g (ok=%v)", st.ETASeconds, want, ok)

@@ -14,12 +14,16 @@ import (
 
 // The durable job store: an append-only NDJSON journal plus a compacted
 // snapshot under gpowd's -state-dir, so a daemon crash or restart loses
-// no job state. Every artifact a job owns is already serializable
-// (JobRequest, CellRecord, Report, the ETA model's EWMA) and every
-// simulation is deterministic, so recovery is safe replay: terminal jobs
-// restore with their records and memoized reports, queued jobs re-enqueue
-// in submit order, and jobs that were running when the process died come
-// back as "interrupted" and re-execute bit-identically.
+// no job state. The store keeps only what nothing else determines — the
+// request, the lifecycle, the cell records and the ETA model's EWMA —
+// and every simulation is deterministic, so recovery is safe replay:
+// terminal jobs restore with their records, queued jobs re-enqueue in
+// submit order, and jobs that were running when the process died come
+// back as "interrupted" and re-execute bit-identically. A job's progress
+// and report are functions of its plan and records, so neither is
+// stored: a recovered done job re-reduces its records on its first
+// report. The generation directory is keyed by the build fingerprint, so
+// the reducer that re-reduces is the one whose build wrote the records.
 //
 // The I/O discipline (generation directory, torn-tail-tolerant journal,
 // atomic snapshot + truncate, no fsync by design) lives in
@@ -27,7 +31,7 @@ import (
 // file owns the job-shaped entry types and the idempotent fold.
 //
 // Write path: one journal line per event (submission, state transition,
-// cell record, memoized report, EWMA sample, forget). Compaction (at
+// cell record, EWMA sample, forget). Compaction (at
 // recovery, on prune evictions, and at shutdown) folds everything into
 // snapshot.json and truncates the journal, which both bounds disk under
 // -retain/-retain-age and clears any torn tail so later appends cannot
@@ -36,8 +40,8 @@ import (
 // Crash windows: the snapshot is renamed into place before the journal is
 // truncated, so a crash between the two leaves journal entries that are
 // already folded into the snapshot. Replaying them is idempotent by
-// construction — submissions of a known job are skipped, state/report
-// entries overwrite, cell entries place by record index — except that a
+// construction — submissions of a known job are skipped, state entries
+// overwrite, cell entries place by record index — except that a
 // job forgotten by the snapshot may be resurrected by its surviving
 // journal entries; that is benign (the next prune forgets it again) and
 // strictly better than the reverse order, which could lose jobs.
@@ -58,10 +62,9 @@ type storedJob struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	// Records and Report are kept for terminal jobs only: a non-terminal
-	// job re-executes on recovery and regenerates both deterministically.
+	// Records are kept for terminal jobs only: a non-terminal job
+	// re-executes on recovery and regenerates them deterministically.
 	Records []*sweep.CellRecord `json:"records,omitempty"`
-	Report  *sweep.Report       `json:"report,omitempty"`
 }
 
 // stateEntry journals one lifecycle transition.
@@ -77,12 +80,6 @@ type stateEntry struct {
 type cellEntry struct {
 	ID     string            `json:"id"`
 	Record *sweep.CellRecord `json:"record"`
-}
-
-// reportEntry journals a job's memoized reduction.
-type reportEntry struct {
-	ID     string        `json:"id"`
-	Report *sweep.Report `json:"report"`
 }
 
 // etaEntry journals the shared ETA model's calibration.
@@ -101,7 +98,6 @@ type journalEntry struct {
 	Submit *storedJob   `json:"submit,omitempty"`
 	State  *stateEntry  `json:"state,omitempty"`
 	Cell   *cellEntry   `json:"cell,omitempty"`
-	Report *reportEntry `json:"report,omitempty"`
 	ETA    *etaEntry    `json:"eta,omitempty"`
 	Forget *forgetEntry `json:"forget,omitempty"`
 }
@@ -227,7 +223,6 @@ func applyEntry(e *journalEntry, byID map[string]*storedJob, order *[]string, rs
 			// A (re)start invalidates any previously journaled records:
 			// the run streams a fresh, bit-identical set.
 			sj.Records = nil
-			sj.Report = nil
 		case e.State.State.terminal():
 			sj.Finished = &at
 		}
@@ -243,12 +238,6 @@ func applyEntry(e *journalEntry, byID map[string]*storedJob, order *[]string, rs
 			sj.Records = append(sj.Records, nil)
 		}
 		sj.Records[e.Cell.Record.Index] = e.Cell.Record
-	case e.Report != nil:
-		if sj := byID[e.Report.ID]; sj != nil {
-			sj.Report = e.Report.Report
-		} else {
-			rs.Skipped++
-		}
 	case e.ETA != nil:
 		rs.ETA = e.ETA
 	case e.Forget != nil:

@@ -29,10 +29,41 @@ type Cost struct {
 // Cost estimates the plan's execution cost, memoized on first use.
 // Estimation builds each group leader's workload instance (pure
 // construction — no simulation) to read launch geometry and program
-// length.
+// length. Builds are scenario-author code: a panicking one becomes the
+// estimate's error, so no caller needs its own guard.
 func (p *Plan) Cost() (*Cost, error) {
-	p.costOnce.Do(func() { p.cost, p.costErr = p.computeCost() })
+	p.costOnce.Do(func() {
+		defer p.costKnown.Store(true)
+		defer func() {
+			if r := recover(); r != nil {
+				p.cost, p.costErr = nil, fmt.Errorf("sweep: %s: cost estimation panicked: %v", p.Spec.Name, r)
+			}
+		}()
+		p.cost, p.costErr = p.computeCost()
+	})
 	return p.cost, p.costErr
+}
+
+// KnownCost returns the estimate if Cost has already computed it, without
+// computing or waiting for one: nil while no estimate has finished, and
+// when estimation failed. A caller that must not block behind a workload
+// build in flight (a status poll) reads this.
+func (p *Plan) KnownCost() *Cost {
+	if !p.costKnown.Load() {
+		return nil
+	}
+	return p.cost
+}
+
+// Fraction is the cost-weighted completion fraction once the first done
+// cells in plan order are complete: their PerCell shares summed in plan
+// order.
+func (c *Cost) Fraction(done int) float64 {
+	var f float64
+	for _, share := range c.PerCell[:done] {
+		f += share
+	}
+	return f
 }
 
 func (p *Plan) computeCost() (*Cost, error) {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // groupKey identifies a timing group: every cell whose configuration hashes
@@ -35,9 +36,11 @@ type Plan struct {
 
 	// Cost memoization (see cost.go); Plan pointers are shared across
 	// worker goroutines, so the estimate is computed at most once.
-	costOnce sync.Once
-	cost     *Cost
-	costErr  error
+	// costKnown is set once cost and costErr are final.
+	costOnce  sync.Once
+	costKnown atomic.Bool
+	cost      *Cost
+	costErr   error
 }
 
 // TimingRuns returns how many timing simulations the plan needs — the

@@ -97,9 +97,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// RunScenario prints a scenario's reduction through RenderText;
-// BuildReport feeds the reducer the run's records.
-func TestRegisterDerivedPrint(t *testing.T) {
+// reduceprobe is registered once per process (the registry panics on
+// duplicates), so the test below stays runnable under -count=N.
+func init() {
 	Register(Scenario{
 		Name: "reduceprobe", Title: "registry-derived print probe",
 		Reduce: func(recs []*CellRecord, f Filter) (*Report, error) {
@@ -109,6 +109,11 @@ func TestRegisterDerivedPrint(t *testing.T) {
 			}, nil
 		},
 	})
+}
+
+// RunScenario prints a scenario's reduction through RenderText;
+// BuildReport feeds the reducer the run's records.
+func TestRegisterDerivedPrint(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunScenario(&buf, "reduceprobe", nil); err != nil {
 		t.Fatal(err)
@@ -135,10 +140,11 @@ func TestRegisterRequiresReduce(t *testing.T) {
 	Register(Scenario{Name: "noreduce", Spec: func() *Spec { return runSpec(2002) }})
 }
 
-// Scenario.CheckFilter gates both report building and job planning before
-// any sweep executes.
-func TestCheckFilterGatesEarly(t *testing.T) {
-	reject := errors.New("filter rejected by scenario")
+// reject is checkprobe's CheckFilter verdict on any non-empty filter.
+var reject = errors.New("filter rejected by scenario")
+
+// checkprobe is registered once per process, like reduceprobe.
+func init() {
 	Register(Scenario{
 		Name: "checkprobe", Title: "CheckFilter probe",
 		Reduce: func([]*CellRecord, Filter) (*Report, error) {
@@ -151,6 +157,11 @@ func TestCheckFilterGatesEarly(t *testing.T) {
 			return nil
 		},
 	})
+}
+
+// Scenario.CheckFilter gates both report building and job planning before
+// any sweep executes.
+func TestCheckFilterGatesEarly(t *testing.T) {
 	if _, err := BuildReport("checkprobe", Filter{"axis": {"v"}}); !errors.Is(err, reject) {
 		t.Errorf("BuildReport bypassed CheckFilter: %v", err)
 	}

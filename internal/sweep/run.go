@@ -54,6 +54,24 @@ type Progress struct {
 	Cell *CellRecord `json:"cell"`
 }
 
+// Progress builds the event for the done-th completed cell in plan order,
+// whose record is rec — the one constructor behind both the in-process
+// observer and the service's events stream, so the two carry the same
+// event for the same cell.
+func (p *Plan) Progress(done int, rec *CellRecord) Progress {
+	pr := Progress{
+		Scenario:   p.Spec.Name,
+		Done:       done,
+		Total:      len(p.Cells),
+		TimingRuns: len(p.Groups),
+		Cell:       rec,
+	}
+	if cost, err := p.Cost(); err == nil { // best effort: no estimate leaves 0
+		pr.CostFraction = cost.Fraction(done)
+	}
+	return pr
+}
+
 // progressHook is an optional process-wide observer of cell completions,
 // installed by front-ends (cmd/gpowexp -v) to surface sweep progress
 // without threading a callback through every scenario's reduction.
@@ -135,13 +153,6 @@ type emitter struct {
 	card   *hw.Card
 	err    error
 	cancel context.CancelFunc
-
-	// Cost-weighted progress, computed lazily on the first hook delivery
-	// (the estimate builds workload instances, so it only runs when an
-	// observer actually wants percentages).
-	costTried bool
-	cost      *Cost
-	costDone  float64
 }
 
 // done records one finished cell and streams the contiguous completed
@@ -167,22 +178,7 @@ func (e *emitter) done(r *CellResult) error {
 			e.stream(cr)
 		}
 		if hook != nil {
-			if !e.costTried {
-				e.costTried = true
-				e.cost, _ = e.plan.Cost() // best effort: nil leaves fractions 0
-			}
-			pr := Progress{
-				Scenario:   e.plan.Spec.Name,
-				Done:       e.next + 1,
-				Total:      len(e.results),
-				TimingRuns: len(e.plan.Groups),
-				Cell:       e.plan.Record(cr),
-			}
-			if e.cost != nil {
-				e.costDone += e.cost.PerCell[cr.Cell.Index]
-				pr.CostFraction = e.costDone
-			}
-			(*hook)(pr)
+			(*hook)(e.plan.Progress(e.next+1, e.plan.Record(cr)))
 		}
 		e.next++
 	}

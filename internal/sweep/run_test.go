@@ -69,6 +69,9 @@ func runSpec(seed int32) *Spec {
 // fresh simulations — observed on the process-wide cache counters — while
 // every one of the 6 cells still gets timing and power results.
 func TestRunTimingDedupCounts(t *testing.T) {
+	// Start from an empty cache, so a repeated run (-count=N) simulates
+	// afresh too.
+	simcache.Default().Reset()
 	before := simcache.Default().Stats()
 	p, err := runSpec(1001).Plan(nil)
 	if err != nil {

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"gpusimpow/internal/config"
 )
 
 // The wire-layer scenario used by Describe tests; registered once (the
@@ -152,6 +155,22 @@ func TestCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.KnownCost() != nil {
+		t.Error("KnownCost before any estimate should be nil")
+	}
+	// A worker estimates while status polls read the estimate.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.KnownCost()
+			if _, err := p.Cost(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 	c, err := p.Cost()
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +192,29 @@ func TestCost(t *testing.T) {
 		t.Errorf("per-cell shares sum to %v, want 1", sum)
 	}
 	c2, err := p.Cost()
-	if err != nil || c2 != c {
+	if err != nil || c2 != c || p.KnownCost() != c {
 		t.Error("cost should be memoized per plan")
+	}
+}
+
+// A panicking workload build is the estimate's error, not the caller's
+// panic.
+func TestCostPanicIsError(t *testing.T) {
+	s := runSpec(2006)
+	s.Workload = func(*Cell) (*Workload, error) {
+		return &Workload{Name: "panicky", Build: func(*config.GPU) (*Instance, error) {
+			panic("deliberate build panic")
+		}}, nil
+	}
+	p, err := s.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Cost(); err == nil || !strings.Contains(err.Error(), "deliberate build panic") {
+		t.Errorf("cost error %v, want the build's panic", err)
+	}
+	if p.KnownCost() != nil {
+		t.Error("a failed estimate has no known cost")
 	}
 }
 

@@ -18,6 +18,10 @@
 #   5. Diff the client's NDJSON against the uninterrupted run byte for
 #      byte, then diff the recovered daemon's reduced report
 #      (gpowexp report job-1 -json) the same way.
+#   6. Stop that daemon with SIGTERM and start a third on the same
+#      state dir. The store journals records, not reports, so the
+#      recovered done job re-reduces its records on its first report:
+#      diff that report the same way.
 set -eu
 
 . ./scripts/service_lib.sh
@@ -89,4 +93,17 @@ if ! diff "$tmp/local-report.json" "$tmp/remote-report.json"; then
     exit 1
 fi
 
-echo "service restart: OK — $scenario: daemon killed mid-job; client resumed and $(wc -l <"$tmp/local.ndjson") cell record(s) + report match the uninterrupted run byte for byte"
+# A clean restart: the done job comes back with its records only.
+kill -TERM "$pid"
+wait_dead "$pid" "service restart: gpowd"
+pid=""
+"$tmp/gpowd" -addr "127.0.0.1:$port" -state-dir "$tmp/state" 2>"$tmp/gpowd3.log" &
+pid=$!
+addr=$(wait_listen "$tmp/gpowd3.log" "$pid" "service restart: gpowd")
+"$tmp/gpowexp" -remote "$addr" report job-1 -json >"$tmp/rereduced-report.json"
+if ! diff "$tmp/local-report.json" "$tmp/rereduced-report.json"; then
+    echo "service restart: FAIL — report re-reduced after a clean restart diverges from the uninterrupted reduction" >&2
+    exit 1
+fi
+
+echo "service restart: OK — $scenario: daemon killed mid-job; client resumed and $(wc -l <"$tmp/local.ndjson") cell record(s) + report match the uninterrupted run byte for byte, and so does the report re-reduced after a clean restart"
