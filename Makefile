@@ -37,11 +37,11 @@ fmt-check:
 ci-service:
 	./scripts/service_smoke.sh
 
-# Crash/restart drill: kill gpowd mid-job via the
-# crash-after-journal-append faultpoint, restart it on the same state
-# dir, and diff the self-healing client's resumed output and the
-# recovered job's report byte for byte against an uninterrupted run
-# (see scripts/service_restart.sh).
+# Crash/restart drill: kill gpowd mid-stream via the crash-after-record
+# faultpoint, restart it on the same state dir, and diff the
+# self-healing client's resumed output and the recovered job's report
+# byte for byte against an uninterrupted run, then diff the report a
+# clean restart re-derives (see scripts/service_restart.sh).
 ci-restart:
 	./scripts/service_restart.sh
 
@@ -84,11 +84,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A short coverage-guided pass of FuzzProgramValidate: Validate must never
-# panic, and what it accepts must decode and disassemble. Crashers it finds
-# land in internal/kernel/testdata/fuzz/ and replay in every `go test`.
+# Short coverage-guided passes, 10 s each. FuzzProgramValidate: Validate
+# must never panic, and what it accepts must decode and disassemble.
+# FuzzStoreRecover: job-store recovery must never panic on any snapshot
+# and journal bytes, and replaying a write-path journal over its own fold
+# must change nothing. Crashers land in the package's testdata/fuzz/ and
+# replay in every `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
+	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s
 
 # One pass of the root microbenchmarks (simulator and measurement layer,
 # one iteration each), so they cannot silently rot; use -benchtime and

@@ -117,8 +117,8 @@ func BenchmarkSimBlackScholesGT240Cached(b *testing.B) {
 }
 
 // BenchmarkMeasureKernelGT240 measures one BlackScholes kernel on the
-// virtual GT240 with an auto-sized 150 ms window, as MeasureKernel does,
-// with the kernel's timing already in the result cache: the cost is the
+// virtual GT240 with an auto-sized 150 ms window, with the kernel's
+// timing already in the result cache: the cost is the
 // card's pricing and its DAQ trace (noise, filter, per-rail sum).
 func BenchmarkMeasureKernelGT240(b *testing.B) {
 	card, err := hw.NewCard(config.GT240())

@@ -92,12 +92,6 @@ func emitGuardExit(b *kernel.Builder, idx, n, p int) {
 	b.When(p).Exit()
 }
 
-// emitElemAddr computes base + 4*idx into dst (dst may alias base).
-func emitElemAddr(b *kernel.Builder, dst, base, idx, scratch int) {
-	b.IShl(scratch, kernel.R(idx), kernel.I(2))
-	b.IAdd(dst, kernel.R(base), kernel.R(scratch))
-}
-
 // approxEq compares float32 values with a relative/absolute tolerance.
 func approxEq(a, b, tol float32) bool {
 	d := float64(a - b)

@@ -94,7 +94,6 @@ func (s *Simulator) EvaluatePower(tr *simcache.TimingResult) (*power.RuntimeRepo
 // the shared timing result), skipping the per-variant cost of constructing a
 // cycle-level simulator that would never run.
 type PowerEvaluator struct {
-	cfg *config.GPU
 	pow *power.Model
 }
 
@@ -104,18 +103,15 @@ func NewPowerEvaluator(cfg *config.GPU) (*PowerEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PowerEvaluator{cfg: cfg, pow: pow}, nil
+	return &PowerEvaluator{pow: pow}, nil
 }
 
 // PowerEvaluator returns the simulator's own power stage (sharing its built
 // model), so a sweep group's leader does not rebuild the model it already
 // has.
 func (s *Simulator) PowerEvaluator() *PowerEvaluator {
-	return &PowerEvaluator{cfg: s.cfg, pow: s.pow}
+	return &PowerEvaluator{pow: s.pow}
 }
-
-// Config returns the evaluated configuration.
-func (p *PowerEvaluator) Config() *config.GPU { return p.cfg }
 
 // Static returns the workload-independent architectural estimates.
 func (p *PowerEvaluator) Static() *power.StaticReport { return p.pow.Static() }

@@ -141,9 +141,6 @@ func perturb(cfg *config.GPU) *config.GPU {
 	return &t
 }
 
-// Name returns the card model name.
-func (c *Card) Name() string { return c.name }
-
 // RealAreaMM2 returns the physical die size (a datasheet constant, the
 // "Real" area row of Table IV).
 func (c *Card) RealAreaMM2() float64 {

@@ -9,6 +9,21 @@ import (
 	"gpusimpow/internal/simcache"
 )
 
+// measureKernel measures one kernel alone. A non-positive repeat count
+// auto-sizes the window to a reliable 150 ms.
+func measureKernel(c *Card, l *kernel.Launch, mem *kernel.GlobalMem, cmem *kernel.ConstMem, repeats int) (*Measurement, error) {
+	item := SeqItem{Launch: l, Mem: mem, CMem: cmem, Repeats: repeats}
+	if repeats <= 0 {
+		item.Repeats = 0
+		item.MinWindowS = 0.150
+	}
+	_, ms, err := c.MeasureSequence([]SeqItem{item})
+	if err != nil {
+		return nil, err
+	}
+	return &ms[0], nil
+}
+
 // busyKernel builds an FP loop kernel for measurement tests.
 func busyKernel(iter int) *kernel.Program {
 	b := kernel.NewBuilder("busyfp", 8).Params(1)
@@ -74,11 +89,11 @@ func TestCardDeterministic(t *testing.T) {
 	}
 	l1, m1 := busyLaunch(12)
 	l2, m2 := busyLaunch(12)
-	a, err := c1.MeasureKernel(l1, m1, nil, 50)
+	a, err := measureKernel(c1, l1, m1, nil, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c2.MeasureKernel(l2, m2, nil, 50)
+	b, err := measureKernel(c2, l2, m2, nil, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +166,7 @@ func TestMeasureKernelAboveIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, mem := busyLaunch(24)
-	m, err := c.MeasureKernel(l, mem, nil, 100)
+	m, err := measureKernel(c, l, mem, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +198,7 @@ func TestMeasurementAccuracyWithinChainSpec(t *testing.T) {
 	}
 	// Fresh memory: launchTruePower mutated the old image.
 	l2, mem2 := busyLaunch(24)
-	m, err := c.MeasureKernel(l2, mem2, nil, RepeatsForWindow(oneT, 0.2))
+	m, err := measureKernel(c, l2, mem2, nil, RepeatsForWindow(oneT, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +216,12 @@ func TestShortKernelArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	l1, mem1 := busyLaunch(12)
-	short, err := c.MeasureKernel(l1, mem1, nil, 1)
+	short, err := measureKernel(c, l1, mem1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l2, mem2 := busyLaunch(12)
-	long, err := c.MeasureKernel(l2, mem2, nil, RepeatsForWindow(short.TrueKernelSeconds, 0.25))
+	long, err := measureKernel(c, l2, mem2, nil, RepeatsForWindow(short.TrueKernelSeconds, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}

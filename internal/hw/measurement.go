@@ -178,21 +178,6 @@ func (c *Card) MeasureSequence(items []SeqItem) (*Trace, []Measurement, error) {
 	return tr, meas, nil
 }
 
-// MeasureKernel measures one kernel (convenience wrapper). A non-positive
-// repeat count auto-sizes the window to a reliable 150 ms.
-func (c *Card) MeasureKernel(l *kernel.Launch, mem *kernel.GlobalMem, cmem *kernel.ConstMem, repeats int) (*Measurement, error) {
-	item := SeqItem{Launch: l, Mem: mem, CMem: cmem, Repeats: repeats}
-	if repeats <= 0 {
-		item.Repeats = 0
-		item.MinWindowS = 0.150
-	}
-	_, ms, err := c.MeasureSequence([]SeqItem{item})
-	if err != nil {
-		return nil, err
-	}
-	return &ms[0], nil
-}
-
 // RepeatsForWindow returns the repeat count needed so the measured window
 // reaches at least wantS seconds (the paper's "execute the same kernels 100
 // times" adjustment, generalised).

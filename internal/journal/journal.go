@@ -35,12 +35,6 @@ import (
 
 // Log is one journal + snapshot pair rooted at a generation directory.
 type Log struct {
-	// AfterAppend, when set, runs after every successful journal append,
-	// outside the log's lock — the hook crash-drill faultpoints fire from
-	// (a process that dies here has the appended entry on disk, the
-	// tightest crash window recovery must handle). Set before first use.
-	AfterAppend func()
-
 	mu      sync.Mutex
 	dir     string
 	journal *os.File
@@ -79,14 +73,9 @@ func (l *Log) Append(v any) {
 		return
 	}
 	l.mu.Lock()
-	appended := false
+	defer l.mu.Unlock()
 	if !l.frozen && l.journal != nil {
-		_, werr := l.journal.Write(append(b, '\n'))
-		appended = werr == nil
-	}
-	l.mu.Unlock()
-	if appended && l.AfterAppend != nil {
-		l.AfterAppend()
+		_, _ = l.journal.Write(append(b, '\n'))
 	}
 }
 
@@ -180,11 +169,4 @@ func (l *Log) Close() {
 		l.journal.Close()
 		l.journal = nil
 	}
-}
-
-// JournalBytes is a test-oriented view of the raw journal (what a crash
-// would leave on disk at this instant).
-func (l *Log) JournalBytes() []byte {
-	b, _ := os.ReadFile(l.journalPath())
-	return b
 }

@@ -114,15 +114,6 @@ func (w *Warp) ActiveMask() uint32 { return w.Top().Mask }
 // StackDepth returns the reconvergence-stack depth.
 func (w *Warp) StackDepth() int { return len(w.Stack) }
 
-// reg returns a pointer to register r of lane l.
-func (w *Warp) reg(r uint8, l int) *uint32 { return &w.Regs[int(r)*WarpSize+l] }
-
-// SetReg sets register r of lane l (host-side initialisation in tests).
-func (w *Warp) SetReg(r, l int, v uint32) { *w.reg(uint8(r), l) = v }
-
-// GetReg reads register r of lane l.
-func (w *Warp) GetReg(r, l int) uint32 { return *w.reg(uint8(r), l) }
-
 // StepInfo reports what one instruction execution did; the cycle-level
 // simulator converts it into timing and activity.
 type StepInfo struct {

@@ -369,9 +369,3 @@ func (m *Model) coreLDSTBudget() circuit.Budget {
 	b.Add(m.texData)
 	return b
 }
-
-// Node returns the technology node used by the model.
-func (m *Model) Node() tech.Node { return m.node }
-
-// Config returns the modeled configuration.
-func (m *Model) Config() *config.GPU { return m.cfg }

@@ -215,6 +215,22 @@ func TestEvaluateRejectsImpossibleL1Activity(t *testing.T) {
 	}
 }
 
+// runtimeAt, where the L1 hit count is computed, refuses an Activity with
+// more L1 misses than reads instead of pricing the wrapped difference.
+func TestRuntimeAtRejectsL1Underflow(t *testing.T) {
+	m := mustModel(t, config.GT240())
+	res := &sim.Result{}
+	res.Activity.Cycles = 1000
+	res.Activity.L1Reads, res.Activity.L1Misses = 3, 4
+	if r, err := m.runtimeAt(res, 1e-6); err == nil {
+		t.Errorf("priced an L1 underflow: %.3g W dynamic", r.DynamicW)
+	}
+	res.Activity.L1Misses = 3
+	if _, err := m.runtimeAt(res, 1e-6); err != nil {
+		t.Errorf("misses == reads: %v", err)
+	}
+}
+
 func TestDynScaleFactor(t *testing.T) {
 	cfg := config.GT240()
 	res := runBusyKernel(t, cfg)

@@ -176,11 +176,6 @@ func (m *Model) Evaluate(res *sim.Result) (*RuntimeReport, error) {
 	if res == nil || res.Activity.Cycles == 0 {
 		return nil, fmt.Errorf("power: timing snapshot with no cycles")
 	}
-	// A snapshot can arrive from the simulation cache's disk spill; refuse
-	// activity no simulation produces rather than price a wrapped count.
-	if a := &res.Activity; a.L1Misses > a.L1Reads {
-		return nil, fmt.Errorf("power: timing snapshot has %d L1 misses but only %d L1 reads", a.L1Misses, a.L1Reads)
-	}
 	return m.runtimeAt(res, float64(res.Activity.Cycles)/m.cfg.CoreClockHz())
 }
 
@@ -190,6 +185,11 @@ func (m *Model) runtimeAt(res *sim.Result, T float64) (*RuntimeReport, error) {
 	cfg := m.cfg
 	p := cfg.Power
 	a := &res.Activity
+	// A snapshot can arrive from the simulation cache's disk spill; refuse
+	// activity no simulation produces rather than price a wrapped L1 count.
+	if a.L1Misses > a.L1Reads {
+		return nil, fmt.Errorf("power: timing snapshot has %d L1 misses but only %d L1 reads", a.L1Misses, a.L1Reads)
+	}
 	scale := p.DynScaleFactor
 	nCores := float64(cfg.NumCores())
 

@@ -50,13 +50,6 @@ func (e *etaModel) estimate(units float64) (seconds float64, ok bool) {
 	return units * e.secPerUnit, true
 }
 
-// observations returns how many samples the model has absorbed.
-func (e *etaModel) observations() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.samples
-}
-
 // export snapshots the calibration for the durable job store; restore is
 // its inverse, seeding a freshly recovered daemon with the previous
 // process's calibration so its first ETA (and first calibrated job

@@ -20,17 +20,16 @@ import (
 //
 // Counted triggers let fleet drills fault exactly one health probe or one
 // stream flush out of an ongoing series without killing every subsequent
-// one. A firing point does whatever failure it models — the journal crash
+// one. A firing point does whatever failure it models — the record crash
 // point kills the process like a SIGKILL would (os.Exit runs no deferred
 // cleanup), the stream point severs the client's connection
 // mid-NDJSON-line, the reduce point panics inside the scenario's reducer.
 // Production daemons never set the variable, so every faultpoint is a
 // single branch on a cached string.
 const (
-	// FaultCrashAfterJournalAppend kills the process immediately after a
-	// journal entry has been written — the tightest crash window recovery
-	// must handle (state admitted to disk, nothing else cleaned up).
-	FaultCrashAfterJournalAppend = "crash-after-journal-append"
+	// FaultCrashAfterRecord kills the process right after a job publishes
+	// a cell record: mid-stream, with nothing cleaned up.
+	FaultCrashAfterRecord = "crash-after-record"
 	// FaultDropConnectionMidStream severs a /cells or /events response
 	// after a line has been flushed, exercising client stream resumption.
 	FaultDropConnectionMidStream = "drop-connection-mid-stream"

@@ -13,8 +13,8 @@ func TestParseFaultSpec(t *testing.T) {
 		want faultSpec
 		ok   bool
 	}{
-		{"crash-after-journal-append", faultSpec{"crash-after-journal-append", 0, 1}, true},
-		{"crash-after-journal-append:3", faultSpec{"crash-after-journal-append", 3, 1}, true},
+		{"crash-after-record", faultSpec{"crash-after-record", 0, 1}, true},
+		{"crash-after-record:3", faultSpec{"crash-after-record", 3, 1}, true},
 		{"blackhole-probe:skip=2", faultSpec{"blackhole-probe", 2, 1}, true},
 		{"blackhole-probe:times=4", faultSpec{"blackhole-probe", 0, 4}, true},
 		{"sever-proxied-stream:skip=1:times=2", faultSpec{"sever-proxied-stream", 1, 2}, true},
@@ -63,7 +63,7 @@ func TestFaultpointCountedWindow(t *testing.T) {
 // require_faultpoint in scripts/service_lib.sh — greps the same file.
 func TestFaultpointManifest(t *testing.T) {
 	consts := []string{
-		FaultCrashAfterJournalAppend,
+		FaultCrashAfterRecord,
 		FaultDropConnectionMidStream,
 		FaultPanicInReduce,
 		FaultBlackholeProbe,

@@ -265,10 +265,12 @@ func (s *server) jobReport(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &notReady):
 			code = http.StatusConflict
-		case errors.As(err, &gone):
+		case errors.As(err, &gone), errors.As(err, new(*DeterminismError)):
 			code = http.StatusGone
 		case errors.Is(err, sweep.ErrUnknownScenario):
 			code = http.StatusNotFound
+		case errors.Is(err, ErrDraining):
+			code = http.StatusServiceUnavailable
 		}
 		WriteError(w, code, err)
 		return

@@ -19,10 +19,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime/debug"
 	"sync"
 	"time"
 
+	"gpusimpow/internal/journal"
 	"gpusimpow/internal/simcache"
 	"gpusimpow/internal/sweep"
 )
@@ -46,11 +48,11 @@ type Options struct {
 	// independent of RetainJobs. 0 keeps everything.
 	RetainAge time.Duration
 	// StateDir enables the durable job store (see store.go): submissions,
-	// state transitions, cell records and the ETA calibration are
-	// journaled under this directory, and OpenManager recovers them —
-	// terminal jobs restore intact, queued jobs re-enqueue, jobs that were
-	// running when the process died are marked interrupted and re-execute.
-	// Empty keeps the jobs in memory only.
+	// state transitions and the ETA calibration are kept under this
+	// directory, and OpenManager recovers them — terminal jobs restore
+	// their state and re-derive their records on first use, queued jobs
+	// re-enqueue, jobs that were running when the process died are marked
+	// interrupted and re-execute. Empty keeps the jobs in memory only.
 	StateDir string
 }
 
@@ -134,6 +136,7 @@ type JobStatus struct {
 type Job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	m    *Manager
 
 	id      string
 	request sweep.JobRequest
@@ -149,13 +152,18 @@ type Job struct {
 	// callback is serialized in plan order, so records[i] is always the
 	// cell with Index i.
 	records []*sweep.CellRecord
+	// count and digest (recordDigest) are all the store keeps of a
+	// terminal job's records; ready is open on a recovered one until the
+	// re-derivation its first reader queues settles (see awaitRecords).
+	count      int
+	digest     string
+	ready      chan struct{}
+	deriveOnce sync.Once
+	failure    *DeterminismError // set when the digest check fails
 
 	// report memoizes the scenario's reduction of the finished job, in
 	// memory only: the records determine it.
 	report *sweep.Report
-
-	// eta is the manager's shared wall-clock calibration.
-	eta *etaModel
 
 	// idemKey is the client's Idempotency-Key ("" when none): retried
 	// submissions carrying it resolve to this job instead of duplicating.
@@ -167,8 +175,8 @@ type Job struct {
 	cancel context.CancelFunc
 }
 
-func newJob(id string, req sweep.JobRequest, plan *sweep.Plan, eta *etaModel, now time.Time) *Job {
-	j := &Job{id: id, request: req, plan: plan, eta: eta, state: StateQueued, created: now}
+func newJob(m *Manager, id string, req sweep.JobRequest, plan *sweep.Plan, now time.Time) *Job {
+	j := &Job{m: m, id: id, request: req, plan: plan, state: StateQueued, created: now}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -177,9 +185,9 @@ func newJob(id string, req sweep.JobRequest, plan *sweep.Plan, eta *etaModel, no
 func (j *Job) ID() string { return j.id }
 
 // Status snapshots the job. Its progress figures derive from the plan's
-// cost estimate and the streamed record count. The estimate builds
-// workload instances, so Status never starts one for a job that never
-// ran, never waits on the worker's estimate of a live job, and never
+// cost estimate and the streamed (or stored) record count. The estimate
+// builds workload instances, so Status never starts one for a job that
+// never ran, never waits on the worker's estimate of a live job, and never
 // runs one under j.mu; a finished or recovered job's plan estimates at
 // most once, memoized on the plan.
 func (j *Job) Status() JobStatus {
@@ -195,6 +203,9 @@ func (j *Job) Status() JobStatus {
 		TimingRuns: j.plan.TimingRuns(),
 		DoneCells:  len(j.records),
 		Created:    j.created,
+	}
+	if j.ready != nil { // recovered, records not yet re-derived
+		st.DoneCells = j.count
 	}
 	started := j.started
 	if !started.IsZero() {
@@ -226,7 +237,7 @@ func (j *Job) Status() JobStatus {
 		// job's own first cell completes, once any job has fed the model.
 		// Fallback: extrapolate this job's own elapsed/progress ratio.
 		remaining := (1 - st.CostFraction) * float64(cost.EstCycles)
-		if eta, ok := j.eta.estimate(remaining); ok {
+		if eta, ok := j.m.eta.estimate(remaining); ok {
 			st.ETASeconds = eta
 		} else if st.CostFraction > 0 {
 			elapsed := time.Since(started).Seconds()
@@ -236,12 +247,40 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
+// awaitRecords lets a recovered terminal job's first reader queue the
+// re-derivation of its records on the workers (a closed manager abandons
+// it); every reader waits for it to settle, or for ctx.
+func (j *Job) awaitRecords(ctx context.Context) {
+	j.mu.Lock()
+	ready := j.ready
+	j.mu.Unlock()
+	if ready == nil {
+		return
+	}
+	j.deriveOnce.Do(func() {
+		m := j.m
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.closed {
+			j.settle(nil, nil)
+			return
+		}
+		m.rederive = append(m.rederive, j)
+		m.queueCond.Signal()
+	})
+	select {
+	case <-ready:
+	case <-ctx.Done():
+	}
+}
+
 // WaitCell blocks until cell i's record is available or the job reaches a
 // terminal state without producing it, whichever comes first. It returns
 // the record (nil once the stream is exhausted), the job's state at that
 // point, and the job error ("" unless failed/canceled). The context
 // bounds the wait.
 func (j *Job) WaitCell(ctx context.Context, i int) (*sweep.CellRecord, JobState, string) {
+	j.awaitRecords(ctx)
 	// Wake waiters when the caller's context dies; cond.Wait cannot watch
 	// a channel itself.
 	stop := context.AfterFunc(ctx, func() {
@@ -282,6 +321,7 @@ func (j *Job) WaitEvent(ctx context.Context, i int) (*sweep.Progress, JobState, 
 
 // Records snapshots the job's streamed cell records, in plan order.
 func (j *Job) Records() []*sweep.CellRecord {
+	j.awaitRecords(context.Background())
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]*sweep.CellRecord(nil), j.records...)
@@ -303,21 +343,39 @@ func (e ErrGone) Error() string {
 	return fmt.Sprintf("job %s; no report will exist", e.State)
 }
 
+// DeterminismError fails a recovered job whose re-derived records do not
+// hash to their stored digest; the job serves none of them (410).
+type DeterminismError struct {
+	ID, Want, Got string // the job, its stored digest, the re-derived one
+}
+
+func (e *DeterminismError) Error() string {
+	return fmt.Sprintf("determinism violation: job %s stored record digest %s, re-derived %s", e.ID, e.Want, e.Got)
+}
+
 // Report reduces the finished job's cell records through the scenario
 // registry's Reduce hook — the server-side counterpart of the CLI's
 // in-process reduce-and-render, over the exact records the job streamed.
 // The result is memoized on the job in memory (reduction is
-// deterministic); a recovered job re-reduces its records on its first
-// report.
+// deterministic); a recovered job re-derives its records and reduces them
+// on its first report.
 func (j *Job) Report() (*sweep.Report, error) {
+	j.awaitRecords(context.Background())
 	j.mu.Lock()
 	if j.state != StateDone {
-		st := j.state
+		st, failure := j.state, j.failure
 		j.mu.Unlock()
+		if failure != nil {
+			return nil, failure
+		}
 		if st.terminal() { // failed or canceled: permanently reportless
 			return nil, ErrGone{State: st}
 		}
 		return nil, ErrNotReady{State: st}
+	}
+	if len(j.records) < j.count { // the manager closed before re-deriving them
+		j.mu.Unlock()
+		return nil, fmt.Errorf("service: job %s records not re-derived: %w", j.id, ErrDraining)
 	}
 	if j.report != nil {
 		rep := j.report
@@ -378,7 +436,10 @@ type Manager struct {
 	eta etaModel
 
 	// store is the durable journal+snapshot (nil without StateDir).
-	store *Store
+	store *journal.Log
+
+	ctx  context.Context // bounds re-derivations; Close and an expired drain stop it
+	stop context.CancelFunc
 
 	// timeoutFloor is jobTimeoutFloor; tests lower it to force a timeout.
 	timeoutFloor time.Duration
@@ -398,6 +459,7 @@ type Manager struct {
 	// admission slot), queueCond is signaled on enqueue and Close.
 	pending   []*Job
 	queueCond *sync.Cond
+	rederive  []*Job // recovered jobs a reader awaits; popped first, even draining
 
 	wg sync.WaitGroup
 }
@@ -414,10 +476,10 @@ func NewManager(opts Options) *Manager {
 
 // OpenManager starts a manager and its workers. With Options.StateDir
 // set, it opens the durable job store, recovers every persisted job —
-// terminal jobs restore with their records, queued jobs
-// re-enqueue in submit order, jobs caught running by the crash requeue as
-// interrupted — restores the ETA calibration, and compacts the recovered
-// state into a fresh snapshot before accepting new work.
+// terminal jobs restore, their records re-derived on first use, queued
+// jobs re-enqueue in submit order, jobs caught running by the crash
+// requeue as interrupted — restores the ETA calibration, and compacts the
+// recovered state into a fresh snapshot before accepting new work.
 func OpenManager(opts Options) (*Manager, error) {
 	o := opts.withDefaults()
 	m := &Manager{
@@ -427,16 +489,17 @@ func OpenManager(opts Options) (*Manager, error) {
 		idem:         make(map[string]string),
 	}
 	m.queueCond = sync.NewCond(&m.mu)
+	m.ctx, m.stop = context.WithCancel(context.Background())
 	if o.StateDir != "" {
 		st, err := openStore(o.StateDir)
 		if err != nil {
 			return nil, err
 		}
 		m.store = st
-		m.recoverFrom(st.recover())
+		m.recoverFrom(recoverStore(st))
 		// Fold the recovered state (including interrupted-state rewrites
 		// and any torn journal tail) into a clean snapshot + empty journal.
-		st.compact(m.snapshot())
+		st.Compact(m.snapshot())
 	}
 	m.wg.Add(o.MaxConcurrent)
 	for i := 0; i < o.MaxConcurrent; i++ {
@@ -459,7 +522,7 @@ func (m *Manager) recoverFrom(rs *recoveredState) {
 		if err != nil {
 			continue
 		}
-		j := newJob(sj.ID, sj.Request, plan, &m.eta, sj.Created)
+		j := newJob(m, sj.ID, sj.Request, plan, sj.Created)
 		j.idemKey = sj.Key
 		if sj.Started != nil {
 			j.started = *sj.Started
@@ -471,24 +534,10 @@ func (m *Manager) recoverFrom(rs *recoveredState) {
 			if sj.Finished != nil {
 				j.finished = *sj.Finished
 			}
-			// A terminal job's records must be the complete plan-order
-			// stream; a gap means the journal lied (torn entries between
-			// intact ones cannot happen, but a forged/edited journal can) —
-			// demote to interrupted and re-execute rather than serve holes.
-			complete := len(sj.Records) == len(plan.Cells)
-			for _, r := range sj.Records {
-				if r == nil {
-					complete = false
-				}
+			j.count, j.digest = sj.Count, sj.Digest
+			if sj.Count > 0 {
+				j.ready = make(chan struct{}) // re-derived on first use
 			}
-			if sj.State == StateDone && !complete {
-				j.state = StateInterrupted
-				j.err = ""
-				j.finished = time.Time{}
-				m.pending = append(m.pending, j)
-				break
-			}
-			j.records = sj.Records
 		case sj.State == StateQueued:
 			m.pending = append(m.pending, j)
 		default:
@@ -537,6 +586,8 @@ func (j *Job) stored() *storedJob {
 		State:   j.state,
 		Error:   j.err,
 		Created: j.created,
+		Count:   j.count,
+		Digest:  j.digest,
 	}
 	// A job snapshotted mid-run persists as interrupted: if this snapshot
 	// is the one a restart recovers, the run it describes is already dead.
@@ -552,16 +603,13 @@ func (j *Job) stored() *storedJob {
 		t := j.finished
 		sj.Finished = &t
 	}
-	if j.state.terminal() {
-		sj.Records = append([]*sweep.CellRecord(nil), j.records...)
-	}
 	return sj
 }
 
 // journal appends one entry to the durable store, if any.
 func (m *Manager) journal(e journalEntry) {
 	if m.store != nil {
-		m.store.append(e)
+		m.store.Append(e)
 	}
 }
 
@@ -585,10 +633,20 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		m.cancelJob(j)
 	}
+	m.finish()
+}
+
+// finish stops the re-derivations, waits for the closed manager's workers,
+// abandons the re-derivations none ran, and persists the final state.
+func (m *Manager) finish() {
+	m.stop()
 	m.wg.Wait()
+	for _, j := range m.rederive { // closed: nothing appends any more
+		j.settle(nil, nil)
+	}
 	if m.store != nil {
-		m.store.compact(m.snapshot())
-		m.store.close()
+		m.store.Compact(m.snapshot())
+		m.store.Close()
 	}
 }
 
@@ -667,7 +725,7 @@ func (m *Manager) SubmitIdempotent(req sweep.JobRequest, key string) (j *Job, re
 	m.lastEvictions = st.Evictions
 	m.nextID++
 	id := fmt.Sprintf("job-%d", m.nextID)
-	j = newJob(id, req, plan, &m.eta, time.Now())
+	j = newJob(m, id, req, plan, time.Now())
 	j.idemKey = key
 	m.jobs[id] = j
 	m.order = append(m.order, id)
@@ -675,9 +733,10 @@ func (m *Manager) SubmitIdempotent(req sweep.JobRequest, key string) (j *Job, re
 	if key != "" {
 		m.idem[key] = id
 	}
+	// Journaled before a worker can see the job: it precedes every entry.
+	m.journal(journalEntry{Submit: j.stored()})
 	m.queueCond.Signal()
 	m.mu.Unlock()
-	m.journal(journalEntry{Submit: j.stored()})
 	// Age-based retention advances on submissions too, so an idle daemon
 	// sheds stale terminal jobs on its next contact.
 	m.prune()
@@ -737,7 +796,7 @@ func (m *Manager) prune() {
 		for _, id := range evicted {
 			m.journal(journalEntry{Forget: &forgetEntry{ID: id}})
 		}
-		m.store.compact(m.snapshot())
+		m.store.Compact(m.snapshot())
 	}
 }
 
@@ -819,25 +878,31 @@ func (m *Manager) cancelJob(j *Job) {
 	}
 }
 
-// worker pops pending jobs until Close; while draining it pops nothing,
-// so queued jobs persist for the next process instead of racing the
-// shutdown deadline.
+// worker pops re-derivations, then pending jobs, until Close; while
+// draining it pops no pending job, so queued jobs persist for the next
+// process instead of racing the shutdown deadline.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		for !m.closed && (m.draining || len(m.pending) == 0) {
+		for !m.closed && len(m.rederive) == 0 && (m.draining || len(m.pending) == 0) {
 			m.queueCond.Wait()
 		}
 		if m.closed {
 			m.mu.Unlock()
 			return
 		}
-		j := m.pending[0]
-		m.pending = m.pending[1:]
+		run := m.runJob
+		var j *Job
+		if len(m.rederive) > 0 {
+			j, m.rederive = m.rederive[0], m.rederive[1:]
+			run = m.rederiveJob
+		} else {
+			j, m.pending = m.pending[0], m.pending[1:]
+		}
 		m.runningCount++
 		m.mu.Unlock()
-		m.runJob(j)
+		run(j)
 		m.mu.Lock()
 		m.runningCount--
 		m.mu.Unlock()
@@ -892,32 +957,24 @@ func (m *Manager) runJob(j *Job) {
 
 	// Stream callbacks arrive serialized in plan order, so the wall-clock
 	// between consecutive callbacks is the pipeline's per-cell throughput —
-	// the sample the ETA calibration wants. The whole execution runs under
-	// a recover: a panicking scenario on this goroutine fails this job with
-	// the stack in its error, never the daemon (panics on the runner pool's
-	// goroutines surface as a *runner.PanicError return instead).
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
-			}
-		}()
-		lastEmit := time.Now()
-		_, err = j.plan.RunContext(ctx, func(cr *sweep.CellResult) {
-			rec := j.plan.Record(cr)
-			now := time.Now()
-			if cost != nil {
-				m.eta.observe(cost.PerCell[rec.Index]*float64(cost.EstCycles), now.Sub(lastEmit).Seconds())
-			}
-			j.mu.Lock()
-			j.records = append(j.records, rec)
-			lastEmit = now
-			j.cond.Broadcast()
-			j.mu.Unlock()
-			m.journal(journalEntry{Cell: &cellEntry{ID: j.id, Record: rec}})
-		})
-		return err
-	}()
+	// the sample the ETA calibration wants.
+	lastEmit := time.Now()
+	err := j.run(ctx, func(cr *sweep.CellResult) {
+		rec := j.plan.Record(cr)
+		now := time.Now()
+		if cost != nil {
+			m.eta.observe(cost.PerCell[rec.Index]*float64(cost.EstCycles), now.Sub(lastEmit).Seconds())
+		}
+		j.mu.Lock()
+		j.records = append(j.records, rec)
+		lastEmit = now
+		j.cond.Broadcast()
+		j.mu.Unlock()
+		if faultpoint(FaultCrashAfterRecord) {
+			fmt.Fprintln(os.Stderr, "gpowd: faultpoint crash-after-record: dying")
+			os.Exit(137)
+		}
+	})
 
 	j.mu.Lock()
 	switch {
@@ -943,11 +1000,72 @@ func (m *Manager) runJob(j *Job) {
 		j.state = StateFailed
 		j.err = err.Error()
 	}
-	state, errMsg, finished := j.state, j.err, j.finished
+	e := &stateEntry{ID: j.id, State: j.state, Error: j.err, At: j.finished}
+	if j.state.terminal() {
+		j.count = len(j.records)
+		if m.store != nil {
+			j.digest = recordDigest(j.records)
+		}
+		e.Count, e.Digest = j.count, j.digest
+	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	m.journal(journalEntry{State: &stateEntry{ID: j.id, State: state, Error: errMsg, At: finished}})
+	m.journal(journalEntry{State: e})
 	m.prune()
+}
+
+// run runs the job's plan under a recover: a panicking scenario on this
+// goroutine fails the run with the stack in its error, never the daemon
+// (panics on the runner pool's goroutines surface as a *runner.PanicError
+// return instead).
+func (j *Job) run(ctx context.Context, emit func(*sweep.CellResult)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	_, err = j.plan.RunContext(ctx, emit)
+	return err
+}
+
+// rederiveJob re-runs a recovered terminal job's plan up to its stored
+// record count (the first records of any run are deterministic in plan
+// order, so done, failed and canceled jobs alike) and publishes them only
+// if they hash to the stored digest; otherwise the job fails with a
+// *DeterminismError. It journals nothing; a canceled m.ctx abandons it.
+func (m *Manager) rederiveJob(j *Job) {
+	n, want := j.count, j.digest // fixed since recovery
+	ctx, cancel := context.WithCancel(m.ctx)
+	defer cancel()
+	var recs []*sweep.CellRecord
+	_ = j.run(ctx, func(cr *sweep.CellResult) { // a run cut short fails the digest check
+		if len(recs) < n {
+			if recs = append(recs, j.plan.Record(cr)); len(recs) == n {
+				cancel() // the stored stream ends here
+			}
+		}
+	})
+	var derr *DeterminismError
+	if got := recordDigest(recs); got != want {
+		recs = nil
+		if m.ctx.Err() == nil { // not abandoned: a real mismatch
+			derr = &DeterminismError{ID: j.id, Want: want, Got: got}
+		}
+	}
+	j.settle(recs, derr)
+}
+
+// settle publishes a recovered job's re-derived records (none when
+// abandoned) or fails the job with derr, and wakes its readers.
+func (j *Job) settle(recs []*sweep.CellRecord, derr *DeterminismError) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if derr != nil {
+		j.state, j.err, j.failure = StateFailed, derr.Error(), derr
+	}
+	j.records = recs
+	close(j.ready)
+	j.ready = nil
 }
 
 // interrupt cancels a running job while marking the cancellation as
@@ -1028,6 +1146,7 @@ func (m *Manager) Shutdown(ctx context.Context) {
 		}
 		if ctx.Err() != nil && !interrupted {
 			interrupted = true
+			m.stop()
 			for _, j := range m.Jobs() {
 				j.interrupt()
 			}
@@ -1039,9 +1158,5 @@ func (m *Manager) Shutdown(ctx context.Context) {
 	m.closed = true
 	m.queueCond.Broadcast()
 	m.mu.Unlock()
-	m.wg.Wait()
-	if m.store != nil {
-		m.store.compact(m.snapshot())
-		m.store.close()
-	}
+	m.finish()
 }

@@ -358,7 +358,7 @@ func TestEtaCalibrationFeedsStatuses(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 1, MaxQueued: 4})
 	defer m.Close()
 	runToDone(t, m, sweep.JobRequest{Scenario: "ablation-processnode"})
-	if m.eta.observations() == 0 {
+	if _, n := m.eta.export(); n == 0 {
 		t.Fatal("completed job fed no calibration samples")
 	}
 	// A second job's status can carry a calibrated ETA as soon as its cost

@@ -1,9 +1,10 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -14,40 +15,41 @@ import (
 
 // The durable job store: an append-only NDJSON journal plus a compacted
 // snapshot under gpowd's -state-dir, so a daemon crash or restart loses
-// no job state. The store keeps only what nothing else determines — the
-// request, the lifecycle, the cell records and the ETA model's EWMA —
-// and every simulation is deterministic, so recovery is safe replay:
-// terminal jobs restore with their records, queued jobs re-enqueue in
-// submit order, and jobs that were running when the process died come
-// back as "interrupted" and re-execute bit-identically. A job's progress
-// and report are functions of its plan and records, so neither is
-// stored: a recovered done job re-reduces its records on its first
-// report. The generation directory is keyed by the build fingerprint, so
-// the reducer that re-reduces is the one whose build wrote the records.
+// no job state. It keeps only what the request cannot determine: the
+// request, the lifecycle and the ETA model's EWMA. Records are a
+// deterministic function of the build and the request, so a terminal job
+// keeps just its stream's length and recordDigest, re-derives its records
+// on first use after recovery and publishes them only if they hash to
+// that digest: every recovery checks the determinism contract. Queued
+// jobs re-enqueue in submit order; jobs running when the process died
+// come back "interrupted" and re-execute. The generation directory is
+// keyed by the build fingerprint, so the re-deriving build is the one
+// that digested.
 //
 // The I/O discipline (generation directory, torn-tail-tolerant journal,
 // atomic snapshot + truncate, no fsync by design) lives in
 // internal/journal, shared with the fleet router's routing table; this
 // file owns the job-shaped entry types and the idempotent fold.
 //
-// Write path: one journal line per event (submission, state transition,
-// cell record, EWMA sample, forget). Compaction (at
+// Write path: one journal line per submission, state transition (a
+// terminal one carries the count and digest) and forget. Compaction (at
 // recovery, on prune evictions, and at shutdown) folds everything into
 // snapshot.json and truncates the journal, which both bounds disk under
 // -retain/-retain-age and clears any torn tail so later appends cannot
 // concatenate onto it.
 //
-// Crash windows: the snapshot is renamed into place before the journal is
-// truncated, so a crash between the two leaves journal entries that are
-// already folded into the snapshot. Replaying them is idempotent by
-// construction — submissions of a known job are skipped, state entries
-// overwrite, cell entries place by record index — except that a
-// job forgotten by the snapshot may be resurrected by its surviving
-// journal entries; that is benign (the next prune forgets it again) and
-// strictly better than the reverse order, which could lose jobs.
+// Crash windows: a process killed mid-job leaves the job's submission and
+// running transition, so it re-executes. The snapshot is renamed before
+// the journal is truncated, so a crash between the two leaves journal
+// entries that are already folded into the snapshot.
+// Replaying them is idempotent by construction — submissions of a known
+// job are skipped, state entries overwrite — except that a job forgotten
+// by the snapshot may be resurrected by its surviving journal entries;
+// that is benign (the next prune forgets it again) and strictly better
+// than the reverse order, which could lose jobs.
 
 // storeVersion guards the persisted shape; bump on incompatible change.
-const storeVersion = 1
+const storeVersion = 2
 
 // storedJob is one job's persisted form — everything recovery needs to
 // rebuild it (the Plan is re-derived from the request).
@@ -62,27 +64,35 @@ type storedJob struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	// Records are kept for terminal jobs only: a non-terminal job
-	// re-executes on recovery and regenerates them deterministically.
-	Records []*sweep.CellRecord `json:"records,omitempty"`
+	// Count and Digest describe a terminal job's record stream: its length
+	// and recordDigest. Recovery re-derives the records from the request.
+	Count  int    `json:"count,omitempty"`
+	Digest string `json:"digest,omitempty"`
 }
 
-// stateEntry journals one lifecycle transition.
+// recordDigest is the hex sha256 of records exactly as /cells streams
+// them: one json.Encoder line per record.
+func recordDigest(recs []*sweep.CellRecord) string {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, r := range recs {
+		_ = enc.Encode(r) // a hash.Hash write never fails
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// stateEntry journals one lifecycle transition; a terminal one carries
+// the job's record count and digest.
 type stateEntry struct {
-	ID    string    `json:"id"`
-	State JobState  `json:"state"`
-	Error string    `json:"error,omitempty"`
-	At    time.Time `json:"at"`
+	ID     string    `json:"id"`
+	State  JobState  `json:"state"`
+	Error  string    `json:"error,omitempty"`
+	At     time.Time `json:"at"`
+	Count  int       `json:"count,omitempty"`
+	Digest string    `json:"digest,omitempty"`
 }
 
-// cellEntry journals one streamed cell record; Record.Index is its
-// position, so replaying a duplicate entry is idempotent.
-type cellEntry struct {
-	ID     string            `json:"id"`
-	Record *sweep.CellRecord `json:"record"`
-}
-
-// etaEntry journals the shared ETA model's calibration.
+// etaEntry is the shared ETA model's calibration, as the snapshot keeps it.
 type etaEntry struct {
 	SecPerUnit float64 `json:"secPerUnit"`
 	Samples    uint64  `json:"samples"`
@@ -97,8 +107,6 @@ type forgetEntry struct {
 type journalEntry struct {
 	Submit *storedJob   `json:"submit,omitempty"`
 	State  *stateEntry  `json:"state,omitempty"`
-	Cell   *cellEntry   `json:"cell,omitempty"`
-	ETA    *etaEntry    `json:"eta,omitempty"`
 	Forget *forgetEntry `json:"forget,omitempty"`
 }
 
@@ -112,7 +120,7 @@ type snapshotFile struct {
 	Jobs   []*storedJob `json:"jobs,omitempty"` // creation order
 }
 
-// recoveredState is what recover() hands the Manager.
+// recoveredState is what recoverStore hands the Manager.
 type recoveredState struct {
 	Jobs    []*storedJob // creation order
 	NextID  int
@@ -120,51 +128,26 @@ type recoveredState struct {
 	Skipped int // corrupt/unusable journal lines skipped
 }
 
-// Store is the journal + snapshot pair for one state directory.
-type Store struct {
-	dir string // generation directory
-	log *journal.Log
+// openStore opens (creating if needed) the store's journal and snapshot
+// under stateDir. State lives under a generation directory
+// (<state-dir>/v<version>-<build fingerprint>/, mirroring
+// internal/simcache/disk.go) so a directory shared across simulator
+// versions never replays state an incompatible binary wrote.
+func openStore(stateDir string) (*journal.Log, error) {
+	return journal.Open(filepath.Join(stateDir, fmt.Sprintf("v%d-%s", storeVersion, simcache.Fingerprint())))
 }
 
-// openStore opens (creating if needed) the store under stateDir. State
-// lives under a generation directory (<state-dir>/v<version>-<build
-// fingerprint>/, mirroring internal/simcache/disk.go) so a directory
-// shared across simulator versions never replays state an incompatible
-// binary wrote.
-func openStore(stateDir string) (*Store, error) {
-	dir := filepath.Join(stateDir, fmt.Sprintf("v%d-%s", storeVersion, simcache.Fingerprint()))
-	l, err := journal.Open(dir)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	l.AfterAppend = func() {
-		if faultpoint(FaultCrashAfterJournalAppend) {
-			fmt.Fprintln(os.Stderr, "gpowd: faultpoint crash-after-journal-append: dying")
-			os.Exit(137)
-		}
-	}
-	return &Store{dir: dir, log: l}, nil
-}
-
-// append writes one journal line. All failures are swallowed — durability
-// degrades, the daemon does not; the in-memory state still serves.
-func (s *Store) append(e journalEntry) { s.log.Append(e) }
-
-// freeze drops all future writes — the test stand-in for SIGKILL: what is
-// on disk now is exactly the crash image a killed process leaves.
-func (s *Store) freeze() { s.log.Freeze() }
-
-// recover reads the snapshot, folds the journal over it, and returns the
-// merged state. Corrupt snapshot: start empty. Corrupt journal line
+// recoverStore reads the snapshot, folds the journal over it, and returns
+// the merged state. Corrupt snapshot: start empty. Corrupt journal line
 // (including a torn tail): skip. Entries referencing unknown jobs: skip,
 // except submissions, which introduce jobs.
-func (s *Store) recover() *recoveredState {
+func recoverStore(l *journal.Log) *recoveredState {
 	rs := &recoveredState{}
 	byID := map[string]*storedJob{}
 	var order []string
 
 	var snap snapshotFile
-	if s.log.Snapshot(&snap) && snap.Version == storeVersion {
+	if l.Snapshot(&snap) && snap.Version == storeVersion {
 		rs.NextID = snap.NextID
 		rs.ETA = snap.ETA
 		for _, sj := range snap.Jobs {
@@ -176,7 +159,7 @@ func (s *Store) recover() *recoveredState {
 		}
 	}
 
-	s.log.Replay(func(line []byte) {
+	l.Replay(func(line []byte) {
 		var e journalEntry
 		if json.Unmarshal(line, &e) != nil {
 			// Corrupt or torn line: skip. A torn line can only be the
@@ -216,30 +199,14 @@ func applyEntry(e *journalEntry, byID map[string]*storedJob, order *[]string, rs
 		}
 		sj.State = e.State.State
 		sj.Error = e.State.Error
+		sj.Count, sj.Digest = e.State.Count, e.State.Digest
 		at := e.State.At
 		switch {
 		case e.State.State == StateRunning:
 			sj.Started = &at
-			// A (re)start invalidates any previously journaled records:
-			// the run streams a fresh, bit-identical set.
-			sj.Records = nil
 		case e.State.State.terminal():
 			sj.Finished = &at
 		}
-	case e.Cell != nil:
-		sj := byID[e.Cell.ID]
-		if sj == nil || e.Cell.Record == nil || e.Cell.Record.Index < 0 {
-			rs.Skipped++
-			return
-		}
-		// Place by index so duplicate replays are idempotent; the stream
-		// is in plan order, so the slice only ever grows by one.
-		for len(sj.Records) <= e.Cell.Record.Index {
-			sj.Records = append(sj.Records, nil)
-		}
-		sj.Records[e.Cell.Record.Index] = e.Cell.Record
-	case e.ETA != nil:
-		rs.ETA = e.ETA
 	case e.Forget != nil:
 		if byID[e.Forget.ID] != nil {
 			delete(byID, e.Forget.ID)
@@ -263,15 +230,3 @@ func jobNumber(id string) int {
 	}
 	return n
 }
-
-// compact atomically replaces the snapshot with snap and truncates the
-// journal. Failures leave the previous snapshot + journal intact — the
-// store keeps appending and the next compaction retries.
-func (s *Store) compact(snap *snapshotFile) { s.log.Compact(snap) }
-
-// close freezes the store and closes the journal.
-func (s *Store) close() { s.log.Close() }
-
-// journalBytes is a test helper view of the journal (what a crash would
-// leave on disk at this instant).
-func (s *Store) journalBytes() []byte { return s.log.JournalBytes() }

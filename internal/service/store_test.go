@@ -1,9 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -17,8 +18,8 @@ func storeDir(stateDir string) string {
 	if err != nil {
 		panic(err)
 	}
-	defer s.close()
-	return s.dir
+	defer s.Close()
+	return s.Dir()
 }
 
 // testRecord fabricates one minimal cell record at index i.
@@ -26,31 +27,33 @@ func testRecord(i int) *sweep.CellRecord {
 	return &sweep.CellRecord{Index: i, Scenario: "svcblock", Config: "GT240"}
 }
 
-// The journal round-trips: submissions, transitions and cell records
-// written by one store instance are recovered by the next, in order.
+// The journal round-trips: submissions and transitions (a terminal one
+// with its record count and digest) written by one store instance are
+// recovered by the next, in order, folded over the snapshot's ETA
+// calibration.
 func TestStoreJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Compact(&snapshotFile{Version: storeVersion, ETA: &etaEntry{SecPerUnit: 0.5, Samples: 3}})
 	req := sweep.JobRequest{Scenario: "svcblock", Label: "round-trip"}
 	created := time.Now().Truncate(time.Millisecond)
-	s.append(journalEntry{Submit: &storedJob{ID: "job-1", Request: req, State: StateQueued, Created: created}})
-	s.append(journalEntry{Submit: &storedJob{ID: "job-2", Request: req, State: StateQueued, Created: created}})
+	s.Append(journalEntry{Submit: &storedJob{ID: "job-1", Request: req, State: StateQueued, Created: created}})
+	s.Append(journalEntry{Submit: &storedJob{ID: "job-2", Request: req, State: StateQueued, Created: created}})
 	started := created.Add(time.Second)
-	s.append(journalEntry{State: &stateEntry{ID: "job-1", State: StateRunning, At: started}})
-	s.append(journalEntry{Cell: &cellEntry{ID: "job-1", Record: testRecord(0)}})
-	s.append(journalEntry{State: &stateEntry{ID: "job-1", State: StateDone, At: started.Add(time.Second)}})
-	s.append(journalEntry{ETA: &etaEntry{SecPerUnit: 0.5, Samples: 3}})
-	s.close()
+	s.Append(journalEntry{State: &stateEntry{ID: "job-1", State: StateRunning, At: started}})
+	digest := recordDigest([]*sweep.CellRecord{testRecord(0)})
+	s.Append(journalEntry{State: &stateEntry{ID: "job-1", State: StateDone, At: started.Add(time.Second), Count: 1, Digest: digest}})
+	s.Close()
 
 	s2, err := openStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.close()
-	rs := s2.recover()
+	defer s2.Close()
+	rs := recoverStore(s2)
 	if rs.Skipped != 0 {
 		t.Errorf("skipped %d entries in a clean journal", rs.Skipped)
 	}
@@ -61,8 +64,8 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	if j1.State != StateDone || j1.Started == nil || !j1.Started.Equal(started) || j1.Finished == nil {
 		t.Errorf("job-1 transitions lost: %+v", j1)
 	}
-	if len(j1.Records) != 1 || !reflect.DeepEqual(j1.Records[0], testRecord(0)) {
-		t.Errorf("job-1 records: %+v", j1.Records)
+	if j1.Count != 1 || j1.Digest != digest {
+		t.Errorf("job-1 record stream: count %d digest %s, want 1 and %s", j1.Count, j1.Digest, digest)
 	}
 	if j1.Request.Label != "round-trip" {
 		t.Errorf("request lost: %+v", j1.Request)
@@ -87,16 +90,16 @@ func TestStoreCorruptTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.append(journalEntry{Submit: &storedJob{ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
-	s.append(journalEntry{Cell: &cellEntry{ID: "job-1", Record: testRecord(0)}})
-	s.close()
+	s.Append(journalEntry{Submit: &storedJob{ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
+	s.Append(journalEntry{State: &stateEntry{ID: "job-1", State: StateRunning, At: time.Now()}})
+	s.Close()
 
 	// Tear the tail: a crash mid-write leaves a prefix of the last line.
 	f, err := os.OpenFile(filepath.Join(storeDir(dir), "journal.ndjson"), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"cell":{"id":"job-1","rec`); err != nil {
+	if _, err := f.WriteString(`{"state":{"id":"job-1","sta`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -105,12 +108,12 @@ func TestStoreCorruptTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.close()
-	rs := s2.recover()
+	defer s2.Close()
+	rs := recoverStore(s2)
 	if rs.Skipped != 1 {
 		t.Errorf("skipped %d lines, want exactly the torn tail", rs.Skipped)
 	}
-	if len(rs.Jobs) != 1 || len(rs.Jobs[0].Records) != 1 {
+	if len(rs.Jobs) != 1 || rs.Jobs[0].State != StateRunning {
 		t.Fatalf("intact entries lost: %+v", rs.Jobs)
 	}
 }
@@ -127,27 +130,27 @@ func TestStoreCompactionIdempotent(t *testing.T) {
 	}
 	submit := journalEntry{Submit: &storedJob{ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}}
 	done := journalEntry{State: &stateEntry{ID: "job-1", State: StateDone, At: time.Now()}}
-	s.append(submit)
-	s.append(done)
-	s.compact(&snapshotFile{Version: storeVersion, NextID: 1, Jobs: []*storedJob{{
+	s.Append(submit)
+	s.Append(done)
+	s.Compact(&snapshotFile{Version: storeVersion, NextID: 1, Jobs: []*storedJob{{
 		ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"},
 		State: StateDone, Created: time.Now(),
 	}}})
-	if b := s.journalBytes(); len(b) != 0 {
+	if b, _ := os.ReadFile(filepath.Join(s.Dir(), "journal.ndjson")); len(b) != 0 {
 		t.Fatalf("journal not truncated by compaction: %q", b)
 	}
 	// Simulate the crash window: re-append the entries the snapshot already
 	// folded, as if the truncate had never happened.
-	s.append(submit)
-	s.append(done)
-	s.close()
+	s.Append(submit)
+	s.Append(done)
+	s.Close()
 
 	s2, err := openStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.close()
-	rs := s2.recover()
+	defer s2.Close()
+	rs := recoverStore(s2)
 	if len(rs.Jobs) != 1 {
 		t.Fatalf("stale journal replay duplicated jobs: %+v", rs.Jobs)
 	}
@@ -164,17 +167,17 @@ func TestStoreForgetAndCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.append(journalEntry{Submit: &storedJob{ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
-	s.append(journalEntry{Submit: &storedJob{ID: "job-2", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
-	s.append(journalEntry{Forget: &forgetEntry{ID: "job-1"}})
-	rs := s.recover()
+	s.Append(journalEntry{Submit: &storedJob{ID: "job-1", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
+	s.Append(journalEntry{Submit: &storedJob{ID: "job-2", Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: time.Now()}})
+	s.Append(journalEntry{Forget: &forgetEntry{ID: "job-1"}})
+	rs := recoverStore(s)
 	if len(rs.Jobs) != 1 || rs.Jobs[0].ID != "job-2" {
 		t.Errorf("forget not applied: %+v", rs.Jobs)
 	}
 	if rs.NextID != 2 {
 		t.Errorf("NextID %d, want 2: forgotten IDs must never be reused", rs.NextID)
 	}
-	s.close()
+	s.Close()
 
 	if err := os.WriteFile(filepath.Join(storeDir(dir), "snapshot.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -183,8 +186,8 @@ func TestStoreForgetAndCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.close()
-	rs = s2.recover() // journal still has the submits + forget
+	defer s2.Close()
+	rs = recoverStore(s2) // journal still has the submits + forget
 	if len(rs.Jobs) != 1 {
 		t.Errorf("corrupt snapshot should fall back to the journal: %+v", rs.Jobs)
 	}
@@ -196,8 +199,116 @@ func TestStoreForgetAndCorruptSnapshot(t *testing.T) {
 func TestStoreGenerationDir(t *testing.T) {
 	dir := t.TempDir()
 	got := storeDir(dir)
-	want := filepath.Join(dir, "v1-"+simcache.Fingerprint())
+	want := filepath.Join(dir, "v2-"+simcache.Fingerprint())
 	if got != want {
 		t.Errorf("generation dir %q, want %q", got, want)
 	}
+}
+
+// roundTripImage is a real store image: one done job folded into the
+// snapshot (with the ETA calibration it fed), and a second job's whole
+// lifecycle still in the journal.
+func roundTripImage(tb testing.TB) (snapshot, journal []byte) {
+	dir := tb.TempDir()
+	for _, label := range []string{"snapshotted", "journaled"} {
+		m, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		j, err := m.Submit(sweep.JobRequest{Scenario: "svcdrift", Label: label})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for !j.Status().State.terminal() {
+			time.Sleep(time.Millisecond)
+		}
+		if label == "journaled" {
+			journal, _ = os.ReadFile(filepath.Join(m.store.Dir(), "journal.ndjson"))
+			m.store.Freeze() // the crash image: no compaction at Close
+		}
+		m.Close()
+	}
+	snapshot, err := os.ReadFile(filepath.Join(storeDir(dir), "snapshot.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snapshot, journal
+}
+
+// writePathOrder reports whether journal could have come from the write
+// path over a snapshot holding the known jobs: every entry follows its
+// job's submission, and no job is submitted twice or after its forget.
+func writePathOrder(journal []byte, known map[string]bool) bool {
+	gone := map[string]bool{}
+	for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
+		var e journalEntry
+		if json.Unmarshal(line, &e) != nil {
+			continue // skipped by every replay alike
+		}
+		switch { // applyEntry's case order
+		case e.Submit != nil && e.Submit.ID != "":
+			if known[e.Submit.ID] || gone[e.Submit.ID] {
+				return false
+			}
+			known[e.Submit.ID] = true
+		case e.State != nil:
+			if !known[e.State.ID] {
+				return false
+			}
+		case e.Forget != nil:
+			if !known[e.Forget.ID] {
+				return false
+			}
+			delete(known, e.Forget.ID)
+			gone[e.Forget.ID] = true
+		}
+	}
+	return true
+}
+
+// FuzzStoreRecover feeds recovery arbitrary snapshot and journal bytes.
+// Recovery must never panic. And where the journal is one the write path
+// could have produced, replaying it over the snapshot it folds to must
+// change nothing: that is the crash window between the snapshot rename
+// and the journal truncate, which replays the journal twice.
+func FuzzStoreRecover(f *testing.F) {
+	snap, journal := roundTripImage(f)
+	f.Add(snap, journal)
+	f.Add([]byte(nil), journal)
+	dir := f.TempDir()
+	s, err := openStore(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	write := func(t *testing.T, name string, b []byte) {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folded := func(t *testing.T, rs *recoveredState) []byte {
+		b, err := json.Marshal(snapshotFile{Version: storeVersion, NextID: rs.NextID, ETA: rs.ETA, Jobs: rs.Jobs})
+		if err != nil {
+			t.Skip("state not representable as JSON:", err)
+		}
+		return b
+	}
+	f.Fuzz(func(t *testing.T, snap, journal []byte) {
+		write(t, "snapshot.json", snap)
+		write(t, "journal.ndjson", nil)
+		known := map[string]bool{}
+		for _, sj := range recoverStore(s).Jobs {
+			known[sj.ID] = true
+		}
+		write(t, "journal.ndjson", journal)
+		once := recoverStore(s)
+		if !writePathOrder(journal, known) {
+			return
+		}
+		want := folded(t, once)
+		write(t, "snapshot.json", want)
+		if got := folded(t, recoverStore(s)); !bytes.Equal(got, want) {
+			t.Errorf("replaying the journal over its own fold changed the state:\nonce:  %s\ntwice: %s", want, got)
+		}
+	})
 }

@@ -163,12 +163,6 @@ func (c *Cache) HitRate() float64 {
 	return 1 - float64(c.ReadMisses+c.WriteMisses)/float64(total)
 }
 
-// Sets returns the number of sets (for the power model's array geometry).
-func (c *Cache) Sets() int { return c.sets }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Flush invalidates everything, returning the number of dirty lines that a
 // real cache would have written back (kernel-boundary behaviour).
 func (c *Cache) Flush() int {

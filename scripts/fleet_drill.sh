@@ -7,8 +7,8 @@
 #      ring is a pure function of backend names, so the drill knows
 #      which backend will own the job before anything starts.
 #   3. Start two gpowd backends on pre-picked ports, the predicted
-#      victim armed with crash-after-journal-append to die journaling
-#      its second cell record; start gpowfleet over both.
+#      victim armed with crash-after-record to die right after its
+#      second cell record; start gpowfleet over both.
 #   4. A backgrounded `gpowexp -remote run -json` pointed at the ROUTER
 #      rides through the backend loss: the router marks the victim
 #      dead, re-dispatches the job to the survivor under the fleet
@@ -69,11 +69,11 @@ survivor_port=$p0
 [ "$survivor" = b0 ] || survivor_port=$p1
 echo "fleet drill: ring owner for $scenario is $victim — arming it to die mid-job"
 
-require_faultpoint crash-after-journal-append
+require_faultpoint crash-after-record
 
 start_backend() { # name port logfile [env armed]
     if [ "${4:-}" = armed ]; then
-        GPUSIMPOW_FAULTPOINT=crash-after-journal-append:3 \
+        GPUSIMPOW_FAULTPOINT=crash-after-record:1 \
             "$tmp/gpowd" -addr "127.0.0.1:$2" -state-dir "$tmp/state-$1" 2>"$3" &
     else
         "$tmp/gpowd" -addr "127.0.0.1:$2" -state-dir "$tmp/state-$1" 2>"$3" &

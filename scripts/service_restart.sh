@@ -4,11 +4,10 @@
 #
 #   1. Run the scenario in-process: the uninterrupted ground truth.
 #   2. Start gpowd on a pre-picked ephemeral port with -state-dir and
-#      the crash-after-journal-append faultpoint armed to fire on the
-#      4th journal append — submission, the running transition, and the
-#      first cell record land on disk, then the daemon dies (exit 137)
-#      while journaling the second cell, mid-stream from the client's
-#      point of view.
+#      the crash-after-record faultpoint armed to fire on its 2nd hit —
+#      the submission and the running transition are on disk, and the
+#      daemon dies (exit 137) right after publishing the second cell
+#      record, mid-stream from the client's point of view.
 #   3. A backgrounded `gpowexp -remote run -json` rides through the
 #      outage: its self-healing client backs off, reconnects, and
 #      resumes the cell stream with ?from=N.
@@ -19,9 +18,10 @@
 #      byte, then diff the recovered daemon's reduced report
 #      (gpowexp report job-1 -json) the same way.
 #   6. Stop that daemon with SIGTERM and start a third on the same
-#      state dir. The store journals records, not reports, so the
-#      recovered done job re-reduces its records on its first report:
-#      diff that report the same way.
+#      state dir. The store keeps only the done job's record count and
+#      digest, so the recovered job re-derives its records on its first
+#      report, checks them against the digest and reduces them: diff
+#      that report the same way.
 set -eu
 
 . ./scripts/service_lib.sh
@@ -47,9 +47,9 @@ go build -o "$tmp/gpowexp" ./cmd/gpowexp
 # daemon must come back on the address the riding client already knows.
 port=$(pick_port)
 
-# First daemon: armed to die journaling the second cell record.
-require_faultpoint crash-after-journal-append
-GPUSIMPOW_FAULTPOINT=crash-after-journal-append:3 \
+# First daemon: armed to die right after the second cell record.
+require_faultpoint crash-after-record
+GPUSIMPOW_FAULTPOINT=crash-after-record:1 \
     "$tmp/gpowd" -addr "127.0.0.1:$port" -state-dir "$tmp/state" 2>"$tmp/gpowd1.log" &
 pid=$!
 addr=$(wait_listen "$tmp/gpowd1.log" "$pid" "service restart: gpowd")
@@ -93,7 +93,8 @@ if ! diff "$tmp/local-report.json" "$tmp/remote-report.json"; then
     exit 1
 fi
 
-# A clean restart: the done job comes back with its records only.
+# A clean restart: the done job comes back with its record count and
+# digest only, and re-derives its records for the report.
 kill -TERM "$pid"
 wait_dead "$pid" "service restart: gpowd"
 pid=""
@@ -102,8 +103,8 @@ pid=$!
 addr=$(wait_listen "$tmp/gpowd3.log" "$pid" "service restart: gpowd")
 "$tmp/gpowexp" -remote "$addr" report job-1 -json >"$tmp/rereduced-report.json"
 if ! diff "$tmp/local-report.json" "$tmp/rereduced-report.json"; then
-    echo "service restart: FAIL — report re-reduced after a clean restart diverges from the uninterrupted reduction" >&2
+    echo "service restart: FAIL — report re-derived after a clean restart diverges from the uninterrupted reduction" >&2
     exit 1
 fi
 
-echo "service restart: OK — $scenario: daemon killed mid-job; client resumed and $(wc -l <"$tmp/local.ndjson") cell record(s) + report match the uninterrupted run byte for byte, and so does the report re-reduced after a clean restart"
+echo "service restart: OK — $scenario: daemon killed mid-job; client resumed and $(wc -l <"$tmp/local.ndjson") cell record(s) + report match the uninterrupted run byte for byte, and so does the report re-derived after a clean restart"
