@@ -88,11 +88,14 @@ race:
 # must never panic, and what it accepts must decode and disassemble.
 # FuzzStoreRecover: job-store recovery must never panic on any snapshot
 # and journal bytes, and replaying a write-path journal over its own fold
-# must change nothing. Crashers land in the package's testdata/fuzz/ and
-# replay in every `go test`.
+# must change nothing. FuzzMeasureMemo: a virtual-card measurement served
+# by the result cache (miss, then hit) must equal the sampled waveform's
+# bit for bit and leave the noise stream in the same state. Crashers land
+# in the package's testdata/fuzz/ and replay in every `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s
+	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 
 # One pass of the root microbenchmarks (simulator and measurement layer,
 # one iteration each), so they cannot silently rot; use -benchtime and

@@ -562,6 +562,6 @@ func printCacheStats(w io.Writer) {
 	if st.BudgetBytes > 0 {
 		fmt.Fprintf(w, " of %.1f MiB budget", float64(st.BudgetBytes)/(1<<20))
 	}
-	fmt.Fprintf(w, "), %d hits (%d from disk), %d misses, %d evictions, %d bypasses\n",
-		st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses)
+	fmt.Fprintf(w, "), %d hits (%d from disk), %d misses, %d evictions, %d bypasses; measurements %d hits, %d misses\n",
+		st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses, st.MeasureHits, st.MeasureMisses)
 }

@@ -123,8 +123,8 @@ func run(w io.Writer, gpuName, cfgPath, benchName string, static, list bool, dum
 	fmt.Fprintln(w, "verification: OK")
 	if stats {
 		st := simcache.Default().Stats()
-		fmt.Fprintf(w, "sim-cache: %d entries (%.1f MiB), %d hits (%d from disk), %d misses, %d evictions, %d bypasses\n",
-			st.Entries, float64(st.Bytes)/(1<<20), st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses)
+		fmt.Fprintf(w, "sim-cache: %d entries (%.1f MiB), %d hits (%d from disk), %d misses, %d evictions, %d bypasses; measurements %d hits, %d misses\n",
+			st.Entries, float64(st.Bytes)/(1<<20), st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses, st.MeasureHits, st.MeasureMisses)
 	}
 	return nil
 }

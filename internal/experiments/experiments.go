@@ -153,7 +153,7 @@ func estimateStaticByFrequency(card *hw.Card, cfg *config.GPU) (float64, error) 
 			return 0, err
 		}
 		u := &inst.Units[0]
-		_, ms, err := card.MeasureSequence([]hw.SeqItem{{
+		ms, err := card.Measure([]hw.SeqItem{{
 			Launch: u.Launch, Mem: inst.Mem, CMem: u.CMem, MinWindowS: u.MinWindowS,
 		}})
 		if err != nil {
@@ -318,7 +318,7 @@ func reduceFig4(_ []*sweep.CellRecord, _ sweep.Filter) (*sweep.Report, error) {
 		l, mem := busyFPKernel(i+1, 256, 60)
 		items[i] = hw.SeqItem{Launch: l, Mem: mem, MinWindowS: measureWindowS, GapS: 0.03}
 	}
-	_, ms, err := card.MeasureSequence(items)
+	ms, err := card.Measure(items)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -86,19 +88,75 @@ func (tr *Trace) avgWindow(t0, t1 float64) (float64, int) {
 // MeasureSequence executes a sequence of kernels on the virtual card and
 // returns the sampled waveform plus per-kernel measurements. The waveform
 // includes lead-in/lead-out idle, the supply's bulk-capacitance low-pass
-// response, and the measurement chain's gain/offset/noise errors.
+// response, and the measurement chain's gain/offset/noise errors. It always
+// samples; Measure is the same measurement without the waveform, served
+// from the result cache when the process has already made it.
 func (c *Card) MeasureSequence(items []SeqItem) (*Trace, []Measurement, error) {
+	seq, meas, err := c.sequence(items)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr := c.sample(seq)
+	avgs, err := tr.windowAverages(meas)
+	if err != nil {
+		return nil, nil, err
+	}
+	fillAverages(meas, avgs)
+	return tr, meas, nil
+}
+
+// Measure executes a sequence of kernels on the virtual card and returns
+// the per-kernel measurements, exactly as MeasureSequence would. The DAQ
+// pass goes through the process-wide result cache: its key covers every
+// number the pass reads (the rails' calibration, the noise stream's state,
+// the idle level, the supply filter and every phase of the true waveform),
+// so a repeated measurement takes the stored window averages and advances
+// the noise stream past the draws the pass would have made. The card's
+// next measurement is therefore the same either way.
+func (c *Card) Measure(items []SeqItem) ([]Measurement, error) {
+	seq, meas, err := c.sequence(items)
+	if err != nil {
+		return nil, err
+	}
+	avgs, hit, err := simcache.Measure(c.truth, c.measureKey(seq), func() ([]float64, error) {
+		return c.sample(seq).windowAverages(meas)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		c.chain.noise.skip(uint64(seq.samples) * uint64(len(c.chain.rails)) * 12)
+	}
+	fillAverages(meas, avgs)
+	return meas, nil
+}
+
+// sequence is a measured sequence priced on the card: the true power
+// waveform as a list of constant-target phases, which the DAQ pass samples.
+type sequence struct {
+	idleW   float64 // the supply filter's initial level
+	alpha   float64 // the supply filter's per-sample coefficient
+	phases  []phase
+	samples int // DAQ samples over all phases
+}
+
+// phase is one stretch of the true waveform: a kernel window or idle.
+type phase struct {
+	powerW float64
+	durS   float64
+	mark   int // index into measurements, or -1
+	n      int // DAQ samples
+}
+
+// sequence prices items on the card and lays out the true waveform:
+// lead-in idle, then each kernel window followed by its gap. The returned
+// measurements lack only the sampled averages.
+func (c *Card) sequence(items []SeqItem) (*sequence, []Measurement, error) {
 	if len(items) == 0 {
 		return nil, nil, fmt.Errorf("hw: empty sequence")
 	}
 	const lead = 0.020 // seconds of idle before, between and after
 
-	type phase struct {
-		powerW float64
-		durS   float64
-		mark   int // index into measurements, or -1
-		n      int // DAQ samples
-	}
 	idleW := c.PrePostKernelPowerW()
 	phases := []phase{{powerW: idleW, durS: lead, mark: -1}}
 	meas := make([]Measurement, len(items))
@@ -141,41 +199,79 @@ func (c *Card) MeasureSequence(items []SeqItem) (*Trace, []Measurement, error) {
 		phases = append(phases, phase{powerW: idleW, durS: gap, mark: -1})
 	}
 
-	// Build the true waveform at the DAQ rate, applying the first-order
-	// bulk-capacitance response, then push every sample through the chain.
 	dt := 1.0 / DAQSampleHz
-	total := 0
+	seq := &sequence{idleW: idleW, alpha: min(dt/c.capTauS, 1), phases: phases}
 	for i := range phases {
 		phases[i].n = max(int(math.Ceil(phases[i].durS/dt)), 1)
-		total += phases[i].n
+		seq.samples += phases[i].n
 	}
-	tr := &Trace{SampleHz: DAQSampleHz, Samples: make([]float64, total), Marks: make([][2]float64, len(items))}
-	level := idleW // filter state
+	return seq, meas, nil
+}
+
+// sample runs the DAQ pass: it builds the true waveform at the DAQ rate,
+// applying the first-order bulk-capacitance response, and pushes every
+// sample through the chain, advancing its noise stream.
+func (c *Card) sample(seq *sequence) *Trace {
+	dt := 1.0 / DAQSampleHz
+	tr := &Trace{SampleHz: DAQSampleHz, Samples: make([]float64, seq.samples)}
+	level := seq.idleW // filter state
 	now := 0.0
-	alpha := dt / c.capTauS
-	if alpha > 1 {
-		alpha = 1
-	}
 	off := 0
-	for _, ph := range phases {
+	for _, ph := range seq.phases {
 		if ph.mark >= 0 {
-			tr.Marks[ph.mark] = [2]float64{now, now + ph.durS}
+			tr.Marks = append(tr.Marks, [2]float64{now, now + ph.durS})
 		}
-		level = c.chain.measureRun(tr.Samples[off:off+ph.n], level, ph.powerW, alpha)
+		level = c.chain.measureRun(tr.Samples[off:off+ph.n], level, ph.powerW, seq.alpha)
 		off += ph.n
 		now += float64(ph.n) * dt
 	}
+	return tr
+}
 
-	// The tool integrates the waveform between the profiler timestamps.
-	for i := range meas {
-		avg, n := tr.avgWindow(tr.Marks[i][0], tr.Marks[i][1])
+// windowAverages integrates the waveform between the profiler timestamps,
+// as the tool does: one average per kernel window.
+func (tr *Trace) windowAverages(meas []Measurement) ([]float64, error) {
+	avgs := make([]float64, len(tr.Marks))
+	for i, m := range tr.Marks {
+		avg, n := tr.avgWindow(m[0], m[1])
 		if n == 0 {
-			return nil, nil, fmt.Errorf("hw: kernel %s too short to capture any sample", meas[i].KernelName)
+			return nil, fmt.Errorf("hw: kernel %s too short to capture any sample", meas[i].KernelName)
 		}
-		meas[i].AvgPowerW = avg
-		meas[i].EnergyJ = avg * meas[i].WindowS
+		avgs[i] = avg
 	}
-	return tr, meas, nil
+	return avgs, nil
+}
+
+// fillAverages completes the measurements with their window averages.
+func fillAverages(meas []Measurement, avgs []float64) {
+	for i := range meas {
+		meas[i].AvgPowerW = avgs[i]
+		meas[i].EnergyJ = avgs[i] * meas[i].WindowS
+	}
+}
+
+// measureKey is the content address of seq's DAQ pass on the card: every
+// number the pass reads, so two passes with equal keys sample identically.
+func (c *Card) measureKey(seq *sequence) simcache.Key {
+	buf := make([]byte, 0, 8*(4+5*len(c.chain.rails)+3*len(seq.phases)))
+	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.chain.rails)))
+	for _, r := range c.chain.rails {
+		f64(r.share)
+		f64(r.voltageGainErr)
+		f64(r.currentGainErr)
+		f64(r.offsetW)
+		f64(r.noiseW)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, c.chain.noise.state)
+	f64(seq.idleW)
+	f64(seq.alpha)
+	for _, ph := range seq.phases {
+		f64(ph.powerW)
+		f64(ph.durS)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(ph.mark)))
+	}
+	return sha256.Sum256(buf)
 }
 
 // RepeatsForWindow returns the repeat count needed so the measured window

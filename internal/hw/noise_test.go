@@ -34,6 +34,24 @@ func (c *chain) measure(trueW float64) float64 {
 // measurement bit for bit, on both rail layouts, across block boundaries
 // and from mid-phase filter levels.
 func TestMeasureRunMatchesSequential(t *testing.T) {
+	// irwinHall alone, across its four-sum stride and beyond one block.
+	for _, n := range []int{1, 3, 4, 5, 511, 512, 1000} {
+		ref, blk := newRNG(uint64(n)), newRNG(uint64(n))
+		got := make([]float64, n)
+		blk.irwinHall(got)
+		for i := range got {
+			var want float64
+			for d := 0; d < 12; d++ {
+				want += ref.float()
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("irwinHall n=%d: sum %d = %v, sequential %v", n, i, got[i], want)
+			}
+		}
+		if blk.state != ref.state {
+			t.Fatalf("irwinHall n=%d: state %#x, sequential %#x", n, blk.state, ref.state)
+		}
+	}
 	for _, cfg := range []func() *config.GPU{config.GT240, config.GTX580} {
 		ref, err := NewCardSession(cfg(), "noise")
 		if err != nil {

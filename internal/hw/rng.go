@@ -6,8 +6,7 @@ package hw
 type rng struct{ state uint64 }
 
 // gamma is splitmix64's state increment: draw k after state s is
-// mix(s + (k+1)*gamma), so any draw can be computed without the ones
-// before it.
+// mix(s + (k+1)*gamma), so the stream can skip draws without making them.
 const gamma = 0x9E3779B97F4A7C15
 
 func newRNG(seed uint64) *rng { return &rng{state: seed} }
@@ -48,29 +47,38 @@ func (r *rng) uniform(lo, hi float64) float64 {
 // uniforms (the DAQ noise: (sum-6)*sigma is approximately normal) and
 // advances the stream past their draws. Each sum adds its own 12 draws in
 // draw order, so it is bit-identical to drawing them one by one; four sums
-// accumulate at once to overlap their mixing.
+// accumulate at once to overlap their mixing, each stepping its own
+// counter by gamma.
 func (r *rng) irwinHall(dst []float64) {
-	base := r.state
-	var k uint64 // draws consumed
+	var g uint64 = gamma // a variable, so its multiples wrap like the state
+	s := r.state
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
 		var a0, a1, a2, a3 float64
-		for d := k + 1; d <= k+12; d++ {
-			a0 += unit(mix(base + d*gamma))
-			a1 += unit(mix(base + (d+12)*gamma))
-			a2 += unit(mix(base + (d+24)*gamma))
-			a3 += unit(mix(base + (d+36)*gamma))
+		s0, s1, s2, s3 := s, s+12*g, s+24*g, s+36*g
+		for d := 0; d < 12; d++ {
+			s0 += gamma
+			s1 += gamma
+			s2 += gamma
+			s3 += gamma
+			a0 += unit(mix(s0))
+			a1 += unit(mix(s1))
+			a2 += unit(mix(s2))
+			a3 += unit(mix(s3))
 		}
 		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
-		k += 48
+		s = s3
 	}
 	for ; j < len(dst); j++ {
 		var a float64
-		for d := k + 1; d <= k+12; d++ {
-			a += unit(mix(base + d*gamma))
+		for d := 0; d < 12; d++ {
+			s += gamma
+			a += unit(mix(s))
 		}
 		dst[j] = a
-		k += 12
 	}
-	r.state = base + k*gamma
+	r.state = s
 }
+
+// skip advances the stream past n draws without making them.
+func (r *rng) skip(n uint64) { r.state += n * gamma }

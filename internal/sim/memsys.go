@@ -166,27 +166,32 @@ func smemExtraCycles(info *kernel.StepInfo, banks int) int {
 	var addrs [kernel.WarpSize]uint32
 	var bankOf [kernel.WarpSize]int32
 	var firsts [kernel.WarpSize]bool
+	var firstAddr [64]uint32 // the screen's first address per bank
 	fastBanks := banks <= 64
 	for g := 0; g < kernel.WarpSize; g += group {
 		if fastBanks {
 			// Single-pass conflict screen: mark each active lane's bank in
-			// a word; if no bank repeats, the group is conflict-free (the
-			// max distinct-address degree is 1) and the quadratic
-			// first-occurrence analysis below is skipped. A repeated bank
-			// may still be a broadcast, so collisions fall through to the
-			// exact algorithm.
+			// a word and remember the first address seen on it; a repeat
+			// of that address is a broadcast. If no bank sees a second
+			// distinct address, the group is conflict-free (the max
+			// distinct-address degree is 1) and the quadratic
+			// first-occurrence analysis below is skipped; otherwise it
+			// falls through to the exact algorithm.
 			var occ uint64
 			clash := false
 			for l := g; l < g+group && l < kernel.WarpSize; l++ {
 				if info.ExecMask&(1<<l) == 0 {
 					continue
 				}
-				bank := uint64(1) << (int(info.Addrs[l]/4) % banks)
-				if occ&bank != 0 {
+				b := int(info.Addrs[l]/4) % banks
+				bank := uint64(1) << b
+				if occ&bank == 0 {
+					occ |= bank
+					firstAddr[b] = info.Addrs[l]
+				} else if firstAddr[b] != info.Addrs[l] {
 					clash = true
 					break
 				}
-				occ |= bank
 			}
 			if !clash {
 				continue

@@ -267,6 +267,25 @@ func TestSMemExtraCyclesProperties(t *testing.T) {
 			t.Errorf("broadcast with %d banks: %d extra cycles, want 0", banks, extra)
 		}
 	}
+	// A broadcast plus one distinct address on the same bank: the screen
+	// sees the repeat as a broadcast and the second address as a 2-way
+	// conflict in the first access group only.
+	for l := range info.Addrs {
+		info.Addrs[l] = 64
+	}
+	info.Addrs[5] = 64 + 32*4 // same bank on 16 and 32 banks
+	for _, banks := range []int{16, 32} {
+		if extra := smemExtraCycles(info, banks); extra != 1 {
+			t.Errorf("broadcast plus one address with %d banks: %d extra cycles, want 1", banks, extra)
+		}
+	}
+	// Broadcasts on every bank at once stay conflict-free.
+	for l := range info.Addrs {
+		info.Addrs[l] = uint32(l%4) * 4
+	}
+	if extra := smemExtraCycles(info, 16); extra != 0 {
+		t.Errorf("per-bank broadcasts: %d extra cycles, want 0", extra)
+	}
 	// Worst case: all lanes in one group hit one bank with distinct addrs.
 	for l := range info.Addrs {
 		info.Addrs[l] = uint32(l) * 16 * 4 // same bank on 16 banks

@@ -33,6 +33,13 @@
 // SetDir (or GPUSIMPOW_SIM_CACHE_DIR) additionally spills entries to disk
 // keyed by hex content key, so repeated processes — daemon restarts, CI
 // runs, CLI invocations — share timing work; see disk.go.
+//
+// The cache also memoizes the virtual card's DAQ pass (Measure): for one
+// card session and one priced sequence the sampled noise and the window
+// averages are fully determined, so a repeated measurement in the same
+// process is served from the stored averages. Measurement entries share
+// the timing entries' recency list, byte budget, Reset and bypass; they are
+// never spilled to disk.
 package simcache
 
 import (
@@ -49,7 +56,8 @@ import (
 	"gpusimpow/internal/sim"
 )
 
-// Key is the content address of one timing simulation.
+// Key is a content address: of one timing simulation (KeyFor), or of one
+// virtual-card DAQ pass (Measure).
 type Key [32]byte
 
 // TimingResult is the serializable outcome of the pure timing stage: the
@@ -85,6 +93,9 @@ type entry struct {
 	// bytes is the entry's accounted size: the final-image snapshot bytes,
 	// which dominate an entry's footprint (activity counters are O(cores)).
 	bytes int64
+	// avgs, on a measurement entry (see Measure), are the per-kernel window
+	// averages of one DAQ pass; perf and final are then unset.
+	avgs []float64
 	// prev/next thread the recency list (prev is more recently used; the
 	// list head is the MRU end, the tail the next eviction victim).
 	prev, next *entry
@@ -95,6 +106,7 @@ type entry struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
+	meas    map[Key]*entry // measurement entries (Measure)
 	flight  runner.Flight[Key, *entry]
 
 	// Recency list and byte accounting for the LRU bound. budget <= 0 means
@@ -111,6 +123,8 @@ type Cache struct {
 	diskHits  uint64
 	evictions uint64
 	bypasses  atomic.Uint64 // atomic: the bypass path must not contend on mu
+
+	measHits, measMisses uint64
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters. It
@@ -119,7 +133,8 @@ type Cache struct {
 type Stats struct {
 	// Entries is the number of distinct timing results stored.
 	Entries int `json:"entries"`
-	// Bytes is the accounted size of the stored final-image snapshots.
+	// Bytes is the accounted size of the stored final-image snapshots and
+	// measurement window averages.
 	Bytes int64 `json:"bytes"`
 	// BudgetBytes is the configured byte budget (0 = unbounded).
 	BudgetBytes int64 `json:"budgetBytes"`
@@ -135,6 +150,12 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	// Bypasses counts runs that skipped the cache (DisableSimCache knob).
 	Bypasses uint64 `json:"bypasses"`
+	// MeasureHits counts virtual-card measurements served from stored
+	// window averages.
+	MeasureHits uint64 `json:"measureHits"`
+	// MeasureMisses counts virtual-card measurements that ran the DAQ pass
+	// and stored its averages.
+	MeasureMisses uint64 `json:"measureMisses"`
 }
 
 // shared is the process-wide cache every Simulator and virtual Card runs
@@ -218,7 +239,11 @@ func (c *Cache) evictOverBudgetLocked(keep *entry) {
 	for c.bytes > c.budget && c.lru != nil && c.lru != keep {
 		victim := c.lru
 		c.unlinkLocked(victim)
-		delete(c.entries, victim.key)
+		if victim.perf == nil { // a measurement entry
+			delete(c.meas, victim.key)
+		} else {
+			delete(c.entries, victim.key)
+		}
 		c.bytes -= victim.bytes
 		c.evictions++
 	}
@@ -343,6 +368,52 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 	return &TimingResult{Kernel: l.Prog.Name, Key: key, Perf: e.perf.Clone(), MemHash: e.memHash, CacheHit: !simulated}, nil
 }
 
+// Measure serves one virtual-card DAQ pass through the process-wide cache.
+func Measure(cfg *config.GPU, key Key, pass func() ([]float64, error)) ([]float64, bool, error) {
+	return shared.Measure(cfg, key, pass)
+}
+
+// Measure returns the window averages of the DAQ pass addressed by key:
+// the stored ones on a hit, or pass's on a miss (stored for the future).
+// The caller derives key from every number the pass reads, so a hit
+// returns exactly what pass would; hit tells it to account for the pass
+// it did not run. The returned slice is shared and must not be modified.
+// cfg's DisableSimCache (or GPUSIMPOW_DISABLE_SIM_CACHE) runs pass
+// uncached. Concurrent misses on one key both run pass; the first to
+// finish stores.
+func (c *Cache) Measure(cfg *config.GPU, key Key, pass func() ([]float64, error)) (avgs []float64, hit bool, err error) {
+	if cfg.DisableSimCache || envDisabled() {
+		avgs, err := pass()
+		return avgs, false, err
+	}
+	c.mu.Lock()
+	if e, ok := c.meas[key]; ok {
+		c.measHits++
+		c.touchLocked(e)
+		c.mu.Unlock()
+		return e.avgs, true, nil
+	}
+	c.mu.Unlock()
+	avgs, err = pass()
+	if err != nil {
+		return nil, false, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.measMisses++
+	if _, ok := c.meas[key]; !ok {
+		if c.meas == nil {
+			c.meas = make(map[Key]*entry)
+		}
+		e := &entry{key: key, avgs: avgs, bytes: int64(len(avgs)) * 8}
+		c.meas[key] = e
+		c.bytes += e.bytes
+		c.touchLocked(e)
+		c.evictOverBudgetLocked(e)
+	}
+	return avgs, false, nil
+}
+
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -350,8 +421,9 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Entries: len(c.entries), Bytes: c.bytes, BudgetBytes: c.budget,
 		Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits,
-		Evictions: c.evictions,
-		Bypasses:  c.bypasses.Load(),
+		Evictions:   c.evictions,
+		Bypasses:    c.bypasses.Load(),
+		MeasureHits: c.measHits, MeasureMisses: c.measMisses,
 	}
 }
 
@@ -360,10 +432,11 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = nil
+	c.entries, c.meas = nil, nil
 	c.mru, c.lru = nil, nil
 	c.bytes = 0
 	c.hits, c.misses, c.diskHits, c.evictions = 0, 0, 0, 0
+	c.measHits, c.measMisses = 0, 0
 	c.bypasses.Store(0)
 }
 

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -352,5 +353,60 @@ func TestConcurrentSameKeySingleFlight(t *testing.T) {
 		if !reflect.DeepEqual(outs[i].mem.Words(), outs[0].mem.Words()) {
 			t.Fatalf("caller %d got a different memory image", i)
 		}
+	}
+}
+
+// TestMeasureMemo: a measurement key runs its pass once and then serves
+// the stored averages; the entries count towards the byte budget, share
+// the timing entries' LRU and go with Reset.
+func TestMeasureMemo(t *testing.T) {
+	var c Cache
+	cfg := config.GT240()
+	passes := 0
+	pass := func(v float64) func() ([]float64, error) {
+		return func() ([]float64, error) { passes++; return []float64{v, v + 1}, nil }
+	}
+	for i, wantHit := range []bool{false, true} {
+		avgs, hit, err := c.Measure(cfg, Key{1}, pass(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != wantHit || avgs[0] != 3 || avgs[1] != 4 {
+			t.Fatalf("call %d: %v, hit %v", i, avgs, hit)
+		}
+	}
+	if _, _, err := c.Measure(cfg, Key{2}, func() ([]float64, error) { return nil, errors.New("too short") }); err == nil {
+		t.Fatal("a failed pass must return its error")
+	}
+	st := c.Stats()
+	if passes != 1 || st.MeasureHits != 1 || st.MeasureMisses != 1 || st.Bytes != 16 || st.Entries != 0 {
+		t.Fatalf("%d passes, stats %+v; want 1 pass, 1 hit, 1 miss, 16 bytes, no timing entries", passes, st)
+	}
+
+	// A timing entry and a second measurement over budget: the LRU one goes.
+	g := newSim(t, cfg)
+	runProbe(t, &c, g, 7)
+	c.SetByteBudget(c.Stats().Bytes)
+	if _, _, err := c.Measure(cfg, Key{3}, pass(5)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after a store over budget: %+v; want the LRU measurement evicted", st)
+	}
+	if _, hit, _ := c.Measure(cfg, Key{1}, pass(3)); hit {
+		t.Fatal("evicted measurement still served")
+	}
+
+	c.Reset()
+	if _, hit, _ := c.Measure(cfg, Key{3}, pass(5)); hit {
+		t.Fatal("Reset kept a measurement")
+	}
+	off := config.GT240()
+	off.DisableSimCache = true
+	if _, hit, _ := c.Measure(off, Key{3}, pass(5)); hit {
+		t.Fatal("DisableSimCache served a stored measurement")
+	}
+	if st := c.Stats(); st.MeasureHits != 0 || st.MeasureMisses != 1 {
+		t.Fatalf("after Reset and a bypass: %+v; want 1 miss", st)
 	}
 }

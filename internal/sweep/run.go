@@ -350,7 +350,7 @@ func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 			}
 		}
 	}
-	_, ms, err := card.MeasureSequence(items)
+	ms, err := card.Measure(items)
 	if err != nil {
 		return fmt.Errorf("sweep: %s: %s: measuring %s: %w", s.Name, c, c.Workload.Name, err)
 	}
