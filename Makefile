@@ -86,15 +86,17 @@ race:
 
 # Short coverage-guided passes, 10 s each. FuzzProgramValidate: Validate
 # must never panic, and what it accepts must decode and disassemble.
-# FuzzStoreRecover: job-store recovery must never panic on any snapshot
-# and journal bytes, and replaying a write-path journal over its own fold
-# must change nothing. FuzzMeasureMemo: a virtual-card measurement served
-# by the result cache (miss, then hit) must equal the sampled waveform's
-# bit for bit and leave the noise stream in the same state. Crashers land
-# in the package's testdata/fuzz/ and replay in every `go test`.
+# FuzzStoreRecover: job-store recovery's fold must never panic on any
+# snapshot and journal bytes, and replaying a write-path journal over its
+# own fold must change nothing; minimizing a seed-sized input takes
+# longer than the whole budget, so its minimization is bounded to 1 s.
+# FuzzMeasureMemo: a virtual-card measurement served by the result cache
+# (miss, then hit) must equal the sampled waveform's bit for bit and leave
+# the noise stream in the same state. Crashers land in the package's
+# testdata/fuzz/ and replay in every `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
-	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s
+	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 
 # One pass of the root microbenchmarks (simulator and measurement layer,

@@ -14,17 +14,21 @@ import (
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
 	"gpusimpow/internal/hw"
+	"gpusimpow/internal/kernel"
+	"gpusimpow/internal/power"
+	"gpusimpow/internal/sim"
 )
 
+// launchFunc runs one kernel launch and returns its performance result.
+type launchFunc func(*kernel.Launch, *kernel.GlobalMem, *kernel.ConstMem) (*sim.Result, error)
+
 // benchSimulate measures simulator throughput for one benchmark on one GPU
-// with the default event-driven fast-forward clock loop. The
-// simulation-result cache is disabled so the numbers keep measuring the
-// simulator itself (cache replay has its own benchmark below).
+// with the default event-driven fast-forward clock loop. It calls the
+// simulator directly, not through the result cache, so the numbers keep
+// measuring the simulator itself (cache replay has its own benchmark below).
 func benchSimulate(b *testing.B, gpu func() *config.GPU, name string) {
 	b.Helper()
-	cfg := gpu()
-	cfg.DisableSimCache = true
-	benchSimulateCfg(b, cfg, name)
+	benchLaunches(b, name, direct(b, gpu()))
 }
 
 // benchSimulateCached measures the same workload served from the
@@ -51,28 +55,51 @@ func benchSimulateCached(b *testing.B, gpu func() *config.GPU, name string) {
 			b.Fatal(err)
 		}
 	}
-	benchSimulateCfg(b, gpu(), name)
+	benchLaunches(b, name, func(l *kernel.Launch, mem *kernel.GlobalMem, cmem *kernel.ConstMem) (*sim.Result, error) {
+		rep, err := simr.RunKernel(l, mem, cmem)
+		if err != nil {
+			return nil, err
+		}
+		return rep.Perf, nil
+	})
 }
 
 // benchSimulateDense measures the same simulation with the dense
 // tick-every-cycle loop, quantifying the fast-forward speedup (the two modes
-// are bit-identical in results; see the sim package's equivalence tests).
-// The result cache is disabled too: a cache hit would replay the
-// event-driven run's stored result and defeat the comparison.
+// are bit-identical in results; see the sim package's determinism table).
 func benchSimulateDense(b *testing.B, gpu func() *config.GPU, name string) {
 	b.Helper()
 	cfg := gpu()
 	cfg.DenseClock = true
-	cfg.DisableSimCache = true
-	benchSimulateCfg(b, cfg, name)
+	benchLaunches(b, name, direct(b, cfg))
 }
 
-func benchSimulateCfg(b *testing.B, cfg *config.GPU, name string) {
+// direct simulates each launch on the plain simulator and prices it with
+// the power model: the work of a cache miss, without the cache.
+func direct(b *testing.B, cfg *config.GPU) launchFunc {
 	b.Helper()
-	simr, err := core.New(cfg)
+	g, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	pm, err := power.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return func(l *kernel.Launch, mem *kernel.GlobalMem, cmem *kernel.ConstMem) (*sim.Result, error) {
+		res, err := g.Run(l, mem, cmem)
+		if err != nil {
+			return nil, err
+		}
+		_, err = pm.Evaluate(res)
+		return res, err
+	}
+}
+
+// benchLaunches times run over every launch of a fresh instance of the
+// named benchmark per iteration.
+func benchLaunches(b *testing.B, name string, run launchFunc) {
+	b.Helper()
 	f, err := bench.ByName(name)
 	if err != nil {
 		b.Fatal(err)
@@ -85,11 +112,11 @@ func benchSimulateCfg(b *testing.B, cfg *config.GPU, name string) {
 			b.Fatal(err)
 		}
 		for _, r := range inst.Runs {
-			rep, err := simr.RunKernel(r.Launch, inst.Mem, r.CMem)
+			res, err := run(r.Launch, inst.Mem, r.CMem)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles += rep.Perf.Activity.Cycles
+			cycles += res.Activity.Cycles
 		}
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")

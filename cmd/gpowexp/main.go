@@ -557,11 +557,5 @@ func printRecord(w io.Writer, rec *sweep.CellRecord) {
 // printCacheStats reports the process-wide simulation-result cache counters
 // after sweep jobs (the ROADMAP's cache observability item).
 func printCacheStats(w io.Writer) {
-	st := simcache.Default().Stats()
-	fmt.Fprintf(w, "sim-cache: %d entries (%.1f MiB", st.Entries, float64(st.Bytes)/(1<<20))
-	if st.BudgetBytes > 0 {
-		fmt.Fprintf(w, " of %.1f MiB budget", float64(st.BudgetBytes)/(1<<20))
-	}
-	fmt.Fprintf(w, "), %d hits (%d from disk), %d misses, %d evictions, %d bypasses; measurements %d hits, %d misses\n",
-		st.Hits, st.DiskHits, st.Misses, st.Evictions, st.Bypasses, st.MeasureHits, st.MeasureMisses)
+	fmt.Fprintf(w, "sim-cache: %s\n", simcache.Default().Stats())
 }

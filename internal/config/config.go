@@ -101,15 +101,6 @@ type GPU struct {
 	// exists for debugging and for benchmarking the fast-forward speedup.
 	DenseClock bool `xml:"denseClock,omitempty"`
 
-	// DisableSimCache forces every launch through a fresh timing simulation
-	// instead of the process-wide content-addressed result cache
-	// (internal/simcache). The cached and fresh paths are bit-identical in
-	// every reported metric (enforced by the core package's equivalence
-	// tests); the knob exists for debugging and for benchmarking the cache.
-	// The GPUSIMPOW_DISABLE_SIM_CACHE environment variable has the same
-	// effect process-wide.
-	DisableSimCache bool `xml:"disableSimCache,omitempty"`
-
 	Power PowerCal `xml:"power"`
 }
 
@@ -128,10 +119,9 @@ type GPU struct {
 //
 // CoreClockMHz and MemDataRateGbps ARE timing-relevant: DRAM nanosecond
 // timings and per-burst transfer times are converted into core cycles with
-// them. DenseClock and DisableSimCache are excluded deliberately: the
-// event-driven and dense clock loops are bit-identical (enforced by the sim
-// package's equivalence tests), and the cache knob must not change what is
-// simulated.
+// them. DenseClock is excluded deliberately: the event-driven and dense
+// clock loops are bit-identical (enforced by the sim package's equivalence
+// tests).
 //
 // The partition is machine-checked twice: gpowlint's timingpartition pass
 // cross-references the fields internal/sim and internal/core actually read

@@ -139,26 +139,29 @@ func TestReadXMLRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestReadXMLIgnoresRetiredElements loads a configuration that still
-// carries <simWorkers>, the knob of the removed intra-simulation worker
-// pool: encoding/xml skips unknown elements, so old files keep loading.
+// TestReadXMLIgnoresRetiredElements loads configurations that still carry
+// retired knobs — <simWorkers> of the removed intra-simulation worker pool,
+// <disableSimCache> of the removed result-cache off switch: encoding/xml
+// skips unknown elements, so old files keep loading as the plain preset.
 func TestReadXMLIgnoresRetiredElements(t *testing.T) {
 	var buf bytes.Buffer
 	if err := GT240().WriteXML(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(buf.String(), "<pcieLanes>", "<simWorkers>4</simWorkers><pcieLanes>", 1)
-	if old == buf.String() {
-		t.Fatal("fixture: no <pcieLanes> element to anchor <simWorkers> on")
-	}
-	got, err := ReadXML(strings.NewReader(old))
-	if err != nil {
-		t.Fatalf("config with <simWorkers> failed to load: %v", err)
-	}
-	want := GT240()
-	got.XMLName = want.XMLName
-	if !reflect.DeepEqual(got, want) {
-		t.Error("config with <simWorkers> loaded differently from the plain preset")
+	for _, elem := range []string{"<simWorkers>4</simWorkers>", "<disableSimCache>true</disableSimCache>"} {
+		old := strings.Replace(buf.String(), "<pcieLanes>", elem+"<pcieLanes>", 1)
+		if old == buf.String() {
+			t.Fatalf("fixture: no <pcieLanes> element to anchor %s on", elem)
+		}
+		got, err := ReadXML(strings.NewReader(old))
+		if err != nil {
+			t.Fatalf("config with %s failed to load: %v", elem, err)
+		}
+		want := GT240()
+		got.XMLName = want.XMLName
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("config with %s loaded differently from the plain preset", elem)
+		}
 	}
 }
 
@@ -235,7 +238,6 @@ func TestTimingKeyIgnoresPowerSideParams(t *testing.T) {
 		{"memory technology label", func(g *GPU) { g.MemType = "ddr3" }},
 		{"pcie lanes", func(g *GPU) { g.PCIeLanes = 8 }},
 		{"dense clock", func(g *GPU) { g.DenseClock = true }},
-		{"cache knob", func(g *GPU) { g.DisableSimCache = true }},
 		{"fp energy", func(g *GPU) { g.Power.FPOpPJ *= 2 }},
 		{"base power", func(g *GPU) { g.Power.ClusterBaseW *= 3 }},
 		{"dyn scale", func(g *GPU) { g.Power.DynScaleFactor = 0.5 }},

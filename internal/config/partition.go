@@ -37,12 +37,9 @@ var powerOnlyFields = []string{
 // timingNeutralFields may be read by timing-side code but are deliberately
 // excluded from the key: they must not change what is simulated.
 // DenseClock switches between two clock loops proven bit-identical (the
-// sim package's fast-forward equivalence tests); DisableSimCache controls
-// whether the cache is consulted at all, so keying on it would be
-// circular.
+// sim package's fast-forward equivalence tests).
 var timingNeutralFields = []string{
 	"DenseClock",
-	"DisableSimCache",
 	// Name is identity metadata: it appears in error text and report
 	// headers (internal/sim quotes it when a kernel touches a texture
 	// cache the config lacks) but never in simulated behavior, so two

@@ -65,8 +65,7 @@ type KernelReport struct {
 // memory images have been simulated before replay in microseconds, with the
 // global memory image updated in place either way — so subsequent kernels
 // of a multi-kernel benchmark see preceding results, as on real hardware.
-// cfg.DisableSimCache (or GPUSIMPOW_DISABLE_SIM_CACHE) forces a fresh
-// simulation; the two paths are bit-identical.
+// A replay is bit-identical to a fresh simulation (sim.GPU.Run).
 func (s *Simulator) Simulate(l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) (*simcache.TimingResult, error) {
 	tr, err := simcache.Run(s.perf, l, global, cmem)
 	if err != nil {
@@ -80,11 +79,7 @@ func (s *Simulator) Simulate(l *kernel.Launch, global *kernel.GlobalMem, cmem *k
 // node, power anchors, clock scaling at the card level) call this once per
 // operating point against one shared timing result.
 func (s *Simulator) EvaluatePower(tr *simcache.TimingResult) (*power.RuntimeReport, error) {
-	rt, err := s.pow.Evaluate(tr.Perf)
-	if err != nil {
-		return nil, fmt.Errorf("core: power for %s: %w", tr.Kernel, err)
-	}
-	return rt, nil
+	return s.PowerEvaluator().EvaluatePower(tr)
 }
 
 // PowerEvaluator is the pure power stage of GPUSimPow for one configuration:
@@ -117,7 +112,7 @@ func (s *Simulator) PowerEvaluator() *PowerEvaluator {
 func (p *PowerEvaluator) Static() *power.StaticReport { return p.pow.Static() }
 
 // EvaluatePower prices one timing snapshot under this evaluator's
-// configuration, exactly as Simulator.EvaluatePower would.
+// configuration.
 func (p *PowerEvaluator) EvaluatePower(tr *simcache.TimingResult) (*power.RuntimeReport, error) {
 	rt, err := p.pow.Evaluate(tr.Perf)
 	if err != nil {

@@ -95,77 +95,6 @@ func TestMultiKernelBenchmarkStateFlow(t *testing.T) {
 	}
 }
 
-// TestCachedVsFreshEquivalence is the determinism contract of the
-// simulation-result cache: for both GPUs and several kernels (including a
-// multi-kernel benchmark whose launches chain through the memory image),
-// every reported metric — performance counters and the full power breakdown
-// — must be bit-identical between the fresh-simulation path
-// (DisableSimCache) and the cached path, on both a cold pass (misses fill
-// the cache) and a warm pass (every launch replays). Run under -race via
-// make ci.
-func TestCachedVsFreshEquivalence(t *testing.T) {
-	gpus := map[string]func() *config.GPU{"GT240": config.GT240, "GTX580": config.GTX580}
-	kernels := []string{"vectorAdd", "BlackScholes", "bfs", "mergeSort"}
-
-	type outcome struct {
-		reps  []*KernelReport
-		final []uint32
-	}
-	runSuite := func(t *testing.T, cfg *config.GPU, kernelName string) outcome {
-		t.Helper()
-		simr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := bench.ByName(kernelName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := f.Make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var o outcome
-		for _, r := range inst.Runs {
-			rep, err := simr.RunKernel(r.Launch, inst.Mem, r.CMem)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.reps = append(o.reps, rep)
-		}
-		if err := inst.Verify(); err != nil {
-			t.Fatalf("verification failed: %v", err)
-		}
-		o.final = append([]uint32(nil), inst.Mem.Words()...)
-		return o
-	}
-
-	for gpuName, mk := range gpus {
-		for _, kern := range kernels {
-			t.Run(gpuName+"/"+kern, func(t *testing.T) {
-				fresh := mk()
-				fresh.DisableSimCache = true
-				want := runSuite(t, fresh, kern)
-				cold := runSuite(t, mk(), kern) // fills (or reuses) cache entries
-				warm := runSuite(t, mk(), kern) // replays every launch
-				for pass, got := range map[string]outcome{"cold": cold, "warm": warm} {
-					for i := range want.reps {
-						if !reflect.DeepEqual(got.reps[i].Perf, want.reps[i].Perf) {
-							t.Errorf("%s pass: launch %d perf result differs from fresh", pass, i)
-						}
-						if !reflect.DeepEqual(got.reps[i].Power, want.reps[i].Power) {
-							t.Errorf("%s pass: launch %d power report differs from fresh", pass, i)
-						}
-					}
-					if !reflect.DeepEqual(got.final, want.final) {
-						t.Errorf("%s pass: final memory image differs from fresh", pass)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestEvaluatePowerBatchEquivalence pins the batched power entry point's
 // contract: one shared timing result priced under N power-parameter
 // variants through EvaluatePowerBatch is bit-identical to N sequential

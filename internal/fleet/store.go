@@ -12,8 +12,8 @@ import (
 
 // The router's durable routing table, on the same journal+snapshot
 // substrate as the daemons' job store (internal/journal): one line per
-// assignment, re-dispatch, drain flip or forget, compacted into a
-// snapshot at shutdown. A restarted router recovers every fleet
+// assignment, re-dispatch or drain flip, compacted into a snapshot at
+// shutdown. A restarted router recovers every fleet
 // job→backend assignment and every operator drain bit, so riding clients
 // resume their streams against the same fleet job IDs and a mid-rollout
 // drain survives the rollout of the router itself.
@@ -56,9 +56,6 @@ type fleetEntry struct {
 	// backend coordinates change.
 	Reassign *storedAssignment `json:"reassign,omitempty"`
 	Drain    *drainEntry       `json:"drain,omitempty"`
-	Forget   *struct {
-		ID string `json:"id"`
-	} `json:"forget,omitempty"`
 }
 
 // fleetSnapshot is the compacted on-disk state.
@@ -152,16 +149,6 @@ func (s *fleetStore) recover() *fleetRecovered {
 				rs.Drained[e.Drain.Backend] = true
 			} else {
 				delete(rs.Drained, e.Drain.Backend)
-			}
-		case e.Forget != nil:
-			if byID[e.Forget.ID] != nil {
-				delete(byID, e.Forget.ID)
-				for i, id := range order {
-					if id == e.Forget.ID {
-						order = append(order[:i], order[i+1:]...)
-						break
-					}
-				}
 			}
 		default:
 			rs.Skipped++

@@ -118,7 +118,7 @@ func (c *Card) Measure(items []SeqItem) ([]Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	avgs, hit, err := simcache.Measure(c.truth, c.measureKey(seq), func() ([]float64, error) {
+	avgs, hit, err := simcache.Measure(c.measureKey(seq), func() ([]float64, error) {
 		return c.sample(seq).windowAverages(meas)
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package hw
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -30,20 +29,11 @@ func sameMeasurements(a, b []Measurement) bool {
 	return true
 }
 
-// skipIfCacheDisabled skips tests that count memo hits when the process
-// bypasses the result cache.
-func skipIfCacheDisabled(t *testing.T) {
-	if v := os.Getenv("GPUSIMPOW_DISABLE_SIM_CACHE"); v != "" && v != "0" {
-		t.Skip("result cache disabled by GPUSIMPOW_DISABLE_SIM_CACHE")
-	}
-}
-
 // TestMeasureHitContinuesStream: a card whose measurement is a memo hit
 // returns what the DAQ pass returns and leaves its noise stream where the
 // pass would, so its next measurement equals a twin card's that drew the
 // waveform.
 func TestMeasureHitContinuesStream(t *testing.T) {
-	skipIfCacheDisabled(t)
 	simcache.Default().Reset()
 	newSession := func() *Card {
 		c, err := NewCardSession(config.GT240(), "memo-test")
@@ -144,38 +134,6 @@ func TestMeasureKeyCoversPassInputs(t *testing.T) {
 	}
 }
 
-// TestMeasureBypass: a card built with DisableSimCache neither reads nor
-// fills the measurement memo, and measures the same.
-func TestMeasureBypass(t *testing.T) {
-	simcache.Default().Reset()
-	cfg := config.GT240()
-	cfg.DisableSimCache = true
-	off, err := NewCardSession(cfg, "memo-bypass")
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := NewCardSession(config.GT240(), "memo-bypass")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, mem := busyLaunch(2)
-	got, err := off.Measure([]SeqItem{{Launch: l, Mem: mem, MinWindowS: 0.06}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := simcache.Default().Stats(); st.MeasureHits != 0 || st.MeasureMisses != 0 {
-		t.Fatalf("bypassed card touched the memo: %+v", st)
-	}
-	l, mem = busyLaunch(2)
-	want, err := on.Measure([]SeqItem{{Launch: l, Mem: mem, MinWindowS: 0.06}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMeasurements(got, want) {
-		t.Fatalf("bypassed %+v, cached %+v", got, want)
-	}
-}
-
 // fuzzTimings holds one busy-kernel timing result per card model, so fuzz
 // iterations (which run one at a time) price sequences without simulating.
 var fuzzTimings = map[string]*sim.Result{}
@@ -202,7 +160,6 @@ func FuzzMeasureMemo(f *testing.F) {
 	f.Add(true, uint8(3), uint8(7), uint8(0), uint8(0), uint8(0), "")
 	f.Add(true, uint8(2), uint8(255), uint8(255), uint8(255), uint8(255), "cell-3")
 	f.Fuzz(func(t *testing.T, gtx bool, n, repeats, windowMs, gapMs, scale uint8, session string) {
-		skipIfCacheDisabled(t)
 		cfg := config.GT240
 		if gtx {
 			cfg = config.GTX580

@@ -137,17 +137,27 @@ func openStore(stateDir string) (*journal.Log, error) {
 	return journal.Open(filepath.Join(stateDir, fmt.Sprintf("v%d-%s", storeVersion, simcache.Fingerprint())))
 }
 
-// recoverStore reads the snapshot, folds the journal over it, and returns
-// the merged state. Corrupt snapshot: start empty. Corrupt journal line
-// (including a torn tail): skip. Entries referencing unknown jobs: skip,
-// except submissions, which introduce jobs.
+// recoverStore reads the snapshot and folds the journal over it
+// (foldStore). A missing or corrupt snapshot starts empty.
 func recoverStore(l *journal.Log) *recoveredState {
+	var snap snapshotFile
+	if !l.Snapshot(&snap) {
+		snap = snapshotFile{} // a corrupt file may have decoded in part
+	}
+	return foldStore(snap, l.Replay)
+}
+
+// foldStore folds the journal lines replay hands over onto snap and
+// returns the merged state. A snapshot of another version (the zero value
+// included) starts empty. Corrupt journal line (including a torn tail):
+// skip. Entries referencing unknown jobs: skip, except submissions, which
+// introduce jobs. It reads no files, so it can be fuzzed in memory.
+func foldStore(snap snapshotFile, replay func(fn func(line []byte)) int) *recoveredState {
 	rs := &recoveredState{}
 	byID := map[string]*storedJob{}
 	var order []string
 
-	var snap snapshotFile
-	if l.Snapshot(&snap) && snap.Version == storeVersion {
+	if snap.Version == storeVersion {
 		rs.NextID = snap.NextID
 		rs.ETA = snap.ETA
 		for _, sj := range snap.Jobs {
@@ -159,7 +169,7 @@ func recoverStore(l *journal.Log) *recoveredState {
 		}
 	}
 
-	l.Replay(func(line []byte) {
+	replay(func(line []byte) {
 		var e journalEntry
 		if json.Unmarshal(line, &e) != nil {
 			// Corrupt or torn line: skip. A torn line can only be the

@@ -266,25 +266,32 @@ func writePathOrder(journal []byte, known map[string]bool) bool {
 	return true
 }
 
-// FuzzStoreRecover feeds recovery arbitrary snapshot and journal bytes.
-// Recovery must never panic. And where the journal is one the write path
-// could have produced, replaying it over the snapshot it folds to must
-// change nothing: that is the crash window between the snapshot rename
-// and the journal truncate, which replays the journal twice.
+// FuzzStoreRecover feeds recovery's fold arbitrary snapshot and journal
+// bytes, in memory. Recovery must never panic. And where the journal is one
+// the write path could have produced, replaying it over the snapshot it
+// folds to must change nothing: that is the crash window between the
+// snapshot rename and the journal truncate, which replays the journal
+// twice.
 func FuzzStoreRecover(f *testing.F) {
 	snap, journal := roundTripImage(f)
 	f.Add(snap, journal)
 	f.Add([]byte(nil), journal)
-	dir := f.TempDir()
-	s, err := openStore(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(s.Close)
-	write := func(t *testing.T, name string, b []byte) {
-		if err := os.WriteFile(filepath.Join(s.Dir(), name), b, 0o644); err != nil {
-			t.Fatal(err)
+	// fold is recoverStore over a snapshot file holding snap and a
+	// journal file holding journal.
+	fold := func(snap, journal []byte) *recoveredState {
+		replay := func(fn func(line []byte)) int {
+			n := 0
+			for line := range bytes.Lines(journal) {
+				fn(line)
+				n++
+			}
+			return n
 		}
+		var sf snapshotFile
+		if json.Unmarshal(snap, &sf) != nil {
+			sf = snapshotFile{}
+		}
+		return foldStore(sf, replay)
 	}
 	folded := func(t *testing.T, rs *recoveredState) []byte {
 		b, err := json.Marshal(snapshotFile{Version: storeVersion, NextID: rs.NextID, ETA: rs.ETA, Jobs: rs.Jobs})
@@ -294,20 +301,16 @@ func FuzzStoreRecover(f *testing.F) {
 		return b
 	}
 	f.Fuzz(func(t *testing.T, snap, journal []byte) {
-		write(t, "snapshot.json", snap)
-		write(t, "journal.ndjson", nil)
 		known := map[string]bool{}
-		for _, sj := range recoverStore(s).Jobs {
+		for _, sj := range fold(snap, nil).Jobs {
 			known[sj.ID] = true
 		}
-		write(t, "journal.ndjson", journal)
-		once := recoverStore(s)
+		once := fold(snap, journal)
 		if !writePathOrder(journal, known) {
 			return
 		}
 		want := folded(t, once)
-		write(t, "snapshot.json", want)
-		if got := folded(t, recoverStore(s)); !bytes.Equal(got, want) {
+		if got := folded(t, fold(want, journal)); !bytes.Equal(got, want) {
 			t.Errorf("replaying the journal over its own fold changed the state:\nonce:  %s\ntwice: %s", want, got)
 		}
 	})

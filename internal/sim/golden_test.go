@@ -90,8 +90,7 @@ func TestActivityGolden(t *testing.T) {
 	var out bytes.Buffer
 	seen := map[string]bool{}
 	for _, tc := range goldenCases() {
-		res, _ := runSuiteMode(t, tc.cfg, tc.bench)
-		for i, r := range res {
+		for i, r := range runFresh(t, tc.cfg, tc.bench).res {
 			key := tc.name + "#" + strconv.Itoa(i)
 			seen[key] = true
 			for _, msg := range conservationViolations(tc.cfg, r.Activity) {
@@ -192,7 +191,7 @@ func activityDiff(want, got sim.Activity) string {
 	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
 	for i := 0; i < wv.NumField(); i++ {
 		if w, g := wv.Field(i).Interface(), gv.Field(i).Interface(); !reflect.DeepEqual(w, g) {
-			fmt.Fprintf(&b, "  %s: golden %v, got %v\n", wv.Type().Field(i).Name, w, g)
+			fmt.Fprintf(&b, "  %s: want %v, got %v\n", wv.Type().Field(i).Name, w, g)
 		}
 	}
 	return b.String()

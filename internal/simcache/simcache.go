@@ -19,10 +19,11 @@
 // wanting the same key are single-flighted (runner.Flight): the key is
 // simulated exactly once and the waiters replay.
 //
-// Determinism contract: with the cache on or off, every reported metric is
-// bit-identical (enforced by the core package's cached-vs-fresh equivalence
-// tests). config.GPU.DisableSimCache or the GPUSIMPOW_DISABLE_SIM_CACHE
-// environment variable forces the old always-simulate path.
+// Determinism contract: a cold miss, a warm hit and a disk-spilled hit are
+// each bit-identical to a plain sim.GPU.Run of the launch in every reported
+// metric and in the final memory image (enforced by the sim package's
+// determinism table). Every core.Simulator and hw.Card launch goes through
+// the cache; code that wants the uncached simulator calls sim.GPU.Run.
 //
 // Memory is unbounded by default; SetByteBudget (or the
 // GPUSIMPOW_SIM_CACHE_BUDGET_MB environment variable, for the process-wide
@@ -38,17 +39,17 @@
 // card session and one priced sequence the sampled noise and the window
 // averages are fully determined, so a repeated measurement in the same
 // process is served from the stored averages. Measurement entries share
-// the timing entries' recency list, byte budget, Reset and bypass; they are
-// never spilled to disk.
+// the timing entries' recency list, byte budget and Reset; they are never
+// spilled to disk.
 package simcache
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -67,8 +68,7 @@ type Key [32]byte
 type TimingResult struct {
 	// Kernel is the launched program's name.
 	Kernel string
-	// Key is the content address the result is cached under (zero when the
-	// cache is disabled).
+	// Key is the content address the result is cached under.
 	Key Key
 	// Perf carries the activity counters and performance stats. It is the
 	// caller's private copy.
@@ -122,7 +122,6 @@ type Cache struct {
 	misses    uint64
 	diskHits  uint64
 	evictions uint64
-	bypasses  atomic.Uint64 // atomic: the bypass path must not contend on mu
 
 	measHits, measMisses uint64
 }
@@ -148,14 +147,22 @@ type Stats struct {
 	DiskHits uint64 `json:"diskHits"`
 	// Evictions counts entries dropped to honor the byte budget.
 	Evictions uint64 `json:"evictions"`
-	// Bypasses counts runs that skipped the cache (DisableSimCache knob).
-	Bypasses uint64 `json:"bypasses"`
 	// MeasureHits counts virtual-card measurements served from stored
 	// window averages.
 	MeasureHits uint64 `json:"measureHits"`
 	// MeasureMisses counts virtual-card measurements that ran the DAQ pass
 	// and stored its averages.
 	MeasureMisses uint64 `json:"measureMisses"`
+}
+
+// String renders the counters as the CLIs' one-line -stats summary.
+func (s Stats) String() string {
+	budget := ""
+	if s.BudgetBytes > 0 {
+		budget = fmt.Sprintf(" of %.1f MiB budget", float64(s.BudgetBytes)/(1<<20))
+	}
+	return fmt.Sprintf("%d entries (%.1f MiB%s), %d hits (%d from disk), %d misses, %d evictions; measurements %d hits, %d misses",
+		s.Entries, float64(s.Bytes)/(1<<20), budget, s.Hits, s.DiskHits, s.Misses, s.Evictions, s.MeasureHits, s.MeasureMisses)
 }
 
 // shared is the process-wide cache every Simulator and virtual Card runs
@@ -254,29 +261,11 @@ func Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Co
 	return shared.Run(g, l, global, cmem)
 }
 
-// envDisabled reports the GPUSIMPOW_DISABLE_SIM_CACHE escape hatch, read
-// once per process.
-var envDisabled = sync.OnceValue(func() bool {
-	v := os.Getenv("GPUSIMPOW_DISABLE_SIM_CACHE")
-	return v != "" && v != "0"
-})
-
 // Run executes the pure timing stage for one launch: a fresh simulation on
 // a key miss (stored for the future), a replay on a hit. Either way the
 // caller's global memory image holds the kernel's final state afterwards,
 // exactly as sim.GPU.Run would leave it.
 func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) (*TimingResult, error) {
-	if g.Config().DisableSimCache || envDisabled() {
-		c.bypasses.Add(1)
-		res, err := g.Run(l, global, cmem)
-		if err != nil {
-			return nil, err
-		}
-		// No key, no MemHash: the bypass path adds zero work on top of the
-		// plain simulation (equivalence tests hash images themselves).
-		return &TimingResult{Kernel: l.Prog.Name, Perf: res}, nil
-	}
-
 	key := KeyFor(g.Config(), l, global, cmem)
 
 	// Fast path: already stored.
@@ -369,8 +358,8 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 }
 
 // Measure serves one virtual-card DAQ pass through the process-wide cache.
-func Measure(cfg *config.GPU, key Key, pass func() ([]float64, error)) ([]float64, bool, error) {
-	return shared.Measure(cfg, key, pass)
+func Measure(key Key, pass func() ([]float64, error)) ([]float64, bool, error) {
+	return shared.Measure(key, pass)
 }
 
 // Measure returns the window averages of the DAQ pass addressed by key:
@@ -378,14 +367,8 @@ func Measure(cfg *config.GPU, key Key, pass func() ([]float64, error)) ([]float6
 // The caller derives key from every number the pass reads, so a hit
 // returns exactly what pass would; hit tells it to account for the pass
 // it did not run. The returned slice is shared and must not be modified.
-// cfg's DisableSimCache (or GPUSIMPOW_DISABLE_SIM_CACHE) runs pass
-// uncached. Concurrent misses on one key both run pass; the first to
-// finish stores.
-func (c *Cache) Measure(cfg *config.GPU, key Key, pass func() ([]float64, error)) (avgs []float64, hit bool, err error) {
-	if cfg.DisableSimCache || envDisabled() {
-		avgs, err := pass()
-		return avgs, false, err
-	}
+// Concurrent misses on one key both run pass; the first to finish stores.
+func (c *Cache) Measure(key Key, pass func() ([]float64, error)) (avgs []float64, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.meas[key]; ok {
 		c.measHits++
@@ -422,7 +405,6 @@ func (c *Cache) Stats() Stats {
 		Entries: len(c.entries), Bytes: c.bytes, BudgetBytes: c.budget,
 		Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits,
 		Evictions:   c.evictions,
-		Bypasses:    c.bypasses.Load(),
 		MeasureHits: c.measHits, MeasureMisses: c.measMisses,
 	}
 }
@@ -437,7 +419,6 @@ func (c *Cache) Reset() {
 	c.bytes = 0
 	c.hits, c.misses, c.diskHits, c.evictions = 0, 0, 0, 0
 	c.measHits, c.measMisses = 0, 0
-	c.bypasses.Store(0)
 }
 
 // KeyFor computes the content address of one (configuration, launch, memory)

@@ -179,29 +179,6 @@ func TestPowerSideConfigsShareEntries(t *testing.T) {
 	}
 }
 
-func TestDisableKnobBypasses(t *testing.T) {
-	var c Cache
-	cfg := config.GT240()
-	cfg.DisableSimCache = true
-	g := newSim(t, cfg)
-	for i := 0; i < 2; i++ {
-		l, mem := testKernel(4, 8, 5)
-		tr, err := c.Run(g, l, mem, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.CacheHit {
-			t.Error("disabled cache reported a hit")
-		}
-		if tr.Key != (Key{}) {
-			t.Error("disabled cache computed a key")
-		}
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Bypasses != 2 {
-		t.Errorf("stats = %+v, want 0 entries / 2 bypasses", st)
-	}
-}
-
 // probeEntryBytes measures the accounted snapshot size of one
 // testKernel(4, ...) entry (the words slice carries allocator slack, so the
 // size is derived, not assumed).
@@ -367,7 +344,7 @@ func TestMeasureMemo(t *testing.T) {
 		return func() ([]float64, error) { passes++; return []float64{v, v + 1}, nil }
 	}
 	for i, wantHit := range []bool{false, true} {
-		avgs, hit, err := c.Measure(cfg, Key{1}, pass(3))
+		avgs, hit, err := c.Measure(Key{1}, pass(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +352,7 @@ func TestMeasureMemo(t *testing.T) {
 			t.Fatalf("call %d: %v, hit %v", i, avgs, hit)
 		}
 	}
-	if _, _, err := c.Measure(cfg, Key{2}, func() ([]float64, error) { return nil, errors.New("too short") }); err == nil {
+	if _, _, err := c.Measure(Key{2}, func() ([]float64, error) { return nil, errors.New("too short") }); err == nil {
 		t.Fatal("a failed pass must return its error")
 	}
 	st := c.Stats()
@@ -387,26 +364,21 @@ func TestMeasureMemo(t *testing.T) {
 	g := newSim(t, cfg)
 	runProbe(t, &c, g, 7)
 	c.SetByteBudget(c.Stats().Bytes)
-	if _, _, err := c.Measure(cfg, Key{3}, pass(5)); err != nil {
+	if _, _, err := c.Measure(Key{3}, pass(5)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 {
 		t.Fatalf("after a store over budget: %+v; want the LRU measurement evicted", st)
 	}
-	if _, hit, _ := c.Measure(cfg, Key{1}, pass(3)); hit {
+	if _, hit, _ := c.Measure(Key{1}, pass(3)); hit {
 		t.Fatal("evicted measurement still served")
 	}
 
 	c.Reset()
-	if _, hit, _ := c.Measure(cfg, Key{3}, pass(5)); hit {
+	if _, hit, _ := c.Measure(Key{3}, pass(5)); hit {
 		t.Fatal("Reset kept a measurement")
 	}
-	off := config.GT240()
-	off.DisableSimCache = true
-	if _, hit, _ := c.Measure(off, Key{3}, pass(5)); hit {
-		t.Fatal("DisableSimCache served a stored measurement")
-	}
 	if st := c.Stats(); st.MeasureHits != 0 || st.MeasureMisses != 1 {
-		t.Fatalf("after Reset and a bypass: %+v; want 1 miss", st)
+		t.Fatalf("after Reset: %+v; want 1 miss", st)
 	}
 }
