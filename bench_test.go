@@ -137,11 +137,15 @@ func BenchmarkSimMatrixMulGTX580Dense(b *testing.B) {
 	benchSimulateDense(b, config.GTX580, "matrixMul")
 }
 
-// Cached counterpart: the same simulation served as content-addressed cache
-// hits (hash inputs, replay the stored memory image, clone the result).
+// Cached counterparts: the same simulations served as content-addressed
+// cache hits (hash inputs, replay the stored memory image, clone the
+// result). BlackScholes is one launch, hashed in full; bfs chains its
+// second kernel on the first one's final image, which is keyed from the
+// cache's chain memo.
 func BenchmarkSimBlackScholesGT240Cached(b *testing.B) {
 	benchSimulateCached(b, config.GT240, "BlackScholes")
 }
+func BenchmarkSimBFSGTX580Cached(b *testing.B) { benchSimulateCached(b, config.GTX580, "bfs") }
 
 // BenchmarkMeasureKernelGT240 measures one BlackScholes kernel on the
 // virtual GT240 with an auto-sized 150 ms window, with the kernel's

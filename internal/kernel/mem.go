@@ -12,6 +12,12 @@ import (
 type GlobalMem struct {
 	words []uint32
 	next  uint32
+
+	// digest is a content digest of (next, words) recorded by SetDigest;
+	// hasDigest is cleared by every mutation, so a set digest always
+	// describes the current image.
+	digest    [32]byte
+	hasDigest bool
 }
 
 // NewGlobalMem returns an empty memory. The zero address is left unmapped so
@@ -26,6 +32,7 @@ func (m *GlobalMem) Alloc(n int) uint32 {
 	if n < 0 {
 		panic("kernel: negative allocation")
 	}
+	m.hasDigest = false
 	base := m.next
 	m.next += uint32((n + 255) &^ 255)
 	if need := int(m.next+3) / 4; need > len(m.words) {
@@ -40,6 +47,7 @@ func (m *GlobalMem) Alloc(n int) uint32 {
 func (m *GlobalMem) Size() int { return int(m.next) }
 
 func (m *GlobalMem) idx(addr uint32) int {
+	m.hasDigest = false
 	i := int(addr / 4)
 	if i >= len(m.words) {
 		// Writes beyond the allocated space grow the image; hardware would
@@ -73,8 +81,27 @@ func (m *GlobalMem) ReadF32(addr uint32) float32 { return b2f(m.Read32(addr)) }
 // WriteF32 stores a float32.
 func (m *GlobalMem) WriteF32(addr uint32, v float32) { m.Write32(addr, f2b(v)) }
 
+// span returns the n words starting at the one containing addr, for
+// writing, if they all lie inside the image. A bulk write reaching past the
+// end takes the per-word path instead, which grows the image exactly as
+// word-by-word writes would.
+func (m *GlobalMem) span(addr uint32, n int) ([]uint32, bool) {
+	i := int(addr / 4)
+	if i+n > len(m.words) {
+		return nil, false
+	}
+	m.hasDigest = false
+	return m.words[i : i+n], true
+}
+
 // WriteI32Slice bulk-writes int32 values starting at addr.
 func (m *GlobalMem) WriteI32Slice(addr uint32, vs []int32) {
+	if dst, ok := m.span(addr, len(vs)); ok {
+		for i, v := range vs {
+			dst[i] = uint32(v)
+		}
+		return
+	}
 	for i, v := range vs {
 		m.Write32(addr+uint32(4*i), uint32(v))
 	}
@@ -91,6 +118,12 @@ func (m *GlobalMem) ReadI32Slice(addr uint32, n int) []int32 {
 
 // WriteF32Slice bulk-writes float32 values starting at addr.
 func (m *GlobalMem) WriteF32Slice(addr uint32, vs []float32) {
+	if dst, ok := m.span(addr, len(vs)); ok {
+		for i, v := range vs {
+			dst[i] = f2b(v)
+		}
+		return
+	}
 	for i, v := range vs {
 		m.WriteF32(addr+uint32(4*i), v)
 	}
@@ -146,7 +179,19 @@ func (m *GlobalMem) Restore(s MemSnapshot) {
 	}
 	copy(m.words, s.Words)
 	m.next = s.Next
+	m.hasDigest = false
 }
+
+// SetDigest records d as the content digest of the image as it stands: the
+// caller vouches that d hashes exactly the current high-water mark and
+// words. Any later mutation — an allocation, a write, a Restore — drops it.
+// The result cache sets it on the images it leaves behind, so that the next
+// launch on an unchanged image can be keyed without rehashing its words.
+func (m *GlobalMem) SetDigest(d [32]byte) { m.digest, m.hasDigest = d, true }
+
+// Digest returns the digest recorded by SetDigest, and whether the image is
+// unchanged since it was recorded.
+func (m *GlobalMem) Digest() ([32]byte, bool) { return m.digest, m.hasDigest }
 
 // Words exposes the raw word image for content hashing. Callers must treat
 // the slice as read-only.

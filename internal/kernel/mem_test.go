@@ -60,3 +60,39 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Error("writing the restored image mutated the snapshot")
 	}
 }
+
+// TestBulkWritesMatchWordWrites: the slice writers store in-range spans in
+// one step and fall back to word-by-word writes past the image end, so
+// either way the image — its words, its length and therefore its content
+// hash — equals that of writing each word with Write32.
+func TestBulkWritesMatchWordWrites(t *testing.T) {
+	vs := []int32{1, -2, 3, -4, 5, -6, 7}
+	fs := []float32{0.5, -1.25, 3e9}
+	for _, tc := range []struct {
+		name string
+		addr func(m *GlobalMem) uint32
+	}{
+		{"inside", func(m *GlobalMem) uint32 { return m.Alloc(256) + 8 }},
+		{"unaligned", func(m *GlobalMem) uint32 { return m.Alloc(256) + 9 }},
+		{"across the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*len(m.Words()) - 8) }},
+		{"past the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*len(m.Words()) + 64) }},
+	} {
+		bulk, words := NewGlobalMem(), NewGlobalMem()
+		a := tc.addr(bulk)
+		if b := tc.addr(words); a != b {
+			t.Fatalf("%s: addresses %d and %d", tc.name, a, b)
+		}
+		bulk.WriteI32Slice(a, vs)
+		bulk.WriteF32Slice(a+4, fs)
+		for i, v := range vs {
+			words.Write32(a+uint32(4*i), uint32(v))
+		}
+		for i, v := range fs {
+			words.WriteF32(a+4+uint32(4*i), v)
+		}
+		if !reflect.DeepEqual(bulk.Words(), words.Words()) || bulk.Size() != words.Size() {
+			t.Errorf("%s: bulk writes left %d words, word writes %d, or their contents differ",
+				tc.name, len(bulk.Words()), len(words.Words()))
+		}
+	}
+}

@@ -55,7 +55,8 @@ type outcome struct {
 
 // simulate runs every launch of a fresh instance of the named benchmark on
 // g, through c unless it is nil, prices each result under g's
-// configuration and verifies the benchmark's outputs.
+// configuration and verifies the benchmark's outputs. Through a cache it
+// also checks each launch's key against KeyFor over its input image.
 func simulate(g *sim.GPU, c *simcache.Cache, benchName string) (*outcome, error) {
 	pm, err := power.New(g.Config())
 	if err != nil {
@@ -75,11 +76,19 @@ func simulate(g *sim.GPU, c *simcache.Cache, benchName string) (*outcome, error)
 		if c == nil {
 			res, err = g.Run(r.Launch, inst.Mem, r.CMem)
 		} else {
+			// The key oracle: whether the cache hashed the image or took
+			// the key from its chain memo, the key is KeyFor's over the
+			// launch's input image.
+			in := kernel.NewGlobalMem()
+			in.Restore(inst.Mem.Snapshot())
 			var tr *simcache.TimingResult
 			if tr, err = c.Run(g, r.Launch, inst.Mem, r.CMem); err == nil {
 				res = tr.Perf
 				if tr.CacheHit {
 					o.hits++
+				}
+				if want := simcache.KeyFor(g.Config(), r.Launch, in, r.CMem); tr.Key != want {
+					err = fmt.Errorf("cache keyed the launch %x, KeyFor of its input image %x", tr.Key, want)
 				}
 			}
 		}
@@ -190,6 +199,10 @@ func (tb *table) row(t *testing.T, m mode) {
 			t.Fatal(err)
 		}
 	}
+	var chained uint64
+	if c != nil {
+		chained = c.Stats().ChainKeys
+	}
 	outs := make([]*outcome, m.n)
 	err := atOnce(m.n, func(i int) error {
 		cfg := tb.cfg()
@@ -213,6 +226,11 @@ func (tb *table) row(t *testing.T, m mode) {
 	}
 	if m.path == disk && c.Stats().DiskHits == 0 {
 		t.Errorf("%v: no launch was served from the spill directory", m)
+	}
+	// Every launch after the first runs on the image the previous one
+	// left behind, so a warm row keys those from the chain memo.
+	if m.path == warm && len(tb.ref.res) > 1 && c.Stats().ChainKeys == chained {
+		t.Errorf("%v: no chained launch was keyed from the chain memo", m)
 	}
 }
 

@@ -136,6 +136,11 @@ func (c *Cache) loadDisk(key Key) *entry {
 		de.Version != diskVersion || de.Perf == nil {
 		return nil
 	}
+	// The final image's digest keys the next launch on it (keyFor), so an
+	// entry whose MemHash does not hash its image is corrupt.
+	if hashWords(de.Final.Words, de.Final.Next) != de.MemHash {
+		return nil
+	}
 	e := &entry{key: key, perf: de.Perf, final: de.Final, memHash: de.MemHash}
 	e.bytes = int64(len(e.final.Words)) * 4
 	return e

@@ -1,6 +1,8 @@
 package simcache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -96,6 +98,60 @@ func TestDiskSpillCorruptEntry(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Misses != 1 || st.DiskHits != 0 {
 		t.Errorf("corrupt-entry run: %+v", st)
+	}
+}
+
+// A spilled entry whose MemHash does not hash its final image is corrupt:
+// the digest keys the next launch on that image, so the load is a miss.
+func TestDiskSpillMemHashMismatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config.GT240()
+
+	var c1 Cache
+	if err := c1.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	l1, mem1 := testKernel(4, 8, 80)
+	if _, err := c1.Run(newSim(t, cfg), l1, mem1, nil); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.gob"))
+	if len(files) != 1 {
+		t.Fatalf("want 1 spilled entry, got %v", files)
+	}
+	f, err := os.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var de diskEntry
+	err = gob.NewDecoder(f).Decode(&de)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	de.MemHash[7] ^= 1
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&de); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var c2 Cache
+	if err := c2.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	l2, mem2 := testKernel(4, 8, 80)
+	tr, err := c2.Run(newSim(t, cfg), l2, mem2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.CacheHit {
+		t.Error("an entry with a flipped MemHash must re-simulate")
+	}
+	if st := c2.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Errorf("flipped-MemHash run: %+v", st)
 	}
 }
 

@@ -19,6 +19,17 @@
 // wanting the same key are single-flighted (runner.Flight): the key is
 // simulated exactly once and the waiters replay.
 //
+// Chained launches — a multi-kernel benchmark's second and later kernels —
+// run on the image the previous launch left behind, which is exactly a
+// stored entry's final image. Run records that image's MemHash on the
+// image (kernel.GlobalMem.SetDigest; every mutation drops it), and the next
+// launch on it is keyed in two levels: a chain memo, addressed by the
+// launch with the digest in place of the words, holds the full key. The
+// digest is a SHA-256 of the high-water mark and every word, so the memo
+// key determines the full key; keys are the same bytes either way, and the
+// image is hashed in full only on a memo miss. Memo entries share the
+// recency list, byte budget and Reset; they are never spilled to disk.
+//
 // Determinism contract: a cold miss, a warm hit and a disk-spilled hit are
 // each bit-identical to a plain sim.GPU.Run of the launch in every reported
 // metric and in the final memory image (enforced by the sim package's
@@ -47,9 +58,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"os"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -96,10 +110,23 @@ type entry struct {
 	// avgs, on a measurement entry (see Measure), are the per-kernel window
 	// averages of one DAQ pass; perf and final are then unset.
 	avgs []float64
+	// full, on a chain-memo entry (see keyFor), is the KeyFor key its
+	// chain key stands for; perf, final and avgs are then unset.
+	full Key
+	kind entryKind
 	// prev/next thread the recency list (prev is more recently used; the
 	// list head is the MRU end, the tail the next eviction victim).
 	prev, next *entry
 }
+
+// entryKind says which of the cache's maps an entry lives in.
+type entryKind uint8
+
+const (
+	timingEntry entryKind = iota // entries
+	measEntry                    // meas
+	chainEntry                   // chain
+)
 
 // Cache is a content-addressed store of timing results. The package-level
 // Run uses one process-wide instance; separate instances exist for tests.
@@ -107,6 +134,7 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	meas    map[Key]*entry // measurement entries (Measure)
+	chain   map[Key]*entry // chain-memo entries (keyFor)
 	flight  runner.Flight[Key, *entry]
 
 	// Recency list and byte accounting for the LRU bound. budget <= 0 means
@@ -124,6 +152,7 @@ type Cache struct {
 	evictions uint64
 
 	measHits, measMisses uint64
+	chainKeys            uint64
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters. It
@@ -132,8 +161,8 @@ type Cache struct {
 type Stats struct {
 	// Entries is the number of distinct timing results stored.
 	Entries int `json:"entries"`
-	// Bytes is the accounted size of the stored final-image snapshots and
-	// measurement window averages.
+	// Bytes is the accounted size of the stored final-image snapshots,
+	// measurement window averages and chain-memo keys.
 	Bytes int64 `json:"bytes"`
 	// BudgetBytes is the configured byte budget (0 = unbounded).
 	BudgetBytes int64 `json:"budgetBytes"`
@@ -153,6 +182,9 @@ type Stats struct {
 	// MeasureMisses counts virtual-card measurements that ran the DAQ pass
 	// and stored its averages.
 	MeasureMisses uint64 `json:"measureMisses"`
+	// ChainKeys counts launch keys served from the chain memo: launches on
+	// an image the cache itself left behind, keyed without rehashing it.
+	ChainKeys uint64 `json:"chainKeys"`
 }
 
 // String renders the counters as the CLIs' one-line -stats summary.
@@ -161,8 +193,8 @@ func (s Stats) String() string {
 	if s.BudgetBytes > 0 {
 		budget = fmt.Sprintf(" of %.1f MiB budget", float64(s.BudgetBytes)/(1<<20))
 	}
-	return fmt.Sprintf("%d entries (%.1f MiB%s), %d hits (%d from disk), %d misses, %d evictions; measurements %d hits, %d misses",
-		s.Entries, float64(s.Bytes)/(1<<20), budget, s.Hits, s.DiskHits, s.Misses, s.Evictions, s.MeasureHits, s.MeasureMisses)
+	return fmt.Sprintf("%d entries (%.1f MiB%s), %d hits (%d from disk), %d misses, %d evictions, %d chained keys; measurements %d hits, %d misses",
+		s.Entries, float64(s.Bytes)/(1<<20), budget, s.Hits, s.DiskHits, s.Misses, s.Evictions, s.ChainKeys, s.MeasureHits, s.MeasureMisses)
 }
 
 // shared is the process-wide cache every Simulator and virtual Card runs
@@ -246,10 +278,13 @@ func (c *Cache) evictOverBudgetLocked(keep *entry) {
 	for c.bytes > c.budget && c.lru != nil && c.lru != keep {
 		victim := c.lru
 		c.unlinkLocked(victim)
-		if victim.perf == nil { // a measurement entry
-			delete(c.meas, victim.key)
-		} else {
+		switch victim.kind {
+		case timingEntry:
 			delete(c.entries, victim.key)
+		case measEntry:
+			delete(c.meas, victim.key)
+		case chainEntry:
+			delete(c.chain, victim.key)
 		}
 		c.bytes -= victim.bytes
 		c.evictions++
@@ -264,9 +299,10 @@ func Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Co
 // Run executes the pure timing stage for one launch: a fresh simulation on
 // a key miss (stored for the future), a replay on a hit. Either way the
 // caller's global memory image holds the kernel's final state afterwards,
-// exactly as sim.GPU.Run would leave it.
+// exactly as sim.GPU.Run would leave it, carrying the final image's digest
+// (kernel.GlobalMem.SetDigest) for the next launch's key.
 func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) (*TimingResult, error) {
-	key := KeyFor(g.Config(), l, global, cmem)
+	key := c.keyFor(g.Config(), l, global, cmem)
 
 	// Fast path: already stored.
 	c.mu.Lock()
@@ -275,6 +311,7 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 		c.touchLocked(e)
 		c.mu.Unlock()
 		global.Restore(e.final)
+		global.SetDigest(e.memHash)
 		return &TimingResult{Kernel: l.Prog.Name, Key: key, Perf: e.perf.Clone(), MemHash: e.memHash, CacheHit: true}, nil
 	}
 	c.mu.Unlock()
@@ -354,7 +391,44 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 		// hit): this caller's image still holds the input state, so replay.
 		global.Restore(e.final)
 	}
+	global.SetDigest(e.memHash)
 	return &TimingResult{Kernel: l.Prog.Name, Key: key, Perf: e.perf.Clone(), MemHash: e.memHash, CacheHit: !simulated}, nil
+}
+
+// keyFor returns KeyFor's key for the launch. When the input image carries
+// a digest — it is exactly the final image of an entry this cache served or
+// stored — the key comes from the chain memo, addressed by chainKeyFor; a
+// memo miss computes the full key and stores it. The digest is the SHA-256
+// of the image's high-water mark and words, so a chain key determines the
+// full key as surely as the words themselves would.
+func (c *Cache) keyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
+	d, ok := global.Digest()
+	if !ok {
+		return KeyFor(cfg, l, global, cmem)
+	}
+	ck := chainKeyFor(cfg, l, d, cmem)
+	c.mu.Lock()
+	if e, ok := c.chain[ck]; ok {
+		c.chainKeys++
+		c.touchLocked(e)
+		c.mu.Unlock()
+		return e.full
+	}
+	c.mu.Unlock()
+	key := KeyFor(cfg, l, global, cmem)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.chain[ck]; !ok {
+		if c.chain == nil {
+			c.chain = make(map[Key]*entry)
+		}
+		e := &entry{key: ck, full: key, kind: chainEntry, bytes: int64(len(key))}
+		c.chain[ck] = e
+		c.bytes += e.bytes
+		c.touchLocked(e)
+		c.evictOverBudgetLocked(e)
+	}
+	return key
 }
 
 // Measure serves one virtual-card DAQ pass through the process-wide cache.
@@ -388,7 +462,7 @@ func (c *Cache) Measure(key Key, pass func() ([]float64, error)) (avgs []float64
 		if c.meas == nil {
 			c.meas = make(map[Key]*entry)
 		}
-		e := &entry{key: key, avgs: avgs, bytes: int64(len(avgs)) * 8}
+		e := &entry{key: key, avgs: avgs, kind: measEntry, bytes: int64(len(avgs)) * 8}
 		c.meas[key] = e
 		c.bytes += e.bytes
 		c.touchLocked(e)
@@ -406,6 +480,7 @@ func (c *Cache) Stats() Stats {
 		Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits,
 		Evictions:   c.evictions,
 		MeasureHits: c.measHits, MeasureMisses: c.measMisses,
+		ChainKeys: c.chainKeys,
 	}
 }
 
@@ -414,11 +489,11 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries, c.meas = nil, nil
+	c.entries, c.meas, c.chain = nil, nil, nil
 	c.mru, c.lru = nil, nil
 	c.bytes = 0
 	c.hits, c.misses, c.diskHits, c.evictions = 0, 0, 0, 0
-	c.measHits, c.measMisses = 0, 0
+	c.measHits, c.measMisses, c.chainKeys = 0, 0, 0
 }
 
 // KeyFor computes the content address of one (configuration, launch, memory)
@@ -427,23 +502,57 @@ func (c *Cache) Reset() {
 // instruction stream, the launch geometry and parameters, and both input
 // memory images word by word.
 func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
-	h := sha256.New()
-	var scratch [16]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		h.Write(scratch[:8])
-	}
-	i64 := func(v int) { u64(uint64(int64(v))) }
+	kw := newKeyWriter()
+	kw.launch(cfg, l)
+	kw.i64(global.Size())
+	writeWords(kw.h, global.Words())
+	kw.constMem(cmem)
+	return kw.sum()
+}
 
+// chainKeyFor is the chain memo's key for a launch on an image whose
+// content digest (hashWords of its high-water mark and words) is d: the
+// launch prefix KeyFor writes, then d in place of the image, then the
+// constant image. d determines the image part of KeyFor's input, so this
+// key determines KeyFor's key.
+func chainKeyFor(cfg *config.GPU, l *kernel.Launch, d [32]byte, cmem *kernel.ConstMem) Key {
+	kw := newKeyWriter()
+	kw.launch(cfg, l)
+	kw.h.Write(d[:])
+	kw.constMem(cmem)
+	return kw.sum()
+}
+
+// keyWriter streams key material into a SHA-256 in a fixed little-endian
+// encoding.
+type keyWriter struct {
+	h       hash.Hash
+	scratch [16]byte
+}
+
+func newKeyWriter() *keyWriter { return &keyWriter{h: sha256.New()} }
+
+func (kw *keyWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(kw.scratch[:8], v)
+	kw.h.Write(kw.scratch[:8])
+}
+
+func (kw *keyWriter) i64(v int) { kw.u64(uint64(int64(v))) }
+
+// launch writes everything of a key but the memory images: the
+// timing-relevant configuration, the program, the geometry and the
+// parameters.
+func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch) {
+	scratch := kw.scratch[:]
 	ck := cfg.TimingKey()
-	h.Write(ck[:])
+	kw.h.Write(ck[:])
 
 	// Program content (the name is presentation, not timing input).
 	p := l.Prog
-	i64(p.NumRegs)
-	i64(p.SMemBytes)
-	i64(p.NumParams)
-	i64(len(p.Instrs))
+	kw.i64(p.NumRegs)
+	kw.i64(p.SMemBytes)
+	kw.i64(p.NumParams)
+	kw.i64(len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		binary.LittleEndian.PutUint32(scratch[:4], uint32(in.Op)|uint32(in.Dst)<<16|uint32(in.NumSrc)<<24)
@@ -460,61 +569,78 @@ func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *k
 		scratch[7] = 0
 		binary.LittleEndian.PutUint16(scratch[8:10], uint16(in.Pred))
 		binary.LittleEndian.PutUint32(scratch[10:14], uint32(in.Offset))
-		h.Write(scratch[:14])
+		kw.h.Write(scratch[:14])
 		for s := 0; s < 3; s++ {
 			o := &in.Src[s]
 			binary.LittleEndian.PutUint32(scratch[:4], uint32(o.Kind)|uint32(o.Reg)<<8|uint32(o.Special)<<16)
 			binary.LittleEndian.PutUint32(scratch[4:8], o.Imm)
-			h.Write(scratch[:8])
+			kw.h.Write(scratch[:8])
 		}
-		i64(in.Target)
-		i64(in.Reconv)
+		kw.i64(in.Target)
+		kw.i64(in.Reconv)
 	}
 
 	// Launch geometry and arguments.
-	i64(l.Grid.X)
-	i64(l.Grid.Y)
-	i64(l.Block.X)
-	i64(l.Block.Y)
-	i64(l.DynSMemBytes)
-	i64(len(l.Params))
-	writeWords(h, l.Params)
+	kw.i64(l.Grid.X)
+	kw.i64(l.Grid.Y)
+	kw.i64(l.Block.X)
+	kw.i64(l.Block.Y)
+	kw.i64(l.DynSMemBytes)
+	kw.i64(len(l.Params))
+	writeWords(kw.h, l.Params)
+}
 
-	// Input memory images.
-	i64(global.Size())
-	writeWords(h, global.Words())
-	if cmem != nil {
-		i64(cmem.Bytes())
-		writeWords(h, cmem.Words())
-	} else {
-		i64(-1)
+// constMem writes the constant image (or its absence), which follows the
+// global image in a key.
+func (kw *keyWriter) constMem(cmem *kernel.ConstMem) {
+	if cmem == nil {
+		kw.i64(-1)
+		return
 	}
+	kw.i64(cmem.Bytes())
+	writeWords(kw.h, cmem.Words())
+}
 
+func (kw *keyWriter) sum() Key {
 	var k Key
-	h.Sum(k[:0])
+	kw.h.Sum(k[:0])
 	return k
 }
 
-// writeWords streams a word slice into the hash through a fixed chunk
-// buffer, avoiding a full byte-slice materialization of multi-megabyte
-// memory images.
-func writeWords(h interface{ Write(p []byte) (int, error) }, ws []uint32) {
+// littleEndian reports whether the host stores a uint32 as its
+// little-endian bytes, the encoding keys hash words in.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// writeWords streams a word slice into the hash as its little-endian bytes.
+// On a little-endian host those are the words' own bytes, hashed in place;
+// elsewhere writeWordsPortable converts them.
+func writeWords(w io.Writer, ws []uint32) {
+	if !littleEndian {
+		writeWordsPortable(w, ws)
+		return
+	}
+	if len(ws) > 0 {
+		w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 4*len(ws)))
+	}
+}
+
+// writeWordsPortable encodes words through a fixed chunk buffer, avoiding a
+// full byte-slice materialization of multi-megabyte memory images.
+func writeWordsPortable(w io.Writer, ws []uint32) {
 	var buf [4096]byte
 	for len(ws) > 0 {
-		n := len(ws)
-		if n > len(buf)/4 {
-			n = len(buf) / 4
-		}
+		n := min(len(ws), len(buf)/4)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], ws[i])
 		}
-		h.Write(buf[:4*n])
+		w.Write(buf[:4*n])
 		ws = ws[n:]
 	}
 }
 
 // hashWords fingerprints a final memory image (words plus allocation
-// high-water mark) for the determinism contract.
+// high-water mark): an entry's MemHash, and the digest the cache records on
+// the images it leaves behind.
 func hashWords(ws []uint32, next uint32) [32]byte {
 	h := sha256.New()
 	var scratch [4]byte
