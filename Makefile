@@ -92,10 +92,14 @@ race:
 # longer than the whole budget, so its minimization is bounded to 1 s.
 # FuzzMeasureMemo: a virtual-card measurement served by the result cache
 # (miss, then hit) must equal the sampled waveform's bit for bit and leave
-# the noise stream in the same state. Crashers land in the package's
+# the noise stream in the same state. FuzzSnapshotRoundTrip: restoring a
+# snapshot, which stores an image without its zero tail, must rebuild the
+# image's length, words, high-water mark and content digest exactly, into
+# a fresh image or a larger dirty one. Crashers land in the package's
 # testdata/fuzz/ and replay in every `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
+	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 

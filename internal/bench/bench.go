@@ -5,11 +5,20 @@
 // the internal SIMT ISA. Every benchmark provides a functional verification
 // against a host-side Go reference, so the simulator's executed results are
 // checked, not just timed.
+//
+// Each benchmark is built once per process into a template: its programs,
+// launches and constant images; its pristine input image with the image's
+// content digest; and the host reference outputs its verification compares
+// against. The constructors return fresh instances cloned from the
+// template. A clone's image carries the template's digest, so the
+// simulation-result cache keys its first launch without rehashing the
+// image.
 package bench
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gpusimpow/internal/kernel"
 )
@@ -30,12 +39,53 @@ type Run struct {
 
 // Instance is a ready-to-execute benchmark: launches share one memory image
 // and must run in order; Verify checks the final memory against the host
-// reference.
+// reference. Every instance owns its memory image; the launches, programs
+// and constant images are shared with the benchmark's other instances and
+// must not be modified.
 type Instance struct {
 	Name   string
 	Mem    *kernel.GlobalMem
 	Runs   []Run
 	Verify func() error
+}
+
+// template is one benchmark as built once per process. Its runs — the
+// programs, launches and constant images — are shared read-only by every
+// instance. input is the pristine global-memory image and digest its
+// kernel.GlobalMem.ContentDigest. check compares an instance's final image
+// against host reference outputs computed when the template was built;
+// the host input arrays they were computed from are not kept, and a check
+// that needs an input value reads it from input.
+type template struct {
+	name   string
+	runs   []Run
+	input  kernel.MemSnapshot
+	digest [32]byte
+	check  func(mem *kernel.GlobalMem) error
+}
+
+// newTemplate freezes mem as the pristine input image of a benchmark whose
+// launches are runs; the caller sets check.
+func newTemplate(name string, mem *kernel.GlobalMem, runs []Run) *template {
+	return &template{name: name, runs: runs, input: mem.Snapshot(), digest: mem.ContentDigest()}
+}
+
+// instance returns a fresh instance of t (or err): its own memory image,
+// restored from the template's input and carrying its digest, and a Verify
+// that checks that image.
+func instance(t *template, err error) (*Instance, error) {
+	if err != nil {
+		return nil, err
+	}
+	mem := kernel.NewGlobalMem()
+	mem.Restore(t.input)
+	mem.SetDigest(t.digest)
+	return &Instance{
+		Name:   t.name,
+		Mem:    mem,
+		Runs:   slices.Clone(t.runs),
+		Verify: func() error { return t.check(mem) },
+	}, nil
 }
 
 // Factory creates fresh instances of one benchmark.

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/sim"
+	"gpusimpow/internal/simcache"
 )
 
 // runFunctional executes an instance's launches through the functional
@@ -197,6 +201,167 @@ func TestBenchmarksOnTimingSimulator(t *testing.T) {
 		}
 		if err := inst.Verify(); err != nil {
 			t.Fatalf("%s (timing sim): %v", name, err)
+		}
+	}
+}
+
+// verifiedOutput names, per benchmark, a buffer its Verify reads: the
+// launch that receives the buffer's address (an index into Runs; -1 is the
+// last launch) and the parameter holding it.
+var verifiedOutput = map[string]struct{ run, param int }{
+	"backprop":     {0, 2},  // hidden
+	"bfs":          {0, 5},  // cost
+	"BlackScholes": {0, 3},  // call
+	"heartwall":    {0, 3},  // best offsets
+	"hotspot":      {-1, 1}, // the last step's temperatures
+	"kmeans":       {1, 1},  // memberships
+	"matrixMul":    {0, 2},  // C
+	"mergeSort":    {-1, 1}, // the last round's output
+	"needle":       {0, 0},  // score matrix
+	"pathfinder":   {0, 1},  // last row
+	"scalarProd":   {0, 2},  // dot products
+	"vectorAdd":    {0, 2},  // c
+}
+
+// TestVerifyCatchesCorruptOutput: Verify compares a finished instance with
+// references computed once per process, and still rejects one corrupted
+// output word of every benchmark. A fresh instance's image carries a digest,
+// and it is the image's true content digest.
+func TestVerifyCatchesCorruptOutput(t *testing.T) {
+	for _, f := range Suite() {
+		t.Run(f.Name, func(t *testing.T) {
+			out, ok := verifiedOutput[f.Name]
+			if !ok {
+				t.Fatal("no verified output named for this benchmark")
+			}
+			inst, err := f.Make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, ok := inst.Mem.Digest(); !ok || d != inst.Mem.ContentDigest() {
+				t.Fatalf("fresh instance digest %x (set %v), its image hashes to %x", d, ok, inst.Mem.ContentDigest())
+			}
+			runFunctional(t, inst)
+			if out.run < 0 {
+				out.run += len(inst.Runs)
+			}
+			addr := inst.Runs[out.run].Launch.Params[out.param]
+			good := inst.Mem.Read32(addr)
+			// No benchmark produces 12345.0 (nor its bits as an integer)
+			// at any output.
+			inst.Mem.WriteF32(addr, 12345)
+			if err := inst.Verify(); err == nil {
+				t.Errorf("Verify accepted a corrupted word at %#x", addr)
+			}
+			inst.Mem.Write32(addr, good)
+			if err := inst.Verify(); err != nil {
+				t.Errorf("Verify rejects the repaired image: %v", err)
+			}
+		})
+	}
+}
+
+// TestTemplatesStayPristine runs every benchmark's instances at once on
+// both validated GPUs, twice, through one result cache (the first round
+// simulates, the second replays), then checks that what instances share
+// with their benchmark's template — the input image's digest, the launch
+// parameters, the programs and the constant images — is unchanged, and
+// that a write to one instance never shows in another. Run it under -race.
+func TestTemplatesStayPristine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation in -short mode")
+	}
+	type shared struct {
+		digest [32]byte
+		runs   []Run
+		params [][]uint32
+		instrs [][]kernel.Instr
+		cmem   [][]uint32
+	}
+	freeze := func(inst *Instance) shared {
+		d, _ := inst.Mem.Digest()
+		s := shared{digest: d, runs: inst.Runs}
+		for _, r := range inst.Runs {
+			s.params = append(s.params, slices.Clone(r.Launch.Params))
+			s.instrs = append(s.instrs, slices.Clone(r.Launch.Prog.Instrs))
+			var cw []uint32
+			if r.CMem != nil {
+				cw = slices.Clone(r.CMem.Words())
+			}
+			s.cmem = append(s.cmem, cw)
+		}
+		return s
+	}
+	fresh := func(f Factory) *Instance {
+		inst, err := f.Make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	before := map[string]shared{}
+	for _, f := range Suite() {
+		before[f.Name] = freeze(fresh(f))
+	}
+
+	var c simcache.Cache
+	for round := 1; round <= 2; round++ {
+		var wg sync.WaitGroup
+		for _, cfg := range []func() *config.GPU{config.GT240, config.GTX580} {
+			for _, f := range Suite() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g, err := sim.New(cfg())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					inst, err := f.Make()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, r := range inst.Runs {
+						if _, err := c.Run(g, r.Launch, inst.Mem, r.CMem); err != nil {
+							t.Errorf("round %d: %s / %s: %v", round, f.Name, r.Name, err)
+							return
+						}
+					}
+					if err := inst.Verify(); err != nil {
+						t.Errorf("round %d: %s: %v", round, f.Name, err)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if st := c.Stats(); st.Misses == 0 || st.Hits == 0 {
+		t.Errorf("cache stats %+v: want the first round to simulate and the second to replay", st)
+	}
+
+	for _, f := range Suite() {
+		a, b := fresh(f), fresh(f)
+		now, was := freeze(a), before[f.Name]
+		for i, r := range a.Runs {
+			if r.Launch != was.runs[i].Launch || r.CMem != was.runs[i].CMem {
+				t.Fatalf("%s / %s: instances no longer share the template's launch", f.Name, r.Name)
+			}
+		}
+		if now.digest != was.digest || a.Mem.ContentDigest() != was.digest {
+			t.Errorf("%s: template image changed", f.Name)
+		}
+		if !reflect.DeepEqual(now.params, was.params) || !reflect.DeepEqual(now.instrs, was.instrs) || !reflect.DeepEqual(now.cmem, was.cmem) {
+			t.Errorf("%s: a launch's parameters, program or constant image changed", f.Name)
+		}
+		addr := a.Runs[0].Launch.Params[0]
+		want := b.Mem.Read32(addr)
+		a.Mem.Write32(addr, ^want)
+		if got := b.Mem.Read32(addr); got != want {
+			t.Errorf("%s: a write to one instance shows in another (%#x, want %#x)", f.Name, got, want)
+		}
+		if d, ok := b.Mem.Digest(); !ok || d != was.digest {
+			t.Errorf("%s: a write to one instance dropped another's digest", f.Name)
 		}
 	}
 }

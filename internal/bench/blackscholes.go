@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gpusimpow/internal/kernel"
 )
@@ -61,9 +62,13 @@ func cndRef(d float32) float32 {
 	return cnd
 }
 
+var blackScholes = sync.OnceValues(buildBlackScholes)
+
 // BlackScholes is the CUDA SDK option-pricing benchmark: an SFU-heavy
 // kernel evaluating the Black-Scholes PDE closed form per option.
-func BlackScholes() (*Instance, error) {
+func BlackScholes() (*Instance, error) { return instance(blackScholes()) }
+
+func buildBlackScholes() (*template, error) {
 	const n = 4096
 	const block = 128
 
@@ -145,38 +150,39 @@ func BlackScholes() (*Instance, error) {
 	callAddr := mem.AllocZeroF32(n)
 	putAddr := mem.AllocZeroF32(n)
 
-	inst := &Instance{
+	t := newTemplate("BlackScholes", mem, []Run{{
 		Name: "BlackScholes",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "BlackScholes",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: n / block, Y: 1},
-				Block:  kernel.Dim{X: block, Y: 1},
-				Params: []uint32{sAddr, xAddr, tAddr, callAddr, putAddr, n},
-			},
-		}},
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: n / block, Y: 1},
+			Block:  kernel.Dim{X: block, Y: 1},
+			Params: []uint32{sAddr, xAddr, tAddr, callAddr, putAddr, n},
+		},
+	}})
+	wantCall := make([]float32, n)
+	wantPut := make([]float32, n)
+	for i := 0; i < n; i++ {
+		s, x, tt := sv[i], xv[i], tv[i]
+		sqrtT := float32(math.Sqrt(float64(tt)))
+		d1 := (float32(math.Log(float64(s/x))) + (bsRiskFree+0.5*bsVolatility*bsVolatility)*tt) / (bsVolatility * sqrtT)
+		d2 := d1 - bsVolatility*sqrtT
+		expRT := x * float32(math.Exp(float64(-bsRiskFree*tt)))
+		wantCall[i] = s*cndRef(d1) - expRT*cndRef(d2)
+		wantPut[i] = expRT*(1-cndRef(d2)) - s*(1-cndRef(d1))
 	}
-	inst.Verify = func() error {
+	t.check = func(mem *kernel.GlobalMem) error {
 		call := mem.ReadF32Slice(callAddr, n)
 		put := mem.ReadF32Slice(putAddr, n)
 		for i := 0; i < n; i++ {
-			s, x, tt := sv[i], xv[i], tv[i]
-			sqrtT := float32(math.Sqrt(float64(tt)))
-			d1 := (float32(math.Log(float64(s/x))) + (bsRiskFree+0.5*bsVolatility*bsVolatility)*tt) / (bsVolatility * sqrtT)
-			d2 := d1 - bsVolatility*sqrtT
-			expRT := x * float32(math.Exp(float64(-bsRiskFree*tt)))
-			wantCall := s*cndRef(d1) - expRT*cndRef(d2)
-			wantPut := expRT*(1-cndRef(d2)) - s*(1-cndRef(d1))
-			if !approxEq(call[i], wantCall, 5e-3) {
-				return fmt.Errorf("BlackScholes: call[%d] = %v, want ~%v (S=%v X=%v T=%v)", i, call[i], wantCall, s, x, tt)
+			if !approxEq(call[i], wantCall[i], 5e-3) {
+				in := func(a uint32) float32 { return math.Float32frombits(t.input.Read32(a + uint32(4*i))) }
+				return fmt.Errorf("BlackScholes: call[%d] = %v, want ~%v (S=%v X=%v T=%v)", i, call[i], wantCall[i], in(sAddr), in(xAddr), in(tAddr))
 			}
-			if !approxEq(put[i], wantPut, 5e-3) {
-				return fmt.Errorf("BlackScholes: put[%d] = %v, want ~%v", i, put[i], wantPut)
+			if !approxEq(put[i], wantPut[i], 5e-3) {
+				return fmt.Errorf("BlackScholes: put[%d] = %v, want ~%v", i, put[i], wantPut[i])
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }

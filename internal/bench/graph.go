@@ -2,14 +2,22 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"gpusimpow/internal/kernel"
+)
+
+var (
+	bfs    = sync.OnceValues(buildBFS)
+	needle = sync.OnceValues(buildNeedle)
 )
 
 // BFS is the Rodinia breadth-first search: a frontier-expansion kernel
 // (bfs1) and a frontier-update kernel (bfs2), launched once per BFS level —
 // the classic irregular, divergence-heavy GPGPU workload.
-func BFS() (*Instance, error) {
+func BFS() (*Instance, error) { return instance(bfs()) }
+
+func buildBFS() (*template, error) {
 	const n = 1024
 	const degree = 4
 
@@ -152,11 +160,11 @@ func BFS() (*Instance, error) {
 		mem.Write32(costAddr+uint32(4*i), uint32(0xFFFFFFFF)) // -1
 	}
 
-	inst := &Instance{Name: "bfs", Mem: mem}
+	var runs []Run
 	grid := kernel.Dim{X: n / 256, Y: 1}
 	block := kernel.Dim{X: 256, Y: 1}
 	for lvl := 0; lvl < levels; lvl++ {
-		inst.Runs = append(inst.Runs,
+		runs = append(runs,
 			Run{
 				Name: "bfs1",
 				Launch: &kernel.Launch{
@@ -173,7 +181,8 @@ func BFS() (*Instance, error) {
 			},
 		)
 	}
-	inst.Verify = func() error {
+	t := newTemplate("bfs", mem, runs)
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadI32Slice(costAddr, n)
 		for i := 0; i < n; i++ {
 			if got[i] != ref[i] {
@@ -182,14 +191,16 @@ func BFS() (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // Needle is the Rodinia Needleman-Wunsch sequence alignment benchmark: the
 // DP score matrix is processed in 16x16 tiles along anti-diagonals, with
 // needle1 sweeping the growing half of the matrix and needle2 the shrinking
 // half (two kernels, as in Fig. 6).
-func Needle() (*Instance, error) {
+func Needle() (*Instance, error) { return instance(needle()) }
+
+func buildNeedle() (*template, error) {
 	const nTiles = 6
 	const tile = 16
 	const n = nTiles * tile // sequence length; matrix is (n+1)^2
@@ -365,11 +376,11 @@ func Needle() (*Instance, error) {
 	scoreAddr := mem.AllocI32(score)
 	simAddr := mem.AllocI32(sim)
 
-	inst := &Instance{Name: "needle", Mem: mem}
+	var runs []Run
 	block := kernel.Dim{X: tile, Y: 1}
 	// Growing diagonals: g = 0..nTiles-1, tiles (bid, g-bid).
 	for g := 0; g < nTiles; g++ {
-		inst.Runs = append(inst.Runs, Run{
+		runs = append(runs, Run{
 			Name: "needle1",
 			Launch: &kernel.Launch{
 				Prog: prog1, Grid: kernel.Dim{X: g + 1, Y: 1}, Block: block,
@@ -379,7 +390,7 @@ func Needle() (*Instance, error) {
 	}
 	// Shrinking diagonals: g = nTiles..2*nTiles-2, tileX = g-(nTiles-1)+bid.
 	for g := nTiles; g <= 2*nTiles-2; g++ {
-		inst.Runs = append(inst.Runs, Run{
+		runs = append(runs, Run{
 			Name: "needle2",
 			Launch: &kernel.Launch{
 				Prog: prog2, Grid: kernel.Dim{X: 2*nTiles - 1 - g, Y: 1}, Block: block,
@@ -387,7 +398,8 @@ func Needle() (*Instance, error) {
 			},
 		})
 	}
-	inst.Verify = func() error {
+	t := newTemplate("needle", mem, runs)
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadI32Slice(scoreAddr, dim*dim)
 		for i := 0; i < dim; i++ {
 			for j := 0; j < dim; j++ {
@@ -398,5 +410,5 @@ func Needle() (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }

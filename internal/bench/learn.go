@@ -3,15 +3,24 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gpusimpow/internal/kernel"
+)
+
+var (
+	backprop  = sync.OnceValues(buildBackprop)
+	kmeans    = sync.OnceValues(buildKMeans)
+	heartwall = sync.OnceValues(buildHeartwall)
 )
 
 // Backprop is the Rodinia multi-layer perceptron training benchmark:
 // kernel 1 (backprop1) computes the hidden layer forward pass with a
 // shared-memory reduction per hidden unit; kernel 2 (backprop2) adjusts the
 // input-to-hidden weights.
-func Backprop() (*Instance, error) {
+func Backprop() (*Instance, error) { return instance(backprop()) }
+
+func buildBackprop() (*template, error) {
 	const nIn = 512
 	const nHid = 16
 	const block = 128
@@ -122,60 +131,64 @@ func Backprop() (*Instance, error) {
 	hidAddr := mem.AllocZeroF32(nHid)
 	deltaAddr := mem.AllocF32(delta)
 
-	inst := &Instance{
-		Name: "backprop",
-		Mem:  mem,
-		Runs: []Run{
-			{
-				Name: "backprop1",
-				Launch: &kernel.Launch{
-					Prog:   prog1,
-					Grid:   kernel.Dim{X: nHid, Y: 1},
-					Block:  kernel.Dim{X: block, Y: 1},
-					Params: []uint32{inAddr, wAddr, hidAddr, nIn},
-				},
-			},
-			{
-				Name: "backprop2",
-				Launch: &kernel.Launch{
-					Prog:   prog2,
-					Grid:   kernel.Dim{X: nIn * nHid / 256, Y: 1},
-					Block:  kernel.Dim{X: 256, Y: 1},
-					Params: []uint32{wAddr, deltaAddr, inAddr, nIn * nHid},
-				},
+	t := newTemplate("backprop", mem, []Run{
+		{
+			Name: "backprop1",
+			Launch: &kernel.Launch{
+				Prog:   prog1,
+				Grid:   kernel.Dim{X: nHid, Y: 1},
+				Block:  kernel.Dim{X: block, Y: 1},
+				Params: []uint32{inAddr, wAddr, hidAddr, nIn},
 			},
 		},
+		{
+			Name: "backprop2",
+			Launch: &kernel.Launch{
+				Prog:   prog2,
+				Grid:   kernel.Dim{X: nIn * nHid / 256, Y: 1},
+				Block:  kernel.Dim{X: 256, Y: 1},
+				Params: []uint32{wAddr, deltaAddr, inAddr, nIn * nHid},
+			},
+		},
+	})
+	wantHid := make([]float64, nHid)
+	for j := range wantHid {
+		var sum float64
+		for i := 0; i < nIn; i++ {
+			sum += float64(in[i]) * float64(w[i*nHid+j])
+		}
+		wantHid[j] = 1 / (1 + math.Exp(-sum))
 	}
-	inst.Verify = func() error {
+	wantW := make([]float32, nIn*nHid)
+	for idx := range wantW {
+		i, j := idx/nHid, idx%nHid
+		wantW[idx] = w[idx] + lr*delta[j]*in[i]
+	}
+	t.check = func(mem *kernel.GlobalMem) error {
 		hid := mem.ReadF32Slice(hidAddr, nHid)
-		for j := 0; j < nHid; j++ {
-			var sum float64
-			for i := 0; i < nIn; i++ {
-				sum += float64(in[i]) * float64(w[i*nHid+j])
-			}
-			want := 1 / (1 + math.Exp(-sum))
+		for j, want := range wantHid {
 			if !approxEq(hid[j], float32(want), 2e-3) {
 				return fmt.Errorf("backprop1: hidden[%d] = %v, want ~%v", j, hid[j], want)
 			}
 		}
 		wGot := mem.ReadF32Slice(wAddr, nIn*nHid)
-		for idx := 0; idx < nIn*nHid; idx++ {
-			i, j := idx/nHid, idx%nHid
-			want := w[idx] + lr*delta[j]*in[i]
+		for idx, want := range wantW {
 			if !approxEq(wGot[idx], want, 1e-4) {
 				return fmt.Errorf("backprop2: w[%d] = %v, want ~%v", idx, wGot[idx], want)
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // KMeans is the Rodinia k-means clustering benchmark: kernel 1 (kmeans1)
 // transposes the point array into feature-major layout (Rodinia's
 // invert_mapping); kernel 2 (kmeans2) assigns each point to its nearest
 // centre, with the centres broadcast from constant memory.
-func KMeans() (*Instance, error) {
+func KMeans() (*Instance, error) { return instance(kmeans()) }
+
+func buildKMeans() (*template, error) {
 	const n = 2048
 	const d = 8
 	const k = 5
@@ -258,68 +271,70 @@ func KMeans() (*Instance, error) {
 	cmem := kernel.NewConstMem(k * d * 4)
 	cmem.WriteF32Slice(0, centres)
 
-	inst := &Instance{
-		Name: "kmeans",
-		Mem:  mem,
-		Runs: []Run{
-			{
-				Name: "kmeans1",
-				Launch: &kernel.Launch{
-					Prog:   prog1,
-					Grid:   kernel.Dim{X: n / 256, Y: 1},
-					Block:  kernel.Dim{X: 256, Y: 1},
-					Params: []uint32{ptAddr, featAddr, n},
-				},
-				CMem: cmem,
+	t := newTemplate("kmeans", mem, []Run{
+		{
+			Name: "kmeans1",
+			Launch: &kernel.Launch{
+				Prog:   prog1,
+				Grid:   kernel.Dim{X: n / 256, Y: 1},
+				Block:  kernel.Dim{X: 256, Y: 1},
+				Params: []uint32{ptAddr, featAddr, n},
 			},
-			{
-				Name: "kmeans2",
-				Launch: &kernel.Launch{
-					Prog:   prog2,
-					Grid:   kernel.Dim{X: n / 256, Y: 1},
-					Block:  kernel.Dim{X: 256, Y: 1},
-					Params: []uint32{featAddr, memAddr, n},
-				},
-				CMem: cmem,
-			},
+			CMem: cmem,
 		},
+		{
+			Name: "kmeans2",
+			Launch: &kernel.Launch{
+				Prog:   prog2,
+				Grid:   kernel.Dim{X: n / 256, Y: 1},
+				Block:  kernel.Dim{X: 256, Y: 1},
+				Params: []uint32{featAddr, memAddr, n},
+			},
+			CMem: cmem,
+		},
+	})
+	want := make([]int32, n)
+	for i := range want {
+		best := float32(math.Inf(1))
+		for c := 0; c < k; c++ {
+			var dist float32
+			for f := 0; f < d; f++ {
+				diff := points[i*d+f] - centres[c*d+f]
+				dist += diff * diff
+			}
+			if dist < best {
+				best, want[i] = dist, int32(c)
+			}
+		}
 	}
-	inst.Verify = func() error {
+	t.check = func(mem *kernel.GlobalMem) error {
+		// kmeans1's reference is the input itself, transposed.
 		feat := mem.ReadF32Slice(featAddr, n*d)
 		for i := 0; i < n; i++ {
 			for f := 0; f < d; f++ {
-				if feat[f*n+i] != points[i*d+f] {
+				if feat[f*n+i] != math.Float32frombits(t.input.Read32(ptAddr+uint32(4*(i*d+f)))) {
 					return fmt.Errorf("kmeans1: feat[%d][%d] wrong", f, i)
 				}
 			}
 		}
 		got := mem.ReadI32Slice(memAddr, n)
-		for i := 0; i < n; i++ {
-			best, bestC := float32(math.Inf(1)), int32(0)
-			for c := 0; c < k; c++ {
-				var dist float32
-				for f := 0; f < d; f++ {
-					diff := points[i*d+f] - centres[c*d+f]
-					dist += diff * diff
-				}
-				if dist < best {
-					best, bestC = dist, int32(c)
-				}
-			}
-			if got[i] != bestC {
-				return fmt.Errorf("kmeans2: membership[%d] = %d, want %d", i, got[i], bestC)
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("kmeans2: membership[%d] = %d, want %d", i, got[i], want[i])
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // Heartwall is a condensed form of the Rodinia ultrasound tracking
 // benchmark: each block tracks one sample point by matching an 8x8 template
 // against a 3x3 search neighbourhood (SSD matching with a shared-memory
 // reduction), emitting the best-matching displacement.
-func Heartwall() (*Instance, error) {
+func Heartwall() (*Instance, error) { return instance(heartwall()) }
+
+func buildHeartwall() (*template, error) {
 	const imgDim = 64
 	const patch = 8 // 8x8 = 64 pixels = 64 threads
 	const np = 48   // tracking points
@@ -428,20 +443,16 @@ func Heartwall() (*Instance, error) {
 	coordAddr := mem.AllocI32(coords)
 	outAddr := mem.Alloc(np * 4)
 
-	inst := &Instance{
+	t := newTemplate("heartwall", mem, []Run{{
 		Name: "heartwall",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "heartwall",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: np, Y: 1},
-				Block:  kernel.Dim{X: patch * patch, Y: 1},
-				Params: []uint32{imgAddr, tmplAddr, coordAddr, outAddr},
-			},
-		}},
-	}
-	inst.Verify = func() error {
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: np, Y: 1},
+			Block:  kernel.Dim{X: patch * patch, Y: 1},
+			Params: []uint32{imgAddr, tmplAddr, coordAddr, outAddr},
+		},
+	}})
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadI32Slice(outAddr, np)
 		for p := 0; p < np; p++ {
 			if got[p] != wantIdx[p] {
@@ -450,5 +461,5 @@ func Heartwall() (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }

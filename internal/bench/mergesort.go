@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"gpusimpow/internal/kernel"
 )
+
+var mergeSort = sync.OnceValues(buildMergeSort)
 
 // MergeSort is the CUDA SDK parallel merge sort, structured as the sample's
 // four kernels: mergeSort1 sorts 128-element tiles in shared memory with a
@@ -14,7 +17,9 @@ import (
 // run that, like the paper's, "does in-place processing of its data" and is
 // therefore measured without repetition — the source of the paper's largest
 // relative error.
-func MergeSort() (*Instance, error) {
+func MergeSort() (*Instance, error) { return instance(mergeSort()) }
+
+func buildMergeSort() (*template, error) {
 	const n = 1024
 	const tile0 = 128
 	const block = 64
@@ -33,8 +38,8 @@ func MergeSort() (*Instance, error) {
 	bufA := mem.AllocI32(data)
 	bufB := mem.Alloc(n * 4)
 
-	inst := &Instance{Name: "mergeSort", Mem: mem}
-	inst.Runs = append(inst.Runs, Run{
+	var runs []Run
+	runs = append(runs, Run{
 		Name: "mergeSort1",
 		Launch: &kernel.Launch{
 			Prog:   prog1,
@@ -52,7 +57,7 @@ func MergeSort() (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst.Runs = append(inst.Runs, Run{
+		runs = append(runs, Run{
 			Name: prog.Name,
 			Launch: &kernel.Launch{
 				Prog:   prog,
@@ -70,10 +75,11 @@ func MergeSort() (*Instance, error) {
 	}
 	finalBuf := src
 
-	inst.Verify = func() error {
+	t := newTemplate("mergeSort", mem, runs)
+	want := slices.Clone(data)
+	slices.Sort(want)
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadI32Slice(finalBuf, n)
-		want := append([]int32(nil), data...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := range got {
 			if got[i] != want[i] {
 				return fmt.Errorf("mergeSort: out[%d] = %d, want %d", i, got[i], want[i])
@@ -81,7 +87,7 @@ func MergeSort() (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // bitonicTileSort builds the shared-memory bitonic sorter: each block loads

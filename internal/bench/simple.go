@@ -2,12 +2,17 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"gpusimpow/internal/kernel"
 )
 
+var vectorAdd = sync.OnceValues(buildVectorAdd)
+
 // VectorAdd is the CUDA SDK vectorAdd sample: c[i] = a[i] + b[i].
-func VectorAdd() (*Instance, error) {
+func VectorAdd() (*Instance, error) { return instance(vectorAdd()) }
+
+func buildVectorAdd() (*template, error) {
 	const n = 8192
 	const block = 256
 
@@ -44,34 +49,38 @@ func VectorAdd() (*Instance, error) {
 	bAddr := mem.AllocF32(bv)
 	cAddr := mem.AllocZeroF32(n)
 
-	inst := &Instance{
+	t := newTemplate("vectorAdd", mem, []Run{{
 		Name: "vectorAdd",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "vectorAdd",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: n / block, Y: 1},
-				Block:  kernel.Dim{X: block, Y: 1},
-				Params: []uint32{aAddr, bAddr, cAddr, n},
-			},
-		}},
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: n / block, Y: 1},
+			Block:  kernel.Dim{X: block, Y: 1},
+			Params: []uint32{aAddr, bAddr, cAddr, n},
+		},
+	}})
+	want := make([]float32, n)
+	for i := range want {
+		want[i] = av[i] + bv[i]
 	}
-	inst.Verify = func() error {
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadF32Slice(cAddr, n)
 		for i := range got {
-			if got[i] != av[i]+bv[i] {
-				return fmt.Errorf("vectorAdd: c[%d] = %v, want %v", i, got[i], av[i]+bv[i])
+			if got[i] != want[i] {
+				return fmt.Errorf("vectorAdd: c[%d] = %v, want %v", i, got[i], want[i])
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
+
+var scalarProd = sync.OnceValues(buildScalarProd)
 
 // ScalarProd is the CUDA SDK scalarProd sample: dot products of vector
 // pairs, one block per pair with a shared-memory tree reduction.
-func ScalarProd() (*Instance, error) {
+func ScalarProd() (*Instance, error) { return instance(scalarProd()) }
+
+func buildScalarProd() (*template, error) {
 	const pairs = 48
 	const vlen = 2048
 	const block = 128
@@ -150,33 +159,31 @@ func ScalarProd() (*Instance, error) {
 	bAddr := mem.AllocF32(bv)
 	outAddr := mem.AllocZeroF32(pairs)
 
-	inst := &Instance{
+	t := newTemplate("scalarProd", mem, []Run{{
 		Name: "scalarProd",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "scalarProd",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: pairs, Y: 1},
-				Block:  kernel.Dim{X: block, Y: 1},
-				Params: []uint32{aAddr, bAddr, outAddr, vlen},
-			},
-		}},
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: pairs, Y: 1},
+			Block:  kernel.Dim{X: block, Y: 1},
+			Params: []uint32{aAddr, bAddr, outAddr, vlen},
+		},
+	}})
+	// Reference in sequential order; the kernel accumulates per lane, then
+	// in tree order, so the check accepts a small tolerance.
+	want := make([]float64, pairs)
+	for p := range want {
+		for i := 0; i < vlen; i++ {
+			want[p] += float64(av[p*vlen+i]) * float64(bv[p*vlen+i])
+		}
 	}
-	inst.Verify = func() error {
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadF32Slice(outAddr, pairs)
-		for p := 0; p < pairs; p++ {
-			// Reference in the same accumulation order per lane, then tree
-			// order differs; accept small tolerance.
-			var want float64
-			for i := 0; i < vlen; i++ {
-				want += float64(av[p*vlen+i]) * float64(bv[p*vlen+i])
-			}
-			if !approxEq(got[p], float32(want), 1e-3) {
-				return fmt.Errorf("scalarProd: out[%d] = %v, want ~%v", p, got[p], want)
+		for p := range got {
+			if !approxEq(got[p], float32(want[p]), 1e-3) {
+				return fmt.Errorf("scalarProd: out[%d] = %v, want ~%v", p, got[p], want[p])
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }

@@ -2,13 +2,23 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"gpusimpow/internal/kernel"
 )
 
+var (
+	matrixMul  = sync.OnceValues(buildMatrixMul)
+	hotspot    = sync.OnceValues(buildHotspot)
+	pathfinder = sync.OnceValues(buildPathfinder)
+)
+
 // MatrixMul is the CUDA SDK tiled matrix multiplication: C = A x B with
 // 16x16 shared-memory tiles (the canonical SMEM benchmark).
-func MatrixMul() (*Instance, error) {
+func MatrixMul() (*Instance, error) { return instance(matrixMul()) }
+
+func buildMatrixMul() (*template, error) {
 	const dim = 64 // square matrices
 	const tile = 16
 
@@ -86,40 +96,42 @@ func MatrixMul() (*Instance, error) {
 	bAddr := mem.AllocF32(bm)
 	cAddr := mem.AllocZeroF32(dim * dim)
 
-	inst := &Instance{
+	t := newTemplate("matrixMul", mem, []Run{{
 		Name: "matrixMul",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "matrixMul",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: dim / tile, Y: dim / tile},
-				Block:  kernel.Dim{X: tile, Y: tile},
-				Params: []uint32{aAddr, bAddr, cAddr},
-			},
-		}},
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: dim / tile, Y: dim / tile},
+			Block:  kernel.Dim{X: tile, Y: tile},
+			Params: []uint32{aAddr, bAddr, cAddr},
+		},
+	}})
+	want := make([]float64, dim*dim)
+	for r := 0; r < dim; r++ {
+		for c := 0; c < dim; c++ {
+			for k := 0; k < dim; k++ {
+				want[r*dim+c] += float64(a[r*dim+k]) * float64(bm[k*dim+c])
+			}
+		}
 	}
-	inst.Verify = func() error {
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadF32Slice(cAddr, dim*dim)
 		for r := 0; r < dim; r++ {
 			for c := 0; c < dim; c++ {
-				var want float64
-				for k := 0; k < dim; k++ {
-					want += float64(a[r*dim+k]) * float64(bm[k*dim+c])
-				}
-				if !approxEq(got[r*dim+c], float32(want), 1e-3) {
-					return fmt.Errorf("matrixMul: C[%d][%d] = %v, want ~%v", r, c, got[r*dim+c], want)
+				if w := want[r*dim+c]; !approxEq(got[r*dim+c], float32(w), 1e-3) {
+					return fmt.Errorf("matrixMul: C[%d][%d] = %v, want ~%v", r, c, got[r*dim+c], w)
 				}
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // Hotspot is the Rodinia processor-temperature stencil: each step relaxes
 // the temperature grid towards its neighbours plus the local power density.
-func Hotspot() (*Instance, error) {
+func Hotspot() (*Instance, error) { return instance(hotspot()) }
+
+func buildHotspot() (*template, error) {
 	const dim = 64
 	const tile = 16
 	const steps = 2
@@ -200,10 +212,10 @@ func Hotspot() (*Instance, error) {
 	t1 := mem.AllocZeroF32(dim * dim)
 	pAddr := mem.AllocF32(pow)
 
-	inst := &Instance{Name: "hotspot", Mem: mem}
+	var runs []Run
 	bufs := [2]uint32{t0, t1}
 	for s := 0; s < steps; s++ {
-		inst.Runs = append(inst.Runs, Run{
+		runs = append(runs, Run{
 			Name: "hotspot",
 			Launch: &kernel.Launch{
 				Prog:   prog,
@@ -216,33 +228,26 @@ func Hotspot() (*Instance, error) {
 		})
 	}
 
-	inst.Verify = func() error {
-		ref := make([]float32, dim*dim)
-		cur := append([]float32(nil), temp...)
-		clamp := func(v, lo, hi int) int {
-			if v < lo {
-				return lo
+	t := newTemplate("hotspot", mem, runs)
+	ref := make([]float32, dim*dim)
+	cur := slices.Clone(temp)
+	for s := 0; s < steps; s++ {
+		for r := 0; r < dim; r++ {
+			for c := 0; c < dim; c++ {
+				up := cur[clamp(r-1, 0, dim-1)*dim+c]
+				dn := cur[clamp(r+1, 0, dim-1)*dim+c]
+				lf := cur[r*dim+clamp(c-1, 0, dim-1)]
+				rt := cur[r*dim+clamp(c+1, 0, dim-1)]
+				t := cur[r*dim+c]
+				delta := up + dn + lf + rt + t*-4
+				ref[r*dim+c] = t + delta*kc + pow[r*dim+c]*pc
 			}
-			if v > hi {
-				return hi
-			}
-			return v
 		}
-		for s := 0; s < steps; s++ {
-			for r := 0; r < dim; r++ {
-				for c := 0; c < dim; c++ {
-					up := cur[clamp(r-1, 0, dim-1)*dim+c]
-					dn := cur[clamp(r+1, 0, dim-1)*dim+c]
-					lf := cur[r*dim+clamp(c-1, 0, dim-1)]
-					rt := cur[r*dim+clamp(c+1, 0, dim-1)]
-					t := cur[r*dim+c]
-					delta := up + dn + lf + rt + t*-4
-					ref[r*dim+c] = t + delta*kc + pow[r*dim+c]*pc
-				}
-			}
-			cur, ref = ref, cur
-		}
-		got := mem.ReadF32Slice(bufs[steps%2], dim*dim)
+		cur, ref = ref, cur
+	}
+	out := bufs[steps%2]
+	t.check = func(mem *kernel.GlobalMem) error {
+		got := mem.ReadF32Slice(out, dim*dim)
 		for i := range got {
 			if !approxEq(got[i], cur[i], 1e-4) {
 				return fmt.Errorf("hotspot: T[%d] = %v, want ~%v", i, got[i], cur[i])
@@ -250,14 +255,16 @@ func Hotspot() (*Instance, error) {
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
 }
 
 // Pathfinder is the Rodinia dynamic-programming path search: each row keeps
 // the cheapest path cost to each column, relaxed against the three
 // neighbours of the previous row, with rows iterated inside the kernel using
 // block barriers and a ping-pong shared-memory buffer.
-func Pathfinder() (*Instance, error) {
+func Pathfinder() (*Instance, error) { return instance(pathfinder()) }
+
+func buildPathfinder() (*template, error) {
 	const cols = 256
 	const rows = 48
 
@@ -332,54 +339,45 @@ func Pathfinder() (*Instance, error) {
 	wAddr := mem.AllocI32(wall)
 	outAddr := mem.Alloc(cols * 4)
 
-	inst := &Instance{
+	t := newTemplate("pathfinder", mem, []Run{{
 		Name: "pathfinder",
-		Mem:  mem,
-		Runs: []Run{{
-			Name: "pathfinder",
-			Launch: &kernel.Launch{
-				Prog:   prog,
-				Grid:   kernel.Dim{X: 1, Y: 1},
-				Block:  kernel.Dim{X: cols, Y: 1},
-				Params: []uint32{wAddr, outAddr},
-			},
-		}},
-	}
-	inst.Verify = func() error {
-		prev := make([]int32, cols)
-		cur := make([]int32, cols)
+		Launch: &kernel.Launch{
+			Prog:   prog,
+			Grid:   kernel.Dim{X: 1, Y: 1},
+			Block:  kernel.Dim{X: cols, Y: 1},
+			Params: []uint32{wAddr, outAddr},
+		},
+	}})
+	prev := make([]int32, cols)
+	cur := make([]int32, cols)
+	copy(prev, wall)
+	for r := 1; r < rows; r++ {
 		for j := 0; j < cols; j++ {
-			prev[j] = wall[j]
-		}
-		clamp := func(v, lo, hi int) int {
-			if v < lo {
-				return lo
+			m := prev[clamp(j-1, 0, cols-1)]
+			if prev[j] < m {
+				m = prev[j]
 			}
-			if v > hi {
-				return hi
+			if v := prev[clamp(j+1, 0, cols-1)]; v < m {
+				m = v
 			}
-			return v
+			cur[j] = wall[r*cols+j] + m
 		}
-		for r := 1; r < rows; r++ {
-			for j := 0; j < cols; j++ {
-				m := prev[clamp(j-1, 0, cols-1)]
-				if prev[j] < m {
-					m = prev[j]
-				}
-				if v := prev[clamp(j+1, 0, cols-1)]; v < m {
-					m = v
-				}
-				cur[j] = wall[r*cols+j] + m
-			}
-			prev, cur = cur, prev
-		}
+		prev, cur = cur, prev
+	}
+	want := prev
+	t.check = func(mem *kernel.GlobalMem) error {
 		got := mem.ReadI32Slice(outAddr, cols)
 		for j := range got {
-			if got[j] != prev[j] {
-				return fmt.Errorf("pathfinder: out[%d] = %d, want %d", j, got[j], prev[j])
+			if got[j] != want[j] {
+				return fmt.Errorf("pathfinder: out[%d] = %d, want %d", j, got[j], want[j])
 			}
 		}
 		return nil
 	}
-	return inst, nil
+	return t, nil
+}
+
+// clamp limits v to [lo, hi].
+func clamp(v, lo, hi int) int {
+	return min(max(v, lo), hi)
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"gpusimpow/internal/bench"
 	"gpusimpow/internal/simcache"
 	"gpusimpow/internal/sweep"
 )
@@ -49,5 +50,42 @@ func TestMeasureMemoDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmFig6KeysFromChainMemo counts the result cache's keys over a warm
+// fig6 pass: every suite launch — a benchmark's first, on the image its
+// instance restored from the benchmark's template, as much as the chained
+// ones — is keyed from the chain memo, so no launch key rehashes a suite
+// image.
+func TestWarmFig6KeysFromChainMemo(t *testing.T) {
+	sc, ok := sweep.Lookup("fig6")
+	if !ok {
+		t.Fatal("scenario fig6 not registered")
+	}
+	var launches uint64
+	for _, f := range bench.Suite() {
+		inst, err := f.Make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		launches += 2 * uint64(len(inst.Runs)) // both GPUs
+	}
+	var before, after simcache.Stats
+	for pass := 1; pass <= 2; pass++ {
+		plan, err := sc.Spec().Plan(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = simcache.Default().Stats()
+		if _, err := plan.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		after = simcache.Default().Stats()
+	}
+	runs := after.Hits + after.Misses - before.Hits - before.Misses
+	if chained := after.ChainKeys - before.ChainKeys; runs != launches || chained != launches || after.Misses != before.Misses {
+		t.Errorf("warm pass: %d cache runs (%d misses), %d keyed from the chain memo; want %d launches, all keyed from the memo",
+			runs, after.Misses-before.Misses, chained, launches)
 	}
 }

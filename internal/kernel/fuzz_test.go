@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,52 @@ func FuzzProgramValidate(f *testing.F) {
 				if o.Kind == KindSpecial && o.Special.String() == "sreg?" {
 					t.Fatalf("pc %d: accepted %s reading unknown special register %d", pc, text, o.Special)
 				}
+			}
+		}
+	})
+}
+
+// FuzzSnapshotRoundTrip builds an image from raw words, a zero tail and a
+// high-water mark that may lie below the last words (out-of-range stores
+// grow the words but not the mark), and checks that Restore(Snapshot(m))
+// rebuilds m exactly — length, words, Size and content digest — both into
+// a fresh image and into a larger one whose old words must not survive,
+// and that the snapshot's own digest is the rebuilt image's.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0}, uint16(5), uint32(512), uint16(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 9}, uint16(0), uint32(4), uint16(0))
+	f.Add([]byte{}, uint16(7), uint32(256), uint16(40))
+	f.Add([]byte{7, 7, 7}, uint16(1100), uint32(0), uint16(1))
+	f.Fuzz(func(t *testing.T, raw []byte, zeros uint16, next uint32, extra uint16) {
+		ws := make([]uint32, len(raw)/4, len(raw)/4+int(zeros))
+		for i := range ws {
+			ws[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
+		m := &GlobalMem{words: append(ws, make([]uint32, zeros)...), next: next}
+		s := m.Snapshot()
+		if n := len(s.Words); n > 0 && s.Words[n-1] == 0 {
+			t.Fatalf("snapshot keeps a zero tail: %d stored words end in 0", n)
+		}
+		want := m.ContentDigest()
+		if s.ContentDigest() != want {
+			t.Fatal("snapshot digest differs from the image's")
+		}
+		dirty := &GlobalMem{words: make([]uint32, len(m.words)+int(extra)), next: ^next}
+		for i := range dirty.words {
+			dirty.words[i] = 0xdeadbeef ^ uint32(i)
+		}
+		dirty.SetDigest([32]byte{1})
+		for name, r := range map[string]*GlobalMem{"fresh": NewGlobalMem(), "dirty": dirty} {
+			r.Restore(s)
+			if len(r.words) != len(m.words) || !slices.Equal(r.words, m.words) || r.Size() != m.Size() {
+				t.Fatalf("%s: restored %d words (size %d), want %d (size %d) or different words",
+					name, len(r.words), r.Size(), len(m.words), m.Size())
+			}
+			if _, ok := r.Digest(); ok {
+				t.Fatalf("%s: Restore kept a stale digest", name)
+			}
+			if r.ContentDigest() != want {
+				t.Fatalf("%s: restored image digest differs", name)
 			}
 		}
 	})

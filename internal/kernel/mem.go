@@ -1,8 +1,12 @@
 package kernel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"unsafe"
 )
 
 // GlobalMem is the device global-memory image: a flat 32-bit byte-address
@@ -13,7 +17,7 @@ type GlobalMem struct {
 	words []uint32
 	next  uint32
 
-	// digest is a content digest of (next, words) recorded by SetDigest;
+	// digest is ContentDigest of (next, words) as recorded by SetDigest;
 	// hasDigest is cleared by every mutation, so a set digest always
 	// describes the current image.
 	digest    [32]byte
@@ -158,35 +162,90 @@ func (m *GlobalMem) AllocZeroF32(n int) uint32 { return m.Alloc(4 * n) }
 // MemSnapshot is a frozen copy of a GlobalMem image, taken by Snapshot and
 // applied by Restore. The simulation-result cache stores one per cached
 // timing result so that a cache hit can replay the kernel's memory side
-// effects without re-simulating.
+// effects without re-simulating, and each benchmark keeps one as the
+// pristine input image its instances are restored from.
+//
+// Words holds the image only up to its last nonzero word: the zero tail —
+// the slack Alloc's growth leaves past the high-water mark, and buffers
+// nothing wrote yet — is not stored, and Len records the image's full
+// word length, so Restore rebuilds the exact word slice.
 type MemSnapshot struct {
 	Words []uint32
+	Len   int
 	Next  uint32
 }
 
 // Snapshot returns a frozen copy of the image.
 func (m *GlobalMem) Snapshot() MemSnapshot {
-	return MemSnapshot{Words: append([]uint32(nil), m.words...), Next: m.next}
+	n := len(m.words)
+	for n > 0 && m.words[n-1] == 0 {
+		n--
+	}
+	return MemSnapshot{Words: append([]uint32(nil), m.words[:n]...), Len: len(m.words), Next: m.next}
 }
 
-// Restore overwrites the image with a snapshot's content. The snapshot is
-// copied, so writes through the image never alias it.
+// Restore overwrites the image with a snapshot's content: Len words, the
+// stored ones followed by zeros. The snapshot is copied, so writes through
+// the image never alias it.
 func (m *GlobalMem) Restore(s MemSnapshot) {
-	if cap(m.words) >= len(s.Words) {
-		m.words = m.words[:len(s.Words)]
+	if cap(m.words) >= s.Len {
+		m.words = m.words[:s.Len]
+		clear(m.words[copy(m.words, s.Words):])
 	} else {
-		m.words = make([]uint32, len(s.Words))
+		m.words = make([]uint32, s.Len)
+		copy(m.words, s.Words)
 	}
-	copy(m.words, s.Words)
 	m.next = s.Next
 	m.hasDigest = false
 }
 
+// Read32 loads the word containing addr from the snapshot's image, like
+// GlobalMem.Read32 on the image Restore would rebuild.
+func (s *MemSnapshot) Read32(addr uint32) uint32 {
+	if i := int(addr / 4); i < len(s.Words) {
+		return s.Words[i]
+	}
+	return 0
+}
+
+// ContentDigest returns the content digest of the image Restore rebuilds
+// from the snapshot, without rebuilding it: GlobalMem.ContentDigest of
+// that image.
+func (s *MemSnapshot) ContentDigest() [32]byte {
+	return contentDigest(s.Next, s.Words, s.Len-len(s.Words))
+}
+
+// ContentDigest returns the image's content digest: a SHA-256 of the
+// high-water mark and every word, slack included, each as its
+// little-endian bytes. It is the image's MemHash in the simulation-result
+// cache, and the digest SetDigest records.
+func (m *GlobalMem) ContentDigest() [32]byte { return contentDigest(m.next, m.words, 0) }
+
+// contentDigest hashes next, then words, then zeros zero words: the one
+// definition of an image's content digest.
+func contentDigest(next uint32, words []uint32, zeros int) [32]byte {
+	h := sha256.New()
+	var buf [4096]byte
+	binary.LittleEndian.PutUint32(buf[:4], next)
+	h.Write(buf[:4])
+	WriteWords(h, words)
+	clear(buf[:4])
+	for zeros > 0 {
+		n := min(zeros, len(buf)/4)
+		h.Write(buf[:4*n])
+		zeros -= n
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
 // SetDigest records d as the content digest of the image as it stands: the
-// caller vouches that d hashes exactly the current high-water mark and
+// caller vouches that d is ContentDigest of the current high-water mark and
 // words. Any later mutation — an allocation, a write, a Restore — drops it.
-// The result cache sets it on the images it leaves behind, so that the next
-// launch on an unchanged image can be keyed without rehashing its words.
+// The result cache sets it on the images it leaves behind and benchmarks
+// on the instances they restore, so that a launch on an unchanged image
+// can be keyed without rehashing its words.
 func (m *GlobalMem) SetDigest(d [32]byte) { m.digest, m.hasDigest = d, true }
 
 // Digest returns the digest recorded by SetDigest, and whether the image is
@@ -199,6 +258,38 @@ func (m *GlobalMem) Words() []uint32 { return m.words }
 
 func f2b(v float32) uint32 { return math.Float32bits(v) }
 func b2f(v uint32) float32 { return math.Float32frombits(v) }
+
+// littleEndian reports whether the host stores a uint32 as its
+// little-endian bytes, the encoding content digests and cache keys hash
+// words in.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// WriteWords streams a word slice into w as its little-endian bytes. On a
+// little-endian host those are the words' own bytes, written in place;
+// elsewhere writeWordsPortable converts them.
+func WriteWords(w io.Writer, ws []uint32) {
+	if !littleEndian {
+		writeWordsPortable(w, ws)
+		return
+	}
+	if len(ws) > 0 {
+		w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 4*len(ws)))
+	}
+}
+
+// writeWordsPortable encodes words through a fixed chunk buffer, avoiding a
+// full byte-slice materialization of multi-megabyte memory images.
+func writeWordsPortable(w io.Writer, ws []uint32) {
+	var buf [4096]byte
+	for len(ws) > 0 {
+		n := min(len(ws), len(buf)/4)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(buf[4*i:], ws[i])
+		}
+		w.Write(buf[:4*n])
+		ws = ws[n:]
+	}
+}
 
 // ConstMem is the read-only constant segment, indexed by byte address.
 type ConstMem struct {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -93,6 +94,24 @@ func TestBulkWritesMatchWordWrites(t *testing.T) {
 		if !reflect.DeepEqual(bulk.Words(), words.Words()) || bulk.Size() != words.Size() {
 			t.Errorf("%s: bulk writes left %d words, word writes %d, or their contents differ",
 				tc.name, len(bulk.Words()), len(words.Words()))
+		}
+	}
+}
+
+// TestWriteWordsInPlace: hashing words in place writes exactly the bytes
+// of the portable little-endian encoding, across the portable loop's chunk
+// boundary.
+func TestWriteWordsInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1024, 1025} {
+		ws := make([]uint32, n)
+		for i := range ws {
+			ws[i] = uint32(i)*0x9e3779b9 ^ 0x01020304
+		}
+		var got, want bytes.Buffer
+		WriteWords(&got, ws)
+		writeWordsPortable(&want, ws)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || want.Len() != 4*n {
+			t.Errorf("%d words: in-place bytes differ from the portable encoding", n)
 		}
 	}
 }

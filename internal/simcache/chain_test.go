@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"bytes"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -129,23 +128,5 @@ func TestChainKeyFollowsEveryMutation(t *testing.T) {
 				t.Errorf("next launch keyed %x, KeyFor of the mutated image %x", tr.Key, want)
 			}
 		})
-	}
-}
-
-// TestWriteWordsInPlace: hashing words in place writes exactly the bytes
-// of the portable little-endian encoding, across the portable loop's chunk
-// boundary.
-func TestWriteWordsInPlace(t *testing.T) {
-	for _, n := range []int{0, 1, 1023, 1024, 1025} {
-		ws := make([]uint32, n)
-		for i := range ws {
-			ws[i] = uint32(i)*0x9e3779b9 ^ 0x01020304
-		}
-		var got, want bytes.Buffer
-		writeWords(&got, ws)
-		writeWordsPortable(&want, ws)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) || want.Len() != 4*n {
-			t.Errorf("%d words: in-place bytes differ from the portable encoding", n)
-		}
 	}
 }

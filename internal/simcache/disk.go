@@ -33,7 +33,9 @@ import (
 // diskVersion guards the serialization format; bump it whenever the
 // persisted shape (sim.Result, kernel.MemSnapshot) changes incompatibly.
 // Entries with a different version are ignored — they re-simulate.
-const diskVersion = 1
+// Version 2: snapshots store words up to the last nonzero one, plus the
+// image's full word length.
+const diskVersion = 2
 
 // generation names the subdirectory entries live under:
 // v<diskVersion>-<build fingerprint>. The content key hashes the
@@ -83,6 +85,12 @@ func buildFingerprint() string {
 	}
 	return "dev"
 }
+
+// maxImageWords bounds a spilled image's word length: a GlobalMem indexes
+// words by 32-bit byte address and grows by half again, so no image it
+// holds reaches 2^31 words, and a corrupt Len beyond that is rejected
+// before its zero tail is hashed.
+const maxImageWords = 1 << 31
 
 // diskEntry is the on-disk form of one cached timing result.
 type diskEntry struct {
@@ -137,8 +145,10 @@ func (c *Cache) loadDisk(key Key) *entry {
 		return nil
 	}
 	// The final image's digest keys the next launch on it (keyFor), so an
-	// entry whose MemHash does not hash its image is corrupt.
-	if hashWords(de.Final.Words, de.Final.Next) != de.MemHash {
+	// entry whose MemHash does not hash the full image it replays — its
+	// stored words and the zero tail up to Len — is corrupt.
+	if de.Final.Len < len(de.Final.Words) || int64(de.Final.Len) > maxImageWords ||
+		de.Final.ContentDigest() != de.MemHash {
 		return nil
 	}
 	e := &entry{key: key, perf: de.Perf, final: de.Final, memHash: de.MemHash}

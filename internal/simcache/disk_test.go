@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpusimpow/internal/config"
+	"gpusimpow/internal/kernel"
 )
 
 // A fresh cache sharing a spill directory with an earlier one (a
@@ -57,8 +59,7 @@ func TestDiskSpillAcrossCaches(t *testing.T) {
 	if tr1.MemHash != tr2.MemHash {
 		t.Error("final-image hash diverged")
 	}
-	if h1, h2 := hashWords(mem1.Words(), uint32(mem1.Size())),
-		hashWords(mem2.Words(), uint32(mem2.Size())); h1 != h2 {
+	if mem1.ContentDigest() != mem2.ContentDigest() {
 		t.Error("replayed memory image diverged")
 	}
 }
@@ -165,5 +166,68 @@ func TestDiskSpillDisabled(t *testing.T) {
 	}
 	if d := c.spillDir(); d != "" {
 		t.Fatalf("unexpected spill dir %q", d)
+	}
+}
+
+// An entry whose final image has nonzero words past its high-water mark
+// (an out-of-range kernel store grows the words, not the mark) and a zero
+// tail after them spills without the tail, and a restarted cache replays
+// the full image from it: the same words, length, size and MemHash.
+func TestDiskSpillTrimmedEntry(t *testing.T) {
+	dir := t.TempDir()
+	g := newSim(t, config.GT240())
+	run := func(c *Cache) (*TimingResult, *kernel.GlobalMem) {
+		t.Helper()
+		mem := kernel.NewGlobalMem()
+		mem.Alloc(256)
+		l := pokeLaunch(uint32(4*len(mem.Words())+64), 0x5eed, false)
+		tr, err := c.Run(g, l, mem, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, mem
+	}
+
+	var c1 Cache
+	if err := c1.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	tr1, mem1 := run(&c1)
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.gob"))
+	if len(files) != 1 {
+		t.Fatalf("want 1 spilled entry, got %v", files)
+	}
+	f, err := os.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var de diskEntry
+	err = gob.NewDecoder(f).Decode(&de)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := len(de.Final.Words)
+	if de.Final.Len != len(mem1.Words()) || stored >= de.Final.Len {
+		t.Fatalf("spilled %d of %d words, image has %d: want the zero tail dropped", stored, de.Final.Len, len(mem1.Words()))
+	}
+	if stored <= mem1.Size()/4 || de.Final.Words[stored-1] != 0x5eed {
+		t.Fatalf("spilled words end at %d (last %#x), want the store past the high-water word %d", stored, de.Final.Words[stored-1], mem1.Size()/4)
+	}
+
+	var c2 Cache
+	if err := c2.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	tr2, mem2 := run(&c2)
+	if st := c2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("restarted run: %+v", st)
+	}
+	if !slices.Equal(mem2.Words(), mem1.Words()) || mem2.Size() != mem1.Size() {
+		t.Errorf("disk replay left %d words (size %d), want %d (size %d) or different words",
+			len(mem2.Words()), mem2.Size(), len(mem1.Words()), mem1.Size())
+	}
+	if tr2.MemHash != tr1.MemHash || mem2.ContentDigest() != tr1.MemHash {
+		t.Error("disk replay's MemHash or image digest diverged")
 	}
 }

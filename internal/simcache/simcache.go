@@ -19,16 +19,25 @@
 // wanting the same key are single-flighted (runner.Flight): the key is
 // simulated exactly once and the waiters replay.
 //
+// A launch on an image that carries its content digest
+// (kernel.GlobalMem.SetDigest; every mutation drops it) is keyed in two
+// levels: a chain memo, addressed by the launch with the digest in place
+// of the words, holds the full key. Two kinds of image arrive digested.
 // Chained launches — a multi-kernel benchmark's second and later kernels —
 // run on the image the previous launch left behind, which is exactly a
-// stored entry's final image. Run records that image's MemHash on the
-// image (kernel.GlobalMem.SetDigest; every mutation drops it), and the next
-// launch on it is keyed in two levels: a chain memo, addressed by the
-// launch with the digest in place of the words, holds the full key. The
-// digest is a SHA-256 of the high-water mark and every word, so the memo
-// key determines the full key; keys are the same bytes either way, and the
+// stored entry's final image, and Run records that image's MemHash on it.
+// A benchmark suite instance's first launch runs on an image restored
+// from its benchmark's template, which carries the template's digest
+// (see package bench). The digest (kernel.GlobalMem.ContentDigest) is a
+// SHA-256 of the high-water mark and every word, so the memo key
+// determines the full key; keys are the same bytes either way, and the
 // image is hashed in full only on a memo miss. Memo entries share the
 // recency list, byte budget and Reset; they are never spilled to disk.
+//
+// An entry's final image is stored as a kernel.MemSnapshot, which drops
+// the image's zero tail (the allocator's slack and never-written
+// buffers) and restores it on replay; the byte budget counts the stored
+// words. Keys and MemHash still cover every word of the full image.
 //
 // Determinism contract: a cold miss, a warm hit and a disk-spilled hit are
 // each bit-identical to a plain sim.GPU.Run of the launch in every reported
@@ -59,11 +68,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"io"
 	"os"
 	"strconv"
 	"sync"
-	"unsafe"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -362,7 +369,7 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 			key:     key,
 			perf:    res,
 			final:   global.Snapshot(),
-			memHash: hashWords(global.Words(), uint32(global.Size())),
+			memHash: global.ContentDigest(),
 		}
 		e.bytes = int64(len(e.final.Words)) * 4
 		c.mu.Lock()
@@ -396,11 +403,13 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 }
 
 // keyFor returns KeyFor's key for the launch. When the input image carries
-// a digest — it is exactly the final image of an entry this cache served or
-// stored — the key comes from the chain memo, addressed by chainKeyFor; a
-// memo miss computes the full key and stores it. The digest is the SHA-256
-// of the image's high-water mark and words, so a chain key determines the
-// full key as surely as the words themselves would.
+// a digest — it is the final image of an entry this cache served or
+// stored, or a benchmark instance's pristine input — the key comes from
+// the chain memo, addressed by chainKeyFor; a
+// memo miss computes the full key and stores it. The digest is the
+// image's ContentDigest, a SHA-256 of its high-water mark and words, so a
+// chain key determines the full key as surely as the words themselves
+// would.
 func (c *Cache) keyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
 	d, ok := global.Digest()
 	if !ok {
@@ -505,13 +514,13 @@ func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *k
 	kw := newKeyWriter()
 	kw.launch(cfg, l)
 	kw.i64(global.Size())
-	writeWords(kw.h, global.Words())
+	kernel.WriteWords(kw.h, global.Words())
 	kw.constMem(cmem)
 	return kw.sum()
 }
 
 // chainKeyFor is the chain memo's key for a launch on an image whose
-// content digest (hashWords of its high-water mark and words) is d: the
+// content digest (kernel.GlobalMem.ContentDigest) is d: the
 // launch prefix KeyFor writes, then d in place of the image, then the
 // constant image. d determines the image part of KeyFor's input, so this
 // key determines KeyFor's key.
@@ -587,7 +596,7 @@ func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch) {
 	kw.i64(l.Block.Y)
 	kw.i64(l.DynSMemBytes)
 	kw.i64(len(l.Params))
-	writeWords(kw.h, l.Params)
+	kernel.WriteWords(kw.h, l.Params)
 }
 
 // constMem writes the constant image (or its absence), which follows the
@@ -598,56 +607,11 @@ func (kw *keyWriter) constMem(cmem *kernel.ConstMem) {
 		return
 	}
 	kw.i64(cmem.Bytes())
-	writeWords(kw.h, cmem.Words())
+	kernel.WriteWords(kw.h, cmem.Words())
 }
 
 func (kw *keyWriter) sum() Key {
 	var k Key
 	kw.h.Sum(k[:0])
 	return k
-}
-
-// littleEndian reports whether the host stores a uint32 as its
-// little-endian bytes, the encoding keys hash words in.
-var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// writeWords streams a word slice into the hash as its little-endian bytes.
-// On a little-endian host those are the words' own bytes, hashed in place;
-// elsewhere writeWordsPortable converts them.
-func writeWords(w io.Writer, ws []uint32) {
-	if !littleEndian {
-		writeWordsPortable(w, ws)
-		return
-	}
-	if len(ws) > 0 {
-		w.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 4*len(ws)))
-	}
-}
-
-// writeWordsPortable encodes words through a fixed chunk buffer, avoiding a
-// full byte-slice materialization of multi-megabyte memory images.
-func writeWordsPortable(w io.Writer, ws []uint32) {
-	var buf [4096]byte
-	for len(ws) > 0 {
-		n := min(len(ws), len(buf)/4)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], ws[i])
-		}
-		w.Write(buf[:4*n])
-		ws = ws[n:]
-	}
-}
-
-// hashWords fingerprints a final memory image (words plus allocation
-// high-water mark): an entry's MemHash, and the digest the cache records on
-// the images it leaves behind.
-func hashWords(ws []uint32, next uint32) [32]byte {
-	h := sha256.New()
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], next)
-	h.Write(scratch[:])
-	writeWords(h, ws)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
 }
