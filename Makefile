@@ -4,16 +4,17 @@
 # repo-specific lints, build, the full test suite under the race detector
 # (load-bearing since the experiment sweeps fan out over internal/runner's
 # worker pool), a short fuzz pass, one pass of the simulator
-# microbenchmarks, and the service, restart and fleet drills. The
+# microbenchmarks, a vet and short test of the nested benchmark module,
+# and the service, restart and fleet drills. The
 # reproduced paper numbers are gated by the exact scenario goldens the test
 # suite checks (see golden-update); benchmark/ is the measured performance
 # ledger.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race fuzz bench ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint build test race fuzz bench bench-module ci-service ci-restart ci-fleet fmt-check golden-update profile
 
-ci: fmt-check vet lint build race fuzz bench ci-service ci-restart ci-fleet
+ci: fmt-check vet lint build race fuzz bench bench-module ci-service ci-restart ci-fleet
 
 vet:
 	$(GO) vet ./...
@@ -108,3 +109,10 @@ fuzz:
 # -cpuprofile for A/B runs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .
+
+# The benchmark harness is its own module (benchmark/go.mod), so the root
+# `go build ./...` and `go test ./...` skip it: vet and unit-test it here,
+# so a change to an internal API it uses fails CI, not the benchmark run.
+# -short skips its end-to-end TestSmoke.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test -short .

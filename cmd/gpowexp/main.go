@@ -16,7 +16,7 @@
 // With -remote, list and run drive a gpowd daemon over the service API
 // instead of linking the simulator in-process: run submits each scenario
 // as a job and consumes the daemon's NDJSON streams (the events stream
-// with -v — live progress percentages — the cells stream otherwise). The
+// with -v — live [done/total] cell counts — the cells stream otherwise). The
 // client is self-healing: it retries on connection errors and saturation
 // (429/5xx, honoring Retry-After), submits idempotently, and resumes
 // severed streams where they left off — a daemon restart mid-run costs
@@ -293,8 +293,7 @@ func runCmd(remote string, args []string) error {
 
 	if *verbose {
 		// Stream per-cell completions (plan order) for every sweep the
-		// scenarios execute, with cost-weighted percentages when the
-		// planner can estimate them.
+		// scenarios execute.
 		sweep.SetProgress(func(pr sweep.Progress) { progressLine(os.Stderr, &pr) })
 		defer sweep.SetProgress(nil)
 	}
@@ -371,16 +370,11 @@ func reportCmd(remote string, args []string) error {
 	return nil
 }
 
-// progressLine prints one cell-completion event to w, with the
-// cost-weighted percentage when the planner could estimate it — the same
-// line whether the event came from the in-process hook or a daemon's
-// events stream.
+// progressLine prints one cell-completion event to w — the same line
+// whether the event came from the in-process hook or a daemon's events
+// stream.
 func progressLine(w io.Writer, pr *sweep.Progress) {
-	pct := ""
-	if pr.CostFraction > 0 {
-		pct = fmt.Sprintf(" (%.0f%% of estimated cost)", 100*pr.CostFraction)
-	}
-	fmt.Fprintf(w, "gpowexp: [%d/%d] %s done%s\n", pr.Done, pr.Total, pr.Cell.CoordString(), pct)
+	fmt.Fprintf(w, "gpowexp: [%d/%d] %s done\n", pr.Done, pr.Total, pr.Cell.CoordString())
 }
 
 // runLocalReportJSON reduces one scenario in-process and emits the typed

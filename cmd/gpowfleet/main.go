@@ -13,7 +13,7 @@
 //
 //	gpowfleet -backends b0=http://h0:8080,b1=http://h1:8080
 //	          [-addr 127.0.0.1:8090] [-state-dir DIR]
-//	          [-probe-interval DUR] [-probe-fails N] [-spill-queue N]
+//	          [-probe-interval DUR] [-probe-fails N]
 //
 // Dry-run the routing decision without a fleet:
 //
@@ -51,7 +51,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "journal the routing table here and recover it on restart")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health-probe period per backend")
 	probeFails := flag.Int("probe-fails", 2, "consecutive probe failures before a backend is marked dead")
-	spillQueue := flag.Int("spill-queue", 0, "spill new jobs off the ring owner when its queue depth reaches N (0 = never spill)")
 	route := flag.String("route", "", "dry-run: print the routing key and ring owner for this scenario, then exit")
 	filter := flag.String("filter", "", "cell filter for -route (key=val,...)")
 	remote := flag.String("remote", "", "control a running router at this URL instead of serving")
@@ -97,7 +96,6 @@ func main() {
 		StateDir:      *stateDir,
 		ProbeInterval: *probeInterval,
 		ProbeFails:    *probeFails,
-		SpillQueue:    *spillQueue,
 		Logf:          log.Printf,
 	}
 	if err := run(*addr, opts); err != nil {

@@ -142,8 +142,13 @@ func emitGuardExit(b *kernel.Builder, idx, n, p int) {
 	b.When(p).Exit()
 }
 
-// approxEq compares float32 values with a relative/absolute tolerance.
+// approxEq compares float32 values with a relative/absolute tolerance. An
+// infinite a never matches: its relative bound below would be infinite too.
+// A NaN a fails the comparison by itself.
 func approxEq(a, b, tol float32) bool {
+	if math.IsInf(float64(a), 0) {
+		return false
+	}
 	d := float64(a - b)
 	if d < 0 {
 		d = -d

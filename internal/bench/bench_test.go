@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -223,10 +224,21 @@ var verifiedOutput = map[string]struct{ run, param int }{
 	"vectorAdd":    {0, 2},  // c
 }
 
+// toleranceOutputs names, per benchmark, every buffer its Verify compares
+// with a tolerance (approxEq), in verifiedOutput's terms.
+var toleranceOutputs = map[string][]struct{ run, param int }{
+	"backprop":     {{0, 2}, {1, 0}}, // hidden, weights
+	"BlackScholes": {{0, 3}, {0, 4}}, // call, put
+	"hotspot":      {{-1, 1}},        // the last step's temperatures
+	"matrixMul":    {{0, 2}},         // C
+	"scalarProd":   {{0, 2}},         // dot products
+}
+
 // TestVerifyCatchesCorruptOutput: Verify compares a finished instance with
 // references computed once per process, and still rejects one corrupted
-// output word of every benchmark. A fresh instance's image carries a digest,
-// and it is the image's true content digest.
+// output word of every benchmark, and +Inf, -Inf or NaN in the first word
+// of every tolerance-checked output. A fresh instance's image carries a
+// digest, and it is the image's true content digest.
 func TestVerifyCatchesCorruptOutput(t *testing.T) {
 	for _, f := range Suite() {
 		t.Run(f.Name, func(t *testing.T) {
@@ -254,6 +266,20 @@ func TestVerifyCatchesCorruptOutput(t *testing.T) {
 				t.Errorf("Verify accepted a corrupted word at %#x", addr)
 			}
 			inst.Mem.Write32(addr, good)
+			for _, o := range toleranceOutputs[f.Name] {
+				if o.run < 0 {
+					o.run += len(inst.Runs)
+				}
+				addr := inst.Runs[o.run].Launch.Params[o.param]
+				good := inst.Mem.Read32(addr)
+				for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+					inst.Mem.WriteF32(addr, float32(v))
+					if err := inst.Verify(); err == nil {
+						t.Errorf("Verify accepted %v at %#x (run %d, param %d)", v, addr, o.run, o.param)
+					}
+				}
+				inst.Mem.Write32(addr, good)
+			}
 			if err := inst.Verify(); err != nil {
 				t.Errorf("Verify rejects the repaired image: %v", err)
 			}

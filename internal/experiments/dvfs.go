@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gpusimpow/internal/config"
+	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/sweep"
 )
 
@@ -14,15 +15,22 @@ import (
 // the virtual card.
 // ---------------------------------------------------------------------------
 
-// fpBusyWorkload is the compute-bound kernel occupying every core of the
+// fpBusy is the compute-bound kernel occupying every core of the
 // configured card (one resident block per core... times two, fully unrolled
-// inner loop), measured over the reliable 150 ms window.
+// inner loop), measured over the reliable fpBusyWindowS window.
+func fpBusy(cfg *config.GPU) (*kernel.Launch, *kernel.GlobalMem) {
+	return busyFPKernel(cfg.NumCores()*2, 256, 40)
+}
+
+const fpBusyWindowS = 0.150
+
+// fpBusyWorkload is fpBusy as the DVFS sweep's workload.
 var fpBusyWorkload = &sweep.Workload{
 	Name: "fpBusy",
 	Build: func(cfg *config.GPU) (*sweep.Instance, error) {
-		l, mem := busyFPKernel(cfg.NumCores()*2, 256, 40)
+		l, mem := fpBusy(cfg)
 		return &sweep.Instance{Mem: mem, Units: []sweep.Unit{
-			{Name: l.Prog.Name, Launch: l, MinWindowS: 0.150},
+			{Name: l.Prog.Name, Launch: l, MinWindowS: fpBusyWindowS},
 		}}, nil
 	},
 }

@@ -26,7 +26,7 @@ const (
 )
 
 // Backend is one gpowd under the router: its client, breaker state, and
-// the last health payload (the router's load-scoring input).
+// the last health payload (reported in the fleet status).
 type Backend struct {
 	Name string
 	URL  string
@@ -71,17 +71,6 @@ func (b *Backend) State() State {
 
 // Routable reports whether new jobs may be assigned here.
 func (b *Backend) Routable() bool { return b.State() == StateHealthy }
-
-// Load is the backend's last-probed queue pressure (queued + running).
-// Dead backends report an effectively infinite load.
-func (b *Backend) Load() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead {
-		return int(^uint(0) >> 1)
-	}
-	return b.info.Queued + b.info.Running
-}
 
 // Info returns the last probe payload and its timestamp.
 func (b *Backend) Info() (service.HealthInfo, time.Time) {

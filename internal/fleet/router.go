@@ -38,11 +38,6 @@ type Options struct {
 	// ProbeFails is the consecutive-failure threshold that trips the
 	// breaker to dead (default 2).
 	ProbeFails int
-	// SpillQueue is the affinity owner's probed queue depth (queued +
-	// running) at which new jobs spill to the least-loaded healthy backend
-	// instead — affinity is a cache optimization, not a hard shard, and a
-	// hot backend should shed before it saturates. <= 0 disables spilling.
-	SpillQueue int
 	// Logf, when set, narrates probe transitions, failovers, re-dispatches.
 	Logf func(format string, args ...any)
 }
@@ -350,28 +345,16 @@ func newDispatchKey() string {
 }
 
 // pickBackend selects the target for a routing key: the ring's affinity
-// owner among healthy backends, unless spilling is on and the owner's
-// probed queue depth says it is saturated — then the least-loaded healthy
-// backend takes the job (a cold simcache costs one timing run; a
-// saturated queue costs every job behind it). Backends in excluded are
-// skipped. Returns nil when nothing is routable.
+// owner among healthy backends. Backends in excluded are skipped. Returns
+// nil when nothing is routable.
 func (rt *Router) pickBackend(routingKey string, excluded map[string]bool) *Backend {
-	admit := func(name string) bool {
+	owner := rt.ring.Lookup(routingKey, func(name string) bool {
 		return !excluded[name] && rt.backends[name].Routable()
-	}
-	owner := rt.ring.Lookup(routingKey, admit)
+	})
 	if owner == "" {
 		return nil
 	}
-	b := rt.backends[owner]
-	if rt.opts.SpillQueue > 0 && b.Load() >= rt.opts.SpillQueue {
-		for _, name := range rt.names {
-			if admit(name) && rt.backends[name].Load() < b.Load() {
-				b = rt.backends[name]
-			}
-		}
-	}
-	return b
+	return rt.backends[owner]
 }
 
 // submit routes one job: plan locally (validation + routing key), pick

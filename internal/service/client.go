@@ -465,8 +465,8 @@ func (c *Client) StreamCells(ctx context.Context, id string, fn func(*sweep.Cell
 
 // StreamEvents follows a job's NDJSON progress-event stream, invoking fn
 // for every sweep.Progress event in plan order (each embeds the completed
-// cell's record plus done/total counters and the cost-weighted completion
-// fraction), with the same resumption semantics as StreamCells.
+// cell's record plus done/total counters), with the same resumption
+// semantics as StreamCells.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(*sweep.Progress) error) error {
 	return c.Follow(ctx, "events", 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
 		var pr sweep.Progress
@@ -491,20 +491,4 @@ func (c *Client) Report(ctx context.Context, id string) (*sweep.Report, error) {
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// Run submits a request, streams every cell through fn, and returns the
-// job's final status — the remote analogue of Plan.Run. If the stream
-// (or fn) fails, the job is cancelled best-effort so the daemon does not
-// keep executing a sweep nobody is reading.
-func (c *Client) Run(ctx context.Context, jr sweep.JobRequest, fn func(*sweep.CellRecord) error) (*JobStatus, error) {
-	st, err := c.Submit(ctx, jr)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.StreamCells(ctx, st.ID, fn); err != nil {
-		_ = c.Cancel(ctx, st.ID) // no-op if the job already terminated
-		return nil, err
-	}
-	return c.Job(ctx, st.ID)
 }

@@ -31,11 +31,10 @@ import (
 //
 // The cells and events streams follow a running job live: each line is one
 // sweep.CellRecord (resp. sweep.Progress, which embeds the completed
-// cell's record plus done/total counters and the cost-weighted completion
-// fraction), flushed as the cell completes, always in plan order. A
-// ?from=N query skips the first N lines — the resumption handle a client
-// that lost its connection after N lines replays from, exact because
-// records are placed by plan index. If the job fails or is canceled
+// cell's record plus done/total counters), flushed as the cell completes,
+// always in plan order. A ?from=N query skips the first N lines — the
+// resumption handle a client that lost its connection after N lines
+// replays from, exact because records are placed by plan index. If the job fails or is canceled
 // mid-stream, a final {"error": "..."} line terminates the stream.
 //
 // The report endpoint reduces the finished job's records server-side

@@ -112,18 +112,12 @@ type JobStatus struct {
 	// TimingRuns is the plan's timing-group count — what the job will
 	// actually simulate after dedup.
 	TimingRuns int `json:"timingRuns"`
-	// EstCycles is the plan's static cost estimate (see sweep.Plan.Cost),
-	// reported once the job has started: a queued job never pays for the
-	// estimate.
-	EstCycles uint64 `json:"estCycles,omitempty"`
-	// DoneCells counts streamed cells; CostFraction is their cost-weighted
-	// share of the whole plan (1 once the job is done). Both derive from
-	// the plan and the streamed records alone, so a recovered job reports
-	// what it reported before the restart.
-	DoneCells    int     `json:"doneCells"`
-	CostFraction float64 `json:"costFraction,omitempty"`
-	// ETASeconds extrapolates the remaining wall-clock from elapsed time
-	// and CostFraction while the job runs (0 when unknown).
+	// DoneCells counts streamed cells. It derives from the streamed (or
+	// stored) record count alone, so a recovered job reports what it
+	// reported before the restart.
+	DoneCells int `json:"doneCells"`
+	// ETASeconds estimates the remaining wall-clock of a running job from
+	// its remaining cells (0 when unknown).
 	ETASeconds float64    `json:"etaSeconds,omitempty"`
 	Created    time.Time  `json:"created"`
 	Started    *time.Time `json:"started,omitempty"`
@@ -131,8 +125,8 @@ type JobStatus struct {
 }
 
 // Job is one submitted sweep. Its progress is not state of its own: the
-// plan (and its memoized cost estimate) and the count of streamed records
-// determine every progress figure its status and events report.
+// plan and the count of streamed records determine every progress figure
+// its status and events report.
 type Job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -185,11 +179,7 @@ func newJob(m *Manager, id string, req sweep.JobRequest, plan *sweep.Plan, now t
 func (j *Job) ID() string { return j.id }
 
 // Status snapshots the job. Its progress figures derive from the plan's
-// cost estimate and the streamed (or stored) record count. The estimate
-// builds workload instances, so Status never starts one for a job that
-// never ran, never waits on the worker's estimate of a live job, and never
-// runs one under j.mu; a finished or recovered job's plan estimates at
-// most once, memoized on the plan.
+// cell count and the streamed (or stored) record count.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	st := JobStatus{
@@ -217,31 +207,16 @@ func (j *Job) Status() JobStatus {
 	}
 	j.mu.Unlock()
 
-	// A live job's worker owns the estimate; no worker estimates for a
-	// terminal job, so computing it here never waits on one.
-	cost := j.plan.KnownCost()
-	if cost == nil && st.State.terminal() && st.Started != nil {
-		cost, _ = j.plan.Cost()
-	}
-	if cost == nil {
-		return st
-	}
-	st.EstCycles = cost.EstCycles
-	st.CostFraction = cost.Fraction(st.DoneCells)
-	if st.State == StateDone {
-		st.CostFraction = 1
-	}
-	if st.State == StateRunning && st.CostFraction < 1 {
-		// Calibrated ETA first: remaining cost units scaled by the
-		// manager's observed seconds-per-unit EWMA — available before this
-		// job's own first cell completes, once any job has fed the model.
-		// Fallback: extrapolate this job's own elapsed/progress ratio.
-		remaining := (1 - st.CostFraction) * float64(cost.EstCycles)
+	if remaining := st.Cells - st.DoneCells; st.State == StateRunning && remaining > 0 {
+		// Calibrated ETA first: remaining cells scaled by the manager's
+		// observed seconds-per-cell EWMA — available before this job's own
+		// first cell completes, once any job has fed the model. Fallback:
+		// extrapolate this job's own elapsed time per done cell.
 		if eta, ok := j.m.eta.estimate(remaining); ok {
 			st.ETASeconds = eta
-		} else if st.CostFraction > 0 {
+		} else if st.DoneCells > 0 {
 			elapsed := time.Since(started).Seconds()
-			st.ETASeconds = elapsed * (1 - st.CostFraction) / st.CostFraction
+			st.ETASeconds = elapsed * float64(remaining) / float64(st.DoneCells)
 		}
 	}
 	return st
@@ -306,10 +281,9 @@ func (j *Job) WaitCell(ctx context.Context, i int) (*sweep.CellRecord, JobState,
 
 // WaitEvent is WaitCell's progress-event analogue: it blocks until cell
 // i's record is available and wraps it in the plan's structured
-// sweep.Progress event (done/total counters, timing-run count,
-// cost-weighted completion fraction) — what GET /v1/jobs/{id}/events
-// streams, and what the in-process progress observer receives for the
-// same cell.
+// sweep.Progress event (done/total counters, timing-run count) — what
+// GET /v1/jobs/{id}/events streams, and what the in-process progress
+// observer receives for the same cell.
 func (j *Job) WaitEvent(ctx context.Context, i int) (*sweep.Progress, JobState, string) {
 	rec, state, errMsg := j.WaitCell(ctx, i)
 	if rec == nil {
@@ -432,7 +406,7 @@ var ErrDraining = errors.New("service draining: not accepting new jobs")
 type Manager struct {
 	opts Options
 
-	// eta calibrates cost-unit wall-clock across all jobs (see eta.go).
+	// eta calibrates per-cell wall-clock across all jobs (see eta.go).
 	eta etaModel
 
 	// store is the durable journal+snapshot (nil without StateDir).
@@ -515,7 +489,7 @@ func OpenManager(opts Options) (*Manager, error) {
 func (m *Manager) recoverFrom(rs *recoveredState) {
 	m.nextID = rs.NextID
 	if rs.ETA != nil {
-		m.eta.restore(rs.ETA.SecPerUnit, rs.ETA.Samples)
+		m.eta.restore(rs.ETA.SecPerCell, rs.ETA.Samples)
 	}
 	for _, sj := range rs.Jobs {
 		plan, err := sj.Request.Plan()
@@ -567,7 +541,7 @@ func (m *Manager) snapshot() *snapshotFile {
 	m.mu.Unlock()
 	snap := &snapshotFile{Version: storeVersion, NextID: nextID}
 	if sec, n := m.eta.export(); n > 0 {
-		snap.ETA = &etaEntry{SecPerUnit: sec, Samples: n}
+		snap.ETA = &etaEntry{SecPerCell: sec, Samples: n}
 	}
 	for _, j := range jobs {
 		snap.Jobs = append(snap.Jobs, j.stored())
@@ -933,26 +907,18 @@ func (m *Manager) runJob(j *Job) {
 	j.mu.Unlock()
 	m.journal(journalEntry{State: &stateEntry{ID: j.id, State: StateRunning, At: started}})
 
-	// Cost estimation builds workload instances, so it runs on the worker
-	// rather than in the submit path; best effort — a plan that executes
-	// can still fail to estimate, which only costs the ETA samples and the
-	// timeout. The estimate is memoized on the plan, where Status and the
-	// events stream read it too.
-	cost, _ := j.plan.Cost()
-
-	// Wall-clock timeout, derived from the calibrated ETA: a job that has
-	// run jobTimeoutScale times its estimate is stuck, not slow.
+	// Wall-clock timeout, derived from the calibrated ETA of the job's
+	// whole cell count: a job that has run jobTimeoutScale times its
+	// estimate is stuck, not slow.
 	ctx := parent
-	if cost != nil {
-		if est, ok := m.eta.estimate(float64(cost.EstCycles)); ok {
-			d := time.Duration(jobTimeoutScale * est * float64(time.Second))
-			if d < m.timeoutFloor {
-				d = m.timeoutFloor
-			}
-			var tcancel context.CancelFunc
-			ctx, tcancel = context.WithTimeout(parent, d)
-			defer tcancel()
+	if est, ok := m.eta.estimate(len(j.plan.Cells)); ok {
+		d := time.Duration(jobTimeoutScale * est * float64(time.Second))
+		if d < m.timeoutFloor {
+			d = m.timeoutFloor
 		}
+		var tcancel context.CancelFunc
+		ctx, tcancel = context.WithTimeout(parent, d)
+		defer tcancel()
 	}
 
 	// Stream callbacks arrive serialized in plan order, so the wall-clock
@@ -962,9 +928,7 @@ func (m *Manager) runJob(j *Job) {
 	err := j.run(ctx, func(cr *sweep.CellResult) {
 		rec := j.plan.Record(cr)
 		now := time.Now()
-		if cost != nil {
-			m.eta.observe(cost.PerCell[rec.Index]*float64(cost.EstCycles), now.Sub(lastEmit).Seconds())
-		}
+		m.eta.observe(now.Sub(lastEmit).Seconds())
 		j.mu.Lock()
 		j.records = append(j.records, rec)
 		lastEmit = now

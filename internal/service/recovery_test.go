@@ -174,11 +174,11 @@ func TestRecoverTerminalJobIntact(t *testing.T) {
 	}
 }
 
-// eventFractions reads every event of a finished job and returns their
-// cost-weighted completion fractions, in plan order.
-func eventFractions(t *testing.T, j *Job) []float64 {
+// eventDone reads every event of a finished job and returns their done
+// counters, in plan order.
+func eventDone(t *testing.T, j *Job) []int {
 	t.Helper()
-	var out []float64
+	var out []int
 	for i := 0; ; i++ {
 		pr, _, errMsg := j.WaitEvent(context.Background(), i)
 		if pr == nil {
@@ -187,13 +187,13 @@ func eventFractions(t *testing.T, j *Job) []float64 {
 			}
 			return out
 		}
-		out = append(out, pr.CostFraction)
+		out = append(out, pr.Done)
 	}
 }
 
 // A done job recovered after a restart reports the progress it reported
-// before it: every event carries the same cost fraction, and the status
-// the same cost estimate and completed fraction.
+// before it: every event carries the same done counter, and the status
+// the same done cell count.
 func TestRecoveredJobProgress(t *testing.T) {
 	dir := t.TempDir()
 	m1, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
@@ -205,10 +205,10 @@ func TestRecoveredJobProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	st1 := waitState(t, j1, StateDone)
-	fr1 := eventFractions(t, j1)
+	done1 := eventDone(t, j1)
 	m1.Close()
-	if st1.EstCycles == 0 || len(fr1) != st1.Cells || fr1[len(fr1)-1] <= 0 {
-		t.Fatalf("live job progress: status %+v, event fractions %v", st1, fr1)
+	if st1.DoneCells != st1.Cells || len(done1) != st1.Cells || done1[len(done1)-1] != st1.Cells {
+		t.Fatalf("live job progress: status %+v, event done counters %v", st1, done1)
 	}
 
 	m2, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
@@ -221,12 +221,54 @@ func TestRecoveredJobProgress(t *testing.T) {
 		t.Fatal("job not recovered")
 	}
 	st2 := j2.Status()
-	if st2.State != StateDone || st2.EstCycles != st1.EstCycles || st2.CostFraction != st1.CostFraction {
-		t.Errorf("recovered status estCycles=%d costFraction=%g, want %d and %g",
-			st2.EstCycles, st2.CostFraction, st1.EstCycles, st1.CostFraction)
+	if st2.State != StateDone || st2.DoneCells != st1.DoneCells {
+		t.Errorf("recovered status %s with %d done cells, want done with %d",
+			st2.State, st2.DoneCells, st1.DoneCells)
 	}
-	if fr2 := eventFractions(t, j2); !reflect.DeepEqual(fr2, fr1) {
-		t.Errorf("recovered event fractions %v, want %v", fr2, fr1)
+	if done2 := eventDone(t, j2); !reflect.DeepEqual(done2, done1) {
+		t.Errorf("recovered event done counters %v, want %v", done2, done1)
+	}
+}
+
+// Describing a scenario and polling a recovered terminal job's status
+// read only the plan and the stored record count: neither builds a
+// workload instance.
+func TestDescribeAndRecoveredStatusBuildNothing(t *testing.T) {
+	builds := svcBuilds.Load()
+	if _, err := sweep.Describe("svcblock"); err != nil {
+		t.Fatal(err)
+	}
+	if n := svcBuilds.Load() - builds; n != 0 {
+		t.Errorf("Describe built %d workload instance(s)", n)
+	}
+
+	dir := t.TempDir()
+	m1, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, err := m1.Submit(sweep.JobRequest{Scenario: "svcblock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j1, StateDone)
+	m1.Close()
+
+	m2, err := OpenManager(Options{MaxConcurrent: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	j2, ok := m2.Job(j1.ID())
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	builds = svcBuilds.Load()
+	if st := j2.Status(); st.State != StateDone || st.Started == nil || st.DoneCells != 1 {
+		t.Errorf("recovered status %+v, want a started, done job with 1 done cell", st)
+	}
+	if n := svcBuilds.Load() - builds; n != 0 {
+		t.Errorf("a recovered job's status built %d workload instance(s)", n)
 	}
 }
 
@@ -353,13 +395,13 @@ func TestShutdownCheckpointsRunningJob(t *testing.T) {
 }
 
 // The EWMA-calibrated timeout fails a stuck job. A poisoned calibration
-// (absurdly fast seconds-per-unit) plus a nanosecond floor makes any real
+// (absurdly fast seconds-per-cell) plus a nanosecond floor makes any real
 // job "stuck" instantly, without staging an actual hang.
 func TestJobTimeoutFromCalibration(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 1})
 	defer m.Close()
 	m.timeoutFloor = time.Nanosecond // set before Submit, which publishes it to the worker
-	m.eta.observe(1e12, 1e-9)        // ≈1e-21 s per cost unit: everything is "stuck"
+	m.eta.observe(1e-21)             // 1e-21 s per cell: everything is "stuck"
 	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,25 @@ import (
 	"gpusimpow/internal/sweep"
 )
 
+// runRemote submits req, streams every cell through fn and returns the
+// job's final status.
+func runRemote(t *testing.T, c *Client, req sweep.JobRequest, fn func(*sweep.CellRecord) error) *JobStatus {
+	t.Helper()
+	ctx := context.Background()
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StreamCells(ctx, st.ID, fn); err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Job(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final
+}
+
 // The acceptance contract of the service: running a scenario in-process
 // and running it through a daemon produce identical cell records —
 // bit-identical metrics, identical order — for the paper's headline
@@ -25,7 +44,6 @@ func TestRemoteEqualsInProcess(t *testing.T) {
 	srv := httptest.NewServer(NewServer(m))
 	defer srv.Close()
 	c := &Client{Base: srv.URL, HTTP: srv.Client()}
-	ctx := context.Background()
 
 	for _, scenario := range []string{"fig6", "l1sched"} {
 		req := sweep.JobRequest{Scenario: scenario}
@@ -41,13 +59,10 @@ func TestRemoteEqualsInProcess(t *testing.T) {
 		localRecs := plan.Records(local)
 
 		var remoteRecs []*sweep.CellRecord
-		final, err := c.Run(ctx, req, func(r *sweep.CellRecord) error {
+		final := runRemote(t, c, req, func(r *sweep.CellRecord) error {
 			remoteRecs = append(remoteRecs, r)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if final.State != StateDone {
 			t.Fatalf("%s: job ended %s: %s", scenario, final.State, final.Error)
 		}
@@ -88,10 +103,7 @@ func TestRemoteReportEqualsInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		final, err := c.Run(ctx, req, func(*sweep.CellRecord) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
+		final := runRemote(t, c, req, func(*sweep.CellRecord) error { return nil })
 		if final.State != StateDone {
 			t.Fatalf("%s: job ended %s: %s", scenario, final.State, final.Error)
 		}

@@ -67,8 +67,8 @@ func waitDone(t *testing.T, j *Job) *Job {
 }
 
 // The events stream: one Progress per cell in plan order, done counters
-// incrementing, cost fractions nondecreasing and ending at ~1, each event
-// embedding the same record the cells stream carries.
+// incrementing to the cell count, each event embedding the same record the
+// cells stream carries.
 func TestJobEventsStream(t *testing.T) {
 	m := NewManager(Options{MaxConcurrent: 1, MaxQueued: 4})
 	defer m.Close()
@@ -91,7 +91,6 @@ func TestJobEventsStream(t *testing.T) {
 	if len(events) != 5 {
 		t.Fatalf("streamed %d events, want 5", len(events))
 	}
-	prevFrac := 0.0
 	for i, pr := range events {
 		if pr.Done != i+1 || pr.Total != 5 || pr.TimingRuns != 1 || pr.Scenario != "ablation-processnode" {
 			t.Errorf("event %d: %+v", i, pr)
@@ -99,13 +98,6 @@ func TestJobEventsStream(t *testing.T) {
 		if pr.Cell == nil || pr.Cell.Index != i {
 			t.Errorf("event %d embeds cell %+v", i, pr.Cell)
 		}
-		if pr.CostFraction < prevFrac {
-			t.Errorf("event %d: cost fraction regressed %g -> %g", i, prevFrac, pr.CostFraction)
-		}
-		prevFrac = pr.CostFraction
-	}
-	if prevFrac < 0.999 || prevFrac > 1.000001 {
-		t.Errorf("final cost fraction %g, want ~1", prevFrac)
 	}
 
 	// The embedded records are the cells stream's records, verbatim.
@@ -337,18 +329,18 @@ func TestJobRetentionByAge(t *testing.T) {
 
 // The EWMA calibration: pure arithmetic, then the integration — a
 // completed job feeds the model, and a later running job's ETA scales
-// remaining cost units by it.
+// its remaining cells by it.
 func TestEtaModel(t *testing.T) {
 	var e etaModel
 	if _, ok := e.estimate(100); ok {
 		t.Error("empty model should not estimate")
 	}
-	e.observe(0, 1) // ignored: no units
-	e.observe(100, 2)
+	e.observe(-1) // ignored: a negative duration is no sample
+	e.observe(0.02)
 	if got, ok := e.estimate(50); !ok || math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("first sample should set the rate exactly: got %g (ok=%v), want 1", got, ok)
 	}
-	e.observe(100, 4) // rate sample 0.04; ewma = 0.2*0.04 + 0.8*0.02 = 0.024
+	e.observe(0.04) // ewma = 0.2*0.04 + 0.8*0.02 = 0.024
 	if got, _ := e.estimate(1000); math.Abs(got-24.0) > 1e-9 {
 		t.Errorf("ewma estimate %g, want 24", got)
 	}
@@ -361,9 +353,8 @@ func TestEtaCalibrationFeedsStatuses(t *testing.T) {
 	if _, n := m.eta.export(); n == 0 {
 		t.Fatal("completed job fed no calibration samples")
 	}
-	// A second job's status can carry a calibrated ETA as soon as its cost
-	// is known, even at zero progress: synthesize the state rather than
-	// racing a live sweep.
+	// A second job's status carries a calibrated ETA for its remaining
+	// cells: synthesize the state rather than racing a live sweep.
 	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
 	if err != nil {
 		t.Fatal(err)
@@ -375,11 +366,10 @@ func TestEtaCalibrationFeedsStatuses(t *testing.T) {
 	j.started = time.Now().Add(-time.Hour)
 	j.mu.Unlock()
 	st := j.Status()
-	if st.CostFraction <= 0 || st.CostFraction >= 1 {
-		t.Fatalf("two of five cells done: cost fraction %g", st.CostFraction)
+	if st.DoneCells != 2 || st.Cells != 5 {
+		t.Fatalf("two of five cells done: status reports %d of %d", st.DoneCells, st.Cells)
 	}
-	remaining := (1 - st.CostFraction) * float64(st.EstCycles)
-	want, ok := m.eta.estimate(remaining)
+	want, ok := m.eta.estimate(3)
 	if !ok || math.Abs(st.ETASeconds-want) > 1e-9 {
 		t.Errorf("status ETA %g, want calibrated %g (ok=%v)", st.ETASeconds, want, ok)
 	}

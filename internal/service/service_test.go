@@ -19,11 +19,13 @@ import (
 	"gpusimpow/internal/sweep"
 )
 
+// svcBuilds counts every svcblock workload build, armed or not.
+var svcBuilds atomic.Int32
+
 // blockGate makes svcblock's workload builds block while armed — giving
 // the cancel test a job that is deterministically "running" for as long
-// as it needs. Unarmed (everywhere else: DescribeAll's cost estimation,
-// other tests) builds return instantly. Re-armable, so the package is
-// safe under -count=N.
+// as it needs. Unarmed (everywhere else) builds return instantly.
+// Re-armable, so the package is safe under -count=N.
 var (
 	blockBuilds atomic.Int32
 	blockGate   struct {
@@ -89,6 +91,7 @@ func init() {
 			Base:  config.GT240,
 			Workload: func(*sweep.Cell) (*sweep.Workload, error) {
 				return &sweep.Workload{Name: "svcblock", Build: func(*config.GPU) (*sweep.Instance, error) {
+					svcBuilds.Add(1)
 					blockWait()
 					l, mem := blockKernel()
 					return &sweep.Instance{Mem: mem, Units: []sweep.Unit{{Name: l.Prog.Name, Launch: l}}}, nil
@@ -229,7 +232,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone || final.DoneCells != 5 || final.CostFraction != 1 || final.EstCycles == 0 {
+	if final.State != StateDone || final.DoneCells != 5 {
 		t.Errorf("final status %+v", final)
 	}
 	jobs, err := c.Jobs(ctx)

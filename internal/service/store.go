@@ -94,7 +94,7 @@ type stateEntry struct {
 
 // etaEntry is the shared ETA model's calibration, as the snapshot keeps it.
 type etaEntry struct {
-	SecPerUnit float64 `json:"secPerUnit"`
+	SecPerCell float64 `json:"secPerCell"`
 	Samples    uint64  `json:"samples"`
 }
 

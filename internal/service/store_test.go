@@ -37,7 +37,7 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Compact(&snapshotFile{Version: storeVersion, ETA: &etaEntry{SecPerUnit: 0.5, Samples: 3}})
+	s.Compact(&snapshotFile{Version: storeVersion, ETA: &etaEntry{SecPerCell: 0.5, Samples: 3}})
 	req := sweep.JobRequest{Scenario: "svcblock", Label: "round-trip"}
 	created := time.Now().Truncate(time.Millisecond)
 	s.Append(journalEntry{Submit: &storedJob{ID: "job-1", Request: req, State: StateQueued, Created: created}})
@@ -76,7 +76,7 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	if rs.NextID != 2 {
 		t.Errorf("NextID %d, want 2 (derived from job IDs)", rs.NextID)
 	}
-	if rs.ETA == nil || rs.ETA.SecPerUnit != 0.5 || rs.ETA.Samples != 3 {
+	if rs.ETA == nil || rs.ETA.SecPerCell != 0.5 || rs.ETA.Samples != 3 {
 		t.Errorf("eta calibration lost: %+v", rs.ETA)
 	}
 }

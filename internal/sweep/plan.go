@@ -1,10 +1,6 @@
 package sweep
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // groupKey identifies a timing group: every cell whose configuration hashes
 // to the same timing key and selects the same (deterministic-by-contract)
@@ -33,14 +29,6 @@ type Plan struct {
 	Spec   *Spec
 	Cells  []*Cell
 	Groups []*Group
-
-	// Cost memoization (see cost.go); Plan pointers are shared across
-	// worker goroutines, so the estimate is computed at most once.
-	// costKnown is set once cost and costErr are final.
-	costOnce  sync.Once
-	costKnown atomic.Bool
-	cost      *Cost
-	costErr   error
 }
 
 // TimingRuns returns how many timing simulations the plan needs — the

@@ -46,10 +46,6 @@ type Progress struct {
 	Total int `json:"total"`
 	// TimingRuns is the plan's timing-group count.
 	TimingRuns int `json:"timingRuns"`
-	// CostFraction is the cost-weighted completion fraction in (0, 1],
-	// from Plan.Cost's per-cell shares; 0 when the estimate is
-	// unavailable.
-	CostFraction float64 `json:"costFraction,omitempty"`
 	// Cell is the just-completed cell's record.
 	Cell *CellRecord `json:"cell"`
 }
@@ -59,17 +55,13 @@ type Progress struct {
 // observer and the service's events stream, so the two carry the same
 // event for the same cell.
 func (p *Plan) Progress(done int, rec *CellRecord) Progress {
-	pr := Progress{
+	return Progress{
 		Scenario:   p.Spec.Name,
 		Done:       done,
 		Total:      len(p.Cells),
 		TimingRuns: len(p.Groups),
 		Cell:       rec,
 	}
-	if cost, err := p.Cost(); err == nil { // best effort: no estimate leaves 0
-		pr.CostFraction = cost.Fraction(done)
-	}
-	return pr
 }
 
 // progressHook is an optional process-wide observer of cell completions,

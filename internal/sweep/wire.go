@@ -22,8 +22,8 @@ var ErrUnknownScenario = errors.New("unknown scenario")
 //   - JobRequest names a registered scenario plus a filter: everything a
 //     remote front-end needs to submit a sweep.
 //   - ScenarioInfo (Describe/DescribeAll) is scenario metadata — axes,
-//     values, plan size, timing runs, estimated cost — computed without
-//     running any simulation.
+//     values, plan size, timing runs, measured cells — computed from the
+//     plan alone, without building a workload or running any simulation.
 //   - CellRecord/UnitRecord flatten one CellResult into plain values:
 //     axis coordinates, per-unit timing/power/measurement metrics, and
 //     cache/timing-group provenance (the content-addressed timing key and
@@ -86,9 +86,9 @@ type AxisInfo struct {
 }
 
 // ScenarioInfo is the wire form of one registered scenario: identity, axes
-// and the unfiltered plan's shape/cost. It is produced without executing
-// any simulation (planning builds configurations; cost estimation builds
-// workload instances — both are pure construction).
+// and the unfiltered plan's shape. It is produced without executing any
+// simulation or building any workload instance (planning builds
+// configurations only).
 type ScenarioInfo struct {
 	Name  string `json:"name"`
 	Title string `json:"title"`
@@ -105,13 +105,11 @@ type ScenarioInfo struct {
 	// MeasuredCells is the number of cells the measurement stage runs on
 	// (0 for sim/power-only sweeps).
 	MeasuredCells int `json:"measuredCells,omitempty"`
-	// EstCycles is the plan's coarse cost estimate (see Plan.Cost).
-	EstCycles uint64 `json:"estCycles,omitempty"`
 }
 
 // Describe returns the named scenario's metadata. Sweep-backed scenarios
-// are planned (unfiltered) so the listing can report plan size, timing-run
-// dedup and estimated cost; nothing simulates.
+// are planned (unfiltered) so the listing can report plan size and
+// timing-run dedup; nothing builds or simulates.
 func Describe(name string) (*ScenarioInfo, error) {
 	sc, ok := Lookup(name)
 	if !ok {
@@ -141,12 +139,9 @@ func Describe(name string) (*ScenarioInfo, error) {
 	}
 	info.Cells = len(plan.Cells)
 	info.TimingRuns = plan.TimingRuns()
-	cost, err := plan.Cost()
-	if err != nil {
-		return nil, fmt.Errorf("sweep: describing %s: %w", name, err)
+	if sp.Measure {
+		info.MeasuredCells = info.Cells
 	}
-	info.MeasuredCells = cost.MeasuredCells
-	info.EstCycles = cost.EstCycles
 	return info, nil
 }
 

@@ -4,11 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
-
-	"gpusimpow/internal/config"
 )
 
 // The wire-layer scenario used by Describe tests; registered once (the
@@ -135,8 +131,8 @@ func TestDescribe(t *testing.T) {
 	if info.Cells != 6 || info.TimingRuns != 2 {
 		t.Errorf("describe reports %d cells / %d timing runs, want 6 / 2", info.Cells, info.TimingRuns)
 	}
-	if info.EstCycles == 0 {
-		t.Error("describe should carry a cost estimate")
+	if info.MeasuredCells != 0 {
+		t.Errorf("describe reports %d measured cells for a sim-only sweep", info.MeasuredCells)
 	}
 	wantAxes := []AxisInfo{
 		{Name: "clusters", Values: []ValueInfo{{Name: "2"}, {Name: "3"}}},
@@ -150,76 +146,8 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestCost(t *testing.T) {
-	p, err := runSpec(2003).Plan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.KnownCost() != nil {
-		t.Error("KnownCost before any estimate should be nil")
-	}
-	// A worker estimates while status polls read the estimate.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.KnownCost()
-			if _, err := p.Cost(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	c, err := p.Cost()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Cells != 6 || c.TimingRuns != 2 || c.MeasuredCells != 0 {
-		t.Errorf("cost shape %+v", c)
-	}
-	if c.EstCycles == 0 {
-		t.Error("estimate should be positive")
-	}
-	var sum float64
-	for _, f := range c.PerCell {
-		if f <= 0 {
-			t.Errorf("per-cell shares must be positive: %v", c.PerCell)
-		}
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("per-cell shares sum to %v, want 1", sum)
-	}
-	c2, err := p.Cost()
-	if err != nil || c2 != c || p.KnownCost() != c {
-		t.Error("cost should be memoized per plan")
-	}
-}
-
-// A panicking workload build is the estimate's error, not the caller's
-// panic.
-func TestCostPanicIsError(t *testing.T) {
-	s := runSpec(2006)
-	s.Workload = func(*Cell) (*Workload, error) {
-		return &Workload{Name: "panicky", Build: func(*config.GPU) (*Instance, error) {
-			panic("deliberate build panic")
-		}}, nil
-	}
-	p, err := s.Plan(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Cost(); err == nil || !strings.Contains(err.Error(), "deliberate build panic") {
-		t.Errorf("cost error %v, want the build's panic", err)
-	}
-	if p.KnownCost() != nil {
-		t.Error("a failed estimate has no known cost")
-	}
-}
-
 // Structured progress events arrive serialized, in plan order, with
-// monotonically complete counters and cost fractions.
+// monotonically complete counters.
 func TestProgressEvents(t *testing.T) {
 	var events []Progress
 	SetProgress(func(pr Progress) { events = append(events, pr) })
@@ -235,7 +163,6 @@ func TestProgressEvents(t *testing.T) {
 	if len(events) != len(p.Cells) {
 		t.Fatalf("%d progress events, want %d", len(events), len(p.Cells))
 	}
-	last := 0.0
 	for i, pr := range events {
 		if pr.Done != i+1 || pr.Total != len(p.Cells) || pr.TimingRuns != p.TimingRuns() {
 			t.Errorf("event %d counters %+v", i, pr)
@@ -243,13 +170,9 @@ func TestProgressEvents(t *testing.T) {
 		if pr.Cell == nil || pr.Cell.Index != i {
 			t.Fatalf("event %d carries wrong cell: %+v", i, pr.Cell)
 		}
-		if pr.CostFraction <= last {
-			t.Errorf("event %d cost fraction %v not increasing past %v", i, pr.CostFraction, last)
-		}
-		last = pr.CostFraction
 	}
-	if last < 0.999 || last > 1.001 {
-		t.Errorf("final cost fraction %v, want 1", last)
+	if last := events[len(events)-1]; last.Done != last.Total {
+		t.Errorf("final event %d/%d, want every cell done", last.Done, last.Total)
 	}
 }
 
@@ -270,11 +193,10 @@ func TestRunContextCancel(t *testing.T) {
 // re-reads previously delivered lines and must see identical values.
 func TestProgressRoundTrip(t *testing.T) {
 	in := Progress{
-		Scenario:     "wireprobe",
-		Done:         3,
-		Total:        5,
-		TimingRuns:   2,
-		CostFraction: 0.625,
+		Scenario:   "wireprobe",
+		Done:       3,
+		Total:      5,
+		TimingRuns: 2,
 		Cell: &CellRecord{
 			Scenario:   "wireprobe",
 			Index:      2,
@@ -295,14 +217,5 @@ func TestProgressRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip changed the event:\n %+v\n-> %+v", in, out)
-	}
-	// CostFraction is omitempty: an estimate-less event leaves the key
-	// off the wire entirely.
-	in.CostFraction = 0
-	if b, err = json.Marshal(in); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), "costFraction") {
-		t.Errorf("zero cost fraction serialized anyway: %s", b)
 	}
 }
