@@ -33,8 +33,8 @@ fmt-check:
 
 # Service smoke: start gpowd on a loopback port, run the cheapest sweep
 # scenario in-process and through the daemon, diff the NDJSON cell
-# records AND the reduced report (JSON + rendered text) byte for byte
-# (see scripts/service_smoke.sh).
+# records, the reduced report (JSON + rendered text) and the -v progress
+# lines byte for byte (see scripts/service_smoke.sh).
 ci-service:
 	./scripts/service_smoke.sh
 

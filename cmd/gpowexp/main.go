@@ -8,34 +8,34 @@
 //
 //	gpowexp [-remote URL] list                    # registered scenarios
 //	gpowexp [-remote URL] run <name>... [-filter axis=v[,v]] [-stats] [-v]
-//	                                    [-json] [-report] [-report-json]
+//	                                    [-json] [-report-json]
 //	gpowexp -remote URL report <job-id>... [-json]
 //	gpowexp all [-stats]                          # every paper artifact
 //	gpowexp <name>...                             # shorthand for run
 //
 // With -remote, list and run drive a gpowd daemon over the service API
 // instead of linking the simulator in-process: run submits each scenario
-// as a job and consumes the daemon's NDJSON streams (the events stream
-// with -v — live [done/total] cell counts — the cells stream otherwise). The
-// client is self-healing: it retries on connection errors and saturation
+// as a job, follows its NDJSON cell stream to completion (the records
+// with -json, the [i/N] progress lines with -v) and then, unless -json,
+// fetches the daemon's server-side reduction. The client is
+// self-healing: it retries on connection errors and saturation
 // (429/5xx, honoring Retry-After), submits idempotently, and resumes
 // severed streams where they left off — a daemon restart mid-run costs
 // wall-clock, not correctness. report fetches an existing daemon job's
 // server-side reduction by job ID (e.g. one recovered from a previous
 // daemon process), without resubmitting anything.
 //
-// Output modes:
+// Output modes, each byte-identical in-process and remote (`make ci`'s
+// service smoke target diffs them):
 //
-//   - default: the scenario's formatted report in-process; generic
-//     per-cell records remotely.
-//   - -json: flat NDJSON cell records, bit-identical in-process and
-//     remote (`make ci`'s service smoke target diffs them).
-//   - -report: the scenario's reduced report rendered as text. Remotely
+//   - default: the scenario's reduced report rendered as text. Remotely
 //     the daemon reduces server-side (GET /v1/jobs/{id}/report) and the
-//     fetched report renders through the same sweep.RenderText — the
-//     bytes match the in-process run exactly.
-//   - -report-json: the reduced report as JSON, one line per scenario;
-//     also byte-identical between the two modes (smoke-diffed).
+//     fetched report renders through the same sweep.RenderText.
+//   - -json: flat NDJSON cell records.
+//   - -report-json: the reduced report as JSON, one line per scenario.
+//
+// -v adds one "[i/N] <coords> done" line per cell to stderr, the same
+// lines in both modes.
 //
 // Examples:
 //
@@ -43,7 +43,7 @@
 //	gpowexp run dvfs -filter scale=0.5,1.0 -stats
 //	gpowexp run l1sched -json > cells.ndjson
 //	gpowexp run fig6 -report-json | jq .sections[0].notes
-//	gpowexp -remote http://127.0.0.1:8080 run fig6 -v -report
+//	gpowexp -remote http://127.0.0.1:8080 run fig6 -v
 package main
 
 import (
@@ -55,7 +55,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	_ "gpusimpow/internal/experiments" // registers every scenario
 	"gpusimpow/internal/service"
@@ -88,7 +87,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: gpowexp [-remote URL] list
        gpowexp [-remote URL] run <scenario>... [-filter axis=value[,value]]... [-stats] [-v]
-                                               [-json] [-report] [-report-json]
+                                               [-json] [-report-json]
        gpowexp -remote URL report <job-id>... [-json]
        gpowexp all [-stats]
        gpowexp <scenario>...`)
@@ -98,9 +97,8 @@ func usage() {
 type outputMode int
 
 const (
-	modeDefault    outputMode = iota // formatted report locally, generic records remotely
+	modeText       outputMode = iota // reduced report, rendered as text
 	modeJSON                         // NDJSON cell records
-	modeReport                       // reduced report, rendered as text
 	modeReportJSON                   // reduced report, JSON
 )
 
@@ -205,7 +203,6 @@ func runCmd(remote string, args []string) error {
 	verbose := fs.Bool("v", false, "stream per-cell progress to stderr")
 	all := fs.Bool("all", false, "run every paper artifact (the `all` command)")
 	jsonOut := fs.Bool("json", false, "emit flat cell records as NDJSON instead of the formatted report (sweep scenarios only)")
-	report := fs.Bool("report", false, "render the scenario's reduced report (remote: fetched from /v1/jobs/{id}/report)")
 	reportJSON := fs.Bool("report-json", false, "emit the scenario's reduced report as JSON, one line per scenario")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the local run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
@@ -238,19 +235,14 @@ func runCmd(remote string, args []string) error {
 	if err != nil {
 		return err
 	}
-	mode := modeDefault
-	set := 0
-	for _, m := range []struct {
-		on   bool
-		mode outputMode
-	}{{*jsonOut, modeJSON}, {*report, modeReport}, {*reportJSON, modeReportJSON}} {
-		if m.on {
-			mode = m.mode
-			set++
-		}
-	}
-	if set > 1 {
-		return fmt.Errorf("-json, -report and -report-json are mutually exclusive")
+	mode := modeText
+	switch {
+	case *jsonOut && *reportJSON:
+		return fmt.Errorf("-json and -report-json are mutually exclusive")
+	case *jsonOut:
+		mode = modeJSON
+	case *reportJSON:
+		mode = modeReportJSON
 	}
 
 	if remote != "" {
@@ -294,11 +286,11 @@ func runCmd(remote string, args []string) error {
 	if *verbose {
 		// Stream per-cell completions (plan order) for every sweep the
 		// scenarios execute.
-		sweep.SetProgress(func(pr sweep.Progress) { progressLine(os.Stderr, &pr) })
+		sweep.SetProgress(func(total int, rec *sweep.CellRecord) { progressLine(os.Stderr, total, rec) })
 		defer sweep.SetProgress(nil)
 	}
 	for i, name := range names {
-		if i > 0 && mode != modeJSON && mode != modeReportJSON {
+		if i > 0 && mode == modeText {
 			fmt.Println()
 		}
 		switch mode {
@@ -307,8 +299,6 @@ func runCmd(remote string, args []string) error {
 		case modeReportJSON:
 			err = runLocalReportJSON(os.Stdout, name, f)
 		default:
-			// modeReport is the default local rendering: every scenario
-			// reduces and renders through sweep.RenderText.
 			err = sweep.RunScenario(os.Stdout, name, f)
 		}
 		if err != nil {
@@ -370,11 +360,11 @@ func reportCmd(remote string, args []string) error {
 	return nil
 }
 
-// progressLine prints one cell-completion event to w — the same line
-// whether the event came from the in-process hook or a daemon's events
-// stream.
-func progressLine(w io.Writer, pr *sweep.Progress) {
-	fmt.Fprintf(w, "gpowexp: [%d/%d] %s done\n", pr.Done, pr.Total, pr.Cell.CoordString())
+// progressLine prints cell rec's completion out of total cells to w —
+// the same line whether rec came from the in-process hook or a daemon's
+// cell stream.
+func progressLine(w io.Writer, total int, rec *sweep.CellRecord) {
+	fmt.Fprintf(w, "gpowexp: [%d/%d] %s done\n", rec.Index+1, total, rec.CoordString())
 }
 
 // runLocalReportJSON reduces one scenario in-process and emits the typed
@@ -416,12 +406,11 @@ func runLocalJSON(w io.Writer, name string, f sweep.Filter) error {
 	return err
 }
 
-// runRemote submits each named scenario to the daemon and consumes its
-// streams: cell records (NDJSON verbatim with -json, a generic per-cell
-// rendering by default) or, for the report modes, the server-side reduced
-// report once the job completes. With -v the daemon's events stream
-// replaces the cells stream, so progress percentages arrive live instead
-// of by status polling.
+// runRemote submits each named scenario to the daemon and follows its
+// cell stream: the records go to stdout with -json and the progress lines
+// to stderr with -v. StreamCells returns nil only once the job is done and
+// every record delivered, so the report modes then fetch the server-side
+// reduction.
 func runRemote(remote string, names []string, f sweep.Filter, mode outputMode, verbose bool) error {
 	c := &service.Client{Base: remote}
 	if verbose {
@@ -434,7 +423,7 @@ func runRemote(remote string, names []string, f sweep.Filter, mode outputMode, v
 	ctx := context.Background()
 	enc := json.NewEncoder(os.Stdout)
 	for i, name := range names {
-		if i > 0 && mode != modeJSON && mode != modeReportJSON {
+		if i > 0 && mode == modeText {
 			fmt.Println()
 		}
 		st, err := c.Submit(ctx, sweep.JobRequest{Scenario: name, Filter: f})
@@ -445,107 +434,38 @@ func runRemote(remote string, names []string, f sweep.Filter, mode outputMode, v
 			fmt.Fprintf(os.Stderr, "gpowexp: job %s: %s, %d cell(s) in %d timing run(s)\n",
 				st.ID, name, st.Cells, st.TimingRuns)
 		}
-
-		// Per-cell output (nothing in the report modes — they only care
-		// about the finished job's reduction).
-		onRecord := func(rec *sweep.CellRecord) error {
-			switch mode {
-			case modeJSON:
+		err = c.StreamCells(ctx, st.ID, func(rec *sweep.CellRecord) error {
+			if verbose {
+				progressLine(os.Stderr, st.Cells, rec)
+			}
+			if mode == modeJSON {
 				return enc.Encode(rec)
-			case modeDefault:
-				printRecord(os.Stdout, rec)
 			}
 			return nil
-		}
-		switch {
-		case verbose:
-			err = c.StreamEvents(ctx, st.ID, func(pr *sweep.Progress) error {
-				progressLine(os.Stderr, pr)
-				return onRecord(pr.Cell)
-			})
-		case mode == modeReport || mode == modeReportJSON:
-			// No per-cell output wanted: poll the few-hundred-byte status
-			// until the job terminates instead of downloading (and
-			// discarding) the full cell-record stream.
-			err = waitJob(ctx, c, st.ID)
-		default:
-			err = c.StreamCells(ctx, st.ID, onRecord)
-		}
+		})
 		if err != nil {
 			// Don't leave the daemon executing a sweep nobody is reading:
 			// best-effort cancel (a no-op if the job already terminated).
 			_ = c.Cancel(ctx, st.ID)
 			return err
 		}
-		final, err := c.Job(ctx, st.ID)
+		if mode == modeJSON {
+			continue
+		}
+		rep, err := c.Report(ctx, st.ID)
 		if err != nil {
 			return err
 		}
-		if final.State != service.StateDone {
-			return fmt.Errorf("job %s ended %s: %s", st.ID, final.State, final.Error)
+		if mode == modeReportJSON {
+			err = enc.Encode(rep)
+		} else {
+			err = sweep.RenderText(os.Stdout, rep)
 		}
-		if mode == modeReport || mode == modeReportJSON {
-			rep, err := c.Report(ctx, st.ID)
-			if err != nil {
-				return err
-			}
-			if mode == modeReportJSON {
-				if err := enc.Encode(rep); err != nil {
-					return err
-				}
-			} else if err := sweep.RenderText(os.Stdout, rep); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// waitJob polls a job's status until it reaches a terminal state, backing
-// off to one poll per second; context cancellation ends the wait.
-func waitJob(ctx context.Context, c *service.Client, id string) error {
-	delay := 100 * time.Millisecond
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return err
-		}
-		switch st.State {
-		case service.StateDone, service.StateFailed, service.StateCanceled:
-			return nil
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-		if delay < time.Second {
-			delay *= 2
-		}
-	}
-}
-
-// printRecord renders one wire cell record generically (remote runs have
-// no scenario-specific reducer on this side of the wire).
-func printRecord(w io.Writer, rec *sweep.CellRecord) {
-	fmt.Fprintf(w, "[%d] %s  (%s, group %d)\n", rec.Index, rec.CoordString(), rec.Config, rec.Group)
-	for i := range rec.Units {
-		u := &rec.Units[i]
-		fmt.Fprintf(w, "    %-14s", u.Name)
-		if u.Timing != nil {
-			fmt.Fprintf(w, " %12d cycles", u.Timing.Cycles)
-		}
-		if u.Power != nil {
-			fmt.Fprintf(w, "  sim %7.2f W (dyn %6.2f, stat %6.2f, dram %6.2f)",
-				u.Power.TotalW, u.Power.DynamicW, u.Power.StaticW, u.Power.DRAMW)
-		}
-		if u.Meas != nil {
-			fmt.Fprintf(w, "  meas %7.2f W over %.3f s", u.Meas.AvgPowerW, u.Meas.WindowS)
-		}
-		fmt.Fprintln(w)
-	}
 }
 
 // printCacheStats reports the process-wide simulation-result cache counters

@@ -3,13 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"gpusimpow/internal/service"
 	"gpusimpow/internal/sweep"
 )
 
@@ -51,15 +55,15 @@ func TestAllMatchesGoldens(t *testing.T) {
 		}
 		want = append(want, b...)
 	}
-	got := captureStdout(t, func() error { return dispatch("", "all") })
+	got := capture(t, &os.Stdout, func() error { return dispatch("", "all") })
 	if !bytes.Equal(got, want) {
 		t.Errorf("`gpowexp all` diverged from the scenario goldens:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
-func captureStdout(t *testing.T, fn func() error) []byte {
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected and returns
+// what it printed there.
+func capture(t *testing.T, f **os.File, fn func() error) []byte {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -70,10 +74,10 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 		b, _ := io.ReadAll(r)
 		out <- b
 	}()
-	orig := os.Stdout
-	os.Stdout = w
+	orig := *f
+	*f = w
 	err = fn()
-	os.Stdout = orig
+	*f = orig
 	w.Close()
 	b := <-out
 	r.Close()
@@ -127,13 +131,9 @@ func TestRunJSONRecords(t *testing.T) {
 }
 
 func TestRunReportModes(t *testing.T) {
-	// -report renders the reduced report (same bytes as the default local
-	// rendering); -report-json emits the typed sweep.Report as JSON — the
-	// same value a daemon serves from /v1/jobs/{id}/report (make ci's
-	// service smoke diffs them).
-	if err := dispatch("", "run", "dvfs", "-filter", "scale=0.5", "-report"); err != nil {
-		t.Fatal(err)
-	}
+	// -report-json emits the typed sweep.Report as JSON — the same value a
+	// daemon serves from /v1/jobs/{id}/report (make ci's service smoke
+	// diffs them).
 	if err := dispatch("", "run", "dvfs", "-filter", "scale=0.5", "-report-json"); err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,54 @@ func TestRunReportModes(t *testing.T) {
 	if err := dispatch("", "run", "dvfs", "-json", "-report-json"); err == nil {
 		t.Error("-json with -report-json should error")
 	}
-	if err := dispatch("", "run", "dvfs", "-report", "-report-json"); err == nil {
-		t.Error("-report with -report-json should error")
+}
+
+// progressRe matches one -v progress line.
+var progressRe = regexp.MustCompile(`^gpowexp: \[\d+/\d+\] .* done$`)
+
+// runOutput runs one command line against remote ("" = in-process) and
+// returns its stdout and the progress lines of its stderr.
+func runOutput(t *testing.T, remote string, args ...string) (stdout []byte, progress []string) {
+	t.Helper()
+	var stderr []byte
+	stdout = capture(t, &os.Stdout, func() error {
+		stderr = capture(t, &os.Stderr, func() error { return dispatch(remote, args...) })
+		return nil
+	})
+	for _, line := range strings.Split(string(stderr), "\n") {
+		if progressRe.MatchString(line) {
+			progress = append(progress, line)
+		}
+	}
+	return stdout, progress
+}
+
+// A remote run prints what the local run of the same request prints: the
+// rendered report by default, the records with -json, the report JSON
+// with -report-json, and with -v the same [i/N] progress lines.
+func TestRemoteRunMatchesLocal(t *testing.T) {
+	m := service.NewManager(service.Options{MaxConcurrent: 1})
+	defer m.Close()
+	srv := httptest.NewServer(service.NewServer(m))
+	defer srv.Close()
+
+	const scenario, cells = "ablation-processnode", 5
+	for _, mode := range []string{"", "-json", "-report-json"} {
+		args := []string{"run", scenario, "-v"}
+		if mode != "" {
+			args = append(args, mode)
+		}
+		localOut, localProgress := runOutput(t, "", args...)
+		remoteOut, remoteProgress := runOutput(t, srv.URL, args...)
+		if len(localOut) == 0 || !bytes.Equal(remoteOut, localOut) {
+			t.Errorf("%q: remote stdout differs from local:\n got %s\nwant %s", mode, remoteOut, localOut)
+		}
+		if len(localProgress) != cells || !strings.HasPrefix(localProgress[cells-1], fmt.Sprintf("gpowexp: [%d/%d] ", cells, cells)) {
+			t.Errorf("%q: local progress lines %q, want %d ending at [%d/%d]", mode, localProgress, cells, cells, cells)
+		}
+		if !reflect.DeepEqual(remoteProgress, localProgress) {
+			t.Errorf("%q: remote progress lines differ from local:\n got %q\nwant %q", mode, remoteProgress, localProgress)
+		}
 	}
 }
 

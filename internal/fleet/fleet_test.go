@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -480,6 +481,67 @@ func TestRouterForwardsCancelTrailer(t *testing.T) {
 	want := strings.ReplaceAll(streamErr(&service.Client{Base: backend.srv.URL, HTTP: backend.srv.Client()}, bid), bid, st.ID)
 	if got := streamErr(c, st.ID); got != want {
 		t.Errorf("through the router StreamCells returned %q, directly %q", got, want)
+	}
+}
+
+// A backend that answers the proxied /cells with a 4xx after some lines
+// were forwarded ends the riding client's stream with the router's own
+// trailer, naming the line the stream stopped at, right after those lines.
+func TestRouterStreamInterruptedTrailer(t *testing.T) {
+	var lines [][]byte
+	for i := 0; i < 2; i++ {
+		b, _ := json.Marshal(&sweep.CellRecord{Scenario: testScenario, Index: i})
+		lines = append(lines, append(b, '\n'))
+	}
+	status := service.JobStatus{ID: "job-7", Scenario: testScenario, State: service.StateRunning, Cells: 5}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, service.HealthInfo{Status: "ok"})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusAccepted, status)
+	})
+	mux.HandleFunc("GET /v1/jobs/job-7", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, status)
+	})
+	mux.HandleFunc("GET /v1/jobs/job-7/cells", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("from") != "0" {
+			service.WriteError(w, http.StatusNotFound, errors.New("no job \"job-7\""))
+			return
+		}
+		// A clean end of stream while the job still runs: the router
+		// reconnects from line 2 and meets the 404.
+		for _, l := range lines {
+			_, _ = w.Write(l)
+		}
+	})
+	backend := httptest.NewServer(mux)
+	defer backend.Close()
+	rt, err := NewRouter(Options{
+		Backends:      []BackendSpec{{Name: "b0", URL: backend.URL}},
+		ProbeInterval: time.Hour,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rtSrv := httptest.NewServer(rt)
+	defer rtSrv.Close()
+
+	st, err := routerClient(rtSrv).Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := assignmentOf(t, rtSrv, st.ID); a.Backend != "b0" || a.BackendID != "job-7" {
+		t.Fatalf("assignment %+v, want b0/job-7", a)
+	}
+	trailer, _ := json.Marshal(map[string]string{
+		"error": `fleet: stream interrupted at line 2: service: no job "job-7" (HTTP 404)`,
+	})
+	want := append(bytes.Join(lines, nil), append(trailer, '\n')...)
+	if got := rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/jobs/"+st.ID+"/cells"); !bytes.Equal(got, want) {
+		t.Errorf("proxied stream:\n%s\nwant the forwarded lines, then:\n%s", got, trailer)
 	}
 }
 

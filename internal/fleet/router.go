@@ -186,12 +186,7 @@ func NewRouter(opts Options) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/jobs", rt.listJobs)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}", rt.jobStatus)
 	rt.mux.HandleFunc("DELETE /v1/jobs/{id}", rt.cancelJob)
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/cells", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStream(w, r, "cells")
-	})
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStream(w, r, "events")
-	})
+	rt.mux.HandleFunc("GET /v1/jobs/{id}/cells", rt.proxyStream)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/report", rt.jobReport)
 	rt.mux.HandleFunc("GET /v1/fleet", rt.fleetStatus)
 	rt.mux.HandleFunc("POST /v1/fleet/backends/{name}/drain", func(w http.ResponseWriter, r *http.Request) {
@@ -660,7 +655,7 @@ func (rt *Router) jobReport(w http.ResponseWriter, r *http.Request) {
 // faultpoint: the proxy must treat the backend as lost, not just resume.
 var errBackendDropped = fmt.Errorf("fleet: faultpoint dropped backend connection: %w", service.ErrSevered)
 
-// proxyStream serves a fleet job's NDJSON endpoint through the service
+// proxyStream serves a fleet job's NDJSON cell stream through the service
 // client's stream follower (service.Client.Follow): every attempt reads
 // from the job's current backend — wherever failover has moved it — with
 // ?from=<forwarded>, each complete line is forwarded verbatim as it
@@ -669,7 +664,7 @@ var errBackendDropped = fmt.Errorf("fleet: faultpoint dropped backend connection
 // the backend executing the job dies mid-sweep; deterministic
 // re-execution guarantees the resumed lines match what the lost backend
 // would have sent.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, endpoint string) {
+func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := rt.lookup(w, r)
 	if !ok {
 		return
@@ -695,7 +690,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, endpoint s
 		return b.client, bid
 	}
 	lost := func(err error) { rt.backendFailed(j, b, err) }
-	err = rt.streams.Follow(r.Context(), endpoint, from, at, lost, func(line []byte) error {
+	err = rt.streams.Follow(r.Context(), from, at, lost, func(line []byte) error {
 		if _, err := w.Write(line); err != nil {
 			return err
 		}

@@ -342,11 +342,10 @@ func (e *JobError) Error() string {
 // follow resumes from the next. Any other callback error ends the follow.
 var ErrSevered = errors.New("service: stream severed")
 
-// Follow follows a job's NDJSON endpoint ("cells" or "events") from line
-// from on, handing line every complete payload line, newline included,
-// exactly once and in order. Each connection attempt asks at which
-// client and job ID to read, so a job that moves between daemons is
-// followed to its new home. A broken connection, a torn last line, or a
+// Follow follows a job's NDJSON cell stream from line from on, handing
+// line every complete payload line, newline included, exactly once and
+// in order. Each connection attempt asks at which client and job ID to
+// read, so a job that moves between daemons is followed to its new home. A broken connection, a torn last line, or a
 // clean end of stream before the job is done (a draining daemon ends its
 // streams early) counts as a failed attempt: lost, when non-nil, sees its
 // error, and after c's jittered backoff the follow reconnects with
@@ -357,12 +356,12 @@ var ErrSevered = errors.New("service: stream severed")
 // *JobError once it failed or was canceled, and otherwise the first error
 // resumption cannot fix: a 4xx response, a callback error, the context's
 // error, or the last failure when patience runs out.
-func (c *Client) Follow(ctx context.Context, endpoint string, from int, at func() (*Client, string), lost func(error), line func([]byte) error) error {
+func (c *Client) Follow(ctx context.Context, from int, at func() (*Client, string), lost func(error), line func([]byte) error) error {
 	delivered, failures := from, 0
 	for {
 		before := delivered
 		cl, id := at()
-		err := cl.followOnce(ctx, id, endpoint, &delivered, line)
+		err := cl.followOnce(ctx, id, &delivered, line)
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			return perm.err
@@ -395,7 +394,7 @@ func (c *Client) Follow(ctx context.Context, endpoint string, from int, at func(
 			lost(err)
 		}
 		d := c.backoff(max(failures-1, 0))
-		c.logf("service: job %s %s stream: %v; resuming from line %d in %v", id, endpoint, err, delivered, d)
+		c.logf("service: job %s cells stream: %v; resuming from line %d in %v", id, err, delivered, d)
 		if serr := sleepBounded(ctx, d); serr != nil {
 			return errors.Join(serr, err)
 		}
@@ -406,9 +405,9 @@ func (c *Client) Follow(ctx context.Context, endpoint string, from int, at func(
 // *delivered per line handed to fn. A nil return is this connection's
 // clean end (not necessarily the stream's); an error not wrapped in
 // *permanentError means "reconnect and resume".
-func (c *Client) followOnce(ctx context.Context, id, endpoint string, delivered *int, fn func([]byte) error) error {
+func (c *Client) followOnce(ctx context.Context, id string, delivered *int, fn func([]byte) error) error {
 	resp, err := c.do(ctx, http.MethodGet,
-		fmt.Sprintf("/v1/jobs/%s/%s?from=%d", id, endpoint, *delivered), nil, "")
+		fmt.Sprintf("/v1/jobs/%s/cells?from=%d", id, *delivered), nil, "")
 	if err != nil {
 		return err
 	}
@@ -428,7 +427,7 @@ func (c *Client) followOnce(ctx context.Context, id, endpoint string, delivered 
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return fmt.Errorf("service: reading job %s %s stream: %w", id, endpoint, err)
+			return fmt.Errorf("service: reading job %s cells stream: %w", id, err)
 		}
 		// Each line is either a payload or the terminal error trailer;
 		// payloads never carry an "error" key.
@@ -454,32 +453,12 @@ func (c *Client) followOnce(ctx context.Context, id, endpoint string, delivered 
 // restarts. It returns when the job's stream is complete, fn errors, or
 // the job terminates without finishing.
 func (c *Client) StreamCells(ctx context.Context, id string, fn func(*sweep.CellRecord) error) error {
-	return c.Follow(ctx, "cells", 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
+	return c.Follow(ctx, 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
 		var rec sweep.CellRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("service: decoding cell record: %w", err)
 		}
 		return fn(&rec)
-	})
-}
-
-// StreamEvents follows a job's NDJSON progress-event stream, invoking fn
-// for every sweep.Progress event in plan order (each embeds the completed
-// cell's record plus done/total counters), with the same resumption
-// semantics as StreamCells.
-func (c *Client) StreamEvents(ctx context.Context, id string, fn func(*sweep.Progress) error) error {
-	return c.Follow(ctx, "events", 0, func() (*Client, string) { return c, id }, nil, func(line []byte) error {
-		var pr sweep.Progress
-		if err := json.Unmarshal(line, &pr); err != nil {
-			return fmt.Errorf("service: decoding progress event: %w", err)
-		}
-		if pr.Cell == nil {
-			// Every real event embeds its cell record; a line without one
-			// (version skew, stray keepalive) is a protocol error, not
-			// something to hand consumers who will dereference the cell.
-			return fmt.Errorf("service: job %s: malformed progress event (no cell record)", id)
-		}
-		return fn(&pr)
 	})
 }
 

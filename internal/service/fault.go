@@ -13,8 +13,7 @@ import (
 // GPUSIMPOW_FAULTPOINT environment variable arms one faultpoint:
 //
 //	<name>                 fire once, on the 1st hit
-//	<name>:<skip>          fire once, on the (skip+1)-th hit (legacy form)
-//	<name>:skip=N          same, spelled out
+//	<name>:skip=N          fire once, on the (N+1)-th hit
 //	<name>:times=M         fire on hits 1..M
 //	<name>:skip=N:times=M  fire on hits N+1..N+M
 //
@@ -30,7 +29,7 @@ const (
 	// FaultCrashAfterRecord kills the process right after a job publishes
 	// a cell record: mid-stream, with nothing cleaned up.
 	FaultCrashAfterRecord = "crash-after-record"
-	// FaultDropConnectionMidStream severs a /cells or /events response
+	// FaultDropConnectionMidStream severs a /cells response
 	// after a line has been flushed, exercising client stream resumption.
 	FaultDropConnectionMidStream = "drop-connection-mid-stream"
 	// FaultPanicInReduce panics inside the scenario's Reduce hook,
@@ -90,20 +89,8 @@ func parseFaultSpec(spec string) (fs faultSpec, ok bool) {
 		return faultSpec{}, false
 	}
 	fs = faultSpec{name: parts[0], times: 1}
-	for i, p := range parts[1:] {
-		key, val, hasEq := strings.Cut(p, "=")
-		if !hasEq {
-			// Legacy bare-number form, only valid as the sole option.
-			if i != 0 || len(parts) != 2 {
-				return faultSpec{}, false
-			}
-			n, err := strconv.Atoi(p)
-			if err != nil || n < 0 {
-				return faultSpec{}, false
-			}
-			fs.skip = n
-			return fs, true
-		}
+	for _, p := range parts[1:] {
+		key, val, _ := strings.Cut(p, "=")
 		n, err := strconv.Atoi(val)
 		if err != nil {
 			return faultSpec{}, false

@@ -14,19 +14,19 @@ func TestParseFaultSpec(t *testing.T) {
 		ok   bool
 	}{
 		{"crash-after-record", faultSpec{"crash-after-record", 0, 1}, true},
-		{"crash-after-record:3", faultSpec{"crash-after-record", 3, 1}, true},
 		{"blackhole-probe:skip=2", faultSpec{"blackhole-probe", 2, 1}, true},
 		{"blackhole-probe:times=4", faultSpec{"blackhole-probe", 0, 4}, true},
 		{"sever-proxied-stream:skip=1:times=2", faultSpec{"sever-proxied-stream", 1, 2}, true},
 		{"sever-proxied-stream:times=2:skip=1", faultSpec{"sever-proxied-stream", 1, 2}, true},
 		{"", faultSpec{}, false},
 		{":skip=1", faultSpec{}, false},
+		{"crash-after-record:3", faultSpec{}, false}, // bare skip count: spell it skip=3
 		{"name:-1", faultSpec{}, false},
 		{"name:skip=-1", faultSpec{}, false},
 		{"name:times=0", faultSpec{}, false},
 		{"name:times=x", faultSpec{}, false},
 		{"name:bogus=1", faultSpec{}, false},
-		{"name:3:times=2", faultSpec{}, false}, // legacy bare number cannot mix
+		{"name:3:times=2", faultSpec{}, false},
 		{"name:skip=1:2", faultSpec{}, false},
 	}
 	for _, c := range cases {

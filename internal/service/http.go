@@ -20,7 +20,6 @@ import (
 //	GET    /v1/jobs/{id}        one job's status
 //	DELETE /v1/jobs/{id}        cancel (idempotent) -> JobStatus
 //	GET    /v1/jobs/{id}/cells  NDJSON stream of CellRecords in plan order
-//	GET    /v1/jobs/{id}/events NDJSON stream of Progress events in plan order
 //	GET    /v1/jobs/{id}/report the scenario's reduced sweep.Report (JSON)
 //
 // Submissions may carry an Idempotency-Key header: retrying the same key
@@ -29,10 +28,10 @@ import (
 // safe. Admission rejections are 429 with a Retry-After; a draining
 // daemon answers 503 with a Retry-After.
 //
-// The cells and events streams follow a running job live: each line is one
-// sweep.CellRecord (resp. sweep.Progress, which embeds the completed
-// cell's record plus done/total counters), flushed as the cell completes,
-// always in plan order. A ?from=N query skips the first N lines — the
+// The cells stream follows a running job live: each line is one
+// sweep.CellRecord, flushed as the cell completes, always in plan order;
+// line i is cell i, so a reader's progress is its line count over the
+// status's Cells. A ?from=N query skips the first N lines — the
 // resumption handle a client that lost its connection after N lines
 // replays from, exact because records are placed by plan index. If the job fails or is canceled
 // mid-stream, a final {"error": "..."} line terminates the stream.
@@ -51,7 +50,6 @@ func NewServer(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.jobStatus)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancelJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/cells", s.jobCells)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.jobEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/report", s.jobReport)
 	return mux
 }
@@ -184,31 +182,10 @@ func (s *server) cancelJob(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, j.Status())
 }
 
+// jobCells serves a job's NDJSON cell stream (see NewServer): line i is
+// cell i's record, written as soon as WaitCell yields it, and a
+// failed/canceled job's stream ends with its {"error": ...} line.
 func (s *server) jobCells(w http.ResponseWriter, r *http.Request) {
-	s.streamJob(w, r, func(j *Job, i int) (any, JobState, string) {
-		rec, state, errMsg := j.WaitCell(r.Context(), i)
-		if rec == nil {
-			return nil, state, errMsg
-		}
-		return rec, state, ""
-	})
-}
-
-func (s *server) jobEvents(w http.ResponseWriter, r *http.Request) {
-	s.streamJob(w, r, func(j *Job, i int) (any, JobState, string) {
-		pr, state, errMsg := j.WaitEvent(r.Context(), i)
-		if pr == nil {
-			return nil, state, errMsg
-		}
-		return pr, state, ""
-	})
-}
-
-// streamJob drives one NDJSON stream over a job: next(j, i) blocks for the
-// i-th line's payload (nil once the stream is exhausted or the context
-// dies), and a failed/canceled job terminates the stream with an
-// {"error": ...} line. ?from=N starts at line N, serving resumption.
-func (s *server) streamJob(w http.ResponseWriter, r *http.Request, next func(*Job, int) (any, JobState, string)) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
@@ -229,14 +206,14 @@ func (s *server) streamJob(w http.ResponseWriter, r *http.Request, next func(*Jo
 	}
 	enc := json.NewEncoder(w)
 	for i := from; ; i++ {
-		line, state, errMsg := next(j, i)
-		if line == nil {
+		rec, state, errMsg := j.WaitCell(r.Context(), i)
+		if rec == nil {
 			if state == StateFailed || state == StateCanceled {
 				_ = enc.Encode(map[string]string{"error": errMsg})
 			}
 			return
 		}
-		if err := enc.Encode(line); err != nil {
+		if err := enc.Encode(rec); err != nil {
 			return // client went away
 		}
 		if flusher != nil {

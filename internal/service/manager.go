@@ -126,7 +126,7 @@ type JobStatus struct {
 
 // Job is one submitted sweep. Its progress is not state of its own: the
 // plan and the count of streamed records determine every progress figure
-// its status and events report.
+// its status reports.
 type Job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -277,20 +277,6 @@ func (j *Job) WaitCell(ctx context.Context, i int) (*sweep.CellRecord, JobState,
 		return nil, j.state, err.Error()
 	}
 	return nil, j.state, j.err
-}
-
-// WaitEvent is WaitCell's progress-event analogue: it blocks until cell
-// i's record is available and wraps it in the plan's structured
-// sweep.Progress event (done/total counters, timing-run count) — what
-// GET /v1/jobs/{id}/events streams, and what the in-process progress
-// observer receives for the same cell.
-func (j *Job) WaitEvent(ctx context.Context, i int) (*sweep.Progress, JobState, string) {
-	rec, state, errMsg := j.WaitCell(ctx, i)
-	if rec == nil {
-		return nil, state, errMsg
-	}
-	pr := j.plan.Progress(i+1, rec)
-	return &pr, state, ""
 }
 
 // Records snapshots the job's streamed cell records, in plan order.

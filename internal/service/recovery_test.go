@@ -174,25 +174,25 @@ func TestRecoverTerminalJobIntact(t *testing.T) {
 	}
 }
 
-// eventDone reads every event of a finished job and returns their done
-// counters, in plan order.
+// eventDone reads every record of a finished job and returns the done
+// counter each one's progress line carries (its index + 1), in plan order.
 func eventDone(t *testing.T, j *Job) []int {
 	t.Helper()
 	var out []int
 	for i := 0; ; i++ {
-		pr, _, errMsg := j.WaitEvent(context.Background(), i)
-		if pr == nil {
+		rec, _, errMsg := j.WaitCell(context.Background(), i)
+		if rec == nil {
 			if errMsg != "" {
-				t.Fatalf("event %d: %s", i, errMsg)
+				t.Fatalf("record %d: %s", i, errMsg)
 			}
 			return out
 		}
-		out = append(out, pr.Done)
+		out = append(out, rec.Index+1)
 	}
 }
 
 // A done job recovered after a restart reports the progress it reported
-// before it: every event carries the same done counter, and the status
+// before it: every record carries the same done counter, and the status
 // the same done cell count.
 func TestRecoveredJobProgress(t *testing.T) {
 	dir := t.TempDir()

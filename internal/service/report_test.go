@@ -1,11 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -64,110 +61,6 @@ func waitDone(t *testing.T, j *Job) *Job {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return j
-}
-
-// The events stream: one Progress per cell in plan order, done counters
-// incrementing to the cell count, each event embedding the same record the
-// cells stream carries.
-func TestJobEventsStream(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1, MaxQueued: 4})
-	defer m.Close()
-	srv := httptest.NewServer(NewServer(m))
-	defer srv.Close()
-	c := &Client{Base: srv.URL, HTTP: srv.Client()}
-	ctx := context.Background()
-
-	st, err := c.Submit(ctx, sweep.JobRequest{Scenario: "ablation-processnode"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []*sweep.Progress
-	if err := c.StreamEvents(ctx, st.ID, func(pr *sweep.Progress) error {
-		events = append(events, pr)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 5 {
-		t.Fatalf("streamed %d events, want 5", len(events))
-	}
-	for i, pr := range events {
-		if pr.Done != i+1 || pr.Total != 5 || pr.TimingRuns != 1 || pr.Scenario != "ablation-processnode" {
-			t.Errorf("event %d: %+v", i, pr)
-		}
-		if pr.Cell == nil || pr.Cell.Index != i {
-			t.Errorf("event %d embeds cell %+v", i, pr.Cell)
-		}
-	}
-
-	// The embedded records are the cells stream's records, verbatim.
-	var recs []*sweep.CellRecord
-	if err := c.StreamCells(ctx, st.ID, func(r *sweep.CellRecord) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(events[i].Cell, recs[i]) {
-			t.Errorf("event %d cell diverges from cells stream", i)
-		}
-	}
-
-	// A canceled job's events stream terminates with the error line.
-	blockArm()
-	defer blockOpen()
-	bst, err := c.Submit(ctx, sweep.JobRequest{Scenario: "svcblock"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Cancel(ctx, bst.ID); err != nil {
-		t.Fatal(err)
-	}
-	blockOpen()
-	if err := c.StreamEvents(ctx, bst.ID, func(*sweep.Progress) error { return nil }); err == nil {
-		t.Error("canceled job's events stream should surface the terminal error")
-	}
-}
-
-// The in-process progress hook and the daemon's events stream carry the
-// same events: for one request, the hook's events JSON-encoded are the
-// /v1/jobs/{id}/events body byte for byte.
-func TestEventsMatchInProcessProgress(t *testing.T) {
-	const scenario = "ablation-processnode"
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	sweep.SetProgress(func(pr sweep.Progress) {
-		if err := enc.Encode(pr); err != nil {
-			t.Error(err)
-		}
-	})
-	_, err := sweep.BuildReport(scenario, nil)
-	sweep.SetProgress(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := NewManager(Options{MaxConcurrent: 1})
-	defer m.Close()
-	srv := httptest.NewServer(NewServer(m))
-	defer srv.Close()
-	j, err := m.Submit(sweep.JobRequest{Scenario: scenario})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + j.ID() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("daemon events differ from in-process progress:\n got %s\nwant %s", got, want.Bytes())
-	}
 }
 
 // The report endpoint: 409 while unfinished, the reduced report once done,

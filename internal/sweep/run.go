@@ -34,45 +34,17 @@ type CellResult struct {
 	Units []UnitResult
 }
 
-// Progress is one structured cell-completion event: a wire-representable
-// snapshot of how far a sweep has come, carrying the completed cell's
-// record rather than pointers into plan internals. Events arrive
-// serialized and in plan order.
-type Progress struct {
-	// Scenario is the running spec's name.
-	Scenario string `json:"scenario"`
-	// Done and Total count completed and planned cells.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// TimingRuns is the plan's timing-group count.
-	TimingRuns int `json:"timingRuns"`
-	// Cell is the just-completed cell's record.
-	Cell *CellRecord `json:"cell"`
-}
-
-// Progress builds the event for the done-th completed cell in plan order,
-// whose record is rec — the one constructor behind both the in-process
-// observer and the service's events stream, so the two carry the same
-// event for the same cell.
-func (p *Plan) Progress(done int, rec *CellRecord) Progress {
-	return Progress{
-		Scenario:   p.Spec.Name,
-		Done:       done,
-		Total:      len(p.Cells),
-		TimingRuns: len(p.Groups),
-		Cell:       rec,
-	}
-}
-
 // progressHook is an optional process-wide observer of cell completions,
 // installed by front-ends (cmd/gpowexp -v) to surface sweep progress
-// without threading a callback through every scenario's reduction.
-// Like Run's stream callback, it is invoked serialized and in plan order.
-var progressHook atomic.Pointer[func(Progress)]
+// without threading a callback through every scenario's reduction. It
+// receives the plan's cell count and the completed cell's record — the
+// record a gpowd job streams on /cells for the same cell. Like Run's
+// stream callback, it is invoked serialized and in plan order.
+var progressHook atomic.Pointer[func(total int, rec *CellRecord)]
 
 // SetProgress installs (or, with nil, removes) the process-wide progress
 // observer.
-func SetProgress(fn func(Progress)) {
+func SetProgress(fn func(total int, rec *CellRecord)) {
 	if fn == nil {
 		progressHook.Store(nil)
 		return
@@ -170,7 +142,7 @@ func (e *emitter) done(r *CellResult) error {
 			e.stream(cr)
 		}
 		if hook != nil {
-			(*hook)(e.plan.Progress(e.next+1, e.plan.Record(cr)))
+			(*hook)(len(e.plan.Cells), e.plan.Record(cr))
 		}
 		e.next++
 	}

@@ -146,33 +146,35 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// Structured progress events arrive serialized, in plan order, with
-// monotonically complete counters.
+// Progress events arrive serialized, in plan order, each with the plan's
+// cell count and the completed cell's record.
 func TestProgressEvents(t *testing.T) {
-	var events []Progress
-	SetProgress(func(pr Progress) { events = append(events, pr) })
+	var totals []int
+	var recs []*CellRecord
+	SetProgress(func(total int, rec *CellRecord) {
+		totals = append(totals, total)
+		recs = append(recs, rec)
+	})
 	defer SetProgress(nil)
 
 	p, err := runSpec(2004).Plan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(nil); err != nil {
+	results, err := p.Run(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(p.Cells) {
-		t.Fatalf("%d progress events, want %d", len(events), len(p.Cells))
+	if len(recs) != len(p.Cells) {
+		t.Fatalf("%d progress events, want %d", len(recs), len(p.Cells))
 	}
-	for i, pr := range events {
-		if pr.Done != i+1 || pr.Total != len(p.Cells) || pr.TimingRuns != p.TimingRuns() {
-			t.Errorf("event %d counters %+v", i, pr)
+	for i, rec := range recs {
+		if totals[i] != len(p.Cells) {
+			t.Errorf("event %d total %d, want %d", i, totals[i], len(p.Cells))
 		}
-		if pr.Cell == nil || pr.Cell.Index != i {
-			t.Fatalf("event %d carries wrong cell: %+v", i, pr.Cell)
+		if !reflect.DeepEqual(rec, p.Record(results[i])) {
+			t.Fatalf("event %d carries %+v, want cell %d's record", i, rec, i)
 		}
-	}
-	if last := events[len(events)-1]; last.Done != last.Total {
-		t.Errorf("final event %d/%d, want every cell done", last.Done, last.Total)
 	}
 }
 
@@ -185,37 +187,5 @@ func TestRunContextCancel(t *testing.T) {
 	cancel()
 	if _, err := p.RunContext(ctx, nil); err == nil {
 		t.Error("canceled context should abort the run")
-	}
-}
-
-// Progress events round-trip through JSON unchanged — they are the
-// payload of the service's NDJSON event stream, where a resuming client
-// re-reads previously delivered lines and must see identical values.
-func TestProgressRoundTrip(t *testing.T) {
-	in := Progress{
-		Scenario:   "wireprobe",
-		Done:       3,
-		Total:      5,
-		TimingRuns: 2,
-		Cell: &CellRecord{
-			Scenario:   "wireprobe",
-			Index:      2,
-			Coords:     []Coord{{Axis: "gpu", Value: "GT240"}},
-			Config:     "GT240",
-			Workload:   "probe",
-			ClockScale: 1,
-			Units:      []UnitRecord{},
-		},
-	}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Progress
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip changed the event:\n %+v\n-> %+v", in, out)
 	}
 }

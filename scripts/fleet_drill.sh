@@ -73,7 +73,7 @@ require_faultpoint crash-after-record
 
 start_backend() { # name port logfile [env armed]
     if [ "${4:-}" = armed ]; then
-        GPUSIMPOW_FAULTPOINT=crash-after-record:1 \
+        GPUSIMPOW_FAULTPOINT=crash-after-record:skip=1 \
             "$tmp/gpowd" -addr "127.0.0.1:$2" -state-dir "$tmp/state-$1" 2>"$3" &
     else
         "$tmp/gpowd" -addr "127.0.0.1:$2" -state-dir "$tmp/state-$1" 2>"$3" &

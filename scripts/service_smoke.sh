@@ -2,9 +2,10 @@
 # Service smoke test for `make ci`: build the daemon and the experiment
 # CLI, start gpowd on an ephemeral loopback port, run the cheapest sweep
 # scenario both in-process and through the daemon, and diff (1) the
-# streamed NDJSON cell records and (2) the reduced report JSON
+# streamed NDJSON cell records, (2) the reduced report JSON
 # (in-process sweep.BuildReport vs the daemon's GET
-# /v1/jobs/{id}/report) byte for byte. The two paths share one wire
+# /v1/jobs/{id}/report), (3) the rendered report and (4) the -v
+# progress lines byte for byte. The two paths share one wire
 # layer (internal/sweep CellRecord / Report) and one determinism
 # contract, so any difference is a bug.
 set -eu
@@ -43,11 +44,19 @@ if ! diff "$tmp/local-report.json" "$tmp/remote-report.json"; then
     exit 1
 fi
 
-"$tmp/gpowexp" run "$scenario" -report >"$tmp/local-report.txt"
-"$tmp/gpowexp" -remote "$addr" run "$scenario" -report >"$tmp/remote-report.txt"
+"$tmp/gpowexp" run "$scenario" -v >"$tmp/local-report.txt" 2>"$tmp/local.err"
+"$tmp/gpowexp" -remote "$addr" run "$scenario" -v >"$tmp/remote-report.txt" 2>"$tmp/remote.err"
 
 if ! diff "$tmp/local-report.txt" "$tmp/remote-report.txt"; then
     echo "service smoke: FAIL — rendered remote report diverges from in-process rendering" >&2
     exit 1
 fi
-echo "service smoke: OK — $scenario: $(wc -l <"$tmp/local.ndjson") cell record(s) + reduced report identical in-process and via $addr"
+
+progress='^gpowexp: \[[0-9][0-9]*/[0-9][0-9]*\] .* done$'
+grep "$progress" "$tmp/local.err" >"$tmp/local.progress" || true
+grep "$progress" "$tmp/remote.err" >"$tmp/remote.progress" || true
+if [ ! -s "$tmp/local.progress" ] || ! diff "$tmp/local.progress" "$tmp/remote.progress"; then
+    echo "service smoke: FAIL — remote -v progress lines diverge from in-process ones" >&2
+    exit 1
+fi
+echo "service smoke: OK — $scenario: $(wc -l <"$tmp/local.ndjson") cell record(s), reduced report and progress lines identical in-process and via $addr"
