@@ -50,7 +50,9 @@ ci-restart:
 # job's ring-owner backend mid-run via faultpoint, and prove the riding
 # client's NDJSON and the failed-over job's report match an
 # uninterrupted single-node run byte for byte; then drain a backend and
-# prove it takes no new work while still serving its existing jobs
+# prove it takes no new work while still serving its existing jobs; then
+# restart a backend without -state-dir mid-job and prove the router's
+# 404 re-dispatch brings the client the same bytes
 # (see scripts/fleet_drill.sh, docs/FLEET.md).
 ci-fleet:
 	./scripts/fleet_drill.sh

@@ -16,12 +16,12 @@
 // spills timing results to disk so daemon restarts replay instead of
 // re-simulating.
 //
-// -state-dir makes jobs durable: submissions, state transitions (with a
-// completed job's record count and digest) and the ETA calibration are
-// kept there. A restarted daemon's completed jobs re-derive their records
-// on first use and serve them only if they match the digest, queued jobs
-// re-enqueue in submit order, and jobs the previous process was running
-// re-execute bit-identically (see docs/SERVICE.md). On SIGTERM/SIGINT the
+// -state-dir makes jobs durable: submissions and state transitions (with
+// a completed job's record count and digest) are kept there. A restarted
+// daemon's completed jobs re-derive their records on first use and serve
+// them only if they match the digest, queued jobs re-enqueue in submit
+// order, and jobs the previous process was running re-execute
+// bit-identically (see docs/SERVICE.md). On SIGTERM/SIGINT the
 // daemon drains: it stops admitting (503), gives running jobs
 // -drain-timeout to finish, then checkpoints the stragglers as
 // interrupted for the next process.

@@ -396,11 +396,13 @@ func TestRedispatchExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, c, st.ID)
-	from := assignmentOf(t, rtSrv, st.ID).Backend
+	a := assignmentOf(t, rtSrv, st.ID)
+	from := a.Backend
 
 	rt.mu.Lock()
 	j := rt.jobs[st.ID]
 	rt.mu.Unlock()
+	rt.backends[from].markDead() // as every failover finds it
 
 	var moved atomic.Int32
 	var wg sync.WaitGroup
@@ -408,7 +410,7 @@ func TestRedispatchExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if rt.redispatch(j, from) {
+			if rt.redispatch(j, from, a.BackendID) {
 				moved.Add(1)
 			}
 		}()
@@ -484,64 +486,296 @@ func TestRouterForwardsCancelTrailer(t *testing.T) {
 	}
 }
 
-// A backend that answers the proxied /cells with a 4xx after some lines
-// were forwarded ends the riding client's stream with the router's own
-// trailer, naming the line the stream stopped at, right after those lines.
-func TestRouterStreamInterruptedTrailer(t *testing.T) {
-	var lines [][]byte
-	for i := 0; i < 2; i++ {
-		b, _ := json.Marshal(&sweep.CellRecord{Scenario: testScenario, Index: i})
-		lines = append(lines, append(b, '\n'))
-	}
+// lostJobBackend fakes a backend that loses its one job, job-7, mid-stream
+// (a daemon restarted without -state-dir): every /cells?from=0 sends lines
+// and ends cleanly while the job still runs, and from then on the job's
+// status and its cells at any other offset answer 404. Unless retakes is set, it accepts the
+// router's first submission only and re-submissions answer 503, so a
+// re-dispatch has to look elsewhere; with retakes it accepts each
+// re-submission as job-7 and loses it again.
+func lostJobBackend(t *testing.T, lines [][]byte, retakes bool) *httptest.Server {
 	status := service.JobStatus{ID: "job-7", Scenario: testScenario, State: service.StateRunning, Cells: 5}
+	var submits atomic.Int32
+	var lost atomic.Bool
+	gone := func(w http.ResponseWriter) {
+		service.WriteError(w, http.StatusNotFound, errors.New("no job \"job-7\""))
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, service.HealthInfo{Status: "ok"})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if submits.Add(1) > 1 && !retakes {
+			service.WriteError(w, http.StatusServiceUnavailable, service.ErrDraining)
+			return
+		}
+		lost.Store(false)
 		service.WriteJSON(w, http.StatusAccepted, status)
 	})
 	mux.HandleFunc("GET /v1/jobs/job-7", func(w http.ResponseWriter, r *http.Request) {
+		if lost.Load() {
+			gone(w)
+			return
+		}
 		service.WriteJSON(w, http.StatusOK, status)
 	})
 	mux.HandleFunc("GET /v1/jobs/job-7/cells", func(w http.ResponseWriter, r *http.Request) {
+		defer lost.Store(true)
 		if r.URL.Query().Get("from") != "0" {
-			service.WriteError(w, http.StatusNotFound, errors.New("no job \"job-7\""))
+			gone(w)
 			return
 		}
-		// A clean end of stream while the job still runs: the router
-		// reconnects from line 2 and meets the 404.
 		for _, l := range lines {
 			_, _ = w.Write(l)
 		}
 	})
-	backend := httptest.NewServer(mux)
-	defer backend.Close()
-	rt, err := NewRouter(Options{
-		Backends:      []BackendSpec{{Name: "b0", URL: backend.URL}},
-		ProbeInterval: time.Hour,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rtSrv := httptest.NewServer(rt)
-	defer rtSrv.Close()
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
 
-	st, err := routerClient(rtSrv).Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+// newRouter starts a router over the given backends. Its probe loop stays
+// idle, so only its first probe round, which marks an unreachable backend
+// dead, and the requests decide a backend's fate.
+func newRouter(t *testing.T, specs ...BackendSpec) *httptest.Server {
+	rt, err := NewRouter(Options{Backends: specs, ProbeInterval: time.Hour, ProbeFails: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := assignmentOf(t, rtSrv, st.ID); a.Backend != "b0" || a.BackendID != "job-7" {
-		t.Fatalf("assignment %+v, want b0/job-7", a)
-	}
-	trailer, _ := json.Marshal(map[string]string{
-		"error": `fleet: stream interrupted at line 2: service: no job "job-7" (HTTP 404)`,
+	srv := httptest.NewServer(rt)
+	t.Cleanup(func() {
+		srv.Close()
+		rt.Close()
 	})
-	want := append(bytes.Join(lines, nil), append(trailer, '\n')...)
+	return srv
+}
+
+// A backend that answers 404 for the job it was assigned has lost it: the
+// router re-submits that job under its idempotency key, here to the real
+// backend beside it, and follows it there from the line it reached. The
+// riding client gets every record, byte-identical to a single-node run.
+func TestRouterRedispatchesLostJob(t *testing.T) {
+	m := service.NewManager(service.Options{MaxConcurrent: 2})
+	defer m.Close()
+	live := httptest.NewServer(service.NewServer(m))
+	defer live.Close()
+	direct := &service.Client{Base: live.URL, HTTP: live.Client()}
+	req := sweep.JobRequest{Scenario: testScenario}
+	refSt, err := direct.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, direct, refSt.ID)
+	want := rawStream(t, live.Client(), live.URL+"/v1/jobs/"+refSt.ID+"/cells")
+	lines := bytes.SplitAfter(want, []byte("\n"))[:2]
+
+	// The fake takes the ring owner's name, so the job lands on it first.
+	_, owner, err := Owner([]string{"b0", "b1"}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := map[string]string{"b0": "b1", "b1": "b0"}[owner]
+	fake := lostJobBackend(t, lines, false)
+	rtSrv := newRouter(t, BackendSpec{Name: owner, URL: fake.URL}, BackendSpec{Name: other, URL: live.URL})
+
+	st, err := routerClient(rtSrv).Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := assignmentOf(t, rtSrv, st.ID); a.Backend != owner || a.BackendID != "job-7" {
+		t.Fatalf("assignment %+v, want %s/job-7", a, owner)
+	}
 	if got := rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/jobs/"+st.ID+"/cells"); !bytes.Equal(got, want) {
-		t.Errorf("proxied stream:\n%s\nwant the forwarded lines, then:\n%s", got, trailer)
+		t.Errorf("stream through the lost job's re-dispatch:\n%s\nwant the single-node run:\n%s", got, want)
+	}
+	if a := assignmentOf(t, rtSrv, st.ID); a.Backend != other {
+		t.Errorf("job left on %s after its backend lost it, want it on %s", a.Backend, other)
+	}
+}
+
+// A backend restarted without -state-dir numbers its jobs from job-1
+// again. Re-dispatching one lost job there reissues an ID another fleet
+// job still records: the router re-dispatches that job as well, so each
+// fleet job keeps serving its own request's records, byte-identical to
+// the run before the restart.
+func TestRouterReissuedBackendJobID(t *testing.T) {
+	var live atomic.Value // the http.Handler of the backend's current process
+	start := func() *service.Manager {
+		m := service.NewManager(service.Options{MaxConcurrent: 2})
+		t.Cleanup(m.Close)
+		live.Store(service.NewServer(m))
+		return m
+	}
+	start()
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: backend.URL})
+	c := routerClient(rtSrv)
+
+	scenarios := []string{testScenario, "fleetblock"}
+	var ids []string
+	want := map[string][]byte{}
+	for _, sc := range scenarios {
+		st, err := c.Submit(context.Background(), sweep.JobRequest{Scenario: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, c, st.ID)
+		ids = append(ids, st.ID)
+		want[st.ID] = rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/jobs/"+st.ID+"/cells")
+	}
+
+	m := start() // the restart: same address, no state
+	// Reading the second job first re-dispatches it as the new job-1,
+	// the ID the first fleet job still records.
+	for i := len(ids) - 1; i >= 0; i-- {
+		st, err := c.Job(context.Background(), ids[i])
+		if err != nil {
+			t.Fatalf("status of %s after the restart: %v", ids[i], err)
+		}
+		if st.Scenario != scenarios[i] {
+			t.Errorf("%s reads as a %s job, want %s", ids[i], st.Scenario, scenarios[i])
+		}
+	}
+	for _, id := range ids {
+		waitDone(t, c, id)
+		if got := rawStream(t, rtSrv.Client(), rtSrv.URL+"/v1/jobs/"+id+"/cells"); !bytes.Equal(got, want[id]) {
+			t.Errorf("%s after the restart streams other bytes than before it:\n%s", id, got)
+		}
+	}
+	if n := len(m.Jobs()); n != len(ids) {
+		t.Errorf("restarted backend holds %d jobs, want %d", n, len(ids))
+	}
+}
+
+// A job its backend pruned answers 410 there and stays pruned: reading it
+// through the router does not run it again.
+func TestRouterLeavesPrunedJob(t *testing.T) {
+	gate := make(chan struct{})
+	blockGate.Store(&gate)
+	var once sync.Once
+	open := func() {
+		once.Do(func() {
+			blockGate.Store(nil)
+			close(gate)
+		})
+	}
+	m := service.NewManager(service.Options{MaxConcurrent: 1, RetainJobs: 1})
+	defer m.Close()
+	defer open()
+	backend := httptest.NewServer(service.NewServer(m))
+	defer backend.Close()
+	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: backend.URL})
+	c := routerClient(rtSrv)
+	ctx := context.Background()
+
+	// A fleetblock job holds the one worker, so the routed job queues
+	// and the cancel catches it.
+	if _, err := m.Submit(sweep.JobRequest{Scenario: "fleetblock"}); err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(ctx, canceled.ID); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	later, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario, Label: "later"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, later.ID)
+
+	bid := assignmentOf(t, rtSrv, canceled.ID).BackendID
+	var env map[string]string
+	if code := callJSON(t, backend, http.MethodGet, "/v1/jobs/"+bid, &env); code != http.StatusGone {
+		t.Errorf("backend answers HTTP %d for the pruned %s, want 410", code, bid)
+	}
+	if st, err := c.Job(ctx, canceled.ID); err == nil {
+		t.Errorf("status of the pruned job through the router = %+v, want an error", st)
+	}
+	var rows []service.JobStatus
+	callJSON(t, rtSrv, http.MethodGet, "/v1/jobs", &rows)
+	if len(rows) != 2 || rows[0].State != service.StateInterrupted || rows[1].State != service.StateDone {
+		t.Errorf("router's job list %+v, want the pruned job interrupted and the later one done", rows)
+	}
+	if sts := m.Statuses(); len(sts) != 1 || sts[0].Label != "later" {
+		t.Errorf("backend holds %+v after the pruned job was read, want only the later job", sts)
+	}
+}
+
+// A router that cannot resume a stream aborts the connection instead of
+// inventing an {"error": ...} trailer: the riding client sees a broken
+// stream, resumes under its own patience, and when that runs out returns
+// an error that is not the job's outcome. That holds whether no backend
+// takes the lost job back or its new home loses it again before a line
+// comes through.
+func TestRouterAbortsStreamItCannotResume(t *testing.T) {
+	var lines [][]byte
+	for i := 0; i < 2; i++ {
+		b, _ := json.Marshal(&sweep.CellRecord{Scenario: testScenario, Index: i})
+		lines = append(lines, append(b, '\n'))
+	}
+	for _, retakes := range []bool{false, true} {
+		rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: lostJobBackend(t, lines, retakes).URL})
+		c := routerClient(rtSrv)
+		st, err := c.Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		resp, err := rtSrv.Client().Get(rtSrv.URL + "/v1/jobs/" + st.ID + "/cells")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Errorf("retakes=%v: proxied stream ended cleanly; want an aborted connection", retakes)
+		}
+		if want := bytes.Join(lines, nil); !bytes.Equal(body, want) {
+			t.Errorf("retakes=%v: proxied stream:\n%s\nwant exactly the forwarded lines:\n%s", retakes, body, want)
+		}
+
+		n := 0
+		err = c.StreamCells(context.Background(), st.ID, func(*sweep.CellRecord) error { n++; return nil })
+		var je *service.JobError
+		if err == nil || errors.As(err, &je) {
+			t.Errorf("retakes=%v: StreamCells through a router that cannot resume = %v, want an error that is not a *JobError", retakes, err)
+		}
+		if n != len(lines) {
+			t.Errorf("retakes=%v: StreamCells delivered %d records, want the %d forwarded", retakes, n, len(lines))
+		}
+	}
+}
+
+// A fleet whose only backend is dead answers 503 wherever it needs one:
+// its health, the scenario listing and a submission.
+func TestRouterNoLiveBackend(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: gone.URL})
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/healthz", ""},
+		{http.MethodGet, "/v1/scenarios", ""},
+		{http.MethodPost, "/v1/jobs", `{"scenario":"` + testScenario + `"}`},
+	} {
+		req, err := http.NewRequest(tc.method, rtSrv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rtSrv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s: HTTP %d, want 503", tc.method, tc.path, resp.StatusCode)
+		}
 	}
 }
 

@@ -59,6 +59,9 @@ func (j *fleetJob) coords() (backend, backendID string) {
 	return j.a.Backend, j.a.BackendID
 }
 
+// home is where a fleet job lives: a backend and that backend's job ID.
+type home struct{ backend, id string }
+
 // Router fronts the fleet behind the unchanged /v1/* API.
 type Router struct {
 	opts     Options
@@ -69,8 +72,9 @@ type Router struct {
 
 	mu          sync.Mutex
 	jobs        map[string]*fleetJob
-	order       []string          // fleet job creation order
-	byClientKey map[string]string // client Idempotency-Key -> fleet job ID
+	homes       map[home]*fleetJob // the fleet job recorded at each home
+	order       []string           // fleet job creation order
+	byClientKey map[string]string  // client Idempotency-Key -> fleet job ID
 	nextID      int
 
 	// streams is the follow policy of proxied streams: patience and
@@ -107,6 +111,7 @@ func NewRouter(opts Options) (*Router, error) {
 		opts:        opts,
 		backends:    map[string]*Backend{},
 		jobs:        map[string]*fleetJob{},
+		homes:       map[home]*fleetJob{},
 		byClientKey: map[string]string{},
 		streams:     &service.Client{RetryBase: 50 * time.Millisecond, RetryMax: 800 * time.Millisecond, Logf: opts.Logf},
 	}
@@ -130,6 +135,7 @@ func NewRouter(opts Options) (*Router, error) {
 		for _, a := range rec.Assignments {
 			j := &fleetJob{a: *a}
 			rt.jobs[a.ID] = j
+			rt.homes[home{a.Backend, a.BackendID}] = j
 			rt.order = append(rt.order, a.ID)
 			if a.ClientKey != "" {
 				rt.byClientKey[a.ClientKey] = a.ID
@@ -305,9 +311,9 @@ func (rt *Router) scenarios(w http.ResponseWriter, r *http.Request) {
 
 // proxyRaw forwards one GET to a backend, copying status, content type
 // and body bytes verbatim — the no-re-encoding path that keeps reports
-// byte-identical to a single-node run. When the backend cannot be reached
-// it writes nothing and returns the error, so the caller decides between
-// a 502 and a retry elsewhere.
+// byte-identical to a single-node run. When the backend cannot be reached,
+// or answers 404, it writes nothing and returns the error, so the caller
+// decides between a retry elsewhere and an answer of its own.
 func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, b *Backend, path string) error {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.client.Base+path, nil)
 	if err != nil {
@@ -318,6 +324,9 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, b *Backend, p
 		return fmt.Errorf("backend %s: %w", b.Name, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return fmt.Errorf("backend %s: %w", b.Name, service.DecodeError(resp))
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -440,6 +449,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mu.Unlock()
 		rt.logf("fleet: %s -> %s (%s) key %.16s...", fleetID, b.Name, st.ID, routingKey)
+		rt.rehome(j, home{}, home{b.Name, st.ID})
 
 		st.ID = fleetID
 		service.WriteJSON(w, http.StatusAccepted, st)
@@ -487,20 +497,35 @@ func (rt *Router) atJob(ctx context.Context, j *fleetJob, try func(b *Backend, b
 	name, bid := j.coords()
 	b := rt.backends[name]
 	err := try(b, bid)
-	if err == nil || ctx.Err() != nil || !rt.backendFailed(j, b, err) {
+	if err == nil || ctx.Err() != nil || !rt.backendFailed(j, b, bid, err) {
 		return err
 	}
 	name, bid = j.coords()
 	return try(rt.backends[name], bid)
 }
 
-// backendFailed handles a request to backend b, made for fleet job j,
-// that failed with err. A faultpoint drop marks b dead outright; anything
-// else is confirmed with a synchronous probe first, so one request hiccup
-// does not fail over a live backend. A lost backend's jobs fail over at
-// once, without waiting for the probe loop's threshold. It reports whether
-// j now lives on another backend.
-func (rt *Router) backendFailed(j *fleetJob, b *Backend, err error) (moved bool) {
+// backendFailed handles a request to backend b, made for fleet job j as
+// backend job bid, that failed with err. A 404 whose job's status reads
+// 404 too means b answers but lost the job: it restarted without
+// -state-dir, so that ID is beyond its numbering. (A pruned job answers
+// 410 and stays where it is; a report can answer 404 for a job that
+// outlived its scenario.) That one job is re-submitted, and b itself may
+// take it back. A faultpoint drop marks b dead outright; anything else is
+// confirmed with a synchronous probe first, so one request hiccup does
+// not fail over a live backend. A lost backend's jobs fail over at once,
+// without waiting for the probe loop's threshold. It reports whether j
+// was re-dispatched.
+func (rt *Router) backendFailed(j *fleetJob, b *Backend, bid string, err error) (moved bool) {
+	if notFound(err) {
+		ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+		_, serr := b.client.Job(ctx, bid)
+		cancel()
+		if !notFound(serr) {
+			return false
+		}
+		rt.logf("fleet: backend %s lost %s (%v); re-dispatching it", b.Name, bid, err)
+		return rt.redispatch(j, b.Name, bid)
+	}
 	lost := errors.Is(err, errBackendDropped)
 	if !lost {
 		pctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
@@ -532,27 +557,32 @@ func (rt *Router) failover(name string) {
 	}
 	rt.mu.Unlock()
 	for _, j := range js {
-		rt.redispatch(j, name)
+		if backend, bid := j.coords(); backend == name {
+			rt.redispatch(j, name, bid)
+		}
 	}
 }
 
-// redispatch moves one fleet job off a lost backend: re-submit to a
-// survivor under the job's original idempotency key, then journal the new
-// coordinates. The owner re-check under j.mu makes concurrent callers
-// (probe-loop failover racing a stream proxy's backendFailed) collapse to
-// exactly one move — and the idempotency key makes even a true double
-// submit resolve to one backend job.
-func (rt *Router) redispatch(j *fleetJob, from string) bool {
+// redispatch re-submits one fleet job, last seen at backend from as job
+// bid, under the job's original idempotency key to the ring owner among
+// routable backends (a dead one is not routable; one that lost just this
+// job may take it back), then journals the new coordinates. The
+// coordinate re-check under j.mu makes concurrent callers (probe-loop
+// failover racing a stream proxy's backendFailed) collapse to exactly
+// one move — and the idempotency key makes even a true double submit
+// resolve to one backend job.
+func (rt *Router) redispatch(j *fleetJob, from, bid string) bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.a.Backend != from {
+	if j.a.Backend != from || j.a.BackendID != bid {
+		j.mu.Unlock()
 		return false // already moved (or never here)
 	}
-	excluded := map[string]bool{from: true}
+	excluded := map[string]bool{}
 	for {
 		b := rt.pickBackend(j.a.RoutingKey, excluded)
 		if b == nil {
-			rt.logf("fleet: no survivor for %s (lost %s)", j.a.ID, from)
+			rt.logf("fleet: no backend takes %s (was on %s)", j.a.ID, from)
+			j.mu.Unlock()
 			return false
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -569,8 +599,36 @@ func (rt *Router) redispatch(j *fleetJob, from string) bool {
 			rt.store.append(fleetEntry{Reassign: &a})
 		}
 		rt.logf("fleet: %s re-dispatched %s -> %s (%s)", j.a.ID, from, b.Name, st.ID)
+		j.mu.Unlock()
+		rt.rehome(j, home{from, bid}, home{b.Name, st.ID})
 		return true
 	}
+}
+
+// rehome records that fleet job j moved from one home to another. A
+// backend issues each job ID once in its numbering, so another fleet job
+// still recorded at j's new home was lost there: the backend restarted
+// without -state-dir and numbered from job-1 again, and reading that job
+// would serve j's records. It is re-dispatched too. Called with no job
+// lock held.
+func (rt *Router) rehome(j *fleetJob, from, to home) {
+	rt.mu.Lock()
+	if rt.homes[from] == j {
+		delete(rt.homes, from)
+	}
+	stale := rt.homes[to]
+	rt.homes[to] = j
+	rt.mu.Unlock()
+	if stale != nil && stale != j {
+		rt.logf("fleet: backend %s reissued %s; re-dispatching %s", to.backend, to.id, stale.a.ID)
+		rt.redispatch(stale, to.backend, to.id)
+	}
+}
+
+// notFound reports whether err is a backend's 404 answer.
+func notFound(err error) bool {
+	var herr *service.HTTPError
+	return errors.As(err, &herr) && herr.Code == http.StatusNotFound
 }
 
 func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
@@ -644,9 +702,15 @@ func (rt *Router) jobReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := rt.atJob(r.Context(), j, func(b *Backend, bid string) error {
+	err := rt.atJob(r.Context(), j, func(b *Backend, bid string) error {
 		return rt.proxyRaw(w, r, b, "/v1/jobs/"+bid+"/report")
-	}); err != nil {
+	})
+	var herr *service.HTTPError
+	switch {
+	case errors.As(err, &herr):
+		// A 404 that is not a lost job: the backend's answer, as it wrote it.
+		service.WriteError(w, herr.Code, errors.New(herr.Msg))
+	case err != nil:
 		service.WriteError(w, http.StatusBadGateway, err)
 	}
 }
@@ -663,7 +727,10 @@ var errBackendDropped = fmt.Errorf("fleet: faultpoint dropped backend connection
 // is lost. The client sees one continuous byte-identical stream even when
 // the backend executing the job dies mid-sweep; deterministic
 // re-execution guarantees the resumed lines match what the lost backend
-// would have sent.
+// would have sent. The only {"error": ...} line it writes is the job's
+// own terminal trailer: when the stream ends otherwise and the job did
+// not move, it aborts the connection, and the riding client resumes
+// through the router with ?from=N under its own patience.
 func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := rt.lookup(w, r)
 	if !ok {
@@ -683,14 +750,16 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	var b *Backend // the backend of the current attempt
+	var b *Backend // the backend and backend job ID of the current attempt
+	var bid string
 	at := func() (*service.Client, string) {
-		name, bid := j.coords()
+		var name string
+		name, bid = j.coords()
 		b = rt.backends[name]
 		return b.client, bid
 	}
-	lost := func(err error) { rt.backendFailed(j, b, err) }
-	err = rt.streams.Follow(r.Context(), from, at, lost, func(line []byte) error {
+	lost := func(err error) { rt.backendFailed(j, b, bid, err) }
+	forward := func(line []byte) error {
 		if _, err := w.Write(line); err != nil {
 			return err
 		}
@@ -707,26 +776,32 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 			return errBackendDropped
 		}
 		return nil
-	})
-	var msg string
-	var je *service.JobError
-	switch {
-	case err == nil || r.Context().Err() != nil:
-		return // complete, or the riding client is gone and resumes itself
-	case errors.As(err, &je):
-		// The job's own terminal trailer, re-encoded exactly as the
-		// backend encodes it.
-		msg = je.Msg
-		if msg == "" {
-			msg = fmt.Sprintf("job %s %s", r.PathValue("id"), je.State)
-		}
-	default:
-		// A fault resumption cannot fix, or patience ran out: surface it
-		// as a trailer; the riding client's own resumption takes over.
-		msg = fmt.Sprintf("fleet: stream interrupted at line %d: %v", from, err)
 	}
-	line, _ := json.Marshal(map[string]string{"error": msg})
-	_, _ = w.Write(append(line, '\n'))
+	movedAt := -1 // the line at which the last re-dispatch happened
+	for {
+		err := rt.streams.Follow(r.Context(), from, at, lost, forward)
+		var je *service.JobError
+		switch {
+		case err == nil || r.Context().Err() != nil:
+			return // complete, or the riding client is gone and resumes itself
+		case errors.As(err, &je):
+			// The job's own terminal trailer, re-encoded exactly as the
+			// backend encodes it.
+			msg := je.Msg
+			if msg == "" {
+				msg = fmt.Sprintf("job %s %s", r.PathValue("id"), je.State)
+			}
+			line, _ := json.Marshal(map[string]string{"error": msg})
+			_, _ = w.Write(append(line, '\n'))
+			return
+		case from == movedAt || !rt.backendFailed(j, b, bid, err):
+			// Not re-dispatched, or its new home failed before a line
+			// came through: the riding client's backoff paces the retry.
+			rt.logf("fleet: %s cells stream ends at line %d (%v); aborting it", r.PathValue("id"), from, err)
+			panic(http.ErrAbortHandler)
+		}
+		movedAt = from // re-dispatched: follow the job at its new home
+	}
 }
 
 // --- fleet status + drain control ---

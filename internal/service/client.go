@@ -169,7 +169,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemK
 		if err != nil {
 			lastErr = err
 		} else {
-			lastErr = decodeError(resp) // also closes the body
+			lastErr = DecodeError(resp) // also closes the body
 		}
 		if attempt >= c.attempts() || ctx.Err() != nil {
 			return nil, lastErr
@@ -185,17 +185,29 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemK
 	}
 }
 
-// decodeError surfaces the service's {"error": ...} envelope.
-func decodeError(resp *http.Response) error {
+// HTTPError is a response the service answered with an error status: its
+// code, and the message of its {"error": ...} envelope (the raw body when
+// it has none).
+type HTTPError struct {
+	Code int
+	Msg  string
+}
+
+func (e *HTTPError) Error() string { return fmt.Sprintf("service: %s (HTTP %d)", e.Msg, e.Code) }
+
+// DecodeError reads an error response into an *HTTPError and closes its
+// body.
+func DecodeError(resp *http.Response) error {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	e := &HTTPError{Code: resp.StatusCode, Msg: string(bytes.TrimSpace(body))}
 	var env struct {
 		Error string `json:"error"`
 	}
 	if json.Unmarshal(body, &env) == nil && env.Error != "" {
-		return fmt.Errorf("service: %s (HTTP %d)", env.Error, resp.StatusCode)
+		e.Msg = env.Error
 	}
-	return fmt.Errorf("service: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	return e
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
@@ -204,7 +216,7 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
+		return DecodeError(resp)
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -272,7 +284,7 @@ func (c *Client) SubmitKeyed(ctx context.Context, jr sweep.JobRequest, key strin
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
+		return nil, DecodeError(resp)
 	}
 	defer resp.Body.Close()
 	var st JobStatus
@@ -307,7 +319,7 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
+		return DecodeError(resp)
 	}
 	resp.Body.Close()
 	return nil
@@ -354,8 +366,8 @@ var ErrSevered = errors.New("service: stream severed")
 //
 // Follow returns nil once the job is done and every line delivered, a
 // *JobError once it failed or was canceled, and otherwise the first error
-// resumption cannot fix: a 4xx response, a callback error, the context's
-// error, or the last failure when patience runs out.
+// resumption cannot fix: a 4xx response (an *HTTPError), a callback
+// error, the context's error, or the last failure when patience runs out.
 func (c *Client) Follow(ctx context.Context, from int, at func() (*Client, string), lost func(error), line func([]byte) error) error {
 	delivered, failures := from, 0
 	for {
@@ -413,7 +425,7 @@ func (c *Client) followOnce(ctx context.Context, id string, delivered *int, fn f
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &permanentError{decodeError(resp)}
+		return &permanentError{DecodeError(resp)}
 	}
 	rd := bufio.NewReader(resp.Body)
 	for {

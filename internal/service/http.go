@@ -160,6 +160,10 @@ func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
 func (s *server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.m.Job(id)
+	if !ok && s.m.issued(id) {
+		WriteError(w, http.StatusGone, fmt.Errorf("job %q is gone (pruned)", id))
+		return nil, false
+	}
 	if !ok {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return nil, false

@@ -47,25 +47,14 @@ type Options struct {
 	// RetainAge prunes terminal jobs whose finish time is older than this,
 	// independent of RetainJobs. 0 keeps everything.
 	RetainAge time.Duration
-	// StateDir enables the durable job store (see store.go): submissions,
-	// state transitions and the ETA calibration are kept under this
-	// directory, and OpenManager recovers them — terminal jobs restore
+	// StateDir enables the durable job store (see store.go): submissions
+	// and state transitions are kept under this directory, and
+	// OpenManager recovers them — terminal jobs restore
 	// their state and re-derive their records on first use, queued jobs
 	// re-enqueue, jobs that were running when the process died are marked
 	// interrupted and re-execute. Empty keeps the jobs in memory only.
 	StateDir string
 }
-
-// A job is failed once it has run longer than jobTimeoutScale times its
-// EWMA-calibrated wall-clock estimate, and never sooner than
-// jobTimeoutFloor: the calibrated estimate of a tiny job is milliseconds,
-// and a 20x margin of milliseconds would misfire on any scheduling
-// hiccup. Timeouts only engage once the ETA model has at least one
-// observation — an uncalibrated daemon cannot distinguish slow from stuck.
-const (
-	jobTimeoutScale = 20.0
-	jobTimeoutFloor = 30 * time.Second
-)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -115,13 +104,10 @@ type JobStatus struct {
 	// DoneCells counts streamed cells. It derives from the streamed (or
 	// stored) record count alone, so a recovered job reports what it
 	// reported before the restart.
-	DoneCells int `json:"doneCells"`
-	// ETASeconds estimates the remaining wall-clock of a running job from
-	// its remaining cells (0 when unknown).
-	ETASeconds float64    `json:"etaSeconds,omitempty"`
-	Created    time.Time  `json:"created"`
-	Started    *time.Time `json:"started,omitempty"`
-	Finished   *time.Time `json:"finished,omitempty"`
+	DoneCells int        `json:"doneCells"`
+	Created   time.Time  `json:"created"`
+	Started   *time.Time `json:"started,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
 }
 
 // Job is one submitted sweep. Its progress is not state of its own: the
@@ -197,28 +183,15 @@ func (j *Job) Status() JobStatus {
 	if j.ready != nil { // recovered, records not yet re-derived
 		st.DoneCells = j.count
 	}
-	started := j.started
-	if !started.IsZero() {
-		st.Started = &started
+	if !j.started.IsZero() {
+		t := j.started
+		st.Started = &t
 	}
 	if !j.finished.IsZero() {
 		t := j.finished
 		st.Finished = &t
 	}
 	j.mu.Unlock()
-
-	if remaining := st.Cells - st.DoneCells; st.State == StateRunning && remaining > 0 {
-		// Calibrated ETA first: remaining cells scaled by the manager's
-		// observed seconds-per-cell EWMA — available before this job's own
-		// first cell completes, once any job has fed the model. Fallback:
-		// extrapolate this job's own elapsed time per done cell.
-		if eta, ok := j.m.eta.estimate(remaining); ok {
-			st.ETASeconds = eta
-		} else if st.DoneCells > 0 {
-			elapsed := time.Since(started).Seconds()
-			st.ETASeconds = elapsed * float64(remaining) / float64(st.DoneCells)
-		}
-	}
 	return st
 }
 
@@ -392,17 +365,11 @@ var ErrDraining = errors.New("service draining: not accepting new jobs")
 type Manager struct {
 	opts Options
 
-	// eta calibrates per-cell wall-clock across all jobs (see eta.go).
-	eta etaModel
-
 	// store is the durable journal+snapshot (nil without StateDir).
 	store *journal.Log
 
 	ctx  context.Context // bounds re-derivations; Close and an expired drain stop it
 	stop context.CancelFunc
-
-	// timeoutFloor is jobTimeoutFloor; tests lower it to force a timeout.
-	timeoutFloor time.Duration
 
 	mu            sync.Mutex
 	jobs          map[string]*Job
@@ -438,15 +405,14 @@ func NewManager(opts Options) *Manager {
 // set, it opens the durable job store, recovers every persisted job —
 // terminal jobs restore, their records re-derived on first use, queued
 // jobs re-enqueue in submit order, jobs caught running by the crash
-// requeue as interrupted — restores the ETA calibration, and compacts the
-// recovered state into a fresh snapshot before accepting new work.
+// requeue as interrupted — and compacts the recovered state into a fresh
+// snapshot before accepting new work.
 func OpenManager(opts Options) (*Manager, error) {
 	o := opts.withDefaults()
 	m := &Manager{
-		opts:         o,
-		timeoutFloor: jobTimeoutFloor,
-		jobs:         make(map[string]*Job),
-		idem:         make(map[string]string),
+		opts: o,
+		jobs: make(map[string]*Job),
+		idem: make(map[string]string),
 	}
 	m.queueCond = sync.NewCond(&m.mu)
 	m.ctx, m.stop = context.WithCancel(context.Background())
@@ -474,9 +440,6 @@ func OpenManager(opts Options) (*Manager, error) {
 // version skew) is dropped — recovery skips, never crashes.
 func (m *Manager) recoverFrom(rs *recoveredState) {
 	m.nextID = rs.NextID
-	if rs.ETA != nil {
-		m.eta.restore(rs.ETA.SecPerCell, rs.ETA.Samples)
-	}
 	for _, sj := range rs.Jobs {
 		plan, err := sj.Request.Plan()
 		if err != nil {
@@ -526,9 +489,6 @@ func (m *Manager) snapshot() *snapshotFile {
 	nextID := m.nextID
 	m.mu.Unlock()
 	snap := &snapshotFile{Version: storeVersion, NextID: nextID}
-	if sec, n := m.eta.export(); n > 0 {
-		snap.ETA = &etaEntry{SecPerCell: sec, Samples: n}
-	}
 	for _, j := range jobs {
 		snap.Jobs = append(snap.Jobs, j.stored())
 	}
@@ -768,6 +728,17 @@ func (m *Manager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// issued reports whether id is a job ID this manager's numbering has
+// reached. A missing job with such an ID was pruned (or dropped at
+// recovery); any other ID was never issued, or the numbering started over
+// because the daemon restarted without a state directory.
+func (m *Manager) issued(id string) bool {
+	n := jobNumber(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return n > 0 && n <= m.nextID && id == fmt.Sprintf("job-%d", n)
+}
+
 // Jobs lists every job in creation order.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
@@ -869,9 +840,10 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob executes one job end to end.
+// runJob executes one job end to end. The job ends only when its plan
+// does: done, failed, canceled, or interrupted by a drain.
 func (m *Manager) runJob(j *Job) {
-	parent, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	j.mu.Lock()
@@ -893,31 +865,10 @@ func (m *Manager) runJob(j *Job) {
 	j.mu.Unlock()
 	m.journal(journalEntry{State: &stateEntry{ID: j.id, State: StateRunning, At: started}})
 
-	// Wall-clock timeout, derived from the calibrated ETA of the job's
-	// whole cell count: a job that has run jobTimeoutScale times its
-	// estimate is stuck, not slow.
-	ctx := parent
-	if est, ok := m.eta.estimate(len(j.plan.Cells)); ok {
-		d := time.Duration(jobTimeoutScale * est * float64(time.Second))
-		if d < m.timeoutFloor {
-			d = m.timeoutFloor
-		}
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(parent, d)
-		defer tcancel()
-	}
-
-	// Stream callbacks arrive serialized in plan order, so the wall-clock
-	// between consecutive callbacks is the pipeline's per-cell throughput —
-	// the sample the ETA calibration wants.
-	lastEmit := time.Now()
 	err := j.run(ctx, func(cr *sweep.CellResult) {
 		rec := j.plan.Record(cr)
-		now := time.Now()
-		m.eta.observe(now.Sub(lastEmit).Seconds())
 		j.mu.Lock()
 		j.records = append(j.records, rec)
-		lastEmit = now
 		j.cond.Broadcast()
 		j.mu.Unlock()
 		if faultpoint(FaultCrashAfterRecord) {
@@ -937,11 +888,7 @@ func (m *Manager) runJob(j *Job) {
 		// process's recovery re-enqueues it) for bit-identical re-execution.
 		j.state = StateInterrupted
 		j.err = ""
-	case ctx.Err() == context.DeadlineExceeded:
-		j.finished = time.Now()
-		j.state = StateFailed
-		j.err = fmt.Sprintf("timed out (exceeded %.0fx the calibrated estimate)", jobTimeoutScale)
-	case parent.Err() != nil:
+	case ctx.Err() != nil:
 		j.finished = time.Now()
 		j.state = StateCanceled
 		j.err = "canceled"

@@ -394,24 +394,6 @@ func TestShutdownCheckpointsRunningJob(t *testing.T) {
 	}
 }
 
-// The EWMA-calibrated timeout fails a stuck job. A poisoned calibration
-// (absurdly fast seconds-per-cell) plus a nanosecond floor makes any real
-// job "stuck" instantly, without staging an actual hang.
-func TestJobTimeoutFromCalibration(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1})
-	defer m.Close()
-	m.timeoutFloor = time.Nanosecond // set before Submit, which publishes it to the worker
-	m.eta.observe(1e-21)             // 1e-21 s per cell: everything is "stuck"
-	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitState(t, j, StateFailed)
-	if !strings.Contains(st.Error, "timed out") {
-		t.Errorf("timeout error %q", st.Error)
-	}
-}
-
 // A panicking workload build fails its own job — with the panic and
 // stack in the job error — and the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {

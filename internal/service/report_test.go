@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -187,6 +186,20 @@ func TestJobRetention(t *testing.T) {
 	if _, ok := m.Job(third.ID()); !ok {
 		t.Error("newest terminal job should survive retention")
 	}
+	// Over HTTP a pruned ID answers 410, so a caller can tell it from an
+	// ID the daemon never issued (404).
+	srv := httptest.NewServer(NewServer(m))
+	defer srv.Close()
+	for path, want := range map[string]int{
+		"/v1/jobs/" + first.ID():            http.StatusGone,
+		"/v1/jobs/" + first.ID() + "/cells": http.StatusGone,
+		"/v1/jobs/job-99":                   http.StatusNotFound,
+		"/v1/jobs/job-1x":                   http.StatusNotFound,
+	} {
+		if code, _ := httpGet(t, srv.URL+path); code != want {
+			t.Errorf("GET %s: HTTP %d, want %d", path, code, want)
+		}
+	}
 
 	// A running job is never pruned, no matter how many terminals follow.
 	blockArm()
@@ -218,55 +231,4 @@ func TestJobRetentionByAge(t *testing.T) {
 		t.Error("stale terminal job survived age-based retention")
 	}
 	_ = fresh
-}
-
-// The EWMA calibration: pure arithmetic, then the integration — a
-// completed job feeds the model, and a later running job's ETA scales
-// its remaining cells by it.
-func TestEtaModel(t *testing.T) {
-	var e etaModel
-	if _, ok := e.estimate(100); ok {
-		t.Error("empty model should not estimate")
-	}
-	e.observe(-1) // ignored: a negative duration is no sample
-	e.observe(0.02)
-	if got, ok := e.estimate(50); !ok || math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("first sample should set the rate exactly: got %g (ok=%v), want 1", got, ok)
-	}
-	e.observe(0.04) // ewma = 0.2*0.04 + 0.8*0.02 = 0.024
-	if got, _ := e.estimate(1000); math.Abs(got-24.0) > 1e-9 {
-		t.Errorf("ewma estimate %g, want 24", got)
-	}
-}
-
-func TestEtaCalibrationFeedsStatuses(t *testing.T) {
-	m := NewManager(Options{MaxConcurrent: 1, MaxQueued: 4})
-	defer m.Close()
-	runToDone(t, m, sweep.JobRequest{Scenario: "ablation-processnode"})
-	if _, n := m.eta.export(); n == 0 {
-		t.Fatal("completed job fed no calibration samples")
-	}
-	// A second job's status carries a calibrated ETA for its remaining
-	// cells: synthesize the state rather than racing a live sweep.
-	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	j.mu.Lock()
-	j.state = StateRunning
-	j.records = j.records[:2]
-	j.started = time.Now().Add(-time.Hour)
-	j.mu.Unlock()
-	st := j.Status()
-	if st.DoneCells != 2 || st.Cells != 5 {
-		t.Fatalf("two of five cells done: status reports %d of %d", st.DoneCells, st.Cells)
-	}
-	want, ok := m.eta.estimate(3)
-	if !ok || math.Abs(st.ETASeconds-want) > 1e-9 {
-		t.Errorf("status ETA %g, want calibrated %g (ok=%v)", st.ETASeconds, want, ok)
-	}
-	j.mu.Lock()
-	j.state = StateDone
-	j.mu.Unlock()
 }

@@ -16,15 +16,14 @@ import (
 // The durable job store: an append-only NDJSON journal plus a compacted
 // snapshot under gpowd's -state-dir, so a daemon crash or restart loses
 // no job state. It keeps only what the request cannot determine: the
-// request, the lifecycle and the ETA model's EWMA. Records are a
-// deterministic function of the build and the request, so a terminal job
-// keeps just its stream's length and recordDigest, re-derives its records
-// on first use after recovery and publishes them only if they hash to
-// that digest: every recovery checks the determinism contract. Queued
-// jobs re-enqueue in submit order; jobs running when the process died
-// come back "interrupted" and re-execute. The generation directory is
-// keyed by the build fingerprint, so the re-deriving build is the one
-// that digested.
+// request and the lifecycle. Records are a deterministic function of the
+// build and the request, so a terminal job keeps just its stream's length
+// and recordDigest, re-derives its records on first use after recovery
+// and publishes them only if they hash to that digest: every recovery
+// checks the determinism contract. Queued jobs re-enqueue in submit
+// order; jobs running when the process died come back "interrupted" and
+// re-execute. The generation directory is keyed by the build
+// fingerprint, so the re-deriving build is the one that digested.
 //
 // The I/O discipline (generation directory, torn-tail-tolerant journal,
 // atomic snapshot + truncate, no fsync by design) lives in
@@ -92,12 +91,6 @@ type stateEntry struct {
 	Digest string    `json:"digest,omitempty"`
 }
 
-// etaEntry is the shared ETA model's calibration, as the snapshot keeps it.
-type etaEntry struct {
-	SecPerCell float64 `json:"secPerCell"`
-	Samples    uint64  `json:"samples"`
-}
-
 // forgetEntry journals a pruned/canceled-and-pruned job's removal.
 type forgetEntry struct {
 	ID string `json:"id"`
@@ -116,7 +109,6 @@ type snapshotFile struct {
 	// NextID is the highest job number ever assigned, so recovered
 	// daemons never reuse a pruned job's ID.
 	NextID int          `json:"nextID"`
-	ETA    *etaEntry    `json:"eta,omitempty"`
 	Jobs   []*storedJob `json:"jobs,omitempty"` // creation order
 }
 
@@ -124,7 +116,6 @@ type snapshotFile struct {
 type recoveredState struct {
 	Jobs    []*storedJob // creation order
 	NextID  int
-	ETA     *etaEntry
 	Skipped int // corrupt/unusable journal lines skipped
 }
 
@@ -159,7 +150,6 @@ func foldStore(snap snapshotFile, replay func(fn func(line []byte)) int) *recove
 
 	if snap.Version == storeVersion {
 		rs.NextID = snap.NextID
-		rs.ETA = snap.ETA
 		for _, sj := range snap.Jobs {
 			if sj == nil || sj.ID == "" || byID[sj.ID] != nil {
 				continue

@@ -29,15 +29,14 @@ func testRecord(i int) *sweep.CellRecord {
 
 // The journal round-trips: submissions and transitions (a terminal one
 // with its record count and digest) written by one store instance are
-// recovered by the next, in order, folded over the snapshot's ETA
-// calibration.
+// recovered by the next, in order, folded over the snapshot.
 func TestStoreJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Compact(&snapshotFile{Version: storeVersion, ETA: &etaEntry{SecPerCell: 0.5, Samples: 3}})
+	s.Compact(&snapshotFile{Version: storeVersion})
 	req := sweep.JobRequest{Scenario: "svcblock", Label: "round-trip"}
 	created := time.Now().Truncate(time.Millisecond)
 	s.Append(journalEntry{Submit: &storedJob{ID: "job-1", Request: req, State: StateQueued, Created: created}})
@@ -76,8 +75,40 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	if rs.NextID != 2 {
 		t.Errorf("NextID %d, want 2 (derived from job IDs)", rs.NextID)
 	}
-	if rs.ETA == nil || rs.ETA.SecPerCell != 0.5 || rs.ETA.Samples != 3 {
-		t.Errorf("eta calibration lost: %+v", rs.ETA)
+}
+
+// A snapshot written before the store dropped its ETA calibration still
+// carries an "eta" object; recovery ignores it and keeps every job and
+// the ID counter, so the store's version did not change.
+func TestStoreLoadsSnapshotWithETA(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"version":2,"nextID":7,"eta":{"secPerCell":0.25,"samples":12},"jobs":[` +
+		`{"id":"job-2","request":{"scenario":"svcblock"},"state":"done","created":"2026-01-02T03:04:05Z",` +
+		`"finished":"2026-01-02T03:04:06Z","count":1,"digest":"` + recordDigest([]*sweep.CellRecord{testRecord(0)}) + `"},` +
+		`{"id":"job-5","request":{"scenario":"svcblock","label":"queued"},"state":"queued","created":"2026-01-02T03:04:07Z"}]}`
+	if err := os.WriteFile(filepath.Join(storeDir(dir), "snapshot.json"), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rs := recoverStore(s)
+	if rs.Skipped != 0 {
+		t.Errorf("skipped %d entries", rs.Skipped)
+	}
+	if len(rs.Jobs) != 2 || rs.Jobs[0].ID != "job-2" || rs.Jobs[1].ID != "job-5" {
+		t.Fatalf("recovered jobs: %+v", rs.Jobs)
+	}
+	if j := rs.Jobs[0]; j.State != StateDone || j.Count != 1 || j.Digest == "" || j.Finished == nil {
+		t.Errorf("done job lost its stream or lifecycle: %+v", j)
+	}
+	if j := rs.Jobs[1]; j.State != StateQueued || j.Request.Label != "queued" {
+		t.Errorf("queued job: %+v", j)
+	}
+	if rs.NextID != 7 {
+		t.Errorf("NextID %d, want the snapshot's 7", rs.NextID)
 	}
 }
 
@@ -206,7 +237,7 @@ func TestStoreGenerationDir(t *testing.T) {
 }
 
 // roundTripImage is a real store image: one done job folded into the
-// snapshot (with the ETA calibration it fed), and a second job's whole
+// snapshot, and a second job's whole
 // lifecycle still in the journal.
 func roundTripImage(tb testing.TB) (snapshot, journal []byte) {
 	dir := tb.TempDir()
@@ -294,7 +325,7 @@ func FuzzStoreRecover(f *testing.F) {
 		return foldStore(sf, replay)
 	}
 	folded := func(t *testing.T, rs *recoveredState) []byte {
-		b, err := json.Marshal(snapshotFile{Version: storeVersion, NextID: rs.NextID, ETA: rs.ETA, Jobs: rs.Jobs})
+		b, err := json.Marshal(snapshotFile{Version: storeVersion, NextID: rs.NextID, Jobs: rs.Jobs})
 		if err != nil {
 			t.Skip("state not representable as JSON:", err)
 		}

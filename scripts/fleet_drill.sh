@@ -22,6 +22,14 @@
 #      survivor, and prove a new job routes around the drained backend
 #      while the drained backend keeps serving its existing job's
 #      report.
+#   7. Lost job: a second router fronts one backend that runs without
+#      -state-dir. It dies after its second record and is restarted at
+#      once on its port, knowing no jobs. The router may see the dead
+#      port first (its failover finds no survivor) or not, but the job
+#      completes only once the restarted backend answers 404 for it and
+#      the router re-submits it there. The riding client's NDJSON must
+#      equal the uninterrupted run; the drill prints the path the
+#      router's log shows.
 set -eu
 
 . ./scripts/service_lib.sh
@@ -32,8 +40,10 @@ b0_pid=""
 b1_pid=""
 rt_pid=""
 client_pid=""
+s_pid=""
+rt2_pid=""
 cleanup() {
-    for p in "$b0_pid" "$b1_pid" "$rt_pid" "$client_pid"; do
+    for p in "$b0_pid" "$b1_pid" "$rt_pid" "$client_pid" "$s_pid" "$rt2_pid"; do
         [ -n "$p" ] && kill "$p" 2>/dev/null || true
     done
     rm -rf "$tmp"
@@ -180,4 +190,45 @@ if ! diff "$tmp/local-report.json" "$tmp/fleet-report-drained.json"; then
     exit 1
 fi
 
-echo "fleet drill: OK — $scenario: $victim killed mid-job; stream rode the failover to $survivor byte-identically; drained $survivor took no new work while still serving job-1"
+# --- a stateless backend loses its job ---
+
+# One backend, so the job's only home is the restarted daemon: failing
+# over cannot finish the job, only the 404 re-dispatch can.
+q=$(pick_port)
+GPUSIMPOW_FAULTPOINT=crash-after-record:skip=1 "$tmp/gpowd" -addr "127.0.0.1:$q" 2>"$tmp/stateless.log" &
+s_pid=$!
+wait_listen "$tmp/stateless.log" "$s_pid" "fleet drill: stateless b0" >/dev/null
+"$tmp/gpowfleet" -addr 127.0.0.1:0 -backends "b0=http://127.0.0.1:$q" \
+    -probe-interval 250ms 2>"$tmp/fleet-stateless.log" &
+rt2_pid=$!
+router2=$(wait_listen "$tmp/fleet-stateless.log" "$rt2_pid" "fleet drill: stateless gpowfleet")
+
+"$tmp/gpowexp" -remote "$router2" run "$scenario" -json >"$tmp/stateless.ndjson" 2>"$tmp/client-stateless.log" &
+client_pid=$!
+wait_dead "$s_pid" "fleet drill: stateless b0"
+"$tmp/gpowd" -addr "127.0.0.1:$q" 2>"$tmp/stateless-2.log" &
+s_pid=$!
+if ! wait "$client_pid"; then
+    client_pid=""
+    echo "fleet drill: FAIL — client did not survive the stateless backend's restart" >&2
+    cat "$tmp/client-stateless.log" "$tmp/fleet-stateless.log" >&2
+    exit 1
+fi
+client_pid=""
+if ! diff "$tmp/local.ndjson" "$tmp/stateless.ndjson"; then
+    echo "fleet drill: FAIL — records of the job the restarted backend lost diverge from the uninterrupted run" >&2
+    cat "$tmp/fleet-stateless.log" >&2
+    exit 1
+fi
+if ! grep -q 'backend b0 lost job-1 .*HTTP 404' "$tmp/fleet-stateless.log"; then
+    echo "fleet drill: FAIL — the router's log shows no 404 re-dispatch" >&2
+    cat "$tmp/fleet-stateless.log" >&2
+    exit 1
+fi
+lost_path="404 re-dispatch"
+if grep -q 'backend b0 dead' "$tmp/fleet-stateless.log"; then
+    lost_path="probe saw the dead port, then 404 re-dispatch"
+fi
+echo "fleet drill: restarted stateless b0 lost job-1; router path: $lost_path"
+
+echo "fleet drill: OK — $scenario: $victim killed mid-job; stream rode the failover to $survivor byte-identically; drained $survivor took no new work while still serving job-1; a job lost by a restart without -state-dir came through byte-identically ($lost_path)"
