@@ -1,20 +1,20 @@
 # GPUSimPow reproduction — build/test/benchmark entry points.
 #
 # `make ci` is the gate every change must pass: gofmt, vet, the
-# repo-specific lints, build, the full test suite under the race detector
-# (load-bearing since the experiment sweeps fan out over internal/runner's
-# worker pool), a short fuzz pass, one pass of the simulator
-# microbenchmarks, a vet and short test of the nested benchmark module,
-# and the service, restart and fleet drills. The
+# repo-specific lints, the no-fused-multiply-add check, build, the full
+# test suite under the race detector (load-bearing since the experiment
+# sweeps fan out over internal/runner's worker pool), a short fuzz pass,
+# one pass of the simulator microbenchmarks, a vet and short test of the
+# nested benchmark module, and the service, restart and fleet drills. The
 # reproduced paper numbers are gated by the exact scenario goldens the test
 # suite checks (see golden-update); benchmark/ is the measured performance
 # ledger.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race fuzz bench bench-module ci-service ci-restart ci-fleet fmt-check golden-update profile
+.PHONY: ci vet lint nofma build test race fuzz bench bench-module ci-service ci-restart ci-fleet fmt-check golden-update profile
 
-ci: fmt-check vet lint build race fuzz bench bench-module ci-service ci-restart ci-fleet
+ci: fmt-check vet lint nofma build race fuzz bench bench-module ci-service ci-restart ci-fleet
 
 vet:
 	$(GO) vet ./...
@@ -25,6 +25,13 @@ vet:
 # name drift. See docs/LINTS.md.
 lint:
 	$(GO) run ./cmd/gpowlint
+
+# No fused multiply-adds in the packages whose floats reach records:
+# cross-compile them for arm64, ppc64le, s390x and riscv64 with -S and
+# fail on any FMADD/FMSUB/FNMADD/FNMSUB they contain (scripts/nofma.sh;
+# the package list is its PACKAGES variable). See docs/LINTS.md.
+nofma:
+	./scripts/nofma.sh
 
 # gofmt gate: any file gofmt would rewrite fails CI.
 fmt-check:

@@ -651,7 +651,10 @@ func TestRouterReissuedBackendJobID(t *testing.T) {
 }
 
 // A job its backend pruned answers 410 there and stays pruned: reading it
-// through the router does not run it again.
+// through the router does not run it again, its status through the router
+// is the backend's 410, and the router's list leaves it out, as gpowd's
+// own list does. Neither read probes the backend's health: a 410 is an
+// answer.
 func TestRouterLeavesPrunedJob(t *testing.T) {
 	gate := make(chan struct{})
 	blockGate.Store(&gate)
@@ -665,7 +668,14 @@ func TestRouterLeavesPrunedJob(t *testing.T) {
 	m := service.NewManager(service.Options{MaxConcurrent: 1, RetainJobs: 1})
 	defer m.Close()
 	defer open()
-	backend := httptest.NewServer(service.NewServer(m))
+	var probes atomic.Int64
+	api := service.NewServer(m)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			probes.Add(1)
+		}
+		api.ServeHTTP(w, r)
+	}))
 	defer backend.Close()
 	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: backend.URL})
 	c := routerClient(rtSrv)
@@ -695,13 +705,18 @@ func TestRouterLeavesPrunedJob(t *testing.T) {
 	if code := callJSON(t, backend, http.MethodGet, "/v1/jobs/"+bid, &env); code != http.StatusGone {
 		t.Errorf("backend answers HTTP %d for the pruned %s, want 410", code, bid)
 	}
-	if st, err := c.Job(ctx, canceled.ID); err == nil {
-		t.Errorf("status of the pruned job through the router = %+v, want an error", st)
+	before := probes.Load()
+	var herr *service.HTTPError
+	if st, err := c.Job(ctx, canceled.ID); !errors.As(err, &herr) || herr.Code != http.StatusGone {
+		t.Errorf("status of the pruned job through the router = %+v, %v; want the backend's HTTP 410", st, err)
 	}
 	var rows []service.JobStatus
 	callJSON(t, rtSrv, http.MethodGet, "/v1/jobs", &rows)
-	if len(rows) != 2 || rows[0].State != service.StateInterrupted || rows[1].State != service.StateDone {
-		t.Errorf("router's job list %+v, want the pruned job interrupted and the later one done", rows)
+	if len(rows) != 1 || rows[0].ID != later.ID || rows[0].State != service.StateDone {
+		t.Errorf("router's job list %+v, want only the later job, done", rows)
+	}
+	if n := probes.Load() - before; n != 0 {
+		t.Errorf("reading the pruned job probed the backend's health %d times; a 410 is an answer", n)
 	}
 	if sts := m.Statuses(); len(sts) != 1 || sts[0].Label != "later" {
 		t.Errorf("backend holds %+v after the pruned job was read, want only the later job", sts)

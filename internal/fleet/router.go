@@ -508,19 +508,22 @@ func (rt *Router) atJob(ctx context.Context, j *fleetJob, try func(b *Backend, b
 // backend job bid, that failed with err. A 404 whose job's status reads
 // 404 too means b answers but lost the job: it restarted without
 // -state-dir, so that ID is beyond its numbering. (A pruned job answers
-// 410 and stays where it is; a report can answer 404 for a job that
-// outlived its scenario.) That one job is re-submitted, and b itself may
-// take it back. A faultpoint drop marks b dead outright; anything else is
+// 410 and stays where it is, with no probe: b answered; a report can
+// answer 404 for a job that outlived its scenario.) That one job is
+// re-submitted, and b itself may take it back. A faultpoint drop marks b dead outright; anything else is
 // confirmed with a synchronous probe first, so one request hiccup does
 // not fail over a live backend. A lost backend's jobs fail over at once,
 // without waiting for the probe loop's threshold. It reports whether j
 // was re-dispatched.
 func (rt *Router) backendFailed(j *fleetJob, b *Backend, bid string, err error) (moved bool) {
-	if notFound(err) {
+	if answered(err, http.StatusGone) {
+		return false
+	}
+	if answered(err, http.StatusNotFound) {
 		ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
 		_, serr := b.client.Job(ctx, bid)
 		cancel()
-		if !notFound(serr) {
+		if !answered(serr, http.StatusNotFound) {
 			return false
 		}
 		rt.logf("fleet: backend %s lost %s (%v); re-dispatching it", b.Name, bid, err)
@@ -625,10 +628,23 @@ func (rt *Router) rehome(j *fleetJob, from, to home) {
 	}
 }
 
-// notFound reports whether err is a backend's 404 answer.
-func notFound(err error) bool {
+// answered reports whether err is a backend's own HTTP answer with code.
+func answered(err error, code int) bool {
 	var herr *service.HTTPError
-	return errors.As(err, &herr) && herr.Code == http.StatusNotFound
+	return errors.As(err, &herr) && herr.Code == code
+}
+
+// writeBackendError answers a request whose backend call failed with err.
+// The backend's own HTTP answer passes through with its code and message
+// when verbatim is set, and always when it is a 410: the backend pruned
+// the job, and nothing will run it again. Any other failure is a 502.
+func writeBackendError(w http.ResponseWriter, err error, verbatim bool) {
+	var herr *service.HTTPError
+	if errors.As(err, &herr) && (verbatim || herr.Code == http.StatusGone) {
+		service.WriteError(w, herr.Code, errors.New(herr.Msg))
+		return
+	}
+	service.WriteError(w, http.StatusBadGateway, err)
 }
 
 func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
@@ -638,16 +654,17 @@ func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := rt.backendStatus(r.Context(), j)
 	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, err)
+		writeBackendError(w, err, false)
 		return
 	}
 	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // listJobs aggregates every fleet job's status in creation order. A job
-// whose backend cannot answer right now (mid-failover) is reported from
-// the routing table as interrupted — which is what it is: queued for
-// bit-identical re-execution elsewhere.
+// whose backend pruned it (410) is left out, as gpowd's own list leaves
+// it out. A job whose backend cannot answer right now (mid-failover) is
+// reported from the routing table as interrupted — which is what it is:
+// queued for bit-identical re-execution elsewhere.
 func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	js := make([]*fleetJob, 0, len(rt.order))
@@ -657,8 +674,12 @@ func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 	out := make([]service.JobStatus, 0, len(js))
 	for _, j := range js {
-		if st, err := rt.backendStatus(r.Context(), j); err == nil {
+		st, err := rt.backendStatus(r.Context(), j)
+		if err == nil {
 			out = append(out, *st)
+			continue
+		}
+		if answered(err, http.StatusGone) {
 			continue
 		}
 		j.mu.Lock()
@@ -682,12 +703,12 @@ func (rt *Router) cancelJob(w http.ResponseWriter, r *http.Request) {
 	name, bid := j.coords()
 	b := rt.backends[name]
 	if err := b.client.Cancel(r.Context(), bid); err != nil {
-		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s: %w", name, err))
+		writeBackendError(w, fmt.Errorf("backend %s: %w", name, err), false)
 		return
 	}
 	st, err := rt.backendStatus(r.Context(), j)
 	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, err)
+		writeBackendError(w, err, false)
 		return
 	}
 	service.WriteJSON(w, http.StatusOK, st)
@@ -705,13 +726,10 @@ func (rt *Router) jobReport(w http.ResponseWriter, r *http.Request) {
 	err := rt.atJob(r.Context(), j, func(b *Backend, bid string) error {
 		return rt.proxyRaw(w, r, b, "/v1/jobs/"+bid+"/report")
 	})
-	var herr *service.HTTPError
-	switch {
-	case errors.As(err, &herr):
-		// A 404 that is not a lost job: the backend's answer, as it wrote it.
-		service.WriteError(w, herr.Code, errors.New(herr.Msg))
-	case err != nil:
-		service.WriteError(w, http.StatusBadGateway, err)
+	if err != nil {
+		// Every answer of the backend's own (a 404 that is not a lost
+		// job, a report not ready or gone) passes through as it wrote it.
+		writeBackendError(w, err, true)
 	}
 }
 

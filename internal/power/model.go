@@ -10,6 +10,14 @@
 // following Eq. (1) of the paper: P = alpha*C*Vdd^2*f (dynamic, via
 // per-event energies x event counts) + short-circuit (folded into the
 // energies) + Vdd*Ileak (static).
+//
+// runtimeAt writes the dynamic half of Eq. (1) as one fixed-order table of
+// terms {item, event count, joules per event}, priced in one loop as
+// count * joules / T * scale. The order is part of the determinism
+// contract: records carry every item at full precision, so reordering
+// terms changes last bits. For the same reason each product that feeds a
+// sum is rounded by an explicit float64 conversion, so no architecture
+// fuses it into a multiply-add (make nofma checks the assembly).
 package power
 
 import (
@@ -63,11 +71,6 @@ type Model struct {
 	// Off-chip DRAM.
 	dramChip gddr.Chip
 
-	// Cached energy coefficients in joules.
-	eInt, eFP, eSFU, eAGU     float64
-	eNoCFlit, eMCReq, eDecode float64
-	ePCIePerByte              float64
-
 	// static is the precomputed leakage decomposition (see staticSplit):
 	// filled once by computeStaticSplit so Evaluate never recomputes it
 	// per call.
@@ -87,15 +90,6 @@ func New(cfg *config.GPU) (*Model, error) {
 	if err := m.build(); err != nil {
 		return nil, err
 	}
-	p := cfg.Power
-	m.eInt = p.IntOpPJ * 1e-12
-	m.eFP = p.FPOpPJ * 1e-12
-	m.eSFU = p.SFUOpPJ * 1e-12
-	m.eAGU = p.AGUOpPJ * 1e-12
-	m.eNoCFlit = p.NoCFlitPJ * 1e-12
-	m.eMCReq = p.MCRequestPJ * 1e-12
-	m.eDecode = p.DecodePJ * 1e-12
-	m.ePCIePerByte = p.PCIeDynPerKBJ / 1024
 	chip, err := gddr.ForType(cfg.MemType, cfg.MemDataRateGbps)
 	if err != nil {
 		return nil, err
@@ -225,10 +219,10 @@ func (m *Model) build() error {
 
 	// --- Execution units: empirical energy (paper §III-D), area from Galal
 	// & Horowitz (FPU) and De Caro et al. (SFU) ---
-	exeArea := float64(cfg.FUsPerCore)*cfg.Power.FPUAreaMM2 + float64(cfg.SFUsPerCore)*cfg.Power.SFUAreaMM2
+	exeArea := float64(float64(cfg.FUsPerCore)*cfg.Power.FPUAreaMM2) + float64(float64(cfg.SFUsPerCore)*cfg.Power.SFUAreaMM2)
 	m.exeLeakage = circuit.Budget{
 		AreaMM2:  exeArea,
-		LeakageW: exeArea*t.LeakagePerMM2*0.3 + float64(cfg.SFUsPerCore)*cfg.Power.SFUStaticWPerUnit,
+		LeakageW: float64(exeArea*t.LeakagePerMM2*0.3) + float64(float64(cfg.SFUsPerCore)*cfg.Power.SFUStaticWPerUnit),
 	}
 
 	// --- Load/store unit ---

@@ -1,6 +1,9 @@
 package power
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -308,5 +311,173 @@ func TestFindHelper(t *testing.T) {
 	}
 	if _, ok := Find(items, "B"); ok {
 		t.Error("Find should miss absent names")
+	}
+}
+
+// texGTX580 is the GTX580 with a texture cache, so that the scoreboard,
+// L1, L2 and texture terms all have nonzero energy.
+func texGTX580() *config.GPU {
+	cfg := config.GTX580()
+	cfg.TexCacheKB, cfg.TexLineB = 8, 32
+	return cfg
+}
+
+// busyActivity is an activity with no events: the kernel's cycles and the
+// busy counts only.
+func busyActivity(cfg *config.GPU) sim.Activity {
+	a := sim.Activity{Cycles: 1 << 20, GlobalSchedCycles: 1 << 19, DRAMBusyCycles: 1 << 20}
+	for i := 0; i < cfg.NumCores(); i++ {
+		a.CoreBusyCycles = append(a.CoreBusyCycles, 1<<19+uint64(i))
+	}
+	for i := 0; i < cfg.Clusters; i++ {
+		a.ClusterBusyCycles = append(a.ClusterBusyCycles, 1<<19+uint64(i))
+	}
+	return a
+}
+
+// perEvent reports whether Activity field f counts events, as opposed to
+// the kernel's cycles and the busy counts.
+func perEvent(f reflect.StructField) bool {
+	switch f.Name {
+	case "Cycles", "GlobalSchedCycles", "DRAMBusyCycles":
+		return false
+	}
+	return f.Type.Kind() == reflect.Uint64
+}
+
+// unpricedCounters are the Activity counters no power term reads: they
+// count work another counter already prices (warp instructions by class,
+// coalesced segments, conflict cycles, cache misses outside L1) or
+// occupancy no energy is attached to.
+var unpricedCounters = []string{
+	"IssuedInstrs", "IntWarpInstrs", "FPWarpInstrs", "SFUWarpInstrs", "MemWarpInstrs", "CtrlWarpInstrs",
+	"CoalescedReqs", "SMemConflicts", "ConstMisses", "TexMisses", "L2Misses",
+	"ResidentWarpCycles", "BlocksLaunched", "WarpsLaunched", "ThreadsLaunched",
+}
+
+// priced is every dynamic number a report carries: each GPU and core
+// item's DynamicW, then DRAMW.
+func priced(t *testing.T, m *Model, a sim.Activity) []float64 {
+	t.Helper()
+	r, err := m.Evaluate(&sim.Result{Activity: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []float64
+	for _, it := range append(r.GPU, r.Core...) {
+		out = append(out, it.DynamicW)
+	}
+	return append(out, r.DRAMW)
+}
+
+// Every uint64 Activity counter is priced: growing it moves some item's
+// dynamic power or the DRAM power, unless unpricedCounters names it, and
+// growing a named one moves nothing.
+func TestEveryCounterPricedOrNamed(t *testing.T) {
+	cfg := texGTX580()
+	m := mustModel(t, cfg)
+	base := busyActivity(cfg)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		if perEvent(typ.Field(i)) {
+			reflect.ValueOf(&base).Elem().Field(i).SetUint(1 << 12)
+		}
+	}
+	base.L1Reads = 1 << 16 // room for more misses than the base's
+	want := priced(t, m, base)
+	for _, name := range unpricedCounters {
+		if f, ok := typ.FieldByName(name); !ok || f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("unpricedCounters names %s, which is no uint64 Activity counter", name)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		a := base
+		v := reflect.ValueOf(&a).Elem().Field(i)
+		v.SetUint(v.Uint() + 1<<10)
+		moved := !slices.Equal(priced(t, m, a), want)
+		switch unpriced := slices.Contains(unpricedCounters, f.Name); {
+		case unpriced && moved:
+			t.Errorf("%s is listed in unpricedCounters, but growing it moves power", f.Name)
+		case !unpriced && !moved:
+			t.Errorf("growing %s moves no item's dynamic power nor DRAM power: price it or list it in unpricedCounters", f.Name)
+		}
+	}
+}
+
+// Two metamorphic checks over seeded random activities with the cycles and
+// busy counts fixed: static power depends on the configuration alone, not
+// on the activity or the kernel's duration; and dynamic power is additive
+// over the per-event counters, so pricing a+b equals pricing a plus
+// pricing b less pricing no events.
+func TestPricingMetamorphic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []*config.GPU{config.GT240(), texGTX580()} {
+		m := mustModel(t, cfg)
+		zero := busyActivity(cfg)
+		typ := reflect.TypeOf(zero)
+		random := func() sim.Activity {
+			a := zero
+			for i := 0; i < typ.NumField(); i++ {
+				if perEvent(typ.Field(i)) {
+					reflect.ValueOf(&a).Elem().Field(i).SetUint(uint64(rng.Intn(1 << 20)))
+				}
+			}
+			if a.L1Misses > a.L1Reads {
+				a.L1Misses, a.L1Reads = a.L1Reads, a.L1Misses
+			}
+			return a
+		}
+		report := func(a sim.Activity, T float64) *RuntimeReport {
+			r, err := m.runtimeAt(&sim.Result{Activity: a}, T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		T := float64(zero.Cycles) / cfg.CoreClockHz()
+		static, none := m.Static(), report(zero, T)
+		for trial := 0; trial < 50; trial++ {
+			x, y := random(), random()
+			xy := zero
+			for i := 0; i < typ.NumField(); i++ {
+				if perEvent(typ.Field(i)) {
+					v := reflect.ValueOf(&xy).Elem().Field(i)
+					v.SetUint(reflect.ValueOf(x).Field(i).Uint() + reflect.ValueOf(y).Field(i).Uint())
+				}
+			}
+
+			rs := report(x, T*(0.01+100*rng.Float64()))
+			if rs.StaticW != static.StaticW {
+				t.Errorf("%s trial %d: StaticW %v, architectural %v", cfg.Name, trial, rs.StaticW, static.StaticW)
+			}
+			for i := range rs.GPU {
+				if rs.GPU[i].StaticW != none.GPU[i].StaticW {
+					t.Errorf("%s trial %d: %s StaticW %v, with no events %v", cfg.Name, trial, rs.GPU[i].Name, rs.GPU[i].StaticW, none.GPU[i].StaticW)
+				}
+			}
+			for i := range rs.Core {
+				if rs.Core[i].StaticW != none.Core[i].StaticW {
+					t.Errorf("%s trial %d: core %s StaticW %v, with no events %v", cfg.Name, trial, rs.Core[i].Name, rs.Core[i].StaticW, none.Core[i].StaticW)
+				}
+			}
+
+			rx, ry, rxy := report(x, T), report(y, T), report(xy, T)
+			check := func(name string, sum, a, b, z float64) {
+				if d := sum - (a + b - z); d > 1e-12*sum || -d > 1e-12*sum {
+					t.Errorf("%s trial %d: %s priced %v for a+b, %v for a + b - none", cfg.Name, trial, name, sum, a+b-z)
+				}
+			}
+			check("DynamicW", rxy.DynamicW, rx.DynamicW, ry.DynamicW, none.DynamicW)
+			for i := range rxy.GPU {
+				check(rxy.GPU[i].Name, rxy.GPU[i].DynamicW, rx.GPU[i].DynamicW, ry.GPU[i].DynamicW, none.GPU[i].DynamicW)
+			}
+			for i := range rxy.Core {
+				check("core "+rxy.Core[i].Name, rxy.Core[i].DynamicW, rx.Core[i].DynamicW, ry.Core[i].DynamicW, none.Core[i].DynamicW)
+			}
+		}
 	}
 }

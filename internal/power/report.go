@@ -40,15 +40,15 @@ func (m *Model) leakScale() float64 {
 }
 
 // staticSplit holds the precomputed leakage decomposition of one model:
-// per-core components (WCU, RF, EXE, LDSTU, Undiff) and uncore components
-// (NoC, MC including L2, PCIe), temperature-scaled. The split depends only
-// on the built circuit budgets and the configuration, so it is computed once
-// per Model (computeStaticSplit) instead of on every Evaluate call — the
-// amortization that makes re-pricing one timing snapshot under N power
+// per-core components (WCU, RF, EXE, LDSTU, Undiff, and their sum) and
+// chip-level ones (NoC, MC including L2, PCIe, and the chip total),
+// temperature-scaled. It depends only on the built circuit budgets and the
+// configuration, so it is computed once per Model (computeStaticSplit) —
+// the amortization that makes re-pricing one timing snapshot under N power
 // variants a pure arithmetic pass.
 type staticSplit struct {
-	wcu, rf, exe, ldst, undiff float64 // one core
-	noc, mc, pcie              float64 // chip level
+	wcu, rf, exe, ldst, undiff, core float64 // one core
+	noc, mc, pcie, total             float64 // chip level
 }
 
 // computeStaticSplit fills the cached split; called once from New after the
@@ -57,55 +57,41 @@ func (m *Model) computeStaticSplit() {
 	ls := m.leakScale()
 	p := m.cfg.Power
 	s := &m.static
-	s.wcu = m.coreWCUBudget().LeakageW * ls
-	s.rf = m.coreRFBudget().LeakageW * ls
-	s.exe = m.exeLeakage.LeakageW * ls
-	s.ldst = m.coreLDSTBudget().LeakageW * ls
+	s.wcu = float64(m.coreWCUBudget().LeakageW * ls)
+	s.rf = float64(m.coreRFBudget().LeakageW * ls)
+	s.exe = float64(m.exeLeakage.LeakageW * ls)
+	s.ldst = float64(m.coreLDSTBudget().LeakageW * ls)
 	s.undiff = p.UndiffCoreStaticW
-	s.noc = m.nocXbar.LeakageW*ls + p.NoCStaticW
+	s.core = s.wcu + s.rf + s.exe + s.ldst + s.undiff
+	s.noc = float64(m.nocXbar.LeakageW*ls) + p.NoCStaticW
 	nMC := (m.cfg.MemChannels + 1) / 2
-	s.mc = m.mcLogic.LeakageW*float64(nMC)*ls + (m.l2Tag.LeakageW+m.l2Data.LeakageW)*ls + p.MCStaticW
+	s.mc = float64(m.mcLogic.LeakageW*float64(nMC)*ls) + float64((m.l2Tag.LeakageW+m.l2Data.LeakageW)*ls) + p.MCStaticW
 	s.pcie = p.PCIeIdleW
-}
-
-// coreStaticSplit returns the cached leakage of one core by component.
-func (m *Model) coreStaticSplit() (wcu, rf, exe, ldst, undiff float64) {
-	s := &m.static
-	return s.wcu, s.rf, s.exe, s.ldst, s.undiff
-}
-
-// uncoreStaticSplit returns the cached NoC, MC (including L2) and PCIe
-// leakage.
-func (m *Model) uncoreStaticSplit() (noc, mc, pcie float64) {
-	s := &m.static
-	return s.noc, s.mc, s.pcie
+	s.total = float64(s.core*float64(m.cfg.NumCores())) + s.noc + s.mc + s.pcie + p.UncoreStaticW
 }
 
 // Static computes the architectural report.
 func (m *Model) Static() *StaticReport {
 	cfg := m.cfg
 	n := float64(cfg.NumCores())
-
-	wcu, rf, exe, ldst, undiff := m.coreStaticSplit()
-	coreStatic := wcu + rf + exe + ldst + undiff
-	noc, mc, pcie := m.uncoreStaticSplit()
+	s := &m.static
 
 	coreArea := m.coreWCUBudget().AreaMM2 + m.coreRFBudget().AreaMM2 +
 		m.exeLeakage.AreaMM2 + m.coreLDSTBudget().AreaMM2 + cfg.Power.UndiffCoreAreaMM2
 	nMC := (cfg.MemChannels + 1) / 2
-	area := coreArea*n + m.nocXbar.AreaMM2 + m.mcLogic.AreaMM2*float64(nMC) +
+	area := float64(coreArea*n) + m.nocXbar.AreaMM2 + float64(m.mcLogic.AreaMM2*float64(nMC)) +
 		m.l2Tag.AreaMM2 + m.l2Data.AreaMM2 + cfg.Power.UncoreAreaMM2
 
 	r := &StaticReport{
 		GPUName:     cfg.Name,
 		AreaMM2:     area,
 		CoreAreaMM2: coreArea,
-		StaticW:     coreStatic*n + noc + mc + pcie + cfg.Power.UncoreStaticW,
+		StaticW:     s.total,
 		Items: []Item{
-			{Name: "Cores", StaticW: coreStatic * n},
-			{Name: "NoC", StaticW: noc},
-			{Name: "Memory Controller", StaticW: mc},
-			{Name: "PCIe Controller", StaticW: pcie},
+			{Name: "Cores", StaticW: s.core * n},
+			{Name: "NoC", StaticW: s.noc},
+			{Name: "Memory Controller", StaticW: s.mc},
+			{Name: "PCIe Controller", StaticW: s.pcie},
 		},
 	}
 	r.PeakDynamicW = m.peakDynamic()
@@ -120,18 +106,18 @@ func (m *Model) peakDynamic() float64 {
 	n := float64(cfg.NumCores())
 	p := cfg.Power
 
-	exe := n * f * (float64(cfg.FUsPerCore)*m.eFP + float64(cfg.SFUsPerCore)*m.eSFU)
+	exe := float64(n * f * (float64(float64(cfg.FUsPerCore)*(p.FPOpPJ*1e-12)) + float64(float64(cfg.SFUsPerCore)*(p.SFUOpPJ*1e-12))))
 	// Issue machinery at one instruction per scheduler per cycle.
 	issueRate := n * float64(cfg.Schedulers) * f
-	wcu := issueRate * (m.ibuf.ReadEnergyJ + m.wst.ReadEnergyJ + m.scheduler.ReadEnergyJ + m.eDecode)
-	rf := issueRate * m.rowsPerOperand * (3*m.rfBank.ReadEnergyJ + m.rfBank.WriteEnergyJ + m.opXbar.ReadEnergyJ)
-	smem := n * f * float64(m.smemBanks) * m.smemBank.ReadEnergyJ
+	wcu := float64(issueRate * (m.ibuf.ReadEnergyJ + m.wst.ReadEnergyJ + m.scheduler.ReadEnergyJ + float64(p.DecodePJ*1e-12)))
+	rf := float64(issueRate * m.rowsPerOperand * (float64(3*m.rfBank.ReadEnergyJ) + m.rfBank.WriteEnergyJ + m.opXbar.ReadEnergyJ))
+	smem := float64(n * f * float64(m.smemBanks) * m.smemBank.ReadEnergyJ)
 	// Memory interfaces at full bandwidth: one 32B flit per uncore cycle per
 	// channel and DRAM bursting continuously.
 	uncoreHz := cfg.UncoreClockMHz * 1e6
-	noc := float64(cfg.MemChannels) * uncoreHz * m.eNoCFlit
-	mc := float64(cfg.MemChannels) * uncoreHz / 4 * m.eMCReq
-	base := p.GlobalSchedW + float64(cfg.Clusters)*p.ClusterBaseW + n*p.CoreBaseDynW
+	noc := float64(float64(cfg.MemChannels) * uncoreHz * (p.NoCFlitPJ * 1e-12))
+	mc := float64(float64(cfg.MemChannels) * uncoreHz / 4 * (p.MCRequestPJ * 1e-12))
+	base := p.GlobalSchedW + float64(float64(cfg.Clusters)*p.ClusterBaseW) + float64(n*p.CoreBaseDynW)
 
 	return (exe + wcu + rf + smem + noc + mc + base + p.PCIeActiveW) * p.DynScaleFactor
 }
@@ -179,6 +165,30 @@ func (m *Model) Evaluate(res *sim.Result) (*RuntimeReport, error) {
 	return m.runtimeAt(res, float64(res.Activity.Cycles)/m.cfg.CoreClockHz())
 }
 
+// The report items the runtime term table prices into. The scoreboard
+// terms keep a sum of their own, added to the WCU's after the loop: the
+// WCU's dynamic power is wcu + (searches + writes), and records carry
+// its last bits.
+const (
+	itemWCU = iota
+	itemScoreboard
+	itemRF
+	itemEXE
+	itemLDST
+	itemNoC
+	itemMC
+	itemPCIe
+	numItems
+)
+
+// term is one per-event row of Eq. (1): count events of joules each,
+// priced into item.
+type term struct {
+	item   int
+	count  uint64
+	joules float64
+}
+
 // runtimeAt maps activity counts to power over a kernel duration of T
 // seconds.
 func (m *Model) runtimeAt(res *sim.Result, T float64) (*RuntimeReport, error) {
@@ -192,52 +202,54 @@ func (m *Model) runtimeAt(res *sim.Result, T float64) (*RuntimeReport, error) {
 	}
 	scale := p.DynScaleFactor
 	nCores := float64(cfg.NumCores())
-
-	perT := func(count uint64, energy float64) float64 {
-		return float64(count) * energy / T * scale
-	}
-
-	// --- WCU dynamic (all cores aggregated) ---
-	wcuDyn := perT(a.ICacheReads, m.icache.ReadEnergyJ) +
-		perT(a.Decodes, m.eDecode+m.decoder.ReadEnergyJ) +
-		perT(a.WSTReads, m.wst.ReadEnergyJ) +
-		perT(a.WSTWrites, m.wst.WriteEnergyJ) +
-		perT(a.IBufReads, m.ibuf.ReadEnergyJ) +
-		perT(a.IBufWrites, m.ibuf.WriteEnergyJ) +
-		perT(a.SchedArbs, m.scheduler.ReadEnergyJ) +
-		perT(a.ReconvReads, m.reconv.ReadEnergyJ) +
-		perT(a.ReconvPushes, m.reconv.WriteEnergyJ) +
-		perT(a.ReconvPops, m.reconv.ReadEnergyJ)
-	if cfg.HasScoreboard {
-		wcuDyn += perT(a.SBSearches, m.scoreboard.ReadEnergyJ) +
-			perT(a.SBWrites, m.scoreboard.WriteEnergyJ)
-	}
-
-	// --- Register file dynamic ---
 	rows := m.rowsPerOperand
-	rfDyn := perT(a.RFBankReads, rows*m.rfBank.ReadEnergyJ) +
-		perT(a.RFBankWrites, rows*m.rfBank.WriteEnergyJ) +
-		perT(a.OCWrites, m.oc.WriteEnergyJ) +
-		perT(a.OperandXbar, rows*m.opXbar.ReadEnergyJ)
-
-	// --- Execution units (empirical pJ/op, lane-weighted) ---
-	exeDyn := perT(a.IntThreadInstrs, m.eInt) +
-		perT(a.FPThreadInstrs, m.eFP) +
-		perT(a.SFUThreadInstrs, m.eSFU)
-
-	// --- LDST unit ---
 	lineAccesses := uint64(0)
 	if cfg.L1KB > 0 {
 		lineAccesses = (a.L1Reads - a.L1Misses) * uint64(cfg.L1LineB/4) // data rows on hits
 	}
-	ldstDyn := perT(a.AGUAddresses, m.eAGU+m.sagu.ReadEnergyJ/8) +
-		perT(a.CoalescerQueries, m.coalInQ.WriteEnergyJ) +
-		perT(a.PRTWrites, m.coalPRT.WriteEnergyJ) +
-		perT(a.SMemAccesses, m.smemBank.ReadEnergyJ+m.smemXbar.ReadEnergyJ) +
-		perT(lineAccesses, m.smemBank.ReadEnergyJ) +
-		perT(a.L1Reads+a.L1Writes, m.l1Tag.ReadEnergyJ) +
-		perT(a.ConstReads, m.ccTag.ReadEnergyJ+m.ccData.ReadEnergyJ) +
-		perT(a.TexReads, m.texTag.ReadEnergyJ+m.texData.ReadEnergyJ)
+
+	// Dynamic power, one term per event kind. Each item sums its terms in
+	// this order (see the package comment). Execution units use empirical
+	// pJ/op, lane-weighted; a structure the GPU lacks has zero energies.
+	terms := []term{
+		{itemWCU, a.ICacheReads, m.icache.ReadEnergyJ},
+		{itemWCU, a.Decodes, float64(p.DecodePJ*1e-12) + m.decoder.ReadEnergyJ},
+		{itemWCU, a.WSTReads, m.wst.ReadEnergyJ},
+		{itemWCU, a.WSTWrites, m.wst.WriteEnergyJ},
+		{itemWCU, a.IBufReads, m.ibuf.ReadEnergyJ},
+		{itemWCU, a.IBufWrites, m.ibuf.WriteEnergyJ},
+		{itemWCU, a.SchedArbs, m.scheduler.ReadEnergyJ},
+		{itemWCU, a.ReconvReads, m.reconv.ReadEnergyJ},
+		{itemWCU, a.ReconvPushes, m.reconv.WriteEnergyJ},
+		{itemWCU, a.ReconvPops, m.reconv.ReadEnergyJ},
+		{itemScoreboard, a.SBSearches, m.scoreboard.ReadEnergyJ},
+		{itemScoreboard, a.SBWrites, m.scoreboard.WriteEnergyJ},
+		{itemRF, a.RFBankReads, rows * m.rfBank.ReadEnergyJ},
+		{itemRF, a.RFBankWrites, rows * m.rfBank.WriteEnergyJ},
+		{itemRF, a.OCWrites, m.oc.WriteEnergyJ},
+		{itemRF, a.OperandXbar, rows * m.opXbar.ReadEnergyJ},
+		{itemEXE, a.IntThreadInstrs, p.IntOpPJ * 1e-12},
+		{itemEXE, a.FPThreadInstrs, p.FPOpPJ * 1e-12},
+		{itemEXE, a.SFUThreadInstrs, p.SFUOpPJ * 1e-12},
+		{itemLDST, a.AGUAddresses, float64(p.AGUOpPJ*1e-12) + float64(m.sagu.ReadEnergyJ/8)},
+		{itemLDST, a.CoalescerQueries, m.coalInQ.WriteEnergyJ},
+		{itemLDST, a.PRTWrites, m.coalPRT.WriteEnergyJ},
+		{itemLDST, a.SMemAccesses, m.smemBank.ReadEnergyJ + m.smemXbar.ReadEnergyJ},
+		{itemLDST, lineAccesses, m.smemBank.ReadEnergyJ},
+		{itemLDST, a.L1Reads + a.L1Writes, m.l1Tag.ReadEnergyJ},
+		{itemLDST, a.ConstReads, m.ccTag.ReadEnergyJ + m.ccData.ReadEnergyJ},
+		{itemLDST, a.TexReads, m.texTag.ReadEnergyJ + m.texData.ReadEnergyJ},
+		{itemNoC, a.NoCFlits, float64(p.NoCFlitPJ*1e-12) + m.nocXbar.ReadEnergyJ},
+		{itemMC, a.MCRequests, p.MCRequestPJ * 1e-12},
+		{itemMC, a.L2Reads, m.l2Tag.ReadEnergyJ + m.l2Data.ReadEnergyJ},
+		{itemMC, a.L2Writes, m.l2Tag.ReadEnergyJ + m.l2Data.WriteEnergyJ},
+		{itemPCIe, a.PCIeBytes, p.PCIeDynPerKBJ / 1024},
+	}
+	var sum [numItems]float64
+	for _, t := range terms {
+		sum[t.item] += float64(float64(t.count) * t.joules / T * scale)
+	}
+	wcuDyn := sum[itemWCU] + sum[itemScoreboard]
 
 	// --- Base power (empirical, paper Fig. 4 / Table V) ---
 	cycles := float64(a.Cycles)
@@ -249,28 +261,18 @@ func (m *Model) runtimeAt(res *sim.Result, T float64) (*RuntimeReport, error) {
 	for _, c := range a.ClusterBusyCycles {
 		clusterBusy += float64(c)
 	}
-	baseCoreDyn := p.CoreBaseDynW * coreBusy / cycles * scale   // summed over cores
-	clusterDyn := p.ClusterBaseW * clusterBusy / cycles * scale // summed over clusters
-	schedDyn := p.GlobalSchedW * float64(a.GlobalSchedCycles) / cycles * scale
+	baseCoreDyn := float64(p.CoreBaseDynW * coreBusy / cycles * scale)   // summed over cores
+	clusterDyn := float64(p.ClusterBaseW * clusterBusy / cycles * scale) // summed over clusters
+	schedDyn := float64(p.GlobalSchedW * float64(a.GlobalSchedCycles) / cycles * scale)
 
-	coresDyn := wcuDyn + rfDyn + exeDyn + ldstDyn + baseCoreDyn + clusterDyn + schedDyn
+	coresDyn := wcuDyn + sum[itemRF] + sum[itemEXE] + sum[itemLDST] + baseCoreDyn + clusterDyn + schedDyn
 
-	// --- Uncore dynamic ---
-	nocDyn := perT(a.NoCFlits, m.eNoCFlit+m.nocXbar.ReadEnergyJ)
-	mcDyn := perT(a.MCRequests, m.eMCReq) +
-		perT(a.L2Reads, m.l2Tag.ReadEnergyJ+m.l2Data.ReadEnergyJ) +
-		perT(a.L2Writes, m.l2Tag.ReadEnergyJ+m.l2Data.WriteEnergyJ)
+	// --- PCIe: active power over the busy fraction plus the per-byte term ---
 	activeFrac := float64(a.GlobalSchedCycles) / cycles
 	if activeFrac > 1 {
 		activeFrac = 1
 	}
-	pcieDyn := p.PCIeActiveW*activeFrac*scale + perT(a.PCIeBytes, m.ePCIePerByte)
-
-	// --- Static ---
-	wcuS, rfS, exeS, ldstS, undiffS := m.coreStaticSplit()
-	coreStatic := wcuS + rfS + exeS + ldstS + undiffS
-	nocS, mcS, pcieS := m.uncoreStaticSplit()
-	staticW := coreStatic*nCores + nocS + mcS + pcieS + p.UncoreStaticW
+	pcieDyn := float64(p.PCIeActiveW*activeFrac*scale) + sum[itemPCIe]
 
 	// --- DRAM (off-chip) ---
 	chips := cfg.GDDRChips()
@@ -291,28 +293,29 @@ func (m *Model) runtimeAt(res *sim.Result, T float64) (*RuntimeReport, error) {
 	dramBk.Termination *= float64(chips)
 	dramBk.Refresh *= float64(chips)
 
-	dyn := coresDyn + nocDyn + mcDyn + pcieDyn
+	s := &m.static
+	dyn := coresDyn + sum[itemNoC] + sum[itemMC] + pcieDyn
 	r := &RuntimeReport{
 		GPUName:  cfg.Name,
 		Seconds:  T,
-		StaticW:  staticW,
+		StaticW:  s.total,
 		DynamicW: dyn,
-		TotalW:   staticW + dyn,
+		TotalW:   s.total + dyn,
 		DRAMW:    dramBk.Total(),
 		DRAM:     dramBk,
 		GPU: []Item{
-			{Name: "Cores", StaticW: coreStatic * nCores, DynamicW: coresDyn},
-			{Name: "NoC", StaticW: nocS, DynamicW: nocDyn},
-			{Name: "Memory Controller", StaticW: mcS, DynamicW: mcDyn},
-			{Name: "PCIe Controller", StaticW: pcieS, DynamicW: pcieDyn},
+			{Name: "Cores", StaticW: s.core * nCores, DynamicW: coresDyn},
+			{Name: "NoC", StaticW: s.noc, DynamicW: sum[itemNoC]},
+			{Name: "Memory Controller", StaticW: s.mc, DynamicW: sum[itemMC]},
+			{Name: "PCIe Controller", StaticW: s.pcie, DynamicW: pcieDyn},
 		},
 		Core: []Item{
 			{Name: "Base Power", StaticW: 0, DynamicW: baseCoreDyn / nCores},
-			{Name: "WCU", StaticW: wcuS, DynamicW: wcuDyn / nCores},
-			{Name: "Register File", StaticW: rfS, DynamicW: rfDyn / nCores},
-			{Name: "Execution Units", StaticW: exeS, DynamicW: exeDyn / nCores},
-			{Name: "LDSTU", StaticW: ldstS, DynamicW: ldstDyn / nCores},
-			{Name: "Undiff. Core", StaticW: undiffS, DynamicW: 0},
+			{Name: "WCU", StaticW: s.wcu, DynamicW: wcuDyn / nCores},
+			{Name: "Register File", StaticW: s.rf, DynamicW: sum[itemRF] / nCores},
+			{Name: "Execution Units", StaticW: s.exe, DynamicW: sum[itemEXE] / nCores},
+			{Name: "LDSTU", StaticW: s.ldst, DynamicW: sum[itemLDST] / nCores},
+			{Name: "Undiff. Core", StaticW: s.undiff, DynamicW: 0},
 		},
 	}
 	return r, nil
