@@ -113,9 +113,9 @@ fuzz:
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 
-# One pass of the root microbenchmarks (simulator and measurement layer,
-# one iteration each), so they cannot silently rot; use -benchtime and
-# -cpuprofile for A/B runs.
+# One pass of the root microbenchmarks (simulator, measurement layer and
+# a warm pass of the sweep scenario set, one iteration each), so they
+# cannot silently rot; use -benchtime and -cpuprofile for A/B runs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .
 

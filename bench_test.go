@@ -1,10 +1,12 @@
 // Simulator-throughput microbenchmarks: quick A/B and pprof probes of the
-// timing simulator on single Table I benchmarks, plus one probe of the
-// virtual card's measurement layer. The reproduced paper
+// timing simulator on single Table I benchmarks, one probe of the virtual
+// card's measurement layer, and warm passes of the paper's sweep
+// scenarios (BenchmarkSweepWarm). The reproduced paper
 // quantities are pinned exactly by the scenario goldens in
 // internal/experiments, and the measured end-to-end ledger is benchmark/.
 //
 //	go test -bench=Sim -benchmem -cpuprofile cpu.prof
+//	go test -bench=SweepWarm -run=NONE -cpuprofile cpu.prof
 package gpusimpow_test
 
 import (
@@ -13,10 +15,13 @@ import (
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
+	_ "gpusimpow/internal/experiments" // registers the sweep scenarios
 	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/power"
 	"gpusimpow/internal/sim"
+	"gpusimpow/internal/simcache"
+	"gpusimpow/internal/sweep"
 )
 
 // launchFunc runs one kernel launch and returns its performance result.
@@ -179,4 +184,53 @@ func BenchmarkMeasureKernelGT240(b *testing.B) {
 		samples += measure()
 	}
 	b.ReportMetric(float64(samples)/float64(b.N), "daq-samples/op")
+}
+
+// warmSweepSet is the paper reproduction of the benchmark harness's sweep
+// workloads: Figure 6, the five design-choice ablations, the
+// energy-per-op microbenchmark and the DVFS study.
+var warmSweepSet = []string{
+	"fig6",
+	"ablation-scoreboard", "ablation-l2", "ablation-processnode", "ablation-corecount", "ablation-scheduler",
+	"energyperop", "dvfs",
+}
+
+// sweepPass runs every scenario of warmSweepSet once the way every
+// front-end does: plan, run, records, reduce.
+func sweepPass(b *testing.B) {
+	b.Helper()
+	for _, name := range warmSweepSet {
+		sc, ok := sweep.Lookup(name)
+		if !ok || sc.Spec == nil || sc.Reduce == nil {
+			b.Fatalf("scenario %q is not a registered sweep with a reduction", name)
+		}
+		plan, err := sc.Spec().Plan(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := plan.Run(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Reduce(plan.Records(rs), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepWarm times one pass of warmSweepSet with every timing
+// group a result-cache hit: an untimed pass fills the process-wide cache
+// first, so the timed passes plan, key, replay, price, measure and reduce,
+// as the harness's sweep-warm workload does.
+func BenchmarkSweepWarm(b *testing.B) {
+	sweepPass(b)
+	before := simcache.Default().Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweepPass(b)
+	}
+	b.StopTimer()
+	if st := simcache.Default().Stats(); st.Misses != before.Misses {
+		b.Fatalf("%d timing misses in the timed passes, want every group a hit", st.Misses-before.Misses)
+	}
 }

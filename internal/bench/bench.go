@@ -10,9 +10,10 @@
 // launches and constant images; its pristine input image with the image's
 // content digest; and the host reference outputs its verification compares
 // against. The constructors return fresh instances cloned from the
-// template. A clone's image carries the template's digest, so the
-// simulation-result cache keys its first launch without rehashing the
-// image.
+// template. A clone's image shares the template's input words until its
+// first write and carries the template's digest, so a clone costs no
+// copy and the simulation-result cache keys its first launch without
+// rehashing the image.
 package bench
 
 import (
@@ -39,9 +40,10 @@ type Run struct {
 
 // Instance is a ready-to-execute benchmark: launches share one memory image
 // and must run in order; Verify checks the final memory against the host
-// reference. Every instance owns its memory image; the launches, programs
-// and constant images are shared with the benchmark's other instances and
-// must not be modified.
+// reference. Every instance has its own memory image, which shares the
+// template's input words until its first write copies them (see
+// kernel.GlobalMem); the launches, programs and constant images are
+// shared with the benchmark's other instances and must not be modified.
 type Instance struct {
 	Name   string
 	Mem    *kernel.GlobalMem
@@ -71,8 +73,8 @@ func newTemplate(name string, mem *kernel.GlobalMem, runs []Run) *template {
 }
 
 // instance returns a fresh instance of t (or err): its own memory image,
-// restored from the template's input and carrying its digest, and a Verify
-// that checks that image.
+// restored from the template's input without a copy and carrying its
+// digest, and a Verify that checks that image.
 func instance(t *template, err error) (*Instance, error) {
 	if err != nil {
 		return nil, err
@@ -165,11 +167,12 @@ func (l *lcg) next() uint32 {
 	return l.s
 }
 
-// f32 returns a float in [0, 1).
-func (l *lcg) f32() float32 { return float32(l.next()>>8) / (1 << 24) }
+// f32 returns a float in [0, 1). The outer conversion keeps the scaling,
+// which compiles to a multiply, from fusing into a caller's add.
+func (l *lcg) f32() float32 { return float32(float32(l.next()>>8) / (1 << 24)) }
 
 // rangeF32 returns a float in [lo, hi).
-func (l *lcg) rangeF32(lo, hi float32) float32 { return lo + (hi-lo)*l.f32() }
+func (l *lcg) rangeF32(lo, hi float32) float32 { return lo + float32((hi-lo)*l.f32()) }
 
 // intn returns an int in [0, n).
 func (l *lcg) intn(n int) int { return int(l.next() % uint32(n)) }

@@ -118,6 +118,34 @@ func TestBenchmarksFreshPerInstance(t *testing.T) {
 	runFunctional(t, a2)
 }
 
+// TestRunLeavesSiblingImage: an instance shares its template's input
+// words until its first write. Running and verifying one instance of
+// every benchmark leaves a second instance's image, hashed in full, at
+// the template's digest.
+func TestRunLeavesSiblingImage(t *testing.T) {
+	for _, f := range Suite() {
+		ran, err := f.Make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle, err := f.Make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := idle.Mem.Digest()
+		if !ok {
+			t.Fatalf("%s: a fresh instance carries no digest", f.Name)
+		}
+		runFunctional(t, ran)
+		if ran.Mem.ContentDigest() == want {
+			t.Errorf("%s: running an instance left its image unchanged", f.Name)
+		}
+		if idle.Mem.ContentDigest() != want {
+			t.Errorf("%s: running one instance changed another's image", f.Name)
+		}
+	}
+}
+
 func TestWorkloadCharacteristicsSpan(t *testing.T) {
 	// The paper stresses that the benchmarks cover "an equally wide variety
 	// of algorithmic (and thus, dynamic power) characteristics". Check a few

@@ -52,10 +52,14 @@ func emitCND(b *kernel.Builder, d, out, t1, t2, t3, p int) {
 
 // cndRef mirrors emitCND on the host in float32 steps.
 func cndRef(d float32) float32 {
-	k := float32(1) / (1 + 0.2316419*float32(math.Abs(float64(d))))
-	poly := ((((bsA5*k+bsA4)*k+bsA3)*k+bsA2)*k + bsA1) * k
+	k := float32(1) / (1 + float32(0.2316419*float32(math.Abs(float64(d)))))
+	poly := float32(bsA5*k) + bsA4
+	poly = float32(poly*k) + bsA3
+	poly = float32(poly*k) + bsA2
+	poly = float32(poly*k) + bsA1
+	poly *= k
 	pdf := rsqt2pi * float32(math.Exp2(float64(-0.5*log2e*d*d)))
-	cnd := pdf * poly
+	cnd := float32(pdf * poly)
 	if d > 0 {
 		cnd = 1 - cnd
 	}
@@ -164,11 +168,11 @@ func buildBlackScholes() (*template, error) {
 	for i := 0; i < n; i++ {
 		s, x, tt := sv[i], xv[i], tv[i]
 		sqrtT := float32(math.Sqrt(float64(tt)))
-		d1 := (float32(math.Log(float64(s/x))) + (bsRiskFree+0.5*bsVolatility*bsVolatility)*tt) / (bsVolatility * sqrtT)
-		d2 := d1 - bsVolatility*sqrtT
+		d1 := (float32(math.Log(float64(s/x))) + float32((bsRiskFree+0.5*bsVolatility*bsVolatility)*tt)) / (bsVolatility * sqrtT)
+		d2 := d1 - float32(bsVolatility*sqrtT)
 		expRT := x * float32(math.Exp(float64(-bsRiskFree*tt)))
-		wantCall[i] = s*cndRef(d1) - expRT*cndRef(d2)
-		wantPut[i] = expRT*(1-cndRef(d2)) - s*(1-cndRef(d1))
+		wantCall[i] = float32(s*cndRef(d1)) - float32(expRT*cndRef(d2))
+		wantPut[i] = float32(expRT*(1-cndRef(d2))) - float32(s*(1-cndRef(d1)))
 	}
 	t.check = func(mem *kernel.GlobalMem) error {
 		call := mem.ReadF32Slice(callAddr, n)

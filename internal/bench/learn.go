@@ -155,14 +155,14 @@ func buildBackprop() (*template, error) {
 	for j := range wantHid {
 		var sum float64
 		for i := 0; i < nIn; i++ {
-			sum += float64(in[i]) * float64(w[i*nHid+j])
+			sum += float64(float64(in[i]) * float64(w[i*nHid+j]))
 		}
 		wantHid[j] = 1 / (1 + math.Exp(-sum))
 	}
 	wantW := make([]float32, nIn*nHid)
 	for idx := range wantW {
 		i, j := idx/nHid, idx%nHid
-		wantW[idx] = w[idx] + lr*delta[j]*in[i]
+		wantW[idx] = w[idx] + float32(lr*delta[j]*in[i])
 	}
 	t.check = func(mem *kernel.GlobalMem) error {
 		hid := mem.ReadF32Slice(hidAddr, nHid)
@@ -300,7 +300,7 @@ func buildKMeans() (*template, error) {
 			var dist float32
 			for f := 0; f < d; f++ {
 				diff := points[i*d+f] - centres[c*d+f]
-				dist += diff * diff
+				dist += float32(diff * diff)
 			}
 			if dist < best {
 				best, want[i] = dist, int32(c)

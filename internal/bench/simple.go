@@ -173,7 +173,7 @@ func buildScalarProd() (*template, error) {
 	want := make([]float64, pairs)
 	for p := range want {
 		for i := 0; i < vlen; i++ {
-			want[p] += float64(av[p*vlen+i]) * float64(bv[p*vlen+i])
+			want[p] += float64(float64(av[p*vlen+i]) * float64(bv[p*vlen+i]))
 		}
 	}
 	t.check = func(mem *kernel.GlobalMem) error {

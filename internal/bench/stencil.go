@@ -109,7 +109,7 @@ func buildMatrixMul() (*template, error) {
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			for k := 0; k < dim; k++ {
-				want[r*dim+c] += float64(a[r*dim+k]) * float64(bm[k*dim+c])
+				want[r*dim+c] += float64(float64(a[r*dim+k]) * float64(bm[k*dim+c]))
 			}
 		}
 	}
@@ -239,8 +239,8 @@ func buildHotspot() (*template, error) {
 				lf := cur[r*dim+clamp(c-1, 0, dim-1)]
 				rt := cur[r*dim+clamp(c+1, 0, dim-1)]
 				t := cur[r*dim+c]
-				delta := up + dn + lf + rt + t*-4
-				ref[r*dim+c] = t + delta*kc + pow[r*dim+c]*pc
+				delta := up + dn + lf + rt + float32(t*-4)
+				ref[r*dim+c] = t + float32(delta*kc) + float32(pow[r*dim+c]*pc)
 			}
 		}
 		cur, ref = ref, cur

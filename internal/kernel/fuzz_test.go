@@ -63,12 +63,14 @@ func FuzzProgramValidate(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip builds an image from raw words, a zero tail and a
-// high-water mark that may lie below the last words (out-of-range stores
-// grow the words but not the mark), and checks that Restore(Snapshot(m))
-// rebuilds m exactly — length, words, Size and content digest — both into
-// a fresh image and into a larger one whose old words must not survive,
-// and that the snapshot's own digest is the rebuilt image's.
+// FuzzSnapshotRoundTrip builds an image from raw words, a zero tail (stored
+// or, as Alloc leaves it, unstored) and a high-water mark that may lie
+// below the last words (out-of-range stores grow the words but not the
+// mark), and checks that Restore(Snapshot(m)) rebuilds m exactly — length,
+// words, Size and content digest — both into a fresh image and into a
+// larger one whose old words must not survive, and that the snapshot's
+// own digest is the rebuilt image's. Each restored image then takes one
+// write, which must leave the snapshot it shares intact.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0}, uint16(5), uint32(512), uint16(3))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 9}, uint16(0), uint32(4), uint16(0))
@@ -79,31 +81,46 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		for i := range ws {
 			ws[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
-		m := &GlobalMem{words: append(ws, make([]uint32, zeros)...), next: next}
+		n := len(ws) + int(zeros)
+		if extra%2 == 1 {
+			ws = append(ws, make([]uint32, zeros)...) // store the zero tail
+		}
+		m := &GlobalMem{img: MemSnapshot{Words: ws, Len: n, Next: next}}
 		s := m.Snapshot()
-		if n := len(s.Words); n > 0 && s.Words[n-1] == 0 {
-			t.Fatalf("snapshot keeps a zero tail: %d stored words end in 0", n)
+		if k := len(s.Words); k > 0 && s.Words[k-1] == 0 {
+			t.Fatalf("snapshot keeps a zero tail: %d stored words end in 0", k)
 		}
 		want := m.ContentDigest()
 		if s.ContentDigest() != want {
 			t.Fatal("snapshot digest differs from the image's")
 		}
-		dirty := &GlobalMem{words: make([]uint32, len(m.words)+int(extra)), next: ^next}
-		for i := range dirty.words {
-			dirty.words[i] = 0xdeadbeef ^ uint32(i)
+		stored := slices.Clone(s.Words)
+		dirty := &GlobalMem{img: MemSnapshot{Words: make([]uint32, n+int(extra)), Len: n + int(extra), Next: ^next}}
+		for i := range dirty.img.Words {
+			dirty.img.Words[i] = 0xdeadbeef ^ uint32(i)
 		}
 		dirty.SetDigest([32]byte{1})
 		for name, r := range map[string]*GlobalMem{"fresh": NewGlobalMem(), "dirty": dirty} {
 			r.Restore(s)
-			if len(r.words) != len(m.words) || !slices.Equal(r.words, m.words) || r.Size() != m.Size() {
+			got := r.Snapshot()
+			if got.Len != n || !slices.Equal(got.Words, stored) || r.Size() != m.Size() {
 				t.Fatalf("%s: restored %d words (size %d), want %d (size %d) or different words",
-					name, len(r.words), r.Size(), len(m.words), m.Size())
+					name, got.Len, r.Size(), n, m.Size())
+			}
+			for i := 0; i < n; i++ {
+				if r.Read32(uint32(4*i)) != m.Read32(uint32(4*i)) {
+					t.Fatalf("%s: restored word %d differs", name, i)
+				}
 			}
 			if _, ok := r.Digest(); ok {
 				t.Fatalf("%s: Restore kept a stale digest", name)
 			}
 			if r.ContentDigest() != want {
 				t.Fatalf("%s: restored image digest differs", name)
+			}
+			r.Write32(uint32(4*(int(extra)%(n+1))), ^r.Read32(uint32(4*(int(extra)%(n+1)))))
+			if !slices.Equal(s.Words, stored) || s.ContentDigest() != want {
+				t.Fatalf("%s: writing the restored image changed its snapshot", name)
 			}
 		}
 	})

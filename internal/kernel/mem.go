@@ -13,11 +13,20 @@ import (
 // space accessed in aligned 32-bit words. The host side of a benchmark
 // allocates buffers, fills inputs and reads back results; the device side
 // accesses it through Ld/St instructions.
+//
+// The image is held as a MemSnapshot whose words may be written: only a
+// prefix of its words is stored, and words past it read as zero, so Alloc
+// reserves space without allocating it. After Restore the stored words
+// are the restored snapshot's own, shared read-only with everyone else who
+// restored it; the first write copies them into a private slice of the
+// image's full length (copy-on-write), and reads never copy.
 type GlobalMem struct {
-	words []uint32
-	next  uint32
+	img MemSnapshot
+	// shared marks img.Words as a restored snapshot's, which no write may
+	// touch.
+	shared bool
 
-	// digest is ContentDigest of (next, words) as recorded by SetDigest;
+	// digest is ContentDigest of the image as recorded by SetDigest;
 	// hasDigest is cleared by every mutation, so a set digest always
 	// describes the current image.
 	digest    [32]byte
@@ -27,41 +36,44 @@ type GlobalMem struct {
 // NewGlobalMem returns an empty memory. The zero address is left unmapped so
 // that address 0 can serve as a null pointer.
 func NewGlobalMem() *GlobalMem {
-	return &GlobalMem{next: 256}
+	return &GlobalMem{img: MemSnapshot{Next: 256}}
 }
 
 // Alloc reserves n bytes and returns the base address (256-byte aligned,
-// mirroring cudaMalloc alignment).
+// mirroring cudaMalloc alignment). The reserved words read as zero until
+// written; Alloc stores none of them.
 func (m *GlobalMem) Alloc(n int) uint32 {
 	if n < 0 {
 		panic("kernel: negative allocation")
 	}
 	m.hasDigest = false
-	base := m.next
-	m.next += uint32((n + 255) &^ 255)
-	if need := int(m.next+3) / 4; need > len(m.words) {
-		grown := make([]uint32, need+need/2)
-		copy(grown, m.words)
-		m.words = grown
+	base := m.img.Next
+	m.img.Next += uint32((n + 255) &^ 255)
+	if need := int(m.img.Next+3) / 4; need > m.img.Len {
+		m.img.Len = need + need/2
 	}
 	return base
 }
 
 // Size returns the high-water byte size of the allocated space.
-func (m *GlobalMem) Size() int { return int(m.next) }
+func (m *GlobalMem) Size() int { return int(m.img.Next) }
 
-func (m *GlobalMem) idx(addr uint32) int {
+// writable returns the n words starting at word i for writing, storing
+// them privately first: a shared image is copied in full, and a private
+// one extends its stored words with zeros. The words must lie inside the
+// image.
+func (m *GlobalMem) writable(i, n int) []uint32 {
 	m.hasDigest = false
-	i := int(addr / 4)
-	if i >= len(m.words) {
-		// Writes beyond the allocated space grow the image; hardware would
-		// fault, but benchmarks under test deserve a usable zero rather
-		// than a crash, and the functional tests verify addresses anyway.
-		grown := make([]uint32, i+i/2+4)
-		copy(grown, m.words)
-		m.words = grown
+	ws := m.img.Words
+	if m.shared {
+		ws = make([]uint32, m.img.Len)
+		copy(ws, m.img.Words)
+		m.shared = false
+	} else if end := i + n; end > len(ws) {
+		ws = append(ws, make([]uint32, end-len(ws))...)
 	}
-	return i
+	m.img.Words = ws
+	return ws[i : i+n]
 }
 
 // Read32 loads the aligned 32-bit word containing addr. Reads beyond the
@@ -69,15 +81,19 @@ func (m *GlobalMem) idx(addr uint32) int {
 // writes grow the image. (A read that grew the image would perturb its size
 // — and therefore its content hash, which the simulation-result cache keys
 // timing results by.)
-func (m *GlobalMem) Read32(addr uint32) uint32 {
-	if i := int(addr / 4); i < len(m.words) {
-		return m.words[i]
-	}
-	return 0
-}
+func (m *GlobalMem) Read32(addr uint32) uint32 { return m.img.Read32(addr) }
 
 // Write32 stores v to the aligned 32-bit word containing addr.
-func (m *GlobalMem) Write32(addr uint32, v uint32) { m.words[m.idx(addr)] = v }
+func (m *GlobalMem) Write32(addr uint32, v uint32) {
+	i := int(addr / 4)
+	if i >= m.img.Len {
+		// Writes beyond the allocated space grow the image; hardware would
+		// fault, but benchmarks under test deserve a usable zero rather
+		// than a crash, and the functional tests verify addresses anyway.
+		m.img.Len = i + i/2 + 4
+	}
+	m.writable(i, 1)[0] = v
+}
 
 // ReadF32 loads a float32.
 func (m *GlobalMem) ReadF32(addr uint32) float32 { return b2f(m.Read32(addr)) }
@@ -91,11 +107,10 @@ func (m *GlobalMem) WriteF32(addr uint32, v float32) { m.Write32(addr, f2b(v)) }
 // word-by-word writes would.
 func (m *GlobalMem) span(addr uint32, n int) ([]uint32, bool) {
 	i := int(addr / 4)
-	if i+n > len(m.words) {
+	if i+n > m.img.Len {
 		return nil, false
 	}
-	m.hasDigest = false
-	return m.words[i : i+n], true
+	return m.writable(i, n), true
 }
 
 // WriteI32Slice bulk-writes int32 values starting at addr.
@@ -159,43 +174,45 @@ func (m *GlobalMem) AllocI32(vs []int32) uint32 {
 // AllocZeroF32 allocates an n-element zeroed float32 buffer.
 func (m *GlobalMem) AllocZeroF32(n int) uint32 { return m.Alloc(4 * n) }
 
-// MemSnapshot is a frozen copy of a GlobalMem image, taken by Snapshot and
-// applied by Restore. The simulation-result cache stores one per cached
-// timing result so that a cache hit can replay the kernel's memory side
-// effects without re-simulating, and each benchmark keeps one as the
-// pristine input image its instances are restored from.
+// MemSnapshot is a frozen GlobalMem image, taken by Snapshot and applied
+// by Restore. The simulation-result cache stores one per cached timing
+// result so that a cache hit can replay the kernel's memory side effects
+// without re-simulating, and each benchmark keeps one as the pristine
+// input image its instances are restored from. Its words are never
+// written: every image restored from it shares them until its own first
+// write.
 //
 // Words holds the image only up to its last nonzero word: the zero tail —
 // the slack Alloc's growth leaves past the high-water mark, and buffers
 // nothing wrote yet — is not stored, and Len records the image's full
-// word length, so Restore rebuilds the exact word slice.
+// word length.
 type MemSnapshot struct {
 	Words []uint32
 	Len   int
 	Next  uint32
 }
 
-// Snapshot returns a frozen copy of the image.
+// Snapshot returns a frozen copy of the image. An image that still shares
+// a restored snapshot's words returns them without copying.
 func (m *GlobalMem) Snapshot() MemSnapshot {
-	n := len(m.words)
-	for n > 0 && m.words[n-1] == 0 {
+	s := m.img
+	n := len(s.Words)
+	for n > 0 && s.Words[n-1] == 0 {
 		n--
 	}
-	return MemSnapshot{Words: append([]uint32(nil), m.words[:n]...), Len: len(m.words), Next: m.next}
+	s.Words = s.Words[:n:n]
+	if !m.shared {
+		s.Words = append([]uint32(nil), s.Words...)
+	}
+	return s
 }
 
-// Restore overwrites the image with a snapshot's content: Len words, the
-// stored ones followed by zeros. The snapshot is copied, so writes through
-// the image never alias it.
+// Restore replaces the image with a snapshot's content: Len words, the
+// stored ones followed by zeros. The image shares the snapshot's words
+// until its first write, which copies them, so writes through the image
+// never reach the snapshot.
 func (m *GlobalMem) Restore(s MemSnapshot) {
-	if cap(m.words) >= s.Len {
-		m.words = m.words[:s.Len]
-		clear(m.words[copy(m.words, s.Words):])
-	} else {
-		m.words = make([]uint32, s.Len)
-		copy(m.words, s.Words)
-	}
-	m.next = s.Next
+	m.img, m.shared = s, true
 	m.hasDigest = false
 }
 
@@ -209,36 +226,41 @@ func (s *MemSnapshot) Read32(addr uint32) uint32 {
 }
 
 // ContentDigest returns the content digest of the image Restore rebuilds
-// from the snapshot, without rebuilding it: GlobalMem.ContentDigest of
-// that image.
-func (s *MemSnapshot) ContentDigest() [32]byte {
-	return contentDigest(s.Next, s.Words, s.Len-len(s.Words))
-}
-
-// ContentDigest returns the image's content digest: a SHA-256 of the
-// high-water mark and every word, slack included, each as its
-// little-endian bytes. It is the image's MemHash in the simulation-result
-// cache, and the digest SetDigest records.
-func (m *GlobalMem) ContentDigest() [32]byte { return contentDigest(m.next, m.words, 0) }
-
-// contentDigest hashes next, then words, then zeros zero words: the one
+// from the snapshot: a SHA-256 of the high-water mark and every word,
+// slack included, each as its little-endian bytes. It is the one
 // definition of an image's content digest.
-func contentDigest(next uint32, words []uint32, zeros int) [32]byte {
+func (s *MemSnapshot) ContentDigest() [32]byte {
 	h := sha256.New()
-	var buf [4096]byte
-	binary.LittleEndian.PutUint32(buf[:4], next)
-	h.Write(buf[:4])
-	WriteWords(h, words)
-	clear(buf[:4])
-	for zeros > 0 {
-		n := min(zeros, len(buf)/4)
-		h.Write(buf[:4*n])
-		zeros -= n
-	}
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], s.Next)
+	h.Write(buf[:])
+	s.writeImage(h)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
+
+// writeImage streams the image's Len words into w as their little-endian
+// bytes: the stored words, then the zero tail.
+func (s *MemSnapshot) writeImage(w io.Writer) {
+	WriteWords(w, s.Words)
+	for left := 4 * (s.Len - len(s.Words)); left > 0; left -= len(zeroBytes) {
+		w.Write(zeroBytes[:min(left, len(zeroBytes))])
+	}
+}
+
+// zeroBytes is the zero tail's source; it is only ever read.
+var zeroBytes [4096]byte
+
+// ContentDigest returns the image's content digest
+// (MemSnapshot.ContentDigest). It is the image's MemHash in the
+// simulation-result cache, and the digest SetDigest records.
+func (m *GlobalMem) ContentDigest() [32]byte { return m.img.ContentDigest() }
+
+// WriteImage streams the image's words into w as their little-endian
+// bytes: all of them, the unstored zero tail included, as the simulation
+// cache's keys hash them.
+func (m *GlobalMem) WriteImage(w io.Writer) { m.img.writeImage(w) }
 
 // SetDigest records d as the content digest of the image as it stands: the
 // caller vouches that d is ContentDigest of the current high-water mark and
@@ -251,10 +273,6 @@ func (m *GlobalMem) SetDigest(d [32]byte) { m.digest, m.hasDigest = d, true }
 // Digest returns the digest recorded by SetDigest, and whether the image is
 // unchanged since it was recorded.
 func (m *GlobalMem) Digest() ([32]byte, bool) { return m.digest, m.hasDigest }
-
-// Words exposes the raw word image for content hashing. Callers must treat
-// the slice as read-only.
-func (m *GlobalMem) Words() []uint32 { return m.words }
 
 func f2b(v float32) uint32 { return math.Float32bits(v) }
 func b2f(v uint32) float32 { return math.Float32frombits(v) }

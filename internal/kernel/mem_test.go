@@ -14,7 +14,7 @@ func TestReadsAreSideEffectFree(t *testing.T) {
 	m := NewGlobalMem()
 	a := m.Alloc(64)
 	m.Write32(a, 42)
-	before := append([]uint32(nil), m.Words()...)
+	before := m.Snapshot()
 
 	if v := m.Read32(1 << 20); v != 0 {
 		t.Errorf("out-of-range read = %d, want 0", v)
@@ -22,7 +22,7 @@ func TestReadsAreSideEffectFree(t *testing.T) {
 	if v := m.ReadF32(1 << 21); v != 0 {
 		t.Errorf("out-of-range float read = %v, want 0", v)
 	}
-	if !reflect.DeepEqual(m.Words(), before) {
+	if !reflect.DeepEqual(m.Snapshot(), before) {
 		t.Error("reads mutated the memory image")
 	}
 	if m.Read32(a) != 42 {
@@ -31,7 +31,7 @@ func TestReadsAreSideEffectFree(t *testing.T) {
 
 	// Writes beyond the image still grow it.
 	m.Write32(1<<20, 7)
-	if len(m.Words()) <= len(before) {
+	if m.Snapshot().Len <= before.Len {
 		t.Error("out-of-range write did not grow the image")
 	}
 	if m.Read32(1<<20) != 7 {
@@ -75,8 +75,8 @@ func TestBulkWritesMatchWordWrites(t *testing.T) {
 	}{
 		{"inside", func(m *GlobalMem) uint32 { return m.Alloc(256) + 8 }},
 		{"unaligned", func(m *GlobalMem) uint32 { return m.Alloc(256) + 9 }},
-		{"across the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*len(m.Words()) - 8) }},
-		{"past the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*len(m.Words()) + 64) }},
+		{"across the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*m.Snapshot().Len - 8) }},
+		{"past the end", func(m *GlobalMem) uint32 { m.Alloc(256); return uint32(4*m.Snapshot().Len + 64) }},
 	} {
 		bulk, words := NewGlobalMem(), NewGlobalMem()
 		a := tc.addr(bulk)
@@ -91,9 +91,9 @@ func TestBulkWritesMatchWordWrites(t *testing.T) {
 		for i, v := range fs {
 			words.WriteF32(a+4+uint32(4*i), v)
 		}
-		if !reflect.DeepEqual(bulk.Words(), words.Words()) || bulk.Size() != words.Size() {
-			t.Errorf("%s: bulk writes left %d words, word writes %d, or their contents differ",
-				tc.name, len(bulk.Words()), len(words.Words()))
+		if b, w := bulk.Snapshot(), words.Snapshot(); !reflect.DeepEqual(b, w) {
+			t.Errorf("%s: bulk writes left %d words (size %d), word writes %d (size %d), or their contents differ",
+				tc.name, b.Len, b.Next, w.Len, w.Next)
 		}
 	}
 }
@@ -112,6 +112,62 @@ func TestWriteWordsInPlace(t *testing.T) {
 		writeWordsPortable(&want, ws)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) || want.Len() != 4*n {
 			t.Errorf("%d words: in-place bytes differ from the portable encoding", n)
+		}
+	}
+}
+
+// TestRestoredImageCopiesOnWrite: an image restored from a snapshot shares
+// its words, so every write path must copy them before writing. After each
+// write the snapshot still hashes to its own digest, and the image's
+// recorded digest is gone.
+func TestRestoredImageCopiesOnWrite(t *testing.T) {
+	src := NewGlobalMem()
+	a := src.AllocI32([]int32{1, 2, 3, 4})
+	src.AllocZeroF32(64)
+	snap := src.Snapshot()
+	want := snap.ContentDigest()
+
+	atom := NewBuilder("atom", 4).Params(1)
+	atom.LdParam(0, 0)
+	atom.AtomAdd(1, R(0), I(5), 0)
+	atom.Exit()
+	atomProg := atom.MustBuild()
+
+	for _, tc := range []struct {
+		name  string
+		write func(m *GlobalMem)
+	}{
+		{"Write32", func(m *GlobalMem) { m.Write32(a, 9) }},
+		{"WriteF32", func(m *GlobalMem) { m.WriteF32(a+4, 1.5) }},
+		{"WriteI32Slice", func(m *GlobalMem) { m.WriteI32Slice(a, []int32{7, 7}) }},
+		{"WriteF32Slice", func(m *GlobalMem) { m.WriteF32Slice(a+8, []float32{2.5, -1}) }},
+		{"AllocF32", func(m *GlobalMem) { m.AllocF32([]float32{3, 4}) }},
+		{"AllocI32", func(m *GlobalMem) { m.AllocI32([]int32{5, 6}) }},
+		{"growth past the end", func(m *GlobalMem) { m.Write32(uint32(4*snap.Len+64), 11) }},
+		{"atomic", func(m *GlobalMem) {
+			l := &Launch{Prog: atomProg, Grid: Dim{1, 1}, Block: Dim{32, 1}, Params: []uint32{a}}
+			env := &Env{Global: m, Const: NewConstMem(0), Block: NewBlockCtx(l, 0, 0)}
+			w := NewWarp(0, 32, 4)
+			var info StepInfo
+			for !w.Finished {
+				if err := w.Exec(atomProg, env, &info); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		m := NewGlobalMem()
+		m.Restore(snap)
+		m.SetDigest(want)
+		tc.write(m)
+		if snap.ContentDigest() != want {
+			t.Errorf("%s: writing the restored image changed the snapshot", tc.name)
+		}
+		if _, ok := m.Digest(); ok {
+			t.Errorf("%s: the write kept the image's digest", tc.name)
+		}
+		if m.ContentDigest() == want {
+			t.Errorf("%s: the write left the image's content unchanged", tc.name)
 		}
 	}
 }

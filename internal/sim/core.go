@@ -113,6 +113,9 @@ type coreState struct {
 	spFree   []uint64 // per scheduler
 	sfuFree  uint64
 	ldstFree uint64
+	// spII is the SP initiation interval: the cycles one warp instruction
+	// holds its scheduler's share of the FUs (at least 1).
+	spII uint64
 
 	fetchRR    int
 	issueRR    []int
@@ -181,6 +184,7 @@ func newCoreState(id int, cfg *config.GPU) (*coreState, error) {
 		freeSMem:  cfg.SharedMemPerCoreKB * 1024,
 		freeRegs:  cfg.RegsPerCore,
 		spFree:    make([]uint64, cfg.Schedulers),
+		spII:      max(uint64(cfg.WarpSize/(cfg.FUsPerCore/cfg.Schedulers)), 1),
 		issueRR:   make([]int, cfg.Schedulers),
 	}
 	c.lastIssued = make([]int, cfg.Schedulers)
@@ -594,11 +598,7 @@ func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 
 	switch class {
 	case kernel.ClassInt, kernel.ClassFP:
-		ii := uint64(cfg.WarpSize / (cfg.FUsPerCore / cfg.Schedulers))
-		if ii == 0 {
-			ii = 1
-		}
-		c.spFree[sched] = now + ii
+		c.spFree[sched] = now + c.spII
 		latency = uint64(cfg.ALULatency)
 		if class == kernel.ClassInt {
 			a.IntWarpInstrs++

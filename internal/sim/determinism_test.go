@@ -49,7 +49,7 @@ func (m mode) String() string {
 type outcome struct {
 	res   []*sim.Result
 	power []*power.RuntimeReport
-	mem   []uint32 // final allocation high-water mark, then every word
+	mem   []uint32 // final allocation high-water mark, word length, then the stored words
 	hits  int      // launches the cache replayed
 }
 
@@ -105,7 +105,8 @@ func simulate(g *sim.GPU, c *simcache.Cache, benchName string) (*outcome, error)
 	if err := inst.Verify(); err != nil {
 		return nil, fmt.Errorf("%s failed functional verification: %v", benchName, err)
 	}
-	o.mem = append([]uint32{uint32(inst.Mem.Size())}, inst.Mem.Words()...)
+	img := inst.Mem.Snapshot()
+	o.mem = append([]uint32{img.Next, uint32(img.Len)}, img.Words...)
 	return o, nil
 }
 

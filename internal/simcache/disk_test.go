@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"gpusimpow/internal/config"
@@ -180,7 +179,7 @@ func TestDiskSpillTrimmedEntry(t *testing.T) {
 		t.Helper()
 		mem := kernel.NewGlobalMem()
 		mem.Alloc(256)
-		l := pokeLaunch(uint32(4*len(mem.Words())+64), 0x5eed, false)
+		l := pokeLaunch(uint32(4*mem.Snapshot().Len+64), 0x5eed, false)
 		tr, err := c.Run(g, l, mem, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -208,8 +207,8 @@ func TestDiskSpillTrimmedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := len(de.Final.Words)
-	if de.Final.Len != len(mem1.Words()) || stored >= de.Final.Len {
-		t.Fatalf("spilled %d of %d words, image has %d: want the zero tail dropped", stored, de.Final.Len, len(mem1.Words()))
+	if n := mem1.Snapshot().Len; de.Final.Len != n || stored >= de.Final.Len {
+		t.Fatalf("spilled %d of %d words, image has %d: want the zero tail dropped", stored, de.Final.Len, n)
 	}
 	if stored <= mem1.Size()/4 || de.Final.Words[stored-1] != 0x5eed {
 		t.Fatalf("spilled words end at %d (last %#x), want the store past the high-water word %d", stored, de.Final.Words[stored-1], mem1.Size()/4)
@@ -223,9 +222,10 @@ func TestDiskSpillTrimmedEntry(t *testing.T) {
 	if st := c2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("restarted run: %+v", st)
 	}
-	if !slices.Equal(mem2.Words(), mem1.Words()) || mem2.Size() != mem1.Size() {
+	if !sameImage(mem2, mem1) {
+		s1, s2 := mem1.Snapshot(), mem2.Snapshot()
 		t.Errorf("disk replay left %d words (size %d), want %d (size %d) or different words",
-			len(mem2.Words()), mem2.Size(), len(mem1.Words()), mem1.Size())
+			s2.Len, s2.Next, s1.Len, s1.Next)
 	}
 	if tr2.MemHash != tr1.MemHash || mem2.ContentDigest() != tr1.MemHash {
 		t.Error("disk replay's MemHash or image digest diverged")

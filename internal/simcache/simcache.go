@@ -14,8 +14,10 @@
 // power/tech/clock-only parameters are excluded by construction), the
 // kernel program, the launch geometry and parameters, and the full input
 // memory images (global and constant). A hit replays the kernel's memory
-// side effects from the stored final-image snapshot and returns a deep copy
-// of the stored result; a miss simulates, then stores. Concurrent callers
+// side effects by restoring the stored final-image snapshot, which the
+// caller's image then shares until its own first write copies it
+// (kernel.GlobalMem is copy-on-write), and returns a deep copy of the
+// stored result; a miss simulates, then stores. Concurrent callers
 // wanting the same key are single-flighted (runner.Flight): the key is
 // simulated exactly once and the waiters replay.
 //
@@ -36,8 +38,9 @@
 //
 // An entry's final image is stored as a kernel.MemSnapshot, which drops
 // the image's zero tail (the allocator's slack and never-written
-// buffers) and restores it on replay; the byte budget counts the stored
-// words. Keys and MemHash still cover every word of the full image.
+// buffers); the byte budget counts the stored words. Keys and MemHash
+// still cover every word of the full image, the zero tail included
+// (kernel.GlobalMem.WriteImage).
 //
 // Determinism contract: a cold miss, a warm hit and a disk-spilled hit are
 // each bit-identical to a plain sim.GPU.Run of the launch in every reported
@@ -514,7 +517,7 @@ func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *k
 	kw := newKeyWriter()
 	kw.launch(cfg, l)
 	kw.i64(global.Size())
-	kernel.WriteWords(kw.h, global.Words())
+	global.WriteImage(kw.h)
 	kw.constMem(cmem)
 	return kw.sum()
 }
@@ -536,35 +539,39 @@ func chainKeyFor(cfg *config.GPU, l *kernel.Launch, d [32]byte, cmem *kernel.Con
 // encoding.
 type keyWriter struct {
 	h       hash.Hash
-	scratch [16]byte
+	scratch [8]byte
 }
 
 func newKeyWriter() *keyWriter { return &keyWriter{h: sha256.New()} }
 
-func (kw *keyWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(kw.scratch[:8], v)
-	kw.h.Write(kw.scratch[:8])
+func (kw *keyWriter) i64(v int) { kw.h.Write(appendI64(kw.scratch[:0], v)) }
+
+// appendI64 appends v in the key's integer encoding: 8 little-endian
+// bytes.
+func appendI64(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 }
 
-func (kw *keyWriter) i64(v int) { kw.u64(uint64(int64(v))) }
+// launchInstrBytes is the encoded size of one instruction in a key.
+const launchInstrBytes = 14 + 3*8 + 2*8
 
 // launch writes everything of a key but the memory images: the
 // timing-relevant configuration, the program, the geometry and the
-// parameters.
+// parameters. It encodes them into one buffer and writes it once.
 func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch) {
-	scratch := kw.scratch[:]
+	p := l.Prog
 	ck := cfg.TimingKey()
-	kw.h.Write(ck[:])
+	b := make([]byte, 0, len(ck)+4*8+len(p.Instrs)*launchInstrBytes+6*8+4*len(l.Params))
+	b = append(b, ck[:]...)
 
 	// Program content (the name is presentation, not timing input).
-	p := l.Prog
-	kw.i64(p.NumRegs)
-	kw.i64(p.SMemBytes)
-	kw.i64(p.NumParams)
-	kw.i64(len(p.Instrs))
+	b = appendI64(b, p.NumRegs)
+	b = appendI64(b, p.SMemBytes)
+	b = appendI64(b, p.NumParams)
+	b = appendI64(b, len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(in.Op)|uint32(in.Dst)<<16|uint32(in.NumSrc)<<24)
+		b = binary.LittleEndian.AppendUint32(b, uint32(in.Op)|uint32(in.Dst)<<16|uint32(in.NumSrc)<<24)
 		flags := byte(0)
 		if in.HasDst {
 			flags |= 1
@@ -572,31 +579,29 @@ func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch) {
 		if in.PredNeg {
 			flags |= 2
 		}
-		scratch[4] = flags
-		scratch[5] = byte(in.Cmp)
-		scratch[6] = byte(in.Space)
-		scratch[7] = 0
-		binary.LittleEndian.PutUint16(scratch[8:10], uint16(in.Pred))
-		binary.LittleEndian.PutUint32(scratch[10:14], uint32(in.Offset))
-		kw.h.Write(scratch[:14])
+		b = append(b, flags, byte(in.Cmp), byte(in.Space), 0)
+		b = binary.LittleEndian.AppendUint16(b, uint16(in.Pred))
+		b = binary.LittleEndian.AppendUint32(b, uint32(in.Offset))
 		for s := 0; s < 3; s++ {
 			o := &in.Src[s]
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(o.Kind)|uint32(o.Reg)<<8|uint32(o.Special)<<16)
-			binary.LittleEndian.PutUint32(scratch[4:8], o.Imm)
-			kw.h.Write(scratch[:8])
+			b = binary.LittleEndian.AppendUint32(b, uint32(o.Kind)|uint32(o.Reg)<<8|uint32(o.Special)<<16)
+			b = binary.LittleEndian.AppendUint32(b, o.Imm)
 		}
-		kw.i64(in.Target)
-		kw.i64(in.Reconv)
+		b = appendI64(b, in.Target)
+		b = appendI64(b, in.Reconv)
 	}
 
 	// Launch geometry and arguments.
-	kw.i64(l.Grid.X)
-	kw.i64(l.Grid.Y)
-	kw.i64(l.Block.X)
-	kw.i64(l.Block.Y)
-	kw.i64(l.DynSMemBytes)
-	kw.i64(len(l.Params))
-	kernel.WriteWords(kw.h, l.Params)
+	b = appendI64(b, l.Grid.X)
+	b = appendI64(b, l.Grid.Y)
+	b = appendI64(b, l.Block.X)
+	b = appendI64(b, l.Block.Y)
+	b = appendI64(b, l.DynSMemBytes)
+	b = appendI64(b, len(l.Params))
+	for _, v := range l.Params {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	kw.h.Write(b)
 }
 
 // constMem writes the constant image (or its absence), which follows the

@@ -3,6 +3,7 @@ package simcache
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,7 +127,7 @@ func TestHitReplaysResultAndMemory(t *testing.T) {
 	if tr1.MemHash != tr2.MemHash {
 		t.Error("final memory hash differs between miss and hit")
 	}
-	if !reflect.DeepEqual(mem1.Words(), mem2.Words()) {
+	if !sameImage(mem1, mem2) {
 		t.Error("replayed memory image differs from simulated image")
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
@@ -151,7 +152,7 @@ func TestHitReplaysResultAndMemory(t *testing.T) {
 	if _, err := c.Run(g, l4, mem4, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mem4.Words(), mem1.Words()) {
+	if !sameImage(mem4, mem1) {
 		t.Error("writing through a replayed image corrupted the stored snapshot")
 	}
 }
@@ -327,7 +328,7 @@ func TestConcurrentSameKeySingleFlight(t *testing.T) {
 		if !reflect.DeepEqual(outs[i].tr.Perf, outs[0].tr.Perf) {
 			t.Fatalf("caller %d got a different result", i)
 		}
-		if !reflect.DeepEqual(outs[i].mem.Words(), outs[0].mem.Words()) {
+		if !sameImage(outs[i].mem, outs[0].mem) {
 			t.Fatalf("caller %d got a different memory image", i)
 		}
 	}
@@ -381,4 +382,11 @@ func TestMeasureMemo(t *testing.T) {
 	if st := c.Stats(); st.MeasureHits != 0 || st.MeasureMisses != 1 {
 		t.Fatalf("after Reset: %+v; want 1 miss", st)
 	}
+}
+
+// sameImage reports whether two images have the same word length,
+// high-water mark and words.
+func sameImage(a, b *kernel.GlobalMem) bool {
+	sa, sb := a.Snapshot(), b.Snapshot()
+	return sa.Len == sb.Len && sa.Next == sb.Next && slices.Equal(sa.Words, sb.Words)
 }

@@ -18,7 +18,7 @@
 set -eu
 
 # The guarded packages, as import paths under the module.
-PACKAGES="gpusimpow/internal/power"
+PACKAGES="gpusimpow/internal/power gpusimpow/internal/bench"
 ARCHES="arm64 ppc64le s390x riscv64"
 
 tmp=$(mktemp -d)
