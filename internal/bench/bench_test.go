@@ -315,6 +315,86 @@ func TestVerifyCatchesCorruptOutput(t *testing.T) {
 	}
 }
 
+// TestVerifyNeverMemoizesFailure: a final image that passed, changed in
+// one word and vouched for by its own digest (as the result cache vouches
+// for the images it leaves), fails Verify, and fails again on a second
+// call; repaired, it passes from the memo of passed digests.
+func TestVerifyNeverMemoizesFailure(t *testing.T) {
+	inst, err := VectorAdd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFunctional(t, inst)
+	inst.Mem.SetDigest(inst.Mem.ContentDigest())
+	if err := inst.Verify(); err != nil {
+		t.Fatalf("the finished image fails: %v", err)
+	}
+	addr := inst.Runs[0].Launch.Params[2]
+	good := inst.Mem.Read32(addr)
+	inst.Mem.WriteF32(addr, 12345)
+	inst.Mem.SetDigest(inst.Mem.ContentDigest())
+	for call := 1; call <= 2; call++ {
+		if err := inst.Verify(); err == nil {
+			t.Errorf("call %d: Verify accepted a corrupted word at %#x", call, addr)
+		}
+	}
+	inst.Mem.Write32(addr, good)
+	inst.Mem.SetDigest(inst.Mem.ContentDigest())
+	if err := inst.Verify(); err != nil {
+		t.Errorf("Verify rejects the repaired image: %v", err)
+	}
+}
+
+// TestVerifyOncePerDigest counts a template's check calls: an image with
+// no digest is checked on every Verify, an image with a digest is checked
+// once, and another instance reaching the same digest is not checked
+// again.
+func TestVerifyOncePerDigest(t *testing.T) {
+	mem := kernel.NewGlobalMem()
+	addr := mem.Alloc(64)
+	tp := newTemplate("probe", mem, nil)
+	calls := 0
+	tp.check = func(*kernel.GlobalMem) error { calls++; return nil }
+	finish := func() *Instance {
+		inst, err := instance(tp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Mem.Write32(addr, 7) // the "kernel": drops the digest
+		return inst
+	}
+
+	a := finish()
+	a.Verify()
+	a.Verify()
+	if calls != 2 {
+		t.Fatalf("an image without a digest was checked %d times in 2 Verify calls", calls)
+	}
+	a.Mem.SetDigest(a.Mem.ContentDigest())
+	a.Verify()
+	a.Verify()
+	if calls != 3 {
+		t.Fatalf("an image with a digest was checked %d times in 2 Verify calls, want once", calls-2)
+	}
+	b := finish()
+	b.Mem.SetDigest(b.Mem.ContentDigest())
+	b.Verify()
+	if calls != 3 {
+		t.Errorf("a second instance reaching a passed digest was checked again")
+	}
+}
+
+// TestInstanceAllocs: making an instance allocates its image, the
+// Instance, its Runs and its Verify closure, and nothing else.
+func TestInstanceAllocs(t *testing.T) {
+	if _, err := VectorAdd(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { VectorAdd() }); n > 4 {
+		t.Errorf("VectorAdd allocates %v times per instance, want at most 4", n)
+	}
+}
+
 // TestTemplatesStayPristine runs every benchmark's instances at once on
 // both validated GPUs, twice, through one result cache (the first round
 // simulates, the second replays), then checks that what instances share

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -102,30 +103,51 @@ func l2ReuseKernel(cfg *config.GPU) (*kernel.Launch, *kernel.GlobalMem) {
 	}, mem
 }
 
-// kernelWorkload adapts a (launch, mem)-builder into a one-unit sweep
-// workload.
-func kernelWorkload(kernelFn func(*config.GPU) (*kernel.Launch, *kernel.GlobalMem)) *sweep.Workload {
-	var name string
-	{
-		// The program name identifies the workload; build once against a
-		// reference config just for the name (builders are cheap and pure).
-		l, _ := kernelFn(config.GT240())
-		name = l.Prog.Name
+// hostWorkload is a one-unit sweep workload whose launch and input image a
+// host-side builder makes. The first Build for a timing key runs the
+// builder and freezes its image; every Build for that key returns an
+// instance thawed from the frozen image (so the result cache keys its
+// launch from the image's digest), sharing the launch and its program
+// read-only with the key's other instances. The memo is exact because
+// equal timing keys build identical instances (sweep.Workload's contract)
+// and bounded because configurations come only from registered axes.
+// name is the built program's name.
+func hostWorkload(name string, minWindowS float64, build func(*config.GPU) (*kernel.Launch, *kernel.GlobalMem)) *sweep.Workload {
+	type frozen struct {
+		launch *kernel.Launch
+		input  kernel.FrozenMem
 	}
+	var mu sync.Mutex
+	built := map[[32]byte]*frozen{}
 	return &sweep.Workload{
 		Name: name,
 		Build: func(cfg *config.GPU) (*sweep.Instance, error) {
-			l, mem := kernelFn(cfg)
-			return &sweep.Instance{Mem: mem, Units: []sweep.Unit{{Name: l.Prog.Name, Launch: l}}}, nil
+			tk := cfg.TimingKey()
+			mu.Lock()
+			f := built[tk]
+			if f == nil {
+				l, mem := build(cfg)
+				f = &frozen{launch: l, input: kernel.Freeze(mem)}
+				built[tk] = f
+			}
+			mu.Unlock()
+			return &sweep.Instance{Mem: f.input.Thaw(), Units: []sweep.Unit{
+				{Name: name, Launch: f.launch, MinWindowS: minWindowS},
+			}}, nil
 		},
 	}
 }
 
+// The ablation studies' workloads.
+var (
+	ablationWorkload = hostWorkload("ablation", 0, ablationKernel)
+	l2ReuseWorkload  = hostWorkload("l2reuse", 0, l2ReuseKernel)
+)
+
 // ablationSpec assembles one design-choice study: a variant axis over
 // configurations, the standard two-stage sim+power pipeline, no
 // measurement.
-func ablationSpec(name, title string, variants []sweep.Value, kernelFn func(*config.GPU) (*kernel.Launch, *kernel.GlobalMem)) *sweep.Spec {
-	w := kernelWorkload(kernelFn)
+func ablationSpec(name, title string, variants []sweep.Value, w *sweep.Workload) *sweep.Spec {
 	return &sweep.Spec{
 		Name:     name,
 		Title:    title,
@@ -185,7 +207,7 @@ func AblationScoreboardSpec() *sweep.Spec {
 				sb.ScoreboardEntries = 6
 				return sb
 			}},
-		}, ablationKernel)
+		}, ablationWorkload)
 }
 
 // AblationL2Spec compares the GTX580 with and without its L2 cache on a
@@ -201,7 +223,7 @@ func AblationL2Spec() *sweep.Spec {
 				no.L2KB = 0
 				return no
 			}},
-		}, l2ReuseKernel)
+		}, l2ReuseWorkload)
 }
 
 // AblationProcessNodeSpec sweeps the manufacturing node, the ITRS-style
@@ -222,7 +244,7 @@ func AblationProcessNodeSpec() *sweep.Spec {
 			},
 		})
 	}
-	sp := ablationSpec("ablation-processnode", "Ablation: process node sweep (GT240)", variants, ablationKernel)
+	sp := ablationSpec("ablation-processnode", "Ablation: process node sweep (GT240)", variants, ablationWorkload)
 	sp.Base = config.GT240
 	return sp
 }
@@ -245,7 +267,7 @@ func AblationCoreCountSpec() *sweep.Spec {
 			},
 		})
 	}
-	sp := ablationSpec("ablation-corecount", "Ablation: core count scaling (GT240)", variants, ablationKernel)
+	sp := ablationSpec("ablation-corecount", "Ablation: core count scaling (GT240)", variants, ablationWorkload)
 	sp.Base = config.GT240
 	return sp
 }
@@ -267,7 +289,7 @@ func AblationSchedulerSpec() *sweep.Spec {
 			},
 		})
 	}
-	sp := ablationSpec("ablation-scheduler", "Ablation: warp scheduler policy (GTX580)", variants, ablationKernel)
+	sp := ablationSpec("ablation-scheduler", "Ablation: warp scheduler policy (GTX580)", variants, ablationWorkload)
 	sp.Base = config.GTX580
 	return sp
 }

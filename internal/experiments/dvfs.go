@@ -25,15 +25,7 @@ func fpBusy(cfg *config.GPU) (*kernel.Launch, *kernel.GlobalMem) {
 const fpBusyWindowS = 0.150
 
 // fpBusyWorkload is fpBusy as the DVFS sweep's workload.
-var fpBusyWorkload = &sweep.Workload{
-	Name: "fpBusy",
-	Build: func(cfg *config.GPU) (*sweep.Instance, error) {
-		l, mem := fpBusy(cfg)
-		return &sweep.Instance{Mem: mem, Units: []sweep.Unit{
-			{Name: l.Prog.Name, Launch: l, MinWindowS: fpBusyWindowS},
-		}}, nil
-	},
-}
+var fpBusyWorkload = hostWorkload("fpBusy", fpBusyWindowS, fpBusy)
 
 // DVFSSpec declares the clock-scale sweep on the virtual GT240: six
 // operating points, each measured on its own card session. Cycle counts are

@@ -148,8 +148,12 @@ func estimateStaticByFrequency(card *hw.Card, cfg *config.GPU) (float64, error) 
 		if err := card.SetClockScale(scale); err != nil {
 			return 0, err
 		}
-		l, mem := fpBusy(cfg)
-		ms, err := card.Measure([]hw.SeqItem{{Launch: l, Mem: mem, MinWindowS: fpBusyWindowS}})
+		inst, err := fpBusyWorkload.Build(cfg)
+		if err != nil {
+			return 0, err
+		}
+		u := &inst.Units[0]
+		ms, err := card.Measure([]hw.SeqItem{{Launch: u.Launch, Mem: inst.Mem, MinWindowS: u.MinWindowS}})
 		if err != nil {
 			return 0, err
 		}

@@ -208,6 +208,45 @@ func TestFig4Staircase(t *testing.T) {
 	}
 }
 
+// TestReduceFig4 measures Figure 4 afresh on the virtual GT240 and checks
+// the staircase's shape: 12 block counts, power rising at every step from
+// idle, a first block dearer than the mean step, and cluster-activation
+// steps (blocks 2-4) dearer than core-only steps (blocks 5-12), each as
+// its note reports it.
+func TestReduceFig4(t *testing.T) {
+	rep, err := reduceFig4(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Sections) != 2 {
+		t.Fatalf("report has %d sections, want 2", len(rep.Sections))
+	}
+	idle := table{t, &rep.Sections[0]}.note(0, 0)
+	tb := table{t, &rep.Sections[1]}
+	if tb.rows() != 12 {
+		t.Fatalf("want 12 block counts, got %d", tb.rows())
+	}
+	p := func(blocks int) float64 { return tb.num(blocks-1, "power") }
+	prev := idle
+	for b := 1; b <= 12; b++ {
+		if p(b) <= prev {
+			t.Errorf("power does not rise at %d block(s): %.3f W after %.3f W", b, p(b), prev)
+		}
+		prev = p(b)
+	}
+	first, cluster, core := tb.note(0, 0), tb.note(1, 0), tb.note(2, 0)
+	const eps = 1e-9
+	if math.Abs(first-(p(1)-idle)) > eps || math.Abs(cluster-(p(4)-p(1))/3) > eps || math.Abs(core-(p(12)-p(4))/8) > eps {
+		t.Errorf("notes (first %.4f, cluster %.4f, core %.4f W) disagree with the rows", first, cluster, core)
+	}
+	if mean := (p(12) - p(1)) / 11; first <= mean {
+		t.Errorf("first block delta %.3f W is not above the mean step %.3f W", first, mean)
+	}
+	if cluster <= core {
+		t.Errorf("cluster step %.3f W is not above core step %.3f W", cluster, core)
+	}
+}
+
 func TestEnergyPerOp(t *testing.T) {
 	tb := pinned(t, "energyperop", 0)
 	intPJ, nomInt := tb.note(0, 0), tb.note(0, 1)

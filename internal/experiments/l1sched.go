@@ -35,7 +35,6 @@ func L1SchedSpec() *sweep.Spec {
 			c.SchedulerPolicy = pol
 		}})
 	}
-	w := kernelWorkload(l2ReuseKernel)
 	return &sweep.Spec{
 		Name:  "l1sched",
 		Title: "Extension: L1 size x scheduler policy on a reuse-heavy workload (GTX580)",
@@ -44,7 +43,7 @@ func L1SchedSpec() *sweep.Spec {
 			{Name: "sched", Values: sched},
 		},
 		Base:     config.GTX580,
-		Workload: func(*sweep.Cell) (*sweep.Workload, error) { return w, nil },
+		Workload: func(*sweep.Cell) (*sweep.Workload, error) { return l2ReuseWorkload, nil },
 		Sim:      true, Power: true,
 	}
 }

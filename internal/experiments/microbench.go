@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/kernel"
@@ -36,30 +35,27 @@ func EnergyPerOpSpec() *sweep.Spec {
 		},
 		Base: config.GT240,
 		Workload: func(c *sweep.Cell) (*sweep.Workload, error) {
-			lanes, err := strconv.Atoi(c.Value("lanes"))
-			if err != nil {
-				return nil, err
-			}
-			mk := lfsrKernel
-			if c.Value("op") == "fp" {
-				mk = mandelbrotKernel
-			}
-			// Build once for the name; workloads are identified by program
-			// name ("lfsr31", "mandel1", ...).
-			l, _ := mk(2, lanes)
-			return &sweep.Workload{
-				Name: l.Prog.Name,
-				Build: func(cfg *config.GPU) (*sweep.Instance, error) {
-					l, mem := mk(cfg.NumCores(), lanes)
-					return &sweep.Instance{Mem: mem, Units: []sweep.Unit{
-						{Name: l.Prog.Name, Launch: l, MinWindowS: 0.150},
-					}}, nil
-				},
-			}, nil
+			return laneWorkloads[c.Value("op")+c.Value("lanes")], nil
 		},
 		Sim: true, Measure: true,
 		SharedCard: true,
 	}
+}
+
+// laneWorkloads are the microbenchmark's kernels by op and enabled lanes,
+// named by program ("lfsr31", "mandel1", ...): one block per core.
+var laneWorkloads = map[string]*sweep.Workload{
+	"int31": laneWorkload("lfsr31", lfsrKernel, 31),
+	"int1":  laneWorkload("lfsr1", lfsrKernel, 1),
+	"fp31":  laneWorkload("mandel31", mandelbrotKernel, 31),
+	"fp1":   laneWorkload("mandel1", mandelbrotKernel, 1),
+}
+
+// laneWorkload is mk with lanes enabled per warp as a host-built workload.
+func laneWorkload(name string, mk func(cores, lanesEnabled int) (*kernel.Launch, *kernel.GlobalMem), lanes int) *sweep.Workload {
+	return hostWorkload(name, 0.150, func(cfg *config.GPU) (*kernel.Launch, *kernel.GlobalMem) {
+		return mk(cfg.NumCores(), lanes)
+	})
 }
 
 // energyPerOpCheckFilter rejects any filter: the 31-vs-1 lane pairing

@@ -177,8 +177,8 @@ func (m *GlobalMem) AllocZeroF32(n int) uint32 { return m.Alloc(4 * n) }
 // MemSnapshot is a frozen GlobalMem image, taken by Snapshot and applied
 // by Restore. The simulation-result cache stores one per cached timing
 // result so that a cache hit can replay the kernel's memory side effects
-// without re-simulating, and each benchmark keeps one as the pristine
-// input image its instances are restored from. Its words are never
+// without re-simulating, and a FrozenMem holds one as the pristine input
+// image its instances are restored from. Its words are never
 // written: every image restored from it shares them until its own first
 // write.
 //
@@ -273,6 +273,32 @@ func (m *GlobalMem) SetDigest(d [32]byte) { m.digest, m.hasDigest = d, true }
 // Digest returns the digest recorded by SetDigest, and whether the image is
 // unchanged since it was recorded.
 func (m *GlobalMem) Digest() ([32]byte, bool) { return m.digest, m.hasDigest }
+
+// FrozenMem is a pristine input image that instances start from: a
+// MemSnapshot and its content digest, hashed once when the image is
+// frozen. Every image Thaw returns shares the snapshot's words until its
+// own first write and carries the digest, so the simulation-result cache
+// keys its first launch without rehashing the image.
+type FrozenMem struct {
+	snap   MemSnapshot
+	digest [32]byte
+}
+
+// Freeze returns m's image as it stands, with its content digest.
+func Freeze(m *GlobalMem) FrozenMem {
+	return FrozenMem{snap: m.Snapshot(), digest: m.ContentDigest()}
+}
+
+// Thaw returns a new image restored from f and carrying f's digest.
+func (f *FrozenMem) Thaw() *GlobalMem {
+	m := NewGlobalMem()
+	m.Restore(f.snap)
+	m.SetDigest(f.digest)
+	return m
+}
+
+// Read32 loads the word containing addr from the frozen image.
+func (f *FrozenMem) Read32(addr uint32) uint32 { return f.snap.Read32(addr) }
 
 func f2b(v float32) uint32 { return math.Float32bits(v) }
 func b2f(v uint32) float32 { return math.Float32frombits(v) }

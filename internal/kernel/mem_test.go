@@ -116,14 +116,15 @@ func TestWriteWordsInPlace(t *testing.T) {
 	}
 }
 
-// TestRestoredImageCopiesOnWrite: an image restored from a snapshot shares
-// its words, so every write path must copy them before writing. After each
-// write the snapshot still hashes to its own digest, and the image's
-// recorded digest is gone.
+// TestRestoredImageCopiesOnWrite: an image thawed from a frozen one shares
+// its words and carries its digest, so every write path must copy them
+// before writing. After each write a new thaw still hashes to the frozen
+// digest, and the written image's recorded digest is gone.
 func TestRestoredImageCopiesOnWrite(t *testing.T) {
 	src := NewGlobalMem()
 	a := src.AllocI32([]int32{1, 2, 3, 4})
 	src.AllocZeroF32(64)
+	frozen := Freeze(src)
 	snap := src.Snapshot()
 	want := snap.ContentDigest()
 
@@ -156,12 +157,13 @@ func TestRestoredImageCopiesOnWrite(t *testing.T) {
 			}
 		}},
 	} {
-		m := NewGlobalMem()
-		m.Restore(snap)
-		m.SetDigest(want)
+		m := frozen.Thaw()
+		if d, ok := m.Digest(); !ok || d != want || m.ContentDigest() != want {
+			t.Fatalf("%s: a thawed image carries digest %x (set %v), want its content digest %x", tc.name, d, ok, want)
+		}
 		tc.write(m)
-		if snap.ContentDigest() != want {
-			t.Errorf("%s: writing the restored image changed the snapshot", tc.name)
+		if sib := frozen.Thaw(); sib.ContentDigest() != want {
+			t.Errorf("%s: writing the thawed image changed the frozen one", tc.name)
 		}
 		if _, ok := m.Digest(); ok {
 			t.Errorf("%s: the write kept the image's digest", tc.name)

@@ -133,6 +133,9 @@ type flightCall[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// waiters counts the callers blocked on done, guarded by the
+	// Flight's mu.
+	waiters int
 }
 
 // Do runs fn once per concurrently-requested key and returns its result.
@@ -147,6 +150,7 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared
 		f.inflight = make(map[K]*flightCall[V])
 	}
 	if c, ok := f.inflight[key]; ok {
+		c.waiters++
 		f.mu.Unlock()
 		<-c.done
 		return c.val, c.err, true

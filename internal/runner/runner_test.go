@@ -91,6 +91,7 @@ func TestFlightDeduplicatesConcurrentCalls(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
+	var startOnce sync.Once
 
 	var wg sync.WaitGroup
 	const n = 8
@@ -101,7 +102,9 @@ func TestFlightDeduplicatesConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v, err, shared := f.Do("k", func() (int, error) {
-				close(started)
+				// A second flight would run fn again; the count below
+				// catches it, so it must not panic here first.
+				startOnce.Do(func() { close(started) })
 				<-release // hold the flight open so everyone piles up
 				calls.Add(1)
 				return 42, nil
@@ -113,8 +116,14 @@ func TestFlightDeduplicatesConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	<-started
-	// Give the other callers a moment to enqueue, then release the leader.
-	for i := 0; i < 100; i++ {
+	// Release the leader only once every other caller waits on its flight.
+	for {
+		f.mu.Lock()
+		waiters := f.inflight["k"].waiters
+		f.mu.Unlock()
+		if waiters == n-1 {
+			break
+		}
 		runtime.Gosched()
 	}
 	close(release)
