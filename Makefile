@@ -105,13 +105,18 @@ race:
 # the noise stream in the same state. FuzzSnapshotRoundTrip: restoring a
 # snapshot, which stores an image without its zero tail, must rebuild the
 # image's length, words, high-water mark and content digest exactly, into
-# a fresh image or a larger dirty one. Crashers land in the package's
-# testdata/fuzz/ and replay in every `go test`.
+# a fresh image or a larger dirty one. FuzzFleetRecover does for the
+# router's routing-table fold what FuzzStoreRecover does for gpowd's, and
+# also checks that no fleet job is recovered twice and that NextID is at
+# or above every journaled assignment; it runs 5 s, its minimization
+# bounded likewise. Crashers land in the package's testdata/fuzz/ and
+# replay in every `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
+	$(GO) test ./internal/fleet -run=NONE -fuzz=FuzzFleetRecover -fuzztime=5s -fuzzminimizetime=1s
 
 # One pass of the root microbenchmarks (simulator, measurement layer and
 # a warm pass of the sweep scenario set, one iteration each), so they

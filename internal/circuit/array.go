@@ -30,12 +30,14 @@ type Budget struct {
 }
 
 // Add accumulates another budget into b (areas, leakage and energies sum;
-// summing energies is meaningful for structures accessed together).
+// summing energies is meaningful for structures accessed together). Each
+// field of o is rounded before the sum, so a product a caller inlines
+// into o (a Scale, say) never fuses with the addition.
 func (b *Budget) Add(o Budget) {
-	b.AreaMM2 += o.AreaMM2
-	b.LeakageW += o.LeakageW
-	b.ReadEnergyJ += o.ReadEnergyJ
-	b.WriteEnergyJ += o.WriteEnergyJ
+	b.AreaMM2 += float64(o.AreaMM2)
+	b.LeakageW += float64(o.LeakageW)
+	b.ReadEnergyJ += float64(o.ReadEnergyJ)
+	b.WriteEnergyJ += float64(o.WriteEnergyJ)
 }
 
 // Scale returns the budget with all fields multiplied by k (e.g. for k
@@ -82,10 +84,10 @@ func Array(t tech.Node, s ArraySpec) (Budget, error) {
 
 	// --- Area ---
 	// Cell grows ~linearly with extra ports beyond the first.
-	cellUM2 := t.SRAMCellUM2 * (1 + 0.6*float64(ports-1))
+	cellUM2 := t.SRAMCellUM2 * (1 + float64(0.6*float64(ports-1)))
 	// Peripheral overhead (decoder, sense amps, drivers): ~35 % plus a fixed
 	// per-bank overhead.
-	areaUM2 := totalBits*cellUM2*1.35 + float64(s.Banks)*1200*t.LogicGateUM2
+	areaUM2 := float64(totalBits*cellUM2*1.35) + float64(float64(s.Banks)*1200*t.LogicGateUM2)
 	areaMM2 := areaUM2 / 1e6
 
 	// --- Dynamic energy (per access of one bank, one port) ---
@@ -93,28 +95,28 @@ func Array(t tech.Node, s ArraySpec) (Budget, error) {
 	colsBits := float64(s.BitsPerEntry)
 	cellW := math.Sqrt(cellUM2) // cell pitch, um
 	// Decoder: log2(rows) stages of ~4x gates.
-	decCap := math.Log2(math.Max(rows, 2)) * 4 * t.GateCap(4*t.MinWidthUm())
+	decCap := float64(math.Log2(math.Max(rows, 2)) * 4 * t.GateCap(4*t.MinWidthUm()))
 	// Wordline: one access transistor gate per column bit (x ports wired but
 	// only one toggles), plus wire along the row.
 	wlWireMM := colsBits * cellW / 1000
-	wlCap := colsBits*t.GateCap(t.MinWidthUm()) + wlWireMM*t.WireCPerMM
+	wlCap := float64(colsBits*t.GateCap(t.MinWidthUm())) + float64(wlWireMM*t.WireCPerMM)
 	// Bitlines: column height wire + one diffusion per row; reads use a
 	// reduced swing (~Vdd/3), writes full swing.
 	blWireMM := rows * cellW / 1000
-	blCapPerCol := blWireMM*t.WireCPerMM + rows*t.CDiffPerUm*t.MinWidthUm()
+	blCapPerCol := float64(blWireMM*t.WireCPerMM) + float64(rows*t.CDiffPerUm*t.MinWidthUm())
 	blCapTotal := blCapPerCol * colsBits
 	// Sense amps + output drivers: proportional to row width.
-	saCap := colsBits * 3 * t.GateCap(2*t.MinWidthUm())
+	saCap := float64(colsBits * 3 * t.GateCap(2*t.MinWidthUm()))
 
-	readE := t.SwitchEnergy(decCap+wlCap+saCap) + t.SwitchEnergy(blCapTotal)/3
-	writeE := t.SwitchEnergy(decCap+wlCap+saCap) + t.SwitchEnergy(blCapTotal)
+	readE := float64(t.SwitchEnergy(decCap+wlCap+saCap)) + t.SwitchEnergy(blCapTotal)/3
+	writeE := float64(t.SwitchEnergy(decCap+wlCap+saCap)) + float64(t.SwitchEnergy(blCapTotal))
 
 	// --- Leakage ---
 	// Six transistors of minimum width per cell (plus port overhead), and
 	// peripheral logic leakage from its area.
-	cellWidthUm := 6 * t.MinWidthUm() * (1 + 0.4*float64(ports-1))
-	leak := t.LeakagePower(totalBits*cellWidthUm*0.25) + // cells leak at reduced duty (stacked)
-		areaMM2*0.35*t.LeakagePerMM2 // periphery
+	cellWidthUm := 6 * t.MinWidthUm() * (1 + float64(0.4*float64(ports-1)))
+	leak := float64(t.LeakagePower(totalBits*cellWidthUm*0.25)) + // cells leak at reduced duty (stacked)
+		float64(areaMM2*0.35*t.LeakagePerMM2) // periphery
 
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: readE, WriteEnergyJ: writeE}, nil
 }
@@ -137,14 +139,14 @@ func CAM(t tech.Node, s CAMSpec) (Budget, error) {
 
 	// Search: all matchlines precharged and (mostly) discharged, plus the
 	// searchlines driving every row's compare gates.
-	matchCap := float64(s.Entries) * (float64(s.TagBits)*t.CDiffPerUm*t.MinWidthUm() + 2*t.GateCap(t.MinWidthUm()))
+	matchCap := float64(s.Entries) * (float64(float64(s.TagBits)*t.CDiffPerUm*t.MinWidthUm()) + 2*float64(t.GateCap(t.MinWidthUm())))
 	searchCap := float64(s.TagBits) * float64(s.Entries) * t.GateCap(t.MinWidthUm())
-	searchE := t.SwitchEnergy(matchCap + searchCap/2)
+	searchE := t.SwitchEnergy(float64(matchCap) + float64(searchCap/2))
 
 	// Write: like a small RAM row write.
-	writeE := t.SwitchEnergy(float64(s.TagBits) * (t.GateCap(t.MinWidthUm()) + t.CDiffPerUm*t.MinWidthUm()) * 3)
+	writeE := t.SwitchEnergy(float64(s.TagBits) * (float64(t.GateCap(t.MinWidthUm())) + float64(t.CDiffPerUm*t.MinWidthUm())) * 3)
 
-	leak := t.LeakagePower(totalBits*10*t.MinWidthUm()*0.25) + areaMM2*0.3*t.LeakagePerMM2
+	leak := float64(t.LeakagePower(totalBits*10*t.MinWidthUm()*0.25)) + float64(areaMM2*0.3*t.LeakagePerMM2)
 
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: searchE, WriteEnergyJ: writeE}, nil
 }
@@ -167,7 +169,7 @@ func FFBank(t tech.Node, bits int) (Budget, error) {
 	clkCapPerFF := 6 * t.GateCap(t.MinWidthUm())
 	dataCapPerFF := 10 * t.GateCap(t.MinWidthUm())
 	readE := t.SwitchEnergy(float64(bits) * clkCapPerFF * 0.5) // clock at 50% internal activity
-	writeE := t.SwitchEnergy(float64(bits) * (clkCapPerFF + dataCapPerFF) * 0.5)
+	writeE := t.SwitchEnergy(float64(bits) * (float64(clkCapPerFF) + float64(dataCapPerFF)) * 0.5)
 	leak := t.LeakagePower(float64(bits) * 24 * t.MinWidthUm() * 0.2)
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: readE, WriteEnergyJ: writeE}, nil
 }

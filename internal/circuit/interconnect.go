@@ -38,17 +38,17 @@ func Crossbar(t tech.Node, s CrossbarSpec) (Budget, error) {
 	// One transfer drives input wires across the span plus the crosspoint
 	// drain junctions of all the output columns it passes.
 	wireCap := span * t.WireCPerMM * float64(s.WidthBits)
-	junctionCap := float64(s.Outputs) * float64(s.WidthBits) * t.CDiffPerUm * 2 * t.MinWidthUm()
+	junctionCap := float64(float64(s.Outputs)*float64(s.WidthBits)*t.CDiffPerUm) * 2 * t.MinWidthUm()
 	driverCap := float64(s.WidthBits) * t.GateCap(8*t.MinWidthUm())
-	transferE := t.SwitchEnergy((wireCap+junctionCap)*0.5 + driverCap) // ~50% bit toggle
+	transferE := t.SwitchEnergy(float64((float64(wireCap)+float64(junctionCap))*0.5) + float64(driverCap)) // ~50% bit toggle
 
 	// Area: crosspoint transistors plus wire tracks.
 	xpointUM2 := float64(s.Inputs*s.Outputs*s.WidthBits) * 2 * t.LogicGateUM2 / 4
 	wireUM2 := span * 1000 * float64((s.Inputs+s.Outputs)*s.WidthBits) * (4 * t.FeatureNM / 1000)
-	areaMM2 := (xpointUM2 + wireUM2) / 1e6
+	areaMM2 := (float64(xpointUM2) + float64(wireUM2)) / 1e6
 
-	leak := t.LeakagePower(float64(s.Inputs*s.Outputs*s.WidthBits)*2*t.MinWidthUm()*0.15) +
-		areaMM2*0.1*t.LeakagePerMM2
+	leak := float64(t.LeakagePower(float64(s.Inputs*s.Outputs*s.WidthBits)*2*t.MinWidthUm()*0.15)) +
+		float64(areaMM2*0.1*t.LeakagePerMM2)
 
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: transferE, WriteEnergyJ: transferE}, nil
 }
@@ -83,13 +83,13 @@ func PriorityEncoder(t tech.Node, s PriorityEncoderSpec) (Budget, error) {
 	stages := math.Ceil(math.Log2(math.Max(w, 2)))
 	// Parallel priority look-ahead: ~6 gates per input plus log-depth
 	// look-ahead tree of ~4 gates per node.
-	gates := w*6 + stages*w*4/2
+	gates := float64(w*6) + float64(stages*w*4/2)
 	// Phase counter: log2(width) bits of counter + comparator.
-	gates += stages * 12
+	gates += float64(stages * 12)
 	areaMM2 := gates * t.LogicGateUM2 / 1e6
 	// ~30 % of gates switch per arbitration.
-	arbE := t.SwitchEnergy(gates * 0.3 * 2 * t.GateCap(2*t.MinWidthUm()))
-	leak := t.LeakagePower(gates*4*t.MinWidthUm()*0.2) + areaMM2*0.1*t.LeakagePerMM2
+	arbE := t.SwitchEnergy(float64(gates*0.3) * 2 * t.GateCap(2*t.MinWidthUm()))
+	leak := float64(t.LeakagePower(gates*4*t.MinWidthUm()*0.2)) + float64(areaMM2*0.1*t.LeakagePerMM2)
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: arbE}, nil
 }
 
@@ -113,8 +113,8 @@ func Logic(t tech.Node, s LogicSpec) (Budget, error) {
 	}
 	g := float64(s.Gates)
 	areaMM2 := g * t.LogicGateUM2 / 1e6
-	opE := t.SwitchEnergy(g * af * 2 * t.GateCap(2*t.MinWidthUm()))
-	leak := t.LeakagePower(g*4*t.MinWidthUm()*0.2) + areaMM2*0.1*t.LeakagePerMM2
+	opE := t.SwitchEnergy(float64(g*af) * 2 * t.GateCap(2*t.MinWidthUm()))
+	leak := float64(t.LeakagePower(g*4*t.MinWidthUm()*0.2)) + float64(areaMM2*0.1*t.LeakagePerMM2)
 	return Budget{AreaMM2: areaMM2, LeakageW: leak, ReadEnergyJ: opE}, nil
 }
 
@@ -128,7 +128,7 @@ func ClockTree(t tech.Node, areaMM2 float64) Budget {
 	// H-tree wire length scales ~ 3x the sqrt of the area per level; total
 	// roughly 6*sqrt(area) mm of wire plus buffers.
 	wireMM := 6 * math.Sqrt(areaMM2)
-	cap_ := wireMM*t.WireCPerMM*1.5 + wireMM*4*t.GateCap(16*t.MinWidthUm())
+	cap_ := float64(wireMM*t.WireCPerMM*1.5) + float64(wireMM*4*t.GateCap(16*t.MinWidthUm()))
 	return Budget{
 		AreaMM2:     wireMM * 4 * 16 * t.MinWidthUm() * 1e-3 / 1e3,
 		LeakageW:    t.LeakagePower(wireMM * 4 * 16 * t.MinWidthUm() * 0.3),

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +59,20 @@ func init() {
 			return sp
 		},
 	})
+}
+
+// holdBuilds arms blockGate until the returned open is called; calls
+// after the first do nothing.
+func holdBuilds() (open func()) {
+	gate := make(chan struct{})
+	blockGate.Store(&gate)
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			blockGate.Store(nil)
+			close(gate)
+		})
+	}
 }
 
 // backendFixture is one gpowd-equivalent: a Manager behind its HTTP API.
@@ -219,6 +235,21 @@ func waitDone(t *testing.T, c *service.Client, id string) {
 			t.Fatalf("job %s not done (last: %+v, %v)", id, st, err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// waitPruned waits until the backend's manager m has pruned its job bid.
+func waitPruned(t *testing.T, m *service.Manager, bid string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if _, ok := m.Job(bid); !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend job %s never pruned", bid)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -652,46 +683,58 @@ func TestRouterReissuedBackendJobID(t *testing.T) {
 
 // A job its backend pruned answers 410 there and stays pruned: reading it
 // through the router does not run it again, its status through the router
-// is the backend's 410, and the router's list leaves it out, as gpowd's
-// own list does. Neither read probes the backend's health: a 410 is an
-// answer.
+// is a 410, and the router's list leaves it out, as gpowd's own list does.
+// The first read that meets the 410, a status read or a list, makes the
+// router forget the job: it leaves the routing table, later lists send
+// the backend no request for it, and its ID answers 410 from the router's
+// counter. Neither read probes the backend's health: a 410 is an answer.
 func TestRouterLeavesPrunedJob(t *testing.T) {
-	gate := make(chan struct{})
-	blockGate.Store(&gate)
-	var once sync.Once
-	open := func() {
-		once.Do(func() {
-			blockGate.Store(nil)
-			close(gate)
-		})
-	}
+	open := holdBuilds()
 	m := service.NewManager(service.Options{MaxConcurrent: 1, RetainJobs: 1})
 	defer m.Close()
 	defer open()
 	var probes atomic.Int64
+	var mu sync.Mutex
+	reqs := map[string]int{} // backend requests by path
 	api := service.NewServer(m)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/healthz" {
 			probes.Add(1)
 		}
+		mu.Lock()
+		reqs[r.URL.Path]++
+		mu.Unlock()
 		api.ServeHTTP(w, r)
 	}))
 	defer backend.Close()
+	requests := func(bid string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return reqs["/v1/jobs/"+bid]
+	}
 	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: backend.URL})
 	c := routerClient(rtSrv)
 	ctx := context.Background()
 
-	// A fleetblock job holds the one worker, so the routed job queues
-	// and the cancel catches it.
+	// A fleetblock job holds the one worker, so the routed jobs queue and
+	// the cancels catch them.
 	if _, err := m.Submit(sweep.JobRequest{Scenario: "fleetblock"}); err != nil {
 		t.Fatal(err)
 	}
-	canceled, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario})
-	if err != nil {
-		t.Fatal(err)
+	var canceled []*service.JobStatus
+	for i := 0; i < 2; i++ {
+		st, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario, Label: fmt.Sprint("canceled-", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Cancel(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		canceled = append(canceled, st)
 	}
-	if err := c.Cancel(ctx, canceled.ID); err != nil {
-		t.Fatal(err)
+	var bids []string
+	for _, st := range canceled {
+		bids = append(bids, assignmentOf(t, rtSrv, st.ID).BackendID)
 	}
 	open()
 	later, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario, Label: "later"})
@@ -700,26 +743,67 @@ func TestRouterLeavesPrunedJob(t *testing.T) {
 	}
 	waitDone(t, c, later.ID)
 
-	bid := assignmentOf(t, rtSrv, canceled.ID).BackendID
 	var env map[string]string
-	if code := callJSON(t, backend, http.MethodGet, "/v1/jobs/"+bid, &env); code != http.StatusGone {
-		t.Errorf("backend answers HTTP %d for the pruned %s, want 410", code, bid)
+	for _, bid := range bids {
+		waitPruned(t, m, bid)
+		if code := callJSON(t, backend, http.MethodGet, "/v1/jobs/"+bid, &env); code != http.StatusGone {
+			t.Errorf("backend answers HTTP %d for the pruned %s, want 410", code, bid)
+		}
 	}
 	before := probes.Load()
-	var herr *service.HTTPError
-	if st, err := c.Job(ctx, canceled.ID); !errors.As(err, &herr) || herr.Code != http.StatusGone {
-		t.Errorf("status of the pruned job through the router = %+v, %v; want the backend's HTTP 410", st, err)
+	gone := func(id string) {
+		t.Helper()
+		var herr *service.HTTPError
+		if st, err := c.Job(ctx, id); !errors.As(err, &herr) || herr.Code != http.StatusGone {
+			t.Errorf("status of the pruned %s through the router = %+v, %v; want HTTP 410", id, st, err)
+		}
 	}
-	var rows []service.JobStatus
-	callJSON(t, rtSrv, http.MethodGet, "/v1/jobs", &rows)
-	if len(rows) != 1 || rows[0].ID != later.ID || rows[0].State != service.StateDone {
-		t.Errorf("router's job list %+v, want only the later job, done", rows)
+	forgotten := func(id string) {
+		t.Helper()
+		for _, a := range fleetState(t, rtSrv).Assignments {
+			if a.ID == id {
+				t.Errorf("the router still routes the pruned %s: %+v", id, a)
+			}
+		}
+	}
+	list := func() {
+		t.Helper()
+		var rows []service.JobStatus
+		callJSON(t, rtSrv, http.MethodGet, "/v1/jobs", &rows)
+		if len(rows) != 1 || rows[0].ID != later.ID || rows[0].State != service.StateDone {
+			t.Errorf("router's job list %+v, want only the later job, done", rows)
+		}
+	}
+
+	// A status read forgets the first pruned job, the list the second.
+	gone(canceled[0].ID)
+	forgotten(canceled[0].ID)
+	list()
+	forgotten(canceled[1].ID)
+	seen := []int{requests(bids[0]), requests(bids[1])}
+	list()
+	for i, bid := range bids {
+		if n := requests(bid) - seen[i]; n != 0 {
+			t.Errorf("a list after %s was forgotten sent the backend %d request(s) for its %s", canceled[i].ID, n, bid)
+		}
+	}
+	for _, st := range canceled {
+		gone(st.ID)
+	}
+	for i, bid := range bids {
+		if n := requests(bid) - seen[i]; n != 0 {
+			t.Errorf("status reads of the forgotten %s sent the backend %d request(s); the router's counter answers", canceled[i].ID, n)
+		}
 	}
 	if n := probes.Load() - before; n != 0 {
-		t.Errorf("reading the pruned job probed the backend's health %d times; a 410 is an answer", n)
+		t.Errorf("reading the pruned jobs probed the backend's health %d times; a 410 is an answer", n)
+	}
+	var herr *service.HTTPError
+	if _, err := c.Job(ctx, "job-4"); !errors.As(err, &herr) || herr.Code != http.StatusNotFound {
+		t.Errorf("status of job-4, beyond the router's numbering = %v; want HTTP 404", err)
 	}
 	if sts := m.Statuses(); len(sts) != 1 || sts[0].Label != "later" {
-		t.Errorf("backend holds %+v after the pruned job was read, want only the later job", sts)
+		t.Errorf("backend holds %+v after the pruned jobs were read, want only the later job", sts)
 	}
 }
 
@@ -955,6 +1039,120 @@ func TestRouterRestartRecoversAssignments(t *testing.T) {
 	}
 }
 
+// A client retrying a keyed submission whose fleet job its backend has
+// since pruned gets a new job, as gpowd gives for a key it pruned with
+// its job: the replay meets the 410, the router forgets the job and its
+// key, and the request is submitted anew.
+func TestKeyedReplayOfPrunedJobSubmitsAnew(t *testing.T) {
+	m := service.NewManager(service.Options{MaxConcurrent: 1, RetainJobs: 1})
+	defer m.Close()
+	backend := httptest.NewServer(service.NewServer(m))
+	defer backend.Close()
+	rtSrv := newRouter(t, BackendSpec{Name: "b0", URL: backend.URL})
+	c := routerClient(rtSrv)
+	ctx := context.Background()
+	req := sweep.JobRequest{Scenario: testScenario}
+
+	first, err := c.SubmitKeyed(ctx, req, "ck-pruned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, first.ID)
+	bid := assignmentOf(t, rtSrv, first.ID).BackendID
+	if _, err := m.Submit(sweep.JobRequest{Scenario: testScenario, Label: "direct"}); err != nil {
+		t.Fatal(err)
+	}
+	waitPruned(t, m, bid)
+
+	again, err := c.SubmitKeyed(ctx, req, "ck-pruned")
+	if err != nil {
+		t.Fatalf("keyed retry after the prune: %v", err)
+	}
+	if again.ID == first.ID {
+		t.Errorf("keyed retry after the prune replayed the pruned %s", first.ID)
+	}
+	if a := fleetState(t, rtSrv).Assignments; len(a) != 1 || a[0].ID != again.ID {
+		t.Errorf("routing table %+v, want only the new %s", a, again.ID)
+	}
+}
+
+// A restarted router recovers its table minus the jobs it forgot, from
+// the compacted snapshot after Close and from the journal alone after a
+// crash. The forgotten job is the newest fleet job, so only an ID counter
+// that counts forgotten assignments keeps its ID from being issued again:
+// it answers 410, and the next submission gets a fresh, higher ID.
+func TestRouterRestartForgetsPrunedJob(t *testing.T) {
+	open := holdBuilds()
+	defer open()
+	for _, crash := range []bool{false, true} {
+		stateDir := t.TempDir()
+		m := service.NewManager(service.Options{MaxConcurrent: 2, RetainJobs: 1})
+		t.Cleanup(m.Close) // after open: Close waits for the fleetblock job
+		backend := httptest.NewServer(service.NewServer(m))
+		defer backend.Close()
+		opts := Options{Backends: []BackendSpec{{Name: "b0", URL: backend.URL}}, StateDir: stateDir, ProbeInterval: time.Hour, Logf: t.Logf}
+		rt, err := NewRouter(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtSrv := httptest.NewServer(rt)
+		c := routerClient(rtSrv)
+		ctx := context.Background()
+
+		// The fleetblock job stays running behind the gate, so the
+		// backend's retention prunes the newer fleet job once a job
+		// submitted to the backend directly finishes after it.
+		kept, err := c.Submit(ctx, sweep.JobRequest{Scenario: "fleetblock"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := c.Submit(ctx, sweep.JobRequest{Scenario: testScenario})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, c, pruned.ID)
+		if _, err := m.Submit(sweep.JobRequest{Scenario: testScenario, Label: "direct"}); err != nil {
+			t.Fatal(err)
+		}
+		waitPruned(t, m, assignmentOf(t, rtSrv, pruned.ID).BackendID)
+		var herr *service.HTTPError
+		if _, err := c.Job(ctx, pruned.ID); !errors.As(err, &herr) || herr.Code != http.StatusGone {
+			t.Fatalf("crash=%v: status of the pruned %s = %v, want HTTP 410", crash, pruned.ID, err)
+		}
+		want := fleetState(t, rtSrv).Assignments
+		if len(want) != 1 || want[0].ID != kept.ID {
+			t.Fatalf("crash=%v: table after the forget %+v, want only %s", crash, want, kept.ID)
+		}
+		if crash {
+			rt.store.log.Freeze() // the crash image: no compaction at Close
+		}
+		rtSrv.Close()
+		rt.Close()
+
+		rt2, err := NewRouter(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtSrv2 := httptest.NewServer(rt2)
+		c2 := routerClient(rtSrv2)
+		if got := fleetState(t, rtSrv2).Assignments; len(got) != 1 || got[0] != want[0] {
+			t.Errorf("crash=%v: recovered table %+v, want %+v", crash, got, want)
+		}
+		if _, err := c2.Job(ctx, pruned.ID); !errors.As(err, &herr) || herr.Code != http.StatusGone {
+			t.Errorf("crash=%v: status of the forgotten %s after the restart = %v, want HTTP 410", crash, pruned.ID, err)
+		}
+		next, err := c2.Submit(ctx, sweep.JobRequest{Scenario: testScenario, Label: "next"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.ID != "job-3" {
+			t.Errorf("crash=%v: the first submission after the restart got %s, want job-3", crash, next.ID)
+		}
+		rtSrv2.Close()
+		rt2.Close()
+	}
+}
+
 // --- read-only and control endpoints ---
 
 // callJSON sends one request to the router and decodes its JSON body,
@@ -1071,5 +1269,114 @@ func TestJobReportFailsOverDeadBackend(t *testing.T) {
 	waitDone(t, c, st.ID)
 	if got := rawStream(t, rtSrv.Client(), url); !bytes.Equal(got, want) {
 		t.Errorf("survivor's report differs from the lost backend's:\n%s\n--- vs ---\n%s", got, want)
+	}
+}
+
+// A cancel whose backend has died fails the job over first, as a status,
+// report or stream read does, and cancels it at the survivor.
+func TestCancelFailsOverDeadBackend(t *testing.T) {
+	_, rtSrv, fixtures := newTestFleet(t, 2, func(o *Options) {
+		o.ProbeInterval = time.Hour // only the cancel's confirm probe may notice the death
+	})
+	c := routerClient(rtSrv)
+	st, err := c.Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c, st.ID)
+	from := assignmentOf(t, rtSrv, st.ID).Backend
+	for _, f := range fixtures {
+		if f.name == from {
+			f.srv.Close()
+		}
+	}
+	var canceled service.JobStatus
+	if code := callJSON(t, rtSrv, http.MethodDelete, "/v1/jobs/"+st.ID, &canceled); code != http.StatusOK || canceled.ID != st.ID {
+		t.Errorf("cancel after backend death: HTTP %d %+v, want the survivor's 200 for %s", code, canceled, st.ID)
+	}
+	if to := assignmentOf(t, rtSrv, st.ID).Backend; to == from {
+		t.Errorf("job still assigned to dead backend %s", from)
+	}
+}
+
+// Status reads, cancels, streams and lists that meet a pruned job's 410 at
+// once forget it once: each answers 410 (the list leaves the job out), the
+// routing table ends empty, and the journal holds one forget.
+func TestConcurrentReadsForgetOnce(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, service.HealthInfo{Status: "ok"})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusAccepted, service.JobStatus{ID: "job-7", Scenario: testScenario, State: service.StateDone})
+	})
+	mux.HandleFunc("/v1/jobs/job-7/", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteError(w, http.StatusGone, errors.New(`job "job-7" is gone (pruned)`))
+	})
+	mux.HandleFunc("/v1/jobs/job-7", func(w http.ResponseWriter, r *http.Request) {
+		service.WriteError(w, http.StatusGone, errors.New(`job "job-7" is gone (pruned)`))
+	})
+	backend := httptest.NewServer(mux)
+	defer backend.Close()
+	rt, err := NewRouter(Options{
+		Backends:      []BackendSpec{{Name: "b0", URL: backend.URL}},
+		StateDir:      t.TempDir(),
+		ProbeInterval: time.Hour,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtSrv := httptest.NewServer(rt)
+	defer rt.Close()
+	defer rtSrv.Close()
+	st, err := routerClient(rtSrv).Submit(context.Background(), sweep.JobRequest{Scenario: testScenario})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		for _, req := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/jobs/" + st.ID},
+			{http.MethodDelete, "/v1/jobs/" + st.ID},
+			{http.MethodGet, "/v1/jobs/" + st.ID + "/cells"},
+			{http.MethodGet, "/v1/jobs"},
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hreq, _ := http.NewRequest(req.method, rtSrv.URL+req.path, nil)
+				resp, err := rtSrv.Client().Do(hreq)
+				if err != nil {
+					t.Errorf("%s %s: %v", req.method, req.path, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if req.path == "/v1/jobs" {
+					if resp.StatusCode != http.StatusOK || string(bytes.TrimSpace(body)) != "[]" {
+						t.Errorf("list: HTTP %d %s, want 200 []", resp.StatusCode, body)
+					}
+					return
+				}
+				// A stream that began before the forget is aborted; a
+				// riding client would resume to the 410.
+				if resp.StatusCode != http.StatusGone && (resp.StatusCode != http.StatusOK || err == nil) {
+					t.Errorf("%s %s: HTTP %d %s, want 410", req.method, req.path, resp.StatusCode, body)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if a := fleetState(t, rtSrv).Assignments; len(a) != 0 {
+		t.Errorf("routing table after the forget: %+v, want empty", a)
+	}
+	journal, err := os.ReadFile(filepath.Join(rt.store.log.Dir(), "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte(`"forget"`)); n != 1 {
+		t.Errorf("journal holds %d forget(s), want 1:\n%s", n, journal)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,7 +53,8 @@ type fleetJob struct {
 	a  storedAssignment
 }
 
-// coords snapshots the job's current backend coordinates.
+// coords snapshots the job's current backend coordinates. Both are ""
+// once the router has forgotten the job (see forget).
 func (j *fleetJob) coords() (backend, backendID string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -231,6 +233,9 @@ func (rt *Router) snapshot() *fleetSnapshot {
 		j.mu.Lock()
 		a := j.a
 		j.mu.Unlock()
+		if a.Backend == "" {
+			continue // forgotten, and its Forget is journaled
+		}
 		snap.Assignments = append(snap.Assignments, &a)
 	}
 	for _, name := range rt.names {
@@ -365,7 +370,7 @@ func (rt *Router) pickBackend(routingKey string, excluded map[string]bool) *Back
 // the backend, dispatch under a fresh router-owned idempotency key, and
 // answer with the status rewritten into the fleet's job-ID namespace.
 // A client Idempotency-Key replays the existing fleet job, mirroring the
-// single-node contract.
+// single-node contract, until the router forgets that job.
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	var req sweep.JobRequest
 	dec := json.NewDecoder(r.Body)
@@ -383,12 +388,16 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		rt.mu.Unlock()
 		if ok && j != nil {
 			st, err := rt.backendStatus(r.Context(), j)
-			if err != nil {
+			switch {
+			case err == nil:
+				service.WriteJSON(w, http.StatusOK, st)
+				return
+			case !answered(err, http.StatusGone):
 				service.WriteError(w, http.StatusBadGateway, err)
 				return
 			}
-			service.WriteJSON(w, http.StatusOK, st)
-			return
+			// Forgotten: the key died with the job, as a key gpowd
+			// pruned does, and this is a new submission.
 		}
 	}
 
@@ -423,7 +432,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 
 		rt.mu.Lock()
 		rt.nextID++
-		fleetID := fmt.Sprintf("job-%d", rt.nextID)
+		fleetID := service.JobID(rt.nextID)
 		rt.mu.Unlock()
 		a := storedAssignment{
 			ID:         fleetID,
@@ -457,17 +466,41 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// lookup resolves a fleet job ID (404 envelope on miss).
+// lookup resolves a fleet job ID. A missing job the router's numbering
+// has reached was forgotten, after its backend pruned it: 410, the answer
+// gpowd gives for its own pruned IDs. Any other miss is a 404.
 func (rt *Router) lookup(w http.ResponseWriter, r *http.Request) (*fleetJob, bool) {
 	id := r.PathValue("id")
+	n := service.JobNumber(id)
 	rt.mu.Lock()
 	j := rt.jobs[id]
+	issued := n > 0 && n <= rt.nextID
 	rt.mu.Unlock()
-	if j == nil {
+	switch {
+	case j != nil:
+		return j, true
+	case issued:
+		writeBackendError(w, errPruned(id), false)
+	default:
 		service.WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-		return nil, false
 	}
-	return j, true
+	return nil, false
+}
+
+// errPruned is the answer for fleet job id once the router has forgotten
+// it.
+func errPruned(id string) error {
+	return &service.HTTPError{Code: http.StatusGone, Msg: fmt.Sprintf("job %q is gone (pruned)", id)}
+}
+
+// homeOf resolves fleet job j's current backend and backend job ID, or
+// errPruned once the router has forgotten it.
+func (rt *Router) homeOf(j *fleetJob) (*Backend, string, error) {
+	name, bid := j.coords()
+	if name == "" {
+		return nil, "", errPruned(j.a.ID)
+	}
+	return rt.backends[name], bid, nil
 }
 
 // backendStatus fetches a fleet job's status from its current backend
@@ -494,30 +527,40 @@ func (rt *Router) backendStatus(ctx context.Context, j *fleetJob) (*service.JobS
 // and backendFailed finds the job moved as a result, try runs once more
 // at the job's new home. It returns try's last error.
 func (rt *Router) atJob(ctx context.Context, j *fleetJob, try func(b *Backend, bid string) error) error {
-	name, bid := j.coords()
-	b := rt.backends[name]
-	err := try(b, bid)
+	b, bid, err := rt.homeOf(j)
+	if err != nil {
+		return err
+	}
+	err = try(b, bid)
 	if err == nil || ctx.Err() != nil || !rt.backendFailed(j, b, bid, err) {
 		return err
 	}
-	name, bid = j.coords()
-	return try(rt.backends[name], bid)
+	if b, bid, err = rt.homeOf(j); err != nil {
+		return err
+	}
+	return try(b, bid)
 }
 
 // backendFailed handles a request to backend b, made for fleet job j as
-// backend job bid, that failed with err. A 404 whose job's status reads
-// 404 too means b answers but lost the job: it restarted without
-// -state-dir, so that ID is beyond its numbering. (A pruned job answers
-// 410 and stays where it is, with no probe: b answered; a report can
+// backend job bid, that failed with err. A 410 means b answered and
+// pruned the job: the router forgets it, with no probe. A 404 whose job's
+// status reads 404 too means b answers but lost the job: it restarted
+// without -state-dir, so that ID is beyond its numbering. (A report can
 // answer 404 for a job that outlived its scenario.) That one job is
-// re-submitted, and b itself may take it back. A faultpoint drop marks b dead outright; anything else is
-// confirmed with a synchronous probe first, so one request hiccup does
-// not fail over a live backend. A lost backend's jobs fail over at once,
-// without waiting for the probe loop's threshold. It reports whether j
-// was re-dispatched.
+// re-submitted, and b itself may take it back. A faultpoint drop marks b
+// dead outright; anything else is confirmed with a synchronous probe
+// first, so one request hiccup does not fail over a live backend. A lost
+// backend's jobs fail over at once, without waiting for the probe loop's
+// threshold. It reports whether j left b's bid: re-dispatched, or
+// forgotten.
+//
+// Only status, cancel and stream requests reach it with a 410. A report's
+// 410 (a failed or canceled job has none) is the backend's answer about a
+// job it still holds, and proxyRaw passes it through.
 func (rt *Router) backendFailed(j *fleetJob, b *Backend, bid string, err error) (moved bool) {
 	if answered(err, http.StatusGone) {
-		return false
+		rt.forget(j, b.Name, bid)
+		return true // forgotten here, or moved before the 410 came
 	}
 	if answered(err, http.StatusNotFound) {
 		ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
@@ -546,6 +589,37 @@ func (rt *Router) backendFailed(j *fleetJob, b *Backend, bid string, err error) 
 	}
 	name, _ := j.coords()
 	return name != b.Name
+}
+
+// forget drops fleet job j, last seen at backend from as job bid, after
+// from answered 410 for it: the backend pruned the job, and nothing will
+// run it again. The Forget is journaled and the coordinates cleared under
+// j.mu, so a racing redispatch sees the job as moved and does nothing,
+// and a Reassign is never journaled after the Forget. lookup then answers
+// 410 for the ID from the counter alone.
+func (rt *Router) forget(j *fleetJob, from, bid string) {
+	j.mu.Lock()
+	if j.a.Backend != from || j.a.BackendID != bid {
+		j.mu.Unlock()
+		return // moved, or already forgotten
+	}
+	j.a.Backend, j.a.BackendID = "", ""
+	if rt.store != nil {
+		rt.store.append(fleetEntry{Forget: j.a.ID})
+	}
+	j.mu.Unlock()
+
+	rt.mu.Lock()
+	delete(rt.jobs, j.a.ID)
+	if rt.homes[home{from, bid}] == j {
+		delete(rt.homes, home{from, bid})
+	}
+	rt.order = slices.DeleteFunc(rt.order, func(id string) bool { return id == j.a.ID })
+	if j.a.ClientKey != "" && rt.byClientKey[j.a.ClientKey] == j.a.ID {
+		delete(rt.byClientKey, j.a.ClientKey)
+	}
+	rt.mu.Unlock()
+	rt.logf("fleet: backend %s pruned %s (%s); forgotten", from, j.a.ID, bid)
 }
 
 // failover re-homes every fleet job currently assigned to the named
@@ -661,10 +735,11 @@ func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // listJobs aggregates every fleet job's status in creation order. A job
-// whose backend pruned it (410) is left out, as gpowd's own list leaves
-// it out. A job whose backend cannot answer right now (mid-failover) is
-// reported from the routing table as interrupted — which is what it is:
-// queued for bit-identical re-execution elsewhere.
+// whose backend pruned it (410) is forgotten and left out, as gpowd's own
+// list leaves it out, so the next list does not ask for it. A job whose
+// backend cannot answer right now (mid-failover) is reported from the
+// routing table as interrupted — which is what it is: queued for
+// bit-identical re-execution elsewhere.
 func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	js := make([]*fleetJob, 0, len(rt.order))
@@ -695,15 +770,21 @@ func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, out)
 }
 
+// cancelJob cancels a fleet job at its current backend, failing over a
+// dead one first (atJob), and answers with its status.
 func (rt *Router) cancelJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := rt.lookup(w, r)
 	if !ok {
 		return
 	}
-	name, bid := j.coords()
-	b := rt.backends[name]
-	if err := b.client.Cancel(r.Context(), bid); err != nil {
-		writeBackendError(w, fmt.Errorf("backend %s: %w", name, err), false)
+	err := rt.atJob(r.Context(), j, func(b *Backend, bid string) error {
+		if err := b.client.Cancel(r.Context(), bid); err != nil {
+			return fmt.Errorf("backend %s: %w", b.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		writeBackendError(w, err, false)
 		return
 	}
 	st, err := rt.backendStatus(r.Context(), j)
@@ -764,16 +845,21 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
+	b, bid, err := rt.homeOf(j) // the backend and backend job ID of the current attempt
+	if err != nil {
+		writeBackendError(w, err, false)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	var b *Backend // the backend and backend job ID of the current attempt
-	var bid string
 	at := func() (*service.Client, string) {
-		var name string
-		name, bid = j.coords()
-		b = rt.backends[name]
+		// A job forgotten meanwhile keeps its last home, which answers
+		// 410 for it.
+		if nb, nbid, err := rt.homeOf(j); err == nil {
+			b, bid = nb, nbid
+		}
 		return b.client, bid
 	}
 	lost := func(err error) { rt.backendFailed(j, b, bid, err) }
@@ -857,6 +943,10 @@ func (rt *Router) fleetStatus(w http.ResponseWriter, r *http.Request) {
 	for _, id := range rt.order {
 		j := rt.jobs[id]
 		j.mu.Lock()
+		if j.a.Backend == "" {
+			j.mu.Unlock()
+			continue // forgotten
+		}
 		st.Assignments = append(st.Assignments, AssignmentStatus{
 			ID:         j.a.ID,
 			Scenario:   j.a.Request.Scenario,

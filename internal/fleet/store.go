@@ -4,19 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"gpusimpow/internal/journal"
+	"gpusimpow/internal/service"
 	"gpusimpow/internal/simcache"
 	"gpusimpow/internal/sweep"
 )
 
 // The router's durable routing table, on the same journal+snapshot
 // substrate as the daemons' job store (internal/journal): one line per
-// assignment, re-dispatch or drain flip, compacted into a snapshot at
-// shutdown. A restarted router recovers every fleet
-// job→backend assignment and every operator drain bit, so riding clients
-// resume their streams against the same fleet job IDs and a mid-rollout
-// drain survives the rollout of the router itself.
+// assignment, re-dispatch, forget or drain flip, compacted into a
+// snapshot at shutdown. A restarted router recovers every fleet
+// job→backend assignment its backends still hold and every operator drain
+// bit, so riding clients resume their streams against the same fleet job
+// IDs and a mid-rollout drain survives the rollout of the router itself.
 
 // fleetStoreVersion guards the persisted shape; bump on change.
 const fleetStoreVersion = 1
@@ -56,11 +58,16 @@ type fleetEntry struct {
 	// backend coordinates change.
 	Reassign *storedAssignment `json:"reassign,omitempty"`
 	Drain    *drainEntry       `json:"drain,omitempty"`
+	// Forget drops the fleet job with this ID: its backend answered 410,
+	// it pruned the job.
+	Forget string `json:"forget,omitempty"`
 }
 
 // fleetSnapshot is the compacted on-disk state.
 type fleetSnapshot struct {
-	Version     int                 `json:"version"`
+	Version int `json:"version"`
+	// NextID is the highest fleet job number ever assigned, so a restarted
+	// router never reuses a forgotten job's ID.
 	NextID      int                 `json:"nextID"`
 	Assignments []*storedAssignment `json:"assignments,omitempty"` // creation order
 	Drained     []string            `json:"drained,omitempty"`     // operator-drained backends
@@ -102,19 +109,34 @@ func (s *fleetStore) compact(snap *fleetSnapshot) {
 	s.log.Compact(snap)
 }
 
-// recover reads the snapshot and folds the journal over it.
+// recover reads the snapshot and folds the journal over it (foldFleet).
+// A missing or corrupt snapshot starts empty.
 func (s *fleetStore) recover() *fleetRecovered {
+	var snap fleetSnapshot
+	if !s.log.Snapshot(&snap) {
+		snap = fleetSnapshot{} // a corrupt file may have decoded in part
+	}
+	return foldFleet(snap, s.log.Replay)
+}
+
+// foldFleet folds the journal lines replay hands over onto snap and
+// returns the routing table they leave. A snapshot of another version
+// (the zero value included) starts empty. A corrupt line, or a re-dispatch
+// of a job it does not know, is skipped. Every assignment counts toward
+// NextID, a forgotten one too. It reads no files, so it can be fuzzed in
+// memory.
+func foldFleet(snap fleetSnapshot, replay func(fn func(line []byte)) int) *fleetRecovered {
 	rs := &fleetRecovered{Drained: map[string]bool{}}
 	byID := map[string]*storedAssignment{}
 	var order []string
 
-	var snap fleetSnapshot
-	if s.log.Snapshot(&snap) && snap.Version == fleetStoreVersion {
+	if snap.Version == fleetStoreVersion {
 		rs.NextID = snap.NextID
 		for _, a := range snap.Assignments {
 			if a == nil || a.ID == "" || byID[a.ID] != nil {
 				continue
 			}
+			rs.NextID = max(rs.NextID, service.JobNumber(a.ID))
 			byID[a.ID] = a
 			order = append(order, a.ID)
 		}
@@ -123,7 +145,7 @@ func (s *fleetStore) recover() *fleetRecovered {
 		}
 	}
 
-	s.log.Replay(func(line []byte) {
+	replay(func(line []byte) {
 		var e fleetEntry
 		if json.Unmarshal(line, &e) != nil {
 			rs.Skipped++
@@ -131,6 +153,7 @@ func (s *fleetStore) recover() *fleetRecovered {
 		}
 		switch {
 		case e.Assign != nil && e.Assign.ID != "":
+			rs.NextID = max(rs.NextID, service.JobNumber(e.Assign.ID))
 			if byID[e.Assign.ID] != nil {
 				return // replayed over a partial compaction
 			}
@@ -150,6 +173,11 @@ func (s *fleetStore) recover() *fleetRecovered {
 			} else {
 				delete(rs.Drained, e.Drain.Backend)
 			}
+		case e.Forget != "":
+			if byID[e.Forget] != nil {
+				delete(byID, e.Forget)
+				order = slices.DeleteFunc(order, func(id string) bool { return id == e.Forget })
+			}
 		default:
 			rs.Skipped++
 		}
@@ -157,12 +185,6 @@ func (s *fleetStore) recover() *fleetRecovered {
 
 	for _, id := range order {
 		rs.Assignments = append(rs.Assignments, byID[id])
-	}
-	for _, a := range rs.Assignments {
-		var n int
-		if _, err := fmt.Sscanf(a.ID, "job-%d", &n); err == nil && n > rs.NextID {
-			rs.NextID = n
-		}
 	}
 	return rs
 }

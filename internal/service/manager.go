@@ -644,7 +644,7 @@ func (m *Manager) SubmitIdempotent(req sweep.JobRequest, key string) (j *Job, re
 	}
 	m.lastEvictions = st.Evictions
 	m.nextID++
-	id := fmt.Sprintf("job-%d", m.nextID)
+	id := JobID(m.nextID)
 	j = newJob(m, id, req, plan, time.Now())
 	j.idemKey = key
 	m.jobs[id] = j
@@ -733,10 +733,10 @@ func (m *Manager) Job(id string) (*Job, bool) {
 // recovery); any other ID was never issued, or the numbering started over
 // because the daemon restarted without a state directory.
 func (m *Manager) issued(id string) bool {
-	n := jobNumber(id)
+	n := JobNumber(id)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return n > 0 && n <= m.nextID && id == fmt.Sprintf("job-%d", n)
+	return n > 0 && n <= m.nextID
 }
 
 // Jobs lists every job in creation order.

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"gpusimpow/internal/journal"
@@ -154,6 +156,7 @@ func foldStore(snap snapshotFile, replay func(fn func(line []byte)) int) *recove
 			if sj == nil || sj.ID == "" || byID[sj.ID] != nil {
 				continue
 			}
+			rs.NextID = max(rs.NextID, JobNumber(sj.ID))
 			byID[sj.ID] = sj
 			order = append(order, sj.ID)
 		}
@@ -174,11 +177,6 @@ func foldStore(snap snapshotFile, replay func(fn func(line []byte)) int) *recove
 	for _, id := range order {
 		rs.Jobs = append(rs.Jobs, byID[id])
 	}
-	for _, sj := range rs.Jobs {
-		if n := jobNumber(sj.ID); n > rs.NextID {
-			rs.NextID = n
-		}
-	}
 	return rs
 }
 
@@ -186,6 +184,9 @@ func foldStore(snap snapshotFile, replay func(fn func(line []byte)) int) *recove
 func applyEntry(e *journalEntry, byID map[string]*storedJob, order *[]string, rs *recoveredState) {
 	switch {
 	case e.Submit != nil && e.Submit.ID != "":
+		// Every submission counts toward NextID, a forgotten one too: the
+		// snapshot may predate it, and its ID must never be issued again.
+		rs.NextID = max(rs.NextID, JobNumber(e.Submit.ID))
 		if byID[e.Submit.ID] != nil {
 			return // replayed after a partial compaction: already known
 		}
@@ -222,10 +223,20 @@ func applyEntry(e *journalEntry, byID map[string]*storedJob, order *[]string, rs
 	}
 }
 
-// jobNumber parses the numeric suffix of "job-N" IDs (0 when foreign).
-func jobNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
+// JobID formats the n-th ID of a job numbering, "job-n": gpowd numbers
+// its jobs this way, and gpowfleet its fleet jobs.
+func JobID(n int) string { return "job-" + strconv.Itoa(n) }
+
+// JobNumber inverts JobID: it returns n when id is exactly JobID(n) for
+// some n > 0, and 0 for any other ID ("job-07" and "job-+7" included,
+// which no numbering issues).
+func JobNumber(id string) int {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil || n <= 0 || JobID(n) != id {
 		return 0
 	}
 	return n

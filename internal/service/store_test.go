@@ -224,6 +224,63 @@ func TestStoreForgetAndCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// A job submitted and forgotten after the last compaction leaves only its
+// journal entries: the snapshot's NextID predates it. The daemon can die
+// there under -retain-age, which prunes a finished job before the
+// compaction after it. The fold still counts its ID, so it is never
+// issued again.
+func TestStoreNextIDCountsForgottenSubmit(t *testing.T) {
+	snap, journal := forgottenSubmitImage(t)
+	var sf snapshotFile
+	if err := json.Unmarshal(snap, &sf); err != nil {
+		t.Fatal(err)
+	}
+	rs := foldStore(sf, func(fn func(line []byte)) int {
+		n := 0
+		for line := range bytes.Lines(journal) {
+			fn(line)
+			n++
+		}
+		return n
+	})
+	if len(rs.Jobs) != 2 || rs.NextID != 3 {
+		t.Errorf("recovered %d jobs and NextID %d, want 2 jobs and NextID 3: job-3 must never be issued again", len(rs.Jobs), rs.NextID)
+	}
+}
+
+// forgottenSubmitImage is a snapshot holding job-1 and job-2 with NextID
+// 2, and a journal that submits and forgets job-3 after it.
+func forgottenSubmitImage(tb testing.TB) (snapshot, journal []byte) {
+	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	job := func(n int) *storedJob {
+		return &storedJob{ID: JobID(n), Request: sweep.JobRequest{Scenario: "svcblock"}, State: StateQueued, Created: created}
+	}
+	snapshot, err := json.Marshal(snapshotFile{Version: storeVersion, NextID: 2, Jobs: []*storedJob{job(1), job(2)}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range []journalEntry{{Submit: job(3)}, {Forget: &forgetEntry{ID: "job-3"}}} {
+		line, err := json.Marshal(e)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	return snapshot, journal
+}
+
+// JobNumber accepts exactly the IDs JobID formats.
+func TestJobNumber(t *testing.T) {
+	for id, want := range map[string]int{
+		"job-1": 1, "job-42": 42, JobID(7): 7,
+		"job-0": 0, "job-07": 0, "job-+7": 0, "job--1": 0, "job-": 0, "job-3x": 0, "Job-3": 0, "3": 0, "": 0,
+	} {
+		if got := JobNumber(id); got != want {
+			t.Errorf("JobNumber(%q) = %d, want %d", id, got, want)
+		}
+	}
+}
+
 // The store's generation directory is fingerprinted like the simulation
 // cache's: state written by a different simulator build is invisible, not
 // blindly replayed.
@@ -298,15 +355,18 @@ func writePathOrder(journal []byte, known map[string]bool) bool {
 }
 
 // FuzzStoreRecover feeds recovery's fold arbitrary snapshot and journal
-// bytes, in memory. Recovery must never panic. And where the journal is one
-// the write path could have produced, replaying it over the snapshot it
-// folds to must change nothing: that is the crash window between the
-// snapshot rename and the journal truncate, which replays the journal
-// twice.
+// bytes, in memory. Recovery must never panic, and must leave NextID at
+// or above every submission the journal holds, forgotten ones included,
+// so no ID is issued twice. And where the journal is one the write path
+// could have produced, replaying it over the snapshot it folds to must
+// change nothing: that is the crash window between the snapshot rename
+// and the journal truncate, which replays the journal twice.
 func FuzzStoreRecover(f *testing.F) {
 	snap, journal := roundTripImage(f)
 	f.Add(snap, journal)
 	f.Add([]byte(nil), journal)
+	snap, journal = forgottenSubmitImage(f)
+	f.Add(snap, journal)
 	// fold is recoverStore over a snapshot file holding snap and a
 	// journal file holding journal.
 	fold := func(snap, journal []byte) *recoveredState {
@@ -337,6 +397,12 @@ func FuzzStoreRecover(f *testing.F) {
 			known[sj.ID] = true
 		}
 		once := fold(snap, journal)
+		for line := range bytes.Lines(journal) {
+			var e journalEntry
+			if json.Unmarshal(line, &e) == nil && e.Submit != nil && JobNumber(e.Submit.ID) > once.NextID {
+				t.Errorf("NextID %d is below the journaled submission %s", once.NextID, e.Submit.ID)
+			}
+		}
 		if !writePathOrder(journal, known) {
 			return
 		}

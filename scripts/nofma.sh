@@ -9,17 +9,22 @@
 #
 # For each architecture below, this cross-compiles every package in
 # PACKAGES with -S and fails on any FMADD/FMSUB/FNMADD/FNMSUB (D and S
-# forms) whose source position lies in one of those packages, printing
-# each file:line. Instructions inlined from other packages carry their own
-# file's position and are that package's concern. Cross-compiling needs
-# no network; a cached rebuild replays the listing.
+# forms) whose source position lies in any guarded package, printing each
+# file:line. An instruction inlined from another package carries its own
+# file's position, so a guarded package's listing also counts what it
+# inlines from the others (power's inlined circuit.Budget.Add calls, for
+# one). Cross-compiling needs no network; a cached rebuild replays the
+# listing.
 #
 #   ./scripts/nofma.sh        (or: make nofma)
 set -eu
 
 # The guarded packages, as import paths under the module.
-PACKAGES="gpusimpow/internal/power gpusimpow/internal/bench"
+PACKAGES="gpusimpow/internal/power gpusimpow/internal/bench gpusimpow/internal/circuit"
 ARCHES="arm64 ppc64le s390x riscv64"
+
+# dirs matches the source directory of any guarded package: a|b|c.
+dirs=$(echo "$PACKAGES" | sed 's|gpusimpow/||g; s| |\||g')
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
@@ -35,7 +40,7 @@ for pkg in $PACKAGES; do
         fi
         # Listing lines read "<pc> <offset> (<file>:<line>)<TAB><OP><TAB>...".
         grep -E '^[[:space:]]+0x[0-9a-f]+ [0-9]+ \(.*\)[[:space:]]+F(N)?M(ADD|SUB)[DS]?[[:space:]]' "$tmp/asm" |
-            sed -n "s|.*(.*/\(${dir#./}/[^/]*\.go:[0-9]*\)).*|\1|p" | sort -V | uniq -c >"$tmp/sites" || true
+            sed -En "s#.*\(.*/(($dirs)/[^/]*\.go:[0-9]*)\).*#\1#p" | sort -V | uniq -c >"$tmp/sites" || true
         n=$(awk '{s += $1} END {print s + 0}' "$tmp/sites")
         if [ "$n" -gt 0 ]; then
             echo "nofma: $pkg on $arch: $n fused multiply-add(s):"
