@@ -155,11 +155,14 @@ func checkHostBuild(t *testing.T, w *sweep.Workload, cfg *config.GPU, where stri
 	if d, ok := inst.Mem.Digest(); !ok || d != want {
 		t.Errorf("%s: image carries digest %x (set %v), want %x", where, d, ok, want)
 	}
-	// Both programs decode first: the decode table is built lazily, on a
-	// program's first execution.
+	// Both programs decode and digest first: the decode table is built
+	// lazily, on a program's first execution, and the digest on its first
+	// cached launch.
 	l.Prog.Decoded()
+	l.Prog.Digest()
 	if len(inst.Units) == 1 {
 		inst.Units[0].Launch.Prog.Decoded()
+		inst.Units[0].Launch.Prog.Digest()
 	}
 	if len(inst.Units) != 1 || !reflect.DeepEqual(inst.Units[0].Launch, l) {
 		t.Errorf("%s: launch differs from a fresh build's", where)

@@ -273,6 +273,12 @@ func (in *Instr) SrcRegs(dst []uint8) []uint8 {
 }
 
 // Program is an assembled kernel.
+//
+// A program is immutable once it is first used: the builder assembles it,
+// and from then on it is shared by pointer and only read. Its decode table
+// (Decoded) and its digest (Digest) are built lazily from its fields and
+// never rebuilt, so a field changed after either was built would leave
+// them stale. Code that wants a variant builds a new Program.
 type Program struct {
 	Name string
 	// Instrs is the instruction stream; PCs index into it.
@@ -289,6 +295,9 @@ type Program struct {
 	// the latch also makes concurrent first executions race-free.
 	decodeOnce sync.Once
 	dec        []DInstr
+	// digestOnce guards the lazy build of digest; see Digest in key.go.
+	digestOnce sync.Once
+	digest     [32]byte
 }
 
 // Validate checks structural well-formedness of the program.

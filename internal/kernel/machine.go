@@ -438,7 +438,7 @@ func (w *Warp) execData(in *Instr, d *DInstr, execMask uint32, env *Env, info *S
 		case OpFMul:
 			v = f2b(b2f(a) * b2f(pickOperand(bRow, bImm, l)))
 		case OpFFma:
-			v = f2b(float32(float64(b2f(a))*float64(b2f(pickOperand(bRow, bImm, l))) + float64(b2f(pickOperand(cRow, cImm, l)))))
+			v = f2b(float32(float64(float64(b2f(a))*float64(b2f(pickOperand(bRow, bImm, l)))) + float64(b2f(pickOperand(cRow, cImm, l)))))
 		case OpFMin:
 			v = f2b(float32(math.Min(float64(b2f(a)), float64(b2f(pickOperand(bRow, bImm, l))))))
 		case OpFMax:

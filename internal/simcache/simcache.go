@@ -23,11 +23,13 @@
 //
 // A launch on an image that carries its content digest
 // (kernel.GlobalMem.SetDigest; every mutation drops it) is keyed in two
-// levels: a chain memo, addressed by the launch with the digest in place
-// of the words, holds the full key. Two kinds of image arrive digested.
-// Chained launches — a multi-kernel benchmark's second and later kernels —
-// run on the image the previous launch left behind, which is exactly a
-// stored entry's final image, and Run records that image's MemHash on it.
+// levels: a chain memo, addressed by the launch with the image's digest in
+// place of its words and the program's digest (kernel.Program.Digest) in
+// place of its instructions, holds the full key. Two kinds of image
+// arrive digested. Chained launches — a multi-kernel benchmark's second
+// and later kernels — run on the image the previous launch left behind,
+// which is exactly a stored entry's final image, and Run records that
+// image's MemHash on it.
 // A benchmark suite instance's first launch runs on an image restored
 // from its benchmark's template, which carries the template's digest
 // (see package bench). The digest (kernel.GlobalMem.ContentDigest) is a
@@ -515,7 +517,7 @@ func (c *Cache) Reset() {
 // memory images word by word.
 func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
 	kw := newKeyWriter()
-	kw.launch(cfg, l)
+	kw.launch(cfg, l, l.Prog.AppendKey(nil))
 	kw.i64(global.Size())
 	global.WriteImage(kw.h)
 	kw.constMem(cmem)
@@ -523,13 +525,16 @@ func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *k
 }
 
 // chainKeyFor is the chain memo's key for a launch on an image whose
-// content digest (kernel.GlobalMem.ContentDigest) is d: the
-// launch prefix KeyFor writes, then d in place of the image, then the
-// constant image. d determines the image part of KeyFor's input, so this
-// key determines KeyFor's key.
+// content digest (kernel.GlobalMem.ContentDigest) is d: the launch
+// prefix KeyFor writes, with the program's digest (kernel.Program.Digest)
+// in place of its encoding, then d in place of the image, then the
+// constant image. Each digest determines the bytes it stands for, so this
+// key determines KeyFor's key. It only addresses the in-memory memo, so
+// its layout may differ from KeyFor's.
 func chainKeyFor(cfg *config.GPU, l *kernel.Launch, d [32]byte, cmem *kernel.ConstMem) Key {
+	pd := l.Prog.Digest()
 	kw := newKeyWriter()
-	kw.launch(cfg, l)
+	kw.launch(cfg, l, pd[:])
 	kw.h.Write(d[:])
 	kw.constMem(cmem)
 	return kw.sum()
@@ -552,44 +557,16 @@ func appendI64(b []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 }
 
-// launchInstrBytes is the encoded size of one instruction in a key.
-const launchInstrBytes = 14 + 3*8 + 2*8
-
 // launch writes everything of a key but the memory images: the
-// timing-relevant configuration, the program, the geometry and the
-// parameters. It encodes them into one buffer and writes it once.
-func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch) {
-	p := l.Prog
+// timing-relevant configuration, the program as prog (its key encoding,
+// kernel.Program.AppendKey, in a full key; its digest in a chain key), the
+// geometry and the parameters. It encodes them into one buffer and
+// writes it once.
+func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch, prog []byte) {
 	ck := cfg.TimingKey()
-	b := make([]byte, 0, len(ck)+4*8+len(p.Instrs)*launchInstrBytes+6*8+4*len(l.Params))
+	b := make([]byte, 0, len(ck)+len(prog)+6*8+4*len(l.Params))
 	b = append(b, ck[:]...)
-
-	// Program content (the name is presentation, not timing input).
-	b = appendI64(b, p.NumRegs)
-	b = appendI64(b, p.SMemBytes)
-	b = appendI64(b, p.NumParams)
-	b = appendI64(b, len(p.Instrs))
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		b = binary.LittleEndian.AppendUint32(b, uint32(in.Op)|uint32(in.Dst)<<16|uint32(in.NumSrc)<<24)
-		flags := byte(0)
-		if in.HasDst {
-			flags |= 1
-		}
-		if in.PredNeg {
-			flags |= 2
-		}
-		b = append(b, flags, byte(in.Cmp), byte(in.Space), 0)
-		b = binary.LittleEndian.AppendUint16(b, uint16(in.Pred))
-		b = binary.LittleEndian.AppendUint32(b, uint32(in.Offset))
-		for s := 0; s < 3; s++ {
-			o := &in.Src[s]
-			b = binary.LittleEndian.AppendUint32(b, uint32(o.Kind)|uint32(o.Reg)<<8|uint32(o.Special)<<16)
-			b = binary.LittleEndian.AppendUint32(b, o.Imm)
-		}
-		b = appendI64(b, in.Target)
-		b = appendI64(b, in.Reconv)
-	}
+	b = append(b, prog...)
 
 	// Launch geometry and arguments.
 	b = appendI64(b, l.Grid.X)

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -97,6 +98,151 @@ func TestKeySensitivity(t *testing.T) {
 	cm.WriteI32Slice(0, []int32{7})
 	if KeyFor(cfg, l, mem, cm) == withC {
 		t.Error("constant content change kept the key")
+	}
+}
+
+// TestKeyForPinned pins KeyFor's bytes for the probe kernel on both
+// presets, with and without a constant image. Full keys name disk-spilled
+// entries and appear in every record as its timingKey, so moving parts of
+// the encoding between packages (kernel.Program.AppendKey) must not shift
+// them.
+func TestKeyForPinned(t *testing.T) {
+	l, mem := testKernel(4, 8, 1)
+	cm := kernel.NewConstMem(16)
+	cm.WriteI32Slice(0, []int32{7})
+	for _, tc := range []struct {
+		name string
+		cfg  *config.GPU
+		cmem *kernel.ConstMem
+		want string
+	}{
+		{"GT240", config.GT240(), nil, "95fc6d3d02208f24741542482bf3aaaadc4f90ca90c70cb69e2fc7de2d8cbb5a"},
+		{"GT240+const", config.GT240(), cm, "af30b224e66aa9239e6b773731ac8bf0334a2fcbc000d932e0d2c80539167150"},
+		{"GTX580+const", config.GTX580(), cm, "7f1e17d0dc392a021b7e3711526ded1708c72db5962cef48fb3f5b615d739437"},
+	} {
+		if got := fmt.Sprintf("%x", KeyFor(tc.cfg, l, mem, tc.cmem)); got != tc.want {
+			t.Errorf("%s: KeyFor %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestChainKeySensitivity is TestKeySensitivity for the chain memo's key,
+// which stands in for a full key and so must move whenever the full key
+// would. Every field of the program and of each instruction is changed in
+// turn on a fresh copy (a program's digest is built once), so a field the
+// program's key encoding drops fails here.
+func TestChainKeySensitivity(t *testing.T) {
+	cfg := config.GT240()
+	l, mem := testKernel(4, 8, 1)
+	d := mem.ContentDigest()
+	base := chainKeyFor(cfg, l, d, nil)
+	if chainKeyFor(cfg, l, d, nil) != base {
+		t.Fatal("chainKeyFor is not a function of its inputs")
+	}
+	moves := func(name string, l *kernel.Launch, cfg *config.GPU, d [32]byte, cmem *kernel.ConstMem) {
+		t.Helper()
+		if chainKeyFor(cfg, l, d, cmem) == base {
+			t.Errorf("%s kept the chain key", name)
+		}
+	}
+
+	// Program content: every integer and boolean field of the program and
+	// of each of its instructions, operands included (an instruction's op,
+	// immediates, branch target and reconvergence point among them), each
+	// changed on a fresh copy, since a program's digest is built once.
+	withProg := func(edit func(p *kernel.Program)) *kernel.Launch {
+		p := &kernel.Program{
+			Name:    l.Prog.Name,
+			Instrs:  slices.Clone(l.Prog.Instrs),
+			NumRegs: l.Prog.NumRegs, SMemBytes: l.Prog.SMemBytes, NumParams: l.Prog.NumParams,
+		}
+		edit(p)
+		l2 := *l
+		l2.Prog = p
+		return &l2
+	}
+	if chainKeyFor(cfg, withProg(func(p *kernel.Program) { p.Name = "renamed" }), d, nil) != base {
+		t.Error("renaming the program moved the chain key")
+	}
+	var fields []string
+	leaves(reflect.ValueOf(l.Prog).Elem(), "Program", func(name string, _ reflect.Value) {
+		fields = append(fields, name)
+	})
+	if len(fields) < 3+len(l.Prog.Instrs)*20 {
+		t.Fatalf("walked %d program fields, want every instruction's", len(fields))
+	}
+	for _, field := range fields {
+		moves(field, withProg(func(p *kernel.Program) {
+			leaves(reflect.ValueOf(p).Elem(), "Program", func(name string, v reflect.Value) {
+				if name == field {
+					bump(v)
+				}
+			})
+		}), cfg, d, nil)
+	}
+
+	// Geometry and arguments.
+	grid := *l
+	grid.Grid.X++
+	moves("grid", &grid, cfg, d, nil)
+	param := *l
+	param.Params = []uint32{l.Params[0] + 4}
+	moves("param", &param, cfg, d, nil)
+
+	// Configuration: timing side moves it, power side does not.
+	tcfg := config.GT240()
+	tcfg.Clusters = 2
+	moves("timing-side config", l, tcfg, d, nil)
+	pcfg := config.GT240()
+	pcfg.ProcessNM = 28
+	pcfg.Power.FPOpPJ *= 2
+	if chainKeyFor(pcfg, l, d, nil) != base {
+		t.Error("power-side config change moved the chain key")
+	}
+
+	// Images: the global image's digest and the constant image.
+	d2 := d
+	d2[0] ^= 1
+	moves("image digest", l, cfg, d2, nil)
+	cm := kernel.NewConstMem(16)
+	withC := chainKeyFor(cfg, l, d, cm)
+	moves("constant image presence", l, cfg, d, cm)
+	cm.WriteI32Slice(0, []int32{7})
+	if chainKeyFor(cfg, l, d, cm) == withC {
+		t.Error("constant content change kept the chain key")
+	}
+}
+
+// leaves calls f with the name and value of every exported integer or
+// boolean field reachable from v through structs, arrays and slices.
+func leaves(v reflect.Value, name string, f func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Bool:
+		f(name, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if sf := v.Type().Field(i); sf.IsExported() {
+				leaves(v.Field(i), name+"."+sf.Name, f)
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			leaves(v.Index(i), fmt.Sprintf("%s[%d]", name, i), f)
+		}
+	}
+}
+
+// bump changes an integer or boolean to another value: integers by one,
+// booleans flipped.
+func bump(v reflect.Value) {
+	switch {
+	case v.CanInt():
+		v.SetInt(v.Int() + 1)
+	case v.CanUint():
+		v.SetUint(v.Uint() + 1)
+	default:
+		v.SetBool(!v.Bool())
 	}
 }
 
