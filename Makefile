@@ -109,14 +109,19 @@ race:
 # router's routing-table fold what FuzzStoreRecover does for gpowd's, and
 # also checks that no fleet job is recovered twice and that NextID is at
 # or above every journaled assignment; it runs 5 s, its minimization
-# bounded likewise. Crashers land in the package's testdata/fuzz/ and
-# replay in every `go test`.
+# bounded likewise. FuzzConfigValidate sets one float field of a preset to
+# arbitrary bits: Validate must never panic, and a configuration it accepts
+# must equal itself (the per-configuration memos key on its value) and
+# build through power.New and core.New; 5 s, minimization bounded to 1 s.
+# Crashers land in the package's testdata/fuzz/ and replay in every
+# `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzStoreRecover -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 	$(GO) test ./internal/fleet -run=NONE -fuzz=FuzzFleetRecover -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/config -run=NONE -fuzz=FuzzConfigValidate -fuzztime=5s -fuzzminimizetime=1s
 
 # One pass of the root microbenchmarks (simulator, measurement layer and
 # a warm pass of the sweep scenario set, one iteration each), so they

@@ -14,6 +14,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"gpusimpow/internal/tech"
 )
 
 // GPU is a complete architecture configuration.
@@ -276,11 +278,16 @@ func (g *GPU) GDDRChips() int {
 
 // Validate checks internal consistency.
 func (g *GPU) Validate() error {
-	switch {
-	case g.Name == "":
+	if g.Name == "" {
 		return fmt.Errorf("config: missing name")
-	case g.ProcessNM <= 0:
-		return fmt.Errorf("config %s: processNM must be positive", g.Name)
+	}
+	if err := g.checkFloats(); err != nil {
+		return err
+	}
+	if err := tech.CheckNode(g.ProcessNM); err != nil {
+		return fmt.Errorf("config %s: %w", g.Name, err)
+	}
+	switch {
 	case g.CoreClockMHz <= 0 || g.UncoreClockMHz <= 0:
 		return fmt.Errorf("config %s: clocks must be positive", g.Name)
 	case g.CoreClockMHz < g.UncoreClockMHz:
@@ -347,6 +354,57 @@ func (g *GPU) Validate() error {
 	}
 	if p.IdleGatingFraction < 0 || p.IdleGatingFraction > 1 {
 		return fmt.Errorf("config %s: idleGatingFraction must be in [0,1]", g.Name)
+	}
+	return nil
+}
+
+// checkFloats rejects every float field that is NaN, infinite or carries a
+// sign bit (a negative number or -0). No field has a meaning for such a
+// value, and Memo needs the rule: NaN != NaN would add an entry per
+// request, and -0 == +0 would share one entry between two configurations
+// whose timing keys differ.
+func (g *GPU) checkFloats() error {
+	p := &g.Power
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"processNM", g.ProcessNM},
+		{"coreClockMHz", g.CoreClockMHz},
+		{"uncoreClockMHz", g.UncoreClockMHz},
+		{"memDataRateGbps", g.MemDataRateGbps},
+		{"dramTRCDNS", g.DRAMTRCDNS},
+		{"dramTRPNS", g.DRAMTRPNS},
+		{"intOpPJ", p.IntOpPJ},
+		{"fpOpPJ", p.FPOpPJ},
+		{"sfuOpPJ", p.SFUOpPJ},
+		{"aguOpPJ", p.AGUOpPJ},
+		{"globalSchedW", p.GlobalSchedW},
+		{"clusterBaseW", p.ClusterBaseW},
+		{"coreBaseDynW", p.CoreBaseDynW},
+		{"undiffCoreStaticW", p.UndiffCoreStaticW},
+		{"undiffCoreAreaMM2", p.UndiffCoreAreaMM2},
+		{"uncoreStaticW", p.UncoreStaticW},
+		{"uncoreAreaMM2", p.UncoreAreaMM2},
+		{"nocStaticW", p.NoCStaticW},
+		{"mcStaticW", p.MCStaticW},
+		{"pcieIdleW", p.PCIeIdleW},
+		{"pcieActiveW", p.PCIeActiveW},
+		{"pcieDynPerKBJ", p.PCIeDynPerKBJ},
+		{"nocFlitPJ", p.NoCFlitPJ},
+		{"mcRequestPJ", p.MCRequestPJ},
+		{"decodePJ", p.DecodePJ},
+		{"fpuAreaMM2", p.FPUAreaMM2},
+		{"sfuAreaMM2", p.SFUAreaMM2},
+		{"sfuStaticWPerUnit", p.SFUStaticWPerUnit},
+		{"tempCelsius", p.TempCelsius},
+		{"leakageTempFactor", p.LeakageTempFactor},
+		{"dynScaleFactor", p.DynScaleFactor},
+		{"idleGatingFraction", p.IdleGatingFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || math.Signbit(f.v) {
+			return fmt.Errorf("config %s: %s is %v; every number must be finite and not negative", g.Name, f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -30,8 +30,20 @@ type Simulator struct {
 	pow  *power.Model
 }
 
-// New builds a GPUSimPow instance for the configuration.
+// simulators holds one Simulator per configuration value.
+var simulators config.Memo[*Simulator]
+
+// New returns the GPUSimPow instance for the configuration. A Simulator
+// keeps its own copy of the configuration, and its simulator and power
+// model serve concurrent launches, so equal configurations share one
+// instance per process: only the first New of a value builds it.
 func New(cfg *config.GPU) (*Simulator, error) {
+	return simulators.Get(cfg, newSimulator)
+}
+
+// newSimulator builds the instance for a configuration that Validate
+// accepted and that the instance may keep.
+func newSimulator(cfg *config.GPU) (*Simulator, error) {
 	perf, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -43,7 +55,8 @@ func New(cfg *config.GPU) (*Simulator, error) {
 	return &Simulator{cfg: cfg, perf: perf, pow: pow}, nil
 }
 
-// Config returns the simulated configuration.
+// Config returns the simulated configuration, shared by every caller of
+// New with an equal configuration: read it, never modify it.
 func (s *Simulator) Config() *config.GPU { return s.cfg }
 
 // Static returns the workload-independent architectural estimates: area,
@@ -84,15 +97,15 @@ func (s *Simulator) EvaluatePower(tr *simcache.TimingResult) (*power.RuntimeRepo
 
 // PowerEvaluator is the pure power stage of GPUSimPow for one configuration:
 // a Simulator without the timing machinery. Sweep executors that partition a
-// grid by timing key build one full Simulator per timing group (it simulates
-// once) and one PowerEvaluator per power-parameter variant (each re-prices
-// the shared timing result), skipping the per-variant cost of constructing a
-// cycle-level simulator that would never run.
+// grid by timing key simulate once per timing group and price the shared
+// timing result once per power-parameter variant, each with that variant's
+// evaluator; the models behind both are built once per configuration value.
 type PowerEvaluator struct {
 	pow *power.Model
 }
 
-// NewPowerEvaluator builds the power stage alone for a configuration.
+// NewPowerEvaluator returns the power stage alone for a configuration, on
+// the configuration's shared model (power.New).
 func NewPowerEvaluator(cfg *config.GPU) (*PowerEvaluator, error) {
 	pow, err := power.New(cfg)
 	if err != nil {
@@ -101,9 +114,8 @@ func NewPowerEvaluator(cfg *config.GPU) (*PowerEvaluator, error) {
 	return &PowerEvaluator{pow: pow}, nil
 }
 
-// PowerEvaluator returns the simulator's own power stage (sharing its built
-// model), so a sweep group's leader does not rebuild the model it already
-// has.
+// PowerEvaluator returns the simulator's own power stage, sharing its
+// model.
 func (s *Simulator) PowerEvaluator() *PowerEvaluator {
 	return &PowerEvaluator{pow: s.pow}
 }

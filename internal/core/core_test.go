@@ -15,7 +15,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("invalid config must be rejected")
 	}
 	cfg2 := config.GT240()
-	cfg2.ProcessNM = 3 // sim accepts it, power tier must reject
+	cfg2.ProcessNM = 3 // outside the technology tier's range
 	if _, err := New(cfg2); err == nil {
 		t.Error("unsupported process node must be rejected")
 	}

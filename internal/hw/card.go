@@ -24,22 +24,38 @@ var dieSizes = map[string]float64{
 	"GTX580": 520,
 }
 
-// Card is a virtual graphics card plus its measurement rig.
+// Card is a virtual graphics card plus its measurement rig: its silicon,
+// shared by every card of the configuration, with the card's own DAQ noise
+// stream and clock scale.
 type Card struct {
+	*silicon
+	chain chain
+
+	clockScale float64
+}
+
+// silicon is what a configuration's cards have in common: the perturbed
+// "truth" configuration, its simulator and power model, and the rig's
+// calibration. It is immutable once built.
+type silicon struct {
 	name  string
-	cfg   *config.GPU // nominal configuration (what a simulator user sees)
 	truth *config.GPU // perturbed configuration: the "silicon"
 
 	perf  *sim.GPU
 	model *power.Model
-	chain *chain
 
-	clockScale float64
+	// rig is the calibrated measurement chain, its noise stream where the
+	// calibration draws left it: an untagged session's stream starts
+	// there.
+	rig chain
 
 	// capTauS is the time constant of the supply's bulk capacitance: the
 	// effect that makes sub-50 ms kernels hard to measure (Section II).
 	capTauS float64
 }
+
+// silicons holds one silicon per configuration value.
+var silicons config.Memo[*silicon]
 
 // NewCard manufactures the virtual card for a configuration. The silicon
 // perturbation is seeded by the card name: the same card model always
@@ -54,10 +70,22 @@ func NewCard(cfg *config.GPU) (*Card, error) {
 // jobs (the experiment sweeps fanning out over internal/runner) use
 // distinct tags so their sample noise is independent rather than a replay
 // of one shared stream, while results stay deterministic for a given tag.
+// The silicon is built once per configuration value and shared; each card
+// owns its noise stream and clock scale.
 func NewCardSession(cfg *config.GPU, session string) (*Card, error) {
-	if err := cfg.Validate(); err != nil {
+	si, err := silicons.Get(cfg, newSilicon)
+	if err != nil {
 		return nil, err
 	}
+	c := &Card{silicon: si, chain: si.rig, clockScale: 1}
+	if session != "" {
+		c.chain.noise = rng{state: seedFromString(cfg.Name + "/rig/" + session)}
+	}
+	return c, nil
+}
+
+// newSilicon manufactures a configuration's silicon and calibrates its rig.
+func newSilicon(cfg *config.GPU) (*silicon, error) {
 	truth := perturb(cfg)
 	perf, err := sim.New(truth)
 	if err != nil {
@@ -67,20 +95,14 @@ func NewCardSession(cfg *config.GPU, session string) (*Card, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newRNG(seedFromString(cfg.Name + "/rig"))
-	ch := newChain(r, cfg.NumCores() > 12) // big cards have external power
-	if session != "" {
-		ch.retuneNoise(newRNG(seedFromString(cfg.Name + "/rig/" + session)))
-	}
-	return &Card{
-		name:       cfg.Name,
-		cfg:        cfg,
-		truth:      truth,
-		perf:       perf,
-		model:      model,
-		chain:      ch,
-		clockScale: 1,
-		capTauS:    1.5e-3,
+	rig := newChain(newRNG(seedFromString(cfg.Name+"/rig")), cfg.NumCores() > 12) // big cards have external power
+	return &silicon{
+		name:    cfg.Name,
+		truth:   truth,
+		perf:    perf,
+		model:   model,
+		rig:     *rig,
+		capTauS: 1.5e-3,
 	}, nil
 }
 
@@ -196,7 +218,7 @@ func (c *Card) IdlePowerW() float64 {
 // anchors, so it equals the nominal configuration's key; a timing result
 // computed for that key is what the card itself would compute, and
 // SeqItem.Timing may carry it.
-func (c *Card) TimingKey() [32]byte { return c.truth.TimingKey() }
+func (c *Card) TimingKey() [32]byte { return c.perf.TimingKey() }
 
 // kernelTruePower prices a launch's timing result with the card's silicon
 // model: the true average power (GPU + DRAM, since the rig measures the

@@ -29,14 +29,15 @@ type rail struct {
 // chain is the complete measurement chain of one card.
 type chain struct {
 	rails []rail
-	noise *rng
+	noise rng
 }
 
 // newChain builds the measurement chain. Cards with external PCIe power
 // connectors (GTX580) split the load across slot and cable rails; low-power
 // cards (GT240) draw everything through the slot. The rng seeds both the
-// fixed calibration errors and the ongoing sample noise; use retuneNoise to
-// give a chain an independent noise stream while keeping its calibration.
+// fixed calibration errors and the ongoing sample noise; a chain with
+// another noise stream over the same rails is the same physical rig,
+// observed in a different measurement session.
 func newChain(r *rng, hasExternalPower bool) *chain {
 	mk := func(name string, share float64) rail {
 		return rail{
@@ -62,13 +63,8 @@ func newChain(r *rng, hasExternalPower bool) *chain {
 			mk("slot3V3", 0.20),
 		}
 	}
-	return &chain{rails: rails, noise: r}
+	return &chain{rails: rails, noise: *r}
 }
-
-// retuneNoise replaces the chain's DAQ noise stream without touching the
-// rails' fixed calibration errors: the same physical rig, observed in a
-// different measurement session.
-func (c *chain) retuneNoise(r *rng) { c.noise = r }
 
 // noiseBlock is how many per-rail noise sums measureRun draws at a time.
 const noiseBlock = 512

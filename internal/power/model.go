@@ -77,11 +77,19 @@ type Model struct {
 	static staticSplit
 }
 
-// New builds the power model for a configuration.
+// models holds one Model per configuration value.
+var models config.Memo[*Model]
+
+// New returns the power model for a configuration. A Model is immutable
+// and keeps its own copy of the configuration, so equal configurations
+// share one model per process: only the first New of a value builds it.
 func New(cfg *config.GPU) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	return models.Get(cfg, newModel)
+}
+
+// newModel builds the model for a configuration that Validate accepted and
+// that the model may keep.
+func newModel(cfg *config.GPU) (*Model, error) {
 	node, err := tech.ForNode(cfg.ProcessNM)
 	if err != nil {
 		return nil, err

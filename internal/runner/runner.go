@@ -7,10 +7,13 @@
 // returned in index order, and the error of the lowest-index failing job
 // wins regardless of completion order.
 //
-// Jobs must not share mutable state. In this codebase that means each job
-// builds its own simulator (core.New), virtual card (hw.NewCard) and
-// benchmark instance; configurations returned by config presets are fresh
-// per call and safe to use within one job.
+// Jobs must not share mutable state. In this codebase, jobs share the
+// immutable per-configuration models — the simulator (core.New), the power
+// model (power.New) and a virtual card's silicon (hw.NewCard), each built
+// once per configuration value — and own only what changes: the benchmark
+// instance and its memory image, and the card session with its noise
+// stream and clock scale. Configurations returned by config presets are
+// fresh per call and safe to use within one job.
 package runner
 
 import (

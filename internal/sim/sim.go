@@ -11,13 +11,16 @@ import (
 // GPU is the cycle-level simulator instance for one configuration.
 type GPU struct {
 	cfg *config.GPU
+	// key is cfg's timing key, hashed once.
+	key [32]byte
 	// coreSteps totals the core-steps (stepCore calls) of every run on this
 	// instance, so tests can see how many cycles the event-driven clock
 	// skipped. Runs may share a GPU concurrently, hence the atomic.
 	coreSteps atomic.Uint64
 }
 
-// New validates the configuration and builds a simulator.
+// New validates the configuration and builds a simulator on its own copy
+// of it.
 func New(cfg *config.GPU) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -25,11 +28,16 @@ func New(cfg *config.GPU) (*GPU, error) {
 	if cfg.WarpSize != kernel.WarpSize {
 		return nil, fmt.Errorf("sim: config warp size %d unsupported (ISA is %d-wide)", cfg.WarpSize, kernel.WarpSize)
 	}
-	return &GPU{cfg: cfg}, nil
+	own := *cfg
+	return &GPU{cfg: &own, key: own.TimingKey()}, nil
 }
 
-// Config returns the simulated configuration.
+// Config returns the simulated configuration: the simulator's own copy,
+// which callers must not modify.
 func (g *GPU) Config() *config.GPU { return g.cfg }
+
+// TimingKey returns the configuration's timing key (config.GPU.TimingKey).
+func (g *GPU) TimingKey() [32]byte { return g.key }
 
 // gpuSim is the per-run state of one kernel launch: the cores, the shared
 // memory system, the block dispatcher and the activity being collected.

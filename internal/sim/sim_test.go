@@ -437,3 +437,26 @@ func TestDDR3ConfigRuns(t *testing.T) {
 		t.Error("DDR3 at 1.6 Gbps should be slower than GDDR5 at 3.4 Gbps")
 	}
 }
+
+// TestNewKeepsItsOwnConfiguration: a simulator copies its configuration
+// and hashes its timing key once, so a later change to the caller's
+// configuration reaches neither.
+func TestNewKeepsItsOwnConfiguration(t *testing.T) {
+	cfg := config.GT240()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cfg.TimingKey()
+	if g.TimingKey() != key {
+		t.Fatal("TimingKey is not the configuration's")
+	}
+	cfg.Clusters = 2
+	cfg.DRAMLatencyCore *= 3
+	if g.TimingKey() != key {
+		t.Error("the caller's change moved the simulator's timing key")
+	}
+	if g.Config().Clusters == 2 || g.Config().DRAMLatencyCore == cfg.DRAMLatencyCore {
+		t.Error("the caller's change reached the simulator's configuration")
+	}
+}

@@ -111,7 +111,7 @@ func TestChainKeyFollowsEveryMutation(t *testing.T) {
 			if _, err := c.Run(g, l, mem, nil); err != nil {
 				t.Fatal(err)
 			}
-			stale := c.keyFor(cfg, l, mem, nil) // stores the memo entry
+			stale := c.keyFor(cfg.TimingKey(), l, mem, nil) // stores the memo entry
 			if stale != KeyFor(cfg, l, mem, nil) {
 				t.Fatal("memo-served key differs from KeyFor before any mutation")
 			}

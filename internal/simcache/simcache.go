@@ -314,7 +314,7 @@ func Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.Co
 // exactly as sim.GPU.Run would leave it, carrying the final image's digest
 // (kernel.GlobalMem.SetDigest) for the next launch's key.
 func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) (*TimingResult, error) {
-	key := c.keyFor(g.Config(), l, global, cmem)
+	key := c.keyFor(g.TimingKey(), l, global, cmem)
 
 	// Fast path: already stored.
 	c.mu.Lock()
@@ -407,20 +407,20 @@ func (c *Cache) Run(g *sim.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem
 	return &TimingResult{Kernel: l.Prog.Name, Key: key, Perf: e.perf.Clone(), MemHash: e.memHash, CacheHit: !simulated}, nil
 }
 
-// keyFor returns KeyFor's key for the launch. When the input image carries
-// a digest — it is the final image of an entry this cache served or
-// stored, or a benchmark instance's pristine input — the key comes from
-// the chain memo, addressed by chainKeyFor; a
-// memo miss computes the full key and stores it. The digest is the
+// keyFor returns KeyFor's key for the launch on a configuration whose
+// timing key is tk. When the input image carries a digest — it is the
+// final image of an entry this cache served or stored, or a benchmark
+// instance's pristine input — the key comes from the chain memo, addressed
+// by chainKeyFor; a memo miss computes the full key and stores it. The digest is the
 // image's ContentDigest, a SHA-256 of its high-water mark and words, so a
 // chain key determines the full key as surely as the words themselves
 // would.
-func (c *Cache) keyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
+func (c *Cache) keyFor(tk [32]byte, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
 	d, ok := global.Digest()
 	if !ok {
-		return KeyFor(cfg, l, global, cmem)
+		return fullKey(tk, l, global, cmem)
 	}
-	ck := chainKeyFor(cfg, l, d, cmem)
+	ck := chainKeyFor(tk, l, d, cmem)
 	c.mu.Lock()
 	if e, ok := c.chain[ck]; ok {
 		c.chainKeys++
@@ -429,7 +429,7 @@ func (c *Cache) keyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalM
 		return e.full
 	}
 	c.mu.Unlock()
-	key := KeyFor(cfg, l, global, cmem)
+	key := fullKey(tk, l, global, cmem)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.chain[ck]; !ok {
@@ -516,25 +516,31 @@ func (c *Cache) Reset() {
 // instruction stream, the launch geometry and parameters, and both input
 // memory images word by word.
 func KeyFor(cfg *config.GPU, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
+	return fullKey(cfg.TimingKey(), l, global, cmem)
+}
+
+// fullKey is KeyFor for a configuration whose timing key is tk.
+func fullKey(tk [32]byte, l *kernel.Launch, global *kernel.GlobalMem, cmem *kernel.ConstMem) Key {
 	kw := newKeyWriter()
-	kw.launch(cfg, l, l.Prog.AppendKey(nil))
+	kw.launch(tk, l, l.Prog.AppendKey(nil))
 	kw.i64(global.Size())
 	global.WriteImage(kw.h)
 	kw.constMem(cmem)
 	return kw.sum()
 }
 
-// chainKeyFor is the chain memo's key for a launch on an image whose
-// content digest (kernel.GlobalMem.ContentDigest) is d: the launch
+// chainKeyFor is the chain memo's key for a launch, on a configuration
+// whose timing key is tk, on an image whose content digest
+// (kernel.GlobalMem.ContentDigest) is d: the launch
 // prefix KeyFor writes, with the program's digest (kernel.Program.Digest)
 // in place of its encoding, then d in place of the image, then the
 // constant image. Each digest determines the bytes it stands for, so this
 // key determines KeyFor's key. It only addresses the in-memory memo, so
 // its layout may differ from KeyFor's.
-func chainKeyFor(cfg *config.GPU, l *kernel.Launch, d [32]byte, cmem *kernel.ConstMem) Key {
+func chainKeyFor(tk [32]byte, l *kernel.Launch, d [32]byte, cmem *kernel.ConstMem) Key {
 	pd := l.Prog.Digest()
 	kw := newKeyWriter()
-	kw.launch(cfg, l, pd[:])
+	kw.launch(tk, l, pd[:])
 	kw.h.Write(d[:])
 	kw.constMem(cmem)
 	return kw.sum()
@@ -558,14 +564,13 @@ func appendI64(b []byte, v int) []byte {
 }
 
 // launch writes everything of a key but the memory images: the
-// timing-relevant configuration, the program as prog (its key encoding,
+// configuration's timing key tk, the program as prog (its key encoding,
 // kernel.Program.AppendKey, in a full key; its digest in a chain key), the
 // geometry and the parameters. It encodes them into one buffer and
 // writes it once.
-func (kw *keyWriter) launch(cfg *config.GPU, l *kernel.Launch, prog []byte) {
-	ck := cfg.TimingKey()
-	b := make([]byte, 0, len(ck)+len(prog)+6*8+4*len(l.Params))
-	b = append(b, ck[:]...)
+func (kw *keyWriter) launch(tk [32]byte, l *kernel.Launch, prog []byte) {
+	b := make([]byte, 0, len(tk)+len(prog)+6*8+4*len(l.Params))
+	b = append(b, tk[:]...)
 	b = append(b, prog...)
 
 	// Launch geometry and arguments.

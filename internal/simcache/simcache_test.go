@@ -135,13 +135,13 @@ func TestChainKeySensitivity(t *testing.T) {
 	cfg := config.GT240()
 	l, mem := testKernel(4, 8, 1)
 	d := mem.ContentDigest()
-	base := chainKeyFor(cfg, l, d, nil)
-	if chainKeyFor(cfg, l, d, nil) != base {
+	base := chainKeyFor(cfg.TimingKey(), l, d, nil)
+	if chainKeyFor(cfg.TimingKey(), l, d, nil) != base {
 		t.Fatal("chainKeyFor is not a function of its inputs")
 	}
 	moves := func(name string, l *kernel.Launch, cfg *config.GPU, d [32]byte, cmem *kernel.ConstMem) {
 		t.Helper()
-		if chainKeyFor(cfg, l, d, cmem) == base {
+		if chainKeyFor(cfg.TimingKey(), l, d, cmem) == base {
 			t.Errorf("%s kept the chain key", name)
 		}
 	}
@@ -161,7 +161,7 @@ func TestChainKeySensitivity(t *testing.T) {
 		l2.Prog = p
 		return &l2
 	}
-	if chainKeyFor(cfg, withProg(func(p *kernel.Program) { p.Name = "renamed" }), d, nil) != base {
+	if chainKeyFor(cfg.TimingKey(), withProg(func(p *kernel.Program) { p.Name = "renamed" }), d, nil) != base {
 		t.Error("renaming the program moved the chain key")
 	}
 	var fields []string
@@ -196,7 +196,7 @@ func TestChainKeySensitivity(t *testing.T) {
 	pcfg := config.GT240()
 	pcfg.ProcessNM = 28
 	pcfg.Power.FPOpPJ *= 2
-	if chainKeyFor(pcfg, l, d, nil) != base {
+	if chainKeyFor(pcfg.TimingKey(), l, d, nil) != base {
 		t.Error("power-side config change moved the chain key")
 	}
 
@@ -205,10 +205,10 @@ func TestChainKeySensitivity(t *testing.T) {
 	d2[0] ^= 1
 	moves("image digest", l, cfg, d2, nil)
 	cm := kernel.NewConstMem(16)
-	withC := chainKeyFor(cfg, l, d, cm)
+	withC := chainKeyFor(cfg.TimingKey(), l, d, cm)
 	moves("constant image presence", l, cfg, d, cm)
 	cm.WriteI32Slice(0, []int32{7})
-	if chainKeyFor(cfg, l, d, cm) == withC {
+	if chainKeyFor(cfg.TimingKey(), l, d, cm) == withC {
 		t.Error("constant content change kept the chain key")
 	}
 }

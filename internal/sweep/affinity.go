@@ -19,6 +19,5 @@ func (p *Plan) RoutingKey() string {
 		}
 	}
 	leader := dominant.Leader()
-	tk := leader.Cfg.TimingKey()
-	return hex.EncodeToString(tk[:]) + "/" + leader.Workload.Name
+	return hex.EncodeToString(leader.timingKey[:]) + "/" + leader.Workload.Name
 }

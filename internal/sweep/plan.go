@@ -76,7 +76,7 @@ func (s *Spec) Plan(f Filter) (*Plan, error) {
 			cell.Index = len(p.Cells)
 			p.Cells = append(p.Cells, cell)
 
-			gk := groupKey{timing: cell.Cfg.TimingKey(), workload: cell.Workload.Name}
+			gk := groupKey{timing: cell.timingKey, workload: cell.Workload.Name}
 			g := groups[gk]
 			if g == nil {
 				g = &Group{Index: len(p.Groups)}
@@ -140,6 +140,7 @@ func (s *Spec) buildCell(idx []int) (*Cell, error) {
 	if err := cell.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sweep: %s: cell %s: %w", s.Name, cell, err)
 	}
+	cell.timingKey = cell.Cfg.TimingKey()
 
 	w, err := s.Workload(cell)
 	if err != nil {

@@ -149,11 +149,9 @@ func (e *emitter) done(r *CellResult) error {
 	return nil
 }
 
-// groupTiming is the shared outcome of one group's timing stage: the
-// leader's simulator (its power model doubles as the leader cell's
-// evaluator), the built units, and one timing snapshot per unit.
+// groupTiming is the shared outcome of one group's timing stage: the built
+// units and one timing snapshot per unit.
 type groupTiming struct {
-	simr    *core.Simulator
 	units   []Unit
 	timings []*simcache.TimingResult
 }
@@ -176,7 +174,7 @@ func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: %s: building %s: %w", s.Name, leader, leader.Workload.Name, err)
 	}
-	gt := &groupTiming{simr: simr, units: inst.Units}
+	gt := &groupTiming{units: inst.Units}
 	gt.timings = make([]*simcache.TimingResult, len(gt.units))
 	for i := range gt.units {
 		u := &gt.units[i]
@@ -196,11 +194,12 @@ func (p *Plan) simGroupTiming(leader *Cell) (*groupTiming, error) {
 
 // runGroup executes one timing group: the leader's timing stage, then the
 // per-cell fan-out (the DVFS pattern: one timing run, many measured
-// operating points). Each cell prices the group's timing results under its
-// own configuration — the leader reuses the simulator's model, the others
-// differ only in power-side parameters (that is what put them in this
-// group), so they build the power stage alone — and, unless the plan
-// shares one card, measures on its own session.
+// operating points). Each cell prices the group's timing results with its
+// own configuration's power model — the cells differ only in power-side
+// parameters, which is what put them in one group — and, unless the plan
+// shares one card, measures on its own session. Simulators, power models
+// and card silicon are built once per configuration value and shared
+// (config.Memo); a cell owns only its results and its card session.
 func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 	s := p.Spec
 	var gt *groupTiming
@@ -219,12 +218,9 @@ func (p *Plan) runGroup(ctx context.Context, g *Group, emit *emitter) error {
 		if gt != nil {
 			var ev *core.PowerEvaluator
 			if s.Power {
-				ev = gt.simr.PowerEvaluator()
-				if ci > 0 {
-					var err error
-					if ev, err = core.NewPowerEvaluator(c.Cfg); err != nil {
-						return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
-					}
+				var err error
+				if ev, err = core.NewPowerEvaluator(c.Cfg); err != nil {
+					return fmt.Errorf("sweep: %s: %s: %w", s.Name, c, err)
 				}
 			}
 			cr.Units = make([]UnitResult, len(gt.units))
@@ -284,7 +280,7 @@ func (p *Plan) measureCell(c *Cell, card *hw.Card, cr *CellResult) error {
 		}
 	}
 	var items []hw.SeqItem
-	if s.Sim && card.TimingKey() == c.Cfg.TimingKey() {
+	if s.Sim && card.TimingKey() == c.timingKey {
 		items = make([]hw.SeqItem, len(cr.Units))
 		for i := range cr.Units {
 			u := &cr.Units[i].Unit

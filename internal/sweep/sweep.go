@@ -177,6 +177,9 @@ type Cell struct {
 	// Group is the index of the cell's timing group in Plan.Groups (leader
 	// order) — the cache/timing-group provenance the wire layer reports.
 	Group int
+
+	// timingKey is Cfg's timing key, hashed once when the plan is built.
+	timingKey [32]byte
 }
 
 // Value returns the cell's value name on the named axis ("" if absent).

@@ -110,13 +110,22 @@ var nodes = []Node{
 	},
 }
 
+// CheckNode reports whether ForNode supports a feature size: sizes outside
+// [22, 90] nm, and NaN, are an error.
+func CheckNode(nm float64) error {
+	if !(nm <= nodes[0].FeatureNM && nm >= nodes[len(nodes)-1].FeatureNM) {
+		return fmt.Errorf("tech: node %.0f nm outside supported range [%g, %g] nm",
+			nm, nodes[len(nodes)-1].FeatureNM, nodes[0].FeatureNM)
+	}
+	return nil
+}
+
 // ForNode returns the technology parameters for the given feature size in
 // nanometres. Sizes between tabulated nodes are geometrically interpolated;
-// sizes outside [22, 90] nm are an error.
+// sizes CheckNode rejects are an error.
 func ForNode(nm float64) (Node, error) {
-	if nm > nodes[0].FeatureNM || nm < nodes[len(nodes)-1].FeatureNM {
-		return Node{}, fmt.Errorf("tech: node %.0f nm outside supported range [%g, %g] nm",
-			nm, nodes[len(nodes)-1].FeatureNM, nodes[0].FeatureNM)
+	if err := CheckNode(nm); err != nil {
+		return Node{}, err
 	}
 	// Exact match.
 	for _, n := range nodes {
