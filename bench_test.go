@@ -1,11 +1,12 @@
 // Simulator-throughput microbenchmarks: quick A/B and pprof probes of the
 // timing simulator on single Table I benchmarks, one probe of the virtual
-// card's measurement layer, and warm passes of the paper's sweep
-// scenarios (BenchmarkSweepWarm). The reproduced paper
+// card's measurement layer, and cold and warm passes of the paper's sweep
+// scenarios (BenchmarkSweepCold, BenchmarkSweepWarm). The reproduced paper
 // quantities are pinned exactly by the scenario goldens in
 // internal/experiments, and the measured end-to-end ledger is benchmark/.
 //
 //	go test -bench=Sim -benchmem -cpuprofile cpu.prof
+//	go test -bench=SweepCold -run=NONE -cpuprofile cpu.prof
 //	go test -bench=SweepWarm -run=NONE -cpuprofile cpu.prof
 package gpusimpow_test
 
@@ -186,48 +187,65 @@ func BenchmarkMeasureKernelGT240(b *testing.B) {
 	b.ReportMetric(float64(samples)/float64(b.N), "daq-samples/op")
 }
 
-// warmSweepSet is the paper reproduction of the benchmark harness's sweep
-// workloads: Figure 6, the five design-choice ablations, the
+// sweepSet is the paper reproduction of the benchmark harness's sweep
+// workloads, in its groups: Figure 6, the five design-choice ablations, the
 // energy-per-op microbenchmark and the DVFS study.
-var warmSweepSet = []string{
-	"fig6",
-	"ablation-scoreboard", "ablation-l2", "ablation-processnode", "ablation-corecount", "ablation-scheduler",
-	"energyperop", "dvfs",
+var sweepSet = [][]string{
+	{"fig6"},
+	{"ablation-scoreboard", "ablation-l2", "ablation-processnode", "ablation-corecount", "ablation-scheduler"},
+	{"energyperop"},
+	{"dvfs"},
 }
 
-// sweepPass runs every scenario of warmSweepSet once the way every
-// front-end does: plan, run, records, reduce.
-func sweepPass(b *testing.B) {
+// sweepPass runs every scenario of sweepSet once the way every front-end
+// does: plan, run, records, reduce. cold empties the process-wide result
+// cache before each group, as the harness's sweep-cold workload does.
+func sweepPass(b *testing.B, cold bool) {
 	b.Helper()
-	for _, name := range warmSweepSet {
-		sc, ok := sweep.Lookup(name)
-		if !ok || sc.Spec == nil || sc.Reduce == nil {
-			b.Fatalf("scenario %q is not a registered sweep with a reduction", name)
+	for _, group := range sweepSet {
+		if cold {
+			simcache.Default().Reset()
 		}
-		plan, err := sc.Spec().Plan(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := plan.Run(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sc.Reduce(plan.Records(rs), nil); err != nil {
-			b.Fatal(err)
+		for _, name := range group {
+			sc, ok := sweep.Lookup(name)
+			if !ok || sc.Spec == nil || sc.Reduce == nil {
+				b.Fatalf("scenario %q is not a registered sweep with a reduction", name)
+			}
+			plan, err := sc.Spec().Plan(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rs, err := plan.Run(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sc.Reduce(plan.Records(rs), nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-// BenchmarkSweepWarm times one pass of warmSweepSet with every timing
+// BenchmarkSweepCold times one pass of sweepSet with the result cache
+// emptied before each group: every group simulates its timing runs again,
+// so the pass is mostly the timing simulator on the microbenchmark,
+// ablation and DVFS kernels, then pricing, measurement and reduction.
+func BenchmarkSweepCold(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sweepPass(b, true)
+	}
+}
+
+// BenchmarkSweepWarm times one pass of sweepSet with every timing
 // group a result-cache hit: an untimed pass fills the process-wide cache
 // first, so the timed passes plan, key, replay, price, measure and reduce,
 // as the harness's sweep-warm workload does.
 func BenchmarkSweepWarm(b *testing.B) {
-	sweepPass(b)
+	sweepPass(b, false)
 	before := simcache.Default().Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweepPass(b)
+		sweepPass(b, false)
 	}
 	b.StopTimer()
 	if st := simcache.Default().Stats(); st.Misses != before.Misses {

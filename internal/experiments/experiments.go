@@ -170,7 +170,7 @@ func estimateStaticByFrequency(card *hw.Card, cfg *config.GPU) (float64, error) 
 	if err := card.SetClockScale(1.0); err != nil {
 		return 0, err
 	}
-	boardStatic := (p80*1.0 - p100*0.8) / 0.2
+	boardStatic := (p80*1.0 - float64(p100*0.8)) / 0.2
 	return boardStatic - card.DRAMIdleW(), nil
 }
 

@@ -106,7 +106,7 @@ func (c Chip) Power(a Activity) (Breakdown, error) {
 	var b Breakdown
 
 	// Background: weighted standby current.
-	b.Background = c.VDD * (c.IDD2N*(1-af) + c.IDD3N*af)
+	b.Background = c.VDD * (float64(c.IDD2N*(1-af)) + float64(c.IDD3N*af))
 
 	// Activate: each ACT adds (IDD0-IDD3N)*tRC charge above standby.
 	actEnergy := c.VDD * (c.IDD0 - c.IDD3N) * c.TRC
@@ -115,7 +115,7 @@ func (c Chip) Power(a Activity) (Breakdown, error) {
 	// Read/write: burst current above active standby for the burst duration.
 	rdE := c.VDD * (c.IDD4R - c.IDD3N) * c.BurstSeconds
 	wrE := c.VDD * (c.IDD4W - c.IDD3N) * c.BurstSeconds
-	b.ReadWrite = (rdE*float64(a.ReadBursts) + wrE*float64(a.WriteBursts)) / a.Seconds
+	b.ReadWrite = (float64(rdE*float64(a.ReadBursts)) + float64(wrE*float64(a.WriteBursts))) / a.Seconds
 
 	// Termination: DQ pins dissipate ODT power while bursting.
 	burstFrac := float64(a.ReadBursts+a.WriteBursts) * c.BurstSeconds / a.Seconds

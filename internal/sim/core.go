@@ -80,6 +80,12 @@ type warpSlot struct {
 	w      *kernel.Warp
 	block  *blockRt
 
+	// pc and d are the buffered instruction's program counter and decoded
+	// form, read once at fetch. A warp's PC moves only when it executes, so
+	// they stay valid until the slot issues.
+	pc int
+	d  *kernel.DInstr
+
 	pendingN int
 	// Scoreboard: the destination registers in flight, one bit per
 	// register, and how many bits are set. A register is never in flight
@@ -138,7 +144,16 @@ type coreState struct {
 	// one of its writebacks drains, or when its block retires, so the bit
 	// stays valid until drainEvents or retire clears it (a slot that issues
 	// was never blocked) and the issue stage skips re-checking the slot.
+	// With busyWait's mask it makes the issue stage's skip set: the slots
+	// whose try is known to fail.
 	hazBlocked uint64
+	// unitWait[u] marks slots whose buffered instruction passed the hazard
+	// check but found its unit u (unitSP, unitSFU, unitLDST) busy. A
+	// hazard-free slot stays hazard-free until it issues — its scoreboard
+	// bits, entry count and pending count grow only on its own issue — so
+	// the bit stays valid until issueInstr or retire clears it, and while
+	// the unit is still busy the issue stage skips the slot (busyWait).
+	unitWait [3]uint64
 
 	// Retired warps, block contexts and block runtimes recycle through
 	// per-core LIFO pools, so steady-state dispatch allocates nothing but
@@ -340,6 +355,7 @@ func (c *coreState) retire(b *blockRt, smemBytes, regs int) {
 		c.fetchable &^= 1 << s
 		c.issuable &^= 1 << s
 		c.hazBlocked &^= 1 << s
+		c.clearUnitWait(s)
 	}
 	c.freeWarps += b.total
 	c.freeSMem += smemBytes
@@ -385,8 +401,9 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 }
 
 // fetchStage models instruction fetch + decode: up to Schedulers warps per
-// cycle refill their instruction buffer slot. It returns the mask of slots
-// fetched this cycle, which may not issue until the next one.
+// cycle refill their instruction buffer slot, each recording its warp's PC
+// and the instruction's entry in the run's decode table dec. It returns the
+// mask of slots fetched this cycle, which may not issue until the next one.
 //
 // The scan visits slots round-robin from the fetch pointer, i = fetchRR +
 // scan with the live fetchRR (a successful fetch advances the whole
@@ -394,7 +411,7 @@ func (c *coreState) drainEvents(now uint64, a *Activity) int {
 // "next eligible slot" into a trailing-zero count, skipping runs of
 // ineligible slots in one step; nothing but our own fetches changes
 // eligibility mid-scan.
-func (c *coreState) fetchStage(a *Activity) (fresh uint64) {
+func (c *coreState) fetchStage(dec []kernel.DInstr, a *Activity) (fresh uint64) {
 	n := len(c.slots)
 	for scan, fetched := 0, 0; scan < n && fetched < c.cfg.Schedulers; {
 		f := c.fetchable
@@ -419,6 +436,9 @@ func (c *coreState) fetchStage(a *Activity) (fresh uint64) {
 		c.issuable |= 1 << i
 		fresh |= 1 << i
 		fetched++
+		sl := &c.slots[i]
+		sl.pc = sl.w.PC()
+		sl.d = &dec[sl.pc]
 		a.ICacheReads++
 		a.Decodes++
 		a.WSTReads++
@@ -452,19 +472,73 @@ func (c *coreState) hazard(sl *warpSlot, d *kernel.DInstr) bool {
 	return false
 }
 
-// unitFreeAt returns the cycle the instruction class's unit accepts the next
-// warp — the wake-up time of a warp blocked only structurally.
-func (c *coreState) unitFreeAt(class kernel.Class, sched int) uint64 {
+// The execution units an instruction can wait for, indexing unitWait.
+const (
+	unitSP = iota
+	unitSFU
+	unitLDST
+	noUnit // control instructions hold no unit
+)
+
+// unitOf returns the execution unit the instruction class issues to.
+func unitOf(class kernel.Class) int {
 	switch class {
 	case kernel.ClassInt, kernel.ClassFP:
-		return c.spFree[sched]
+		return unitSP
 	case kernel.ClassSFU:
-		return c.sfuFree
+		return unitSFU
 	case kernel.ClassMem:
+		return unitLDST
+	default:
+		return noUnit
+	}
+}
+
+// unitFreeAt returns the cycle unit u accepts the next warp from scheduler
+// sched — the wake-up time of a warp blocked only structurally.
+func (c *coreState) unitFreeAt(u, sched int) uint64 {
+	switch u {
+	case unitSP:
+		return c.spFree[sched]
+	case unitSFU:
+		return c.sfuFree
+	case unitLDST:
 		return c.ldstFree
 	default:
 		return 0
 	}
+}
+
+// clearUnitWait forgets that slot i waits for a unit.
+func (c *coreState) clearUnitWait(i int) {
+	for u := range c.unitWait {
+		c.unitWait[u] &^= 1 << i
+	}
+}
+
+// busyWait returns the live slots known to be hazard-free that wait for a
+// unit still busy at now, and lowers structNext to each such unit's free
+// cycle, as tryIssue would for each of them. A unit's free cycle moves only
+// when an instruction issues, and a walk ends at its one issue, so the mask
+// holds for the whole walk. A walk that issues may stop before some of the
+// skipped slots, but structNext is read only after an idle step, whose
+// walks reach every live slot.
+func (c *coreState) busyWait(live uint64, sched int, now uint64) uint64 {
+	sp, sfu, ldst := c.unitWait[unitSP]&live, c.unitWait[unitSFU]&live, c.unitWait[unitLDST]&live
+	if sp|sfu|ldst == 0 {
+		return 0
+	}
+	var skip uint64
+	wait := func(slots, free uint64) {
+		if slots != 0 && free > now {
+			skip |= slots
+			c.structNext = min(c.structNext, free)
+		}
+	}
+	wait(sp, c.spFree[sched])
+	wait(sfu, c.sfuFree)
+	wait(ldst, c.ldstFree)
+	return skip
 }
 
 // issueStage arbitrates and issues up to one instruction per scheduler.
@@ -472,8 +546,9 @@ func (c *coreState) unitFreeAt(class kernel.Class, sched int) uint64 {
 // this cycle — in the order its policy dictates and issues the first one
 // free of hazards and structural stalls. Every live slot the priority order
 // reaches up to and including the issuing one is charged a scoreboard
-// search, all of them when none issues; hazard-blocked slots are charged
-// without being re-checked.
+// search, all of them when none issues. Slots whose try is known to fail —
+// hazard-blocked ones, and hazard-free ones whose unit is still busy
+// (busyWait) — are charged without being tried.
 func (s *gpuSim) issueStage(c *coreState, now uint64, fresh uint64) error {
 	for sched := 0; sched < c.cfg.Schedulers; sched++ {
 		live := c.issuable & c.schedMask[sched] &^ fresh
@@ -502,9 +577,10 @@ func (s *gpuSim) issueStage(c *coreState, now uint64, fresh uint64) error {
 func (s *gpuSim) issueRoundRobin(c *coreState, sched int, live uint64, now uint64) (int, error) {
 	rr := uint(c.issueRR[sched])
 	hi := live >> rr << rr
+	skip := c.hazBlocked | c.busyWait(live, sched, now)
 	searched := 0
 	for _, window := range [2]uint64{hi, live &^ hi} {
-		for m := window &^ c.hazBlocked; m != 0; m &= m - 1 {
+		for m := window &^ skip; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			issued, err := s.tryIssue(c, i, sched, now)
 			if issued || err != nil {
@@ -522,8 +598,9 @@ func (s *gpuSim) issueRoundRobin(c *coreState, sched int, live uint64, now uint6
 // searches to charge.
 func (s *gpuSim) issueOrdered(c *coreState, sched int, live, fresh uint64, now uint64) (int, error) {
 	c.orderBuf = s.candidateOrder(c, sched, live, fresh, c.orderBuf)
+	skip := c.hazBlocked | c.busyWait(live, sched, now)
 	for k, i := range c.orderBuf {
-		if c.hazBlocked&(1<<i) != 0 {
+		if skip&(1<<i) != 0 {
 			continue
 		}
 		issued, err := s.tryIssue(c, i, sched, now)
@@ -536,23 +613,24 @@ func (s *gpuSim) issueOrdered(c *coreState, sched int, live, fresh uint64, now u
 
 // tryIssue issues slot i's buffered instruction if it passes the hazard
 // check and its execution unit is free, and reports whether it issued. A
-// hazard marks the slot in hazBlocked.
+// hazard marks the slot in hazBlocked, a busy unit in unitWait.
 func (s *gpuSim) tryIssue(c *coreState, i, sched int, now uint64) (bool, error) {
 	sl := &c.slots[i]
-	pc := sl.w.PC()
-	d := &s.dec[pc]
+	d := sl.d
 	if c.hazard(sl, d) {
 		c.hazBlocked |= 1 << i
 		return false, nil
 	}
-	if t := c.unitFreeAt(d.Class, sched); t > now {
+	u := unitOf(d.Class)
+	if t := c.unitFreeAt(u, sched); t > now {
 		// Hazard-free but structurally blocked: the warp becomes issuable
 		// the moment the unit frees, so the core must not sleep past that
 		// point.
+		c.unitWait[u] |= 1 << i
 		c.structNext = min(c.structNext, t)
 		return false, nil
 	}
-	if err := s.issueInstr(c, sl, i, sched, &s.prog.Instrs[pc], d, now); err != nil {
+	if err := s.issueInstr(c, sl, i, sched, &s.prog.Instrs[sl.pc], d, now); err != nil {
 		return false, err
 	}
 	c.issueRR[sched] = (i + 1) % len(c.slots)
@@ -572,6 +650,7 @@ func (s *gpuSim) issueInstr(c *coreState, sl *warpSlot, slotIdx, sched int, in *
 	}
 
 	c.issuable &^= 1 << slotIdx
+	c.clearUnitWait(slotIdx)
 	if !sl.w.Finished && !sl.w.AtBarrier {
 		c.fetchable |= 1 << slotIdx
 	}

@@ -53,6 +53,113 @@ type outcome struct {
 	hits  int      // launches the cache replayed
 }
 
+// makeInstance builds a fresh instance of a Table I benchmark or of one of
+// hostKernels.
+func makeInstance(name string) (*bench.Instance, error) {
+	if mk, ok := hostKernels[name]; ok {
+		return hostInstance(mk())
+	}
+	f, err := bench.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.Make()
+}
+
+// hostKernels are unit-bound kernels built on the host, as the
+// microbenchmark and DVFS experiments build theirs: most of their failed
+// issue attempts find the SP, SFU or LD/ST unit busy rather than a hazard.
+var hostKernels = map[string]func() (*kernel.Launch, *kernel.GlobalMem){
+	// fpBusy is the DVFS study's kernel: eight dependent FFMAs per loop
+	// iteration keep the SP units saturated.
+	"fpBusy": func() (*kernel.Launch, *kernel.GlobalMem) {
+		b := kernel.NewBuilder("fpBusy", 8).Params(1)
+		b.SReg(0, kernel.SpecTidX)
+		b.I2F(1, kernel.R(0))
+		b.MovI(2, 0)
+		b.Label("loop")
+		for i := 0; i < 8; i++ {
+			b.FFma(1, kernel.R(1), kernel.F(1.0001), kernel.F(0.5))
+		}
+		b.IAdd(2, kernel.R(2), kernel.I(1))
+		b.ISet(3, kernel.CmpLT, kernel.R(2), kernel.I(10))
+		b.When(3).Bra("loop", "exit")
+		b.Label("exit")
+		b.LdParam(4, 0)
+		b.IShl(5, kernel.R(0), kernel.I(2))
+		b.IAdd(4, kernel.R(4), kernel.R(5))
+		b.St(kernel.SpaceGlobal, kernel.R(4), kernel.R(1), 0)
+		b.Exit()
+		return hostLaunch(b.MustBuild(), 24, 256)
+	},
+	// unitMix interleaves independent SP, SFU and shared-memory work, so
+	// warps queue for all three units at once, and the SFU and LD/ST units
+	// are shared by every scheduler of a core.
+	"unitMix": func() (*kernel.Launch, *kernel.GlobalMem) {
+		b := kernel.NewBuilder("unitMix", 12).Params(1).SMem(256 * 4)
+		b.SReg(0, kernel.SpecTidX)
+		b.I2F(1, kernel.R(0))
+		b.IShl(2, kernel.R(0), kernel.I(2))
+		b.MovI(3, 0)
+		b.Label("loop")
+		for i := 0; i < 4; i++ {
+			b.FFma(4, kernel.R(1), kernel.F(1.0001), kernel.F(0.5))
+			b.Sin(5, kernel.R(1))
+			b.St(kernel.SpaceShared, kernel.R(2), kernel.R(4), 0)
+			b.FMul(6, kernel.R(1), kernel.F(0.999))
+			b.Rsq(7, kernel.R(4))
+			b.Ld(kernel.SpaceShared, 8, kernel.R(2), 0)
+			b.FAdd(1, kernel.R(5), kernel.R(6))
+			b.FAdd(1, kernel.R(1), kernel.R(7))
+			b.FAdd(1, kernel.R(1), kernel.R(8))
+		}
+		b.IAdd(3, kernel.R(3), kernel.I(1))
+		b.ISet(9, kernel.CmpLT, kernel.R(3), kernel.I(4))
+		b.When(9).Bra("loop", "exit")
+		b.Label("exit")
+		b.LdParam(10, 0)
+		b.IAdd(10, kernel.R(10), kernel.R(2))
+		b.St(kernel.SpaceGlobal, kernel.R(10), kernel.R(1), 0)
+		b.Exit()
+		return hostLaunch(b.MustBuild(), 24, 256)
+	},
+}
+
+// hostLaunch launches prog as blocks blocks of threads threads, with the
+// address of a one-word-per-thread output buffer as its one parameter.
+func hostLaunch(prog *kernel.Program, blocks, threads int) (*kernel.Launch, *kernel.GlobalMem) {
+	mem := kernel.NewGlobalMem()
+	out := mem.Alloc(threads * 4)
+	return &kernel.Launch{
+		Prog:   prog,
+		Grid:   kernel.Dim{X: blocks, Y: 1},
+		Block:  kernel.Dim{X: threads, Y: 1},
+		Params: []uint32{out},
+	}, mem
+}
+
+// hostInstance wraps a host-built launch as a one-run instance whose
+// Verify compares the final image with the functional interpreter's.
+func hostInstance(l *kernel.Launch, mem *kernel.GlobalMem) (*bench.Instance, error) {
+	ref := kernel.NewGlobalMem()
+	ref.Restore(mem.Snapshot())
+	if _, err := kernel.Interp(l, ref, nil); err != nil {
+		return nil, err
+	}
+	want := ref.Snapshot()
+	return &bench.Instance{
+		Name: l.Prog.Name,
+		Mem:  mem,
+		Runs: []bench.Run{{Name: l.Prog.Name, Launch: l}},
+		Verify: func() error {
+			if got := mem.Snapshot(); !reflect.DeepEqual(got, want) {
+				return errors.New("final image differs from the interpreter's")
+			}
+			return nil
+		},
+	}, nil
+}
+
 // simulate runs every launch of a fresh instance of the named benchmark on
 // g, through c unless it is nil, prices each result under g's
 // configuration and verifies the benchmark's outputs. Through a cache it
@@ -62,11 +169,7 @@ func simulate(g *sim.GPU, c *simcache.Cache, benchName string) (*outcome, error)
 	if err != nil {
 		return nil, err
 	}
-	f, err := bench.ByName(benchName)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := f.Make()
+	inst, err := makeInstance(benchName)
 	if err != nil {
 		return nil, err
 	}
@@ -236,31 +339,51 @@ func (tb *table) row(t *testing.T, m mode) {
 }
 
 func TestFastForwardEquivalence(t *testing.T) {
-	cases := []struct {
-		gpu    func() *config.GPU
-		policy string
-		bench  string
-	}{
-		{config.GT240, "", "vectorAdd"},
-		{config.GT240, "", "BlackScholes"},
-		{config.GT240, "", "bfs"},
-		{config.GTX580, "", "vectorAdd"},
-		{config.GTX580, "", "BlackScholes"},
-		{config.GTX580, "", "bfs"},
+	type ffCase struct {
+		gpu          func() *config.GPU
+		policy       string
+		bench        string
+		noScoreboard bool // blocking mode: a warp waits for all its writebacks
+	}
+	cases := []ffCase{
+		{gpu: config.GT240, bench: "vectorAdd"},
+		{gpu: config.GT240, bench: "BlackScholes"},
+		{gpu: config.GT240, bench: "bfs"},
+		{gpu: config.GTX580, bench: "vectorAdd"},
+		{gpu: config.GTX580, bench: "BlackScholes"},
+		{gpu: config.GTX580, bench: "bfs"},
 		// Non-default scheduling policies exercise different candidate
 		// orderings and arbitration counts during stalls.
-		{config.GTX580, sim.PolicyGTO, "vectorAdd"},
-		{config.GTX580, sim.PolicyTwoLevel, "vectorAdd"},
+		{gpu: config.GTX580, policy: sim.PolicyGTO, bench: "vectorAdd"},
+		{gpu: config.GTX580, policy: sim.PolicyTwoLevel, bench: "vectorAdd"},
+	}
+	// The unit-bound host kernels stall mostly on busy units, where the
+	// issue stage skips slots it knows would fail: every policy, with the
+	// scoreboard (GTX580) and in blocking mode (GT240 has no scoreboard;
+	// GTX580 with it removed keeps its two schedulers).
+	for _, k := range []string{"fpBusy", "unitMix"} {
+		for _, policy := range []string{sim.PolicyRR, sim.PolicyGTO, sim.PolicyTwoLevel} {
+			cases = append(cases,
+				ffCase{gpu: config.GT240, policy: policy, bench: k},
+				ffCase{gpu: config.GTX580, policy: policy, bench: k},
+				ffCase{gpu: config.GTX580, policy: policy, bench: k, noScoreboard: true})
+		}
 	}
 	for _, tc := range cases {
 		cfg := func() *config.GPU {
 			c := tc.gpu()
 			c.SchedulerPolicy = tc.policy
+			if tc.noScoreboard {
+				c.HasScoreboard = false
+			}
 			return c
 		}
 		name := cfg().Name + "/" + tc.bench
 		if tc.policy != "" {
 			name += "/" + tc.policy
+		}
+		if tc.noScoreboard {
+			name += "/noscoreboard"
 		}
 		t.Run(name, func(t *testing.T) {
 			newTable(t, cfg, tc.bench).row(t, mode{dense: true, path: fresh, n: 1})

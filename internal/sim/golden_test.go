@@ -3,8 +3,11 @@ package sim_test
 // The Activity golden pins every counter the simulator produces — the
 // scheduler and scoreboard counts the power model prices included — for the
 // whole Table I suite on both validated GPUs, in both clock modes, plus the
-// non-default scheduling policies on a few kernels. A pure speed change to
-// the simulator must leave the file untouched. Regenerate deliberately with
+// non-default scheduling policies on a few kernels. The core-step golden
+// pins, for the same cases, how many core-steps the clock loop took: no
+// counter shows a core woken more often than it must be, since the steps a
+// sleep skips are credited as if taken. A pure speed change to the
+// simulator must leave both files untouched. Regenerate deliberately with
 //
 //	go test ./internal/sim -run TestActivityGolden -update
 //
@@ -28,7 +31,7 @@ import (
 	"gpusimpow/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/activity.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/activity.golden and testdata/coresteps.golden")
 
 type goldenCase struct {
 	name  string
@@ -76,21 +79,42 @@ func goldenCases() []goldenCase {
 // TestActivityGolden compares every launch's full Activity against
 // testdata/activity.golden with reflect.DeepEqual: no counter may move. It
 // also checks the conservation invariants on every launch, so a golden
-// regenerated with -update still has to obey them.
+// regenerated with -update still has to obey them, and compares each case's
+// core-steps with testdata/coresteps.golden.
 func TestActivityGolden(t *testing.T) {
 	path := filepath.Join("testdata", "activity.golden")
+	stepsPath := filepath.Join("testdata", "coresteps.golden")
 	var want map[string]sim.Activity
+	var wantSteps map[string]uint64
 	if !*updateGolden {
 		var err error
 		if want, err = readActivityGolden(path); err != nil {
 			t.Fatalf("reading golden (run with -update to create): %v", err)
 		}
+		if wantSteps, err = readCoreStepsGolden(stepsPath); err != nil {
+			t.Fatalf("reading core-step golden (run with -update to create): %v", err)
+		}
 	}
 
-	var out bytes.Buffer
+	var out, stepsOut bytes.Buffer
 	seen := map[string]bool{}
 	for _, tc := range goldenCases() {
-		for i, r := range runFresh(t, tc.cfg, tc.bench).res {
+		g, err := sim.New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := simulate(g, nil, tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps := g.CoreSteps(); *updateGolden {
+			fmt.Fprintf(&stepsOut, "%s %d\n", tc.name, steps)
+		} else if w, ok := wantSteps[tc.name]; !ok {
+			t.Errorf("%s: case missing from the core-step golden", tc.name)
+		} else if steps != w {
+			t.Errorf("%s: %d core-steps, want %d", tc.name, steps, w)
+		}
+		for i, r := range o.res {
 			key := tc.name + "#" + strconv.Itoa(i)
 			seen[key] = true
 			for _, msg := range conservationViolations(tc.cfg, r.Activity) {
@@ -121,12 +145,21 @@ func TestActivityGolden(t *testing.T) {
 		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(stepsPath, stepsOut.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
 	}
 	for key := range want {
 		if !seen[key] {
 			t.Errorf("%s: golden launch no longer simulated", key)
 		}
+	}
+	for _, tc := range goldenCases() {
+		delete(wantSteps, tc.name)
+	}
+	for name := range wantSteps {
+		t.Errorf("%s: golden case no longer simulated", name)
 	}
 }
 
@@ -183,6 +216,24 @@ func readActivityGolden(path string) (map[string]sim.Activity, error) {
 		m[key] = a
 	}
 	return m, sc.Err()
+}
+
+// readCoreStepsGolden parses "<case> <core-steps>" lines.
+func readCoreStepsGolden(path string) (map[string]uint64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	m := map[string]uint64{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, n, ok := strings.Cut(line, " ")
+		steps, err := strconv.ParseUint(n, 10, 64)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("malformed line %q", line)
+		}
+		m[name] = steps
+	}
+	return m, nil
 }
 
 // activityDiff lists the counters that differ, one per line.

@@ -265,8 +265,12 @@ func (s *gpuSim) stepCore(c *coreState, cycle uint64) (bool, error) {
 	c.structNext = ^uint64(0)
 	blocks, issued := len(c.blocks), s.act.IssuedInstrs
 	drained := c.drainEvents(cycle, &s.act)
-	s.drainRetirements(c)
-	fresh := c.fetchStage(&s.act)
+	if drained > 0 {
+		// A block becomes retirable only when its last writeback drains:
+		// a control instruction that finishes it retires it at issue.
+		s.drainRetirements(c)
+	}
+	fresh := c.fetchStage(s.dec, &s.act)
 	if err := s.issueStage(c, cycle, fresh); err != nil {
 		return false, err
 	}

@@ -20,7 +20,7 @@
 set -eu
 
 # The guarded packages, as import paths under the module.
-PACKAGES="gpusimpow/internal/power gpusimpow/internal/bench gpusimpow/internal/circuit gpusimpow/internal/kernel"
+PACKAGES="gpusimpow/internal/power gpusimpow/internal/bench gpusimpow/internal/circuit gpusimpow/internal/kernel gpusimpow/internal/gddr gpusimpow/internal/experiments"
 ARCHES="arm64 ppc64le s390x riscv64"
 
 # dirs matches the source directory of any guarded package: a|b|c.
