@@ -21,15 +21,15 @@ vet:
 
 # Repo-specific static analysis (cmd/gpowlint): the determinism and
 # cache-partition invariants go vet cannot see — timing-key coverage,
-# map-iteration order, wall-clock reads, wire-struct json tags, faultpoint
-# name drift. See docs/LINTS.md.
+# map-iteration order, wall-clock reads, wire-struct json tags, declared
+# faults that nothing exercises. See docs/LINTS.md.
 lint:
 	$(GO) run ./cmd/gpowlint
 
-# No fused multiply-adds in the packages whose floats reach records:
-# cross-compile them for arm64, ppc64le, s390x and riscv64 with -S and
-# fail on any FMADD/FMSUB/FNMADD/FNMSUB they contain (scripts/nofma.sh;
-# the package list is its PACKAGES variable). See docs/LINTS.md.
+# No fused multiply-adds anywhere in the module: cross-compile
+# gpusimpow/... for arm64, ppc64le, s390x and riscv64 with -S, one build
+# per architecture, and fail on any FMADD/FMSUB/FNMADD/FNMSUB from the
+# module's sources (scripts/nofma.sh). See docs/LINTS.md.
 nofma:
 	./scripts/nofma.sh
 
@@ -113,7 +113,10 @@ race:
 # arbitrary bits: Validate must never panic, and a configuration it accepts
 # must equal itself (the per-configuration memos key on its value) and
 # build through power.New and core.New; 5 s, minimization bounded to 1 s.
-# Crashers land in the package's testdata/fuzz/ and replay in every
+# FuzzParseFaults: the GPUSIMPOW_FAULTPOINT parser must never panic, and a
+# spec it accepts must name a declared fault and fire on exactly hits
+# skip+1..skip+times; 3 s, minimization bounded to 1 s. The budgets total
+# 53 s. Crashers land in the package's testdata/fuzz/ and replay in every
 # `go test`.
 fuzz:
 	$(GO) test ./internal/kernel -run=NONE -fuzz=FuzzProgramValidate -fuzztime=10s
@@ -122,6 +125,7 @@ fuzz:
 	$(GO) test ./internal/hw -run=NONE -fuzz=FuzzMeasureMemo -fuzztime=10s
 	$(GO) test ./internal/fleet -run=NONE -fuzz=FuzzFleetRecover -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/config -run=NONE -fuzz=FuzzConfigValidate -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/service -run=NONE -fuzz=FuzzParseFaults -fuzztime=3s -fuzzminimizetime=1s
 
 # One pass of the root microbenchmarks (simulator, measurement layer and
 # a warm pass of the sweep scenario set, one iteration each), so they

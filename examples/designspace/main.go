@@ -33,7 +33,7 @@ func evaluate(cfg *config.GPU) (cycles uint64, totalW, energyMJ float64, err err
 		}
 		cycles += rep.Perf.Activity.Cycles
 		totalW = rep.Power.TotalW
-		e += rep.Power.TotalW * rep.Power.Seconds
+		e += float64(rep.Power.TotalW * rep.Power.Seconds)
 	}
 	if err := inst.Verify(); err != nil {
 		return 0, 0, 0, err

@@ -102,7 +102,7 @@ func main() {
 				want += img[clamp(y+dy)*w+clamp(x+dx)]
 			}
 		}
-		want *= 1.0 / 9.0
+		want = float32(want * (1.0 / 9.0))
 		if d := out[i] - want; d > 1e-4 || d < -1e-4 {
 			log.Fatalf("pixel %d: got %v, want %v", i, out[i], want)
 		}

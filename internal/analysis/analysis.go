@@ -46,7 +46,7 @@ func Passes() []Pass {
 		{Name: "detrange", Doc: "no map-ordered iteration in the deterministic packages without a sort or an explicit waiver", Run: runDetRange},
 		{Name: "nowallclock", Doc: "no wall-clock or global math/rand reads in the deterministic packages", Run: runNoWallClock},
 		{Name: "wirejson", Doc: "every exported field reaching encoding/json in the wire packages carries a json tag", Run: runWireJSON},
-		{Name: "faultpoint", Doc: "faultpoint names are declared in the shared manifest and exercised by tests or scripts", Run: runFaultpoint},
+		{Name: "faultpoint", Doc: "every declared fault is exercised by a test or a script", Run: runFaultpoint},
 	}
 }
 

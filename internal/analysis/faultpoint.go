@@ -8,232 +8,100 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 )
 
-// faultpoint closes the loop between the fault-injection names that Go
-// code, tests and the shell drills all match by string:
-//
-//   - the manifest (internal/service/faultpoints.txt) is the single list
-//     of declared faultpoint names, shared by Go (go:embed) and the
-//     scripts (service_lib.sh validates against it);
-//   - every `const Fault...` string in internal/service must be a manifest
-//     name, and every manifest name must have such a const — neither side
-//     can drift;
-//   - every argument to service.Faultpoint (or the internal faultpoint)
-//     must be a compile-time constant whose value is a manifest name: a
-//     typo'd name can never arm, so it must never compile;
-//   - every GPUSIMPOW_FAULTPOINT=<name>[:opts] assignment in scripts/*.sh
-//     must name a manifest entry — the typo'd-drill bug class: a drill
-//     that arms a nonexistent point "passes" by testing nothing;
-//   - every manifest name must be exercised by at least one _test.go file
-//     or one script, so a declared point cannot silently rot.
+// faultpoint checks that every declared fault is exercised. The service
+// package declares each fault once, as a constant of its Fault type, and
+// spells it in a keyed name table (FaultX: "x-name"). The type keeps call
+// sites to declared faults, and the daemons refuse an unknown or
+// malformed GPUSIMPOW_FAULTPOINT at start-up; neither sees a declared
+// fault that nothing arms. A fault counts as exercised when a _test.go
+// file names its constant or mentions its name in a string literal, or a
+// script under scripts/ mentions its name.
 
-const manifestRel = "internal/service/faultpoints.txt"
-
-// servicePkg is the package owning the faultpoint machinery.
+// servicePkg is the package that declares the faults.
 const servicePkg = "internal/service"
 
 func runFaultpoint(m *Module) []Finding {
 	pass := "faultpoint"
-	manifestPath := filepath.Join(m.Root, filepath.FromSlash(manifestRel))
-	data, err := os.ReadFile(manifestPath)
-	if err != nil {
-		return []Finding{{Pass: pass, Pos: token.Position{Filename: manifestPath},
-			Msg: fmt.Sprintf("missing faultpoint manifest: %v", err)}}
-	}
-	manifest := map[string]int{} // name -> manifest line
-	var names []string
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if _, dup := manifest[line]; dup {
-			return []Finding{{Pass: pass, Pos: token.Position{Filename: manifestPath, Line: i + 1},
-				Msg: fmt.Sprintf("duplicate manifest entry %q", line)}}
-		}
-		manifest[line] = i + 1
-		names = append(names, line)
-	}
-
-	var out []Finding
 	svc := m.Pkg(servicePkg)
-	if svc == nil || svc.Info == nil {
+	if svc == nil || svc.Types == nil {
 		return []Finding{{Pass: pass, Msg: fmt.Sprintf("no %s package in module %s", servicePkg, m.Path)}}
 	}
-
-	// Fault* consts in the service package: name -> value, and value -> const
-	// names (for the test-reference scan).
-	constVal := map[string]string{}
-	constPos := map[string]token.Position{}
+	tn, ok := svc.Types.Scope().Lookup("Fault").(*types.TypeName)
+	if !ok {
+		return []Finding{{Pass: pass, Msg: fmt.Sprintf("no Fault type in %s", servicePkg)}}
+	}
+	var faults []*types.Const // in name order (Scope.Names is sorted)
+	for _, n := range svc.Types.Scope().Names() {
+		if c, ok := svc.Types.Scope().Lookup(n).(*types.Const); ok && types.Identical(c.Type(), tn.Type()) {
+			faults = append(faults, c)
+		}
+	}
+	// Each fault's spec name, from the keyed name table.
+	names := map[*types.Const]string{}
 	for _, f := range svc.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			vs, ok := n.(*ast.ValueSpec)
+			kv, ok := n.(*ast.KeyValueExpr)
 			if !ok {
 				return true
 			}
-			for _, id := range vs.Names {
-				if !strings.HasPrefix(id.Name, "Fault") {
-					continue
-				}
-				c, ok := svc.Info.Defs[id].(*types.Const)
-				if !ok || c.Val().Kind() != constant.String {
-					continue
-				}
-				constVal[id.Name] = constant.StringVal(c.Val())
-				constPos[id.Name] = m.Fset.Position(id.Pos())
+			id, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			c, ok := svc.Info.Uses[id].(*types.Const)
+			if tv := svc.Info.Types[kv.Value]; ok && types.Identical(c.Type(), tn.Type()) && tv.Value != nil && tv.Value.Kind() == constant.String {
+				names[c] = constant.StringVal(tv.Value)
 			}
 			return true
 		})
 	}
-	valueConsts := map[string][]string{}
-	var constNames []string
-	for cn := range constVal {
-		constNames = append(constNames, cn)
-	}
-	sort.Strings(constNames)
-	for _, cn := range constNames {
-		v := constVal[cn]
-		valueConsts[v] = append(valueConsts[v], cn)
-		if _, ok := manifest[v]; !ok {
-			out = append(out, Finding{Pos: constPos[cn], Pass: pass,
-				Msg: fmt.Sprintf("const %s = %q is not in the faultpoint manifest (%s)", cn, v, manifestRel)})
-		}
-	}
-	for _, name := range names {
-		if len(valueConsts[name]) == 0 {
-			out = append(out, Finding{Pos: token.Position{Filename: manifestPath, Line: manifest[name]}, Pass: pass,
-				Msg: fmt.Sprintf("manifest name %q has no Fault* const in %s", name, servicePkg)})
-		}
-	}
 
-	// Every Faultpoint(...) argument must be a constant manifest name. The
-	// file declaring the faultpoint machinery is exempt: its exported
-	// wrapper forwards a parameter by design, and the wrapper's callers
-	// are what get checked.
-	declFiles := map[string]bool{}
-	for _, f := range svc.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if ok && fd.Recv == nil && (fd.Name.Name == "Faultpoint" || fd.Name.Name == "faultpoint") {
-				declFiles[m.Fset.Position(f.Pos()).Filename] = true
+	exercised := map[*types.Const]bool{}
+	mentions := func(s string) {
+		for _, c := range faults {
+			if names[c] != "" && strings.Contains(s, names[c]) {
+				exercised[c] = true
 			}
 		}
 	}
-	for _, pkg := range m.SortedPkgs() {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			if declFiles[m.Fset.Position(f.Pos()).Filename] {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
-					return true
-				}
-				if !isFaultpointCallee(m, pkg, call.Fun) {
-					return true
-				}
-				pos := m.Fset.Position(call.Args[0].Pos())
-				tv, ok := pkg.Info.Types[call.Args[0]]
-				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-					out = append(out, Finding{Pos: pos, Pass: pass,
-						Msg: "Faultpoint argument must be a string constant (a declared Fault* const), not a computed value"})
-					return true
-				}
-				v := constant.StringVal(tv.Value)
-				if _, ok := manifest[v]; !ok {
-					out = append(out, Finding{Pos: pos, Pass: pass,
-						Msg: fmt.Sprintf("Faultpoint(%q): name is not in the faultpoint manifest (%s)", v, manifestRel)})
-				}
-				return true
-			})
-		}
-	}
-
-	// Scripts: every armed faultpoint must be a manifest name; collect
-	// referenced names along the way.
-	referenced := map[string]bool{}
 	scriptFiles, _ := filepath.Glob(filepath.Join(m.Root, "scripts", "*.sh"))
 	sort.Strings(scriptFiles)
-	armRe := regexp.MustCompile(`GPUSIMPOW_FAULTPOINT=["']?([A-Za-z0-9_.-]+)`)
 	for _, sf := range scriptFiles {
-		body, err := os.ReadFile(sf)
-		if err != nil {
-			continue
-		}
-		for i, line := range strings.Split(string(body), "\n") {
-			if mm := armRe.FindStringSubmatch(line); mm != nil {
-				name := strings.SplitN(mm[1], ":", 2)[0]
-				if _, ok := manifest[name]; !ok {
-					out = append(out, Finding{Pos: token.Position{Filename: sf, Line: i + 1}, Pass: pass,
-						Msg: fmt.Sprintf("script arms faultpoint %q, which is not in the faultpoint manifest (%s): the drill would test nothing", name, manifestRel)})
-				}
-			}
-		}
-		for _, name := range names {
-			if strings.Contains(string(body), name) {
-				referenced[name] = true
-			}
+		if body, err := os.ReadFile(sf); err == nil {
+			mentions(string(body))
 		}
 	}
-
-	// Tests: a manifest name is exercised when a _test.go file mentions the
-	// name literally or uses one of its consts.
+	// Test files are parsed, not type-checked: match constants by name.
 	for _, pkg := range m.SortedPkgs() {
 		for _, f := range pkg.TestFiles {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
-					if v, ok := constVal[n.Name]; ok {
-						referenced[v] = true
+					for _, c := range faults {
+						if n.Name == c.Name() {
+							exercised[c] = true
+						}
 					}
 				case *ast.BasicLit:
 					if n.Kind == token.STRING {
-						for _, name := range names {
-							if strings.Contains(n.Value, name) {
-								referenced[name] = true
-							}
-						}
+						mentions(n.Value)
 					}
 				}
 				return true
 			})
 		}
 	}
-	for _, name := range names {
-		if !referenced[name] {
-			out = append(out, Finding{Pos: token.Position{Filename: manifestPath, Line: manifest[name]}, Pass: pass,
-				Msg: fmt.Sprintf("faultpoint %q is declared but no test or script exercises it", name)})
+
+	var out []Finding
+	for _, c := range faults {
+		if !exercised[c] {
+			out = append(out, Finding{Pos: m.Fset.Position(c.Pos()), Pass: pass,
+				Msg: fmt.Sprintf("fault %s (%q) is declared but no test or script exercises it", c.Name(), names[c])})
 		}
 	}
 	return out
-}
-
-// isFaultpointCallee reports whether the call target is the service
-// package's Faultpoint (or internal faultpoint) function.
-func isFaultpointCallee(m *Module, pkg *Package, fun ast.Expr) bool {
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[f.Sel]
-	default:
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Name() != "Faultpoint" && fn.Name() != "faultpoint" {
-		return false
-	}
-	rel, ok := m.relOfImport(fn.Pkg().Path())
-	return ok && rel == servicePkg
 }

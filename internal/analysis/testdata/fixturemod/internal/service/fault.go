@@ -1,19 +1,24 @@
-// Package service seeds the faultpoint pass: one const missing from the
-// manifest, one manifest name with no const, and call sites with a
-// literal and a computed argument (in server.go — this file is exempt as
-// the declaring file).
+// Package service seeds the faultpoint pass: one declared fault that a
+// script exercises, and one that nothing exercises.
 package service
 
+// Fault is a declared fault-injection point.
+type Fault uint8
+
 const (
-	// FaultCrashEarly is declared in the manifest and exercised by the
-	// fixture script.
-	FaultCrashEarly = "crash-early"
-	// FaultRogue is missing from the manifest on purpose.
-	FaultRogue = "rogue-point"
+	_ Fault = iota
+	// FaultCrashEarly is exercised by the fixture script.
+	FaultCrashEarly
+	// FaultNeverFired is exercised by nothing.
+	FaultNeverFired
 )
 
-func faultpoint(name string) bool { return name != "" }
+var faultNames = [...]string{
+	FaultCrashEarly: "crash-early",
+	FaultNeverFired: "never-fired",
+}
 
-// Faultpoint is the exported check; forwarding a parameter here is the
-// declaring file's prerogative.
-func Faultpoint(name string) bool { return faultpoint(name) }
+func (f Fault) String() string { return faultNames[f] }
+
+// fire reports whether f fires; the fixture arms nothing.
+func fire(f Fault) bool { return f == 0 }

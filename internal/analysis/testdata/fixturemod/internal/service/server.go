@@ -1,17 +1,7 @@
 package service
 
-// crashMaybe arms one declared point (clean) and one undeclared literal
-// (finding).
-func crashMaybe() bool {
-	if Faultpoint(FaultCrashEarly) {
-		return true
-	}
-	return Faultpoint("undeclared-literal")
-}
-
-// armDynamic forwards a computed name (finding: not a constant).
-func armDynamic(n string) bool { return Faultpoint(n) }
+// crashMaybe hits one declared fault (clean).
+func crashMaybe() bool { return fire(FaultCrashEarly) }
 
 var _ = crashMaybe
-var _ = armDynamic
-var _ = FaultRogue
+var _ = FaultNeverFired

@@ -355,9 +355,7 @@ func TestRouterClientIdempotency(t *testing.T) {
 // the survivor and the riding client's stream comes through byte-identical
 // to an uninterrupted single-node run — the unit-level ci-fleet drill.
 func TestFailoverMidStreamByteIdentical(t *testing.T) {
-	t.Setenv("GPUSIMPOW_FAULTPOINT", service.FaultDropBackendMidStream+":skip=1")
-	service.ResetFaultpoints()
-	defer service.ResetFaultpoints()
+	t.Setenv("GPUSIMPOW_FAULTPOINT", service.FaultDropBackendMidStream.String()+":skip=1")
 
 	_, rtSrv, fixtures := newTestFleet(t, 2, nil)
 	c := routerClient(rtSrv)
@@ -393,6 +391,98 @@ func TestFailoverMidStreamByteIdentical(t *testing.T) {
 	}
 
 	// Byte-identity against an untouched single node.
+	if !bytes.Equal(cells, singleNodeCells(t, req)) {
+		t.Errorf("stream that rode through failover differs from single-node run")
+	}
+
+	// The exactly-once guarantee: one backend job per fleet job per home.
+	for _, f := range fixtures {
+		if n := len(f.m.Jobs()); n > 1 {
+			t.Errorf("backend %s holds %d jobs, want at most 1", f.name, n)
+		}
+	}
+}
+
+// Severing the router's proxied stream (the sever-proxied-stream fault,
+// armed on the router) breaks only the client's connection: the riding
+// service.Client resumes through the router with ?from=N, every record
+// arrives once and in plan order, byte-identical to a single-node run,
+// and the job keeps its healthy backend with no re-dispatch. The backends
+// arm the same spec but never reach this fault.
+func TestSeverProxiedStreamResumes(t *testing.T) {
+	t.Setenv("GPUSIMPOW_FAULTPOINT", service.FaultSeverProxiedStream.String()+":skip=1")
+	rt, rtSrv, fixtures := newTestFleet(t, 2, nil)
+
+	var (
+		mu    sync.Mutex
+		froms []string // the ?from= of every /cells request the client sent
+	)
+	inner := rtSrv.Client().Transport
+	c := routerClient(rtSrv)
+	c.HTTP = &http.Client{Transport: transportFunc(func(r *http.Request) (*http.Response, error) {
+		if strings.HasSuffix(r.URL.Path, "/cells") {
+			mu.Lock()
+			froms = append(froms, r.URL.Query().Get("from"))
+			mu.Unlock()
+		}
+		return inner.RoundTrip(r)
+	})}
+	req := sweep.JobRequest{Scenario: testScenario}
+	st, err := c.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := assignmentOf(t, rtSrv, st.ID)
+
+	var cells []byte
+	at := func() (*service.Client, string) { return c, st.ID }
+	if err := c.Follow(context.Background(), 0, at, nil, func(line []byte) error {
+		cells = append(cells, line...)
+		return nil
+	}); err != nil {
+		t.Fatalf("ride through the router: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(froms) < 2 || froms[0] != "0" {
+		t.Fatalf("/cells requests from=%v: want a first read from 0 and a resume", froms)
+	}
+	for _, f := range froms[1:] {
+		if f == "0" {
+			t.Errorf("/cells requests from=%v: the client restarted instead of resuming", froms)
+		}
+	}
+	for i, line := range bytes.Split(bytes.TrimSpace(cells), []byte("\n")) {
+		var rec sweep.CellRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Index != i {
+			t.Fatalf("line %d: index %d, %v — duplicate or dropped cell across the resume", i, rec.Index, err)
+		}
+	}
+
+	if !bytes.Equal(cells, singleNodeCells(t, req)) {
+		t.Errorf("stream resumed through the router differs from a single-node run")
+	}
+
+	if after := assignmentOf(t, rtSrv, st.ID); after != before {
+		t.Errorf("assignment moved from %+v to %+v: a severed client stream must not re-dispatch", before, after)
+	}
+	total := 0
+	for _, f := range fixtures {
+		total += len(f.m.Jobs())
+		if s := rt.backends[f.name].State(); s != StateHealthy {
+			t.Errorf("backend %s is %s after a severed client stream, want healthy", f.name, s)
+		}
+	}
+	if total != 1 {
+		t.Errorf("%d backend jobs exist, want 1", total)
+	}
+}
+
+// singleNodeCells runs req on a fresh single gpowd and returns its raw
+// NDJSON cell stream: the byte-identity reference for routed streams.
+func singleNodeCells(t *testing.T, req sweep.JobRequest) []byte {
+	t.Helper()
 	ref := service.NewManager(service.Options{MaxConcurrent: 2})
 	defer ref.Close()
 	refSrv := httptest.NewServer(service.NewServer(ref))
@@ -403,15 +493,31 @@ func TestFailoverMidStreamByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, refC, refSt.ID)
-	refCells := rawStream(t, refSrv.Client(), refSrv.URL+"/v1/jobs/"+refSt.ID+"/cells")
-	if !bytes.Equal(cells, refCells) {
-		t.Errorf("stream that rode through failover differs from single-node run")
-	}
+	return rawStream(t, refSrv.Client(), refSrv.URL+"/v1/jobs/"+refSt.ID+"/cells")
+}
 
-	// The exactly-once guarantee: one backend job per fleet job per home.
-	for _, f := range fixtures {
-		if n := len(f.m.Jobs()); n > 1 {
-			t.Errorf("backend %s holds %d jobs, want at most 1", f.name, n)
+// transportFunc adapts a function to http.RoundTripper.
+type transportFunc func(*http.Request) (*http.Response, error)
+
+func (f transportFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// NewRouter refuses an unknown fault and a malformed spec before it
+// probes anything, listing the declared faults.
+func TestNewRouterRefusesBadFaultSpecs(t *testing.T) {
+	for _, spec := range []string{"typo-point", "crash-after-record:3"} {
+		t.Setenv("GPUSIMPOW_FAULTPOINT", spec)
+		rt, err := NewRouter(Options{Backends: []BackendSpec{{Name: "b0", URL: "http://127.0.0.1:1"}}})
+		if err == nil {
+			rt.Close()
+			t.Fatalf("NewRouter under %q succeeded", spec)
+		}
+		for _, f := range []service.Fault{
+			service.FaultCrashAfterRecord, service.FaultDropConnectionMidStream, service.FaultPanicInReduce,
+			service.FaultBlackholeProbe, service.FaultSeverProxiedStream, service.FaultDropBackendMidStream,
+		} {
+			if !strings.Contains(err.Error(), f.String()) {
+				t.Errorf("%q: error %q does not list %s", spec, err, f)
+			}
 		}
 	}
 }
@@ -946,9 +1052,7 @@ func TestDrainAwareRouting(t *testing.T) {
 // the failure threshold is crossed, and rejoins as healthy when probes
 // start answering again.
 func TestBreakerTripsOnBlackholedProbes(t *testing.T) {
-	t.Setenv("GPUSIMPOW_FAULTPOINT", service.FaultBlackholeProbe+":times=4")
-	service.ResetFaultpoints()
-	defer service.ResetFaultpoints()
+	t.Setenv("GPUSIMPOW_FAULTPOINT", service.FaultBlackholeProbe.String()+":times=4")
 
 	rt, _, _ := newTestFleet(t, 1, func(o *Options) {
 		o.ProbeInterval = 30 * time.Millisecond

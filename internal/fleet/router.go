@@ -71,6 +71,7 @@ type Router struct {
 	backends map[string]*Backend
 	names    []string // declaration order
 	store    *fleetStore
+	fault    *service.ArmedFault // armed from GPUSIMPOW_FAULTPOINT at construction
 
 	mu          sync.Mutex
 	jobs        map[string]*fleetJob
@@ -90,9 +91,15 @@ type Router struct {
 	mux *http.ServeMux
 }
 
-// NewRouter builds the router, recovers the persisted routing table, runs
-// one synchronous probe round, and starts the probers.
+// NewRouter arms the fault GPUSIMPOW_FAULTPOINT names (an unknown or
+// malformed spec is an error), builds the router, recovers the persisted
+// routing table, runs one synchronous probe round, and starts the
+// probers.
 func NewRouter(opts Options) (*Router, error) {
+	fault, err := service.ArmFault()
+	if err != nil {
+		return nil, err
+	}
 	if len(opts.Backends) == 0 {
 		return nil, errors.New("fleet: no backends configured")
 	}
@@ -111,6 +118,7 @@ func NewRouter(opts Options) (*Router, error) {
 
 	rt := &Router{
 		opts:        opts,
+		fault:       fault,
 		backends:    map[string]*Backend{},
 		jobs:        map[string]*fleetJob{},
 		homes:       map[home]*fleetJob{},
@@ -869,12 +877,12 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 		}
 		flusher.Flush()
 		from++
-		if service.Faultpoint(service.FaultSeverProxiedStream) {
+		if rt.fault.Fire(service.FaultSeverProxiedStream) {
 			// Sever the *client's* connection after a flushed line — the
 			// riding client must resume through the router via ?from=N.
 			panic(http.ErrAbortHandler)
 		}
-		if service.Faultpoint(service.FaultDropBackendMidStream) {
+		if rt.fault.Fire(service.FaultDropBackendMidStream) {
 			// Abandon the *backend* mid-stream and treat it as lost — the
 			// in-process stand-in for a backend crash.
 			return errBackendDropped

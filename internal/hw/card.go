@@ -206,11 +206,11 @@ func (c *Card) PrePostKernelPowerW() float64 {
 // ~15 W state).
 func (c *Card) IdlePowerW() float64 {
 	s := c.TrueStaticW()
-	gated := s * (1 - c.truth.Power.IdleGatingFraction*2.35)
+	gated := s * (1 - float64(c.truth.Power.IdleGatingFraction*2.35))
 	if gated < 0 {
 		gated = 0
 	}
-	return gated + s*0.1
+	return gated + float64(s*0.1)
 }
 
 // TimingKey is the timing-relevant identity of the card's silicon
@@ -238,7 +238,7 @@ func (c *Card) kernelTruePower(perf *sim.Result) (powerW, seconds float64, err e
 	seconds = rt.Seconds / s
 	dramStatic := rt.DRAM.Background + rt.DRAM.Refresh
 	dramDyn := rt.DRAM.Activate + rt.DRAM.ReadWrite + rt.DRAM.Termination
-	powerW = rt.StaticW + dramStatic + (rt.DynamicW+dramDyn)*s
+	powerW = rt.StaticW + dramStatic + float64((rt.DynamicW+dramDyn)*s)
 	return powerW, seconds, nil
 }
 

@@ -223,7 +223,7 @@ func (c *Card) sample(seq *sequence) *Trace {
 		}
 		level = c.chain.measureRun(tr.Samples[off:off+ph.n], level, ph.powerW, seq.alpha)
 		off += ph.n
-		now += float64(ph.n) * dt
+		now += float64(float64(ph.n) * dt)
 	}
 	return tr
 }

@@ -87,13 +87,13 @@ func (c *chain) measureRun(out []float64, level, targetW, alpha float64) float64
 		noise := sums[:k*nr]
 		c.noise.irwinHall(noise)
 		for i := range out[:k] {
-			level += (targetW - level) * alpha
+			level += float64((targetW - level) * alpha)
 			var sum float64
 			for j := range c.rails {
 				r := &c.rails[j]
 				p := level * r.share
-				p *= (1 + r.voltageGainErr) * (1 + r.currentGainErr)
-				p += r.offsetW + (noise[i*nr+j]-6)*r.noiseW
+				p = float64(p * ((1 + r.voltageGainErr) * (1 + r.currentGainErr)))
+				p += r.offsetW + float64((noise[i*nr+j]-6)*r.noiseW)
 				sum += p
 			}
 			out[i] = sum

@@ -28,7 +28,7 @@ func mix(z uint64) uint64 {
 }
 
 // unit maps a draw to a uniform value in [0, 1).
-func unit(z uint64) float64 { return float64(z>>11) / (1 << 53) }
+func unit(z uint64) float64 { return float64(float64(z>>11) / (1 << 53)) }
 
 func (r *rng) next() uint64 {
 	r.state += gamma
@@ -40,7 +40,7 @@ func (r *rng) float() float64 { return unit(r.next()) }
 
 // uniform returns a uniform value in [lo, hi).
 func (r *rng) uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.float()
+	return lo + float64((hi-lo)*r.float())
 }
 
 // irwinHall fills dst with len(dst) consecutive Irwin-Hall sums of 12

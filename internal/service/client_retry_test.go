@@ -219,8 +219,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // reconnect. The cut is injected server-side by the drop-connection
 // faultpoint — the same torn-socket image a daemon crash leaves.
 func TestClientStreamResumesAfterDrop(t *testing.T) {
-	resetFaultpoint(FaultDropConnectionMidStream)
-	t.Setenv("GPUSIMPOW_FAULTPOINT", FaultDropConnectionMidStream+":skip=1")
+	t.Setenv("GPUSIMPOW_FAULTPOINT", FaultDropConnectionMidStream.String()+":skip=1")
 
 	m := NewManager(Options{MaxConcurrent: 1})
 	defer m.Close()

@@ -1,16 +1,17 @@
 package service
 
 import (
-	_ "embed"
+	"fmt"
+	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
-// Fault injection for crash-restart and resilience tests. The
-// GPUSIMPOW_FAULTPOINT environment variable arms one faultpoint:
+// Fault injection for crash-restart and resilience tests. A daemon arms
+// at most one fault, from the GPUSIMPOW_FAULTPOINT environment variable,
+// which OpenManager and fleet.NewRouter each read once:
 //
 //	<name>                 fire once, on the 1st hit
 //	<name>:skip=N          fire once, on the (N+1)-th hit
@@ -19,133 +20,124 @@ import (
 //
 // Counted triggers let fleet drills fault exactly one health probe or one
 // stream flush out of an ongoing series without killing every subsequent
-// one. A firing point does whatever failure it models — the record crash
-// point kills the process like a SIGKILL would (os.Exit runs no deferred
-// cleanup), the stream point severs the client's connection
-// mid-NDJSON-line, the reduce point panics inside the scenario's reducer.
-// Production daemons never set the variable, so every faultpoint is a
-// single branch on a cached string.
+// one. Each daemon instance counts its own hits, so two managers in one
+// process fault independently. An unknown name or a malformed spec is an
+// error, and the daemon refuses to start: a drill that armed nothing
+// would test nothing. A firing point does whatever failure it models —
+// the record crash point kills the process like a SIGKILL would (os.Exit
+// runs no deferred cleanup), the stream point severs the client's
+// connection mid-NDJSON-line, the reduce point panics inside the
+// scenario's reducer. Production daemons never set the variable, so
+// every hit is one comparison.
+
+// A Fault is a declared fault-injection point. Its underlying type is not
+// a string, so a call site can name only the constants below.
+type Fault uint8
+
 const (
+	_ Fault = iota // arms nothing
 	// FaultCrashAfterRecord kills the process right after a job publishes
 	// a cell record: mid-stream, with nothing cleaned up.
-	FaultCrashAfterRecord = "crash-after-record"
+	FaultCrashAfterRecord
 	// FaultDropConnectionMidStream severs a /cells response
 	// after a line has been flushed, exercising client stream resumption.
-	FaultDropConnectionMidStream = "drop-connection-mid-stream"
+	FaultDropConnectionMidStream
 	// FaultPanicInReduce panics inside the scenario's Reduce hook,
 	// exercising the report path's panic isolation.
-	FaultPanicInReduce = "panic-in-reduce"
+	FaultPanicInReduce
 	// FaultBlackholeProbe makes the backend's /v1/healthz hang until the
 	// prober's timeout, exercising the router's dead-marking path without
 	// killing the backend.
-	FaultBlackholeProbe = "blackhole-probe"
+	FaultBlackholeProbe
 	// FaultSeverProxiedStream severs the router's proxied NDJSON stream
 	// after a line has been forwarded, exercising the router-side resume
 	// (distinct from a backend loss: the backend stays healthy).
-	FaultSeverProxiedStream = "sever-proxied-stream"
+	FaultSeverProxiedStream
 	// FaultDropBackendMidStream makes the router abandon its backend
 	// connection mid-proxy and treat the backend as lost — the in-process
 	// stand-in for a backend dropping mid-job, forcing failover without
 	// killing any process.
-	FaultDropBackendMidStream = "drop-backend-mid-stream"
+	FaultDropBackendMidStream
 )
 
-// faultpointManifest is the single source of truth for faultpoint names,
-// shared with the shell drills (scripts/service_lib.sh require_faultpoint
-// greps the same file) and cross-checked against the Fault* constants by
-// gpowlint's faultpoint pass and TestFaultpointManifest.
-//
-//go:embed faultpoints.txt
-var faultpointManifest string
-
-// DeclaredFaultpoints returns the manifest's faultpoint names, sorted.
-// Comment lines (#) and blanks are skipped.
-func DeclaredFaultpoints() []string {
-	var names []string
-	for _, line := range strings.Split(faultpointManifest, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		names = append(names, line)
-	}
-	sort.Strings(names)
-	return names
+// faultNames spells each fault as GPUSIMPOW_FAULTPOINT names it.
+var faultNames = [...]string{
+	FaultCrashAfterRecord:        "crash-after-record",
+	FaultDropConnectionMidStream: "drop-connection-mid-stream",
+	FaultPanicInReduce:           "panic-in-reduce",
+	FaultBlackholeProbe:          "blackhole-probe",
+	FaultSeverProxiedStream:      "sever-proxied-stream",
+	FaultDropBackendMidStream:    "drop-backend-mid-stream",
 }
 
-// faultSpec is one parsed GPUSIMPOW_FAULTPOINT value.
-type faultSpec struct {
-	name  string
+func (f Fault) String() string { return faultNames[f] }
+
+// ArmedFault is the fault one daemon armed at start-up, with its own hit
+// counter. With nothing armed, no fault fires.
+type ArmedFault struct {
+	fault Fault
 	skip  int // hits to let pass before firing
 	times int // consecutive hits that fire
+	hits  atomic.Int64
 }
 
-// parseFaultSpec parses the faultpoint grammar above. ok is false for an
-// empty or malformed spec — a malformed spec arms nothing, it never
-// half-fires.
-func parseFaultSpec(spec string) (fs faultSpec, ok bool) {
-	parts := strings.Split(spec, ":")
-	if parts[0] == "" {
-		return faultSpec{}, false
+// ArmFault arms the fault GPUSIMPOW_FAULTPOINT names; unset, it arms
+// nothing. An unknown name or a malformed spec is an error that lists the
+// declared faults.
+func ArmFault() (*ArmedFault, error) {
+	return parseFault(os.Getenv("GPUSIMPOW_FAULTPOINT"))
+}
+
+// parseFault parses the grammar above. Each key may appear once, and
+// skip+times must fit an int, so an accepted spec always fires.
+func parseFault(spec string) (*ArmedFault, error) {
+	a := &ArmedFault{times: 1}
+	if spec == "" {
+		return a, nil
 	}
-	fs = faultSpec{name: parts[0], times: 1}
+	parts := strings.Split(spec, ":")
+	for f, name := range faultNames {
+		if name != "" && name == parts[0] {
+			a.fault = Fault(f)
+		}
+	}
+	if a.fault == 0 {
+		return nil, faultSpecError(spec, "unknown fault %q", parts[0])
+	}
+	seen := map[string]bool{}
 	for _, p := range parts[1:] {
 		key, val, _ := strings.Cut(p, "=")
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return faultSpec{}, false
-		}
-		switch key {
-		case "skip":
-			if n < 0 {
-				return faultSpec{}, false
-			}
-			fs.skip = n
-		case "times":
-			if n < 1 {
-				return faultSpec{}, false
-			}
-			fs.times = n
+		switch {
+		case err != nil || seen[key]:
+			return nil, faultSpecError(spec, "bad option %q", p)
+		case key == "skip" && n >= 0:
+			a.skip = n
+		case key == "times" && n >= 1:
+			a.times = n
 		default:
-			return faultSpec{}, false
+			return nil, faultSpecError(spec, "bad option %q", p)
 		}
+		seen[key] = true
 	}
-	return fs, true
+	if a.skip > math.MaxInt-a.times {
+		return nil, faultSpecError(spec, "skip+times overflows")
+	}
+	return a, nil
 }
 
-var (
-	faultMu   sync.Mutex
-	faultHits = map[string]int{}
-)
-
-// faultpoint reports whether the named point fires at this hit. Hits are
-// counted per name; with skip=N and times=M the point fires on hits
-// N+1..N+M and never again.
-func faultpoint(name string) bool {
-	spec := os.Getenv("GPUSIMPOW_FAULTPOINT")
-	if spec == "" {
-		return false
-	}
-	fs, ok := parseFaultSpec(spec)
-	if !ok || fs.name != name {
-		return false
-	}
-	faultMu.Lock()
-	faultHits[name]++
-	hit := faultHits[name]
-	faultMu.Unlock()
-	return hit > fs.skip && hit <= fs.skip+fs.times
+func faultSpecError(spec, format string, args ...any) error {
+	return fmt.Errorf("GPUSIMPOW_FAULTPOINT=%q: %s; want <fault>[:skip=N][:times=M], one of %s",
+		spec, fmt.Sprintf(format, args...), strings.Join(faultNames[1:], ", "))
 }
 
-// Faultpoint is the exported faultpoint check for sibling packages
-// (internal/fleet injects router-side faults through the same
-// GPUSIMPOW_FAULTPOINT contract).
-func Faultpoint(name string) bool { return faultpoint(name) }
-
-// ResetFaultpoints clears all hit counters (test helper: lets one process
-// arm the same point across sequential sub-tests).
-func ResetFaultpoints() {
-	faultMu.Lock()
-	faultHits = map[string]int{}
-	faultMu.Unlock()
+// Fire reports whether f fires at this hit. Only the armed fault counts
+// hits; with skip=N and times=M it fires on hits N+1..N+M and never
+// again.
+func (a *ArmedFault) Fire(f Fault) bool {
+	if a.fault != f {
+		return false
+	}
+	n := a.hits.Add(1)
+	return n > int64(a.skip) && n <= int64(a.skip+a.times)
 }

@@ -98,7 +98,7 @@ func StreamFrom(r *http.Request) (int, error) {
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	if faultpoint(FaultBlackholeProbe) {
+	if s.m.fault.Fire(FaultBlackholeProbe) {
 		// Hang until the prober gives up — a hung (not refused) health
 		// check, the slow-failure mode circuit breakers exist for.
 		<-r.Context().Done()
@@ -223,7 +223,7 @@ func (s *server) jobCells(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if faultpoint(FaultDropConnectionMidStream) {
+		if s.m.fault.Fire(FaultDropConnectionMidStream) {
 			// Sever the connection abruptly (no terminating error line, no
 			// clean EOF semantics) — the torn-socket case stream resumption
 			// exists for.

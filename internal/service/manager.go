@@ -334,8 +334,8 @@ func (j *Job) Report() (*sweep.Report, error) {
 				err = fmt.Errorf("service: reduce panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		if faultpoint(FaultPanicInReduce) {
-			panic("faultpoint " + FaultPanicInReduce)
+		if j.m.fault.Fire(FaultPanicInReduce) {
+			panic("faultpoint " + FaultPanicInReduce.String())
 		}
 		return sc.Reduce(recs, req.Filter)
 	}()
@@ -367,6 +367,8 @@ type Manager struct {
 
 	// store is the durable journal+snapshot (nil without StateDir).
 	store *journal.Log
+	// fault is the fault GPUSIMPOW_FAULTPOINT armed at construction.
+	fault *ArmedFault
 
 	ctx  context.Context // bounds re-derivations; Close and an expired drain stop it
 	stop context.CancelFunc
@@ -391,8 +393,8 @@ type Manager struct {
 	wg sync.WaitGroup
 }
 
-// NewManager starts a manager and its workers; it panics if the durable
-// store cannot be opened (use OpenManager to handle that error).
+// NewManager starts a manager and its workers; it panics where
+// OpenManager would fail (use OpenManager to handle that error).
 func NewManager(opts Options) *Manager {
 	m, err := OpenManager(opts)
 	if err != nil {
@@ -401,18 +403,25 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// OpenManager starts a manager and its workers. With Options.StateDir
-// set, it opens the durable job store, recovers every persisted job —
-// terminal jobs restore, their records re-derived on first use, queued
-// jobs re-enqueue in submit order, jobs caught running by the crash
-// requeue as interrupted — and compacts the recovered state into a fresh
-// snapshot before accepting new work.
+// OpenManager starts a manager and its workers. It first arms the fault
+// GPUSIMPOW_FAULTPOINT names and fails on an unknown or malformed spec
+// (see ArmFault). With Options.StateDir set, it opens the durable job
+// store, recovers every persisted job — terminal jobs restore, their
+// records re-derived on first use, queued jobs re-enqueue in submit
+// order, jobs caught running by the crash requeue as interrupted — and
+// compacts the recovered state into a fresh snapshot before accepting new
+// work.
 func OpenManager(opts Options) (*Manager, error) {
+	fault, err := ArmFault()
+	if err != nil {
+		return nil, err
+	}
 	o := opts.withDefaults()
 	m := &Manager{
-		opts: o,
-		jobs: make(map[string]*Job),
-		idem: make(map[string]string),
+		opts:  o,
+		fault: fault,
+		jobs:  make(map[string]*Job),
+		idem:  make(map[string]string),
 	}
 	m.queueCond = sync.NewCond(&m.mu)
 	m.ctx, m.stop = context.WithCancel(context.Background())
@@ -871,7 +880,7 @@ func (m *Manager) runJob(j *Job) {
 		j.records = append(j.records, rec)
 		j.cond.Broadcast()
 		j.mu.Unlock()
-		if faultpoint(FaultCrashAfterRecord) {
+		if m.fault.Fire(FaultCrashAfterRecord) {
 			fmt.Fprintln(os.Stderr, "gpowd: faultpoint crash-after-record: dying")
 			os.Exit(137)
 		}

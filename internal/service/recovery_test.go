@@ -95,14 +95,6 @@ func init() {
 	})
 }
 
-// resetFaultpoint re-arms a named faultpoint (they fire once per process;
-// tests must stay correct under -count=N).
-func resetFaultpoint(name string) {
-	faultMu.Lock()
-	delete(faultHits, name)
-	faultMu.Unlock()
-}
-
 // referenceRun executes one request on a store-less manager and returns
 // the uninterrupted records and report — the ground truth recovery must
 // reproduce bit-identically.
@@ -421,6 +413,7 @@ func TestPanicIsolation(t *testing.T) {
 // The panic-in-reduce faultpoint: a panicking reducer fails that one
 // report request; the job stays done, and the next request succeeds.
 func TestReducePanicIsolation(t *testing.T) {
+	t.Setenv("GPUSIMPOW_FAULTPOINT", FaultPanicInReduce.String())
 	m := NewManager(Options{MaxConcurrent: 1})
 	defer m.Close()
 	j, err := m.Submit(sweep.JobRequest{Scenario: "ablation-processnode"})
@@ -429,8 +422,6 @@ func TestReducePanicIsolation(t *testing.T) {
 	}
 	waitState(t, j, StateDone)
 
-	resetFaultpoint(FaultPanicInReduce)
-	t.Setenv("GPUSIMPOW_FAULTPOINT", FaultPanicInReduce)
 	if _, err := j.Report(); err == nil || !strings.Contains(err.Error(), "reduce panicked") {
 		t.Fatalf("armed reduce faultpoint: %v, want a contained panic", err)
 	}

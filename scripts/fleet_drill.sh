@@ -79,8 +79,6 @@ survivor_port=$p0
 [ "$survivor" = b0 ] || survivor_port=$p1
 echo "fleet drill: ring owner for $scenario is $victim — arming it to die mid-job"
 
-require_faultpoint crash-after-record
-
 start_backend() { # name port logfile [env armed]
     if [ "${4:-}" = armed ]; then
         GPUSIMPOW_FAULTPOINT=crash-after-record:skip=1 \

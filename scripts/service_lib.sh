@@ -38,21 +38,6 @@ wait_listen() {
     echo "$_addr"
 }
 
-# require_faultpoint NAME checks NAME against the shared manifest
-# (internal/service/faultpoints.txt) before a drill arms it via
-# GPUSIMPOW_FAULTPOINT. A typo'd name would otherwise arm nothing and
-# the drill would hang waiting for a crash that never comes; failing
-# here turns that into an immediate, explainable error. The same
-# manifest is embedded in the service binary (DeclaredFaultpoints) and
-# cross-checked by gpowlint's faultpoint pass.
-require_faultpoint() {
-    _manifest=internal/service/faultpoints.txt
-    if ! grep -qx "$1" "$_manifest"; then
-        echo "unknown faultpoint '$1': not declared in $_manifest" >&2
-        return 1
-    fi
-}
-
 # wait_dead PID LABEL waits up to 30s for PID to exit (e.g. after a
 # faultpoint fires). Fails loudly on timeout.
 wait_dead() {

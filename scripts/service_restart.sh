@@ -48,7 +48,6 @@ go build -o "$tmp/gpowexp" ./cmd/gpowexp
 port=$(pick_port)
 
 # First daemon: armed to die right after the second cell record.
-require_faultpoint crash-after-record
 GPUSIMPOW_FAULTPOINT=crash-after-record:skip=1 \
     "$tmp/gpowd" -addr "127.0.0.1:$port" -state-dir "$tmp/state" 2>"$tmp/gpowd1.log" &
 pid=$!
