@@ -127,9 +127,10 @@ fuzz:
 	$(GO) test ./internal/config -run=NONE -fuzz=FuzzConfigValidate -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzParseFaults -fuzztime=3s -fuzzminimizetime=1s
 
-# One pass of the root microbenchmarks (simulator, measurement layer and
-# a warm pass of the sweep scenario set, one iteration each), so they
-# cannot silently rot; use -benchtime and -cpuprofile for A/B runs.
+# One pass of the root microbenchmarks (simulator, measurement layer,
+# cold and warm passes of the sweep scenario set and a job served through
+# an in-process fleet, one iteration each), so they cannot silently rot;
+# use -benchtime and -cpuprofile for A/B runs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=NONE .
 

@@ -1,25 +1,34 @@
 // Simulator-throughput microbenchmarks: quick A/B and pprof probes of the
 // timing simulator on single Table I benchmarks, one probe of the virtual
-// card's measurement layer, and cold and warm passes of the paper's sweep
-// scenarios (BenchmarkSweepCold, BenchmarkSweepWarm). The reproduced paper
+// card's measurement layer, cold and warm passes of the paper's sweep
+// scenarios (BenchmarkSweepCold, BenchmarkSweepWarm), and served jobs
+// through an in-process fleet (BenchmarkServeJob). The reproduced paper
 // quantities are pinned exactly by the scenario goldens in
 // internal/experiments, and the measured end-to-end ledger is benchmark/.
 //
 //	go test -bench=Sim -benchmem -cpuprofile cpu.prof
 //	go test -bench=SweepCold -run=NONE -cpuprofile cpu.prof
 //	go test -bench=SweepWarm -run=NONE -cpuprofile cpu.prof
+//	go test -bench=ServeJob -run=NONE -benchmem -cpuprofile cpu.prof
 package gpusimpow_test
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpusimpow/internal/bench"
 	"gpusimpow/internal/config"
 	"gpusimpow/internal/core"
 	_ "gpusimpow/internal/experiments" // registers the sweep scenarios
+	"gpusimpow/internal/fleet"
 	"gpusimpow/internal/hw"
 	"gpusimpow/internal/kernel"
 	"gpusimpow/internal/power"
+	"gpusimpow/internal/service"
 	"gpusimpow/internal/sim"
 	"gpusimpow/internal/simcache"
 	"gpusimpow/internal/sweep"
@@ -251,4 +260,79 @@ func BenchmarkSweepWarm(b *testing.B) {
 	if st := simcache.Default().Stats(); st.Misses != before.Misses {
 		b.Fatalf("%d timing misses in the timed passes, want every group a hit", st.Misses-before.Misses)
 	}
+}
+
+// exchangeCount counts the HTTP requests a handler serves, health probes
+// left out (the router's probe loop sends them on its own clock).
+type exchangeCount struct {
+	next http.Handler
+	n    atomic.Int64
+}
+
+func (c *exchangeCount) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/healthz" {
+		c.n.Add(1)
+	}
+	c.next.ServeHTTP(w, r)
+}
+
+// serveCatalog is BenchmarkServeJob's request mix: small sweeps, from
+// single cells to whole ablation studies.
+var serveCatalog = []sweep.JobRequest{
+	{Scenario: "ablation-processnode"},
+	{Scenario: "ablation-scheduler"},
+	{Scenario: "ablation-l2"},
+	{Scenario: "dvfs"},
+	{Scenario: "ablation-corecount", Filter: sweep.Filter{"variant": {"4clusters"}}},
+	{Scenario: "l1sched", Filter: sweep.Filter{"l1": {"16KB"}, "sched": {"gto"}}},
+}
+
+// BenchmarkServeJob serves one catalog request per op through an
+// in-process fleet, a gpowfleet router over one gpowd, both over
+// httptest: submit, follow the cells stream, fetch the report, as
+// gpowexp -remote and the harness's serve workload do. An untimed pass
+// fills the result cache first, so the op is HTTP, NDJSON, routing,
+// planning, replay and reduction. It reports the HTTP exchanges per
+// served job on both hops (exchanges/op).
+func BenchmarkServeJob(b *testing.B) {
+	m := service.NewManager(service.Options{MaxConcurrent: 2, RetainJobs: 64})
+	backend := &exchangeCount{next: service.NewServer(m)}
+	bSrv := httptest.NewServer(backend)
+	rt, err := fleet.NewRouter(fleet.Options{Backends: []fleet.BackendSpec{{Name: "b0", URL: bSrv.URL}}, ProbeInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	router := &exchangeCount{next: rt}
+	rtSrv := httptest.NewServer(router)
+	defer func() {
+		rtSrv.Close()
+		rt.Close()
+		bSrv.Close()
+		m.Close()
+	}()
+	c := &service.Client{Base: rtSrv.URL, HTTP: rtSrv.Client()}
+	ctx := context.Background()
+	serve := func(req sweep.JobRequest) {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.StreamCells(ctx, st.ID, func(*sweep.CellRecord) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Report(ctx, st.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, req := range serveCatalog {
+		serve(req)
+	}
+	before := router.n.Load() + backend.n.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(serveCatalog[i%len(serveCatalog)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(router.n.Load()+backend.n.Load()-before)/float64(b.N), "exchanges/op")
 }

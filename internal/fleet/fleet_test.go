@@ -625,8 +625,9 @@ func TestRouterForwardsCancelTrailer(t *testing.T) {
 
 // lostJobBackend fakes a backend that loses its one job, job-7, mid-stream
 // (a daemon restarted without -state-dir): every /cells?from=0 sends lines
-// and ends cleanly while the job still runs, and from then on the job's
-// status and its cells at any other offset answer 404. Unless retakes is set, it accepts the
+// and then breaks the connection while the job still runs, as gpowd breaks
+// a stream it cannot finish, and from then on the job's status and its
+// cells at any other offset answer 404. Unless retakes is set, it accepts the
 // router's first submission only and re-submissions answer 503, so a
 // re-dispatch has to look elsewhere; with retakes it accepts each
 // re-submission as job-7 and loses it again.
@@ -665,6 +666,8 @@ func lostJobBackend(t *testing.T, lines [][]byte, retakes bool) *httptest.Server
 		for _, l := range lines {
 			_, _ = w.Write(l)
 		}
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

@@ -899,11 +899,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &je):
 			// The job's own terminal trailer, re-encoded exactly as the
 			// backend encodes it.
-			msg := je.Msg
-			if msg == "" {
-				msg = fmt.Sprintf("job %s %s", r.PathValue("id"), je.State)
-			}
-			line, _ := json.Marshal(map[string]string{"error": msg})
+			line, _ := json.Marshal(map[string]string{"error": je.Msg})
 			_, _ = w.Write(append(line, '\n'))
 			return
 		case from == movedAt || !rt.backendFailed(j, b, bid, err):

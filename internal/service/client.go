@@ -334,20 +334,14 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // JobError is a followed job's terminal outcome: the {"error": ...}
-// trailer its stream ended with, or a failed or canceled status found
-// after a clean end of stream.
+// trailer its stream ended with, which only a failed or canceled job's
+// stream carries.
 type JobError struct {
-	ID    string   // the job ID the stream was read under
-	State JobState // failed or canceled; empty when read from a trailer
-	Msg   string   // the job's own message, as its stream's trailer carries it
+	ID  string // the job ID the stream was read under
+	Msg string // the job's own message, as its stream's trailer carries it
 }
 
-func (e *JobError) Error() string {
-	if e.Msg == "" {
-		return fmt.Sprintf("service: job %s %s", e.ID, e.State)
-	}
-	return fmt.Sprintf("service: job %s: %s", e.ID, e.Msg)
-}
+func (e *JobError) Error() string { return fmt.Sprintf("service: job %s: %s", e.ID, e.Msg) }
 
 // ErrSevered, wrapped in the error a Follow line callback returns, ends
 // the connection as a broken one: the line counts as delivered and the
@@ -357,39 +351,34 @@ var ErrSevered = errors.New("service: stream severed")
 // Follow follows a job's NDJSON cell stream from line from on, handing
 // line every complete payload line, newline included, exactly once and
 // in order. Each connection attempt asks at which client and job ID to
-// read, so a job that moves between daemons is followed to its new home. A broken connection, a torn last line, or a
-// clean end of stream before the job is done (a draining daemon ends its
-// streams early) counts as a failed attempt: lost, when non-nil, sees its
-// error, and after c's jittered backoff the follow reconnects with
-// ?from=<delivered>. c.RetryAttempts bounds the failed attempts in a row
-// that deliver nothing.
+// read, so a job that moves between daemons is followed to its new home.
 //
-// Follow returns nil once the job is done and every line delivered, a
-// *JobError once it failed or was canceled, and otherwise the first error
-// resumption cannot fix: a 4xx response (an *HTTPError), a callback
-// error, the context's error, or the last failure when patience runs out.
+// It trusts the stream contract gpowd and gpowfleet keep: a stream ends
+// cleanly only when it is complete, and ends with an {"error": ...}
+// trailer only for a failed or canceled job; a stream either daemon
+// cannot finish (a drain, a lost backend) breaks instead. So Follow makes
+// no status request. A broken connection or a torn last line counts as a
+// failed attempt: lost, when non-nil, sees its error, and after c's
+// jittered backoff the follow reconnects with ?from=<delivered>.
+// c.RetryAttempts bounds the failed attempts in a row that deliver
+// nothing.
+//
+// Follow returns nil at a clean end of stream, a *JobError at a trailer,
+// and otherwise the first error resumption cannot fix: a 4xx response (an
+// *HTTPError), a callback error, the context's error, or the last failure
+// when patience runs out.
 func (c *Client) Follow(ctx context.Context, from int, at func() (*Client, string), lost func(error), line func([]byte) error) error {
 	delivered, failures := from, 0
 	for {
 		before := delivered
 		cl, id := at()
 		err := cl.followOnce(ctx, id, &delivered, line)
+		if err == nil {
+			return nil
+		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
 			return perm.err
-		}
-		if err == nil {
-			st, jerr := cl.Job(ctx, id)
-			switch {
-			case jerr != nil:
-				err = jerr
-			case st.State == StateDone && delivered >= st.Cells:
-				return nil
-			case st.State == StateFailed || st.State == StateCanceled:
-				return &JobError{ID: id, State: st.State, Msg: st.Error}
-			default:
-				err = fmt.Errorf("service: job %s: stream ended at line %d with job %s", id, delivered, st.State)
-			}
 		}
 		if ctx.Err() != nil {
 			return err
@@ -413,10 +402,29 @@ func (c *Client) Follow(ctx context.Context, from int, at func() (*Client, strin
 	}
 }
 
+// trailerPrefix starts the {"error": ...} trailer line as both daemons
+// encode it; a record line starts with its "scenario" key.
+var trailerPrefix = []byte(`{"error":`)
+
+// trailer reads one complete line of job id's stream: nil for a payload,
+// the job's *JobError for its trailer. Only the trailer is decoded.
+func trailer(id string, line []byte) error {
+	if !bytes.HasPrefix(line, trailerPrefix) {
+		return nil
+	}
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(line, &env); err != nil {
+		return fmt.Errorf("service: job %s cells stream: decoding trailer: %w", id, err)
+	}
+	return &JobError{ID: id, Msg: env.Error}
+}
+
 // followOnce reads one connection of a followed stream, bumping
-// *delivered per line handed to fn. A nil return is this connection's
-// clean end (not necessarily the stream's); an error not wrapped in
-// *permanentError means "reconnect and resume".
+// *delivered per line handed to fn. A nil return is the stream's clean
+// end; an error not wrapped in *permanentError means "reconnect and
+// resume".
 func (c *Client) followOnce(ctx context.Context, id string, delivered *int, fn func([]byte) error) error {
 	resp, err := c.do(ctx, http.MethodGet,
 		fmt.Sprintf("/v1/jobs/%s/cells?from=%d", id, *delivered), nil, "")
@@ -441,13 +449,8 @@ func (c *Client) followOnce(ctx context.Context, id string, delivered *int, fn f
 		if err != nil {
 			return fmt.Errorf("service: reading job %s cells stream: %w", id, err)
 		}
-		// Each line is either a payload or the terminal error trailer;
-		// payloads never carry an "error" key.
-		var env struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(line, &env) == nil && env.Error != "" {
-			return &permanentError{&JobError{ID: id, Msg: env.Error}}
+		if err := trailer(id, line); err != nil {
+			return &permanentError{err}
 		}
 		err = fn(line)
 		if err != nil && !errors.Is(err, ErrSevered) {

@@ -249,35 +249,32 @@ func TestClientStreamResumesAfterDrop(t *testing.T) {
 	}
 }
 
-// A clean EOF on a job that is not done (the early stream end a draining
-// daemon produces) reconnects rather than silently truncating; a job
-// that terminated uncleanly surfaces its error.
-func TestClientStreamChecksJobOnEOF(t *testing.T) {
-	calls := 0
+// A clean end of stream is the whole stream: the follow returns at once,
+// without asking for the job's status. A stream the server breaks early
+// (gpowd aborts one it cannot finish, such as a drain's) resumes from the
+// next undelivered line, and a trailer ends the follow with the job's
+// own error.
+func TestClientStreamTrustsCleanEnd(t *testing.T) {
+	var streams, statuses atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/job-1/cells", func(w http.ResponseWriter, r *http.Request) {
-		calls++
 		enc := json.NewEncoder(w)
-		switch calls {
-		case 1:
-			if r.URL.Query().Get("from") != "0" {
-				t.Errorf("first connect from=%q", r.URL.Query().Get("from"))
+		if streams.Add(1) == 1 {
+			if from := r.URL.Query().Get("from"); from != "0" {
+				t.Errorf("first connect from=%q", from)
 			}
-			_ = enc.Encode(&sweep.CellRecord{Index: 0}) // then clean EOF, job still running
-		default:
-			if r.URL.Query().Get("from") != "1" {
-				t.Errorf("resume connect from=%q, want 1", r.URL.Query().Get("from"))
-			}
-			_ = enc.Encode(&sweep.CellRecord{Index: 1})
+			_ = enc.Encode(&sweep.CellRecord{Index: 0})
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // broken early, job still running
 		}
+		if from := r.URL.Query().Get("from"); from != "1" {
+			t.Errorf("resume connect from=%q, want 1", from)
+		}
+		_ = enc.Encode(&sweep.CellRecord{Index: 1}) // then a clean end: complete
 	})
 	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
-		st := JobStatus{ID: "job-1", State: StateInterrupted, Cells: 2}
-		if calls >= 2 {
-			st.State = StateDone
-			st.DoneCells = 2
-		}
-		WriteJSON(w, http.StatusOK, st)
+		statuses.Add(1)
+		WriteJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning, Cells: 3})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -288,10 +285,16 @@ func TestClientStreamChecksJobOnEOF(t *testing.T) {
 		got = append(got, rec.Index)
 		return nil
 	}); err != nil {
-		t.Fatalf("stream should resume after an early EOF: %v", err)
+		t.Fatalf("stream should resume after an aborted early end: %v", err)
 	}
 	if fmt.Sprint(got) != "[0 1]" {
 		t.Errorf("delivered %v, want [0 1]", got)
+	}
+	if n := streams.Load(); n != 2 {
+		t.Errorf("%d stream connections, want 2", n)
+	}
+	if n := statuses.Load(); n != 0 {
+		t.Errorf("job status checked %d times, want 0: a clean end is complete", n)
 	}
 
 	// Failed jobs end the stream with their error, not a retry loop.
@@ -303,8 +306,9 @@ func TestClientStreamChecksJobOnEOF(t *testing.T) {
 	defer srv2.Close()
 	c2 := fastRetry(srv2)
 	err := c2.StreamCells(context.Background(), "job-9", func(*sweep.CellRecord) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("terminal error line: %v", err)
+	var je *JobError
+	if !errors.As(err, &je) || je.Msg != "boom" {
+		t.Errorf("terminal error line: %v, want a *JobError with the trailer's message", err)
 	}
 }
 
@@ -343,8 +347,8 @@ func TestClientStreamTornLine(t *testing.T) {
 	if fmt.Sprint(got) != "[0 1]" {
 		t.Errorf("delivered %v, want [0 1]", got)
 	}
-	if n := statuses.Load(); n != 1 {
-		t.Errorf("job status checked %d times, want once (after the resumed stream's end)", n)
+	if n := statuses.Load(); n != 0 {
+		t.Errorf("job status checked %d times, want 0", n)
 	}
 }
 

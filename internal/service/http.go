@@ -34,7 +34,9 @@ import (
 // status's Cells. A ?from=N query skips the first N lines — the
 // resumption handle a client that lost its connection after N lines
 // replays from, exact because records are placed by plan index. If the job fails or is canceled
-// mid-stream, a final {"error": "..."} line terminates the stream.
+// mid-stream, a final {"error": "..."} line terminates the stream. A
+// stream that ends cleanly is complete; one the daemon cannot finish (a
+// drain, an abandoned re-derivation) breaks instead.
 //
 // The report endpoint reduces the finished job's records server-side
 // through the scenario registry's Reduce hook: 409 while the job is still
@@ -187,8 +189,12 @@ func (s *server) cancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobCells serves a job's NDJSON cell stream (see NewServer): line i is
-// cell i's record, written as soon as WaitCell yields it, and a
-// failed/canceled job's stream ends with its {"error": ...} line.
+// cell i's record, written as soon as WaitCell yields it. The stream ends
+// cleanly only when it is complete: a done job's after its last cell, a
+// failed or canceled job's after its {"error": ...} line. Any other end (a
+// drain, a re-derivation Close abandoned, a gone client) aborts the
+// connection, so a reader never mistakes it for the whole stream and
+// resumes with ?from=N.
 func (s *server) jobCells(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -212,10 +218,14 @@ func (s *server) jobCells(w http.ResponseWriter, r *http.Request) {
 	for i := from; ; i++ {
 		rec, state, errMsg := j.WaitCell(r.Context(), i)
 		if rec == nil {
-			if state == StateFailed || state == StateCanceled {
+			switch {
+			case state == StateDone && i >= len(j.plan.Cells):
+				return
+			case state == StateFailed || state == StateCanceled:
 				_ = enc.Encode(map[string]string{"error": errMsg})
+				return
 			}
-			return
+			panic(http.ErrAbortHandler)
 		}
 		if err := enc.Encode(rec); err != nil {
 			return // client went away

@@ -222,32 +222,33 @@ func (j *Job) awaitRecords(ctx context.Context) {
 	}
 }
 
-// WaitCell blocks until cell i's record is available or the job reaches a
-// terminal state without producing it, whichever comes first. It returns
-// the record (nil once the stream is exhausted), the job's state at that
-// point, and the job error ("" unless failed/canceled). The context
-// bounds the wait.
+// WaitCell blocks until cell i's record is available, the job reaches a
+// terminal state without producing it, or the manager halts (its workers
+// are gone, so the job cannot progress in this process), whichever comes
+// first. It returns the record (nil once the stream is exhausted), the
+// job's state at that point, and the job error ("" unless
+// failed/canceled). The context bounds the wait.
 func (j *Job) WaitCell(ctx context.Context, i int) (*sweep.CellRecord, JobState, string) {
 	j.awaitRecords(ctx)
-	// Wake waiters when the caller's context dies; cond.Wait cannot watch
-	// a channel itself.
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.mu.Unlock() //nolint:staticcheck // empty critical section orders the broadcast after Wait
-		j.cond.Broadcast()
-	})
-	defer stop()
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.records) <= i && !j.state.terminal() && ctx.Err() == nil {
-		j.cond.Wait()
+	if len(j.records) <= i && !j.state.terminal() {
+		// Wake the wait when the caller's context dies or the manager
+		// halts; cond.Wait cannot watch a channel itself. j.mu is held
+		// until Wait releases it, so no broadcast comes too early.
+		wake := func() {
+			j.mu.Lock()
+			j.mu.Unlock() //nolint:staticcheck // empty critical section orders the broadcast after Wait
+			j.cond.Broadcast()
+		}
+		defer context.AfterFunc(ctx, wake)()
+		defer context.AfterFunc(j.m.halted, wake)()
+		for len(j.records) <= i && !j.state.terminal() && ctx.Err() == nil && j.m.halted.Err() == nil {
+			j.cond.Wait()
+		}
 	}
 	if len(j.records) > i {
 		return j.records[i], j.state, ""
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, j.state, err.Error()
 	}
 	return nil, j.state, j.err
 }
@@ -372,6 +373,10 @@ type Manager struct {
 
 	ctx  context.Context // bounds re-derivations; Close and an expired drain stop it
 	stop context.CancelFunc
+	// halted is done once the workers are gone: no job progresses further
+	// in this process, so WaitCell stops waiting.
+	halted context.Context
+	halt   context.CancelFunc
 
 	mu            sync.Mutex
 	jobs          map[string]*Job
@@ -425,6 +430,7 @@ func OpenManager(opts Options) (*Manager, error) {
 	}
 	m.queueCond = sync.NewCond(&m.mu)
 	m.ctx, m.stop = context.WithCancel(context.Background())
+	m.halted, m.halt = context.WithCancel(context.Background())
 	if o.StateDir != "" {
 		st, err := openStore(o.StateDir)
 		if err != nil {
@@ -566,13 +572,15 @@ func (m *Manager) Close() {
 }
 
 // finish stops the re-derivations, waits for the closed manager's workers,
-// abandons the re-derivations none ran, and persists the final state.
+// abandons the re-derivations none ran, halts the waiting readers, and
+// persists the final state.
 func (m *Manager) finish() {
 	m.stop()
 	m.wg.Wait()
 	for _, j := range m.rederive { // closed: nothing appends any more
 		j.settle(nil, nil)
 	}
+	m.halt()
 	if m.store != nil {
 		m.store.Compact(m.snapshot())
 		m.store.Close()

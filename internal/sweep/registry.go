@@ -13,7 +13,10 @@ import (
 type Scenario struct {
 	Name  string
 	Title string
-	// Spec is the scenario's sweep specification (nil for non-sweeps).
+	// Spec is the scenario's sweep specification (nil for non-sweeps). It
+	// must build the same specification on every call: JobRequest.Plan
+	// plans each request once per process. State a workload reads when
+	// it builds or runs is not part of the specification.
 	Spec func() *Spec
 	// Reduce (required) folds one completed run's cell records into the
 	// scenario's typed Report (see report.go). Sweep-backed scenarios

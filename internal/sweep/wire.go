@@ -4,7 +4,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"gpusimpow/internal/simcache"
 )
@@ -50,7 +54,17 @@ type JobRequest struct {
 // the one validation + planning path both the service and remote-capable
 // front-ends share. Unknown scenarios, non-sweep scenarios and invalid
 // filters are errors.
+//
+// Plans are memoized per process by scenario name and filter (see
+// planMemo): a fleet router and the daemons behind it plan each distinct
+// request once, however many jobs submit it. The plan is shared, so
+// callers must treat it as read-only, as Run and Record do.
 func (r *JobRequest) Plan() (*Plan, error) {
+	return jobPlans.get(r)
+}
+
+// plan is Plan without the memo.
+func (r *JobRequest) plan() (*Plan, error) {
 	if r.Scenario == "" {
 		return nil, fmt.Errorf("sweep: job request without a scenario name")
 	}
@@ -71,6 +85,68 @@ func (r *JobRequest) Plan() (*Plan, error) {
 		}
 	}
 	return sc.Spec().Plan(r.Filter)
+}
+
+// jobPlans is JobRequest.Plan's process-wide memo.
+var jobPlans = planMemo{max: 256}
+
+// planMemo holds the plans of the requests a process planned, keyed by
+// planKey. A plan is a pure function of its scenario's spec and the
+// filter, a scenario's Spec builds the same spec on every call, and the
+// registry never replaces a scenario, so a stored plan is the plan a
+// fresh Spec().Plan would build. Like config.Memo it is
+// bounded: requests come from clients, so a store into a full memo
+// starts a fresh one. Only plans that built without error are stored.
+type planMemo struct {
+	max   int
+	mu    sync.Mutex
+	plans map[string]*Plan
+}
+
+// get returns the memoized plan for r, planning it on a miss. The plan
+// is built outside the lock; when concurrent first callers race, the
+// first to store wins and the others return the stored plan.
+func (m *planMemo) get(r *JobRequest) (*Plan, error) {
+	key := planKey(r.Scenario, r.Filter)
+	m.mu.Lock()
+	p, ok := m.plans[key]
+	m.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := r.plan()
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if first, ok := m.plans[key]; ok {
+		return first, nil
+	}
+	if m.plans == nil || len(m.plans) >= m.max {
+		m.plans = make(map[string]*Plan)
+	}
+	m.plans[key] = p
+	return p, nil
+}
+
+// planKey is the memo key of a scenario and filter: the quoted scenario
+// name, then each axis in sorted order with its values sorted, every
+// name quoted so that different names never run together into one key. The filter admits a value
+// whatever its position in the list, and no CheckFilter depends on
+// order, so requests that differ only in order plan alike. An axis with
+// no values (which admits nothing) keys apart from an absent one.
+func planKey(scenario string, f Filter) string {
+	b := strconv.AppendQuote(nil, scenario)
+	for _, axis := range slices.Sorted(maps.Keys(f)) {
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, axis)
+		b = append(b, '=')
+		for _, v := range slices.Sorted(slices.Values(f[axis])) {
+			b = strconv.AppendQuote(b, v)
+		}
+	}
+	return string(b)
 }
 
 // ValueInfo is one axis value in scenario metadata.
